@@ -12,9 +12,10 @@ __all__ = ["binary_view", "continent_codes", "collect_tables",
 def binary_view(col) -> tuple[memoryview, np.ndarray]:
     """(value-buffer memoryview, int64 offsets) for a binary/string
     column -- per-row payloads are ``data[offs[j]:offs[j+1]]`` slices,
-    no per-row Python bytes copies."""
+    no per-row Python bytes copies.  A single-chunk column is read in
+    place; only a multi-chunk one is concatenated."""
     if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
     bufs = col.buffers()
     wide = pa.types.is_large_binary(col.type) or pa.types.is_large_string(col.type)
     odt = np.int64 if wide else np.int32
@@ -47,11 +48,11 @@ def payload_sums(col, dtype, nodata=None) -> tuple[np.ndarray, np.ndarray]:
     count when given; empty payloads yield (0, 0)."""
     dt = np.dtype(dtype)
     data, offs = binary_view(col)
-    oe = offs // dt.itemsize  # element offsets
-    # truncate to the column's LOGICAL end: a sliced / non-compacted
-    # array's value buffer can extend past offs[-1], and reduceat's
-    # last segment would otherwise absorb those bytes
-    flat = np.frombuffer(data, dt)[: oe[-1]].astype(np.int64)
+    # only the column's own byte range: a sliced array's value buffer can
+    # hold other rows' payloads before offs[0] and past offs[-1]
+    lo = int(offs[0])
+    flat = np.frombuffer(data[lo : int(offs[-1])], dt).astype(np.int64)
+    oe = (offs - lo) // dt.itemsize  # element offsets into flat
     n = len(oe) - 1
     if not len(flat):
         return np.zeros(n, np.int64), np.zeros(n, np.int64)
@@ -61,7 +62,6 @@ def payload_sums(col, dtype, nodata=None) -> tuple[np.ndarray, np.ndarray]:
     # trailing empty payload -- caught by the property test)
     cs = np.concatenate([[0], np.cumsum(np.where(valid, flat, 0))])
     cc = np.concatenate([[0], np.cumsum(valid.astype(np.int64))])
-    oe = oe.astype(np.int64)  # absolute element offsets into flat
     sums = cs[oe[1:]] - cs[oe[:-1]]
     cnts = cc[oe[1:]] - cc[oe[:-1]]
     return sums, cnts

@@ -80,6 +80,59 @@ def encode_png_pal8(indices: np.ndarray, palette: np.ndarray,
             + _chunk(b"IDAT", idat) + _chunk(b"IEND", b""))
 
 
+_CHUNK_HEAD = struct.Struct(">I4s")  # chunk length, tag
+_IHDR = struct.Struct(">IIBB")  # width, height, bit depth, color type
+
+
+def _png_chunks(buf) -> tuple[int, int, int, memoryview | None, list]:
+    """``(w, h, ctype, plte, idat_parts)`` of an 8-bit grayscale, RGB or
+    paletted PNG; ``plte`` and the IDAT parts are memoryview slices of
+    ``buf`` (no payload copies)."""
+    buf = memoryview(buf)
+    if bytes(buf[:8]) != _PNG_SIG:
+        raise ValueError("not a PNG")
+    pos, end = 8, len(buf)
+    w = h = ctype = None
+    plte = None
+    idat_parts: list = []
+    while pos + 8 <= end:
+        ln, tag = _CHUNK_HEAD.unpack_from(buf, pos)
+        if tag == b"IDAT":
+            idat_parts.append(buf[pos + 8 : pos + 8 + ln])
+        elif tag == b"IHDR":
+            w, h, bit, ctype = _IHDR.unpack_from(buf, pos + 8)
+            if bit != 8 or ctype not in (0, 2, 3):
+                raise NotImplementedError(
+                    "only 8-bit grayscale/RGB/paletted PNG supported")
+        elif tag == b"PLTE":
+            plte = buf[pos + 8 : pos + 8 + ln]
+        elif tag == b"IEND":
+            break
+        pos += 12 + ln
+    if w is None:
+        raise ValueError("PNG without an IHDR chunk")
+    return w, h, ctype, plte, idat_parts
+
+
+def _stream_size_error(got: int, size: int) -> ValueError:
+    kind = "truncated" if got < size else "oversized"
+    return ValueError(f"{kind} PNG stream: {got} bytes inflated, IHDR needs {size}")
+
+
+def _inflate(idat_parts: list, size: int) -> np.ndarray:
+    """One-shot inflate of the IDAT stream, which must hold exactly
+    ``size`` bytes (a filter byte plus one scanline per row).  A corrupt
+    or truncated stream raises ValueError."""
+    idat = idat_parts[0] if len(idat_parts) == 1 else b"".join(idat_parts)
+    try:
+        out = zlib.decompress(idat)
+    except zlib.error as e:
+        raise ValueError(f"truncated or corrupt PNG stream: {e}") from None
+    if len(out) != size:
+        raise _stream_size_error(len(out), size)
+    return np.frombuffer(out, dtype=np.uint8)
+
+
 def decode_png(buf, copy: bool = True) -> np.ndarray:
     """Decode an 8-bit grayscale (color type 0), RGB (color type 2) or
     paletted (color type 3, expanded through its PLTE) PNG produced by
@@ -91,37 +144,13 @@ def decode_png(buf, copy: bool = True) -> np.ndarray:
     ``copy=False`` to get a view into the decompressed buffer (saves one
     full-image copy per decode, but the result is read-only and pins the
     (h, w*ch + 1) buffer alive)."""
-    buf = memoryview(buf)
-    if bytes(buf[:8]) != _PNG_SIG:
-        raise ValueError("not a PNG")
-    pos = 8
-    w = h = ch = None
-    ctype = 0
-    plte = None
-    idat_parts: list = []
-    while pos < len(buf):
-        (ln,) = struct.unpack_from(">I", buf, pos)
-        tag = bytes(buf[pos + 4 : pos + 8])
-        payload = buf[pos + 8 : pos + 8 + ln]
-        if tag == b"IHDR":
-            w, h, bit, ctype = struct.unpack_from(">IIBB", payload, 0)
-            if bit != 8 or ctype not in (0, 2, 3):
-                raise NotImplementedError(
-                    "only 8-bit grayscale/RGB/paletted PNG supported")
-            ch = 3 if ctype == 2 else 1  # paletted scanlines carry indices
-        elif tag == b"PLTE":
-            plte = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
-        elif tag == b"IDAT":
-            idat_parts.append(payload)
-        elif tag == b"IEND":
-            break
-        pos += 12 + ln
+    w, h, ctype, plte, idat_parts = _png_chunks(buf)
+    ch = 3 if ctype == 2 else 1  # paletted scanlines carry indices
     if ctype == 3 and plte is None:
         raise ValueError("paletted PNG without a PLTE chunk")
-    idat = idat_parts[0] if len(idat_parts) == 1 else b"".join(idat_parts)
-    raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8) \
-        .reshape(h, w * ch + 1)
+    raw = _inflate(idat_parts, h * (w * ch + 1)).reshape(h, w * ch + 1)
     if ctype == 3:
+        plte = np.frombuffer(plte, dtype=np.uint8).reshape(-1, 3)
         # palette gather: (h, w) indices -> (h, w, 3) RGB (always a new
         # array, so `copy` is moot); filters on index rows are the same
         # byte-domain filters
@@ -135,8 +164,9 @@ def decode_png(buf, copy: bool = True) -> np.ndarray:
                     continue
                 if f == 1:
                     idx[r] = np.cumsum(idx[r], dtype=np.uint64).astype(np.uint8)
-                elif f == 2:
-                    idx[r] = (idx[r].astype(np.uint16) + idx[r - 1]).astype(np.uint8)
+                elif f == 2:  # up; the row above the first is zeros
+                    if r:
+                        idx[r] = (idx[r].astype(np.uint16) + idx[r - 1]).astype(np.uint8)
                 else:
                     raise NotImplementedError(f"PNG filter {f} unsupported")
         return plte[idx]
@@ -152,8 +182,9 @@ def decode_png(buf, copy: bool = True) -> np.ndarray:
         if f == 1:  # sub: recon[x] = raw[x] + recon[x - bpp], per channel
             img[r] = np.cumsum(img[r].reshape(w, ch), axis=0,
                                dtype=np.uint64).astype(np.uint8).reshape(-1)
-        elif f == 2:  # up
-            img[r] = (img[r].astype(np.uint16) + img[r - 1]).astype(np.uint8)
+        elif f == 2:  # up; the row above the first is zeros
+            if r:
+                img[r] = (img[r].astype(np.uint16) + img[r - 1]).astype(np.uint8)
         else:
             raise NotImplementedError(f"PNG filter {f} unsupported")
     return img if ch == 1 else img.reshape(h, w, ch)
@@ -167,49 +198,41 @@ def decode_png_gray8(buf, copy: bool = True) -> np.ndarray:
     return img
 
 
-_V256 = np.arange(256, dtype=np.int64)
-_V256SQ = _V256 * _V256
-
-
 def png_stream_stats(buf, keep_rows=None, chunk: int = 1 << 16):
-    """One STREAMING inflate pass over a filter-0 8-bit gray/RGB PNG:
-    pixel sum + sum-of-squares (exact integers) and, optionally, full
-    copies of the requested scanlines -- without ever materializing the
-    decoded frame.  Decompression runs through a bounded ``chunk``-byte
-    window (zlib.decompressobj max_length), so the working set stays
-    cache-resident no matter how large the frame is; per window the
-    stats are one bincount + two 256-long dot products.
+    """Pixel sum and sum of squares (exact integers) of a filter-0 8-bit
+    gray/RGB PNG and, optionally, copies of the requested scanlines --
+    without materializing a decoded frame.  A frame whose filter+pixel
+    stream fits ``chunk`` bytes inflates in one shot; a larger one
+    streams through a bounded ``chunk``-byte window (zlib.decompressobj
+    max_length), so the working set stays cache-resident however large
+    the frame is.  Per window the stats are a float64 ``f.sum()`` and
+    ``f @ f``: every partial sum is an integer below 2**53, so both are
+    exact.
 
     Returns ``(psum, psumsq, h, w, ch, rows)`` where ``rows`` is a
-    ``(len(keep_rows), w*ch)`` uint8 array (or None), or ``None`` when
-    any scanline uses a non-zero filter -- callers fall back to
-    :func:`decode_png` (filtered PNGs need full reconstruction anyway).
+    ``(len(keep_rows), w*ch)`` uint8 array (or None), or ``None`` for a
+    paletted PNG or when any scanline uses a non-zero filter -- callers
+    fall back to :func:`decode_png`.  A corrupt or truncated stream
+    raises ValueError.
     """
-    buf = memoryview(buf)
-    if bytes(buf[:8]) != _PNG_SIG:
-        raise ValueError("not a PNG")
-    pos = 8
-    w = h = ch = None
-    idat_parts: list = []
-    while pos < len(buf):
-        (ln,) = struct.unpack_from(">I", buf, pos)
-        tag = bytes(buf[pos + 4 : pos + 8])
-        if tag == b"IHDR":
-            w, h, bit, ctype = struct.unpack_from(">IIBB", buf, pos + 8)
-            if bit == 8 and ctype == 3:
-                return None  # paletted: stats need the PLTE gather ->
-                # callers fall back to the full decode_png path
-            if bit != 8 or ctype not in (0, 2):
-                raise NotImplementedError(
-                    "only 8-bit grayscale/RGB PNG supported")
-            ch = 1 if ctype == 0 else 3
-        elif tag == b"IDAT":
-            idat_parts.append(buf[pos + 8 : pos + 8 + ln])
-        elif tag == b"IEND":
-            break
-        pos += 12 + ln
-
+    w, h, ctype, _plte, idat_parts = _png_chunks(buf)
+    if ctype == 3:
+        return None  # paletted: stats need the PLTE gather
+    ch = 1 if ctype == 0 else 3
     stride = w * ch + 1
+    size = h * stride
+
+    if size <= chunk:
+        f = _inflate(idat_parts, size)
+        if f[::stride].any():  # the filter byte of every scanline
+            return None
+        # filter bytes are 0, so stats over the stream ARE the pixel stats
+        x = f.astype(np.float64)
+        rows = None
+        if keep_rows is not None:
+            rows = f.reshape(h, stride)[np.asarray(keep_rows, dtype=np.intp), 1:]
+        return int(x.sum()), int(x @ x), h, w, ch, rows
+
     rows = None
     spans: list[tuple[int, int, int]] = []  # (stream_start, stream_end, out_row)
     if keep_rows is not None:
@@ -228,11 +251,9 @@ def png_stream_stats(buf, keep_rows=None, chunk: int = 1 << 16):
         k0 = -(-spos // stride)
         if arr[k0 * stride - spos :: stride].any():
             return False  # filtered PNG: caller decodes fully
-        # filter bytes are 0, so they contribute nothing: stats over
-        # the raw window ARE the pixel stats
-        cnt = np.bincount(arr, minlength=256)
-        psum += int(cnt @ _V256)
-        psumsq += int(cnt @ _V256SQ)
+        x = arr.astype(np.float64)
+        psum += int(x.sum())
+        psumsq += int(x @ x)
         for s0, s1, k in spans:
             a = max(s0, spos)
             b = min(s1, spos + ln)
@@ -241,14 +262,8 @@ def png_stream_stats(buf, keep_rows=None, chunk: int = 1 << 16):
         spos += ln
         return True
 
-    if h * stride <= chunk:
-        # frame fits the window: one-shot inflate, same bounded memory
-        idat = idat_parts[0] if len(idat_parts) == 1 else \
-            b"".join(bytes(p) for p in idat_parts)
-        if not process(np.frombuffer(zlib.decompress(idat), dtype=np.uint8)):
-            return None
-    else:
-        d = zlib.decompressobj()
+    d = zlib.decompressobj()
+    try:
         for part in idat_parts:
             data = d.decompress(part, chunk)
             while True:
@@ -258,10 +273,12 @@ def png_stream_stats(buf, keep_rows=None, chunk: int = 1 << 16):
                     break
                 data = d.decompress(d.unconsumed_tail, chunk)
         tail = d.flush()
-        if tail and not process(np.frombuffer(tail, dtype=np.uint8)):
-            return None
-    if spos != h * stride:
-        raise ValueError("truncated PNG stream")
+    except zlib.error as e:
+        raise ValueError(f"truncated or corrupt PNG stream: {e}") from None
+    if tail and not process(np.frombuffer(tail, dtype=np.uint8)):
+        return None
+    if spos != size:
+        raise _stream_size_error(spos, size)
     return psum, psumsq, h, w, ch, rows
 
 

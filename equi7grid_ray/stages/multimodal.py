@@ -16,6 +16,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from equi7grid_ray.arrowutil import binary_view
 from equi7grid_ray.codec import decode_image, png_stream_stats
 
 __all__ = ["DecodeImages", "DHashImages", "AHashImages", "PHashImages",
@@ -59,17 +60,8 @@ class DecodeImages:
         self.thumb = thumb
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        # zero-copy payload access (buffer+offset slicing, no per-row
-        # Python bytes copies -- same pattern as the assign hot path)
-        col = batch.column("bytes")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        cbufs = col.buffers()
-        odt = np.int64 if pa.types.is_large_binary(col.type) else np.int32
-        offs = np.frombuffer(cbufs[1], dtype=odt)[
-            col.offset : col.offset + len(col) + 1
-        ]
-        data = memoryview(cbufs[2]) if cbufs[2] is not None else memoryview(b"")
+        # zero-copy payload access (no per-row Python bytes copies)
+        data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
         hs = batch.column("h").to_numpy()
@@ -155,8 +147,6 @@ class DHashImages:
         """Point-sample every payload to a (n, GRID_H, GRID_W) uint8
         luma grid -- the shared downsample step of the perceptual
         hashes (dHash / aHash / pHash)."""
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -291,8 +281,6 @@ class PatchStats:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -350,8 +338,6 @@ class HistEqualize:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -538,8 +524,6 @@ class AudioFeatures:
         self.window = window
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         n_windows = []
         rms = []
@@ -585,8 +569,6 @@ class PCMAudioFeatures:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist() if "fmt" in batch.column_names \
             else ["raw"] * batch.num_rows
@@ -710,8 +692,6 @@ class RawVideoFrames:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist() if "fmt" in batch.column_names \
             else ["raw"] * batch.num_rows
@@ -789,8 +769,6 @@ class PyramidStats:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -843,8 +821,6 @@ class SobelStats:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -893,8 +869,6 @@ class HeaderAudit:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         n = batch.num_rows
         lens = (offs[1:] - offs[:-1]).astype(np.int64)
@@ -950,8 +924,6 @@ class MomentStats:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1002,8 +974,6 @@ class HarrisStats:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1058,8 +1028,6 @@ class TemplateSAD:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1116,8 +1084,6 @@ class QuadtreeStats:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1183,8 +1149,6 @@ class MorphStats:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1229,8 +1193,6 @@ class QualityGate:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1285,8 +1247,6 @@ class HOGStats:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1328,8 +1288,6 @@ class VideoCuts:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1370,8 +1328,6 @@ class AutocorrAudio:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1429,8 +1385,6 @@ class GLCMStats:
         self._sqdiff = (a - b) ** 2
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1480,8 +1434,6 @@ class OtsuThreshold:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1537,8 +1489,6 @@ class BandAlgebra:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1718,8 +1668,6 @@ class BlobBoxes:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1764,8 +1712,6 @@ class BlobPerimeter:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1804,8 +1750,6 @@ class BlobStats:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1836,8 +1780,6 @@ class RleStats:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1889,8 +1831,6 @@ class MatchHistogram:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -1923,7 +1863,6 @@ def global_histogram(ds) -> np.ndarray:
     vectorized bincount partial per batch (bounded 256 ints), folded by
     a tiny hash_aggregate.  The result is the broadcast reference for
     :class:`MatchHistogram`."""
-    from equi7grid_ray.arrowutil import binary_view
     from equi7grid_ray.stages.aggregate import hash_aggregate
 
     def part(batch: pa.Table) -> pa.Table:
@@ -1969,8 +1908,6 @@ class AudioGate:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -2041,8 +1978,6 @@ class DistanceTransform:
         return out
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -2090,8 +2025,6 @@ class HoughLines4:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -2156,8 +2089,6 @@ class AudioVAD:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -2225,8 +2156,6 @@ class LBPStats:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -2275,8 +2204,6 @@ class Median3Stats:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -2325,8 +2252,6 @@ def shift_detect(ds, *, stride: int = 9, max_lag: int = 4,
     no per-pair Python.  Emits (image_id, best_lag, sad, n_overlap)
     per pair."""
     import pandas as pd
-
-    from equi7grid_ray.arrowutil import binary_view
 
     lags = list(range(-max_lag, max_lag + 1))
 
@@ -2445,8 +2370,6 @@ class AudioDownsample:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist() \
             if "fmt" in batch.column_names else ["raw"] * batch.num_rows
@@ -2509,8 +2432,6 @@ class SeamStats:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -2562,8 +2483,6 @@ class DitherStats:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -2599,8 +2518,6 @@ class SpatialAutocorr:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -2651,8 +2568,6 @@ class BoxSumStats:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -2696,8 +2611,6 @@ class AudioPeakWindow:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -2753,8 +2666,6 @@ class VideoStaticRuns:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()
@@ -2798,8 +2709,6 @@ class ColProfileStats:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
         data, offs = binary_view(batch.column("bytes"))
         fmts = batch.column("fmt").to_pylist()
         ws = batch.column("w").to_numpy()

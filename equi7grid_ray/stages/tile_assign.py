@@ -20,6 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from equi7grid_ray import aeqd
+from equi7grid_ray.arrowutil import binary_view
 from equi7grid_ray.cells import cell_id
 from equi7grid_ray.codec import decode_image, png_stream_stats
 from equi7grid_ray.grid import GridSpec, full_names, tile_ll_from_xy
@@ -55,6 +56,75 @@ def derive_lonlat(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         pc.utf8_slice_codeunits(batch.column("image_id"), 3, 32), pa.int64()
     ).to_numpy(zero_copy_only=False)
     return centers_for_index(idx)
+
+
+_DECODABLE = pa.array(["png", "raw"])
+
+
+def _decode_means(batch: pa.Table) -> np.ndarray:
+    """Decoded pixel mean per row of the ``bytes``/``fmt``/``w``/``h``
+    columns.  Payloads are read in place from the Arrow value buffer (no
+    per-row bytes copies).  A raw row is one exact integer sum over its
+    payload; a PNG row takes exact streaming stats, and only a filtered
+    or paletted PNG is fully decoded.  A null or unknown ``fmt``, or a
+    payload whose size disagrees with its ``w``/``h``, raises."""
+    fmt_col = batch.column("fmt")
+    if fmt_col.null_count:
+        j = int(np.flatnonzero(pc.is_null(fmt_col).to_numpy(zero_copy_only=False))[0])
+        raise ValueError(f"null fmt at row {j}")
+    known = pc.is_in(fmt_col, value_set=_DECODABLE)
+    if not pc.all(known, min_count=0).as_py():
+        bad = pc.unique(pc.filter(fmt_col, pc.invert(known))).to_pylist()
+        raise NotImplementedError(
+            f"image format(s) {bad}: real codecs unavailable in sandbox"
+        )
+    data, offs = binary_view(batch.column("bytes"))
+    is_png = pc.equal(fmt_col, "png").to_numpy(zero_copy_only=False)
+    ws = batch.column("w").to_numpy().astype(np.int64)
+    hs = batch.column("h").to_numpy().astype(np.int64)
+    px_mean = np.empty(batch.num_rows, dtype=np.float64)
+
+    # raw rows decode to exactly their payload bytes: one sum per row over
+    # its own slice of the value buffer
+    raw_rows = np.flatnonzero(~is_png)
+    if len(raw_rows):
+        starts = offs[raw_rows]
+        ends = offs[raw_rows + 1]
+        npx = ws[raw_rows] * hs[raw_rows]
+        bad = np.flatnonzero(ends - starts != npx)
+        if len(bad):
+            k = bad[0]
+            raise ValueError(
+                f"raw payload length mismatch at row {raw_rows[k]}: "
+                f"{ends[k] - starts[k]} bytes for w*h={npx[k]}"
+            )
+        values = np.frombuffer(data, dtype=np.uint8)
+        sums = np.fromiter(
+            (values[a:b].sum(dtype=np.int64)
+             for a, b in zip(starts.tolist(), ends.tolist())),
+            dtype=np.int64, count=len(raw_rows),
+        )
+        px_mean[raw_rows] = sums / np.maximum(npx, 1)
+
+    for j in np.flatnonzero(is_png).tolist():
+        buf = data[offs[j] : offs[j + 1]]
+        w, h = int(ws[j]), int(hs[j])
+        # streaming inflate: exact integer pixel sum through a bounded
+        # window, no decoded-frame materialization
+        st = png_stream_stats(buf)
+        if st is None:  # filtered or paletted PNG: full reconstruction
+            img = decode_image(buf, "png", w, h, copy=False)
+            (hh, ww), mean = img.shape[:2], img.mean()
+        else:
+            psum, _sq, hh, ww, ch, _ = st
+            mean = psum / max(hh * ww * ch, 1)
+        if (ww, hh) != (w, h):
+            raise ValueError(
+                f"PNG size mismatch at row {j}: IHDR is {ww}x{hh}, "
+                f"the w/h columns say {w}x{h}"
+            )
+        px_mean[j] = mean
+    return px_mean
 
 
 class TileAssigner:
@@ -138,88 +208,9 @@ class TileAssigner:
         return self._assign(batch)
 
     def _assign(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
         lon, lat = derive_lonlat(batch)
 
-        px_mean = None
-        if self.decode:
-            # zero-copy payload access: slice the binary column's value
-            # buffer with its offsets instead of to_pylist() (which would
-            # copy every payload into a Python bytes object)
-            col = batch.column("bytes")
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            bufs = col.buffers()
-            width = 8 if pa.types.is_large_binary(col.type) else 4
-            odt = np.int64 if width == 8 else np.int32
-            offs = np.frombuffer(bufs[1], dtype=odt)[col.offset : col.offset + n + 1]
-            data = memoryview(bufs[2])
-            fmt_col = batch.column("fmt")
-            known = pc.is_in(fmt_col, value_set=pa.array(["png", "raw"]))
-            if not pc.all(known).as_py():
-                bad = pc.unique(pc.drop_null(
-                    pc.if_else(known, pa.scalar(None, pa.string()), fmt_col)
-                )).to_pylist()
-                raise NotImplementedError(
-                    f"image format(s) {bad}: real codecs unavailable in sandbox"
-                )
-            is_png = pc.equal(fmt_col, "png").to_numpy(zero_copy_only=False)
-            ws = batch.column("w").to_numpy()
-            hs = batch.column("h").to_numpy()
-            px_mean = np.empty(n, dtype=np.float64)
-            # raw rows decode to exactly their payload bytes: mean them all
-            # in ONE vectorized reduceat pass over the Arrow value buffer
-            # (no per-row Python, no copies)
-            raw_rows = np.flatnonzero(~is_png)
-            if len(raw_rows):
-                lens = (offs[raw_rows + 1] - offs[raw_rows]).astype(np.int64)
-                expect = ws[raw_rows].astype(np.int64) * hs[raw_rows].astype(np.int64)
-                if (lens != expect).any():
-                    j = raw_rows[int(np.flatnonzero(lens != expect)[0])]
-                    raise ValueError(
-                        f"raw payload length mismatch at row {j}: "
-                        f"{int(offs[j+1]-offs[j])} bytes for w*h="
-                        f"{int(ws[j])*int(hs[j])}"
-                    )
-                values = np.frombuffer(data, dtype=np.uint8)
-                bounds = np.empty(2 * len(raw_rows), dtype=np.int64)
-                bounds[0::2] = offs[raw_rows]
-                bounds[1::2] = offs[raw_rows + 1]
-                # reduceat sums [bounds[i], bounds[i+1]); it cannot take an
-                # index == len, so a final payload touching the buffer end
-                # is summed separately (never clamp+re-add: a 1-byte final
-                # payload would be double-counted)
-                tail_sum = 0
-                n_pairs = len(raw_rows)
-                if bounds[-1] >= len(values):
-                    s_last, e_last = int(bounds[-2]), int(bounds[-1])
-                    tail_sum = int(values[s_last:e_last].sum(dtype=np.int64))
-                    bounds = bounds[:-2]
-                    n_pairs -= 1
-                if n_pairs:
-                    sums = np.add.reduceat(values, bounds, dtype=np.int64)[0::2]
-                    # an empty segment makes reduceat return values[idx]
-                    sums[bounds[0::2] == bounds[1::2]] = 0
-                else:
-                    sums = np.empty(0, np.int64)
-                if n_pairs < len(raw_rows):
-                    sums = np.append(sums, tail_sum)
-                px_mean[raw_rows] = sums / np.maximum(
-                    ws[raw_rows].astype(np.float64) * hs[raw_rows], 1.0
-                )
-            for j in np.flatnonzero(is_png):
-                # streaming inflate: exact integer pixel sum through a
-                # bounded window, no decoded-frame materialization
-                st = png_stream_stats(data[offs[j] : offs[j + 1]])
-                if st is None:  # filtered PNG: needs full reconstruction
-                    img = decode_image(
-                        data[offs[j] : offs[j + 1]], "png",
-                        int(ws[j]), int(hs[j]), copy=False,
-                    )
-                    px_mean[j] = img.mean()
-                else:
-                    psum, _sq, hh, ww, ch, _ = st
-                    px_mean[j] = psum / (hh * ww * ch)
+        px_mean = _decode_means(batch) if self.decode else None
 
         # packed uint8 zone bitmask: 1 byte/row instead of a (n, 7) bool
         # matrix (DRAM pressure at high concurrency)
