@@ -29,6 +29,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from equi7grid_ray import sqlgen
+from equi7grid_ray.sources import images
+from equi7grid_ray.stages import multimodal as mm
+
 # ---------------------------------------------------------------------------
 # deterministic integer coordinate derivations (shared Ray <-> SQL)
 # ---------------------------------------------------------------------------
@@ -92,6 +96,35 @@ def _sweep_subset(batch: pa.Table) -> pa.Table:
 _PQ_FOOTER_GATE = "/root/testdata/sf0.01/lineitem.parquet"
 
 
+def _images(n: int):
+    """Rows [0, n) of the synthetic image table as a one-block Dataset."""
+    import ray.data as rd
+
+    return rd.from_arrow(images.make_batch(0, n))
+
+
+def _frame_query(stage: type, n: int, *, make=images.make_batch,
+                 where: dict | None = None, select: list | None = None,
+                 concurrency=(1, 2), **kwargs) -> Callable[[str], Any]:
+    """A single-stage synthetic-image query: rows [0, n) of ``make``,
+    kept where each ``where`` column equals its value, through the
+    multimodal ``stage`` (constructed with ``kwargs``), optionally
+    projected to ``select``."""
+
+    def query(sf_dir: str):
+        import ray.data as rd
+
+        t = make(0, n)
+        for col, v in (where or {}).items():
+            t = t.filter(pc.equal(t[col], v))
+        out = rd.from_arrow(t).map_batches(
+            stage, fn_constructor_kwargs=kwargs or None,
+            batch_format="pyarrow", concurrency=concurrency, num_cpus=1)
+        return out.select_columns(select) if select else out
+
+    return query
+
+
 def _oracle_lookup(name: str) -> str:
     """Absolute read_parquet() ref to a committed oracle-lookup golden
     (generated by tools/gen_oracle_lookups.py, staleness-guarded by
@@ -100,6 +133,12 @@ def _oracle_lookup(name: str) -> str:
 
     p = Path(__file__).resolve().parent / "equi7grid_ray" / "data" / "oracle" / name
     return f"read_parquet('{p}')"
+
+
+def _scene_blocks(n: int) -> str:
+    """SQL CTEs ``img``/``px``/``blk``: the 8x8 block means of scenes
+    [0, n) joined to their tiles through the image_tiles golden."""
+    return sqlgen.scene_blocks_sql(n, _oracle_lookup("image_tiles.parquet"))
 
 
 _UDEG_SQL = (f"(l_orderkey * {_LONMUL}) % {_LONMOD} - 180000000 AS lon_udeg, "
@@ -438,24 +477,10 @@ def q_image_bitplanes(sf_dir: str):
     """Per-frame bit-plane population counts (the bit-sliced texture /
     compressibility signal): popcount of each of the 8 planes, one
     vectorized shift-and pass; SQL sums (v >> p) & 1."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import _decode_luma
-
-    ds = rd.from_arrow(make_batch(0, 300))
 
     def planes(batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        out = np.zeros((n, 8), np.int64)
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j)
+        out = np.zeros((batch.num_rows, 8), np.int64)
+        for j, v in mm.frames(batch):
             for p in range(8):
                 out[j, p] = int(((v >> p) & 1).sum())
         return pa.table({
@@ -463,40 +488,22 @@ def q_image_bitplanes(sf_dir: str):
             **{f"p{p}": pa.array(out[:, p], pa.int64())
                for p in range(8)}})
 
-    return ds.map_batches(planes, batch_format="pyarrow")
+    return _images(300).map_batches(planes, batch_format="pyarrow")
 
 
-def q_audio_gate(sf_dir: str):
-    """Audio quality gate over PCM payloads (the audio Gopher):
-    first-failing reason among clipped (>8% near-full-scale samples,
-    integer-exact) / silent (a >= 2-sample quiet run) / ok; one
-    vectorized diff pass per clip; gaps-and-islands SQL mirror."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import AudioGate
-
-    ds = rd.from_arrow(make_batch(0, 500))
-    return ds.map_batches(
-        AudioGate, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Audio quality gate over PCM payloads (the audio Gopher):
+# first-failing reason among clipped (>8% near-full-scale samples,
+# integer-exact) / silent (a >= 2-sample quiet run) / ok; one
+# vectorized diff pass per clip; gaps-and-islands SQL mirror.
+q_audio_gate = _frame_query(mm.AudioGate, 500)
 
 
-def q_audio_vad(sf_dir: str):
-    """Energy-based voice-activity segmentation over PCM clips (the
-    framing step of speech-corpus pipelines): non-overlapping 64-sample
-    frames, active when energy exceeds the exact integer mean-square
-    threshold, consecutive active frames folded into segments.  One
-    reshape + row-sum per clip; gaps-and-islands SQL mirror."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import AudioVAD
-
-    ds = rd.from_arrow(make_batch(0, 500))
-    return ds.map_batches(
-        AudioVAD, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Energy-based voice-activity segmentation over PCM clips (the
+# framing step of speech-corpus pipelines): non-overlapping 64-sample
+# frames, active when energy exceeds the exact integer mean-square
+# threshold, consecutive active frames folded into segments.  One
+# reshape + row-sum per clip; gaps-and-islands SQL mirror.
+q_audio_vad = _frame_query(mm.AudioVAD, 500)
 
 
 def q_order_backlog(sf_dir: str):
@@ -1666,13 +1673,11 @@ def q_knn_tiles_geodesic(sf_dir: str):
 def q_regrid_sample(sf_dir: str):
     """Regrid 400 synthetic image rows into their tiles; returns per-tile
     window counts + resampled-pixel checksum (raster->vector stage)."""
-    import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.regrid import regrid_pipeline
 
-    ds = rd.from_arrow(make_batch(0, 400))
+    ds = _images(400)
     out = regrid_pipeline(ds, concurrency=(1, 2))
 
     def summarize(batch: pa.Table) -> pa.Table:
@@ -3358,77 +3363,36 @@ def q_roi_search_geodesic(sf_dir: str):
     return roi_tile_counts(ds.map_batches(prep, batch_format="pyarrow"))
 
 
-def q_image_stats(sf_dir: str):
-    """Multimodal decode stage: per-image pixel stats + thumbnails over
-    synthesized payloads (codec plumbing; rows-only)."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import DecodeImages
-
-    ds = rd.from_arrow(make_batch(0, 500))
-    out = ds.map_batches(
-        DecodeImages, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
-    return out.select_columns(["image_id", "px_mean"])
+# Multimodal decode stage: per-image pixel stats + thumbnails over
+# synthesized payloads (codec plumbing; rows-only).
+q_image_stats = _frame_query(
+    mm.DecodeImages, 500, select=["image_id", "px_mean"])
 
 
-def q_image_stats_rgb(sf_dir: str):
-    """RGB (color type 2) PNG decode stage: per-image pixel stats over
-    3-channel payloads (pure-zlib RGB decode, codec.py); oracled channel-
-    exactly via the band-offset pixel pattern mirror."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_rgb_batch
-    from equi7grid_ray.stages.multimodal import DecodeImages
-
-    ds = rd.from_arrow(make_rgb_batch(0, 300))
-    out = ds.map_batches(
-        DecodeImages, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
-    return out.select_columns(["image_id", "px_mean"])
+# RGB (color type 2) PNG decode stage: per-image pixel stats over
+# 3-channel payloads (pure-zlib RGB decode, codec.py); oracled channel-
+# exactly via the band-offset pixel pattern mirror.
+q_image_stats_rgb = _frame_query(
+    mm.DecodeImages, 300, make=images.make_rgb_batch,
+    select=["image_id", "px_mean"])
 
 
-def q_image_dhash(sf_dir: str):
-    """Perceptual difference-hash over DECODED pixels (image axis):
-    point-sampled 9x8 dHash, bit-exact vs sqlgen.image_dhash_sql."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import DHashImages
-
-    ds = rd.from_arrow(make_batch(0, 500))
-    return ds.map_batches(
-        DHashImages, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Perceptual difference-hash over DECODED pixels (image axis):
+# point-sampled 9x8 dHash, bit-exact vs sqlgen.image_dhash_sql.
+q_image_dhash = _frame_query(mm.DHashImages, 500)
 
 
 def q_image_dhash_pairs(sf_dir: str):
     """Image near-duplicate pairs: banded dHash (4x16-bit, exact for
     Hamming <= 3 by pigeonhole) -> popcount verify.  The SQL oracle
     brute-forces all O(n^2) pairs, so equality proves recall = 1."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import dhash_near_dup
-
-    ds = rd.from_arrow(make_batch(0, 500))
-    return dhash_near_dup(ds, max_dist=3)
+    return mm.dhash_near_dup(_images(500), max_dist=3)
 
 
-def q_image_ahash(sf_dir: str):
-    """Average-hash (aHash) over DECODED pixels: 8x8 point-sampled luma
-    grid, integer-exact mean compare (64*v > sum) -- bit-exact vs
-    sqlgen.image_ahash_sql."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import AHashImages
-
-    ds = rd.from_arrow(make_batch(0, 500))
-    return ds.map_batches(
-        AHashImages, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Average-hash (aHash) over DECODED pixels: 8x8 point-sampled luma
+# grid, integer-exact mean compare (64*v > sum) -- bit-exact vs
+# sqlgen.image_ahash_sql.
+q_image_ahash = _frame_query(mm.AHashImages, 500)
 
 
 def q_cross_decontam_lsh(sf_dir: str):
@@ -3690,34 +3654,16 @@ def q_nchars_outliers(sf_dir: str):
                            id_col="doc_id", k=2)
 
 
-def q_image_patches(sf_dir: str):
-    """ViT-style patchify: each image -> (h//16)*(w//16) patch rows with
-    exact integer pixel sums (the patch-embedding precursor).  Oracled
-    by grouping the synthetic pixel formula by (r//16, c//16)."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import PatchStats
-
-    ds = rd.from_arrow(make_batch(0, 500))
-    return ds.map_batches(
-        PatchStats, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# ViT-style patchify: each image -> (h//16)*(w//16) patch rows with
+# exact integer pixel sums (the patch-embedding precursor).  Oracled
+# by grouping the synthetic pixel formula by (r//16, c//16).
+q_image_patches = _frame_query(mm.PatchStats, 500)
 
 
-def q_image_hist_eq(sf_dir: str):
-    """Per-image histogram equalization in exact integer arithmetic
-    (bincount -> cumsum -> floor-remap); checksums oracled via a window
-    cumsum over the synthetic value histogram."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import HistEqualize
-
-    ds = rd.from_arrow(make_batch(0, 500))
-    return ds.map_batches(
-        HistEqualize, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Per-image histogram equalization in exact integer arithmetic
+# (bincount -> cumsum -> floor-remap); checksums oracled via a window
+# cumsum over the synthetic value histogram.
+q_image_hist_eq = _frame_query(mm.HistEqualize, 500)
 
 
 def q_image_dedup_ensemble(sf_dir: str):
@@ -3725,45 +3671,22 @@ def q_image_dedup_ensemble(sf_dir: str):
     the dHash and aHash near-dup pair graphs (each hash closes the
     other's blind spot).  Oracled against recursive-CTE reachability
     over the union of the two brute-force O(n^2) pair sets."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import image_ensemble_canonical_ids
-
-    ds = rd.from_arrow(make_batch(0, 500))
-    return image_ensemble_canonical_ids(ds, max_dist=3)
+    return mm.image_ensemble_canonical_ids(_images(500), max_dist=3)
 
 
-def q_image_stats_pal(sf_dir: str):
-    """Paletted (color type 3) PNG decode stage: per-image pixel stats
-    over PLTE-expanded payloads (pure-zlib palette decode, codec.py);
-    oracled channel-exactly through the same 64-entry palette literal."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_pal_batch
-    from equi7grid_ray.stages.multimodal import DecodeImages
-
-    ds = rd.from_arrow(make_pal_batch(0, 300))
-    out = ds.map_batches(
-        DecodeImages, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
-    return out.select_columns(["image_id", "px_mean"])
+# Paletted (color type 3) PNG decode stage: per-image pixel stats
+# over PLTE-expanded payloads (pure-zlib palette decode, codec.py);
+# oracled channel-exactly through the same 64-entry palette literal.
+q_image_stats_pal = _frame_query(
+    mm.DecodeImages, 300, make=images.make_pal_batch,
+    select=["image_id", "px_mean"])
 
 
-def q_image_phash(sf_dir: str):
-    """Perceptual DCT hash (pHash): 16x16 grid -> integer 2-D DCT-II
-    (shared Q14 basis) -> 63-coefficient median threshold.  Bit-exact
-    vs sqlgen.image_phash_sql (quantile_disc = numpy partition[31]).
-    Complements dHash: invariant to constant brightness shifts."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import PHashImages
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        PHashImages, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Perceptual DCT hash (pHash): 16x16 grid -> integer 2-D DCT-II
+# (shared Q14 basis) -> 63-coefficient median threshold.  Bit-exact
+# vs sqlgen.image_phash_sql (quantile_disc = numpy partition[31]).
+# Complements dHash: invariant to constant brightness shifts.
+q_image_phash = _frame_query(mm.PHashImages, 300)
 
 
 def q_image_dedup_canonical(sf_dir: str):
@@ -3771,13 +3694,7 @@ def q_image_dedup_canonical(sf_dir: str):
     distributed connected components -> canonical image id per image
     (the image twin of dedup_canonical_docs).  Oracled against a
     recursive-CTE reachability over the brute-force O(n^2) pair graph."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import image_canonical_ids
-
-    ds = rd.from_arrow(make_batch(0, 500))
-    return image_canonical_ids(ds, max_dist=3)
+    return mm.image_canonical_ids(_images(500), max_dist=3)
 
 
 def q_supplier_topk_per_nation(sf_dir: str):
@@ -3843,53 +3760,28 @@ def q_docs_stratified_sample(sf_dir: str):
                              default_rate=0.0625)
 
 
-def q_audio_pcm_features(sf_dir: str):
-    """Real PCM DSP (no codec): payload bytes as s16le samples ->
-    integer energy / zero-crossings / peak per clip.  SQL-oracled
-    against the synthetic payload pattern (sqlgen.audio_pcm_sql)."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import PCMAudioFeatures
-
-    ds = rd.from_arrow(make_batch(0, 500))
-    return ds.map_batches(
-        PCMAudioFeatures, batch_format="pyarrow", concurrency=(1, 4),
-        num_cpus=1,
-    )
+# Real PCM DSP (no codec): payload bytes as s16le samples ->
+# integer energy / zero-crossings / peak per clip.  SQL-oracled
+# against the synthetic payload pattern (sqlgen.audio_pcm_sql).
+q_audio_pcm_features = _frame_query(
+    mm.PCMAudioFeatures, 500, concurrency=(1, 4))
 
 
-def q_audio_downsample(sf_dir: str):
-    """Anti-aliased 4:1 PCM decimation: blocks of 4 samples collapse
-    to their truncated-toward-zero mean; per clip the downsampled
-    energy / peak / length.  SQL groups k//4 over the regenerated
-    sample table with the same trunc-division rule."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import AudioDownsample
-
-    ds = rd.from_arrow(make_batch(0, 500))
-    return ds.map_batches(
-        AudioDownsample, batch_format="pyarrow", concurrency=(1, 4),
-        num_cpus=1,
-    )
+# Anti-aliased 4:1 PCM decimation: blocks of 4 samples collapse
+# to their truncated-toward-zero mean; per clip the downsampled
+# energy / peak / length.  SQL groups k//4 over the regenerated
+# sample table with the same trunc-division rule.
+q_audio_downsample = _frame_query(
+    mm.AudioDownsample, 500, concurrency=(1, 4))
 
 
 def q_frame_sample(sf_dir: str):
     """Video frame-sampling plumbing (deterministic fake demux;
     rows-only)."""
-    import ray.data as rd
     from ray.data.aggregate import Count
 
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import FrameSampler
-
-    ds = rd.from_arrow(make_batch(0, 100))
-    out = ds.map_batches(
-        FrameSampler, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
-    return out.groupby("frame_index").aggregate(Count(alias_name="n"))
+    return _frame_query(mm.FrameSampler, 100)(sf_dir) \
+        .groupby("frame_index").aggregate(Count(alias_name="n"))
 
 
 def q_top_terms(sf_dir: str):
@@ -3951,22 +3843,12 @@ def q_doc_tfidf_topk(sf_dir: str):
     return tfidf_topk(ds, n_docs=n_docs, k=3, max_vocab=4096)
 
 
-def q_video_frame_stats(sf_dir: str):
-    """REAL frame sampling over raw planar video payloads
-    (stages/multimodal.RawVideoFrames): every 5th frame's integer luma
-    stats via zero-copy reshape + strided reduce -- the post-demux
-    kernel is genuine (container demux stays gated on absent ffmpeg).
-    SQL-oracled (sqlgen.video_frames_sql)."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import RawVideoFrames
-
-    ds = rd.from_arrow(make_batch(0, 200))
-    return ds.map_batches(
-        RawVideoFrames, fn_constructor_kwargs=dict(every=5),
-        batch_format="pyarrow", concurrency=(1, 2), num_cpus=1,
-    )
+# REAL frame sampling over raw planar video payloads
+# (stages/multimodal.RawVideoFrames): every 5th frame's integer luma
+# stats via zero-copy reshape + strided reduce -- the post-demux
+# kernel is genuine (container demux stays gated on absent ffmpeg).
+# SQL-oracled (sqlgen.video_frames_sql).
+q_video_frame_stats = _frame_query(mm.RawVideoFrames, 200, every=5)
 
 
 _ASOF_GAP_W = 21_600_000_000  # 6 h in microseconds (range-join window)
@@ -4136,120 +4018,55 @@ def entry() -> Any:
     )
 
 
-def q_image_pyramid(sf_dir: str):
-    """Overview-pyramid build (COG .ovr step): per image, levels 1..3
-    block-MEAN downsample in exact integer arithmetic; per-level
-    checksums oracled by grouping the synthetic pixel formula by
-    (r // 2^l, c // 2^l)."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import PyramidStats
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        PyramidStats, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Overview-pyramid build (COG .ovr step): per image, levels 1..3
+# block-MEAN downsample in exact integer arithmetic; per-level
+# checksums oracled by grouping the synthetic pixel formula by
+# (r // 2^l, c // 2^l).
+q_image_pyramid = _frame_query(mm.PyramidStats, 300)
 
 
-def q_image_hough4(sf_dir: str):
-    """Dominant-line detection per frame: exact integer Hough voting
-    at the four axis/diagonal orientations (rho = c, r+c, r, r-c) over
-    interior Sobel edge pixels; best = max votes, ties to smallest
-    orient then rho.  Four bincounts per frame; SQL mirrors the vote
-    table and picks the winner with row_number()."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import HoughLines4
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        HoughLines4, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Dominant-line detection per frame: exact integer Hough voting
+# at the four axis/diagonal orientations (rho = c, r+c, r, r-c) over
+# interior Sobel edge pixels; best = max votes, ties to smallest
+# orient then rho.  Four bincounts per frame; SQL mirrors the vote
+# table and picks the winner with row_number().
+q_image_hough4 = _frame_query(mm.HoughLines4, 300)
 
 
-def q_image_dt(sf_dir: str):
-    """Capped Chebyshev distance-transform histogram per frame
-    (proximity analysis): foreground = pixels >= 200, distances binned
-    at 0 / 1 / 2 / far via two frame-clipped 3x3 dilations.  SQL
-    mirrors with EXISTS over the 3x3 and 5x5 offset neighbourhoods."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import DistanceTransform
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        DistanceTransform, batch_format="pyarrow", concurrency=(1, 2),
-        num_cpus=1
-    )
+# Capped Chebyshev distance-transform histogram per frame
+# (proximity analysis): foreground = pixels >= 200, distances binned
+# at 0 / 1 / 2 / far via two frame-clipped 3x3 dilations.  SQL
+# mirrors with EXISTS over the 3x3 and 5x5 offset neighbourhoods.
+q_image_dt = _frame_query(mm.DistanceTransform, 300)
 
 
-def q_image_sobel(sf_dir: str):
-    """Per-image Sobel edge energy (blur/quality precursor) over the
-    interior in exact integers; oracled by evaluating the synthetic
-    pixel formula at the nine kernel offsets directly in SQL."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import SobelStats
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        SobelStats, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Per-image Sobel edge energy (blur/quality precursor) over the
+# interior in exact integers; oracled by evaluating the synthetic
+# pixel formula at the nine kernel offsets directly in SQL.
+q_image_sobel = _frame_query(mm.SobelStats, 300)
 
 
-def q_image_moments(sf_dir: str):
-    """Per-image raw + denominator-cleared central moments (the Hu
-    shape-descriptor front half) in exact int64; SQL mirror is plain
-    BIGINT sums over the synthetic pixel formula."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import MomentStats
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        MomentStats, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Per-image raw + denominator-cleared central moments (the Hu
+# shape-descriptor front half) in exact int64; SQL mirror is plain
+# BIGINT sums over the synthetic pixel formula.
+q_image_moments = _frame_query(mm.MomentStats, 300)
 
 
 _HARRIS_T = 1_000_000_000
 
 
-def q_image_harris(sf_dir: str):
-    """Per-image Harris corner response (k=1/16, cross-multiplied so
-    everything stays int64): corner count above threshold, max
-    response, positive-response mass.  SQL mirror chains two 1-D
-    window sums (separable 3x3 box) over the gradient formula."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import HarrisStats
-
-    ds = rd.from_arrow(make_batch(0, 200))
-    return ds.map_batches(
-        HarrisStats, fn_constructor_kwargs=dict(thresh=_HARRIS_T),
-        batch_format="pyarrow", concurrency=(1, 2), num_cpus=1,
-    )
+# Per-image Harris corner response (k=1/16, cross-multiplied so
+# everything stays int64): corner count above threshold, max
+# response, positive-response mass.  SQL mirror chains two 1-D
+# window sums (separable 3x3 box) over the gradient formula.
+q_image_harris = _frame_query(mm.HarrisStats, 200, thresh=_HARRIS_T)
 
 
-def q_image_otsu(sf_dir: str):
-    """Per-image exact Otsu threshold (argmax of between-class variance
-    by cross-multiplied bigint comparison, smallest t wins ties) +
-    foreground stats; oracled via a HUGEINT NOT-EXISTS anti-join over
-    the 255 candidates."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import OtsuThreshold
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        OtsuThreshold, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Per-image exact Otsu threshold (argmax of between-class variance
+# by cross-multiplied bigint comparison, smallest t wins ties) +
+# foreground stats; oracled via a HUGEINT NOT-EXISTS anti-join over
+# the 255 candidates.
+q_image_otsu = _frame_query(mm.OtsuThreshold, 300)
 
 
 def q_pagerank(sf_dir: str):
@@ -4292,40 +4109,17 @@ def q_tile_mosaic(sf_dir: str):
     composite.  Pixels never shuffle (per-batch tile partials); oracled
     through the synthetic pixel formula joined to the pinned
     image->tile lookup golden (tools/gen_oracle_lookups.py)."""
-    import ray.data as rd
 
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.mosaic import tile_mosaic
 
-    ds = rd.from_arrow(make_batch(0, 2000))
-    assigned = tile_assignments(
-        ds, passthrough=("bytes", "w", "h", "fmt"),
-        emit_cell=False, emit_xy=False, emit_id=False,
-    )
-    return tile_mosaic(assigned)
+    return tile_mosaic(_tiled_scenes())
 
 
-def q_image_blobs(sf_dir: str):
-    """Per-image blob labeling: 4-connected components of the v >= 128
-    foreground (run-based union-find, O(runs) not O(pixels)); oracled
-    via a recursive-CTE reachability closure over the same run
-    adjacency graph (32x32 fixture slice keeps the closure small)."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import BlobStats
-
-    ds = rd.from_arrow(make_batch(0, 900))
-
-    def only32(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc_
-        return b.filter(pc_.and_(pc_.equal(b.column("w"), 32),
-                                 pc_.equal(b.column("h"), 32)))
-
-    return ds.map_batches(only32, batch_format="pyarrow").map_batches(
-        BlobStats, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Per-image blob labeling: 4-connected components of the v >= 128
+# foreground (run-based union-find, O(runs) not O(pixels)); oracled
+# via a recursive-CTE reachability closure over the same run
+# adjacency graph (32x32 fixture slice keeps the closure small).
+q_image_blobs = _frame_query(mm.BlobStats, 900, where={"w": 32, "h": 32})
 
 
 def q_doc_chunks(sf_dir: str):
@@ -4342,51 +4136,22 @@ def q_doc_chunks(sf_dir: str):
         batch_format="pyarrow")
 
 
-def q_image_quadtree(sf_dir: str):
-    """Adaptive quadtree census: blocks split while pixel range > 60
-    down to level 3; per-frame leaf count / depth mass / deepest-level
-    count.  SQL mirrors with per-level block ranges + a 3-ancestor
-    split-chain join."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import QuadtreeStats
-
-    ds = rd.from_arrow(make_batch(0, 900))
-
-    def only32(b: pa.Table) -> pa.Table:
-        return b.filter(pc.and_(pc.equal(b.column("w"), 32),
-                                pc.equal(b.column("h"), 32)))
-
-    return ds.map_batches(only32, batch_format="pyarrow").map_batches(
-        QuadtreeStats, batch_format="pyarrow", concurrency=(1, 2),
-        num_cpus=1,
-    )
+# Adaptive quadtree census: blocks split while pixel range > 60
+# down to level 3; per-frame leaf count / depth mass / deepest-level
+# count.  SQL mirrors with per-level block ranges + a 3-ancestor
+# split-chain join.
+q_image_quadtree = _frame_query(
+    mm.QuadtreeStats, 900, where={"w": 32, "h": 32})
 
 
-def q_image_template(sf_dir: str):
-    """Template matching (chip co-registration): exact SAD of a fixed
-    8x8 template at every placement in each 32x32 frame, with the
-    row-major argmin tie rule; SQL evaluates the same |pixel-template|
-    lattice and reproduces the tie rule via min-filter + row_number."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import TemplateSAD
-
-    r = np.arange(8, dtype=np.int64)[:, None]
-    c = np.arange(8, dtype=np.int64)[None, :]
-    tpl = (r * 13 + c * 7 + 3) % 256
-    ds = rd.from_arrow(make_batch(0, 900))
-
-    def only32(b: pa.Table) -> pa.Table:
-        return b.filter(pc.and_(pc.equal(b.column("w"), 32),
-                                pc.equal(b.column("h"), 32)))
-
-    return ds.map_batches(only32, batch_format="pyarrow").map_batches(
-        TemplateSAD, fn_constructor_kwargs=dict(template=tpl),
-        batch_format="pyarrow", concurrency=(1, 2), num_cpus=1,
-    )
+# Template matching (chip co-registration): exact SAD of a fixed
+# 8x8 template at every placement in each 32x32 frame, with the
+# row-major argmin tie rule; SQL evaluates the same |pixel-template|
+# lattice and reproduces the tie rule via min-filter + row_number.
+_SAD_TEMPLATE = (np.arange(8, dtype=np.int64)[:, None] * 13
+                 + np.arange(8, dtype=np.int64)[None, :] * 7 + 3) % 256
+q_image_template = _frame_query(
+    mm.TemplateSAD, 900, where={"w": 32, "h": 32}, template=_SAD_TEMPLATE)
 
 
 def q_header_audit(sf_dir: str):
@@ -4398,13 +4163,10 @@ def q_header_audit(sf_dir: str):
     with the SQL's rule-derived expectation: raw rows hide the bitrot
     (no magic to check) but expose the width bump via byte length,
     PNG rows expose both, signature first."""
-    import ray.data as rd
 
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.aggregate import hash_aggregate
-    from equi7grid_ray.stages.multimodal import HeaderAudit
 
-    ds = rd.from_arrow(make_batch(0, 2000))
+    ds = _images(2000)
 
     def corrupt(batch: pa.Table) -> pa.Table:
         i = pc.cast(pc.utf8_slice_codeunits(batch.column("image_id"), 3, 32),
@@ -4425,45 +4187,22 @@ def q_header_audit(sf_dir: str):
         })
 
     audited = ds.map_batches(corrupt, batch_format="pyarrow").map_batches(
-        HeaderAudit, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1)
+        mm.HeaderAudit, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1)
     return hash_aggregate(audited, keys=["fmt", "reason"],
                           aggs={"n": ("fmt", "count")}, n_partitions=4)
 
 
-def q_blob_bbox(sf_dir: str):
-    """Per-blob geometry: one row per 4-connected foreground component
-    with canonical label pixel, bounding box and area (the
-    raster->vector feature step after segmentation); recursive-CTE
-    closure oracle with per-root min/max/sum."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import BlobBoxes
-
-    ds = rd.from_arrow(make_batch(0, 900))
-
-    def only32(b: pa.Table) -> pa.Table:
-        return b.filter(pc.and_(pc.equal(b.column("w"), 32),
-                                pc.equal(b.column("h"), 32)))
-
-    return ds.map_batches(only32, batch_format="pyarrow").map_batches(
-        BlobBoxes, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Per-blob geometry: one row per 4-connected foreground component
+# with canonical label pixel, bounding box and area (the
+# raster->vector feature step after segmentation); recursive-CTE
+# closure oracle with per-root min/max/sum.
+q_blob_bbox = _frame_query(mm.BlobBoxes, 900, where={"w": 32, "h": 32})
 
 
-def q_image_rle(sf_dir: str):
-    """Per-image scanline run-length stats (compressibility signal):
-    run count + longest run, one vectorized diff pass per frame;
-    lag()-based gaps-and-islands SQL mirror."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import RleStats
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        RleStats, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Per-image scanline run-length stats (compressibility signal):
+# run count + longest run, one vectorized diff pass per frame;
+# lag()-based gaps-and-islands SQL mirror.
+q_image_rle = _frame_query(mm.RleStats, 300)
 
 
 def q_hist_match(sf_dir: str):
@@ -4472,16 +4211,10 @@ def q_hist_match(sf_dir: str):
     broadcast into the remap stage) -- the pre-mosaic seam-line killer.
     Cross-multiplied exact-integer matching rule; SQL min()-filter
     mirror."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import (MatchHistogram,
-                                                 global_histogram)
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    ref = global_histogram(ds)
+    ds = _images(300)
+    ref = mm.global_histogram(ds)
     return ds.map_batches(
-        MatchHistogram, fn_constructor_kwargs=dict(ref_hist=ref),
+        mm.MatchHistogram, fn_constructor_kwargs=dict(ref_hist=ref),
         batch_format="pyarrow", concurrency=(1, 2), num_cpus=1,
     )
 
@@ -4492,66 +4225,44 @@ def q_tile_focal(sf_dir: str):
     neighbour tiles of the same continent).  Scatter to packed window
     keys -> one hash_aggregate -> join back on existing centers; SQL
     gather mirror via tile-name arithmetic over the same composite."""
+
+    from equi7grid_ray.stages.mosaic import tile_focal_mean, tile_mosaic
+
+    return tile_focal_mean(tile_mosaic(_tiled_scenes()))
+
+
+# NDVI-shaped raster band algebra over RGB payloads (exact
+# integers, Q12-quantized normalized difference); channel-exact SQL
+# mirror over the RGB fixture's band-offset pixel formula.
+q_band_algebra = _frame_query(mm.BandAlgebra, 300, make=images.make_rgb_batch)
+
+
+# Per-image 3x3 binary erosion/dilation counts over the v >= 128
+# mask interior (segmentation mask clean-up between Otsu and blob
+# labeling); SQL mirror sums the nine mask indicators of the
+# synthetic pixel formula.
+q_image_morph = _frame_query(mm.MorphStats, 300)
+
+
+def _tiled_scenes(n: int = 2000, start: int = 0, emit_id: bool = False):
+    """Scenes [start, start + n) with their payloads -> tile
+    assignments: the shared prep of the tile-composite queries."""
     import ray.data as rd
 
     from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.mosaic import tile_focal_mean, tile_mosaic
 
-    ds = rd.from_arrow(make_batch(0, 2000))
-    assigned = tile_assignments(
-        ds, passthrough=("bytes", "w", "h", "fmt"),
-        emit_cell=False, emit_xy=False, emit_id=False,
-    )
-    return tile_focal_mean(tile_mosaic(assigned))
-
-
-def q_band_algebra(sf_dir: str):
-    """NDVI-shaped raster band algebra over RGB payloads (exact
-    integers, Q12-quantized normalized difference); channel-exact SQL
-    mirror over the RGB fixture's band-offset pixel formula."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_rgb_batch
-    from equi7grid_ray.stages.multimodal import BandAlgebra
-
-    ds = rd.from_arrow(make_rgb_batch(0, 300))
-    return ds.map_batches(
-        BandAlgebra, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
-
-
-def q_image_morph(sf_dir: str):
-    """Per-image 3x3 binary erosion/dilation counts over the v >= 128
-    mask interior (segmentation mask clean-up between Otsu and blob
-    labeling); SQL mirror sums the nine mask indicators of the
-    synthetic pixel formula."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import MorphStats
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        MorphStats, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+    return tile_assignments(
+        rd.from_arrow(images.make_batch(start, n)),
+        passthrough=("bytes", "w", "h", "fmt"),
+        emit_cell=False, emit_xy=False, emit_id=emit_id)
 
 
 def _scene_cells(n: int = 2000):
     """Shared prep for the temporal-composite queries: scenes -> tile
     assignment -> per-(scene, tile) 8x8 exact block-mean cell rows."""
-    import ray.data as rd
-
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.temporal import SceneCellMeans
 
-    ds = rd.from_arrow(make_batch(0, n))
-    assigned = tile_assignments(
-        ds, passthrough=("bytes", "w", "h", "fmt"),
-        emit_cell=False, emit_xy=False, emit_id=True,
-    )
-    return assigned.map_batches(
+    return _tiled_scenes(n, emit_id=True).map_batches(
         SceneCellMeans, batch_format="pyarrow", concurrency=(1, 4),
         num_cpus=1,
     )
@@ -4582,9 +4293,8 @@ def _assigned_scenes(n: int = 2000):
     import ray.data as rd
 
     from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
 
-    ds = rd.from_arrow(make_batch(0, n).select(["image_id"]))
+    ds = rd.from_arrow(images.make_batch(0, n).select(["image_id"]))
     return tile_assignments(
         ds, emit_cell=False, emit_xy=False, emit_id=True)
 
@@ -4621,18 +4331,10 @@ def q_tile_basins(sf_dir: str):
     member-elevation mass.  SQL mirrors the transitive closure with a
     recursive CTE over the same flow edges and keeps the terminal row
     per start cell."""
-    import ray.data as rd
 
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.mosaic import tile_basins, tile_mosaic
 
-    ds = rd.from_arrow(make_batch(0, 2000))
-    assigned = tile_assignments(
-        ds, passthrough=("bytes", "w", "h", "fmt"),
-        emit_cell=False, emit_xy=False, emit_id=False,
-    )
-    return tile_basins(tile_mosaic(assigned))
+    return tile_basins(tile_mosaic(_tiled_scenes()))
 
 
 def q_tile_tri(sf_dir: str):
@@ -4641,18 +4343,10 @@ def q_tile_tri(sf_dir: str):
     differences to its 8 Moore neighbours, via the shared packed D8
     halo exchange.  SQL gathers the 8 neighbours by tile-name
     arithmetic and sums abs diffs."""
-    import ray.data as rd
 
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.mosaic import tile_mosaic, tile_tri
 
-    ds = rd.from_arrow(make_batch(0, 2000))
-    assigned = tile_assignments(
-        ds, passthrough=("bytes", "w", "h", "fmt"),
-        emit_cell=False, emit_xy=False, emit_id=False,
-    )
-    return tile_tri(tile_mosaic(assigned))
+    return tile_tri(tile_mosaic(_tiled_scenes()))
 
 
 def q_tile_aspect(sf_dir: str):
@@ -4661,18 +4355,10 @@ def q_tile_aspect(sf_dir: str):
     exact integers (45-degree boundaries land exactly on |u| == |w|),
     flat = 0.  Bounded 7 x 9 output; SQL mirrors the gradient gather
     plus the CASE sector rule."""
-    import ray.data as rd
 
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.mosaic import tile_aspect, tile_mosaic
 
-    ds = rd.from_arrow(make_batch(0, 2000))
-    assigned = tile_assignments(
-        ds, passthrough=("bytes", "w", "h", "fmt"),
-        emit_cell=False, emit_xy=False, emit_id=False,
-    )
-    return tile_aspect(tile_mosaic(assigned))
+    return tile_aspect(tile_mosaic(_tiled_scenes()))
 
 
 def q_tile_cost_distance(sf_dir: str):
@@ -4740,19 +4426,10 @@ def q_pii_scrub(sf_dir: str):
         pii_scrub, batch_format="pyarrow")
 
 
-def q_image_glcm(sf_dir: str):
-    """Per-image GLCM texture features (Haralick contrast / energy over
-    horizontal pairs at 8 quantized levels) in exact integers; SQL
-    mirror groups the synthetic pixel formula's (qa, qb) pairs."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import GLCMStats
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        GLCMStats, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Per-image GLCM texture features (Haralick contrast / energy over
+# horizontal pairs at 8 quantized levels) in exact integers; SQL
+# mirror groups the synthetic pixel formula's (qa, qb) pairs.
+q_image_glcm = _frame_query(mm.GLCMStats, 300)
 
 
 def q_tile_coverage(sf_dir: str):
@@ -5434,20 +5111,13 @@ def q_mosaic_manifest(sf_dir: str):
 
     import ray.data as rd
 
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.aggregate import hash_aggregate
     from equi7grid_ray.stages.compaction import manifest_from_footers
     from equi7grid_ray.stages.mosaic import tile_mosaic
 
     dst = Path("/tmp/e7r_mosaic_part_2000")
     if not (dst / "_DONE").exists():
-        ds = rd.from_arrow(make_batch(0, 2000))
-        assigned = tile_assignments(
-            ds, passthrough=("bytes", "w", "h", "fmt"),
-            emit_cell=False, emit_xy=False, emit_id=False,
-        )
-        mosaic = tile_mosaic(assigned)
+        mosaic = tile_mosaic(_tiled_scenes())
 
         def with_cont(b: pa.Table) -> pa.Table:
             return b.append_column(
@@ -5507,18 +5177,10 @@ def q_tile_similarity(sf_dir: str):
     coverage / seam diagnosis).  Bounded composite broadcast once,
     (chunk x tiles) matmul per batch; SQL self-joins the composite on
     (continent, gr, gc)."""
-    import ray.data as rd
 
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.mosaic import tile_mosaic, tile_similarity
 
-    ds = rd.from_arrow(make_batch(0, 2000))
-    assigned = tile_assignments(
-        ds, passthrough=("bytes", "w", "h", "fmt"),
-        emit_cell=False, emit_xy=False, emit_id=False,
-    )
-    return tile_similarity(tile_mosaic(assigned), max_d2=2000)
+    return tile_similarity(tile_mosaic(_tiled_scenes()), max_d2=2000)
 
 
 def q_poly_majority(sf_dir: str):
@@ -5527,19 +5189,11 @@ def q_poly_majority(sf_dir: str):
     zonal statistic (dominant land-cover class per region).  Same EU
     mosaic-cell grid + octagon layer as poly_zonal; bounded
     (poly, value, count) partials + a tiny per-poly resolve."""
-    import ray.data as rd
 
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.mosaic import tile_mosaic
     from equi7grid_ray.stages.rasterize import rasterize_majority
 
-    ds = rd.from_arrow(make_batch(0, 2000))
-    assigned = tile_assignments(
-        ds, passthrough=("bytes", "w", "h", "fmt"),
-        emit_cell=False, emit_xy=False, emit_id=False,
-    )
-    mosaic = tile_mosaic(assigned)
+    mosaic = tile_mosaic(_tiled_scenes())
 
     def to_cells(b: pa.Table) -> pa.Table:
         keep = pc.and_(
@@ -5580,23 +5234,12 @@ def q_tile_mosaic_delta(sf_dir: str):
     one union + one keyed aggregate instead of a full recompute.  The
     oracle recomputes the 2200-scene composite from scratch, so any
     drift in the merge math fails the hash."""
-    import ray.data as rd
-
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.aggregate import hash_aggregate
     from equi7grid_ray.stages.mosaic import MosaicGrid, tile_mosaic
 
-    def assigned(start: int, n: int):
-        return tile_assignments(
-            rd.from_arrow(make_batch(start, n)),
-            passthrough=("bytes", "w", "h", "fmt"),
-            emit_cell=False, emit_xy=False, emit_id=False,
-        )
-
     cols = ["tile", "gr", "gc", "v_max", "v_sum", "n_img"]
-    base = tile_mosaic(assigned(0, 2000)).select_columns(cols)
-    delta = assigned(2000, 200).map_batches(
+    base = tile_mosaic(_tiled_scenes()).select_columns(cols)
+    delta = _tiled_scenes(200, start=2000).map_batches(
         MosaicGrid, batch_format="pyarrow", concurrency=(1, 2),
         num_cpus=1).select_columns(cols)
     return hash_aggregate(
@@ -5615,19 +5258,11 @@ def q_poly_zonal(sf_dir: str):
     composite value over its footprint (n_cells, centroid numerators,
     sum/max of v_max).  SQL rebuilds the mosaic through the pinned
     image->tile lookup and restates the PIP inequalities."""
-    import ray.data as rd
 
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.mosaic import tile_mosaic
     from equi7grid_ray.stages.rasterize import rasterize_polygons
 
-    ds = rd.from_arrow(make_batch(0, 2000))
-    assigned = tile_assignments(
-        ds, passthrough=("bytes", "w", "h", "fmt"),
-        emit_cell=False, emit_xy=False, emit_id=False,
-    )
-    mosaic = tile_mosaic(assigned)
+    mosaic = tile_mosaic(_tiled_scenes())
 
     def to_cells(b: pa.Table) -> pa.Table:
         keep = pc.and_(
@@ -5727,20 +5362,11 @@ def q_jsonl_events_rollup(sf_dir: str):
     )
 
 
-def q_image_quality_gate(sf_dir: str):
-    """Image-side ingestion gate (the visual Gopher): first-failing
-    reason per frame over exact integer metrics -- dynamic range, then
-    Sobel edge fraction too low (smooth/blurry) or too high (noise).
-    Map-only; SQL mirror reuses the px + Sobel formula CTEs."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import QualityGate
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        QualityGate, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Image-side ingestion gate (the visual Gopher): first-failing
+# reason per frame over exact integer metrics -- dynamic range, then
+# Sobel edge fraction too low (smooth/blurry) or too high (noise).
+# Map-only; SQL mirror reuses the px + Sobel formula CTEs.
+q_image_quality_gate = _frame_query(mm.QualityGate, 300)
 
 
 def q_ann_pq_topk(sf_dir: str):
@@ -5760,51 +5386,24 @@ def q_ann_pq_topk(sf_dir: str):
     return pq_sdc_topk(codes, q_code, k=10)
 
 
-def q_image_hog(sf_dir: str):
-    """Gradient-orientation histogram (HOG binning stage): Sobel
-    gx/gy over the interior, 8 half-open 45-degree octants classified
-    by exact integer comparisons (no atan2) -- SQL mirror is the Sobel
-    formula at 9 offsets plus a CASE chain."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import HOGStats
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        HOGStats, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Gradient-orientation histogram (HOG binning stage): Sobel
+# gx/gy over the interior, 8 half-open 45-degree octants classified
+# by exact integer comparisons (no atan2) -- SQL mirror is the Sobel
+# formula at 9 offsets plus a CASE chain.
+q_image_hog = _frame_query(mm.HOGStats, 300)
 
 
-def q_video_cuts(sf_dir: str):
-    """Shot-boundary detection over raw planar video payloads:
-    consecutive-frame SAD, cut iff 4*SAD >= 255*w (integer-exact).
-    SQL evaluates both frames' pixel formulas directly -- no join."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import VideoCuts
-
-    ds = rd.from_arrow(make_batch(0, 200))
-    return ds.map_batches(
-        VideoCuts, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Shot-boundary detection over raw planar video payloads:
+# consecutive-frame SAD, cut iff 4*SAD >= 255*w (integer-exact).
+# SQL evaluates both frames' pixel formulas directly -- no join.
+q_video_cuts = _frame_query(mm.VideoCuts, 200)
 
 
-def q_audio_autocorr(sf_dir: str):
-    """Exact integer autocorrelation of the s16le PCM payload at lags
-    1/2/4/8 (pitch / periodicity feature) + best lag (argmax, smallest
-    lag on ties).  SQL self-joins the regenerated sample table per
-    lag."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import AutocorrAudio
-
-    ds = rd.from_arrow(make_batch(0, 400))
-    return ds.map_batches(
-        AutocorrAudio, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Exact integer autocorrelation of the s16le PCM payload at lags
+# 1/2/4/8 (pitch / periodicity feature) + best lag (argmax, smallest
+# lag on ties).  SQL self-joins the regenerated sample table per
+# lag.
+q_audio_autocorr = _frame_query(mm.AutocorrAudio, 400)
 
 
 def q_tile_clear_composite(sf_dir: str):
@@ -5814,18 +5413,10 @@ def q_tile_clear_composite(sf_dir: str):
     gap-fill worklist).  Pixels never shuffle (per-batch tile
     partials); SQL mirrors with a FILTER'd aggregate over the pixel
     formula joined to the pinned image->tile golden."""
-    import ray.data as rd
 
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.mosaic import tile_clear_composite
 
-    ds = rd.from_arrow(make_batch(0, 2000))
-    assigned = tile_assignments(
-        ds, passthrough=("bytes", "w", "h", "fmt"),
-        emit_cell=False, emit_xy=False, emit_id=False,
-    )
-    return tile_clear_composite(assigned)
+    return tile_clear_composite(_tiled_scenes())
 
 
 def q_image_shift_detect(sf_dir: str):
@@ -5838,13 +5429,7 @@ def q_image_shift_detect(sf_dir: str):
     with 9 vectorized searchsorted alignments per partition.  SQL
     mirrors with a lag self-join over the profile CTE + a NOT-EXISTS
     argmin."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import shift_detect
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return shift_detect(ds, stride=9, max_lag=4)
+    return mm.shift_detect(_images(300), stride=9, max_lag=4)
 
 
 def q_tile_gradient(sf_dir: str):
@@ -5854,18 +5439,10 @@ def q_tile_gradient(sf_dir: str):
     halo).  Signed scatter to packed neighbour keys -> one fold -> one
     cogroup join back.  SQL gathers the four neighbours via tile-name
     arithmetic over the mosaic mirror."""
-    import ray.data as rd
 
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.mosaic import tile_gradient, tile_mosaic
 
-    ds = rd.from_arrow(make_batch(0, 2000))
-    assigned = tile_assignments(
-        ds, passthrough=("bytes", "w", "h", "fmt"),
-        emit_cell=False, emit_xy=False, emit_id=False,
-    )
-    return tile_gradient(tile_mosaic(assigned))
+    return tile_gradient(tile_mosaic(_tiled_scenes()))
 
 
 def q_tile_flow_d8(sf_dir: str):
@@ -5878,18 +5455,10 @@ def q_tile_flow_d8(sf_dir: str):
     halo shuffle moves 3 ints per scatter row.  SQL gathers the 8
     neighbours via tile-name arithmetic and restates the priority rule
     as a CASE chain."""
-    import ray.data as rd
 
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.mosaic import tile_flow_d8, tile_mosaic
 
-    ds = rd.from_arrow(make_batch(0, 2000))
-    assigned = tile_assignments(
-        ds, passthrough=("bytes", "w", "h", "fmt"),
-        emit_cell=False, emit_xy=False, emit_id=False,
-    )
-    return tile_flow_d8(tile_mosaic(assigned))
+    return tile_flow_d8(tile_mosaic(_tiled_scenes()))
 
 
 def q_tile_flow_accum(sf_dir: str):
@@ -5901,18 +5470,10 @@ def q_tile_flow_accum(sf_dir: str):
     no fixpoint detection; a distributed depth-synchronous variant is
     parity-tested.  SQL mirrors via a recursive CTE walking each
     cell's path over the interior set."""
-    import ray.data as rd
 
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.mosaic import tile_flow_accum, tile_mosaic
 
-    ds = rd.from_arrow(make_batch(0, 2000))
-    assigned = tile_assignments(
-        ds, passthrough=("bytes", "w", "h", "fmt"),
-        emit_cell=False, emit_xy=False, emit_id=False,
-    )
-    return tile_flow_accum(tile_mosaic(assigned))
+    return tile_flow_accum(tile_mosaic(_tiled_scenes()))
 
 
 def q_tile_horizon(sf_dir: str):
@@ -5922,18 +5483,10 @@ def q_tile_horizon(sf_dir: str):
     west of them, + the row max.  The composite's rows are fixed-width
     (8 cells), so the scan is one reshape + running max across the
     whole partition -- no per-row Python.  Window-frame SQL mirror."""
-    import ray.data as rd
 
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
     from equi7grid_ray.stages.mosaic import tile_mosaic
 
-    ds = rd.from_arrow(make_batch(0, 2000))
-    assigned = tile_assignments(
-        ds, passthrough=("bytes", "w", "h", "fmt"),
-        emit_cell=False, emit_xy=False, emit_id=False,
-    )
-    mosaic = tile_mosaic(assigned)
+    mosaic = tile_mosaic(_tiled_scenes())
 
     def horizon(batch: pa.Table) -> pa.Table:
         import pandas as pd
@@ -5958,121 +5511,58 @@ def q_tile_horizon(sf_dir: str):
         horizon, batch_format="pyarrow")
 
 
-def q_image_autocorr(sf_dir: str):
-    """Within-frame spatial autocorrelation at vertical and horizontal
-    lag 1, in exact cleared integers: per frame the pixel count, sum,
-    sum of squares and both lag products (sum v(r,c)*v(r+1,c) and
-    sum v(r,c)*v(r,c+1)) -- the Pearson pieces of the texture
-    directionality measure, divisions left cleared.  One shifted-view
-    dot product per direction per frame; SQL evaluates the pixel
-    formula at the shifted offsets."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import SpatialAutocorr
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        SpatialAutocorr, batch_format="pyarrow", concurrency=(1, 2),
-        num_cpus=1,
-    )
+# Within-frame spatial autocorrelation at vertical and horizontal
+# lag 1, in exact cleared integers: per frame the pixel count, sum,
+# sum of squares and both lag products (sum v(r,c)*v(r+1,c) and
+# sum v(r,c)*v(r,c+1)) -- the Pearson pieces of the texture
+# directionality measure, divisions left cleared.  One shifted-view
+# dot product per direction per frame; SQL evaluates the pixel
+# formula at the shifted offsets.
+q_image_autocorr = _frame_query(mm.SpatialAutocorr, 300)
 
 
-def q_image_lbp(sf_dir: str):
-    """Per-image local-binary-pattern texture summary: 8-neighbour
-    code per interior pixel (clockwise-from-top-left bit order), per
-    frame the exact code total, 256-bin code-histogram energy and
-    interior count -- 8 shifted-view comparisons + one bincount per
-    frame.  SQL evaluates the synthetic pixel formula at the 9 offsets
-    and groups (frame, code)."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import LBPStats
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        LBPStats, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Per-image local-binary-pattern texture summary: 8-neighbour
+# code per interior pixel (clockwise-from-top-left bit order), per
+# frame the exact code total, 256-bin code-histogram energy and
+# interior count -- 8 shifted-view comparisons + one bincount per
+# frame.  SQL evaluates the synthetic pixel formula at the 9 offsets
+# and groups (frame, code).
+q_image_lbp = _frame_query(mm.LBPStats, 300)
 
 
-def q_image_median3(sf_dir: str):
-    """Exact 3x3 median filter stats (salt-and-pepper denoise): per
-    frame the count of interior pixels changed by the filter + the
-    filtered-interior sum; 9 shifted views + one np.partition per
-    frame.  SQL unnests the 9 offsets per pixel and takes
-    quantile_disc(0.5) == the 5th-smallest of 9."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import Median3Stats
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        Median3Stats, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Exact 3x3 median filter stats (salt-and-pepper denoise): per
+# frame the count of interior pixels changed by the filter + the
+# filtered-interior sum; 9 shifted views + one np.partition per
+# frame.  SQL unnests the 9 offsets per pixel and takes
+# quantile_disc(0.5) == the 5th-smallest of 9.
+q_image_median3 = _frame_query(mm.Median3Stats, 300)
 
 
-def q_image_seam(sf_dir: str):
-    """Minimum vertical-seam cost per frame (seam carving / least-cost
-    corridor DP, energy = pixel value): exact integer row-sweep DP,
-    emitting the min bottom-row cost, its smallest column, and the tie
-    count.  Restricted to the h=32 frames so the SQL mirror can chain
-    one CTE per DP row (31 chained CTEs with three scalar self-joins
-    each -- no recursion, no aggregates in recursive terms)."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import SeamStats
-
-    t = make_batch(0, 300)
-    t = t.filter(pc.equal(t.column("h"), 32))
-    return rd.from_arrow(t).map_batches(
-        SeamStats, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Minimum vertical-seam cost per frame (seam carving / least-cost
+# corridor DP, energy = pixel value): exact integer row-sweep DP,
+# emitting the min bottom-row cost, its smallest column, and the tie
+# count.  Restricted to the h=32 frames so the SQL mirror can chain
+# one CTE per DP row (31 chained CTEs with three scalar self-joins
+# each -- no recursion, no aggregates in recursive terms).
+q_image_seam = _frame_query(mm.SeamStats, 300, where={"h": 32})
 
 
-def q_image_dither(sf_dir: str):
-    """Ordered Bayer-4x4 dithering per frame (1-bit halftone for mask
-    thumbnails): ON iff v > bayer(r%4, c%4)*16 + 8; emits the ON count
-    and the exact position checksum sum(r*w + c over ON pixels).  One
-    tiled integer compare per frame; the SQL mirror evaluates the
-    threshold matrix as a 16-way CASE."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import DitherStats
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        DitherStats, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Ordered Bayer-4x4 dithering per frame (1-bit halftone for mask
+# thumbnails): ON iff v > bayer(r%4, c%4)*16 + 8; emits the ON count
+# and the exact position checksum sum(r*w + c over ON pixels).  One
+# tiled integer compare per frame; the SQL mirror evaluates the
+# threshold matrix as a 16-way CASE.
+q_image_dither = _frame_query(mm.DitherStats, 300)
 
 
-def q_blob_perimeter(sf_dir: str):
-    """Per-blob 4-connected perimeter over the v>=128 mask (shape
-    compactness / isoperimetric screening of segmented rasters): one
-    row per component with canonical label pixel, area and perimeter
-    = 4*area - 2*adjacencies, all from one O(runs) union-find sweep.
-    SQL extends the image_blobs recursive-CTE closure with per-root
-    adjacency sums."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import BlobPerimeter
-
-    ds = rd.from_arrow(make_batch(0, 900))
-
-    def only32(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc_
-        return b.filter(pc_.and_(pc_.equal(b.column("w"), 32),
-                                 pc_.equal(b.column("h"), 32)))
-
-    return ds.map_batches(only32, batch_format="pyarrow").map_batches(
-        BlobPerimeter, batch_format="pyarrow", concurrency=(1, 2),
-        num_cpus=1,
-    )
+# Per-blob 4-connected perimeter over the v>=128 mask (shape
+# compactness / isoperimetric screening of segmented rasters): one
+# row per component with canonical label pixel, area and perimeter
+# = 4*area - 2*adjacencies, all from one O(runs) union-find sweep.
+# SQL extends the image_blobs recursive-CTE closure with per-root
+# adjacency sums.
+q_blob_perimeter = _frame_query(
+    mm.BlobPerimeter, 900, where={"w": 32, "h": 32})
 
 
 def q_events_peak_concurrency(sf_dir: str):
@@ -6339,22 +5829,13 @@ def q_trajectory_raster(sf_dir: str):
     return trajectory_raster(pts, cell_shift=5)
 
 
-def q_image_boxsum(sf_dir: str):
-    """Per-image 5x5 sliding box-sum statistics via an integral image
-    (summed-area table): window count, extreme window sums, bright
-    windows, total -- the O(1)-per-window local-density primitive.
-    SQL mirrors by decomposing the 25-tap sum into a 5-tap horizontal
-    pass + a 5-tap vertical window sum over the synthetic pixel
-    formula."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import BoxSumStats
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        BoxSumStats, batch_format="pyarrow", concurrency=(1, 2), num_cpus=1
-    )
+# Per-image 5x5 sliding box-sum statistics via an integral image
+# (summed-area table): window count, extreme window sums, bright
+# windows, total -- the O(1)-per-window local-density primitive.
+# SQL mirrors by decomposing the 25-tap sum into a 5-tap horizontal
+# pass + a 5-tap vertical window sum over the synthetic pixel
+# formula.
+q_image_boxsum = _frame_query(mm.BoxSumStats, 300)
 
 
 def q_zone_shape(sf_dir: str):
@@ -6633,21 +6114,12 @@ def q_tile_transition(sf_dir: str):
     return tile_transition_matrix(_scene_cells())
 
 
-def q_audio_peak_window(sf_dir: str):
-    """Loudest-window locator: per PCM clip the max 256-sample
-    sliding-window energy and its earliest start (cue-point /
-    loudness-normalization primitive); one cumsum+diff per clip
-    (stages/multimodal.AudioPeakWindow).  SQL mirrors the s16le sample
-    formula + a 256-row window sum."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import AudioPeakWindow
-
-    ds = rd.from_arrow(make_batch(0, 500))
-    return ds.map_batches(
-        AudioPeakWindow, batch_format="pyarrow", concurrency=(1, 2),
-        num_cpus=1)
+# Loudest-window locator: per PCM clip the max 256-sample
+# sliding-window energy and its earliest start (cue-point /
+# loudness-normalization primitive); one cumsum+diff per clip
+# (stages/multimodal.AudioPeakWindow).  SQL mirrors the s16le sample
+# formula + a 256-row window sum.
+q_audio_peak_window = _frame_query(mm.AudioPeakWindow, 500)
 
 
 def q_doc_readability(sf_dir: str):
@@ -6662,38 +6134,20 @@ def q_doc_readability(sf_dir: str):
     return doc_readability(ds)
 
 
-def q_video_static_runs(sf_dir: str):
-    """Static-segment census per video (the complement of video_cuts,
-    same exact 4*SAD >= 255*w rule): static-pair count, maximal-run
-    count and longest run via one vectorized gaps-and-islands pass
-    (stages/multimodal.VideoStaticRuns) -- the segment-duration stats
-    that set frame-sampling rates.  SQL mirrors with row_number
-    islands over the non-cut pairs."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import VideoStaticRuns
-
-    ds = rd.from_arrow(make_batch(0, 200))
-    return ds.map_batches(
-        VideoStaticRuns, batch_format="pyarrow", concurrency=(1, 2),
-        num_cpus=1)
+# Static-segment census per video (the complement of video_cuts,
+# same exact 4*SAD >= 255*w rule): static-pair count, maximal-run
+# count and longest run via one vectorized gaps-and-islands pass
+# (stages/multimodal.VideoStaticRuns) -- the segment-duration stats
+# that set frame-sampling rates.  SQL mirrors with row_number
+# islands over the non-cut pairs.
+q_video_static_runs = _frame_query(mm.VideoStaticRuns, 200)
 
 
-def q_image_colprofile(sf_dir: str):
-    """Vertical projection profile per image (layout/barcode
-    primitive): peak column sum, earliest peak column, bright-column
-    count (stages/multimodal.ColProfileStats; one axis-0 sum per
-    frame).  SQL groups the pixel formula by column."""
-    import ray.data as rd
-
-    from equi7grid_ray.sources.images import make_batch
-    from equi7grid_ray.stages.multimodal import ColProfileStats
-
-    ds = rd.from_arrow(make_batch(0, 300))
-    return ds.map_batches(
-        ColProfileStats, batch_format="pyarrow", concurrency=(1, 2),
-        num_cpus=1)
+# Vertical projection profile per image (layout/barcode
+# primitive): peak column sum, earliest peak column, bright-column
+# count (stages/multimodal.ColProfileStats; one axis-0 sum per
+# frame).  SQL groups the pixel formula by column.
+q_image_colprofile = _frame_query(mm.ColProfileStats, 300)
 
 
 def q_coverage_churn(sf_dir: str):
@@ -6873,16 +6327,7 @@ def q_continent_hist_sim(sf_dir: str):
     from equi7grid_ray.stages.aggregate import hash_aggregate
     from equi7grid_ray.stages.mosaic import tile_mosaic
 
-    import ray.data as rd
-
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-    from equi7grid_ray.sources.images import make_batch
-
-    ds = rd.from_arrow(make_batch(0, 2000))
-    assigned = tile_assignments(
-        ds, passthrough=("bytes", "w", "h", "fmt"),
-        emit_cell=False, emit_xy=False, emit_id=False)
-    mosaic = tile_mosaic(assigned)
+    mosaic = tile_mosaic(_tiled_scenes())
 
     def hist(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -7737,12 +7182,6 @@ def _langid_oracle_sql() -> str:
     )
 
 
-def _sqlgen():
-    from equi7grid_ray import sqlgen
-
-    return sqlgen
-
-
 def _split_counts_sql() -> str:
     from equi7grid_ray.sqlgen import _mix64_ctes
     from equi7grid_ray.stages.sample import SAMPLE_SALT, rate_to_threshold
@@ -7881,7 +7320,7 @@ def _doc_quality_sql() -> str:
 def _ivf_oracle_sql() -> str:
     from equi7grid_ray.stages.ann_ivf import random_centroids
 
-    return _sqlgen().ivf_topk_sql(random_centroids(16, 64), n_probe=6, k=10)
+    return sqlgen.ivf_topk_sql(random_centroids(16, 64), n_probe=6, k=10)
 
 
 #: shared CTE chain producing per-(vec, subspace) PQ code assignments
@@ -7920,12 +7359,11 @@ def oracle_sql() -> dict[str, str]:
         " THEN 1 ELSE 0 END"
         for dr in (-1, 0, 1) for dc in (-1, 0, 1)
     )
-    from equi7grid_ray.stages.multimodal import LBPStats as _LBP
 
     lbp_code = " + ".join(
         f"(CASE WHEN ((r.r + {dr}) * h + (c.c + {dc}) * w + i) % 256"
         f" >= (r.r * h + c.c * w + i) % 256 THEN {1 << k} ELSE 0 END)"
-        for k, (dr, dc) in enumerate(_LBP.OFFSETS)
+        for k, (dr, dc) in enumerate(mm.LBPStats.OFFSETS)
     )
     # image_seam: one chained CTE per DP row (h = 32 frames only) --
     # three scalar self-joins per step, least() of the clamped trio.
@@ -8264,7 +7702,7 @@ FROM d""",
             f" + (((l_orderkey * {_LONMUL}) % {_LONMOD}) * {1 << _CELL_L}) // {_LONMOD} AS cell, "
             f"count(*) AS n FROM lineitem GROUP BY cell"
         ),
-        "zorder_hist": _sqlgen().zorder_hist_sql(),
+        "zorder_hist": sqlgen.zorder_hist_sql(),
         "zorder_bbox_prune": (
             # plain bbox predicate: the engine's z-range pruning must be
             # output-transparent
@@ -8404,9 +7842,9 @@ FROM d""",
             "UNNEST(range(y0 // 600000, y1 // 600000 + 1)) AS ty(j)) "
             "SELECT tile, count(*) AS n FROM t GROUP BY tile"
         ),
-        "simhash_docs": _sqlgen().simhash_sql(),
+        "simhash_docs": sqlgen.simhash_sql(),
         "simhash_near_dup": (
-            f"WITH s AS ({_sqlgen().simhash_sql()}) "
+            f"WITH s AS ({sqlgen.simhash_sql()}) "
             "SELECT a.doc_id AS id_a, b.doc_id AS id_b "
             "FROM s a JOIN s b ON a.doc_id < b.doc_id "
             "AND bit_count(xor(a.simhash, b.simhash)) <= 3"
@@ -8519,13 +7957,13 @@ JOIN bexp e ON e.d = g.d, tot""",
             "(SELECT c_custkey FROM customer) THEN 1 ELSE 0 END) "
             "AS BIGINT) FROM orders"
         ),
-        "lsh_near_dup": _sqlgen().lsh_pairs_sql(),
-        "edit_verified_pairs": _sqlgen().lsh_edit_verified_sql(),
-        "cross_decontam_lsh": _sqlgen().lsh_cross_pairs_sql(mod=50),
-        "lsh_near_dup_verified": _sqlgen().lsh_verified_pairs_sql(threshold=0.8),
-        "near_dup_components": _sqlgen().components_sql(),
-        "dedup_canonical_docs": _sqlgen().canonical_sql(),
-        "doc_novelty": _sqlgen().doc_novelty_sql(),
+        "lsh_near_dup": sqlgen.lsh_pairs_sql(),
+        "edit_verified_pairs": sqlgen.lsh_edit_verified_sql(),
+        "cross_decontam_lsh": sqlgen.lsh_cross_pairs_sql(mod=50),
+        "lsh_near_dup_verified": sqlgen.lsh_verified_pairs_sql(threshold=0.8),
+        "near_dup_components": sqlgen.components_sql(),
+        "dedup_canonical_docs": sqlgen.canonical_sql(),
+        "doc_novelty": sqlgen.doc_novelty_sql(),
         "bm25_topk": """
 WITH tok AS (
   SELECT doc_id, unnest(string_split(text, ' ')) AS t FROM documents),
@@ -8618,7 +8056,7 @@ JOIN nation n ON n.n_nationkey = s.s_nationkey
 WHERE c.c_nationkey = s.s_nationkey
 GROUP BY n.n_name""",
         "graph_assortativity": f"""
-WITH pairs AS ({_sqlgen().lsh_pairs_sql()}),
+WITH pairs AS ({sqlgen.lsh_pairs_sql()}),
 ed AS (
   SELECT DISTINCT least(id_a, id_b) AS u, greatest(id_a, id_b) AS v
   FROM pairs WHERE id_a != id_b),
@@ -8706,7 +8144,7 @@ SELECT event_type,
        coalesce(min(hr) FILTER (WHERE s >= 3 * k), -1)::BIGINT
          AS first_alarm_bucket
 FROM s GROUP BY event_type""",
-        "dedup_keep_longest": _sqlgen().canonical_quality_sql(),
+        "dedup_keep_longest": sqlgen.canonical_quality_sql(),
         "mixture_allocation": """
 WITH cnt AS (
   SELECT source, count(*)::BIGINT AS n_rows FROM documents
@@ -8739,7 +8177,7 @@ SELECT source, n_rows, weight::BIGINT AS weight,
        (base + CASE WHEN rk <= leftover THEN 1 ELSE 0 END)::BIGINT
          AS quota
 FROM lr""",
-        "dedup_report": _sqlgen().dedup_report_sql(),
+        "dedup_report": sqlgen.dedup_report_sql(),
         "doc_repetition": (
             # string-equality mirror of the engine's hash-equality
             # multiplicities (collision-free at these scales)
@@ -8784,13 +8222,13 @@ FROM lr""",
             "CAST(sum(CASE WHEN rn = 1 THEN length(para) ELSE 0 END) AS BIGINT) AS kept_len "
             "FROM keyed GROUP BY doc_id"
         ),
-        "image_stats": _sqlgen().image_stats_sql(500),
-        "image_stats_rgb": _sqlgen().image_stats_rgb_sql(300),
-        "image_dhash": _sqlgen().image_dhash_sql(500),
-        "image_dhash_pairs": _sqlgen().image_dhash_pairs_sql(500, max_dist=3),
-        "image_ahash": _sqlgen().image_ahash_sql(500),
-        "image_phash": _sqlgen().image_phash_sql(300),
-        "image_stats_pal": _sqlgen().image_stats_pal_sql(300),
+        "image_stats": sqlgen.image_stats_sql(500),
+        "image_stats_rgb": sqlgen.image_stats_rgb_sql(300),
+        "image_dhash": sqlgen.image_dhash_sql(500),
+        "image_dhash_pairs": sqlgen.image_dhash_pairs_sql(500, max_dist=3),
+        "image_ahash": sqlgen.image_ahash_sql(500),
+        "image_phash": sqlgen.image_phash_sql(300),
+        "image_stats_pal": sqlgen.image_stats_pal_sql(300),
         "props_json_extract": """
 SELECT event_type, count(*) AS n,
        sum(CAST(json_extract(props, '$.k') AS BIGINT))::BIGINT AS k_sum,
@@ -8873,20 +8311,11 @@ WHERE st.n > 1
   AND (st.n * d.n_chars - st.s)::HUGEINT
       * (st.n * d.n_chars - st.s) * (st.n - 1)
       > 4 * st.n::HUGEINT * (st.n * st.ss - st.s::HUGEINT * st.s)""",
-        "image_dedup_canonical": _sqlgen().image_canonical_sql(500, max_dist=3),
+        "image_dedup_canonical": sqlgen.image_canonical_sql(500, max_dist=3),
         "image_dedup_ensemble":
-            _sqlgen().image_ensemble_canonical_sql(500, max_dist=3),
-        "image_hist_eq": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(500) t(i)),
-px AS (
-  SELECT i, ((r.r * h + c.c * w + i) % 256) AS v
-  FROM img,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c),
+            sqlgen.image_ensemble_canonical_sql(500, max_dist=3),
+        "image_hist_eq": f"""
+WITH {sqlgen.pixels_sql(500)},
 hist AS (SELECT i, v, count(*) AS c FROM px GROUP BY i, v),
 cdf AS (SELECT i, v, c,
                sum(c) OVER (PARTITION BY i ORDER BY v) AS cf FROM hist),
@@ -8899,37 +8328,17 @@ SELECT printf('img%012d', i) AS image_id,
        sum(eq * c)::BIGINT AS eq_sum,
        min(eq)::BIGINT AS eq_min, max(eq)::BIGINT AS eq_max
 FROM lut GROUP BY i""",
-        "image_patches": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(500) t(i)),
-px AS (
-  SELECT i, r.r // 16 AS pr, c.c // 16 AS pc,
-         ((r.r * h + c.c * w + i) % 256) AS v
-  FROM img,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c)
-SELECT printf('img%012d', i) AS image_id, CAST(pr AS INT) AS pr,
-       CAST(pc AS INT) AS pc, sum(v)::BIGINT AS px_sum
+        "image_patches": f"""
+WITH {sqlgen.pixels_sql(500)}
+SELECT printf('img%012d', i) AS image_id, CAST(r // 16 AS INT) AS pr,
+       CAST(c // 16 AS INT) AS pc, sum(v)::BIGINT AS px_sum
 FROM px GROUP BY i, pr, pc""",
-        "image_pyramid": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
-px AS (
-  SELECT i, l.l AS l, r.r // (1 << l.l) AS br, c.c // (1 << l.l) AS bc,
-         ((r.r * h + c.c * w + i) % 256) AS v
-  FROM img,
-  (SELECT unnest([1, 2, 3]) AS l) l,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c),
+        "image_pyramid": f"""
+WITH {sqlgen.pixels_sql(300)},
 blk AS (
-  SELECT i, l, br, bc, sum(v) // ((1 << l) * (1 << l)) AS m
-  FROM px GROUP BY i, l, br, bc)
+  SELECT i, l.l AS l, sum(v) // ((1 << l.l) * (1 << l.l)) AS m
+  FROM px, (SELECT unnest([1, 2, 3]) AS l) l
+  GROUP BY i, l.l, r // (1 << l.l), c // (1 << l.l))
 SELECT printf('img%012d', i) AS image_id, CAST(l AS INT) AS level,
        sum(m)::BIGINT AS py_sum, min(m)::BIGINT AS py_min,
        max(m)::BIGINT AS py_max
@@ -8992,65 +8401,20 @@ FROM big b JOIN uni ua ON ua.tok = b.tok_a
            JOIN uni ub ON ub.tok = b.tok_b, nn
 ORDER BY score DESC, tok_a, tok_b LIMIT 50""",
         "tile_mosaic": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc)
+WITH {_scene_blocks(2000)}
 SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
        max(m)::BIGINT AS v_max, sum(m)::BIGINT AS v_sum,
        count(*)::BIGINT AS n_img
 FROM blk GROUP BY tile, gr, gc""",
         "tile_clear_composite": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc)
+WITH {_scene_blocks(2000)}
 SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
        count(*)::BIGINT AS n_img,
        sum(CASE WHEN m < 200 THEN 1 ELSE 0 END)::BIGINT AS n_clear,
        coalesce(max(m) FILTER (WHERE m < 200), -1)::BIGINT AS max_clear
 FROM blk GROUP BY tile, gr, gc""",
         "cell_provenance": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 rk AS (
   SELECT tile, gr, gc, i, m, row_number() OVER (
       PARTITION BY tile, gr, gc ORDER BY m DESC, i) AS rn
@@ -9059,22 +8423,7 @@ SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
        i::BIGINT AS best_scene, m::BIGINT AS best_m
 FROM rk WHERE rn = 1""",
         "tile_anomaly": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 st AS (
   SELECT tile, gr, gc, count(*)::BIGINT AS n, sum(m)::BIGINT AS s,
          sum(m * m)::BIGINT AS ss
@@ -9091,22 +8440,7 @@ SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
        sum(CASE WHEN f = 1 THEN i ELSE 0 END)::BIGINT AS outl_scene_sum
 FROM fl GROUP BY tile, gr, gc""",
         "mosaic_manifest": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 mos AS (
   SELECT tile, gr, gc, max(m)::BIGINT AS v_max
   FROM blk GROUP BY tile, gr, gc)
@@ -9127,43 +8461,13 @@ p AS (
 SELECT id_a, id_b, (ox * oy)::BIGINT AS ov_area
 FROM p WHERE ox > 0 AND oy > 0""",
         "tile_mosaic_delta": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2200) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc)
+WITH {_scene_blocks(2200)}
 SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
        max(m)::BIGINT AS v_max, sum(m)::BIGINT AS v_sum,
        count(*)::BIGINT AS n_img
 FROM blk GROUP BY tile, gr, gc""",
         "tile_focal_mean": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 mos AS (
   SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
          max(m)::BIGINT AS v
@@ -9194,22 +8498,7 @@ SELECT tile, gr, gc, (sum(v) // count(*))::BIGINT AS focal,
        count(*)::BIGINT AS wn
 FROM j GROUP BY tile, gr, gc""",
         "tile_gradient": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 mos AS (
   SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
          max(m)::BIGINT AS v
@@ -9249,22 +8538,7 @@ FROM piv
 WHERE ve IS NOT NULL AND vw IS NOT NULL
   AND vs IS NOT NULL AND vn IS NOT NULL""",
         "tile_tri": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 mos AS (
   SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
          max(m)::BIGINT AS v
@@ -9295,22 +8569,7 @@ j AS (
 SELECT tile, gr, gc, sum(abs(vc - v))::BIGINT AS tri
 FROM j GROUP BY tile, gr, gc HAVING count(*) = 8""",
         "tile_aspect": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 mos AS (
   SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
          max(m)::BIGINT AS v
@@ -9365,22 +8624,7 @@ cls AS (
 SELECT continent, aspect::BIGINT AS aspect, count(*)::BIGINT AS n
 FROM cls GROUP BY continent, aspect""",
         "tile_flow_d8": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 mos AS (
   SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
          max(m)::BIGINT AS v
@@ -9437,22 +8681,7 @@ SELECT tile, gr, gc,
   greatest(best, 0)::BIGINT AS "drop"
 FROM sc""",
         "tile_flow_accum": f"""
-WITH RECURSIVE img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH RECURSIVE {_scene_blocks(2000)},
 mos AS (
   SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
          max(m)::BIGINT AS v
@@ -9528,22 +8757,7 @@ rec AS (
 SELECT ct AS tile, cr AS gr, cc AS gc, count(*)::BIGINT AS acc
 FROM rec GROUP BY 1, 2, 3""",
         "tile_basins": f"""
-WITH RECURSIVE img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH RECURSIVE {_scene_blocks(2000)},
 mos AS (
   SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
          max(m)::BIGINT AS v
@@ -9627,11 +8841,7 @@ SELECT t.ct AS tile, t.cr AS gr, t.cc AS gc,
 FROM term t JOIN d8 s ON s.tile = t.ct AND s.gr = t.cr AND s.gc = t.cc
 GROUP BY 1, 2, 3""",
         "image_morph": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
+WITH {sqlgen.img_cte(300)},
 s AS (
   SELECT i, ({morph_s9}) AS s9,
     CASE WHEN (r.r * h + c.c * w + i) % 256 >= 128 THEN 1 ELSE 0 END AS ctr
@@ -9644,44 +8854,14 @@ SELECT printf('img%012d', i) AS image_id,
        (count(*) FILTER (WHERE s9 >= 1))::BIGINT AS dilated_px
 FROM s GROUP BY i""",
         "tile_temporal_median": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc)
+WITH {_scene_blocks(2000)}
 SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
        count(*)::BIGINT AS n_sc,
        quantile_disc(m, 0.5)::BIGINT AS v_med,
        min(m)::BIGINT AS v_min, max(m)::BIGINT AS v_max
 FROM blk GROUP BY tile, gr, gc""",
         "tile_iqr": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc)
+WITH {_scene_blocks(2000)}
 SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
        count(*)::BIGINT AS n_sc,
        quantile_disc(m, 0.25)::BIGINT AS v_q1,
@@ -9689,22 +8869,7 @@ SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
        (quantile_disc(m, 0.75) - quantile_disc(m, 0.25))::BIGINT AS iqr
 FROM blk GROUP BY tile, gr, gc""",
         "tile_change_detect": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 cell AS (
   SELECT tile, gr, gc,
          max(CASE WHEN i % 2 = 0 THEN m END) AS v0,
@@ -9715,13 +8880,9 @@ SELECT tile, count(*)::BIGINT AS n_cells,
        (count(*) FILTER (WHERE abs(v1 - v0) >= 8))::BIGINT AS n_changed,
        sum(abs(v1 - v0))::BIGINT AS sum_absd
 FROM cell GROUP BY tile""",
-        "hilbert_hist": _sqlgen().hilbert_hist_sql(),
-        "image_glcm": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
+        "hilbert_hist": sqlgen.hilbert_hist_sql(),
+        "image_glcm": f"""
+WITH {sqlgen.img_cte(300)},
 pairs AS (
   SELECT i,
     ((r.r * h + c.c * w + i) % 256) // 32 AS qa,
@@ -9737,11 +8898,7 @@ SELECT printf('img%012d', i) AS image_id,
        sum(n)::BIGINT AS n_pairs
 FROM cooc GROUP BY i""",
         "image_lbp": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
+WITH {sqlgen.img_cte(300)},
 px AS (
   SELECT i, {lbp_code} AS code
   FROM img,
@@ -9753,12 +8910,8 @@ SELECT printf('img%012d', i) AS image_id,
        sum(n * n)::BIGINT AS lbp_energy,
        sum(n)::BIGINT AS n_interior
 FROM cnt GROUP BY i""",
-        "image_median3": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
+        "image_median3": f"""
+WITH {sqlgen.img_cte(300)},
 nine AS (
   SELECT i, w, h, r.r AS r, c.c AS c,
          ((r.r + o.dr) * h + (c.c + o.dc) * w + i) % 256 AS v
@@ -9777,22 +8930,7 @@ SELECT printf('img%012d', i) AS image_id,
        count(*)::BIGINT AS n_interior
 FROM med GROUP BY i""",
         "tile_horizon": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 mos AS (
   SELECT tile, gr, gc, max(m)::BIGINT AS v
   FROM blk GROUP BY tile, gr, gc),
@@ -9806,18 +8944,8 @@ vis AS (
 SELECT tile, gr::BIGINT AS gr, sum(viz)::BIGINT AS n_visible,
        max(v)::BIGINT AS row_max
 FROM vis GROUP BY tile, gr""",
-        "image_autocorr": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
-px AS (
-  SELECT i, w, h, r.r AS r, c.c AS c,
-         ((r.r * h + c.c * w + i) % 256) AS v
-  FROM img,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c)
+        "image_autocorr": f"""
+WITH {sqlgen.pixels_sql(300)}
 SELECT printf('img%012d', i) AS image_id,
        count(*)::BIGINT AS n_px,
        sum(v)::BIGINT AS s,
@@ -9829,19 +8957,9 @@ SELECT printf('img%012d', i) AS image_id,
            THEN v * ((r * h + (c + 1) * w + i) % 256) ELSE 0 END)::BIGINT
          AS lag_h
 FROM px GROUP BY i""",
-        "image_shift_detect": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
-prof AS (
-  SELECT i, r.r AS r,
-         sum((r.r * h + c.c * w + i) % 256)::BIGINT AS v
-  FROM img,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c
-  GROUP BY i, r.r),
+        "image_shift_detect": f"""
+WITH {sqlgen.pixels_sql(300)},
+prof AS (SELECT i, r, sum(v)::BIGINT AS v FROM px GROUP BY i, r),
 lagsad AS (
   SELECT a.i AS pid, d.d AS d,
          sum(abs(a.v - b.v))::BIGINT AS sad,
@@ -10091,22 +9209,7 @@ r AS (
   FROM img)
 SELECT fmt, reason, count(*)::BIGINT AS n FROM r GROUP BY fmt, reason""",
         "poly_zonal": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 mos AS (
   SELECT tile, gr, gc, max(m)::BIGINT AS v
   FROM blk GROUP BY tile, gr, gc),
@@ -10147,22 +9250,7 @@ SELECT h.poly_id, count(*)::BIGINT AS n_cells,
 FROM hit h JOIN cell c ON c.cpx = h.cpx AND c.cpy = h.cpy
 GROUP BY h.poly_id""",
         "tile_similarity": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 mos AS (
   SELECT tile, gr, gc, max(m)::BIGINT AS v
   FROM blk GROUP BY tile, gr, gc)
@@ -10174,22 +9262,7 @@ FROM mos a JOIN mos b
 GROUP BY a.tile, b.tile
 HAVING sum((a.v - b.v) * (a.v - b.v)) <= 2000""",
         "poly_majority": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 mos AS (
   SELECT tile, gr, gc, max(m)::BIGINT AS v
   FROM blk GROUP BY tile, gr, gc),
@@ -10236,17 +9309,8 @@ rk AS (
 SELECT poly_id, v::BIGINT AS mode_v, n::BIGINT AS mode_n,
        n_vals::BIGINT AS n_vals
 FROM rk WHERE rn = 1""",
-        "image_quality_gate": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
-px AS (
-  SELECT i, ((r.r * h + c.c * w + i) % 256) AS v
-  FROM img,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c),
+        "image_quality_gate": f"""
+WITH {sqlgen.pixels_sql(300)},
 rngx AS (SELECT i, (max(v) - min(v))::BIGINT AS pr FROM px GROUP BY i),
 e AS (
   SELECT i,
@@ -10276,12 +9340,8 @@ SELECT printf('img%012d', ec.i) AS image_id,
             ELSE 'ok' END AS reason,
        ec.edge_px, r2.pr AS px_range
 FROM ec JOIN rngx r2 ON r2.i = ec.i""",
-        "image_hog": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
+        "image_hog": f"""
+WITH {sqlgen.img_cte(300)},
 g AS (
   SELECT i,
     (  (((r.r - 1) * h + (c.c + 1) * w + i) % 256)
@@ -10326,12 +9386,8 @@ SELECT printf('img%012d', im.i) AS image_id,
   coalesce(o6, 0) AS o6, coalesce(o7, 0) AS o7,
   coalesce(n_grad, 0) AS n_grad
 FROM img im LEFT JOIN agg ON agg.i = im.i""",
-        "video_cuts": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(200) t(i)),
+        "video_cuts": f"""
+WITH {sqlgen.img_cte(200)},
 d AS (
   SELECT i, f.f AS f, any_value(w) AS w,
     sum(abs((((f.f + 1) * h + c.c * w + i) % 256)
@@ -10347,20 +9403,8 @@ SELECT printf('img%012d', im.i) AS image_id,
   sum(sad)::BIGINT AS sad_sum
 FROM img im JOIN d ON d.i = im.i
 GROUP BY im.i, im.h""",
-        "audio_autocorr": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(400) t(i)),
-s AS (
-  SELECT i, CAST(k.k AS BIGINT) AS k,
-    (((2 * k.k) // w) * h + ((2 * k.k) % w) * w + i) % 256
-      + 256 * ((((2 * k.k + 1) // w) * h + ((2 * k.k + 1) % w) * w + i) % 256)
-      AS u
-  FROM img, UNNEST(range((w * h) // 2)) AS k(k)),
-sv AS (SELECT i, k, CASE WHEN u >= 32768 THEN u - 65536 ELSE u END AS v
-       FROM s),
+        "audio_autocorr": f"""
+WITH {sqlgen.pcm_samples_sql(400)},
 l(lag) AS (VALUES (1), (2), (4), (8)),
 ac AS (
   SELECT a.i, l.lag, sum(a.v * b.v)::BIGINT AS ac
@@ -10382,22 +9426,7 @@ SELECT printf('img%012d', w2.i) AS image_id,
         WHEN ac4 >= ac8 THEN 4 ELSE 8 END)::BIGINT AS best_lag
 FROM wide w2 JOIN img im ON im.i = w2.i""",
         "tile_trend": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 s AS (
   SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
          count(*)::HUGEINT AS n, sum(i)::HUGEINT AS st,
@@ -10412,22 +9441,7 @@ SELECT tile, gr, gc, CAST(n AS BIGINT) AS n_sc,
             END AS BIGINT) AS trend_q6
 FROM s""",
         "tile_mk_trend": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 p AS (
   SELECT a.tile, a.gr, a.gc,
          sum(CASE WHEN b.m > a.m THEN 1 WHEN b.m < a.m THEN -1
@@ -10572,7 +9586,7 @@ SELECT r.event_type, m.peak AS peak_concurrency,
 FROM r JOIN m ON m.event_type = r.event_type AND r.conc = m.peak
 GROUP BY r.event_type, m.peak""",
         "link_prediction": f"""
-WITH pairs AS ({_sqlgen().lsh_pairs_sql()}),
+WITH pairs AS ({sqlgen.lsh_pairs_sql()}),
 ed AS (
   SELECT DISTINCT least(id_a, id_b) AS u, greatest(id_a, id_b) AS v
   FROM pairs WHERE id_a != id_b),
@@ -10717,12 +9731,8 @@ samp AS (
   FROM trips, LATERAL (SELECT unnest(range(n + 1)) AS t) s)
 SELECT cx, cy, count(*)::BIGINT AS n_visits
 FROM samp GROUP BY cx, cy""",
-        "image_boxsum": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
+        "image_boxsum": f"""
+WITH {sqlgen.img_cte(300)},
 hs AS (
   SELECT i, h, r.r, c.c,
       ((r.r * h + (c.c + 0) * w + i) % 256)
@@ -10765,7 +9775,7 @@ SELECT ck AS continent, count(*)::BIGINT AS n_tiles,
        sum(4 - n4)::BIGINT AS perimeter_edges,
        (count(*) FILTER (WHERE n4 = 4))::BIGINT AS n_interior
 FROM nb GROUP BY ck""",
-        "feature_hashing": _sqlgen().feature_hash_sql(),
+        "feature_hashing": sqlgen.feature_hash_sql(),
         "event_sax": """
 WITH hc AS (
   SELECT event_type, epoch_us(ts) // 3600000000 AS hr,
@@ -10949,22 +9959,7 @@ SELECT 4, c.qx, c.qy, c.n FROM c4 c
 JOIN c3 p ON p.qx = c.qx // 2 AND p.qy = c.qy // 2
 WHERE p.n > 500""",
         "tile_transition": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 cell AS (
   SELECT tile, gr, gc,
          max(CASE WHEN i % 2 = 0 THEN m END) AS v0,
@@ -10975,29 +9970,15 @@ SELECT substr(tile, 1, 2) AS continent,
        (v0 // 64)::BIGINT AS c0, (v1 // 64)::BIGINT AS c1,
        count(*)::BIGINT AS n_cells
 FROM cell GROUP BY 1, 2, 3""",
-        "audio_peak_window": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(500) t(i)),
-s AS (
-  SELECT i, CAST(k.k AS BIGINT) AS k, (w * h) // 2 AS m,
-    (((2 * k.k) // w) * h + ((2 * k.k) % w) * w + i) % 256
-      + 256 * ((((2 * k.k + 1) // w) * h + ((2 * k.k + 1) % w) * w + i) % 256)
-      AS u
-  FROM img, UNNEST(range((w * h) // 2)) AS k(k)),
-sq AS (
-  SELECT i, k, m,
-    (CASE WHEN u >= 32768 THEN u - 65536 ELSE u END)
-      * (CASE WHEN u >= 32768 THEN u - 65536 ELSE u END) AS e
-  FROM s),
+        "audio_peak_window": f"""
+WITH {sqlgen.pcm_samples_sql(500)},
 win AS (
-  SELECT i, k, m,
-    sum(e) OVER (PARTITION BY i ORDER BY k
-                 ROWS BETWEEN CURRENT ROW AND 255 FOLLOWING) AS we
-  FROM sq),
-f AS (SELECT i, k, we FROM win WHERE k <= m - 256),
+  SELECT i, k,
+    sum(v * v) OVER (PARTITION BY i ORDER BY k
+                     ROWS BETWEEN CURRENT ROW AND 255 FOLLOWING) AS we
+  FROM sv),
+f AS (SELECT win.i, k, we FROM win JOIN img ON img.i = win.i
+      WHERE k <= (w * h) // 2 - 256),
 mx AS (SELECT i, max(we)::BIGINT AS pe, count(*)::BIGINT AS nw
        FROM f GROUP BY i)
 SELECT printf('img%012d', f.i) AS image_id, mx.nw AS n_windows,
@@ -11022,12 +10003,8 @@ SELECT a.doc_id, a.n_words, st.n_sentences, a.n_long,
   ((a.n_words * 1000) // st.n_sentences
    + (a.n_long * 100000) // a.n_words)::BIGINT AS lix_q
 FROM a JOIN st USING (doc_id)""",
-        "video_static_runs": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(200) t(i)),
+        "video_static_runs": f"""
+WITH {sqlgen.img_cte(200)},
 d AS (
   SELECT i, f.f AS f, any_value(w) AS w,
     sum(abs((((f.f + 1) * h + c.c * w + i) % 256)
@@ -11052,19 +10029,10 @@ SELECT printf('img%012d', im.i) AS image_id,
 FROM img im
 LEFT JOIN st ON st.i = im.i
 LEFT JOIN per ON per.i = im.i""",
-        "image_colprofile": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
-cs AS (
-  SELECT i, c.c AS c, any_value(h) AS h,
-    sum((r.r * h + c.c * w + i) % 256)::BIGINT AS s
-  FROM img,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c
-  GROUP BY i, c.c),
+        "image_colprofile": f"""
+WITH {sqlgen.pixels_sql(300)},
+cs AS (SELECT i, c, any_value(h) AS h, sum(v)::BIGINT AS s
+       FROM px GROUP BY i, c),
 agg AS (
   SELECT i, max(s)::BIGINT AS peak_sum,
     (count(*) FILTER (WHERE s > 128 * h))::BIGINT AS bright_cols
@@ -11143,22 +10111,7 @@ m AS (
 SELECT dist // 10000 AS bucket, count(*)::BIGINT AS n
 FROM m GROUP BY 1""",
         "continent_hist_sim": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 cellv AS (SELECT tile, gr, gc, max(m) AS v FROM blk GROUP BY 1, 2, 3),
 h AS (SELECT substr(tile, 1, 2) AS cont, v, count(*)::BIGINT AS n
       FROM cellv GROUP BY 1, 2),
@@ -11396,22 +10349,7 @@ SELECT c.comp_tile, count(*)::BIGINT AS n_tiles,
        sum(p.n)::BIGINT AS n_scenes
 FROM comp c JOIN par p USING (tile) GROUP BY c.comp_tile""",
         "best_scene_topk": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(2000) t(i)),
-px AS (
-  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
-         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
-         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
-  FROM img im
-  JOIN {_oracle_lookup('image_tiles.parquet')} a ON a.i = im.i,
-  LATERAL (SELECT unnest(range(im.h)) AS r) r,
-  LATERAL (SELECT unnest(range(im.w)) AS c) c),
-blk AS (
-  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
-  FROM px GROUP BY tile, i, gr, gc),
+WITH {_scene_blocks(2000)},
 sc AS (SELECT tile, i, sum(m)::BIGINT AS q FROM blk GROUP BY tile, i),
 rk AS (SELECT tile, i, q,
        row_number() OVER (PARTITION BY tile ORDER BY q DESC, i) AS rn
@@ -11431,7 +10369,7 @@ SELECT source,
   CAST(CASE WHEN cs >= 9223372036854775808
        THEN cs - 18446744073709551616 ELSE cs END AS BIGINT) AS csum,
   n_docs
-FROM s""".replace("{FP_SQL}", _sqlgen().fingerprint_sql()),
+FROM s""".replace("{FP_SQL}", sqlgen.fingerprint_sql()),
         "tile_moran": f"""
 WITH cnt AS (
   SELECT tile, count(*)::BIGINT AS x
@@ -11507,12 +10445,8 @@ SELECT doc_id, n_email,
   len(regexp_extract_all(t2, '{_PHONE_RE}'))::BIGINT AS n_phone,
   regexp_replace(t2, '{_PHONE_RE}', '<PHONE>', 'g') AS red_text
 FROM r1""",
-        "image_hough4": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
+        "image_hough4": f"""
+WITH {sqlgen.img_cte(300)},
 e AS (
   SELECT i, r.r AS r, c.c AS c,
     abs(  (((r.r - 1) * h + (c.c + 1) * w + i) % 256)
@@ -11551,12 +10485,8 @@ SELECT printf('img%012d', g.i) AS image_id,
        COALESCE(b.cnt, 0)::BIGINT AS best_votes
 FROM img g LEFT JOIN ne ON ne.i = g.i
 LEFT JOIN (SELECT * FROM best WHERE rn = 1) b ON b.i = g.i""",
-        "image_dt": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
+        "image_dt": f"""
+WITH {sqlgen.img_cte(300)},
 px AS (
   SELECT i, w, h, r.r AS r, c.c AS c,
          ((r.r * h + c.c * w + i) % 256) >= 200 AS fg
@@ -11581,12 +10511,8 @@ SELECT printf('img%012d', i) AS image_id,
        (count(*) FILTER (WHERE fg = 0 AND dmin = 2))::BIGINT AS n_d2,
        (count(*) FILTER (WHERE fg = 0 AND dmin IS NULL))::BIGINT AS n_far
 FROM near GROUP BY i""",
-        "image_sobel": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
+        "image_sobel": f"""
+WITH {sqlgen.img_cte(300)},
 e AS (
   SELECT i,
     abs(  (((r.r - 1) * h + (c.c + 1) * w + i) % 256)
@@ -11608,17 +10534,8 @@ SELECT printf('img%012d', i) AS image_id,
        sum(e)::BIGINT AS grad_sum,
        (count(*) FILTER (WHERE e >= 256))::BIGINT AS edge_px
 FROM e GROUP BY i""",
-        "image_moments": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
-px AS (
-  SELECT i, r.r AS r, c.c AS c, ((r.r * h + c.c * w + i) % 256) AS v
-  FROM img,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c),
+        "image_moments": f"""
+WITH {sqlgen.pixels_sql(300)},
 m AS (
   SELECT i, sum(v)::BIGINT AS m00, sum(r * v)::BIGINT AS m10,
          sum(c * v)::BIGINT AS m01, sum(r * r * v)::BIGINT AS m20,
@@ -11630,11 +10547,7 @@ SELECT printf('img%012d', i) AS image_id, m00, m10, m01,
        (m00 * m11 - m10 * m01)::BIGINT AS mu11s
 FROM m""",
         "image_harris": f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(200) t(i)),
+WITH {sqlgen.img_cte(200)},
 g AS (
   SELECT i, w, h, r.r AS r, c.c AS c,
     ((r.r * h + (c.c + 1) * w + i) % 256)
@@ -11665,17 +10578,8 @@ SELECT printf('img%012d', i) AS image_id,
   max(r16)::BIGINT AS r16_max,
   COALESCE(sum(r16) FILTER (WHERE r16 > 0), 0)::BIGINT AS pos_sum
 FROM resp GROUP BY i""",
-        "image_otsu": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
-px AS (
-  SELECT i, ((r.r * h + c.c * w + i) % 256) AS v
-  FROM img,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c),
+        "image_otsu": f"""
+WITH {sqlgen.pixels_sql(300)},
 hist AS (SELECT i, v, count(*)::BIGINT AS c FROM px GROUP BY i, v),
 tot AS (SELECT i, sum(c)::HUGEINT AS tw, sum(v * c)::HUGEINT AS ts
         FROM hist GROUP BY i),
@@ -11823,38 +10727,23 @@ FROM geo g
 LEFT JOIN vs v ON v.i = g.i AND v.root = g.root
 JOIN runs lr ON lr.i = g.i AND lr.rid = g.root""",
         "image_seam": seam_sql,
-        "image_dither": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
-px AS (
-  SELECT i, r.r AS r, c.c AS c, w, ((r.r * h + c.c * w + i) % 256) AS v,
-    CASE (r.r % 4) * 4 + (c.c % 4)
+        "image_dither": f"""
+WITH {sqlgen.pixels_sql(300)},
+pb AS (
+  SELECT i, r, c, w, v,
+    CASE (r % 4) * 4 + (c % 4)
       WHEN 0 THEN 0 WHEN 1 THEN 8 WHEN 2 THEN 2 WHEN 3 THEN 10
       WHEN 4 THEN 12 WHEN 5 THEN 4 WHEN 6 THEN 14 WHEN 7 THEN 6
       WHEN 8 THEN 3 WHEN 9 THEN 11 WHEN 10 THEN 1 WHEN 11 THEN 9
       WHEN 12 THEN 15 WHEN 13 THEN 7 WHEN 14 THEN 13 ELSE 5 END AS b
-  FROM img,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c)
+  FROM px)
 SELECT printf('img%012d', i) AS image_id,
   (count(*) FILTER (WHERE v > b * 16 + 8))::BIGINT AS n_on,
   COALESCE(sum(r * w + c) FILTER (WHERE v > b * 16 + 8), 0)::BIGINT
     AS pos_sum
-FROM px GROUP BY i""",
-        "image_hist_match": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
-px AS (
-  SELECT i, ((r.r * h + c.c * w + i) % 256) AS v
-  FROM img,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c),
+FROM pb GROUP BY i""",
+        "image_hist_match": f"""
+WITH {sqlgen.pixels_sql(300)},
 hist AS (SELECT i, v, count(*)::BIGINT AS c FROM px GROUP BY i, v),
 cdf AS (SELECT i, v, c, sum(c) OVER (PARTITION BY i ORDER BY v) AS cf
         FROM hist),
@@ -11873,17 +10762,8 @@ SELECT printf('img%012d', i) AS image_id,
        sum(m * c)::BIGINT AS mt_sum, min(m)::BIGINT AS mt_min,
        max(m)::BIGINT AS mt_max
 FROM lut GROUP BY i""",
-        "image_rle": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
-px AS (
-  SELECT i, r.r AS r, c.c AS c, ((r.r * h + c.c * w + i) % 256) AS v
-  FROM img,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c),
+        "image_rle": f"""
+WITH {sqlgen.pixels_sql(300)},
 ch AS (
   SELECT i, r, c, v,
          CASE WHEN lag(v) OVER (PARTITION BY i, r ORDER BY c)
@@ -11896,31 +10776,22 @@ runs AS (SELECT i, count(*) AS len FROM grp GROUP BY i, r, g)
 SELECT printf('img%012d', i) AS image_id, count(*)::BIGINT AS n_runs,
        max(len)::BIGINT AS max_run
 FROM runs GROUP BY i""",
-        "rgb_band_algebra": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
-px AS (
-  SELECT i, ((r.r * h + c.c * w + i) % 256) AS rv,
-            ((r.r * h + c.c * w + i + 85) % 256) AS gv
-  FROM img,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c)
+        "rgb_band_algebra": f"""
+WITH {sqlgen.pixels_sql(300)},
+rg AS (SELECT i, v AS rv, (v + 85) % 256 AS gv FROM px)
 SELECT printf('rgb%012d', i) AS image_id,
        (count(*) FILTER (WHERE gv > rv))::BIGINT AS veg_px,
        sum(gv - rv)::BIGINT AS idx_sum,
        sum(((gv - rv + 256) * 4096) // (gv + rv + 1))::BIGINT AS ndq_sum
-FROM px GROUP BY i""",
-        "frame_sample": _sqlgen().frame_sample_sql(100),
-        "video_frame_stats": _sqlgen().video_frames_sql(200, 5),
+FROM rg GROUP BY i""",
+        "frame_sample": sqlgen.frame_sample_sql(100),
+        "video_frame_stats": sqlgen.video_frames_sql(200, 5),
         "top_terms": (
             "SELECT u.tok AS token, count(*) AS n "
             "FROM documents, UNNEST(regexp_split_to_array(text, '\\s')) u(tok) "
             "WHERE u.tok <> '' GROUP BY token ORDER BY n DESC, token LIMIT 50"
         ),
-        "contaminated_docs": _sqlgen().contamination_sql(n_bench=20, k=24),
+        "contaminated_docs": sqlgen.contamination_sql(n_bench=20, k=24),
         "doc_tfidf_topk": (
             "WITH toks AS (SELECT doc_id, u.tok FROM documents, "
             "UNNEST(regexp_split_to_array(text, '\\s')) u(tok) "
@@ -11940,21 +10811,9 @@ FROM px GROUP BY i""",
             "SELECT doc_id, tok AS token, CAST(score AS BIGINT) AS score "
             "FROM ranked WHERE r <= 3"
         ),
-        "audio_pcm_features": _sqlgen().audio_pcm_sql(500),
-        "audio_downsample": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(500) t(i)),
-s AS (
-  SELECT i, CAST(k.k AS BIGINT) AS k,
-    (((2 * k.k) // w) * h + ((2 * k.k) % w) * w + i) % 256
-      + 256 * ((((2 * k.k + 1) // w) * h
-                + ((2 * k.k + 1) % w) * w + i) % 256) AS u
-  FROM img, UNNEST(range((w * h) // 2)) AS k(k)),
-sv AS (SELECT i, k,
-       CASE WHEN u >= 32768 THEN u - 65536 ELSE u END AS v FROM s),
+        "audio_pcm_features": sqlgen.audio_pcm_sql(500),
+        "audio_downsample": f"""
+WITH {sqlgen.pcm_samples_sql(500)},
 blk AS (
   SELECT i, k // 4 AS b, sum(v) AS s, count(*) AS c
   FROM sv GROUP BY i, k // 4),
@@ -11964,8 +10823,8 @@ SELECT printf('img%012d', i) AS image_id,
        sum(y * y)::BIGINT AS sum_sq_ds,
        max(abs(y))::BIGINT AS peak_ds
 FROM y GROUP BY i""",
-        "audio_gate": _sqlgen().audio_gate_sql(500),
-        "audio_vad": _sqlgen().audio_vad_sql(500),
+        "audio_gate": sqlgen.audio_gate_sql(500),
+        "audio_vad": sqlgen.audio_vad_sql(500),
         "priority_sla": """
 WITH ls AS (
   SELECT l_orderkey, max(epoch_us(l_shipdate) // 86400000000) AS sd
@@ -11977,25 +10836,16 @@ SELECT o.o_orderpriority AS priority, count(*)::BIGINT AS n,
          AS worst_lag
 FROM orders o JOIN ls ON ls.l_orderkey = o.o_orderkey
 GROUP BY o.o_orderpriority""",
-        "image_bitplanes": """
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range(300) t(i)),
-px AS (
-  SELECT i, ((r.r * h + c.c * w + i) % 256) AS v
-  FROM img,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c)
+        "image_bitplanes": f"""
+WITH {sqlgen.pixels_sql(300)}
 SELECT printf('img%012d', i) AS image_id,
        sum((v >> 0) & 1)::BIGINT AS p0, sum((v >> 1) & 1)::BIGINT AS p1,
        sum((v >> 2) & 1)::BIGINT AS p2, sum((v >> 3) & 1)::BIGINT AS p3,
        sum((v >> 4) & 1)::BIGINT AS p4, sum((v >> 5) & 1)::BIGINT AS p5,
        sum((v >> 6) & 1)::BIGINT AS p6, sum((v >> 7) & 1)::BIGINT AS p7
 FROM px GROUP BY i""",
-        "docs_stratified_sample": _sqlgen().stratified_sample_sql(_SAMPLE_RATES, default_rate=0.0625),
-        "docs_balanced_sample": _sqlgen().balanced_sample_sql("lang"),
+        "docs_stratified_sample": sqlgen.stratified_sample_sql(_SAMPLE_RATES, default_rate=0.0625),
+        "docs_balanced_sample": sqlgen.balanced_sample_sql("lang"),
         "incremental_dedup": (
             # text-equality mirror of the engine's content-hash
             # anti-join (collision-free at oracle scale)
@@ -12167,10 +11017,10 @@ FROM cnt c JOIN ng ON ng.grp = c.grp JOIN ci ON ci.bucket = c.bucket, nn""",
             "ORDER BY cents DESC, s_suppkey) AS rk FROM j) "
             "SELECT n_name, s_name, cents FROM w WHERE rk <= 3"
         ),
-        "ann_lsh_buckets": _sqlgen().ann_lsh_buckets_sql(dim=64, n_planes=8),
+        "ann_lsh_buckets": sqlgen.ann_lsh_buckets_sql(dim=64, n_planes=8),
         "ann_ivf_topk": _ivf_oracle_sql(),
-        "regrid_equi7": _sqlgen().regrid_equi7_sql(),
-        "embedding_near_dup": _sqlgen().embedding_near_dup_sql(dim=64, bands=8, r=4, threshold=0.4),
+        "regrid_equi7": sqlgen.regrid_equi7_sql(),
+        "embedding_near_dup": sqlgen.embedding_near_dup_sql(dim=64, bands=8, r=4, threshold=0.4),
         "events_asof_click": (
             "WITH p AS (SELECT user_id, epoch_us(ts) AS ts_us FROM events "
             "WHERE event_type = 'purchase'), "
@@ -12241,7 +11091,7 @@ SELECT token, count(*)::BIGINT AS df,
        string_agg(CASE WHEN rn <= 10 THEN doc_id::VARCHAR END,
                   ',' ORDER BY doc_id) AS postings
 FROM r GROUP BY token""",
-        "fingerprint_docs": _sqlgen().fingerprint_sql(),
+        "fingerprint_docs": sqlgen.fingerprint_sql(),
         "pixel_index": (
             f"WITH d AS (SELECT (l_orderkey * {_XMUL}) % {_XMOD} AS x, "
             f"(l_suppkey * {_YMUL}) % {_YMOD} AS y FROM lineitem) "

@@ -317,7 +317,9 @@ def decode_image(buf: bytes, fmt: str, w: int, h: int, dtype="uint8",
         from equi7grid_ray.jpeg import decode_jpeg
 
         return decode_jpeg(buf)
-    raise NotImplementedError(f"format {fmt!r} (real image libs not in sandbox)")
+    raise NotImplementedError(
+        f"image format {fmt!r}: codec unavailable in sandbox "
+        "(raw/png/baseline-jpeg supported)")
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

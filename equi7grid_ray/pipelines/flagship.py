@@ -5,7 +5,7 @@ Ray-Data shape (cf. the reference's serial/mp.Pool fan-out at
 /root/reference/src/equi7grid/warp.py:424-578):
 
     read_parquet (pruned columns)
-      -> map_batches(TileAssigner, actor pool, zero-copy Arrow)
+      -> map_batches(make_assign_fn: broadcast TileAssigner, zero-copy Arrow)
       -> [optional] groupby coarse cell / write_parquet partitioned
 
 Everything streams; nothing materializes the full dataset.
@@ -19,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from equi7grid_ray.grid import GridSpec
-from equi7grid_ray.stages.tile_assign import TileAssigner
+from equi7grid_ray.stages.tile_assign import make_assign_fn
 
 
 def tile_assignments(
@@ -30,72 +30,23 @@ def tile_assignments(
     decode: bool = False,
     passthrough: tuple[str, ...] = (),
     batch_size: int = 8192,
-    concurrency=None,
-    use_actors: bool = False,
     emit_cell: bool = True,
     emit_xy: bool = True,
     emit_id: bool = True,
 ):
-    """Attach the tile-assignment stage to a Dataset of image rows.
-
-    Default is task-based with per-worker-process cached state (elastic
-    scheduling; same amortization as an actor pool since worker processes
-    persist).  Pass ``use_actors=True`` to pin an explicit actor pool
-    (useful when co-tenant stages would evict the process cache)."""
-    kwargs = dict(
-        tiling_id=tiling_id, spec=spec, decode=decode, passthrough=passthrough,
-        emit_cell=emit_cell, emit_xy=emit_xy, emit_id=emit_id,
-    )
-    if use_actors:
-        return ds.map_batches(
-            TileAssigner,
-            fn_constructor_kwargs=kwargs,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency or (2, 8),
-            num_cpus=1,
-        )
-    from equi7grid_ray.stages.tile_assign import make_assign_fn
-
+    """Attach the tile-assignment stage to a Dataset of image rows:
+    task-based with the assigner broadcast once and cached per worker
+    process (elastic scheduling; same amortization as an actor pool
+    since worker processes persist)."""
     return ds.map_batches(
-        make_assign_fn(**kwargs),
+        make_assign_fn(
+            tiling_id=tiling_id, spec=spec, decode=decode,
+            passthrough=passthrough, emit_cell=emit_cell, emit_xy=emit_xy,
+            emit_id=emit_id),
         batch_format="pyarrow",
         batch_size=batch_size,
         num_cpus=1,
     )
-
-
-def run_flagship(
-    input_path: str,
-    out_dir: str | None = None,
-    *,
-    tiling_id: str = "T6",
-    decode: bool = False,
-    batch_size: int = 8192,
-    concurrency=None,
-    columns: list[str] | None = None,
-):
-    """read -> assign -> (write | return).  Output parquet is partitioned
-    by continent (resumable layout: one directory per continent,
-    many part files)."""
-    import ray.data as rd
-
-    cols = columns
-    if cols is None:
-        cols = ["image_id", "bytes", "w", "h", "fmt"] if decode else ["image_id"]
-    ds = rd.read_parquet(input_path, columns=cols)
-    out = tile_assignments(
-        ds,
-        tiling_id=tiling_id,
-        decode=decode,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
-    if out_dir is None:
-        return out
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    out.write_parquet(out_dir, partition_cols=["continent"])
-    return out_dir
 
 
 def tile_assignments_from_files(
@@ -124,8 +75,6 @@ def tile_assignments_from_files(
     """
     import pyarrow.parquet as pq
     import ray.data as rd
-
-    from equi7grid_ray.stages.tile_assign import make_assign_fn
 
     files = [str(f) for f in files]
     assign = make_assign_fn(
@@ -166,7 +115,6 @@ def run_flagship_checkpointed(
     (warp.py:276-288) one level down in each fragment partition."""
     import ray
 
-    from equi7grid_ray.stages.tile_assign import make_assign_fn
     from equi7grid_ray.state.checkpoint import Manifest
 
     frags = sorted(str(p) for p in Path(input_path).glob("*.parquet"))
@@ -211,8 +159,6 @@ def ordered_assignments(assignments):
 def dedup_images_by_phash(ds, id_col: str = "image_id"):
     """Exact image dedup on the phash column (input_hint schema): keep
     the min image_id per phash -- shuffle moves only (phash, id)."""
-    from ray.data.aggregate import Min
-
     from equi7grid_ray.stages.aggregate import hash_aggregate
 
     return hash_aggregate(ds.select_columns([id_col, "phash"]),

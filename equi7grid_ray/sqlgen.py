@@ -269,22 +269,75 @@ WHERE a.doc_id < b.doc_id
 """
 
 
+def img_cte(n_images: int) -> str:
+    """CTE ``img(i, w, h)``: the frame sizes of rows [0, n_images) of
+    the synthetic image table (sources/images.py: w cycles 32/64/128
+    with i % 3, h with (i // 3) % 3)."""
+    return f"""img AS (
+  SELECT i,
+    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
+    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
+  FROM range({n_images}) t(i))"""
+
+
+def pixels_sql(n_images: int) -> str:
+    """CTEs ``img`` and ``px(i, w, h, r, c, v)``: every pixel of the
+    synthetic grayscale frames, v = (r*h + c*w + i) % 256 -- the SQL
+    pixel source of the image-operator oracles."""
+    return f"""{img_cte(n_images)},
+px AS (
+  SELECT i, w, h, r.r AS r, c.c AS c, ((r.r * h + c.c * w + i) % 256) AS v
+  FROM img,
+  LATERAL (SELECT unnest(range(h)) AS r) r,
+  LATERAL (SELECT unnest(range(w)) AS c) c)"""
+
+
+def pcm_samples_sql(n_images: int, n_samples: str = "(w * h) // 2") -> str:
+    """CTEs ``img``, ``s`` and ``sv(i, k, v)``: the first ``n_samples``
+    s16le samples of each synthetic payload's pixel bytes (byte p of
+    image i is ((p//w)*h + (p%w)*w + i) % 256, sample k = bytes 2k,
+    2k+1) -- the SQL side of the PCM audio stages."""
+    return f"""{img_cte(n_images)},
+s AS (
+  SELECT i, CAST(k.k AS BIGINT) AS k,
+    (((2 * k.k) // w) * h + ((2 * k.k) % w) * w + i) % 256
+      + 256 * ((((2 * k.k + 1) // w) * h + ((2 * k.k + 1) % w) * w + i) % 256)
+      AS u
+  FROM img, UNNEST(range({n_samples})) AS k(k)),
+sv AS (SELECT i, k, CASE WHEN u >= 32768 THEN u - 65536 ELSE u END AS v
+       FROM s)"""
+
+
+def scene_blocks_sql(n_images: int, tiles: str) -> str:
+    """CTEs ``img``, ``px`` and ``blk(tile, i, gr, gc, m)``: the exact
+    8x8 block means (block sum // block pixels) of every synthetic
+    scene, joined to its tile through the image->tile table ``tiles``
+    (the pinned lookup golden) -- the SQL side of the tile-composite
+    stages (stages/mosaic.py, stages/temporal.py).  Same pixel formula
+    as :func:`pixels_sql`, but the join runs before the pixel expansion:
+    joining the expanded ``px`` instead gives identical results 1.5-2.4x
+    slower in DuckDB."""
+    return f"""{img_cte(n_images)},
+px AS (
+  SELECT a.tile, im.i AS i, (im.h // 8) * (im.w // 8) AS bpx,
+         r.r // (im.h // 8) AS gr, c.c // (im.w // 8) AS gc,
+         ((r.r * im.h + c.c * im.w + im.i) % 256) AS v
+  FROM img im
+  JOIN {tiles} a ON a.i = im.i,
+  LATERAL (SELECT unnest(range(im.h)) AS r) r,
+  LATERAL (SELECT unnest(range(im.w)) AS c) c),
+blk AS (
+  SELECT tile, i, gr, gc, sum(v) // any_value(bpx) AS m
+  FROM px GROUP BY tile, i, gr, gc)"""
+
+
 def image_stats_sql(n_images: int = 500) -> str:
     """Mirror of sources/images.py make_batch + DecodeImages px_mean:
     pixel (r, c) of image i is ((r*h + c*w + i) % 256); DuckDB avg over
     integers and numpy uint8 mean are both exact-rational sum/count in
     float64, verified bit-identical."""
     return f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range({n_images}) t(i)),
-px AS (
-  SELECT i, ((r.r * h + c.c * w + i) % 256) AS v
-  FROM img,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c)
+WITH {pixels_sql(n_images)}
 SELECT printf('img%012d', i) AS image_id, avg(v) AS px_mean
 FROM px GROUP BY i
 """
@@ -296,11 +349,7 @@ def image_stats_rgb_sql(n_images: int = 300) -> str:
     ((r*h + c*w + i + 85*band) % 256); the mean runs over all three
     channels (integer sum exact in float64)."""
     return f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range({n_images}) t(i)),
+WITH {img_cte(n_images)},
 px AS (
   SELECT i, ((r.r * h + c.c * w + i + 85 * b.b) % 256) AS v
   FROM img,
@@ -322,21 +371,11 @@ def image_stats_pal_sql(n_images: int = 300) -> str:
     pal = pal_palette().astype(np.int64)
     rows = ", ".join(f"({j}, {int(s)})" for j, s in enumerate(pal.sum(axis=1)))
     return f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range({n_images}) t(i)),
-pal(j, s3) AS (VALUES {rows}),
-px AS (
-  SELECT img.i AS i, p.s3 AS s3
-  FROM img,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c
-  JOIN pal p ON p.j = ((r.r * h + c.c * w + i) % {PAL_K}))
+WITH {pixels_sql(n_images)},
+pal(j, s3) AS (VALUES {rows})
 SELECT printf('pal%012d', i) AS image_id,
-       sum(s3)::DOUBLE / (3 * count(*)) AS px_mean
-FROM px GROUP BY i
+       sum(p.s3)::DOUBLE / (3 * count(*)) AS px_mean
+FROM px JOIN pal p ON p.j = px.v % {PAL_K} GROUP BY i
 """
 
 
@@ -347,18 +386,7 @@ def audio_pcm_sql(n_images: int = 500) -> str:
     features are pure integer aggregates (energy, zero crossings,
     peak)."""
     return f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range({n_images}) t(i)),
-s AS (
-  SELECT i, CAST(k.k AS BIGINT) AS k,
-    (((2 * k.k) // w) * h + ((2 * k.k) % w) * w + i) % 256
-      + 256 * ((((2 * k.k + 1) // w) * h + ((2 * k.k + 1) % w) * w + i) % 256)
-      AS u
-  FROM img, UNNEST(range((w * h) // 2)) AS k(k)),
-sv AS (SELECT i, k, CASE WHEN u >= 32768 THEN u - 65536 ELSE u END AS v FROM s),
+WITH {pcm_samples_sql(n_images)},
 zc0 AS (
   SELECT i, CASE WHEN (v < 0) <>
       (lead(v) OVER (PARTITION BY i ORDER BY k) < 0)
@@ -381,11 +409,7 @@ def _dhash_ctes(n_images: int) -> str:
     k = r*8 + c (MSB-first) when grid[r, c+1] > grid[r, c].  Pure
     integer math on both sides -- bit-exact."""
     return f"""
-img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range({n_images}) t(i)),
+{img_cte(n_images)},
 grid AS (
   SELECT i, r.r AS r, c.c AS c,
     ((((r.r * h) // 8) * h + ((c.c * w) // 9) * w + i) % 256) AS v
@@ -428,27 +452,8 @@ def image_ahash_sql(n_images: int = 500) -> str:
     r*h//8, col c*w//8), bit k = r*8 + c (MSB-first) set when
     64*v > sum(grid) -- the integer-exact mean compare, so both sides
     compute identical bits."""
-    return f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range({n_images}) t(i)),
-grid AS (
-  SELECT i, r.r AS r, c.c AS c,
-    ((((r.r * h) // 8) * h + ((c.c * w) // 8) * w + i) % 256) AS v
-  FROM img,
-  LATERAL (SELECT unnest(range(8)) AS r) r,
-  LATERAL (SELECT unnest(range(8)) AS c) c),
-tot AS (SELECT i, sum(v) AS s FROM grid GROUP BY i),
-ah AS (
-  SELECT i, (CASE WHEN u >= {1 << 63}::HUGEINT
-             THEN u - {U64}::HUGEINT ELSE u END)::BIGINT AS ahash
-  FROM (SELECT g.i AS i,
-               sum(CASE WHEN 64 * g.v > t.s THEN 1 ELSE 0 END
-                   * (1::HUGEINT << (63 - (g.r * 8 + g.c)))) AS u
-        FROM grid g JOIN tot t ON t.i = g.i GROUP BY g.i))
-SELECT printf('img%012d', i) AS image_id, ahash FROM ah"""
+    return (f"WITH {img_cte(n_images)},{_ahash_ctes()} "
+            "SELECT printf('img%012d', i) AS image_id, ahash FROM ah")
 
 
 def image_phash_sql(n_images: int = 300) -> str:
@@ -465,11 +470,7 @@ def image_phash_sql(n_images: int = 300) -> str:
     basis = ", ".join(
         f"({u}, {k}, {int(B[u, k])})" for u in range(16) for k in range(16))
     return f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range({n_images}) t(i)),
+WITH {img_cte(n_images)},
 basis(u, k, b) AS (VALUES {basis}),
 grid AS (
   SELECT i, r.r AS r, c.c AS c,
@@ -499,20 +500,15 @@ ph AS (
 SELECT printf('img%012d', i) AS image_id, phash_dct FROM ph"""
 
 
-def _ahash_ctes(n_images: int) -> str:
+def _ahash_ctes() -> str:
     """CTE chain regenerating AHashImages (8x8 grid, integer mean
-    compare) ending in ``ah(i, ahash)`` -- shared by the aHash mirror
-    and the ensemble-dedup oracle."""
+    compare) over ``img`` ending in ``ah(i, ahash)`` -- shared by the
+    aHash mirror and the ensemble-dedup oracle."""
     return f"""
-aimg AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range({n_images}) t(i)),
 agrid AS (
   SELECT i, r.r AS r, c.c AS c,
     ((((r.r * h) // 8) * h + ((c.c * w) // 8) * w + i) % 256) AS v
-  FROM aimg,
+  FROM img,
   LATERAL (SELECT unnest(range(8)) AS r) r,
   LATERAL (SELECT unnest(range(8)) AS c) c),
 atot AS (SELECT i, sum(v) AS s FROM agrid GROUP BY i),
@@ -533,7 +529,7 @@ def image_ensemble_canonical_sql(n_images: int = 500,
     the images), LEFT JOINed onto the full image range."""
     return f"""
 WITH RECURSIVE {_dhash_ctes(n_images)},
-{_ahash_ctes(n_images).lstrip()},
+{_ahash_ctes().lstrip()},
 pairs AS (
   SELECT a.i AS id_a, b.i AS id_b
   FROM dh a JOIN dh b ON a.i < b.i
@@ -803,11 +799,7 @@ def video_frames_sql(n_images: int = 200, every: int = 5) -> str:
     frame f = row f of the planar stream; every-th frames' integer
     luma stats."""
     return f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range({n_images}) t(i)),
+WITH {img_cte(n_images)},
 px AS (
   SELECT i, p.p // w AS f,
     ((p.p // w) * h + (p.p % w) * w + i) % 256 AS v
@@ -1103,19 +1095,7 @@ def audio_gate_sql(n_images: int = 500, loud: int = 30_000,
     synthetic payload bytes, loud-fraction clip rule (100*n_loud >
     8*n), gaps-and-islands longest quiet run, first-failing reason."""
     return f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range({n_images}) t(i)),
-s AS (
-  SELECT i, CAST(k.k AS BIGINT) AS k,
-    (((2 * k.k) // w) * h + ((2 * k.k) % w) * w + i) % 256
-      + 256 * ((((2 * k.k + 1) // w) * h + ((2 * k.k + 1) % w) * w + i) % 256)
-      AS u
-  FROM img, UNNEST(range((w * h) // 2)) AS k(k)),
-sv AS (SELECT i, k, CASE WHEN u >= 32768 THEN u - 65536 ELSE u END AS v
-       FROM s),
+WITH {pcm_samples_sql(n_images)},
 q AS (SELECT i, k,
              CASE WHEN abs(v) <= {quiet} THEN 1 ELSE 0 END AS quiet,
              CASE WHEN abs(v) >= {loud} THEN 1 ELSE 0 END AS loud
@@ -1147,19 +1127,7 @@ def audio_vad_sql(n_images: int = 500, frame: int = 64,
     samples (trailing partial dropped), active when the frame energy
     exceeds frame * msq_thresh, gaps-and-islands segments."""
     return f"""
-WITH img AS (
-  SELECT i,
-    CASE i % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS w,
-    CASE (i // 3) % 3 WHEN 0 THEN 32 WHEN 1 THEN 64 ELSE 128 END AS h
-  FROM range({n_images}) t(i)),
-s AS (
-  SELECT i, CAST(k.k AS BIGINT) AS k,
-    (((2 * k.k) // w) * h + ((2 * k.k) % w) * w + i) % 256
-      + 256 * ((((2 * k.k + 1) // w) * h + ((2 * k.k + 1) % w) * w + i) % 256)
-      AS u
-  FROM img, UNNEST(range({frame} * (((w * h) // 2) // {frame}))) AS k(k)),
-sv AS (SELECT i, k, CASE WHEN u >= 32768 THEN u - 65536 ELSE u END AS v
-       FROM s),
+WITH {pcm_samples_sql(n_images, f"{frame} * (((w * h) // 2) // {frame})")},
 fr AS (
   SELECT i, k // {frame} AS f, sum(v * v)::BIGINT AS e
   FROM sv GROUP BY i, k // {frame}),

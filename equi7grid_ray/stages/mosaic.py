@@ -25,7 +25,7 @@ import numpy as np
 import pyarrow as pa
 
 from equi7grid_ray.stages.aggregate import hash_aggregate
-from equi7grid_ray.stages.multimodal import _decode_luma
+from equi7grid_ray.stages.multimodal import frames
 
 __all__ = ["MosaicGrid", "tile_mosaic", "tile_focal_mean",
            "tile_similarity", "MaskedMosaicGrid", "tile_clear_composite",
@@ -44,20 +44,13 @@ class MosaicGrid:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
         tiles = batch.column("tile").to_pylist()
         G = self.g
         acc: dict[str, list] = {}
-        for j in range(batch.num_rows):
-            sr, sc = int(hs[j]) // G, int(ws[j]) // G
+        for j, img in frames(batch):
+            sr, sc = img.shape[0] // G, img.shape[1] // G
             if sr == 0 or sc == 0:
                 continue
-            img = _decode_luma(data, offs, fmts, ws, hs, j)
             m = img[: sr * G, : sc * G].reshape(G, sr, G, sc) \
                 .sum(axis=(1, 3), dtype=np.int64) // (sr * sc)
             a = acc.get(tiles[j])
@@ -318,20 +311,13 @@ class MaskedMosaicGrid(MosaicGrid):
         self.cloud_t = cloud_t
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
         tiles = batch.column("tile").to_pylist()
         G, T = self.g, self.cloud_t
         acc: dict[str, list] = {}
-        for j in range(batch.num_rows):
-            sr, sc = int(hs[j]) // G, int(ws[j]) // G
+        for j, img in frames(batch):
+            sr, sc = img.shape[0] // G, img.shape[1] // G
             if sr == 0 or sc == 0:
                 continue
-            img = _decode_luma(data, offs, fmts, ws, hs, j)
             m = img[: sr * G, : sc * G].reshape(G, sr, G, sc) \
                 .sum(axis=(1, 3), dtype=np.int64) // (sr * sc)
             clear = m < T

@@ -7,6 +7,12 @@ deterministic fake decoder for tests -- the Ray-side plumbing (schema,
 batch shapes, actor signature, output layout) is real and tested, per
 the build brief.  Image decode for 'raw'/'png' is fully real
 (equi7grid_ray.codec).
+
+Every whole-frame operator reads its input through :func:`frames` (one
+decoded luma frame per row) and is declared as a :class:`_FrameStats`
+(fixed int64 columns per image) or :class:`_FrameRows` (a variable
+number of rows per image); the PCM audio operators read s16le samples
+through :func:`_pcm` the same way.
 """
 
 from __future__ import annotations
@@ -32,8 +38,130 @@ __all__ = ["DecodeImages", "DHashImages", "AHashImages", "PHashImages",
            "image_canonical_ids", "image_ensemble_canonical_ids",
            "AudioFeatures", "PCMAudioFeatures", "AudioGate", "AudioVAD",
            "HoughLines4", "DistanceTransform",
-           "FrameSampler",
+           "FrameSampler", "frames",
            "fake_decode"]
+
+
+def frames(batch: pa.Table, luma: bool = True):
+    """Yield ``(j, frame)`` for every row of an image batch
+    (``bytes``/``fmt``/``w``/``h``): payload j decoded by
+    :func:`codec.decode_image` (zero-copy for 'raw'), an unsupported
+    format raising NotImplementedError there.  RGB frames fold to 2-D
+    uint8 integer luma (R+G+B)//3 unless ``luma=False``."""
+    data, offs = binary_view(batch.column("bytes"))
+    fmts = batch.column("fmt").to_pylist()
+    ws = batch.column("w").to_numpy()
+    hs = batch.column("h").to_numpy()
+    for j, f in enumerate(fmts):
+        img = decode_image(data[offs[j] : offs[j + 1]], f,
+                           int(ws[j]), int(hs[j]), copy=False)
+        if luma and img.ndim == 3:
+            img = (img.sum(axis=2, dtype=np.uint32) // 3).astype(np.uint8)
+        yield j, img
+
+
+def _pcm(batch: pa.Table):
+    """Yield ``(j, samples)``: payload j read as signed 16-bit
+    little-endian PCM (int64 samples; a trailing odd byte is dropped).
+    A 'pcm' payload -- and every payload of a table without ``fmt``, or
+    a 'raw' one of a table without ``w``/``h`` -- is the WAV body
+    itself; an image payload contributes its decoded pixel bytes (RGB
+    interleaved), which keeps the audio ops SQL-mirrorable over the
+    pixel formula."""
+    data, offs = binary_view(batch.column("bytes"))
+    names = batch.column_names
+    fmts = (batch.column("fmt").to_pylist() if "fmt" in names
+            else ["raw"] * batch.num_rows)
+    sized = "w" in names and "h" in names
+    if sized:
+        ws, hs = batch.column("w").to_numpy(), batch.column("h").to_numpy()
+    for j, f in enumerate(fmts):
+        raw = np.frombuffer(data, np.uint8, count=int(offs[j + 1] - offs[j]),
+                            offset=int(offs[j]))
+        if f != "pcm" and (sized or f != "raw"):
+            if not sized:
+                raise NotImplementedError(
+                    f"audio format {f!r}: codec libraries unavailable")
+            raw = decode_image(raw, f, int(ws[j]), int(hs[j]),
+                               copy=False).reshape(-1)
+        m = len(raw) // 2
+        u = raw[: 2 * m].reshape(m, 2).astype(np.int64)
+        v = u[:, 0] + 256 * u[:, 1]
+        yield j, v - (v >= 32768) * 65536
+
+
+def _image_table(batch: pa.Table, cols: dict, take=None) -> pa.Table:
+    """``image_id`` (gathered by ``take`` for flat-map stages) followed
+    by ``cols`` (numpy arrays keep their dtype; Arrow arrays pass)."""
+    ids = batch.column("image_id")
+    return pa.table({
+        "image_id": ids if take is None else ids.take(pa.array(take)),
+        **{k: v if isinstance(v, (pa.Array, pa.ChunkedArray)) else pa.array(v)
+           for k, v in cols.items()}})
+
+
+class _FrameStats:
+    """One output row per image: ``frame(v)`` maps a decoded frame to
+    the int64 values of ``COLS``; ``table`` may derive extra columns."""
+
+    COLS: tuple[str, ...] = ()
+    LUMA = True
+
+    def inputs(self, batch: pa.Table):
+        return frames(batch, self.LUMA)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        out = np.zeros((batch.num_rows, len(self.COLS)), np.int64)
+        for j, v in self.inputs(batch):
+            out[j] = self.frame(v)
+        return self.table(batch, out)
+
+    def table(self, batch: pa.Table, out: np.ndarray) -> pa.Table:
+        return _image_table(batch, dict(zip(self.COLS, out.T)))
+
+
+class _PcmStats(_FrameStats):
+    """:class:`_FrameStats` over s16le samples (see :func:`_pcm`)."""
+
+    def inputs(self, batch: pa.Table):
+        return _pcm(batch)
+
+
+class _FrameRows:
+    """Flat-map over images: ``frame(v)`` returns one equal-length array
+    per ``COLS`` entry ``(name, dtype)`` -- that many rows for the
+    image, emitted in batch order."""
+
+    COLS: tuple[tuple[str, type], ...] = ()
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        idx = [np.empty(0, np.int64)]
+        parts = [[np.empty(0, dt)] for _, dt in self.COLS]
+        for j, v in frames(batch):
+            res = self.frame(v)
+            idx.append(np.full(len(res[0]), j, np.int64))
+            for p, a in zip(parts, res):
+                p.append(a)
+        return _image_table(
+            batch, {name: np.concatenate(p).astype(dt)
+                    for (name, dt), p in zip(self.COLS, parts)},
+            take=np.concatenate(idx))
+
+
+def _sobel(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """3x3 Sobel gradients (gx, gy) over the interior of an int64
+    frame -- shared by the edge, gate, orientation and Hough ops."""
+    gx = (v[:-2, 2:] + 2 * v[1:-1, 2:] + v[2:, 2:]) \
+        - (v[:-2, :-2] + 2 * v[1:-1, :-2] + v[2:, :-2])
+    gy = (v[2:, :-2] + 2 * v[2:, 1:-1] + v[2:, 2:]) \
+        - (v[:-2, :-2] + 2 * v[:-2, 1:-1] + v[:-2, 2:])
+    return gx, gy
+
+
+def _runs(flags: np.ndarray) -> np.ndarray:
+    """Lengths of the maximal True runs of a 1-D bool array."""
+    d = np.diff(np.concatenate([[False], flags, [False]]).astype(np.int8))
+    return np.flatnonzero(d == -1) - np.flatnonzero(d == 1)
 
 
 def fake_decode(payload: bytes, n: int) -> np.ndarray:
@@ -70,10 +198,6 @@ class DecodeImages:
         thumbs: list[bytes] = []
         t = self.thumb
         for j, f in enumerate(fmts):
-            if f not in ("raw", "png", "jpeg", "jpg"):
-                raise NotImplementedError(
-                    f"image format {f!r}: codec unavailable in sandbox (raw/png/baseline-jpeg supported)"
-                )
             b = data[offs[j] : offs[j + 1]]
             if f == "png":
                 # streaming inflate: stats + only the sampled thumbnail
@@ -129,8 +253,7 @@ class DHashImages:
     GRID_W = 9
     GRID_H = 8
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    def __init__(self):
         self._idx_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def _sample_idx(self, w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,10 +277,6 @@ class DHashImages:
         n = batch.num_rows
         grids = np.empty((n, self.GRID_H, self.GRID_W), dtype=np.uint8)
         for j, f in enumerate(fmts):
-            if f not in ("raw", "png", "jpeg", "jpg"):
-                raise NotImplementedError(
-                    f"image format {f!r}: codec unavailable in sandbox (raw/png/baseline-jpeg supported)"
-                )
             ri, ci = self._sample_idx(int(ws[j]), int(hs[j]))
             if f == "png":
                 # streaming inflate: only the sampled scanlines leave
@@ -181,20 +300,20 @@ class DHashImages:
             grids[j] = img[np.ix_(ri, ci)]
         return grids
 
+    @staticmethod
+    def _pack(bits: np.ndarray) -> np.ndarray:
+        """(n, 64) bool, MSB-first -> (n,) int64 fingerprints."""
+        packed = np.packbits(bits, axis=1)  # (n, 8) u8 MSB-first
+        return packed.copy().view(">u8").astype(np.uint64).view(np.int64) \
+            .reshape(-1)
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         grids = self._grids(batch)
         n = batch.num_rows
         # one vectorized compare + packbits over the whole batch:
         # bit k = r*8 + c (MSB-first) = grid[r, c+1] > grid[r, c]
         bits = grids[:, :, 1:] > grids[:, :, :-1]  # (n, 8, 8) bool
-        packed = np.packbits(bits.reshape(n, 64), axis=1)  # (n, 8) u8 MSB-first
-        dhash = packed.copy().view(">u8").astype(np.uint64).view(np.int64)
-        return pa.table(
-            {
-                self.id_col: batch.column(self.id_col),
-                "dhash": pa.array(dhash.reshape(-1), pa.int64()),
-            }
-        )
+        return _image_table(batch, {"dhash": self._pack(bits.reshape(n, 64))})
 
 
 class AHashImages(DHashImages):
@@ -212,23 +331,13 @@ class AHashImages(DHashImages):
     GRID_H = 8
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        grids = self._grids(batch).astype(np.int64)
-        n = batch.num_rows
-        total = grids.reshape(n, 64).sum(axis=1)  # <= 64*255, int64
-        bits = (64 * grids.reshape(n, 64)) > total[:, None]
-        packed = np.packbits(bits, axis=1)
-        ahash = packed.copy().view(">u8").astype(np.uint64).view(np.int64)
-        return pa.table(
-            {
-                self.id_col: batch.column(self.id_col),
-                "ahash": pa.array(ahash.reshape(-1), pa.int64()),
-            }
-        )
+        g = self._grids(batch).astype(np.int64).reshape(batch.num_rows, 64)
+        total = g.sum(axis=1)  # <= 64*255, int64
+        return _image_table(batch, {"ahash": self._pack(64 * g > total[:, None])})
 
 
-def dhash_near_dup(ds, max_dist: int = 3, id_col: str = "image_id",
-                   n_partitions: int = 64, max_bucket: int | None = 2000,
-                   concurrency=(1, 8)):
+def dhash_near_dup(ds, max_dist: int = 3, n_partitions: int = 64,
+                   max_bucket: int | None = 2000, concurrency=(1, 8)):
     """images -> EXACT Hamming-near-duplicate pairs via banded dHash.
 
     The 64-bit dHash is split into 4 bands of 16 bits; by pigeonhole any
@@ -251,19 +360,17 @@ def dhash_near_dup(ds, max_dist: int = 3, id_col: str = "image_id",
     Shuffle payload is (id, band, band_key, dhash) -- never pixels."""
     if not 0 <= max_dist <= 3:
         raise ValueError("max_dist must be in [0, 3] for exact 4-band recall")
-    import pandas as pd
-
-    hashed = ds.map_batches(DHashImages, fn_constructor_kwargs={"id_col": id_col},
-                            batch_format="pyarrow", concurrency=concurrency)
     from equi7grid_ray.stages.hamming import banded_hamming_pairs
 
-    return banded_hamming_pairs(hashed, hash_col="dhash", id_col=id_col,
+    hashed = ds.map_batches(DHashImages, batch_format="pyarrow",
+                            concurrency=concurrency)
+    return banded_hamming_pairs(hashed, hash_col="dhash", id_col="image_id",
                                 max_dist=max_dist,
                                 n_partitions=n_partitions,
                                 max_bucket=max_bucket)
 
 
-class PatchStats:
+class PatchStats(_FrameRows):
     """ViT-style patch extraction: every image becomes a grid of
     ``patch`` x ``patch`` tiles with integer per-patch statistics --
     the patchify step of a vision-transformer training pipeline,
@@ -276,52 +383,21 @@ class PatchStats:
     truncation keeps the arithmetic exact).  Per-image numpy only:
     decode -> one (h//P, P, w//P, P) reshape -> axis sums."""
 
-    def __init__(self, patch: int = 16, id_col: str = "image_id"):
+    COLS = (("pr", np.int32), ("pc", np.int32), ("px_sum", np.int64))
+
+    def __init__(self, patch: int = 16):
         self.patch = patch
-        self.id_col = id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
+    def frame(self, img):
         P = self.patch
-        idx: list[np.ndarray] = []
-        prs: list[np.ndarray] = []
-        pcs: list[np.ndarray] = []
-        sums: list[np.ndarray] = []
-        for j, f in enumerate(fmts):
-            if f not in ("raw", "png", "jpeg", "jpg"):
-                raise NotImplementedError(
-                    f"image format {f!r}: codec unavailable in sandbox (raw/png/baseline-jpeg supported)"
-                )
-            img = decode_image(data[offs[j] : offs[j + 1]], f,
-                               int(ws[j]), int(hs[j]), copy=False)
-            if img.ndim == 3:  # RGB: integer luma (R+G+B)//3
-                img = (img.sum(axis=2, dtype=np.uint32) // 3).astype(np.uint8)
-            nr, nc = img.shape[0] // P, img.shape[1] // P
-            if nr == 0 or nc == 0:
-                continue
-            s = img[: nr * P, : nc * P].reshape(nr, P, nc, P) \
-                .sum(axis=(1, 3), dtype=np.int64)
-            idx.append(np.full(nr * nc, j, np.int64))
-            g = np.indices((nr, nc))
-            prs.append(g[0].reshape(-1).astype(np.int32))
-            pcs.append(g[1].reshape(-1).astype(np.int32))
-            sums.append(s.reshape(-1))
-        take = pa.array(np.concatenate(idx) if idx else np.empty(0, np.int64))
-        return pa.table({
-            self.id_col: batch.column(self.id_col).take(take),
-            "pr": pa.array(np.concatenate(prs) if prs
-                           else np.empty(0, np.int32), pa.int32()),
-            "pc": pa.array(np.concatenate(pcs) if pcs
-                           else np.empty(0, np.int32), pa.int32()),
-            "px_sum": pa.array(np.concatenate(sums) if sums
-                               else np.empty(0, np.int64), pa.int64()),
-        })
+        nr, nc = img.shape[0] // P, img.shape[1] // P
+        s = img[: nr * P, : nc * P].reshape(nr, P, nc, P) \
+            .sum(axis=(1, 3), dtype=np.int64)
+        g = np.indices((nr, nc))
+        return g[0].reshape(-1), g[1].reshape(-1), s.reshape(-1)
 
 
-class HistEqualize:
+class HistEqualize(_FrameStats):
     """Per-image histogram equalization -- the classic contrast
     normalization, in EXACT integer arithmetic:
 
@@ -334,44 +410,17 @@ class HistEqualize:
     over the value histogram).  Emits (id, eq_sum, eq_min, eq_max);
     per-image numpy only -- one bincount + one 256-gather per frame."""
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    COLS = ("eq_sum", "eq_min", "eq_max")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        eq_sum = np.empty(n, np.int64)
-        eq_min = np.empty(n, np.int64)
-        eq_max = np.empty(n, np.int64)
-        for j, f in enumerate(fmts):
-            if f not in ("raw", "png", "jpeg", "jpg"):
-                raise NotImplementedError(
-                    f"image format {f!r}: codec unavailable in sandbox (raw/png/baseline-jpeg supported)"
-                )
-            img = decode_image(data[offs[j] : offs[j + 1]], f,
-                               int(ws[j]), int(hs[j]), copy=False)
-            if img.ndim == 3:  # RGB: integer luma (R+G+B)//3
-                img = (img.sum(axis=2, dtype=np.uint32) // 3).astype(np.uint8)
-            flat = img.reshape(-1)
-            hist = np.bincount(flat, minlength=256).astype(np.int64)
-            cdf = np.cumsum(hist)
-            nz = np.nonzero(hist)[0]
-            cdf_min = int(cdf[nz[0]]) if len(nz) else 0
-            denom = max(int(flat.size) - cdf_min, 1)
-            lut = np.maximum(cdf - cdf_min, 0) * 255 // denom
-            eq = lut[flat]
-            eq_sum[j] = int(eq.sum())
-            eq_min[j] = int(eq.min())
-            eq_max[j] = int(eq.max())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "eq_sum": pa.array(eq_sum, pa.int64()),
-            "eq_min": pa.array(eq_min, pa.int64()),
-            "eq_max": pa.array(eq_max, pa.int64()),
-        })
+    def frame(self, img):
+        flat = img.reshape(-1)
+        hist = np.bincount(flat, minlength=256).astype(np.int64)
+        cdf = np.cumsum(hist)
+        nz = np.nonzero(hist)[0]
+        cdf_min = int(cdf[nz[0]]) if len(nz) else 0
+        denom = max(int(flat.size) - cdf_min, 1)
+        eq = (np.maximum(cdf - cdf_min, 0) * 255 // denom)[flat]
+        return eq.sum(), eq.min(), eq.max()
 
 
 def phash_basis() -> np.ndarray:
@@ -410,18 +459,11 @@ class PHashImages(DHashImages):
         med = np.partition(vals, 31, axis=1)[:, 31]
         bits = np.concatenate(
             [vals > med[:, None], np.zeros((n, 1), dtype=bool)], axis=1)
-        packed = np.packbits(bits, axis=1)
-        phash = packed.copy().view(">u8").astype(np.uint64).view(np.int64)
-        return pa.table(
-            {
-                self.id_col: batch.column(self.id_col),
-                "phash_dct": pa.array(phash.reshape(-1), pa.int64()),
-            }
-        )
+        return _image_table(batch, {"phash_dct": self._pack(bits)})
 
 
-def image_canonical_ids(ds, max_dist: int = 3, id_col: str = "image_id",
-                        id_prefix: str = "img", **pair_kwargs):
+def image_canonical_ids(ds, max_dist: int = 3, id_prefix: str = "img",
+                        **pair_kwargs):
     """End-to-end image deduplication: images -> banded-dHash near-dup
     pairs -> connected components -> one canonical image id per image
     (itself when it has no near-duplicate).
@@ -436,13 +478,11 @@ def image_canonical_ids(ds, max_dist: int = 3, id_col: str = "image_id",
     Returns a Dataset ``(image_id: string, canonical: string)`` over
     the FULL input (isolated images included via the broadcast
     component map in canonical_assignments)."""
-    pairs = dhash_near_dup(ds, max_dist=max_dist, id_col=id_col,
-                           **pair_kwargs)
-    return _canonical_from_pairs(ds, pairs, id_col, id_prefix)
+    pairs = dhash_near_dup(ds, max_dist=max_dist, **pair_kwargs)
+    return _canonical_from_pairs(ds, pairs, id_prefix)
 
 
 def image_ensemble_canonical_ids(ds, max_dist: int = 3,
-                                 id_col: str = "image_id",
                                  id_prefix: str = "img", **pair_kwargs):
     """Multi-signal image dedup: components over the UNION of the
     banded dHash (gradient layout) and aHash (brightness layout) pair
@@ -451,15 +491,13 @@ def image_ensemble_canonical_ids(ds, max_dist: int = 3,
     (aHash: gradient-free flat scenes; dHash: brightness-shifted
     copies).  Same scale shape as :func:`image_canonical_ids`; the two
     band shuffles run independently and the union is pair-mass-sized."""
-    pairs_d = dhash_near_dup(ds, max_dist=max_dist, id_col=id_col,
-                             **pair_kwargs)
-    hashed_a = ds.map_batches(AHashImages,
-                              fn_constructor_kwargs={"id_col": id_col},
-                              batch_format="pyarrow", concurrency=(1, 8))
+    pairs_d = dhash_near_dup(ds, max_dist=max_dist, **pair_kwargs)
+    hashed_a = ds.map_batches(AHashImages, batch_format="pyarrow",
+                              concurrency=(1, 8))
     from equi7grid_ray.stages.hamming import banded_hamming_pairs
 
     pairs_a = banded_hamming_pairs(hashed_a, hash_col="ahash",
-                                   id_col=id_col, max_dist=max_dist,
+                                   id_col="image_id", max_dist=max_dist,
                                    **{k: v for k, v in pair_kwargs.items()
                                       if k in ("n_partitions", "max_bucket")})
     from equi7grid_ray.stages.aggregate import hash_aggregate
@@ -468,10 +506,10 @@ def image_ensemble_canonical_ids(ds, max_dist: int = 3,
         pairs_d.union(pairs_a), keys=["id_a", "id_b"],
         aggs={"__n": ("id_a", "count")},
     ).select_columns(["id_a", "id_b"])
-    return _canonical_from_pairs(ds, pairs, id_col, id_prefix)
+    return _canonical_from_pairs(ds, pairs, id_prefix)
 
 
-def _canonical_from_pairs(ds, pairs, id_col: str, id_prefix: str):
+def _canonical_from_pairs(ds, pairs, id_prefix: str):
     """Shared tail of the image dedup pipelines: numeric-suffix ids ->
     connected components -> broadcast canonical map over the full
     corpus -> re-rendered string ids."""
@@ -492,9 +530,9 @@ def _canonical_from_pairs(ds, pairs, id_col: str, id_prefix: str):
     pairs_num = pairs.map_batches(
         lambda b: to_num(b, ("id_a", "id_b")), batch_format="pyarrow")
     comp = connected_components(pairs_num)
-    imgs_num = ds.select_columns([id_col]).map_batches(
-        lambda b: to_num(b, (id_col,)), batch_format="pyarrow")
-    assigned = canonical_assignments(imgs_num, comp, id_col=id_col)
+    imgs_num = ds.select_columns(["image_id"]).map_batches(
+        lambda b: to_num(b, ("image_id",)), batch_format="pyarrow")
+    assigned = canonical_assignments(imgs_num, comp, id_col="image_id")
 
     def render(batch: pa.Table) -> pa.Table:
         def fmt(col):
@@ -502,7 +540,7 @@ def _canonical_from_pairs(ds, pairs, id_col: str, id_prefix: str):
                 id_prefix,
                 pc.utf8_lpad(pc.cast(col, pa.string()), 12, "0"), "")
         return pa.table({
-            id_col: fmt(batch.column(id_col)),
+            "image_id": fmt(batch.column("image_id")),
             "canonical": fmt(batch.column("canonical")),
         })
 
@@ -547,7 +585,7 @@ class AudioFeatures:
         )
 
 
-class PCMAudioFeatures:
+class PCMAudioFeatures(_PcmStats):
     """REAL audio DSP over raw PCM payloads -- no codec needed.
 
     Interprets each payload's bytes as signed 16-bit little-endian PCM
@@ -565,52 +603,14 @@ class PCMAudioFeatures:
     which keeps the whole path SQL-mirrorable (sqlgen.audio_pcm_sql).
     Per-row numpy kernels (rows are ragged); no per-sample Python."""
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    COLS = ("n_samples", "sum_sq", "zcr", "peak")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist() if "fmt" in batch.column_names \
-            else ["raw"] * batch.num_rows
-        ws = batch.column("w").to_numpy() if "w" in batch.column_names else None
-        hs = batch.column("h").to_numpy() if "h" in batch.column_names else None
-        n = batch.num_rows
-        n_samples = np.empty(n, np.int64)
-        sum_sq = np.empty(n, np.int64)
-        zcr = np.empty(n, np.int64)
-        peak = np.empty(n, np.int64)
-        for j, f in enumerate(fmts):
-            raw = np.frombuffer(data, np.uint8,
-                                count=int(offs[j + 1] - offs[j]),
-                                offset=int(offs[j]))
-            if f in ("raw", "png", "jpeg", "jpg") and ws is not None:
-                raw = decode_image(raw, f, int(ws[j]), int(hs[j]),
-                                   copy=False).reshape(-1)
-            elif f not in ("raw", "pcm"):
-                raise NotImplementedError(
-                    f"audio format {f!r}: codec libraries unavailable in sandbox"
-                )
-            m = len(raw) // 2
-            if m == 0:
-                n_samples[j] = sum_sq[j] = zcr[j] = peak[j] = 0
-                continue
-            pair = raw[: 2 * m].reshape(m, 2).astype(np.int64)
-            v = pair[:, 0] + 256 * pair[:, 1]
-            v -= (v >= 32768) * 65536  # s16le sign
-            n_samples[j] = m
-            sum_sq[j] = int(np.dot(v, v))
-            neg = v < 0
-            zcr[j] = int(np.count_nonzero(neg[1:] != neg[:-1]))
-            peak[j] = int(np.abs(v).max())
-        return pa.table(
-            {
-                self.id_col: batch.column(self.id_col),
-                "n_samples": pa.array(n_samples, pa.int64()),
-                "sum_sq": pa.array(sum_sq, pa.int64()),
-                "zcr": pa.array(zcr, pa.int64()),
-                "peak": pa.array(peak, pa.int64()),
-            }
-        )
+    def frame(self, v):
+        if len(v) == 0:
+            return 0, 0, 0, 0
+        neg = v < 0
+        return (len(v), np.dot(v, v), np.count_nonzero(neg[1:] != neg[:-1]),
+                np.abs(v).max())
 
 
 class FrameSampler:
@@ -670,7 +670,7 @@ class FrameSampler:
         )
 
 
-class RawVideoFrames:
+class RawVideoFrames(_FrameRows):
     """REAL frame sampling over raw planar video payloads -- no demux
     needed (the analogue of PCMAudioFeatures for the video row: the
     container formats need ffmpeg, absent from the sandbox, but the
@@ -687,72 +687,19 @@ class RawVideoFrames:
     /root/reference behavior only via the brief (no video in the
     reference); kernel design mirrors DecodeImages' zero-copy path."""
 
-    def __init__(self, every: int = 5, id_col: str = "image_id"):
+    COLS = (("frame_index", np.int32), ("y_sum", np.int64),
+            ("y_min", np.int64), ("y_max", np.int64))
+
+    def __init__(self, every: int = 5):
         self.every = every
-        self.id_col = id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist() if "fmt" in batch.column_names \
-            else ["raw"] * batch.num_rows
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        ids_idx: list[np.ndarray] = []
-        frame_i: list[np.ndarray] = []
-        sums: list[np.ndarray] = []
-        mins: list[np.ndarray] = []
-        maxs: list[np.ndarray] = []
-        for j, f in enumerate(fmts):
-            raw = np.frombuffer(data, np.uint8,
-                                count=int(offs[j + 1] - offs[j]),
-                                offset=int(offs[j]))
-            if f in ("raw", "png", "jpeg", "jpg"):
-                arr = decode_image(raw, f, int(ws[j]), int(hs[j]),
-                                   copy=False).reshape(int(hs[j]), int(ws[j]))
-            else:
-                raise NotImplementedError(
-                    f"video container {f!r}: demux libraries unavailable "
-                    "in sandbox"
-                )
-            fi = np.arange(0, int(hs[j]), self.every, dtype=np.int64)
-            sel = arr[fi].astype(np.int64)
-            ids_idx.append(np.full(len(fi), j, np.int64))
-            frame_i.append(fi)
-            sums.append(sel.sum(axis=1))
-            mins.append(sel.min(axis=1))
-            maxs.append(sel.max(axis=1))
-        take = pa.array(np.concatenate(ids_idx) if ids_idx else
-                        np.empty(0, np.int64))
-        return pa.table({
-            self.id_col: batch.column(self.id_col).take(take),
-            "frame_index": pa.array(
-                np.concatenate(frame_i).astype(np.int32) if frame_i
-                else np.empty(0, np.int32)),
-            "y_sum": pa.array(np.concatenate(sums) if sums
-                              else np.empty(0, np.int64), pa.int64()),
-            "y_min": pa.array(np.concatenate(mins) if mins
-                              else np.empty(0, np.int64), pa.int64()),
-            "y_max": pa.array(np.concatenate(maxs) if maxs
-                              else np.empty(0, np.int64), pa.int64()),
-        })
+    def frame(self, arr):
+        fi = np.arange(0, arr.shape[0], self.every, dtype=np.int64)
+        sel = arr[fi].astype(np.int64)
+        return fi, sel.sum(axis=1), sel.min(axis=1), sel.max(axis=1)
 
 
-def _decode_luma(data, offs, fmts, ws, hs, j) -> np.ndarray:
-    """Decode payload j to a 2-D uint8 luma frame (integer (R+G+B)//3
-    fold for RGB) -- shared by the whole-frame image ops below."""
-    f = fmts[j]
-    if f not in ("raw", "png", "jpeg", "jpg"):
-        raise NotImplementedError(
-            f"image format {f!r}: codec unavailable in sandbox (raw/png/baseline-jpeg supported)"
-        )
-    img = decode_image(data[offs[j] : offs[j + 1]], f,
-                       int(ws[j]), int(hs[j]), copy=False)
-    if img.ndim == 3:
-        img = (img.sum(axis=2, dtype=np.uint32) // 3).astype(np.uint8)
-    return img
-
-
-class PyramidStats:
+class PyramidStats(_FrameRows):
     """Overview-pyramid build -- the COG/GDAL ``.ovr`` step of a tile
     archive (the reference's tiled outputs are exactly what overviews
     get built on, reference warp.py resample_to_equi7_tiles): per image,
@@ -764,45 +711,26 @@ class PyramidStats:
     no Python per-pixel work; SQL-mirrorable by grouping the synthetic
     pixel formula by (r // s, c // s)."""
 
-    def __init__(self, levels: int = 3, id_col: str = "image_id"):
+    COLS = (("level", np.int32), ("py_sum", np.int64), ("py_min", np.int64),
+            ("py_max", np.int64))
+
+    def __init__(self, levels: int = 3):
         self.levels = levels
-        self.id_col = id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        idx: list[int] = []
-        lvl: list[int] = []
-        psum: list[int] = []
-        pmin: list[int] = []
-        pmax: list[int] = []
-        for j in range(batch.num_rows):
-            img = _decode_luma(data, offs, fmts, ws, hs, j)
-            for level in range(1, self.levels + 1):
-                s = 1 << level
-                nr, nc = img.shape[0] // s, img.shape[1] // s
-                if nr == 0 or nc == 0:
-                    continue
-                blk = img[: nr * s, : nc * s].reshape(nr, s, nc, s) \
-                    .sum(axis=(1, 3), dtype=np.int64) // (s * s)
-                idx.append(j)
-                lvl.append(level)
-                psum.append(int(blk.sum()))
-                pmin.append(int(blk.min()))
-                pmax.append(int(blk.max()))
-        take = pa.array(np.asarray(idx, np.int64))
-        return pa.table({
-            self.id_col: batch.column(self.id_col).take(take),
-            "level": pa.array(np.asarray(lvl, np.int32), pa.int32()),
-            "py_sum": pa.array(np.asarray(psum, np.int64), pa.int64()),
-            "py_min": pa.array(np.asarray(pmin, np.int64), pa.int64()),
-            "py_max": pa.array(np.asarray(pmax, np.int64), pa.int64()),
-        })
+    def frame(self, img):
+        out = []
+        for level in range(1, self.levels + 1):
+            s = 1 << level
+            nr, nc = img.shape[0] // s, img.shape[1] // s
+            if nr == 0 or nc == 0:
+                continue
+            blk = img[: nr * s, : nc * s].reshape(nr, s, nc, s) \
+                .sum(axis=(1, 3), dtype=np.int64) // (s * s)
+            out.append((level, blk.sum(), blk.min(), blk.max()))
+        return np.array(out, np.int64).reshape(-1, 4).T
 
 
-class SobelStats:
+class SobelStats(_FrameStats):
     """Per-image edge energy: 3x3 Sobel gradients over the interior in
     EXACT integer arithmetic; emits
 
@@ -816,34 +744,14 @@ class SobelStats:
     offsets directly."""
 
     EDGE_T = 256
+    COLS = ("grad_sum", "edge_px")
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        gsum = np.zeros(n, np.int64)
-        epx = np.zeros(n, np.int64)
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j).astype(np.int64)
-            if v.shape[0] < 3 or v.shape[1] < 3:
-                continue
-            gx = (v[:-2, 2:] + 2 * v[1:-1, 2:] + v[2:, 2:]) \
-                - (v[:-2, :-2] + 2 * v[1:-1, :-2] + v[2:, :-2])
-            gy = (v[2:, :-2] + 2 * v[2:, 1:-1] + v[2:, 2:]) \
-                - (v[:-2, :-2] + 2 * v[:-2, 1:-1] + v[:-2, 2:])
-            e = np.abs(gx) + np.abs(gy)
-            gsum[j] = int(e.sum())
-            epx[j] = int((e >= self.EDGE_T).sum())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "grad_sum": pa.array(gsum, pa.int64()),
-            "edge_px": pa.array(epx, pa.int64()),
-        })
+    def frame(self, v):
+        if v.shape[0] < 3 or v.shape[1] < 3:
+            return 0, 0
+        gx, gy = _sobel(v.astype(np.int64))
+        e = np.abs(gx) + np.abs(gy)
+        return e.sum(), (e >= self.EDGE_T).sum()
 
 
 _PNG_SIG = np.frombuffer(b"\x89PNG\r\n\x1a\n", dtype=np.uint8)
@@ -864,9 +772,6 @@ class HeaderAudit:
     ``bad_sig`` -> ``dim_mismatch`` -> ``ok``.  Fully vectorized: one
     (n, 26) prefix gather from the Arrow binary buffer, numpy
     big-endian assembly, np.select — no per-row Python."""
-
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         data, offs = binary_view(batch.column("bytes"))
@@ -897,14 +802,13 @@ class HeaderAudit:
         dims_bad = np.where(is_png, (hw != w) | (hh != h), lens != w * h)
         reason = np.select([bad_sig, dims_bad],
                            ["bad_sig", "dim_mismatch"], default="ok")
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
+        return _image_table(batch, {
             "fmt": batch.column("fmt"),
             "reason": pa.array(reason.tolist(), pa.string()),
         })
 
 
-class MomentStats:
+class MomentStats(_FrameStats):
     """Per-image raw + central image moments in EXACT integer
     arithmetic (the shape-descriptor front half of Hu invariants;
     geometric moments are the registration/centroid primitive the
@@ -920,41 +824,26 @@ class MomentStats:
     mirror is plain BIGINT sums over the synthetic pixel formula.
     Whole-frame numpy dot products; no Python per-pixel work."""
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    COLS = ("m00", "m10", "m01", "mu20s", "mu02s", "mu11s")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        out = np.zeros((n, 6), np.int64)
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j).astype(np.int64)
-            h, w = v.shape
-            r = np.arange(h, dtype=np.int64)
-            c = np.arange(w, dtype=np.int64)
-            row_s = v.sum(axis=1)          # per-row pixel sums
-            col_s = v.sum(axis=0)
-            m00 = int(row_s.sum())
-            m10 = int(r @ row_s)
-            m01 = int(c @ col_s)
-            m20 = int((r * r) @ row_s)
-            m02 = int((c * c) @ col_s)
-            m11 = int(r @ v @ c)
-            out[j] = (m00, m10, m01,
-                      m00 * m20 - m10 * m10,
-                      m00 * m02 - m01 * m01,
-                      m00 * m11 - m10 * m01)
-        cols = ["m00", "m10", "m01", "mu20s", "mu02s", "mu11s"]
-        return pa.table(
-            {self.id_col: batch.column(self.id_col),
-             **{k: pa.array(out[:, i], pa.int64())
-                for i, k in enumerate(cols)}})
+    def frame(self, v):
+        v = v.astype(np.int64)
+        h, w = v.shape
+        r = np.arange(h, dtype=np.int64)
+        c = np.arange(w, dtype=np.int64)
+        row_s = v.sum(axis=1)          # per-row pixel sums
+        col_s = v.sum(axis=0)
+        m00 = int(row_s.sum())
+        m10 = int(r @ row_s)
+        m01 = int(c @ col_s)
+        m20 = int((r * r) @ row_s)
+        m02 = int((c * c) @ col_s)
+        m11 = int(r @ v @ c)
+        return (m00, m10, m01, m00 * m20 - m10 * m10,
+                m00 * m02 - m01 * m01, m00 * m11 - m10 * m01)
 
 
-class HarrisStats:
+class HarrisStats(_FrameStats):
     """Per-image Harris corner response in EXACT integer arithmetic
     (Harris & Stephens 1988, k = 1/16, everything cross-multiplied so
     no floats appear):
@@ -969,45 +858,30 @@ class HarrisStats:
     the gradient formula through two chained 1-D window sums
     (separable box filter)."""
 
-    def __init__(self, thresh: int = 0, id_col: str = "image_id"):
+    COLS = ("n_corners", "r16_max", "pos_sum")
+
+    def __init__(self, thresh: int = 0):
         self.thresh = thresh
-        self.id_col = id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        nc = np.zeros(n, np.int64)
-        rmax = np.zeros(n, np.int64)
-        psum = np.zeros(n, np.int64)
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j).astype(np.int64)
-            if v.shape[0] < 5 or v.shape[1] < 5:
-                continue
-            ix = (v[:, 2:] - v[:, :-2])[1:-1, :]   # gradient grid:
-            iy = (v[2:, :] - v[:-2, :])[:, 1:-1]   # r,c in [1, dim-2]
-            def box(a: np.ndarray) -> np.ndarray:
-                return (a[:-2, :-2] + a[:-2, 1:-1] + a[:-2, 2:]
-                        + a[1:-1, :-2] + a[1:-1, 1:-1] + a[1:-1, 2:]
-                        + a[2:, :-2] + a[2:, 1:-1] + a[2:, 2:])
-            sxx = box(ix * ix)
-            syy = box(iy * iy)
-            sxy = box(ix * iy)
-            r16 = 16 * (sxx * syy - sxy * sxy) - (sxx + syy) ** 2
-            nc[j] = int((r16 > self.thresh).sum())
-            rmax[j] = int(r16.max())
-            psum[j] = int(r16[r16 > 0].sum())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "n_corners": pa.array(nc, pa.int64()),
-            "r16_max": pa.array(rmax, pa.int64()),
-            "pos_sum": pa.array(psum, pa.int64()),
-        })
+    def frame(self, v):
+        if v.shape[0] < 5 or v.shape[1] < 5:
+            return 0, 0, 0
+        v = v.astype(np.int64)
+        ix = (v[:, 2:] - v[:, :-2])[1:-1, :]   # gradient grid:
+        iy = (v[2:, :] - v[:-2, :])[:, 1:-1]   # r,c in [1, dim-2]
+
+        def box(a: np.ndarray) -> np.ndarray:
+            return (a[:-2, :-2] + a[:-2, 1:-1] + a[:-2, 2:]
+                    + a[1:-1, :-2] + a[1:-1, 1:-1] + a[1:-1, 2:]
+                    + a[2:, :-2] + a[2:, 1:-1] + a[2:, 2:])
+        sxx = box(ix * ix)
+        syy = box(iy * iy)
+        sxy = box(ix * iy)
+        r16 = 16 * (sxx * syy - sxy * sxy) - (sxx + syy) ** 2
+        return (r16 > self.thresh).sum(), r16.max(), r16[r16 > 0].sum()
 
 
-class TemplateSAD:
+class TemplateSAD(_FrameStats):
     """Template matching by sum-of-absolute-differences — the
     co-registration / chip-matching primitive (the reference aligns
     rasters by projected coordinates; matching a known chip against a
@@ -1023,47 +897,28 @@ class TemplateSAD:
     same |pixel - template| lattice and reproduces the tie rule with a
     min-filter + row_number."""
 
-    def __init__(self, template: np.ndarray, id_col: str = "image_id"):
+    COLS = ("best_sad", "best_pr", "best_pc", "sad_sum")
+
+    def __init__(self, template: np.ndarray):
         self.t = np.asarray(template, dtype=np.int64)
-        self.id_col = id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
+    def frame(self, v):
         k = self.t.shape[0]
-        n = batch.num_rows
-        best = np.zeros(n, np.int64)
-        bpr = np.zeros(n, np.int64)
-        bpc = np.zeros(n, np.int64)
-        tot = np.zeros(n, np.int64)
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j).astype(np.int64)
-            h, w = v.shape
-            if h < k or w < k:
-                best[j] = -1
-                bpr[j] = bpc[j] = -1
-                continue
-            sad = np.zeros((h - k + 1, w - k + 1), np.int64)
-            for dr in range(k):
-                for dc in range(k):
-                    sad += np.abs(v[dr:dr + h - k + 1, dc:dc + w - k + 1]
-                                  - self.t[dr, dc])
-            flat = int(np.argmin(sad))  # row-major argmin == (pr, pc) tie rule
-            bpr[j], bpc[j] = divmod(flat, sad.shape[1])
-            best[j] = int(sad[bpr[j], bpc[j]])
-            tot[j] = int(sad.sum())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "best_sad": pa.array(best, pa.int64()),
-            "best_pr": pa.array(bpr, pa.int64()),
-            "best_pc": pa.array(bpc, pa.int64()),
-            "sad_sum": pa.array(tot, pa.int64()),
-        })
+        h, w = v.shape
+        if h < k or w < k:
+            return -1, -1, -1, 0
+        v = v.astype(np.int64)
+        sad = np.zeros((h - k + 1, w - k + 1), np.int64)
+        for dr in range(k):
+            for dc in range(k):
+                sad += np.abs(v[dr:dr + h - k + 1, dc:dc + w - k + 1]
+                              - self.t[dr, dc])
+        flat = int(np.argmin(sad))  # row-major argmin == (pr, pc) tie rule
+        pr, pc = divmod(flat, sad.shape[1])
+        return sad[pr, pc], pr, pc, sad.sum()
 
 
-class QuadtreeStats:
+class QuadtreeStats(_FrameStats):
     """Adaptive quadtree encoding of each frame (the variance-pruned
     tiling that COG/overview pyramids approximate with fixed levels):
     starting from the whole frame, a block SPLITS into 4 while its
@@ -1077,55 +932,37 @@ class QuadtreeStats:
     per block.  SQL mirror: per-level block ranges + a 3-ancestor
     split-chain join."""
 
-    def __init__(self, thresh: int = 60, max_level: int = 3,
-                 id_col: str = "image_id"):
+    COLS = ("n_leaves", "depth_sum", "n_deepest")
+
+    def __init__(self, thresh: int = 60, max_level: int = 3):
         self.t = thresh
         self.lmax = max_level
-        self.id_col = id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        nl = np.zeros(n, np.int64)
-        ds_ = np.zeros(n, np.int64)
-        nd = np.zeros(n, np.int64)
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j).astype(np.int64)
-            h, w = v.shape
-            rng = []
-            for lv in range(self.lmax + 1):
-                g = 1 << lv
-                if h % g or w % g:
-                    raise ValueError("frame dims must divide 2^max_level")
-                bh, bw = h // g, w // g
-                r4 = v.reshape(g, bh, g, bw)
-                rng.append(r4.max(axis=(1, 3)) - r4.min(axis=(1, 3)))
-            exists = np.ones((1, 1), bool)
-            leaves = depth = deepest = 0
-            for lv in range(self.lmax + 1):
-                is_leaf = exists & ((rng[lv] <= self.t)
-                                    if lv < self.lmax
-                                    else np.ones_like(exists))
-                leaves += int(is_leaf.sum())
-                depth += lv * int(is_leaf.sum())
-                if lv == self.lmax:
-                    deepest = int(is_leaf.sum())
-                    break
-                split = exists & (rng[lv] > self.t)
-                exists = np.repeat(np.repeat(split, 2, 0), 2, 1)
-            nl[j], ds_[j], nd[j] = leaves, depth, deepest
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "n_leaves": pa.array(nl, pa.int64()),
-            "depth_sum": pa.array(ds_, pa.int64()),
-            "n_deepest": pa.array(nd, pa.int64()),
-        })
+    def frame(self, v):
+        v = v.astype(np.int64)
+        h, w = v.shape
+        rng = []
+        for lv in range(self.lmax + 1):
+            g = 1 << lv
+            if h % g or w % g:
+                raise ValueError("frame dims must divide 2^max_level")
+            r4 = v.reshape(g, h // g, g, w // g)
+            rng.append(r4.max(axis=(1, 3)) - r4.min(axis=(1, 3)))
+        exists = np.ones((1, 1), bool)
+        leaves = depth = 0
+        for lv in range(self.lmax + 1):
+            is_leaf = exists & ((rng[lv] <= self.t)
+                                if lv < self.lmax
+                                else np.ones_like(exists))
+            leaves += int(is_leaf.sum())
+            depth += lv * int(is_leaf.sum())
+            if lv == self.lmax:
+                return leaves, depth, int(is_leaf.sum())
+            split = exists & (rng[lv] > self.t)
+            exists = np.repeat(np.repeat(split, 2, 0), 2, 1)
 
 
-class MorphStats:
+class MorphStats(_FrameStats):
     """Per-image 3x3 binary morphology (erosion / dilation) over the
     ``v >= 128`` foreground mask -- the mask clean-up step that runs
     between thresholding (OtsuThreshold) and blob labeling (BlobStats)
@@ -1144,39 +981,19 @@ class MorphStats:
     sums the nine mask indicators of the synthetic pixel formula."""
 
     THRESH = 128
+    COLS = ("fg_in", "eroded_px", "dilated_px")
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        fg = np.zeros(n, np.int64)
-        ero = np.zeros(n, np.int64)
-        dil = np.zeros(n, np.int64)
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j)
-            if v.shape[0] < 3 or v.shape[1] < 3:
-                continue
-            m = (v >= self.THRESH).astype(np.int8)
-            s = (m[:-2, :-2] + m[:-2, 1:-1] + m[:-2, 2:]
-                 + m[1:-1, :-2] + m[1:-1, 1:-1] + m[1:-1, 2:]
-                 + m[2:, :-2] + m[2:, 1:-1] + m[2:, 2:])
-            fg[j] = int(m[1:-1, 1:-1].sum(dtype=np.int64))
-            ero[j] = int((s == 9).sum())
-            dil[j] = int((s >= 1).sum())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "fg_in": pa.array(fg, pa.int64()),
-            "eroded_px": pa.array(ero, pa.int64()),
-            "dilated_px": pa.array(dil, pa.int64()),
-        })
+    def frame(self, v):
+        if v.shape[0] < 3 or v.shape[1] < 3:
+            return 0, 0, 0
+        m = (v >= self.THRESH).astype(np.int8)
+        s = (m[:-2, :-2] + m[:-2, 1:-1] + m[:-2, 2:]
+             + m[1:-1, :-2] + m[1:-1, 1:-1] + m[1:-1, 2:]
+             + m[2:, :-2] + m[2:, 1:-1] + m[2:, 2:])
+        return m[1:-1, 1:-1].sum(dtype=np.int64), (s == 9).sum(), (s >= 1).sum()
 
 
-class QualityGate:
+class QualityGate(_FrameStats):
     """Image-side ingestion gate (the visual analogue of the Gopher
     text gate, stages/text.py:gopher_filter): first-failing reason per
     frame, all rules exact integer comparisons:
@@ -1189,45 +1006,28 @@ class QualityGate:
     edge_px = interior pixels with Sobel |Gx|+|Gy| >= 256 (identical to
     SobelStats).  Emits (image_id, reason, edge_px, px_range)."""
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    COLS = ("edge_px", "px_range", "n_interior")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        reasons: list[str] = []
-        epx = np.zeros(n, np.int64)
-        rng = np.zeros(n, np.int64)
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j).astype(np.int64)
-            rng[j] = int(v.max() - v.min()) if v.size else 0
-            ni = max((v.shape[0] - 2) * (v.shape[1] - 2), 0)
-            if ni:
-                gx = (v[:-2, 2:] + 2 * v[1:-1, 2:] + v[2:, 2:]) \
-                    - (v[:-2, :-2] + 2 * v[1:-1, :-2] + v[2:, :-2])
-                gy = (v[2:, :-2] + 2 * v[2:, 1:-1] + v[2:, 2:]) \
-                    - (v[:-2, :-2] + 2 * v[:-2, 1:-1] + v[:-2, 2:])
-                epx[j] = int(((np.abs(gx) + np.abs(gy)) >= 256).sum())
-            if rng[j] < 192:
-                reasons.append("low_range")
-            elif epx[j] * 20 < ni:
-                reasons.append("smooth")
-            elif epx[j] * 5 > 3 * ni:
-                reasons.append("busy")
-            else:
-                reasons.append("ok")
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "reason": pa.array(reasons, pa.string()),
-            "edge_px": pa.array(epx, pa.int64()),
-            "px_range": pa.array(rng, pa.int64()),
-        })
+    def frame(self, v):
+        v = v.astype(np.int64)
+        rng = int(v.max() - v.min()) if v.size else 0
+        ni = max((v.shape[0] - 2) * (v.shape[1] - 2), 0)
+        epx = 0
+        if ni:
+            gx, gy = _sobel(v)
+            epx = int(((np.abs(gx) + np.abs(gy)) >= 256).sum())
+        return epx, rng, ni
+
+    def table(self, batch, out):
+        epx, rng, ni = out.T
+        reason = np.select([rng < 192, epx * 20 < ni, epx * 5 > 3 * ni],
+                           ["low_range", "smooth", "busy"], default="ok")
+        return _image_table(batch, {
+            "reason": pa.array(reason.tolist(), pa.string()),
+            "edge_px": epx, "px_range": rng})
 
 
-class HOGStats:
+class HOGStats(_FrameStats):
     """Per-image gradient-orientation histogram (the HOG descriptor's
     binning stage, Dalal-Triggs 2005, whole-frame variant): Sobel
     gradients over the interior (identical formula to SobelStats),
@@ -1243,39 +1043,20 @@ class HOGStats:
     -- the texture/orientation feature a crawl-side image-quality model
     consumes."""
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    COLS = tuple(f"o{k}" for k in range(8)) + ("n_grad",)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        hist = np.zeros((n, 8), np.int64)
-        ngrad = np.zeros(n, np.int64)
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j).astype(np.int64)
-            if v.shape[0] < 3 or v.shape[1] < 3:
-                continue
-            gx = (v[:-2, 2:] + 2 * v[1:-1, 2:] + v[2:, 2:]) \
-                - (v[:-2, :-2] + 2 * v[1:-1, :-2] + v[2:, :-2])
-            gy = (v[2:, :-2] + 2 * v[2:, 1:-1] + v[2:, 2:]) \
-                - (v[:-2, :-2] + 2 * v[:-2, 1:-1] + v[:-2, 2:])
-            ax, ay = np.abs(gx), np.abs(gy)
-            mask = (ax | ay) != 0
-            q = 2 * (gy < 0) + ((gx < 0) ^ (gy < 0))
-            b = 2 * q + ((ax <= ay) ^ (q & 1))
-            hist[j] = np.bincount(b[mask].ravel(), minlength=8)
-            ngrad[j] = int(mask.sum())
-        cols = {self.id_col: batch.column(self.id_col)}
-        for k in range(8):
-            cols[f"o{k}"] = pa.array(hist[:, k], pa.int64())
-        cols["n_grad"] = pa.array(ngrad, pa.int64())
-        return pa.table(cols)
+    def frame(self, v):
+        if v.shape[0] < 3 or v.shape[1] < 3:
+            return (0,) * 9
+        gx, gy = _sobel(v.astype(np.int64))
+        ax, ay = np.abs(gx), np.abs(gy)
+        mask = (ax | ay) != 0
+        q = 2 * (gy < 0) + ((gx < 0) ^ (gy < 0))
+        b = 2 * q + ((ax <= ay) ^ (q & 1))
+        return (*np.bincount(b[mask].ravel(), minlength=8), mask.sum())
 
 
-class VideoCuts:
+class VideoCuts(_FrameStats):
     """Shot-boundary (scene-cut) detection over raw planar video
     payloads (h frames of w luma bytes, the RawVideoFrames layout):
     per consecutive frame pair, SAD = sum |v[f+1] - v[f]|; a cut fires
@@ -1284,36 +1065,18 @@ class VideoCuts:
     dedup/segmentation precursor for video training data.  One
     vectorized diff pass per payload; no per-pixel Python."""
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    COLS = ("n_frames", "n_cuts", "max_sad", "sad_sum")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        ncuts = np.zeros(n, np.int64)
-        maxsad = np.zeros(n, np.int64)
-        sadsum = np.zeros(n, np.int64)
-        for j in range(n):
-            arr = _decode_luma(data, offs, fmts, ws, hs, j).astype(np.int64)
-            if arr.shape[0] < 2:
-                continue
-            d = np.abs(arr[1:] - arr[:-1]).sum(axis=1)
-            ncuts[j] = int((4 * d >= 255 * int(ws[j])).sum())
-            maxsad[j] = int(d.max())
-            sadsum[j] = int(d.sum())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "n_frames": pa.array(hs.astype(np.int64), pa.int64()),
-            "n_cuts": pa.array(ncuts, pa.int64()),
-            "max_sad": pa.array(maxsad, pa.int64()),
-            "sad_sum": pa.array(sadsum, pa.int64()),
-        })
+    def frame(self, arr):
+        h, w = arr.shape
+        if h < 2:
+            return h, 0, 0, 0
+        arr = arr.astype(np.int64)
+        d = np.abs(arr[1:] - arr[:-1]).sum(axis=1)
+        return h, (4 * d >= 255 * w).sum(), d.max(), d.sum()
 
 
-class AutocorrAudio:
+class AutocorrAudio(_PcmStats):
     """Exact integer autocorrelation of the s16le PCM payload at fixed
     lags (1, 2, 4, 8): ac_L = sum_k v[k] * v[k+L] -- the pitch /
     periodicity feature (autocorrelation method, Rabiner 1977) the
@@ -1323,47 +1086,19 @@ class AutocorrAudio:
     per-row numpy dot products, no per-sample Python."""
 
     LAGS = (1, 2, 4, 8)
+    COLS = ("n_samples",) + tuple(f"ac{lag}" for lag in LAGS)
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    def frame(self, v):
+        return (len(v), *(np.dot(v[:-lag], v[lag:]) if len(v) > lag else 0
+                          for lag in self.LAGS))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        nsamp = np.zeros(n, np.int64)
-        acs = np.zeros((n, len(self.LAGS)), np.int64)
-        for j, f in enumerate(fmts):
-            raw = np.frombuffer(data, np.uint8,
-                                count=int(offs[j + 1] - offs[j]),
-                                offset=int(offs[j]))
-            if f in ("raw", "png", "jpeg", "jpg"):
-                raw = decode_image(raw, f, int(ws[j]), int(hs[j]),
-                                   copy=False).reshape(-1)
-            else:
-                raise NotImplementedError(
-                    f"audio format {f!r}: codecs unavailable in sandbox")
-            v = raw[: len(raw) // 2 * 2].view(np.uint8).astype(np.int64)
-            v = v[0::2] + 256 * v[1::2]
-            v = np.where(v >= 32768, v - 65536, v)
-            nsamp[j] = len(v)
-            for li, lag in enumerate(self.LAGS):
-                if len(v) > lag:
-                    acs[j, li] = int(np.dot(v[:-lag], v[lag:]))
-        best = np.array(self.LAGS, np.int64)[np.argmax(acs, axis=1)]
-        cols = {
-            self.id_col: batch.column(self.id_col),
-            "n_samples": pa.array(nsamp, pa.int64()),
-        }
-        for li, lag in enumerate(self.LAGS):
-            cols[f"ac{lag}"] = pa.array(acs[:, li], pa.int64())
-        cols["best_lag"] = pa.array(best, pa.int64())
-        return pa.table(cols)
+    def table(self, batch, out):
+        best = np.array(self.LAGS, np.int64)[np.argmax(out[:, 1:], axis=1)]
+        return _image_table(batch, {**dict(zip(self.COLS, out.T)),
+                                    "best_lag": best})
 
 
-class GLCMStats:
+class GLCMStats(_FrameStats):
     """Per-image gray-level co-occurrence texture features (Haralick
     1973) over horizontal neighbour pairs at 8 quantized levels
     (``v // 32``), in EXACT integers:
@@ -1377,42 +1112,24 @@ class GLCMStats:
     formula's (qa, qb) pairs."""
 
     LEVELS = 8
+    COLS = ("contrast", "energy", "n_pairs")
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    def __init__(self):
         L = self.LEVELS
         a, b = np.divmod(np.arange(L * L, dtype=np.int64), L)
         self._sqdiff = (a - b) ** 2
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
+    def frame(self, v):
+        if v.shape[1] < 2:
+            return 0, 0, 0
         L = self.LEVELS
-        contrast = np.zeros(n, np.int64)
-        energy = np.zeros(n, np.int64)
-        npairs = np.zeros(n, np.int64)
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j)
-            if v.shape[1] < 2:
-                continue
-            q = (v >> 5).astype(np.int64)  # 256 / LEVELS = 32
-            code = q[:, :-1] * L + q[:, 1:]
-            bc = np.bincount(code.ravel(), minlength=L * L)
-            contrast[j] = int((bc * self._sqdiff).sum())
-            energy[j] = int((bc.astype(np.int64) ** 2).sum())
-            npairs[j] = v.shape[0] * (v.shape[1] - 1)
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "contrast": pa.array(contrast, pa.int64()),
-            "energy": pa.array(energy, pa.int64()),
-            "n_pairs": pa.array(npairs, pa.int64()),
-        })
+        q = (v >> 5).astype(np.int64)  # 256 / LEVELS = 32
+        bc = np.bincount((q[:, :-1] * L + q[:, 1:]).ravel(), minlength=L * L)
+        return ((bc * self._sqdiff).sum(), (bc.astype(np.int64) ** 2).sum(),
+                v.shape[0] * (v.shape[1] - 1))
 
 
-class OtsuThreshold:
+class OtsuThreshold(_FrameStats):
     """Per-image Otsu threshold in EXACT arithmetic: maximize the
     between-class variance
 
@@ -1430,47 +1147,33 @@ class OtsuThreshold:
     of resolution.  Emits (id, otsu_t, fg_px, fg_sum) with fg = pixels
     strictly above the threshold."""
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    COLS = ("otsu_t", "fg_px", "fg_sum")
+    VALS = np.arange(256, dtype=np.int64)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        ot = np.zeros(n, np.int32)
-        fpx = np.zeros(n, np.int64)
-        fsum = np.zeros(n, np.int64)
-        vals = np.arange(256, dtype=np.int64)
-        for j in range(n):
-            img = _decode_luma(data, offs, fmts, ws, hs, j)
-            hist = np.bincount(img.reshape(-1), minlength=256).astype(np.int64)
-            w0 = np.cumsum(hist)
-            s0 = np.cumsum(hist * vals)
-            W, S = int(w0[-1]), int(s0[-1])
-            best_t, bn, bd = 0, -1, 1
-            for t in range(255):
-                W0 = int(w0[t])
-                if W0 == 0 or W0 == W:
-                    continue
-                num = (int(s0[t]) * W - S * W0) ** 2
-                den = W0 * (W - W0)
-                if num * bd > bn * den:
-                    bn, bd, best_t = num, den, t
-            ot[j] = best_t
-            fg = hist[best_t + 1 :]
-            fpx[j] = int(fg.sum())
-            fsum[j] = int((fg * vals[best_t + 1 :]).sum())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "otsu_t": pa.array(ot, pa.int32()),
-            "fg_px": pa.array(fpx, pa.int64()),
-            "fg_sum": pa.array(fsum, pa.int64()),
-        })
+    def frame(self, img):
+        hist = np.bincount(img.reshape(-1), minlength=256).astype(np.int64)
+        w0 = np.cumsum(hist)
+        s0 = np.cumsum(hist * self.VALS)
+        W, S = int(w0[-1]), int(s0[-1])
+        best_t, bn, bd = 0, -1, 1
+        for t in range(255):
+            W0 = int(w0[t])
+            if W0 == 0 or W0 == W:
+                continue
+            num = (int(s0[t]) * W - S * W0) ** 2
+            den = W0 * (W - W0)
+            if num * bd > bn * den:
+                bn, bd, best_t = num, den, t
+        fg = hist[best_t + 1 :]
+        return best_t, fg.sum(), (fg * self.VALS[best_t + 1 :]).sum()
+
+    def table(self, batch, out):
+        cols = dict(zip(self.COLS, out.T))
+        cols["otsu_t"] = cols["otsu_t"].astype(np.int32)
+        return _image_table(batch, cols)
 
 
-class BandAlgebra:
+class BandAlgebra(_FrameStats):
     """Raster band math over RGB payloads -- the NDVI-shaped map-only
     raster-algebra step (reference-domain band arithmetic, kept in
     EXACT integers): per image
@@ -1485,38 +1188,16 @@ class BandAlgebra:
     grayscale frames emit zeros (no second band).  SQL-mirrorable over
     the RGB fixture's band-offset pixel formula."""
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    COLS = ("veg_px", "idx_sum", "ndq_sum")
+    LUMA = False
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        veg = np.zeros(n, np.int64)
-        isum = np.zeros(n, np.int64)
-        nsum = np.zeros(n, np.int64)
-        for j, f in enumerate(fmts):
-            if f not in ("raw", "png", "jpeg", "jpg"):
-                raise NotImplementedError(
-                    f"image format {f!r}: codec unavailable in sandbox (raw/png/baseline-jpeg supported)"
-                )
-            img = decode_image(data[offs[j] : offs[j + 1]], f,
-                               int(ws[j]), int(hs[j]), copy=False)
-            if img.ndim != 3:
-                continue
-            r = img[:, :, 0].astype(np.int64)
-            g = img[:, :, 1].astype(np.int64)
-            veg[j] = int((g > r).sum())
-            isum[j] = int((g - r).sum())
-            nsum[j] = int((((g - r + 256) * 4096) // (g + r + 1)).sum())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "veg_px": pa.array(veg, pa.int64()),
-            "idx_sum": pa.array(isum, pa.int64()),
-            "ndq_sum": pa.array(nsum, pa.int64()),
-        })
+    def frame(self, img):
+        if img.ndim != 3:
+            return 0, 0, 0
+        r = img[:, :, 0].astype(np.int64)
+        g = img[:, :, 1].astype(np.int64)
+        return ((g > r).sum(), (g - r).sum(),
+                (((g - r + 256) * 4096) // (g + r + 1)).sum())
 
 
 def label_runs(mask: np.ndarray) -> tuple[int, int, int]:
@@ -1654,7 +1335,8 @@ def label_run_boxes(mask: np.ndarray, return_perim: bool = False):
     return (row[uniq], c0[uniq], min_r, max_r, min_c, max_c, area, perim)
 
 
-class BlobBoxes:
+
+class BlobBoxes(_FrameRows):
     """Per-blob geometry extraction: one output row per 4-connected
     component of the ``v >= thresh`` mask with its canonical label
     pixel, bounding box and pixel area — the raster->vector feature
@@ -1663,39 +1345,17 @@ class BlobBoxes:
     Python, vectorized geometry reduction); the SQL mirror extends the
     image_blobs recursive-CTE closure with per-root min/max/sum."""
 
-    def __init__(self, thresh: int = 128, id_col: str = "image_id"):
+    COLS = tuple((c, np.int64) for c in ("lbl_r", "lbl_c", "min_r", "max_r",
+                                         "min_c", "max_c", "area"))
+
+    def __init__(self, thresh: int = 128):
         self.thresh = thresh
-        self.id_col = id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        ids = batch.column(self.id_col)
-        out_id: list = []
-        cols = [np.zeros(0, np.int64)] * 7
-        parts: list[list[np.ndarray]] = [[] for _ in range(7)]
-        for j in range(batch.num_rows):
-            img = _decode_luma(data, offs, fmts, ws, hs, j)
-            res = label_run_boxes(img >= self.thresh)
-            k = len(res[0])
-            if k == 0:
-                continue
-            out_id.extend([ids[j].as_py()] * k)
-            for t in range(7):
-                parts[t].append(res[t])
-        names = ["lbl_r", "lbl_c", "min_r", "max_r", "min_c", "max_c",
-                 "area"]
-        merged = [np.concatenate(p) if p else np.zeros(0, np.int64)
-                  for p in parts]
-        return pa.table(
-            {self.id_col: pa.array(out_id, ids.type),
-             **{nm: pa.array(v, pa.int64())
-                for nm, v in zip(names, merged)}})
+    def frame(self, img):
+        return label_run_boxes(img >= self.thresh)
 
 
-class BlobPerimeter:
+class BlobPerimeter(_FrameRows):
     """Per-blob boundary geometry: one output row per 4-connected
     component of the ``v >= thresh`` mask with its canonical label
     pixel, area and 4-connected perimeter (exposed unit edges) — the
@@ -1707,37 +1367,17 @@ class BlobPerimeter:
     extends the image_blobs recursive-CTE closure with per-root
     adjacency sums."""
 
-    def __init__(self, thresh: int = 128, id_col: str = "image_id"):
+    COLS = tuple((c, np.int64) for c in ("lbl_r", "lbl_c", "area", "perim"))
+
+    def __init__(self, thresh: int = 128):
         self.thresh = thresh
-        self.id_col = id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        ids = batch.column(self.id_col)
-        out_id: list = []
-        parts: list[list[np.ndarray]] = [[] for _ in range(4)]
-        for j in range(batch.num_rows):
-            img = _decode_luma(data, offs, fmts, ws, hs, j)
-            res = label_run_boxes(img >= self.thresh, return_perim=True)
-            k = len(res[0])
-            if k == 0:
-                continue
-            out_id.extend([ids[j].as_py()] * k)
-            for t, src in enumerate((res[0], res[1], res[6], res[7])):
-                parts[t].append(src)
-        names = ["lbl_r", "lbl_c", "area", "perim"]
-        merged = [np.concatenate(p) if p else np.zeros(0, np.int64)
-                  for p in parts]
-        return pa.table(
-            {self.id_col: pa.array(out_id, ids.type),
-             **{nm: pa.array(v, pa.int64())
-                for nm, v in zip(names, merged)}})
+    def frame(self, img):
+        res = label_run_boxes(img >= self.thresh, return_perim=True)
+        return res[0], res[1], res[6], res[7]
 
 
-class BlobStats:
+class BlobStats(_FrameStats):
     """Per-image blob labeling: 4-connected components of the
     ``v >= thresh`` foreground mask (the raster segmentation step --
     reference-domain raster polygonization's counting core).  Emits
@@ -1745,70 +1385,39 @@ class BlobStats:
     SQL mirror is a recursive-CTE reachability closure over the same
     run adjacency graph."""
 
-    def __init__(self, thresh: int = 128, id_col: str = "image_id"):
+    COLS = ("n_blobs", "max_blob", "fg_px")
+
+    def __init__(self, thresh: int = 128):
         self.thresh = thresh
-        self.id_col = id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        nb = np.zeros(n, np.int64)
-        mb = np.zeros(n, np.int64)
-        fg = np.zeros(n, np.int64)
-        for j in range(n):
-            img = _decode_luma(data, offs, fmts, ws, hs, j)
-            nb[j], mb[j], fg[j] = label_runs(img >= self.thresh)
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "n_blobs": pa.array(nb, pa.int64()),
-            "max_blob": pa.array(mb, pa.int64()),
-            "fg_px": pa.array(fg, pa.int64()),
-        })
+    def frame(self, img):
+        return label_runs(img >= self.thresh)
 
 
-class RleStats:
+class RleStats(_FrameStats):
     """Per-image scanline run-length statistics (the compressibility /
     synthetic-texture signal): number of equal-value runs across all
     rows and the longest run.  One vectorized diff pass per frame;
     SQL mirror is a lag()-based gaps-and-islands over the pixel
     formula."""
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    COLS = ("n_runs", "max_run")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        nr = np.empty(n, np.int64)
-        mx = np.empty(n, np.int64)
-        for j in range(n):
-            img = _decode_luma(data, offs, fmts, ws, hs, j).astype(np.int16)
-            h, w = img.shape
-            # -1 sentinel column prevents runs spanning rows (pixel
-            # values are 0..255)
-            padded = np.full((h, w + 1), -1, np.int16)
-            padded[:, :w] = img
-            flat = padded.reshape(-1)
-            change = np.flatnonzero(np.diff(flat) != 0)
-            bounds = np.concatenate(([-1], change, [len(flat) - 1]))
-            lens = np.diff(bounds)
-            keep = flat[bounds[1:]] != -1  # drop sentinel runs
-            nr[j] = int(keep.sum())
-            mx[j] = int(lens[keep].max()) if keep.any() else 0
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "n_runs": pa.array(nr, pa.int64()),
-            "max_run": pa.array(mx, pa.int64()),
-        })
+    def frame(self, img):
+        h, w = img.shape
+        # -1 sentinel column prevents runs spanning rows (pixel
+        # values are 0..255)
+        padded = np.full((h, w + 1), -1, np.int16)
+        padded[:, :w] = img
+        flat = padded.reshape(-1)
+        change = np.flatnonzero(np.diff(flat) != 0)
+        bounds = np.concatenate(([-1], change, [len(flat) - 1]))
+        lens = np.diff(bounds)
+        keep = flat[bounds[1:]] != -1  # drop sentinel runs
+        return keep.sum(), lens[keep].max(initial=0)
 
 
-class MatchHistogram:
+class MatchHistogram(_FrameStats):
     """Radiometric normalization: remap each scene's values so its
     histogram matches a REFERENCE histogram (the pre-mosaic step that
     stops seam lines between scenes).  Exact integer matching rule:
@@ -1822,40 +1431,23 @@ class MatchHistogram:
     small side.  Per frame: one bincount + one searchsorted; emits
     (id, mt_sum, mt_min, mt_max) checksums of the remapped frame."""
 
-    def __init__(self, ref_hist, id_col: str = "image_id"):
+    COLS = ("mt_sum", "mt_min", "mt_max")
+
+    def __init__(self, ref_hist):
         ref = np.asarray(ref_hist, dtype=np.int64)
         if ref.shape != (256,):
             raise ValueError("ref_hist must be 256 bins")
         self.ref_cdf = np.cumsum(ref)
         self.n_ref = int(self.ref_cdf[-1])
-        self.id_col = id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        msum = np.empty(n, np.int64)
-        mmin = np.empty(n, np.int64)
-        mmax = np.empty(n, np.int64)
-        for j in range(n):
-            img = _decode_luma(data, offs, fmts, ws, hs, j)
-            hist = np.bincount(img.reshape(-1), minlength=256).astype(np.int64)
-            cdf = np.cumsum(hist)
-            n_src = int(cdf[-1])
-            lut = np.searchsorted(self.ref_cdf * n_src, cdf * self.n_ref,
-                                  side="left").astype(np.int64)
-            present = hist > 0
-            msum[j] = int((hist[present] * lut[present]).sum())
-            mmin[j] = int(lut[present].min())
-            mmax[j] = int(lut[present].max())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "mt_sum": pa.array(msum, pa.int64()),
-            "mt_min": pa.array(mmin, pa.int64()),
-            "mt_max": pa.array(mmax, pa.int64()),
-        })
+    def frame(self, img):
+        hist = np.bincount(img.reshape(-1), minlength=256).astype(np.int64)
+        cdf = np.cumsum(hist)
+        lut = np.searchsorted(self.ref_cdf * int(cdf[-1]), cdf * self.n_ref,
+                              side="left").astype(np.int64)
+        present = hist > 0
+        return ((hist[present] * lut[present]).sum(), lut[present].min(),
+                lut[present].max())
 
 
 def global_histogram(ds) -> np.ndarray:
@@ -1866,13 +1458,8 @@ def global_histogram(ds) -> np.ndarray:
     from equi7grid_ray.stages.aggregate import hash_aggregate
 
     def part(batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
         acc = np.zeros(256, np.int64)
-        for j in range(batch.num_rows):
-            img = _decode_luma(data, offs, fmts, ws, hs, j)
+        for _, img in frames(batch):
             acc += np.bincount(img.reshape(-1), minlength=256)
         nz = np.flatnonzero(acc)
         return pa.table({"v": pa.array(nz.astype(np.int64), pa.int64()),
@@ -1887,7 +1474,7 @@ def global_histogram(ds) -> np.ndarray:
     return hist
 
 
-class AudioGate:
+class AudioGate(_PcmStats):
     """PCM audio quality gate (first-failing-reason, the audio Gopher):
 
         clipped -- loud samples (|v| >= 30000) exceed 8% of the clip
@@ -1902,53 +1489,26 @@ class AudioGate:
 
     LOUD = 30_000
     QUIET = 256
+    COLS = ("n_loud", "max_quiet", "n_samples")
 
-    def __init__(self, min_quiet_run: int = 2, id_col: str = "image_id"):
+    def __init__(self, min_quiet_run: int = 2):
         self.q_run = min_quiet_run
-        self.id_col = id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        n_loud = np.zeros(n, np.int64)
-        max_q = np.zeros(n, np.int64)
-        reason = np.empty(n, object)
-        for j in range(n):
-            raw = np.frombuffer(data, np.uint8,
-                                count=int(offs[j + 1] - offs[j]),
-                                offset=int(offs[j]))
-            raw = decode_image(raw, fmts[j], int(ws[j]), int(hs[j]),
-                               copy=False).reshape(-1)
-            m = len(raw) // 2
-            pair = raw[: 2 * m].reshape(m, 2).astype(np.int64)
-            v = pair[:, 0] + 256 * pair[:, 1]
-            v -= (v >= 32768) * 65536
-            av = np.abs(v)
-            n_loud[j] = int((av >= self.LOUD).sum())
-            quiet = av <= self.QUIET
-            if quiet.any():
-                padded = np.concatenate([[False], quiet, [False]])
-                d = np.diff(padded.astype(np.int8))
-                max_q[j] = int((np.flatnonzero(d == -1)
-                                - np.flatnonzero(d == 1)).max())
-            if 100 * n_loud[j] > 8 * m:
-                reason[j] = "clipped"
-            elif max_q[j] >= self.q_run:
-                reason[j] = "silent"
-            else:
-                reason[j] = "ok"
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "n_loud": pa.array(n_loud, pa.int64()),
-            "max_quiet": pa.array(max_q, pa.int64()),
-            "reason": pa.array(reason.tolist(), pa.string()),
-        })
+    def frame(self, v):
+        av = np.abs(v)
+        return ((av >= self.LOUD).sum(),
+                _runs(av <= self.QUIET).max(initial=0), len(v))
+
+    def table(self, batch, out):
+        n_loud, max_q, m = out.T
+        reason = np.select([100 * n_loud > 8 * m, max_q >= self.q_run],
+                           ["clipped", "silent"], default="ok")
+        return _image_table(batch, {
+            "n_loud": n_loud, "max_quiet": max_q,
+            "reason": pa.array(reason.tolist(), pa.string())})
 
 
-class DistanceTransform:
+class DistanceTransform(_FrameStats):
     """Capped Chebyshev DISTANCE TRANSFORM histogram per frame -- the
     proximity-analysis primitive (buffer zones, edge distance,
     morphology by threshold) in exact integers.  Foreground = pixels
@@ -1963,9 +1523,10 @@ class DistanceTransform:
     Computed by two rounds of 3x3 binary dilation (shifted-view max,
     frame-clipped -- nothing wraps); no per-pixel Python."""
 
-    def __init__(self, fg_t: int = 200, id_col: str = "image_id"):
+    COLS = ("n_d0", "n_d1", "n_d2", "n_far")
+
+    def __init__(self, fg_t: int = 200):
         self.fg_t = fg_t
-        self.id_col = id_col
 
     @staticmethod
     def _dilate(m: np.ndarray) -> np.ndarray:
@@ -1977,30 +1538,14 @@ class DistanceTransform:
                 out |= p[dr:dr + m.shape[0], dc:dc + m.shape[1]]
         return out
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        cols = {k: np.zeros(n, np.int64)
-                for k in ("n_d0", "n_d1", "n_d2", "n_far")}
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j)
-            fg = v >= self.fg_t
-            r1 = self._dilate(fg)
-            r2 = self._dilate(r1)
-            cols["n_d0"][j] = int(fg.sum())
-            cols["n_d1"][j] = int((r1 & ~fg).sum())
-            cols["n_d2"][j] = int((r2 & ~r1).sum())
-            cols["n_far"][j] = int((~r2).sum())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            **{k: pa.array(a, pa.int64()) for k, a in cols.items()},
-        })
+    def frame(self, v):
+        fg = v >= self.fg_t
+        r1 = self._dilate(fg)
+        r2 = self._dilate(r1)
+        return fg.sum(), (r1 & ~fg).sum(), (r2 & ~r1).sum(), (~r2).sum()
 
 
-class HoughLines4:
+class HoughLines4(_FrameStats):
     """Dominant-line detection by EXACT integer Hough voting at the
     four axis/diagonal orientations (the deskew / horizon / road-grid
     primitive; general-angle Hough needs trig, these four are the
@@ -2020,52 +1565,30 @@ class HoughLines4:
     Four bincounts per frame over the edge-pixel index arrays -- no
     per-pixel Python."""
 
-    def __init__(self, edge_t: int = 256, id_col: str = "image_id"):
+    COLS = ("n_edges", "best_orient", "best_rho", "best_votes")
+
+    def __init__(self, edge_t: int = 256):
         self.edge_t = edge_t
-        self.id_col = id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        n_edges = np.zeros(n, np.int64)
-        b_or = np.full(n, -1, np.int64)
-        b_rho = np.zeros(n, np.int64)
-        b_votes = np.zeros(n, np.int64)
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j).astype(np.int64)
-            if v.shape[0] < 3 or v.shape[1] < 3:
-                continue
-            gx = (v[:-2, 2:] + 2 * v[1:-1, 2:] + v[2:, 2:]) \
-                - (v[:-2, :-2] + 2 * v[1:-1, :-2] + v[2:, :-2])
-            gy = (v[2:, :-2] + 2 * v[2:, 1:-1] + v[2:, 2:]) \
-                - (v[:-2, :-2] + 2 * v[:-2, 1:-1] + v[:-2, 2:])
-            rr, cc = np.nonzero(np.abs(gx) + np.abs(gy) >= self.edge_t)
-            if len(rr) == 0:
-                continue
-            rr = rr + 1  # interior offset: gradient grids start at 1
-            cc = cc + 1
-            n_edges[j] = len(rr)
-            for o, rho in enumerate((cc, rr + cc, rr, rr - cc)):
-                lo = int(rho.min())
-                counts = np.bincount(rho - lo)
-                m = int(counts.max())
-                if m > b_votes[j]:
-                    b_votes[j] = m
-                    b_or[j] = o
-                    b_rho[j] = int(np.argmax(counts)) + lo
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "n_edges": pa.array(n_edges, pa.int64()),
-            "best_orient": pa.array(b_or, pa.int64()),
-            "best_rho": pa.array(b_rho, pa.int64()),
-            "best_votes": pa.array(b_votes, pa.int64()),
-        })
+    def frame(self, v):
+        if v.shape[0] < 3 or v.shape[1] < 3:
+            return 0, -1, 0, 0
+        gx, gy = _sobel(v.astype(np.int64))
+        rr, cc = np.nonzero(np.abs(gx) + np.abs(gy) >= self.edge_t)
+        if len(rr) == 0:
+            return 0, -1, 0, 0
+        rr = rr + 1  # interior offset: gradient grids start at 1
+        cc = cc + 1
+        best = (-1, 0, 0)
+        for o, rho in enumerate((cc, rr + cc, rr, rr - cc)):
+            lo = int(rho.min())
+            counts = np.bincount(rho - lo)
+            if counts.max() > best[2]:
+                best = (o, int(np.argmax(counts)) + lo, int(counts.max()))
+        return (len(rr), *best)
 
 
-class AudioVAD:
+class AudioVAD(_PcmStats):
     """Energy-based voice-activity segmentation over PCM payloads --
     the framing/segmentation step of every speech-data pipeline
     (VAD-gated ASR corpora), in EXACT integers.
@@ -2082,56 +1605,21 @@ class AudioVAD:
 
     One reshape + row-sum per clip; no per-sample Python."""
 
-    def __init__(self, frame: int = 64, msq_thresh: int = 400_000_000,
-                 id_col: str = "image_id"):
-        self.frame = frame
+    COLS = ("n_frames", "n_active", "n_segments", "longest")
+
+    def __init__(self, frame: int = 64, msq_thresh: int = 400_000_000):
+        self.frame_len = frame
         self.msq = msq_thresh
-        self.id_col = id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        F = self.frame
-        n_frames = np.zeros(n, np.int64)
-        n_active = np.zeros(n, np.int64)
-        n_seg = np.zeros(n, np.int64)
-        longest = np.zeros(n, np.int64)
-        for j in range(n):
-            raw = np.frombuffer(data, np.uint8,
-                                count=int(offs[j + 1] - offs[j]),
-                                offset=int(offs[j]))
-            raw = decode_image(raw, fmts[j], int(ws[j]), int(hs[j]),
-                               copy=False).reshape(-1)
-            m = len(raw) // 2
-            pair = raw[: 2 * m].reshape(m, 2).astype(np.int64)
-            v = pair[:, 0] + 256 * pair[:, 1]
-            v -= (v >= 32768) * 65536
-            nf = m // F
-            n_frames[j] = nf
-            if nf == 0:
-                continue
-            e = (v[: nf * F] ** 2).reshape(nf, F).sum(axis=1)
-            act = e > F * self.msq
-            n_active[j] = int(act.sum())
-            if act.any():
-                padded = np.concatenate([[False], act, [False]])
-                d = np.diff(padded.astype(np.int8))
-                lens = np.flatnonzero(d == -1) - np.flatnonzero(d == 1)
-                n_seg[j] = len(lens)
-                longest[j] = int(lens.max())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "n_frames": pa.array(n_frames, pa.int64()),
-            "n_active": pa.array(n_active, pa.int64()),
-            "n_segments": pa.array(n_seg, pa.int64()),
-            "longest": pa.array(longest, pa.int64()),
-        })
+    def frame(self, v):
+        F = self.frame_len
+        nf = len(v) // F
+        act = (v[: nf * F] ** 2).reshape(nf, F).sum(axis=1) > F * self.msq
+        lens = _runs(act)
+        return nf, act.sum(), len(lens), lens.max(initial=0)
 
 
-class LBPStats:
+class LBPStats(_FrameStats):
     """Per-image local-binary-pattern texture summary (Ojala et al.
     2002 -- the rotation-variant 8-neighbour base code) in EXACT
     integers.  Each interior pixel gets
@@ -2151,42 +1639,22 @@ class LBPStats:
 
     OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, 1),
                (1, 1), (1, 0), (1, -1), (0, -1))
+    COLS = ("lbp_sum", "lbp_energy", "n_interior")
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        lsum = np.zeros(n, np.int64)
-        lenergy = np.zeros(n, np.int64)
-        ninter = np.zeros(n, np.int64)
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j)
-            hh, ww = v.shape
-            if hh < 3 or ww < 3:
-                continue
-            center = v[1:-1, 1:-1]
-            code = np.zeros(center.shape, np.int64)
-            for k, (dr, dc) in enumerate(self.OFFSETS):
-                nb = v[1 + dr : hh - 1 + dr, 1 + dc : ww - 1 + dc]
-                code += (nb >= center).astype(np.int64) << k
-            bc = np.bincount(code.ravel(), minlength=256).astype(np.int64)
-            lsum[j] = int(code.sum())
-            lenergy[j] = int((bc * bc).sum())
-            ninter[j] = center.size
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "lbp_sum": pa.array(lsum, pa.int64()),
-            "lbp_energy": pa.array(lenergy, pa.int64()),
-            "n_interior": pa.array(ninter, pa.int64()),
-        })
+    def frame(self, v):
+        hh, ww = v.shape
+        if hh < 3 or ww < 3:
+            return 0, 0, 0
+        center = v[1:-1, 1:-1]
+        code = np.zeros(center.shape, np.int64)
+        for k, (dr, dc) in enumerate(self.OFFSETS):
+            nb = v[1 + dr : hh - 1 + dr, 1 + dc : ww - 1 + dc]
+            code += (nb >= center).astype(np.int64) << k
+        bc = np.bincount(code.ravel(), minlength=256).astype(np.int64)
+        return code.sum(), (bc * bc).sum(), center.size
 
 
-class Median3Stats:
+class Median3Stats(_FrameStats):
     """Per-image 3x3 median filter (the classic salt-and-pepper
     denoise) in EXACT integers: every interior pixel is replaced by
     the 5th-smallest of its 9-neighbourhood; the frame emits
@@ -2200,42 +1668,23 @@ class Median3Stats:
     interior pixel and takes quantile_disc(0.5) -- the 5th-smallest of
     9, exactly the partition index the engine uses."""
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    COLS = ("n_changed", "med_sum", "n_interior")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        nchg = np.zeros(n, np.int64)
-        msum = np.zeros(n, np.int64)
-        ninter = np.zeros(n, np.int64)
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j)
-            hh, ww = v.shape
-            if hh < 3 or ww < 3:
-                continue
-            stack = np.stack([
-                v[1 + dr : hh - 1 + dr, 1 + dc : ww - 1 + dc]
-                for dr in (-1, 0, 1) for dc in (-1, 0, 1)
-            ])
-            med = np.partition(stack, 4, axis=0)[4]
-            center = v[1:-1, 1:-1]
-            nchg[j] = int((med != center).sum())
-            msum[j] = int(med.sum(dtype=np.int64))
-            ninter[j] = center.size
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "n_changed": pa.array(nchg, pa.int64()),
-            "med_sum": pa.array(msum, pa.int64()),
-            "n_interior": pa.array(ninter, pa.int64()),
-        })
+    def frame(self, v):
+        hh, ww = v.shape
+        if hh < 3 or ww < 3:
+            return 0, 0, 0
+        stack = np.stack([
+            v[1 + dr : hh - 1 + dr, 1 + dc : ww - 1 + dc]
+            for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+        ])
+        med = np.partition(stack, 4, axis=0)[4]
+        center = v[1:-1, 1:-1]
+        return (med != center).sum(), med.sum(dtype=np.int64), center.size
 
 
 def shift_detect(ds, *, stride: int = 9, max_lag: int = 4,
-                 id_col: str = "image_id", n_partitions: int = 16):
+                 n_partitions: int = 16):
     """Scene co-registration check: estimate the vertical mis-
     registration between revisit pairs (frame i vs frame i + ``stride``
     -- same dimensions by the fixture's size cycle) from horizontal
@@ -2256,14 +1705,9 @@ def shift_detect(ds, *, stride: int = 9, max_lag: int = 4,
     lags = list(range(-max_lag, max_lag + 1))
 
     def profiles(batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        ids = [int(s[3:]) for s in batch.column(id_col).to_pylist()]
+        ids = [int(s[3:]) for s in batch.column("image_id").to_pylist()]
         pid, rr, vv, side = [], [], [], []
-        for j in range(batch.num_rows):
-            v = _decode_luma(data, offs, fmts, ws, hs, j)
+        for j, v in frames(batch):
             prof = v.sum(axis=1, dtype=np.int64)
             i = ids[j]
             r = np.arange(len(prof), dtype=np.int64)
@@ -2346,7 +1790,7 @@ def shift_detect(ds, *, stride: int = 9, max_lag: int = 4,
         pid = batch.column("pid").to_numpy(zero_copy_only=False)
         ids = pa.array([f"img{int(i):012d}" for i in pid], pa.string())
         return pa.table({
-            id_col: ids,
+            "image_id": ids,
             "best_lag": batch.column("best_lag"),
             "sad": batch.column("sad"),
             "n_overlap": batch.column("n_overlap"),
@@ -2355,7 +1799,8 @@ def shift_detect(ds, *, stride: int = 9, max_lag: int = 4,
     return out.map_batches(finish, batch_format="pyarrow")
 
 
-class AudioDownsample:
+
+class AudioDownsample(_PcmStats):
     """Anti-aliased integer decimation of s16le PCM payloads: each
     block of ``factor`` consecutive samples collapses to its
     TRUNCATED-toward-zero mean (DuckDB's ``//`` semantics, pinned by
@@ -2365,55 +1810,22 @@ class AudioDownsample:
     A trailing partial block is dropped (both engines).  Per-row numpy
     kernels; no per-sample Python."""
 
-    def __init__(self, factor: int = 4, id_col: str = "image_id"):
+    COLS = ("n_out", "sum_sq_ds", "peak_ds")
+
+    def __init__(self, factor: int = 4):
         self.factor = factor
-        self.id_col = id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist() \
-            if "fmt" in batch.column_names else ["raw"] * batch.num_rows
-        ws = batch.column("w").to_numpy() if "w" in batch.column_names \
-            else None
-        hs = batch.column("h").to_numpy() if "h" in batch.column_names \
-            else None
+    def frame(self, v):
         D = self.factor
-        n = batch.num_rows
-        n_out = np.zeros(n, np.int64)
-        ssq = np.zeros(n, np.int64)
-        peak = np.zeros(n, np.int64)
-        for j, f in enumerate(fmts):
-            raw = np.frombuffer(data, np.uint8,
-                                count=int(offs[j + 1] - offs[j]),
-                                offset=int(offs[j]))
-            if f in ("raw", "png", "jpeg", "jpg") and ws is not None:
-                raw = decode_image(raw, f, int(ws[j]), int(hs[j]),
-                                   copy=False).reshape(-1)
-            elif f not in ("raw", "pcm"):
-                raise NotImplementedError(
-                    f"audio format {f!r}: codec libraries unavailable"
-                )
-            m = len(raw) // 2
-            k = m // D
-            if k == 0:
-                continue
-            pair = raw[: 2 * m].reshape(m, 2).astype(np.int64)
-            v = pair[:, 0] + 256 * pair[:, 1]
-            v -= (v >= 32768) * 65536
-            s = v[: k * D].reshape(k, D).sum(axis=1)
-            y = np.sign(s) * (np.abs(s) // D)  # trunc-toward-zero mean
-            n_out[j] = k
-            ssq[j] = int(np.dot(y, y))
-            peak[j] = int(np.abs(y).max())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "n_out": pa.array(n_out, pa.int64()),
-            "sum_sq_ds": pa.array(ssq, pa.int64()),
-            "peak_ds": pa.array(peak, pa.int64()),
-        })
+        k = len(v) // D
+        if k == 0:
+            return 0, 0, 0
+        s = v[: k * D].reshape(k, D).sum(axis=1)
+        y = np.sign(s) * (np.abs(s) // D)  # trunc-toward-zero mean
+        return k, np.dot(y, y), np.abs(y).max()
 
 
-class SeamStats:
+class SeamStats(_FrameStats):
     """Per-image minimum vertical-seam cost (the seam-carving /
     content-aware-retargeting DP; also the min-cost corridor primitive
     of least-cost-path raster analysis over the reference's tiled
@@ -2428,37 +1840,18 @@ class SeamStats:
     vectors, no per-pixel Python); the SQL mirror chains one CTE per
     row with three scalar self-joins (least of the clamped trio)."""
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    COLS = ("seam_cost", "seam_col", "n_ties")
+    BIG = np.int64(1) << 40
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        cost = np.empty(n, np.int64)
-        col = np.empty(n, np.int64)
-        ties = np.empty(n, np.int64)
-        big = np.int64(1) << 40
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j).astype(np.int64)
-            m = v[0].copy()
-            for r in range(1, v.shape[0]):
-                left = np.concatenate(([big], m[:-1]))
-                right = np.concatenate((m[1:], [big]))
-                m = v[r] + np.minimum(np.minimum(left, m), right)
-            best = int(m.min())
-            hits = np.flatnonzero(m == best)
-            cost[j] = best
-            col[j] = int(hits[0])
-            ties[j] = len(hits)
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "seam_cost": pa.array(cost, pa.int64()),
-            "seam_col": pa.array(col, pa.int64()),
-            "n_ties": pa.array(ties, pa.int64()),
-        })
+    def frame(self, v):
+        v = v.astype(np.int64)
+        m = v[0].copy()
+        for r in range(1, v.shape[0]):
+            left = np.concatenate(([self.BIG], m[:-1]))
+            right = np.concatenate((m[1:], [self.BIG]))
+            m = v[r] + np.minimum(np.minimum(left, m), right)
+        hits = np.flatnonzero(m == m.min())
+        return m.min(), hits[0], len(hits)
 
 
 _BAYER4 = np.array([[0, 8, 2, 10],
@@ -2467,7 +1860,7 @@ _BAYER4 = np.array([[0, 8, 2, 10],
                     [15, 7, 13, 5]], dtype=np.int64)
 
 
-class DitherStats:
+class DitherStats(_FrameStats):
     """Per-image ordered (Bayer 4x4) dithering -- the classic 1-bit
     halftone used for mask thumbnails and cheap binary previews of
     tiled rasters: pixel (r, c) is ON iff
@@ -2479,33 +1872,15 @@ class DitherStats:
     exact ON set, not just its size.  One tiled compare per frame; SQL
     mirrors the threshold matrix as a 16-way CASE."""
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    COLS = ("n_on", "pos_sum")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        n_on = np.empty(n, np.int64)
-        pos = np.empty(n, np.int64)
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j).astype(np.int64)
-            h, w = v.shape
-            thr = np.tile(_BAYER4 * 16 + 8, (h // 4, w // 4))
-            on = v > thr
-            idx = np.flatnonzero(on)
-            n_on[j] = len(idx)
-            pos[j] = int(idx.sum())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "n_on": pa.array(n_on, pa.int64()),
-            "pos_sum": pa.array(pos, pa.int64()),
-        })
+    def frame(self, v):
+        h, w = v.shape
+        idx = np.flatnonzero(v > np.tile(_BAYER4 * 16 + 8, (h // 4, w // 4)))
+        return len(idx), idx.sum()
 
 
-class SpatialAutocorr:
+class SpatialAutocorr(_FrameStats):
     """Per-image spatial autocorrelation pieces at lag 1 (vertical and
     horizontal) in EXACT integers: (n_px, s, ss, lag_v, lag_h) with
     lag_v = sum v(r,c)*v(r+1,c) over r < h-1 and lag_h the column
@@ -2514,38 +1889,15 @@ class SpatialAutocorr:
     of lag_v to lag_h exposes banding).  One shifted-view dot product
     per direction per frame; no per-pixel Python."""
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    COLS = ("n_px", "s", "ss", "lag_v", "lag_h")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        npx = np.zeros(n, np.int64)
-        s = np.zeros(n, np.int64)
-        ss = np.zeros(n, np.int64)
-        lv = np.zeros(n, np.int64)
-        lh = np.zeros(n, np.int64)
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j).astype(np.int64)
-            npx[j] = v.size
-            s[j] = int(v.sum())
-            ss[j] = int((v * v).sum())
-            lv[j] = int((v[:-1] * v[1:]).sum())
-            lh[j] = int((v[:, :-1] * v[:, 1:]).sum())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "n_px": pa.array(npx, pa.int64()),
-            "s": pa.array(s, pa.int64()),
-            "ss": pa.array(ss, pa.int64()),
-            "lag_v": pa.array(lv, pa.int64()),
-            "lag_h": pa.array(lh, pa.int64()),
-        })
+    def frame(self, v):
+        v = v.astype(np.int64)
+        return (v.size, v.sum(), (v * v).sum(), (v[:-1] * v[1:]).sum(),
+                (v[:, :-1] * v[:, 1:]).sum())
 
 
-class BoxSumStats:
+class BoxSumStats(_FrameStats):
     """Per-image 5x5 SLIDING box-sum statistics via an integral image
     (summed-area table) -- the overlapping-window cousin of the
     non-overlapping pyramid/block-mean ops, and the O(1)-per-window
@@ -2563,40 +1915,22 @@ class BoxSumStats:
 
     K = 5
     BRIGHT_T = 25 * 128
+    COLS = ("n_win", "box_max", "box_min", "bright_win", "box_total")
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
+    def frame(self, v):
         k = self.K
-        out = {c: np.zeros(n, np.int64) for c in
-               ("n_win", "box_max", "box_min", "bright_win", "box_total")}
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j).astype(np.int64)
-            h, w = v.shape
-            if h < k or w < k:
-                continue
-            s = np.zeros((h + 1, w + 1), np.int64)
-            np.cumsum(v, axis=0, out=s[1:, 1:])
-            np.cumsum(s[1:, 1:], axis=1, out=s[1:, 1:])
-            box = (s[k:, k:] - s[:-k, k:] - s[k:, :-k] + s[:-k, :-k])
-            out["n_win"][j] = box.size
-            out["box_max"][j] = box.max()
-            out["box_min"][j] = box.min()
-            out["bright_win"][j] = int((box >= self.BRIGHT_T).sum())
-            out["box_total"][j] = int(box.sum())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            **{c: pa.array(a, pa.int64()) for c, a in out.items()},
-        })
+        h, w = v.shape
+        if h < k or w < k:
+            return 0, 0, 0, 0, 0
+        s = np.zeros((h + 1, w + 1), np.int64)
+        np.cumsum(v.astype(np.int64), axis=0, out=s[1:, 1:])
+        np.cumsum(s[1:, 1:], axis=1, out=s[1:, 1:])
+        box = (s[k:, k:] - s[:-k, k:] - s[k:, :-k] + s[:-k, :-k])
+        return (box.size, box.max(), box.min(), (box >= self.BRIGHT_T).sum(),
+                box.sum())
 
 
-class AudioPeakWindow:
+class AudioPeakWindow(_PcmStats):
     """Loudest-window locator over raw PCM payloads: per clip the
     maximum 256-sample sliding-window ENERGY (sum of sample^2) and the
     EARLIEST start index attaining it -- the alignment/cue-point
@@ -2606,54 +1940,21 @@ class AudioPeakWindow:
     a 256-row window sum."""
 
     W = 256
+    COLS = ("n_windows", "peak_energy", "peak_start")
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
+    def frame(self, v):
         w = self.W
-        n_win = np.zeros(n, np.int64)
-        peak_e = np.zeros(n, np.int64)
-        peak_s = np.zeros(n, np.int64)
-        for j, f in enumerate(fmts):
-            raw = np.frombuffer(data, np.uint8,
-                                count=int(offs[j + 1] - offs[j]),
-                                offset=int(offs[j]))
-            if f in ("raw", "png", "jpeg", "jpg"):
-                raw = decode_image(raw, f, int(ws[j]), int(hs[j]),
-                                   copy=False).reshape(-1)
-            else:
-                raise NotImplementedError(
-                    f"audio format {f!r}: codec libraries unavailable "
-                    "in sandbox")
-            m = len(raw) // 2
-            if m < w:
-                continue
-            u = raw[: 2 * m].reshape(-1, 2).astype(np.int64)
-            v = u[:, 0] + 256 * u[:, 1]
-            v = np.where(v >= 32768, v - 65536, v)
-            sq = v * v
-            cs = np.zeros(m + 1, np.int64)
-            np.cumsum(sq, out=cs[1:])
-            win = cs[w:] - cs[:-w]
-            n_win[j] = len(win)
-            k = int(np.argmax(win))
-            peak_e[j] = win[k]
-            peak_s[j] = k
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "n_windows": pa.array(n_win, pa.int64()),
-            "peak_energy": pa.array(peak_e, pa.int64()),
-            "peak_start": pa.array(peak_s, pa.int64()),
-        })
+        m = len(v)
+        if m < w:
+            return 0, 0, 0
+        cs = np.zeros(m + 1, np.int64)
+        np.cumsum(v * v, out=cs[1:])
+        win = cs[w:] - cs[:-w]
+        k = int(np.argmax(win))
+        return len(win), win[k], k
 
 
-class VideoStaticRuns:
+class VideoStaticRuns(_FrameStats):
     """Static-segment census over raw planar video (the complement of
     VideoCuts): consecutive-frame pairs classified by the same
     4 * SAD >= 255 * w cut rule, then gaps-and-islands over the NON-cut
@@ -2662,71 +1963,27 @@ class VideoStaticRuns:
     statistics that drive frame-sampling rates for video training
     data.  One vectorized diff + flatnonzero pass per payload."""
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    COLS = ("n_static_pairs", "n_runs", "max_run")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        n_static = np.zeros(n, np.int64)
-        n_runs = np.zeros(n, np.int64)
-        max_run = np.zeros(n, np.int64)
-        for j in range(n):
-            arr = _decode_luma(data, offs, fmts, ws, hs, j).astype(np.int64)
-            if arr.shape[0] < 2:
-                continue
-            d = np.abs(arr[1:] - arr[:-1]).sum(axis=1)
-            ok = 4 * d < 255 * int(ws[j])
-            n_static[j] = int(ok.sum())
-            if not ok.any():
-                continue
-            # run-length over the boolean pair sequence
-            x = np.flatnonzero(ok)
-            brk = np.flatnonzero(np.diff(x) > 1)
-            starts = np.concatenate([[0], brk + 1])
-            ends = np.concatenate([brk, [len(x) - 1]])
-            n_runs[j] = len(starts)
-            max_run[j] = int((x[ends] - x[starts] + 1).max())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "n_static_pairs": pa.array(n_static, pa.int64()),
-            "n_runs": pa.array(n_runs, pa.int64()),
-            "max_run": pa.array(max_run, pa.int64()),
-        })
+    def frame(self, arr):
+        if arr.shape[0] < 2:
+            return 0, 0, 0
+        arr = arr.astype(np.int64)
+        ok = 4 * np.abs(arr[1:] - arr[:-1]).sum(axis=1) < 255 * arr.shape[1]
+        lens = _runs(ok)
+        return ok.sum(), len(lens), lens.max(initial=0)
 
 
-class ColProfileStats:
+class ColProfileStats(_FrameStats):
     """Per-image vertical projection profile (document-layout / barcode
     primitive): per column the pixel sum; emitted per image as the
     peak column's sum, the EARLIEST peak column index, and the count
     of columns whose sum exceeds 128 * h (bright columns).  One
     axis-0 sum per frame; SQL groups the pixel formula by column."""
 
-    def __init__(self, id_col: str = "image_id"):
-        self.id_col = id_col
+    COLS = ("peak_sum", "peak_col", "bright_cols")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
-        n = batch.num_rows
-        peak = np.zeros(n, np.int64)
-        peak_col = np.zeros(n, np.int64)
-        bright = np.zeros(n, np.int64)
-        for j in range(n):
-            v = _decode_luma(data, offs, fmts, ws, hs, j).astype(np.int64)
-            cs = v.sum(axis=0)
-            k = int(np.argmax(cs))
-            peak[j] = cs[k]
-            peak_col[j] = k
-            bright[j] = int((cs > 128 * v.shape[0]).sum())
-        return pa.table({
-            self.id_col: batch.column(self.id_col),
-            "peak_sum": pa.array(peak, pa.int64()),
-            "peak_col": pa.array(peak_col, pa.int64()),
-            "bright_cols": pa.array(bright, pa.int64()),
-        })
+    def frame(self, v):
+        cs = v.sum(axis=0, dtype=np.int64)
+        k = int(np.argmax(cs))
+        return cs[k], k, (cs > 128 * v.shape[0]).sum()

@@ -29,7 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from equi7grid_ray.stages.aggregate import hash_aggregate
-from equi7grid_ray.stages.multimodal import _decode_luma
+from equi7grid_ray.stages.multimodal import frames
 
 __all__ = ["SceneCellMeans", "tile_temporal_median", "tile_change_detect",
            "tile_trend", "tile_anomaly", "tile_best_scene_cell",
@@ -46,12 +46,6 @@ class SceneCellMeans:
         self.g = grid
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import binary_view
-
-        data, offs = binary_view(batch.column("bytes"))
-        fmts = batch.column("fmt").to_pylist()
-        ws = batch.column("w").to_numpy()
-        hs = batch.column("h").to_numpy()
         tiles = batch.column("tile").to_pylist()
         idx = pc.cast(
             pc.utf8_slice_codeunits(batch.column("image_id"), 3, 32),
@@ -65,11 +59,10 @@ class SceneCellMeans:
         epoch = np.empty(n * cells, np.int64)
         means = np.empty(n * cells, np.int64)
         k = 0
-        for j in range(n):
-            sr, sc = int(hs[j]) // G, int(ws[j]) // G
+        for j, img in frames(batch):
+            sr, sc = img.shape[0] // G, img.shape[1] // G
             if sr == 0 or sc == 0:
                 continue
-            img = _decode_luma(data, offs, fmts, ws, hs, j)
             m = img[: sr * G, : sc * G].reshape(G, sr, G, sc) \
                 .sum(axis=(1, 3), dtype=np.int64) // (sr * sc)
             tile_col.extend([tiles[j]] * cells)

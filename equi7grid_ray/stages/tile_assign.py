@@ -50,8 +50,6 @@ def derive_lonlat(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         )
     # image_id is "img%012d": strip the prefix and cast in Arrow (no
     # Python-level loop over 100k+ strings)
-    import pyarrow.compute as pc
-
     idx = pc.cast(
         pc.utf8_slice_codeunits(batch.column("image_id"), 3, 32), pa.int64()
     ).to_numpy(zero_copy_only=False)
@@ -247,7 +245,7 @@ class TileAssigner:
                 any_miss = True
                 miss_names.append(
                     (sum(len(a) for a in out_idx), miss,
-                     _partial_full(cont, llx[miss], lly[miss], self.tiling), cont)
+                     full_names(cont, llx[miss], lly[miss], self.tiling), cont)
                 )
             out_idx.append(rows)
             out_rank.append(np.full(len(rows), rank, dtype=np.int8))
@@ -320,12 +318,6 @@ class TileAssigner:
         return pa.table(cols)
 
 
-def _partial_full(cont: str, llx: np.ndarray, lly: np.ndarray, tiling: str) -> np.ndarray:
-    from equi7grid_ray.grid import full_names
-
-    return full_names(cont, llx, lly, tiling)
-
-
 _PROC_CACHE: dict[str, TileAssigner] = {}
 
 
@@ -337,19 +329,16 @@ def make_assign_fn(broadcast: bool = True, **kwargs):
     ``ray.put`` into the object store; each worker process deserializes
     it zero-copy on first use and caches it (`small-side lookup broadcast
     once, read in every task` -- never rebuilt per worker, never
-    re-shipped per batch).  Falls back to per-process construction when
-    Ray isn't initialised (plain local use)."""
+    re-shipped per batch).  Builds per process instead when Ray isn't
+    initialised (plain local use) or with ``broadcast=False``.  A bad
+    argument raises here, on the caller, not later in every task."""
+    import ray
+
     key = repr(sorted(kwargs.items(), key=lambda kv: kv[0]))
     ref = None
-    if broadcast:
-        try:
-            import ray
-
-            if ray.is_initialized():
-                ref = ray.put(TileAssigner(**kwargs))
-                key = key + str(ref)
-        except Exception:
-            ref = None
+    if broadcast and ray.is_initialized():
+        ref = ray.put(TileAssigner(**kwargs))
+        key = key + str(ref)
 
     def assign(batch: pa.Table) -> pa.Table:
         ta = _PROC_CACHE.get(key)

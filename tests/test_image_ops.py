@@ -1147,6 +1147,23 @@ def test_audio_downsample_trunc_rule_and_values():
     assert out["peak_ds"][0].as_py() == 250
 
 
+def test_pcm_stages_read_unsized_payloads_as_pcm():
+    from equi7grid_ray.stages.multimodal import PCMAudioFeatures
+
+    body = np.array([1, -2, 300, -7], "<i2").tobytes()
+    want = {"n_samples": 4, "sum_sq": 1 + 4 + 90000 + 49, "zcr": 3,
+            "peak": 300}
+    ids = pa.array(["x"], pa.string())
+    no_fmt = pa.table({"image_id": ids, "bytes": pa.array([body])})
+    no_size = no_fmt.append_column("fmt", pa.array(["raw"]))
+    for batch in (no_fmt, no_size):
+        out = PCMAudioFeatures()(batch).to_pylist()[0]
+        assert {k: out[k] for k in want} == want
+    png = no_fmt.append_column("fmt", pa.array(["png"]))
+    with pytest.raises(NotImplementedError):
+        PCMAudioFeatures()(png)
+
+
 def test_spatial_autocorr_matches_naive():
     from equi7grid_ray.stages.multimodal import SpatialAutocorr
 

@@ -2,11 +2,17 @@
 ``queries()`` entry at a given sf dir, run the matching ``oracle_sql()``
 in DuckDB, and compare row count + schema + order-insensitive values.
 
+Each status line ends with ``ray=<digest> sql=<digest>``: the first 16
+hex digits of a sha256 over the canonicalized frame's column names,
+dtypes and values, so two sweeps (e.g. before and after a refactor) can
+be diffed line by line.
+
 Usage: python tools/verify_queries.py [sf_dir] [query ...]
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -34,6 +40,12 @@ def to_pandas(res) -> pd.DataFrame:
 def canon(df: pd.DataFrame) -> pd.DataFrame:
     df = df[sorted(df.columns)].copy()
     return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def digest(df: pd.DataFrame) -> str:
+    h = hashlib.sha256(repr([(c, str(t)) for c, t in df.dtypes.items()]).encode())
+    h.update(df.to_csv(index=False).encode())
+    return h.hexdigest()[:16]
 
 
 def main() -> int:
@@ -66,7 +78,8 @@ def main() -> int:
             failed.append(name)
             continue
         if name not in oracles:
-            print(f"{name:24s} rows-only: {len(mine)} rows, cols {list(mine.columns)}")
+            print(f"{name:24s} rows-only: {len(mine)} rows, cols {list(mine.columns)}"
+                  f" ray={digest(mine)}")
             continue
         ref = canon(con.sql(oracles[name]).df())
         ok_rows = len(mine) == len(ref)
@@ -86,7 +99,8 @@ def main() -> int:
         status = "OK" if (ok_rows and ok_cols and ok_vals) else "FAIL"
         if status == "FAIL":
             failed.append(name)
-        print(f"{name:24s} {status} rows {len(mine)}/{len(ref)} cols {list(mine.columns)} vs {list(ref.columns)}")
+        print(f"{name:24s} {status} rows {len(mine)}/{len(ref)} cols {list(mine.columns)} vs {list(ref.columns)}"
+              f" ray={digest(mine)} sql={digest(ref)}")
     ray.shutdown()
     return 1 if failed else 0
 
