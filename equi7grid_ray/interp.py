@@ -7,18 +7,33 @@ those temporaries.  This module trades that for a precomputed per-zone
 lookup grid + separable 4-point Lagrange (bicubic) interpolation:
 
 * build once per (continent, bbox): exact ``aeqd.forward`` evaluated on a
-  regular ``step``-degree lon/lat grid (a few MB per zone, built on the
-  driver and broadcast with the stage state);
-* evaluate per batch: 16 gathers + ~40 flops per point, no temporaries
-  beyond the 4-tap weight vectors.
+  regular ``step``-degree lon/lat grid, stored as ONE flat row-major
+  ``complex128`` array ``g = x + 1j*y`` (1.4-8.9 MB per zone, 31 MB for
+  the six non-polar zones; built on the driver and broadcast with the
+  stage state);
+* evaluate per batch: one flat base index, then 16 ``g.take`` taps (4
+  rows x 4 columns) that each fetch x and y together, ~40 flops per
+  point.  A real weight times a complex tap scales both components
+  exactly, so x and y are bit-identical to interpolating separate x and
+  y grids.  Every row is interpolated; rows in the exact bands (see
+  ``CubicGridProjector.EXACT_LAT``) are then overwritten with
+  ``aeqd.forward``.
+
+Measured on one core of a shared x86-64 VM (``perfbench/run.py
+--workload assign_points --trace 1``, median of four runs): 0.38 us/row
+for the projection layer, exact bands included, against 0.66 us/row for
+a separate-x/y kernel that gathered the non-band rows out and scattered
+them back.
+The ``gather_complex_16tap`` probe in ``tools/ceiling_probes.py`` is
+the engine-free ceiling for the 16-tap gather pattern.
 
 Accuracy: 4-point Lagrange interpolation of a C^inf function has error
 O(step^4 * |f''''|).  Measured against the exact solver on dense random
 points the max error at step=0.25 deg is < 2e-3 m (see
 tests/test_interp.py) -- more than two orders inside the reference's own
-pinned accuracy contract of rtol=1e-7 (~0.6 m at zone scale,
-/root/reference/tests/test_equi7grid.py:50-99), so tile assignments are
-identical to the exact path.  The same design -- approximate the exact
+pinned accuracy contract of rtol=1e-7 (~0.6 m at zone scale, its
+tests/test_equi7grid.py:50-99), so tile assignments are identical to the
+exact path.  The same design -- approximate the exact
 transformer on a grid, bounded by an error budget -- is what GDAL's
 default approximate transformer and PROJ interpolation grids do.
 
@@ -93,14 +108,17 @@ class CubicGridProjector:
         glon_e = np.where(over | under, glon + 180.0, glon)
         glat_e = np.where(over, 180.0 - glat, np.where(under, -180.0 - glat, glat))
         x, y = aeqd.forward(continent, glon_e, glat_e)
-        self.gx = np.ascontiguousarray(x.reshape(nlat, nlon))
-        self.gy = np.ascontiguousarray(y.reshape(nlat, nlon))
+        # flat row-major (nlat, nlon) grid of x + 1j*y: one gather fetches
+        # both coordinates of a node
+        self.g = np.empty(nlat * nlon, dtype=np.complex128)
+        self.g.real = x
+        self.g.imag = y
         self.nlon = nlon
         self.nlat = nlat
 
-    #: exact-solver fallback bands: the interpolation error concentrates
-    #: (a) in the last degree at the poles and (b) in a narrow band along
-    #: the projection center's far meridian (lon_0 + 180), where the
+    #: exact-solver bands: the interpolation error concentrates (a) in
+    #: the last degree at the poles and (b) in a narrow band along the
+    #: projection center's far meridian (lon_0 + 180), where the
     #: azimuth-of-departure changes fastest (measured up to ~0.5 m there
     #: vs < 1e-4 m everywhere else).  Together the bands cover ~1.5% of a
     #: uniform global sweep.
@@ -110,57 +128,42 @@ class CubicGridProjector:
     def __call__(self, lon, lat) -> tuple[np.ndarray, np.ndarray]:
         lon = np.asarray(lon, dtype=np.float64)
         lat = np.asarray(lat, dtype=np.float64)
-        far = np.abs(
-            (lon - self._far_lon + 180.0) % 360.0 - 180.0
-        ) < self.EXACT_FAR_LON_BAND
-        polar = (np.abs(lat) > self.EXACT_LAT) | far
-        if polar.any():
-            x = np.empty_like(lon, dtype=np.float64)
-            y = np.empty_like(lon, dtype=np.float64)
-            x[polar], y[polar] = aeqd.forward(
-                self.continent, lon[polar], lat[polar]
-            )
-            rest = ~polar
-            x[rest], y[rest] = self._interp(lon[rest], lat[rest])
-            return x, y
-        return self._interp(lon, lat)
-
-    def _interp(self, lon, lat) -> tuple[np.ndarray, np.ndarray]:
         t = (lon - self.lon0) / self.step
         u = (lat - self.lat0) / self.step
         # integer cell such that the 4-tap window [i-1, i+2] stays in-grid
         it = np.clip(t.astype(np.int64), 1, self.nlon - 3)
         iu = np.clip(u.astype(np.int64), 1, self.nlat - 3)
-        ft = t - it
-        fu = u - iu
-        wt = _lagrange_weights(ft)
-        wu = _lagrange_weights(fu)
-        x = np.zeros_like(t)
-        y = np.zeros_like(t)
-        base_r = iu - 1
-        base_c = it - 1
+        wt = _lagrange_weights(t - it)
+        wu = _lagrange_weights(u - iu)
+        # one flat base index; tap (a, b) is g[base + a*nlon + b].  A
+        # real weight times a complex tap scales x and y exactly, so each
+        # component is summed in the same order as a separate x/y kernel.
+        base = (iu - 1) * self.nlon + (it - 1)
+        g = self.g
+        acc = np.zeros(len(base), dtype=np.complex128)
         for a in range(4):
-            rows = base_r + a
-            # interpolate along lon for this tap row, weight along lat
-            rx = (
-                wt[0] * self.gx[rows, base_c]
-                + wt[1] * self.gx[rows, base_c + 1]
-                + wt[2] * self.gx[rows, base_c + 2]
-                + wt[3] * self.gx[rows, base_c + 3]
+            row = base + a * self.nlon
+            r = (
+                wt[0] * g.take(row)
+                + wt[1] * g.take(row + 1)
+                + wt[2] * g.take(row + 2)
+                + wt[3] * g.take(row + 3)
             )
-            ry = (
-                wt[0] * self.gy[rows, base_c]
-                + wt[1] * self.gy[rows, base_c + 1]
-                + wt[2] * self.gy[rows, base_c + 2]
-                + wt[3] * self.gy[rows, base_c + 3]
+            acc += wu[a] * r
+        x, y = acc.real, acc.imag
+        far = np.abs(
+            (lon - self._far_lon + 180.0) % 360.0 - 180.0
+        ) < self.EXACT_FAR_LON_BAND
+        exact = np.flatnonzero((np.abs(lat) > self.EXACT_LAT) | far)
+        if len(exact):
+            x[exact], y[exact] = aeqd.forward(
+                self.continent, lon[exact], lat[exact]
             )
-            x += wu[a] * rx
-            y += wu[a] * ry
         return x, y
 
     @property
     def nbytes(self) -> int:
-        return self.gx.nbytes + self.gy.nbytes
+        return self.g.nbytes
 
 
 _CACHE: dict[tuple, CubicGridProjector] = {}

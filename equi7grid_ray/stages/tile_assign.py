@@ -15,6 +15,8 @@ in ``__init__`` (actor-pool stage), never per batch.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -318,43 +320,70 @@ class TileAssigner:
         return pa.table(cols)
 
 
-_PROC_CACHE: dict[str, TileAssigner] = {}
+#: bounded process cache, oldest entry evicted first.  On the driver it
+#: holds the broadcast ObjectRef per (Ray session, assigner config), so
+#: every pipeline over one config shares one ``ray.put``; in a worker it
+#: holds the deserialized TileAssigner per broadcast ref (per config when
+#: built without Ray).
+_PROC_CACHE: dict[str, object] = {}
+
+
+def _cache_put(key: str, value):
+    while len(_PROC_CACHE) >= 4:
+        _PROC_CACHE.pop(next(iter(_PROC_CACHE)))
+    _PROC_CACHE[key] = value
+    return value
 
 
 def make_assign_fn(broadcast: bool = True, **kwargs):
     """Task-based variant of the stage with broadcast state.
 
     When Ray is up, the TileAssigner (zone raster + tile tables + name
-    dictionaries, ~tens of MB of numpy) is built ONCE on the driver and
-    ``ray.put`` into the object store; each worker process deserializes
-    it zero-copy on first use and caches it (`small-side lookup broadcast
-    once, read in every task` -- never rebuilt per worker, never
-    re-shipped per batch).  Builds per process instead when Ray isn't
-    initialised (plain local use) or with ``broadcast=False``.  A bad
-    argument raises here, on the caller, not later in every task."""
+    dictionaries + interpolation grids, ~64 MB of numpy) is built on the
+    driver and ``ray.put`` once per (assigner config, Ray session): the
+    ref is kept in ``_PROC_CACHE``, so later pipelines over an equal
+    config reuse it and each worker process, which caches the assigner
+    it deserializes under that ref, hits its cache on every pass (`small-
+    side lookup broadcast once, read in every task` -- never rebuilt per
+    worker, never re-shipped per batch or per pipeline).  Builds per
+    process instead when Ray isn't initialised (plain local use) or with
+    ``broadcast=False``.  A bad argument raises here, on the caller, not
+    later in every task."""
     import ray
 
-    key = repr(sorted(kwargs.items(), key=lambda kv: kv[0]))
+    bound = inspect.signature(TileAssigner).bind(**kwargs)
+    bound.apply_defaults()
+    key = repr(sorted(bound.arguments.items()))
     ref = None
     if broadcast and ray.is_initialized():
-        ref = ray.put(TileAssigner(**kwargs))
+        # job id + node id: a new local cluster gets a new node id, a new
+        # driver on a running cluster a new job id, so a ref from a shut
+        # down session is never handed out again
+        ctx = ray.get_runtime_context()
+        put_key = f"ref {ctx.get_node_id()} {ctx.get_job_id()} {key}"
+        ref = _PROC_CACHE.get(put_key)
+        if ref is None:
+            ref = _cache_put(put_key, ray.put(TileAssigner(**kwargs)))
         key = key + str(ref)
 
     def assign(batch: pa.Table) -> pa.Table:
-        ta = _PROC_CACHE.get(key)
-        if ta is None:
-            if ref is not None:
-                import ray
-
-                ta = ray.get(ref)
-            else:
-                ta = TileAssigner(**kwargs)
-            # bounded cache: every make_assign_fn call carries a fresh
-            # ObjectRef in its key, so long-lived workers would otherwise
-            # accumulate one ~50 MB assigner per pipeline construction
-            while len(_PROC_CACHE) >= 4:
-                _PROC_CACHE.pop(next(iter(_PROC_CACHE)))
-            _PROC_CACHE[key] = ta
-        return ta(batch)
+        return _cached_assigner(key, ref, kwargs)(batch)
 
     return assign
+
+
+def _cached_assigner(key: str, ref, kwargs: dict) -> TileAssigner:
+    """This process's assigner for ``key``, fetched from ``ref`` (built
+    from ``kwargs`` without one) on first use.  A module-level function:
+    a closure shipped to a worker would otherwise carry a pickled copy of
+    the driver's cache as its own global instead of the worker's."""
+    ta = _PROC_CACHE.get(key)
+    if ta is None:
+        if ref is not None:
+            import ray
+
+            ta = ray.get(ref)
+        else:
+            ta = TileAssigner(**kwargs)
+        _cache_put(key, ta)
+    return ta

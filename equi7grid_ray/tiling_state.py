@@ -113,25 +113,34 @@ class ContinentTiling:
     extra_x: np.ndarray
     extra_y: np.ndarray
 
-    def key_of(self, ll_x, ll_y) -> np.ndarray:
-        return np.round(np.asarray(ll_x) / 1e5).astype(np.int64) * 4096 + (
-            np.round(np.asarray(ll_y) / 1e5).astype(np.int64) + 1024
-        )
-
     def __post_init__(self):
-        self._keys = self.key_of(self.ll_x, self.ll_y)
-        order = np.argsort(self._keys)
-        assert (order == np.arange(len(order))).all(), "tiles must be key-sorted"
+        # dense tile index over the box of (round(ll_x/1e5), round(ll_y/1e5))
+        # keys: -1 where no tile sits, plus one trailing -1 cell that every
+        # out-of-box or non-finite corner is sent to
+        kx = np.round(np.asarray(self.ll_x, dtype=np.float64) / 1e5)
+        ky = np.round(np.asarray(self.ll_y, dtype=np.float64) / 1e5)
+        if len(kx):
+            self._k0 = (kx.min(), ky.min())
+            self._box = (int(kx.max() - kx.min()) + 1, int(ky.max() - ky.min()) + 1)
+        else:
+            self._k0, self._box = (0.0, 0.0), (0, 0)
+        nx, ny = self._box
+        cells = ((kx - self._k0[0]) * ny + (ky - self._k0[1])).astype(np.int64)
+        assert len(np.unique(cells)) == len(cells), "duplicate tile corners"
+        self._index = np.full(nx * ny + 1, -1, dtype=np.int64)
+        self._index[cells] = np.arange(len(cells))
 
     def lookup(self, ll_x, ll_y) -> np.ndarray:
         """Indices into the tile arrays, -1 where (ll_x, ll_y) is not a
-        valid tile of this continent/tiling."""
-        k = self.key_of(ll_x, ll_y)
-        pos = np.searchsorted(self._keys, k)
-        pos = np.clip(pos, 0, len(self._keys) - 1)
-        ok = len(self._keys) > 0
-        hit = self._keys[pos] == k if ok else np.zeros(len(k), bool)
-        return np.where(hit, pos, -1)
+        valid tile of this continent/tiling (corners snap to the nearest
+        100 km key)."""
+        i = np.round(np.asarray(ll_x, dtype=np.float64) / 1e5) - self._k0[0]
+        j = np.round(np.asarray(ll_y, dtype=np.float64) / 1e5) - self._k0[1]
+        nx, ny = self._box
+        inbox = (i >= 0) & (i < nx) & (j >= 0) & (j < ny)  # False for NaN
+        with np.errstate(invalid="ignore"):  # inf - inf on a masked-off row
+            cell = np.where(inbox, i * ny + j, nx * ny)
+        return self._index.take(cell.astype(np.int64))
 
 
 def _rect_poly_intersects(poly: GeoPolygon, rx0, ry0, rx1, ry1) -> bool:

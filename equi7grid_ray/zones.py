@@ -238,15 +238,22 @@ class ZoneClassifier:
 
         Packed variant of :meth:`classify` for the hot assignment path:
         1 byte/row of traffic instead of 7 -- at 32-way concurrency the
-        wide bool matrix is measurable DRAM pressure."""
+        wide bool matrix is measurable DRAM pressure.  A non-finite row,
+        or one with |lon| > 180 or |lat| > 90, gets no bits."""
         lon = np.asarray(lon, dtype=np.float64).ravel()
         lat = np.asarray(lat, dtype=np.float64).ravel()
         res = self.res
         ncol = self._inside.shape[1]
         nrow = self._inside.shape[0]
-        ci = np.clip(((lon + 180.0) / res).astype(np.int32), 0, ncol - 1)
-        ri = np.clip(((lat + 90.0) / res).astype(np.int32), 0, nrow - 1)
-        pk = self._packed[ri, ci]  # one gather: inside | boundary << 8
+        valid = (np.abs(lon) <= 180.0) & (np.abs(lat) <= 90.0)  # False for NaN
+        # fmax/fmin clamp in float, so NaN and inf land in the raster
+        # before the int32 cast; such rows, like the out-of-range ones,
+        # then lose their bits
+        ci = np.fmin(np.fmax((lon + 180.0) / res, 0.0), ncol - 1).astype(np.int32)
+        ri = np.fmin(np.fmax((lat + 90.0) / res, 0.0), nrow - 1).astype(np.int32)
+        # one flat gather: inside | boundary << 8
+        pk = self._packed.ravel().take(ri * ncol + ci)
+        pk *= valid
         out = (pk & 0xFF).astype(np.uint8)
         bb = (pk >> 8).astype(np.uint8)
         if bb.any():

@@ -86,6 +86,25 @@ def test_zone_transition_order_buffered():
     assert list(out.keys()) == ["EU", "AS"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_classify_bits_invalid_coordinates():
+    """Non-finite rows and rows past +-180 / +-90 get no zone bits, with
+    no cast warning; the edge values themselves classify as before."""
+    from equi7grid_ray.zones import get_zone_classifier
+
+    zc = get_zone_classifier(False)
+    nan, inf = np.nan, np.inf
+    lon = np.array([nan, 0.0, 200.0, -200.0, 0.0, 0.0, inf, 10.0, nan, 15.1])
+    lat = np.array([0.0, nan, 0.0, 0.0, 95.0, -95.0, 0.0, -inf, nan, 45.3])
+    bits = zc.classify_bits(lon, lat)
+    assert bits[:-1].tolist() == [0] * 9
+    assert bits[-1] == 1 << zc.order.index("EU")
+    oc = 1 << zc.order.index("OC")
+    edge_lon = np.array([180.0, -180.0, 0.0, 0.0, 180.0, -180.0, 45.0, -120.0])
+    edge_lat = np.array([0.0, 0.0, 90.0, -90.0, 90.0, -90.0, 90.0, -90.0])
+    assert zc.classify_bits(edge_lon, edge_lat).tolist() == [oc, oc, 0, 0, 0, 0, 0, 0]
+
+
 def test_geodesic_inverse_coincident_and_equatorial():
     """Special cases the Newton solver cannot represent (advisor round 1):
     coincident endpoints and purely equatorial geodesics must return finite

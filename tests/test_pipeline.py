@@ -119,6 +119,39 @@ def test_make_assign_fn_rejects_bad_argument_at_call(ray_session):
         make_assign_fn(tiling_id="T9")
 
 
+def test_make_assign_fn_broadcasts_once_per_config(ray_session):
+    """Equal assigner configs share one ray.put; another config, a
+    cleared process cache or a new Ray session gets a new put."""
+    import inspect
+
+    import ray
+
+    from equi7grid_ray.stages import tile_assign
+
+    def ref_of(fn):
+        return inspect.getclosurevars(fn).nonlocals["ref"]
+
+    kw = dict(tiling_id="T6", emit_cell=False)
+    a = tile_assign.make_assign_fn(**kw)
+    b = tile_assign.make_assign_fn(**kw)
+    assert ref_of(a) is not None and ref_of(a) == ref_of(b)
+    # spelling out a default names the same config
+    assert ref_of(tile_assign.make_assign_fn(decode=False, **kw)) == ref_of(a)
+    other = tile_assign.make_assign_fn(tiling_id="T3", emit_cell=False)
+    assert ref_of(other) != ref_of(a)
+    tile_assign._PROC_CACHE.clear()
+    c = tile_assign.make_assign_fn(**kw)
+    assert ref_of(c) != ref_of(a)
+
+    ray.shutdown()
+    ray.init(address="local", num_cpus=4, include_dashboard=False,
+             logging_level="ERROR")
+    d = tile_assign.make_assign_fn(**kw)
+    assert ref_of(d) != ref_of(c)
+    out = ray.get(ray.remote(lambda f: f(make_batch(0, 50)).num_rows).remote(d))
+    assert out > 0
+
+
 def test_flagship_checkpointed_resume(ray_session, tmp_path):
     import json
 

@@ -61,6 +61,29 @@ def _gather_dram(n_iter: int, out) -> None:
     out.put((n_iter * len(idx), time.time() - t0))
 
 
+def _gather_complex_16tap(n_iter: int, out) -> None:
+    """The bicubic projection's access pattern, engine-free: per row, a
+    4x4 stencil of complex128 gathers (16 taps) into a 31 MB flat grid
+    of x + 1j*y nodes, summed.  Measures rows/s; 1e6 / rate is the
+    us/row ceiling to set next to ``interp.project_us_per_row``."""
+    nlon = 1400
+    g = np.ones(31_000_000 // 16, dtype=np.complex128)
+    nlat = len(g) // nlon
+    ncell = (nlat - 3) * (nlon - 3)  # stencil corners that keep 4x4 in-grid
+    cell = np.random.default_rng(os.getpid()).integers(0, ncell, 65_536)
+    t0 = time.time()
+    s = 0.0
+    for _ in range(n_iter):
+        base = cell // (nlon - 3) * nlon + cell % (nlon - 3)
+        acc = np.zeros(len(base), dtype=np.complex128)
+        for a in range(4):
+            row = base + a * nlon
+            acc += g.take(row) + g.take(row + 1) + g.take(row + 2) + g.take(row + 3)
+        s += float(acc.real.sum())
+        cell = (cell * 1103515245 + 12345) % ncell
+    out.put((n_iter * len(cell), time.time() - t0))
+
+
 def _stream(n_iter: int, out) -> None:
     """Sequential streaming over a 256 MB buffer: DRAM bandwidth."""
     a = np.ones(32_000_000, dtype=np.float64)  # 256 MB
@@ -109,6 +132,7 @@ PROBES = {
     "alu_l1": (_alu, 40_000, "ops/s"),
     "gather_cache": (_gather_cache, 80_000, "gathers/s"),
     "gather_dram_55mb": (_gather_dram, 80, "gathers/s"),
+    "gather_complex_16tap": (_gather_complex_16tap, 60, "rows/s"),
     "stream_256mb": (_stream, 12, "bytes/s"),
     "decode_mix": (_decode_mix, 60, "rows/s"),
 }
