@@ -1,22 +1,39 @@
-"""End-to-end warp pipeline -- the ``resample_to_equi7_tiles`` +
-``get_overlapping_tiles`` surface (/root/reference/src/equi7grid/warp.py
-:333-401 router, :404-420 name resolution, :424-578 fan-out) as a
-resumable Ray Data pipeline.
+"""End-to-end warp pipeline: the ``resample_to_equi7_tiles`` and
+``get_overlapping_tiles`` surface (the reference's warp.py:333-401
+router, :404-420 name resolution, :424-578 fan-out) as a resumable Ray
+Data pipeline.
 
-The reference fans out one mp.Pool task per tile (warp.py:567-574); here
-the fan-out is the streaming executor over (image x tile) pair batches,
-with per-input-fragment checkpoint manifests so a rerun skips finished
-fragments.
+The reference fans out one mp.Pool task per tile (warp.py:567-574).
+Here each pending input fragment is one Ray task: it reads the fragment
+with pyarrow, runs expand -> regrid -> [tile filter] -> [GeoTIFF encode]
+with stage objects it builds itself, and commits its own
+``part-<fragment>`` directory and manifest through the partition
+writers in ``state/checkpoint.py``.  The Ray driver receives one small
+summary row per fragment; no pixel or tile bytes pass through it.  The
+fragment is the resume unit: a rerun skips every fragment whose manifest
+exists.
 """
 
 from __future__ import annotations
 
+import time
+import traceback
 from collections.abc import Callable
 from pathlib import Path
 
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+
 from equi7grid_ray import roi as roi_mod
-from equi7grid_ray.grid import GridSpec, parse_tile_names
-from equi7grid_ray.stages.regrid import regrid_pipeline
+from equi7grid_ray.grid import GridSpec
+from equi7grid_ray.stages.regrid import (
+    SRC_RES_DEG,
+    GTiffEncodeStage,
+    expand_and_regrid,
+    task_cap,
+)
+from equi7grid_ray.state import checkpoint
 
 __all__ = ["get_overlapping_tiles", "ftilenames_to_tiles", "resample_to_equi7_tiles"]
 
@@ -62,6 +79,58 @@ def ftilenames_to_tiles(ftilenames: list[str], spec: GridSpec | None = None):
     return [api.get_tile_from_name(n, spec) for n in ftilenames]
 
 
+def _warp_fragment(path: str, *, out_dir: str, out_format: str,
+                   batch_size: int, keep: list[str] | None, naming_traffo,
+                   regrid_kw: dict, encode_kw: dict) -> None:
+    """One fragment, start to commit: read -> expand -> regrid -> [tile
+    filter] -> [encode] -> partition write."""
+    pid = Path(path).stem
+    t0 = time.perf_counter()
+    t = pq.read_table(path, use_threads=False)
+    stage_s = {"read": time.perf_counter() - t0, "expand": 0.0, "regrid": 0.0,
+               "encode": 0.0}
+    wins = expand_and_regrid(t, batch_size=batch_size, stage_s=stage_s, **regrid_kw)
+    pairs = wins.num_rows if wins is not None else 0
+    if wins is not None and keep is not None:
+        wins = wins.filter(pc.is_in(wins.column("tile").cast(pa.string()),
+                                    value_set=pa.array(keep, pa.string())))
+    facts = {"pairs": pairs, "windows_empty": 0, "stage_s": stage_s}
+    common = dict(input_fragments=[path], rows_in=t.num_rows, extra=facts)
+    if out_format == "parquet":
+        checkpoint.write_equi7_partition(
+            out_dir, pid, wins, naming_traffo=naming_traffo, **common)
+        return
+    t0 = time.perf_counter()
+    tifs = None
+    if wins is not None and wins.num_rows:
+        encode = GTiffEncodeStage(naming_traffo=naming_traffo, stem=pid, **encode_kw)
+        step = max(1, batch_size // 64)  # whole-tile payloads
+        tifs = pa.concat_tables(encode(wins.slice(s, step))
+                                for s in range(0, wins.num_rows, step))
+        facts["windows_empty"] = wins.num_rows - tifs.num_rows
+    stage_s["encode"] = time.perf_counter() - t0
+    checkpoint.write_equi7_raster_partition(out_dir, pid, tifs, **common)
+
+
+def _warp_fragments(batch: pa.Table, **kw) -> pa.Table:
+    """map_batches task over fragment paths: each fragment is warped and
+    committed in this task.  A fragment that raises gets no manifest (a
+    rerun redoes it) and reports its error in the summary row, so the
+    other fragments of the pass still commit."""
+    pids, errors = [], []
+    for path in batch.column("path").to_pylist():
+        pid = Path(path).stem
+        try:
+            _warp_fragment(path, **kw)
+            errors.append("")
+        except Exception as e:  # reported per fragment; the caller raises
+            tb = "".join(traceback.format_exception(e))
+            errors.append(f"{type(e).__name__}: {e}\n{tb[-1500:]}")
+        pids.append(pid)
+    return pa.table({"partition_id": pa.array(pids, pa.string()),
+                     "error": pa.array(errors, pa.string())})
+
+
 def resample_to_equi7_tiles(
     input_path: str,
     out_dir: str,
@@ -90,10 +159,16 @@ def resample_to_equi7_tiles(
     tile) -- the reference's actual sink (warp.py:290-330: compress /
     tiled / blocksize kwargs map to ``compress_type``
     ("deflate"|"none"|"lzw"; the reference's zstd needs libzstd, absent
-    here), ``tif_is_tiled``
-    and ``tile_blocksize``).  Encoding runs distributed in map_batches;
-    the driver only places the encoded bytes into the
-    ``EQUI7_{continent}/{tile}/`` layout.
+    here), ``tif_is_tiled`` and ``tile_blocksize``).
+
+    Every pending fragment is one Ray task (one CPU; at most
+    ``task_cap(concurrency)`` at a time) that regrids, encodes and
+    writes its ``EQUI7_{continent}/{tile}/`` partition and manifest
+    itself; the manifest also records ``pairs``, ``windows_empty`` and
+    per-stage seconds (``stage_s``).  The Ray driver only collects one
+    summary row per fragment.  A fragment that fails gets no manifest;
+    the others still commit, then this raises ``RuntimeError`` naming the
+    failed fragments.
 
     ``ftilenames`` restricts output to an explicit tile list (the
     reference's explicit-tiles path); ``naming_traffo(stem, ftilename)``
@@ -101,94 +176,36 @@ def resample_to_equi7_tiles(
     Returns the manifest counter summary."""
     import ray.data as rd
 
-    from equi7grid_ray.state.checkpoint import Manifest
-
     if out_format not in ("parquet", "gtiff"):
         raise ValueError(f"unknown out_format {out_format!r}")
     frags = sorted(str(p) for p in Path(input_path).glob("*.parquet"))
     if not frags:
         raise ValueError(f"no parquet fragments under {input_path}")
-    man = Manifest(out_dir)
+    man = checkpoint.Manifest(out_dir)
     todo = [f for f in frags if not man.done(Path(f).stem)]
-
-    keep = None
-    if ftilenames:
-        keep = set(ftilenames)
-
-    import pyarrow as pa
-
-    from equi7grid_ray.stages.regrid import SRC_RES_DEG
-
-    for frag in todo:  # fragment = resume unit; inside, Ray streams
-        ds = rd.read_parquet(frag)
-        out = regrid_pipeline(
-            ds,
-            tiling_id=tiling_id,
-            spec=spec,
-            resampling=resampling,
-            nodata=nodata, src_crs=src_crs, src_res_m=src_res_m,
-            src_res_deg=src_res_deg if src_res_deg is not None else SRC_RES_DEG,
-            batch_size=batch_size,
-            concurrency=concurrency,
+    if todo:
+        kw = dict(
+            out_dir=str(out_dir), out_format=out_format, batch_size=batch_size,
+            keep=sorted(set(ftilenames)) if ftilenames else None,
+            naming_traffo=naming_traffo,
+            regrid_kw=dict(
+                tiling_id=tiling_id, spec=spec, resampling=resampling,
+                nodata=nodata, src_crs=src_crs, src_res_m=src_res_m,
+                src_res_deg=src_res_deg if src_res_deg is not None else SRC_RES_DEG,
+            ),
+            encode_kw=dict(
+                tiling_id=tiling_id, spec=spec, compress=compress_type,
+                tiled_tif=tif_is_tiled, blocksize=tile_blocksize,
+                overviews=tif_overviews,
+            ),
         )
-        if keep is not None:
-            import pyarrow.compute as pc
-
-            vs = pa.array(sorted(keep))
-            out = out.map_batches(
-                lambda t, vs=vs: t.filter(
-                    pc.is_in(t.column("tile").cast(pa.string()), value_set=vs)
-                ),
-                batch_format="pyarrow",
-            )
-        pid = Path(frag).stem
-        if out_format == "gtiff":
-            from equi7grid_ray.stages.regrid import GTiffEncodeStage
-
-            out = out.map_batches(
-                GTiffEncodeStage,
-                fn_constructor_kwargs=dict(
-                    tiling_id=tiling_id, spec=spec, compress=compress_type,
-                    tiled_tif=tif_is_tiled, blocksize=tile_blocksize,
-                    overviews=tif_overviews,
-                    naming_traffo=naming_traffo, stem=pid,
-                ),
-                batch_format="pyarrow",
-                batch_size=max(1, batch_size // 64),  # whole-tile payloads
-                concurrency=concurrency,
-                num_cpus=1,
-            )
-        # atomically per fragment: EQUI7_{continent}/{tilename}/ layout
-        # with per-file names from the naming hook -- full parity with
-        # the reference's output scheme (warp.py:243-288) via the shared
-        # partition writers in state/checkpoint.py.
-        import pyarrow.parquet as pq
-
-        from equi7grid_ray.state.checkpoint import (
-            write_equi7_partition,
-            write_equi7_raster_partition,
-        )
-
-        m = out.materialize()  # bounded by the fragment size (resume unit)
-        batches = list(m.iter_batches(batch_format="pyarrow"))
-        mt = (
-            pa.concat_tables(
-                pa.Table.from_batches([b]) if isinstance(b, pa.RecordBatch) else b
-                for b in batches
-            )
-            if batches
-            else None
-        )
-        rows_in = pq.ParquetFile(frag).metadata.num_rows
-        if out_format == "gtiff":
-            write_equi7_raster_partition(
-                out_dir, pid, mt, input_fragments=[frag], rows_in=rows_in,
-            )
-        else:
-            write_equi7_partition(
-                out_dir, pid, mt,
-                input_fragments=[frag],
-                rows_in=rows_in,
-                naming_traffo=naming_traffo,
-            )
-    return Manifest(out_dir).counters()
+        ds = rd.from_items([{"path": f} for f in todo], override_num_blocks=len(todo))
+        summary = ds.map_batches(
+            _warp_fragments, fn_kwargs=kw, batch_format="pyarrow", batch_size=1,
+            concurrency=min(task_cap(concurrency) or len(todo), len(todo)), num_cpus=1,
+        ).take_all()
+        failed = [f"{r['partition_id']}: {r['error']}" for r in summary if r["error"]]
+        if failed:
+            raise RuntimeError(f"warp failed for {len(failed)} of {len(todo)} "
+                               "fragments:\n" + "\n".join(failed))
+    return checkpoint.Manifest(out_dir).counters()

@@ -9,8 +9,8 @@ Re-expresses /root/reference/src/equi7grid/warp.py:
   inverse-projected into the source lon/lat grid and gathered
   (nearest / bilinear) -- the rasterio.warp.reproject role in numpy,
 - ``resample_to_equi7_tiles`` (:424-578): the serial/mp.Pool fan-out
-  becomes read -> expand pairs -> regrid (stateful map_batches) ->
-  write_parquet partitioned by continent/tile.
+  becomes read -> expand pairs -> regrid (``expand_and_regrid``, one
+  task per batch) -> write_parquet partitioned by continent/tile.
 
 Source rasters are the synthetic image rows (center lon/lat + w x h grid
 at ``SRC_RES_DEG`` deg/pixel, north-up); payloads decoded with the
@@ -22,6 +22,8 @@ pixels outside the source footprint.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -35,7 +37,8 @@ from equi7grid_ray.tiling_state import get_grid_state
 SRC_RES_DEG = 0.001  # source pixel size of the synthetic image rasters
 
 __all__ = ["ExpandTilePairs", "RegridStage", "GTiffEncodeStage",
-           "regrid_pipeline", "default_e7_filename"]
+           "expand_and_regrid", "regrid_pipeline", "task_cap",
+           "default_e7_filename"]
 
 
 def default_e7_filename(stem: str, full_tilename: str, suffix: str = ".parquet") -> str:
@@ -650,6 +653,53 @@ class GTiffEncodeStage:
         })
 
 
+def task_cap(concurrency):
+    """Concurrent-task cap for a function UDF: an int as given, the max of
+    a ``(min, max)`` tuple (Ray rejects a tuple for a function UDF)."""
+    if isinstance(concurrency, (tuple, list)):
+        return int(concurrency[-1])
+    return concurrency
+
+
+def expand_and_regrid(
+    batch: pa.Table,
+    *,
+    batch_size: int = 1024,
+    stage_s: dict | None = None,
+    tiling_id: str = "T6",
+    spec: GridSpec | None = None,
+    resampling: str = "nearest",
+    nodata: float = 0,
+    src_crs: str = "geog",
+    src_res_m: float = 1000.0,
+    src_res_deg: float = SRC_RES_DEG,
+) -> pa.Table | None:
+    """Image rows -> regridded windows in one call: builds
+    ``ExpandTilePairs`` and ``RegridStage`` (cheap, the grid state is
+    cached per process) and runs each over ``batch_size``-row slices of
+    its input.  One window row per (image, tile) pair; None for an empty
+    ``batch``.  ``stage_s``, when given, receives the ``expand`` and
+    ``regrid`` seconds."""
+    if batch.num_rows == 0:
+        return None
+    t0 = time.perf_counter()
+    expand = ExpandTilePairs(tiling_id=tiling_id, spec=spec, src_crs=src_crs,
+                             src_res_m=src_res_m, src_res_deg=src_res_deg)
+    pairs = pa.concat_tables(expand(batch.slice(s, batch_size))
+                             for s in range(0, batch.num_rows, batch_size))
+    t1 = time.perf_counter()
+    regrid = RegridStage(tiling_id=tiling_id, spec=spec, resampling=resampling,
+                         nodata=nodata, src_crs=src_crs, src_res_m=src_res_m,
+                         src_res_deg=src_res_deg)
+    # an empty pair table still gets one call: it yields the window schema
+    wins = pa.concat_tables(regrid(pairs.slice(s, batch_size))
+                            for s in range(0, max(pairs.num_rows, 1), batch_size))
+    if stage_s is not None:
+        stage_s["expand"] = t1 - t0
+        stage_s["regrid"] = time.perf_counter() - t1
+    return wins
+
+
 def regrid_pipeline(
     ds,
     *,
@@ -665,27 +715,17 @@ def regrid_pipeline(
     concurrency=(1, 8),
 ):
     """images -> (image x tile) pairs -> regridded windows [-> parquet
-    partitioned by continent/tile]."""
-    pairs = ds.map_batches(
-        ExpandTilePairs,
-        fn_constructor_kwargs=dict(tiling_id=tiling_id, spec=spec,
-                                   src_crs=src_crs, src_res_m=src_res_m,
-                                   src_res_deg=src_res_deg),
+    partitioned by continent/tile]: one task-based ``map_batches`` of
+    :func:`expand_and_regrid`, at most ``task_cap(concurrency)`` tasks at
+    a time, each on one CPU."""
+    out = ds.map_batches(
+        expand_and_regrid,
+        fn_kwargs=dict(batch_size=batch_size, tiling_id=tiling_id, spec=spec,
+                       resampling=resampling, nodata=nodata, src_crs=src_crs,
+                       src_res_m=src_res_m, src_res_deg=src_res_deg),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
-    out = pairs.map_batches(
-        RegridStage,
-        fn_constructor_kwargs=dict(
-            tiling_id=tiling_id, spec=spec, resampling=resampling,
-            nodata=nodata, src_crs=src_crs, src_res_m=src_res_m,
-            src_res_deg=src_res_deg,
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=task_cap(concurrency),
         num_cpus=1,
     )
     if out_dir is not None:

@@ -10,8 +10,13 @@ JSON row per completed partition:
     out_dir/
       _manifest/part-<id>.json   {partition_id, input_fragments, rows_in,
                                   rows_out, tile_counts, checksum,
-                                  wall_sec, engine_version}
+                                  wall_sec, engine_version, ...extra}
       part-<id>/...parquet
+
+``tile_counts`` holds every tile of the partition.  The warp sink passes
+``extra={"pairs", "windows_empty", "stage_s"}``; the writers fill in
+``stage_s["write"]``, and ``stage_s`` stays nested so that
+``Manifest.counters()`` (which totals top-level numbers) skips it.
 
 On restart, ``pending_partitions`` skips every partition whose manifest
 exists -- a failed run re-does only unfinished partitions.  A
@@ -103,9 +108,7 @@ def write_partition(
         import pyarrow.compute as pc
 
         vc = pc.value_counts(table.column("tile"))
-        tile_counts = {
-            str(d["values"]): int(d["counts"]) for d in vc.to_pylist()[:50]
-        }
+        tile_counts = {str(d["values"]): int(d["counts"]) for d in vc.to_pylist()}
     man.record(
         partition_id,
         input_fragments=input_fragments or [],
@@ -174,6 +177,7 @@ def write_equi7_partition(
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
+    t0 = time.perf_counter()
     man = Manifest(out_dir)
     if man.done(partition_id):
         return None
@@ -190,7 +194,8 @@ def write_equi7_partition(
         tmp.rename(pdir)
         man.record(pid, input_fragments=input_fragments or [],
                    rows_in=rows_in or 0, rows_out=0, n_tiles=0,
-                   tile_counts={}, checksum="", stem=stem, **(extra or {}))
+                   tile_counts={}, checksum="", stem=stem,
+                   **_with_write_s(extra, t0))
         return str(pdir)
 
     cont = table.column("continent").cast(pa.string()).to_numpy(zero_copy_only=False)
@@ -222,7 +227,7 @@ def write_equi7_partition(
         shutil.rmtree(pdir)
     tmp.rename(pdir)
     vc = pc.value_counts(table.column("tile").cast(pa.string()))
-    tile_counts = {str(d_["values"]): int(d_["counts"]) for d_ in vc.to_pylist()[:50]}
+    tile_counts = {str(d_["values"]): int(d_["counts"]) for d_ in vc.to_pylist()}
     man.record(
         pid,
         input_fragments=input_fragments or [],
@@ -232,7 +237,7 @@ def write_equi7_partition(
         tile_counts=tile_counts,
         checksum=table_checksum(table),
         stem=stem,
-        **(extra or {}),
+        **_with_write_s(extra, t0),
     )
     return str(pdir)
 
@@ -249,7 +254,8 @@ def write_equi7_raster_partition(
     """Atomically write one partition of PRE-ENCODED raster files in the
     reference's ``EQUI7_{continent}/{tilename}/`` layout (warp.py:276-288
     via rasterio.open(...,'w'); here the bytes arrive already encoded by
-    the distributed GTiffEncodeStage and the driver only places files).
+    GTiffEncodeStage and this writer only places files, in the task that
+    encoded them).
 
     ``table`` columns: ``continent``, ``tile`` (partial or full name),
     ``fname``, ``data`` (binary).  Returns the partition path, or None
@@ -258,6 +264,7 @@ def write_equi7_raster_partition(
 
     import pyarrow as pa
 
+    t0 = time.perf_counter()
     man = Manifest(out_dir)
     if man.done(partition_id):
         return None
@@ -292,12 +299,21 @@ def write_equi7_raster_partition(
         (table.num_rows if table is not None else 0),
         rows_out=table.num_rows if table is not None else 0,
         n_tiles=len(tile_counts),
-        tile_counts=dict(sorted(tile_counts.items())[:50]),
+        tile_counts=dict(sorted(tile_counts.items())),
         checksum=csum.hexdigest(),
         stem=pid,
-        **(extra or {}),
+        **_with_write_s(extra, t0),
     )
     return str(pdir)
+
+
+def _with_write_s(extra: dict | None, t0: float) -> dict:
+    """``extra`` for a manifest row; a nested ``stage_s`` dict in it gets
+    ``write``: the writer's seconds since ``t0``, up to the manifest."""
+    extra = dict(extra or {})
+    if isinstance(extra.get("stage_s"), dict):
+        extra["stage_s"] = {**extra["stage_s"], "write": time.perf_counter() - t0}
+    return extra
 
 
 def pending_partitions(out_dir: str | Path, partition_ids: list[str]) -> list[str]:
