@@ -1,12 +1,10 @@
 """Pure-numpy + zlib GeoTIFF codec (classic TIFF, read + write).
 
-The reference's real raster sink is GeoTIFF via rasterio
-(/root/reference/src/equi7grid/warp.py:290-330: dtype/nodata/compress/
-tiled/blocksize kwargs, CRS + Affine geotransform, scale/offset band
-metadata) and its approval tests byte-compare written tiles
-(/root/reference/tests/test_warp.py:127-231).  rasterio/GDAL are absent
-from this sandbox, so this module implements the container format
-directly on the stdlib:
+The reference's real raster sink is GeoTIFF via rasterio (dtype, nodata,
+compress, tiled and blocksize options, CRS + Affine geotransform,
+scale/offset band metadata), and its approval tests byte-compare the
+written tiles.  rasterio/GDAL are not dependencies here, so this module
+implements the container format directly on the stdlib:
 
 - classic little-endian TIFF (8-byte header + one IFD),
 - striped OR tiled layout (tile dims multiples of 16, edge padding),
@@ -23,7 +21,14 @@ directly on the stdlib:
   spelled out for EPSG-database-free readers),
 - GDAL conventions: GDAL_NODATA (42113) and GDAL_METADATA (42112)
   SCALE/OFFSET items -- the channel rasterio's ``_set_all_scales`` /
-  ``_set_all_offsets`` uses (warp.py:326-327).
+  ``_set_all_offsets`` uses.
+
+The writer describes an image as a fill value plus one window: a warp
+tile is mostly nodata around the few source pixels that land in it.
+Only the strips (or blocks) the window touches are built and
+compressed; every other chunk is constant and comes, already
+compressed, from a small process-wide cache (``_CONST_CHUNKS``).  A
+plain ``encode_gtiff(array)`` is the case window = whole image.
 
 Reader and writer are independent code paths (the reader parses both
 endiannesses, both layouts and predictor-2 data the writer never emits),
@@ -200,6 +205,65 @@ def _gdal_metadata_xml(scale: float | None, offset: float | None,
     return "<GDALMetadata>\n" + "\n".join(items) + "\n</GDALMetadata>\n"
 
 
+#: compressed constant chunks shared by every image this process encodes,
+#: keyed by (compression, level, predictor, chunk rows, chunk cols,
+#: bands, dtype, fill bytes).  Keying on bytes lets NaN and -0.0 fills
+#: hit.  A value is a pure function of its key, so callers (and threads)
+#: that share the cache can only share work, never change each other's
+#: bytes; it is emptied when full.  A warp sink needs a handful of
+#: entries (a full strip, the short last strip, a block), each a few
+#: hundred bytes once deflated or LZW-coded.
+_CONST_CHUNKS: dict[tuple, bytes] = {}
+_CONST_CHUNKS_MAX = 64
+
+
+def _encode_chunks(win: np.ndarray, canvas: tuple[int, int],
+                   at: tuple[int, int], fill: np.ndarray,
+                   grid: list[tuple[int, int, int, int]], comp: int,
+                   level: int, predictor: int) -> list[bytes]:
+    """Compressed chunks of a ``canvas``-sized image that holds ``fill``
+    everywhere except ``win`` ((bands, wh, ww)) at ``at``.  ``grid``
+    lists each chunk as (y, x, rows, cols); the part of a chunk past the
+    canvas edge is padded with ``fill`` too.  Chunks the window misses
+    are constant and come from ``_CONST_CHUNKS``."""
+    bands, wh, ww = win.shape
+    r0, c0 = at
+    dt = fill.dtype
+
+    def encode(block: np.ndarray) -> bytes:
+        if predictor == 2:
+            # per-sample horizontal differencing, wrapping in the stored
+            # dtype (reader restores with a cumulative sum)
+            with np.errstate(over="ignore"):
+                block[:, 1:] = block[:, 1:] - block[:, :-1]
+        raw = block.tobytes()
+        if comp == 8:
+            return zlib.compress(raw, level)
+        if comp == 5:
+            return _lzw_encode(raw)
+        return raw
+
+    chunks: list[bytes] = []
+    for y, x, ch, cw in grid:
+        ya, yb = max(y, r0), min(y + ch, r0 + wh)
+        xa, xb = max(x, c0), min(x + cw, c0 + ww)
+        if ya < yb and xa < xb:
+            block = np.full((ch, cw, bands), fill, dt)
+            block[ya - y:yb - y, xa - x:xb - x] = \
+                win[:, ya - r0:yb - r0, xa - c0:xb - c0].transpose(1, 2, 0)
+            chunks.append(encode(block))
+            continue
+        key = (comp, level, predictor, ch, cw, bands, dt.str, fill.tobytes())
+        c = _CONST_CHUNKS.get(key)
+        if c is None:
+            c = encode(np.full((ch, cw, bands), fill, dt))
+            if len(_CONST_CHUNKS) >= _CONST_CHUNKS_MAX:
+                _CONST_CHUNKS.clear()
+            _CONST_CHUNKS[key] = c
+        chunks.append(c)
+    return chunks
+
+
 def encode_gtiff(
     array: np.ndarray,
     *,
@@ -219,13 +283,20 @@ def encode_gtiff(
     _ifd_base: int = 8,
     _no_header: bool = False,
     _subfile_type: int | None = None,
+    _canvas: tuple[int, int] | None = None,
+    _at: tuple[int, int] = (0, 0),
 ) -> bytes:
     """Encode ``array`` ((h, w) or (bands, h, w)) as classic GeoTIFF
     bytes.  ``geotrans`` is the GDAL 6-tuple; ``crs`` is an EPSG int, a
     2-letter Equi7 continent code, or a prebuilt geokey dict.
     ``predictor=2`` applies per-sample horizontal differencing before
     compression (integer dtypes only; shrinks deflate/LZW output on
-    smooth rasters -- exactly the mosaic-tile case)."""
+    smooth rasters -- exactly the mosaic-tile case).
+
+    ``_canvas=(h, w)`` makes ``array`` a window at ``_at=(r0, c0)`` of an
+    (h, w) image filled with the nodata value (0 if None), the form a
+    warp sink holds a tile in; the bytes equal those of encoding the
+    filled image itself."""
     arr = np.asarray(array)
     if arr.ndim == 2:
         arr = arr[None]
@@ -234,7 +305,12 @@ def encode_gtiff(
     dt = arr.dtype.name
     if dt not in TIFF_DTYPES:
         raise ValueError(f"unsupported dtype {dt}; one of {sorted(TIFF_DTYPES)}")
-    bands, h, w = arr.shape
+    bands, wh, ww = arr.shape
+    h, w = (wh, ww) if _canvas is None else _canvas
+    r0, c0 = _at
+    if r0 < 0 or c0 < 0 or r0 + wh > h or c0 + ww > w:
+        raise ValueError(f"window {arr.shape[1:]} at {_at} outside the "
+                         f"{h}x{w} canvas")
     bits, sfmt = TIFF_DTYPES[dt]
     comp = {"none": 1, "deflate": 8, "zlib": 8, "lzw": 5}.get(compress)
     if comp is None:
@@ -244,44 +320,25 @@ def encode_gtiff(
         raise ValueError("predictor must be 1 or 2")
     if predictor == 2 and np.issubdtype(arr.dtype, np.floating):
         raise ValueError("predictor 2 is invalid for float data")
-    # pixel-interleaved (h, w, bands) little-endian
-    inter = np.ascontiguousarray(
-        arr.transpose(1, 2, 0).astype(arr.dtype.newbyteorder("<")))
-    pad_val = 0 if nodata is None else nodata
+    # chunks are pixel-interleaved (rows, cols, bands) little-endian; the
+    # fill shows around a window and pads edge blocks past the image
+    fill = np.full(bands, 0 if nodata is None else nodata,
+                   arr.dtype.newbyteorder("<"))
 
-    def chunk_bytes(block: np.ndarray) -> bytes:
-        if predictor == 2:
-            # per-sample horizontal differencing, wrapping in the stored
-            # dtype (reader restores with a cumulative sum)
-            d = block.copy()
-            with np.errstate(over="ignore"):
-                d[:, 1:] = block[:, 1:] - block[:, :-1]
-            block = d
-        return np.ascontiguousarray(block).tobytes()
-
-    chunks: list[bytes] = []
     if tiled:
         if blockxsize % 16 or blockysize % 16:
             raise ValueError("tile dims must be multiples of 16")
-        tw, th = blockxsize, blockysize
-        for ty in range(0, h, th):
-            for tx in range(0, w, tw):
-                block = inter[ty:ty + th, tx:tx + tw]
-                if block.shape[0] != th or block.shape[1] != tw:
-                    full = np.full((th, tw, bands), pad_val, dtype=inter.dtype)
-                    full[:block.shape[0], :block.shape[1]] = block
-                    block = full
-                chunks.append(chunk_bytes(block))
+        grid = [(ty, tx, blockysize, blockxsize)
+                for ty in range(0, h, blockysize)
+                for tx in range(0, w, blockxsize)]
     else:
         if rows_per_strip is None:
-            row_bytes = w * bands * inter.itemsize
+            row_bytes = w * bands * arr.itemsize
             rows_per_strip = max(1, min(h, (1 << 16) // max(1, row_bytes)))
-        for y in range(0, h, rows_per_strip):
-            chunks.append(chunk_bytes(inter[y:y + rows_per_strip]))
-    if comp == 8:
-        chunks = [zlib.compress(c, level) for c in chunks]
-    elif comp == 5:
-        chunks = [_lzw_encode(c) for c in chunks]
+        grid = [(y, 0, min(rows_per_strip, h - y), w)
+                for y in range(0, h, rows_per_strip)]
+    chunks = _encode_chunks(arr, (h, w), (r0, c0), fill, grid, comp, level,
+                            predictor)
 
     entries: list[tuple[int, int, int, object]] = []  # (tag, type, count, values)
 
@@ -811,8 +868,20 @@ def encode_gtiff_overviews(
     multi-IFD GeoTIFF (the COG-style layout GDAL's BuildOverviews
     produces: full image in IFD 0, reduced images with NewSubfileType=1
     chained behind it, each with its own scaled geotransform).  Read
-    levels back with ``decode_gtiff(buf, ifd=k)``."""
-    arrs = [np.asarray(array)] + [_mean_reduce(array, f) for f in factors]
+    levels back with ``decode_gtiff(buf, ifd=k)``.  A fill + window
+    image (``encode_gtiff``'s ``_canvas``/``_at``) keeps that form in
+    IFD 0; the overviews are reduced from the filled image."""
+    a = np.asarray(array)
+    canvas = kwargs.pop("_canvas", None)
+    at = kwargs.pop("_at", (0, 0))
+    full = a
+    if canvas is not None:
+        nd = kwargs.get("nodata")
+        full = np.full((*a.shape[:-2], *canvas), 0 if nd is None else nd,
+                       a.dtype)
+        full[..., at[0]:at[0] + a.shape[-2], at[1]:at[1] + a.shape[-1]] = a
+    levels = [dict(array=a, _canvas=canvas, _at=at)] + [
+        {"array": _mean_reduce(full, f)} for f in factors]
     gts: list[tuple | None] = [geotrans]
     for f in factors:
         gts.append(None if geotrans is None else (
@@ -820,9 +889,9 @@ def encode_gtiff_overviews(
             geotrans[3], geotrans[4], geotrans[5] * f))
     segs: list[bytearray] = []
     base = 8
-    for i, (a, gt) in enumerate(zip(arrs, gts)):
+    for i, (lv, gt) in enumerate(zip(levels, gts)):
         seg = bytearray(encode_gtiff(
-            a, geotrans=gt, _ifd_base=base, _no_header=True,
+            **lv, geotrans=gt, _ifd_base=base, _no_header=True,
             _subfile_type=(1 if i else None), **kwargs))
         segs.append(seg)
         base += len(seg)

@@ -539,13 +539,15 @@ class GTiffEncodeStage:
     """map_batches stage: regrid window rows -> full-tile GeoTIFF bytes.
 
     The reference opens one rasterio GeoTIFF per tile sized to the FULL
-    tile (width/height from the tiling, warp.py:303-305) with the tile's
-    geotransform and CRS, nodata outside the reprojected footprint; here
-    the window row is placed into a nodata-filled full-tile array and
-    encoded with the pure-numpy codec (gtiff.py).  Encoding (deflate)
-    dominates per row, so the Python loop over rows is the same task
-    granularity as the reference's per-tile fan-out.  Output rows:
-    (image_id, continent, tile, fname, data: tif bytes)."""
+    tile (width/height from the tiling) with the tile's geotransform and
+    CRS, nodata outside the reprojected footprint.  Here a tile is the
+    nodata fill plus the row's window at (r0, c0), handed to the
+    pure-numpy codec (gtiff.py) as is: no full-tile array is built, only
+    the strips (or blocks) the window touches are compressed, and the
+    all-nodata ones come from the codec's cache of compressed constant
+    chunks, so one tile costs about one strip's deflate.  Windows whose
+    pixels all equal the nodata value (NaN matching NaN) are dropped.
+    Output rows: (image_id, continent, tile, fname, data: tif bytes)."""
 
     def __init__(
         self,
@@ -611,26 +613,25 @@ class GTiffEncodeStage:
             win = np.frombuffer(
                 pdata[poffs[j]: poffs[j + 1]], dtype=dt
             ).reshape(nb, int(wh[j]), int(ww[j]))
-            if not (win != nd).any():
+            if np.array_equal(win, np.broadcast_to(nd, win.shape),
+                              equal_nan=True):
                 # bbox over-approximation from ExpandTilePairs: the tile's
                 # window gathered no source pixel -- nothing to write
                 continue
             keep_idx.append(j)
-            full = np.full((nb, self.npix, self.npix), nd, dtype=dt)
-            full[:, r0[j]: r0[j] + wh[j], c0[j]: c0[j] + ww[j]] = win
-            if nb == 1:
-                full = full[0]
             gt = tile_geotrans(float(parsed["ll_x"][j]),
                                float(parsed["ll_y"][j]),
                                self.tile_size, self.sampling)
             kw = dict(geotrans=gt, crs=conts[j], nodata=float(nodata[j]),
                       compress=self.compress, tiled=self.tiled_tif,
                       blockxsize=self.blocksize, blockysize=self.blocksize,
-                      scale=scales[j], offset=offsets[j])
+                      scale=scales[j], offset=offsets[j],
+                      _canvas=(self.npix, self.npix),
+                      _at=(int(r0[j]), int(c0[j])))
             if self.overviews:
-                data = encode_gtiff_overviews(full, self.overviews, **kw)
+                data = encode_gtiff_overviews(win, self.overviews, **kw)
             else:
-                data = encode_gtiff(full, **kw)
+                data = encode_gtiff(win, **kw)
             # one-image-per-source fragments (the reference's file->tiles
             # flow) name files {src_stem}_{ftile}; multi-image fragments
             # disambiguate with the image id (warp.py:185-201 semantics)

@@ -128,6 +128,27 @@ def _decode_mix(n_iter: int, out) -> None:
     out.put((n_iter * 384, time.time() - t0))
 
 
+def _deflate_strip(n_iter: int, out) -> None:
+    """The warp encode's per-tile work, engine-free: ``zlib.compress``
+    at level 6 of one 54x1200 uint8 window strip (a T6 tile's strip at
+    500 m, nodata 0 around a 24x24 patch of the synthetic image
+    pattern).  Measures strips/s; a tile whose window sits in one strip
+    costs one such call, so 1e3 / rate is the ms/tile ceiling to set
+    next to ``gtiff.place_ms_per_tile + gtiff.encode_ms_per_tile``."""
+    import zlib
+
+    strip = np.zeros((54, 1200), dtype=np.uint8)
+    r = np.arange(24)[:, None]
+    c = np.arange(24)[None, :]
+    strip[15:39, 600:624] = (r * 24 + c * 24 + 7) % 256
+    raw = strip.tobytes()
+    t0 = time.time()
+    s = 0
+    for _ in range(n_iter):
+        s += len(zlib.compress(raw, 6))
+    out.put((n_iter, time.time() - t0))
+
+
 PROBES = {
     "alu_l1": (_alu, 40_000, "ops/s"),
     "gather_cache": (_gather_cache, 80_000, "gathers/s"),
@@ -135,6 +156,7 @@ PROBES = {
     "gather_complex_16tap": (_gather_complex_16tap, 60, "rows/s"),
     "stream_256mb": (_stream, 12, "bytes/s"),
     "decode_mix": (_decode_mix, 60, "rows/s"),
+    "deflate_strip": (_deflate_strip, 10_000, "strips/s"),
 }
 
 
