@@ -496,6 +496,7 @@ def resample_to_equi7_tiles(
     from pathlib import Path as _Path
 
     from equi7grid_ray.pipelines import warp as warp_mod
+    from equi7grid_ray.state import checkpoint
 
     if band != 1:
         raise NotImplementedError("band selection: payload rows are "
@@ -540,7 +541,7 @@ def resample_to_equi7_tiles(
         import tempfile
 
         frag_dir = _Path(tempfile.mkdtemp(prefix="e7r_gtiff_in_"))
-        input_dir, tif_src_crs, tif_res, tif_nodata = _gtiff_to_row_parquet(
+        input_path, tif_src_crs, tif_res, tif_nodata = _gtiff_to_row_parquet(
             src, frag_dir)
         if image_nodata is None and tif_nodata is not None:
             # reference default: nodata from the file metadata
@@ -552,7 +553,7 @@ def resample_to_equi7_tiles(
             src_crs_eff, res_deg_eff, res_m_eff = (
                 "webmercator", None, tif_res)
     else:
-        input_dir = src if src.is_dir() else src.parent
+        input_path = src  # one fragment file or a directory of them
         src_crs_eff, res_deg_eff, res_m_eff = "geog", src_res_deg, 1000.0
     out = _Path(output_dirpath)
     if overwrite and (out / "_manifest").exists():
@@ -570,7 +571,7 @@ def resample_to_equi7_tiles(
     if res_deg_eff is None and src_crs_eff == "geog":
         res_deg_eff = SRC_RES_DEG
     warp_mod.resample_to_equi7_tiles(
-        str(input_dir), str(out),
+        str(input_path), str(out),
         tiling_id=tiling, spec=e7grid.spec,
         ftilenames=keep,
         resampling=rs,
@@ -586,4 +587,7 @@ def resample_to_equi7_tiles(
         src_res_deg=res_deg_eff if res_deg_eff is not None else SRC_RES_DEG,
         concurrency=(1, max(1, int(n_tasks))),
     )
-    return sorted(out.glob("part-*/EQUI7_*/*/*.tif"))
+    # this call's fragments only: other partitions in ``out`` may come
+    # from earlier calls on other inputs
+    return sorted(f for frag in checkpoint.fragment_paths(input_path)
+                  for f in (out / f"part-{_Path(frag).stem}").glob("EQUI7_*/*/*.tif"))

@@ -2,17 +2,21 @@
 partitioned parquet sink.
 
 Ray-Data shape (cf. the reference's serial/mp.Pool fan-out at
-/root/reference/src/equi7grid/warp.py:424-578):
+warp.py:424-578):
 
     read_parquet (pruned columns)
       -> map_batches(make_assign_fn: broadcast TileAssigner, zero-copy Arrow)
       -> [optional] groupby coarse cell / write_parquet partitioned
 
-Everything streams; nothing materializes the full dataset.
+Everything streams; nothing materializes the full dataset.  The
+resumable variant, ``run_flagship_checkpointed``, hands its fragments to
+``checkpoint.run_fragments``, the runner the warp sink uses too:
+``_ingest_fragment`` is the per-fragment task body.
 """
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +24,7 @@ import pyarrow as pa
 
 from equi7grid_ray.grid import GridSpec
 from equi7grid_ray.stages.tile_assign import make_assign_fn
+from equi7grid_ray.state import checkpoint
 
 
 def tile_assignments(
@@ -97,6 +102,27 @@ def tile_assignments_from_files(
     return ds.map_batches(read_and_assign, batch_format="pyarrow", num_cpus=1)
 
 
+def _ingest_fragment(path: str, *, out_dir: str, assign, columns) -> None:
+    """One fragment, start to commit: read each row group -> assign ->
+    partition write, with the read and assign seconds in ``stage_s``."""
+    import pyarrow.parquet as pq
+
+    stage_s = {"read": 0.0, "assign": 0.0}
+    pf = pq.ParquetFile(path)
+    parts = []
+    for rg in range(pf.num_row_groups):
+        t0 = time.perf_counter()
+        t = pf.read_row_group(rg, columns=columns, use_threads=False)
+        t1 = time.perf_counter()
+        parts.append(assign(t))
+        stage_s["read"] += t1 - t0
+        stage_s["assign"] += time.perf_counter() - t1
+    checkpoint.write_equi7_partition(
+        out_dir, Path(path).stem, pa.concat_tables(parts) if parts else None,
+        input_fragments=[path], rows_in=pf.metadata.num_rows,  # no second pass
+        extra={"stage_s": stage_s})
+
+
 def run_flagship_checkpointed(
     input_path: str,
     out_dir: str,
@@ -104,48 +130,24 @@ def run_flagship_checkpointed(
     tiling_id: str = "T6",
     decode: bool = False,
 ) -> dict:
-    """Flagship with per-input-fragment checkpointing: each parquet
-    fragment runs as ONE Ray task (read -> assign -> atomic
-    per-(continent, tile) partitioned write + manifest row with lineage,
-    per-tile counts and a data checksum); a rerun skips completed
-    fragments.  Fragments run CONCURRENTLY (they are independent resume
-    units), the input is read once (rows_in comes from the fragment
-    metadata, not a second pass), and the output layout mirrors the
-    reference's ``EQUI7_{continent}/{tilename}/`` directory scheme
-    (warp.py:276-288) one level down in each fragment partition."""
-    import ray
-
-    from equi7grid_ray.state.checkpoint import Manifest
-
-    frags = sorted(str(p) for p in Path(input_path).glob("*.parquet"))
-    if not frags:
-        raise ValueError(f"no parquet fragments under {input_path}")
-    man = Manifest(out_dir)
-    todo = [f for f in frags if not man.done(Path(f).stem)]
-    assign = make_assign_fn(tiling_id=tiling_id, decode=decode)
-
-    @ray.remote(num_cpus=1)
-    def run_fragment(frag: str) -> None:
-        import pyarrow.parquet as pq
-
-        from equi7grid_ray.state.checkpoint import write_equi7_partition
-
-        pid = Path(frag).stem
-        cols = ["image_id", "bytes", "w", "h", "fmt"] if decode else None
-        pf = pq.ParquetFile(frag)
-        rows_in = pf.metadata.num_rows  # from metadata: no second pass
-        parts = [
-            assign(pf.read_row_group(rg, columns=cols, use_threads=False))
-            for rg in range(pf.num_row_groups)
-        ]
-        m = pa.concat_tables(parts) if parts else None
-        write_equi7_partition(
-            out_dir, pid, m, input_fragments=[frag], rows_in=rows_in
-        )
-
-    # concurrent fragment jobs; each is an independent atomic resume unit
-    ray.get([run_fragment.remote(f) for f in todo])
-    return Manifest(out_dir).counters()
+    """Flagship with per-input-fragment checkpointing: each pending
+    fragment of ``input_path`` (one parquet file or a directory of them)
+    runs as one ``checkpoint.run_fragments`` task (read -> assign ->
+    atomic per-(continent, tile) partitioned write + manifest row with
+    lineage, per-tile counts, a data checksum and ``stage_s``
+    {read, assign, write}); a rerun skips completed fragments.  Fragments
+    run concurrently (they are independent resume units), the input is
+    read once (rows_in comes from the fragment metadata, not a second
+    pass), and the output layout mirrors the reference's
+    ``EQUI7_{continent}/{tilename}/`` directory scheme (warp.py:276-288)
+    one level down in each fragment partition.  A fragment that fails
+    gets no manifest; the others still commit, then this raises
+    ``RuntimeError`` naming the failed fragments.  Returns the manifest
+    counter summary."""
+    columns = ["image_id", "bytes", "w", "h", "fmt"] if decode else None
+    return checkpoint.run_fragments(
+        input_path, out_dir, _ingest_fragment,
+        dict(assign=make_assign_fn(tiling_id=tiling_id, decode=decode), columns=columns))
 
 
 def ordered_assignments(assignments):

@@ -4,11 +4,12 @@ router, :404-420 name resolution, :424-578 fan-out) as a resumable Ray
 Data pipeline.
 
 The reference fans out one mp.Pool task per tile (warp.py:567-574).
-Here each pending input fragment is one Ray task: it reads the fragment
-with pyarrow, runs expand -> regrid -> [tile filter] -> [GeoTIFF encode]
-with stage objects it builds itself, and commits its own
-``part-<fragment>`` directory and manifest through the partition
-writers in ``state/checkpoint.py``.  The Ray driver receives one small
+Here ``checkpoint.run_fragments`` runs each pending input fragment as one
+Ray task, and ``_warp_fragment`` is that task's body: it reads the
+fragment with pyarrow, runs expand -> regrid -> [tile filter] ->
+[GeoTIFF encode] with stage objects it builds itself, and commits its
+own ``part-<fragment>`` directory and manifest through the partition
+writers of ``state/checkpoint.py``.  The Ray driver receives one small
 summary row per fragment; no pixel or tile bytes pass through it.  The
 fragment is the resume unit: a rerun skips every fragment whose manifest
 exists.
@@ -17,7 +18,6 @@ exists.
 from __future__ import annotations
 
 import time
-import traceback
 from collections.abc import Callable
 from pathlib import Path
 
@@ -112,25 +112,6 @@ def _warp_fragment(path: str, *, out_dir: str, out_format: str,
     checkpoint.write_equi7_raster_partition(out_dir, pid, tifs, **common)
 
 
-def _warp_fragments(batch: pa.Table, **kw) -> pa.Table:
-    """map_batches task over fragment paths: each fragment is warped and
-    committed in this task.  A fragment that raises gets no manifest (a
-    rerun redoes it) and reports its error in the summary row, so the
-    other fragments of the pass still commit."""
-    pids, errors = [], []
-    for path in batch.column("path").to_pylist():
-        pid = Path(path).stem
-        try:
-            _warp_fragment(path, **kw)
-            errors.append("")
-        except Exception as e:  # reported per fragment; the caller raises
-            tb = "".join(traceback.format_exception(e))
-            errors.append(f"{type(e).__name__}: {e}\n{tb[-1500:]}")
-        pids.append(pid)
-    return pa.table({"partition_id": pa.array(pids, pa.string()),
-                     "error": pa.array(errors, pa.string())})
-
-
 def resample_to_equi7_tiles(
     input_path: str,
     out_dir: str,
@@ -153,6 +134,8 @@ def resample_to_equi7_tiles(
     concurrency=(1, 8),
 ) -> dict:
     """Image parquet -> regridded tiles, resumable per input fragment.
+    ``input_path`` is one fragment file or a directory of ``*.parquet``
+    fragments.
 
     ``out_format="parquet"`` writes pixel-window rows per tile;
     ``out_format="gtiff"`` writes one full-tile GeoTIFF per (image,
@@ -161,51 +144,34 @@ def resample_to_equi7_tiles(
     ("deflate"|"none"|"lzw"; the reference's zstd needs libzstd, absent
     here), ``tif_is_tiled`` and ``tile_blocksize``).
 
-    Every pending fragment is one Ray task (one CPU; at most
-    ``task_cap(concurrency)`` at a time) that regrids, encodes and
-    writes its ``EQUI7_{continent}/{tile}/`` partition and manifest
-    itself; the manifest also records ``pairs``, ``windows_empty`` and
-    per-stage seconds (``stage_s``).  The Ray driver only collects one
-    summary row per fragment.  A fragment that fails gets no manifest;
-    the others still commit, then this raises ``RuntimeError`` naming the
-    failed fragments.
+    Every pending fragment is one ``checkpoint.run_fragments`` task (one
+    CPU; at most ``task_cap(concurrency)`` at a time) that regrids,
+    encodes and writes its ``EQUI7_{continent}/{tile}/`` partition and
+    manifest itself; the manifest also records ``pairs``,
+    ``windows_empty`` and per-stage seconds (``stage_s``).  A fragment
+    that fails gets no manifest; the others still commit, then this
+    raises ``RuntimeError`` naming the failed fragments.
 
     ``ftilenames`` restricts output to an explicit tile list (the
     reference's explicit-tiles path); ``naming_traffo(stem, ftilename)``
     customizes file stems (warp.py:243-248 hook).
     Returns the manifest counter summary."""
-    import ray.data as rd
-
     if out_format not in ("parquet", "gtiff"):
         raise ValueError(f"unknown out_format {out_format!r}")
-    frags = sorted(str(p) for p in Path(input_path).glob("*.parquet"))
-    if not frags:
-        raise ValueError(f"no parquet fragments under {input_path}")
-    man = checkpoint.Manifest(out_dir)
-    todo = [f for f in frags if not man.done(Path(f).stem)]
-    if todo:
-        kw = dict(
-            out_dir=str(out_dir), out_format=out_format, batch_size=batch_size,
-            keep=sorted(set(ftilenames)) if ftilenames else None,
-            naming_traffo=naming_traffo,
-            regrid_kw=dict(
-                tiling_id=tiling_id, spec=spec, resampling=resampling,
-                nodata=nodata, src_crs=src_crs, src_res_m=src_res_m,
-                src_res_deg=src_res_deg if src_res_deg is not None else SRC_RES_DEG,
-            ),
-            encode_kw=dict(
-                tiling_id=tiling_id, spec=spec, compress=compress_type,
-                tiled_tif=tif_is_tiled, blocksize=tile_blocksize,
-                overviews=tif_overviews,
-            ),
-        )
-        ds = rd.from_items([{"path": f} for f in todo], override_num_blocks=len(todo))
-        summary = ds.map_batches(
-            _warp_fragments, fn_kwargs=kw, batch_format="pyarrow", batch_size=1,
-            concurrency=min(task_cap(concurrency) or len(todo), len(todo)), num_cpus=1,
-        ).take_all()
-        failed = [f"{r['partition_id']}: {r['error']}" for r in summary if r["error"]]
-        if failed:
-            raise RuntimeError(f"warp failed for {len(failed)} of {len(todo)} "
-                               "fragments:\n" + "\n".join(failed))
-    return checkpoint.Manifest(out_dir).counters()
+    kw = dict(
+        out_format=out_format, batch_size=batch_size,
+        keep=sorted(set(ftilenames)) if ftilenames else None,
+        naming_traffo=naming_traffo,
+        regrid_kw=dict(
+            tiling_id=tiling_id, spec=spec, resampling=resampling,
+            nodata=nodata, src_crs=src_crs, src_res_m=src_res_m,
+            src_res_deg=src_res_deg if src_res_deg is not None else SRC_RES_DEG,
+        ),
+        encode_kw=dict(
+            tiling_id=tiling_id, spec=spec, compress=compress_type,
+            tiled_tif=tif_is_tiled, blocksize=tile_blocksize,
+            overviews=tif_overviews,
+        ),
+    )
+    return checkpoint.run_fragments(input_path, out_dir, _warp_fragment, kw,
+                                    max_tasks=task_cap(concurrency))

@@ -280,3 +280,27 @@ def test_compat_resample_webmercator_geotiff_verbatim(ray_session, tmp_path):
         g = read_gtiff(p)
         assert g.array.shape == (60, 60) and g.array.dtype == np.uint8
         assert set(np.unique(g.array)) <= {0, 1, 2, nodata}
+
+
+def test_compat_resample_one_file_warps_only_that_file(ray_session, tmp_path):
+    """Given one parquet file, the compat warp leaves its sibling files
+    alone and returns only the tiles of this call's fragment, not those
+    of earlier calls into the same output directory."""
+    import pyarrow.parquet as pq
+
+    from equi7grid_ray.compat import resample_to_equi7_tiles
+    from equi7grid_ray.sources.images import make_batch
+
+    e7grid = get_standard_equi7grid({"T6": 1000})
+    src = tmp_path / "imgs"
+    src.mkdir()
+    pq.write_table(make_batch(0, 3), src / "a.parquet")
+    pq.write_table(make_batch(3, 3), src / "b.parquet")
+    out = tmp_path / "out"
+
+    paths_a = resample_to_equi7_tiles(src / "a.parquet", e7grid, out, compress_type="deflate")
+    assert paths_a and all(p.is_relative_to(out / "part-a") for p in paths_a)
+    assert not (out / "part-b").exists()
+
+    paths_b = resample_to_equi7_tiles(src / "b.parquet", e7grid, out, compress_type="deflate")
+    assert paths_b and all(p.is_relative_to(out / "part-b") for p in paths_b)

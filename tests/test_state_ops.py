@@ -13,7 +13,7 @@ from equi7grid_ray.cells import (
     cell_parent,
     salt_keys,
 )
-from equi7grid_ray.state.checkpoint import Manifest, pending_partitions, write_partition
+from equi7grid_ray.state.checkpoint import Manifest, pending_partitions, write_equi7_partition
 
 
 def test_cell_roundtrip():
@@ -34,29 +34,25 @@ def test_salt_spreads():
     assert len(np.unique(salted)) == 16
 
 
+def _tile_table(values) -> pa.Table:
+    n = len(values)
+    return pa.table({"continent": pa.array(["EU"] * n), "tile": pa.array(["EU_E048N012T6"] * n),
+                     "v": pa.array(values, pa.int64())})
+
+
 def test_checkpoint_resume(tmp_path):
-    t = pa.table({"tile": pa.array(["EU_E048N012T6"] * 5), "v": pa.array(range(5))})
+    t = _tile_table(range(5))
     out = tmp_path / "out"
-    p1 = write_partition(out, "0001", t, rows_in=5)
+    p1 = write_equi7_partition(out, "0001", t, rows_in=5)
     assert p1 is not None
+    assert (out / "part-0001/EQUI7_EU/E048N012T6/0001_EU_E048N012T6.parquet").is_file()
     # second write is skipped (resume)
-    assert write_partition(out, "0001", t) is None
+    assert write_equi7_partition(out, "0001", t) is None
     assert pending_partitions(out, ["0001", "0002"]) == ["0002"]
     man = Manifest(out)
     all_ = man.load_all()
     assert all_[0]["rows_out"] == 5 and all_[0]["tile_counts"]["EU_E048N012T6"] == 5
     assert man.counters()["rows_out"] == 5
-
-
-def test_counter_actor(ray_session):
-    import ray
-
-    from equi7grid_ray.state.checkpoint import get_counter
-
-    c = get_counter("test_counters")
-    ray.get([c.add.remote("rows", 10) for _ in range(5)])
-    assert ray.get(c.all.remote())["rows"] == 50
-    ray.kill(c)
 
 
 def test_exact_dedup(ray_session):
@@ -407,13 +403,11 @@ def test_partition_checksum_covers_data(tmp_path):
     same-shape different-content partitions get different digests."""
     import json
 
-    import pyarrow as pa
-
-    t1 = pa.table({"a": pa.array([1, 2, 3], pa.int64())})
-    t2 = pa.table({"a": pa.array([1, 2, 4], pa.int64())})
-    write_partition(tmp_path / "x", "p1", t1)
-    write_partition(tmp_path / "y", "p1", t2)
-    write_partition(tmp_path / "z", "p1", t1)
+    t1 = _tile_table([1, 2, 3])
+    t2 = _tile_table([1, 2, 4])
+    write_equi7_partition(tmp_path / "x", "p1", t1)
+    write_equi7_partition(tmp_path / "y", "p1", t2)
+    write_equi7_partition(tmp_path / "z", "p1", t1)
 
     def digest(d):
         f = tmp_path / d / "_manifest" / "part-p1.json"

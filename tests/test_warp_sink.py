@@ -1,8 +1,10 @@
-"""Warp sink as one Ray task per fragment: no hang below 3 CPUs, resume
-to byte-identical output after a worker crash or a failing fragment,
-no tile bytes through the driver, complete manifest tile counts and
-per-fragment stage facts."""
+"""Checkpointed sinks on the shared fragment runner: no hang below 3
+CPUs, resume to byte-identical output after a worker crash or a failing
+fragment (warp and flagship), no tile bytes through the driver, complete
+manifest tile counts, per-fragment stage facts, and file bytes and
+manifests pinned for all three sinks."""
 
+import hashlib
 import json
 import os
 import signal
@@ -15,17 +17,18 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from equi7grid_ray.pipelines.flagship import run_flagship_checkpointed
 from equi7grid_ray.pipelines.warp import resample_to_equi7_tiles
 from equi7grid_ray.sources.images import make_batch
 from equi7grid_ray.state.checkpoint import (
     Manifest,
     write_equi7_partition,
     write_equi7_raster_partition,
-    write_partition,
 )
 
 REPO = Path(__file__).resolve().parent.parent
 SUFFIX = {"gtiff": ".tif", "parquet": ".parquet"}
+GOLDEN = Path(__file__).resolve().parent / "data" / "partition_commit_golden.json"
 
 
 def _fragments(d: Path, truncate_png: bool = False) -> Path:
@@ -134,18 +137,18 @@ def test_worker_crash_mid_fragment_resumes_byte_identical(ray_session, tmp_path,
     assert not list((tmp_path / "crash").glob(".tmp-part-*"))
 
 
-def test_failing_fragment_leaves_no_partition_and_reruns_clean(ray_session, tmp_path):
-    """A fragment whose PNG payload is truncated makes the call raise;
-    the good fragment is committed, the bad one leaves nothing behind,
-    and once its input is fixed a rerun completes to a clean run's
-    output."""
+def _failing_fragment_reruns_clean(run, tmp_path):
+    """``run(input_dir, out_dir)`` raises on an input whose frag-b has a
+    truncated PNG payload; the good fragment is committed, the bad one
+    leaves nothing behind, and once its input is fixed a rerun completes
+    to a clean run's output."""
     good = _fragments(tmp_path / "good")
-    resample_to_equi7_tiles(str(good), str(tmp_path / "clean"), out_format="gtiff")
+    run(str(good), str(tmp_path / "clean"))
 
     src = _fragments(tmp_path / "imgs", truncate_png=True)
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match="frag-b.*truncated or corrupt PNG"):
-        resample_to_equi7_tiles(str(src), str(out), out_format="gtiff")
+        run(str(src), str(out))
     man = Manifest(out)
     assert man.done("frag-a") and (out / "part-frag-a").is_dir()
     assert not man.done("frag-b")
@@ -153,8 +156,21 @@ def test_failing_fragment_leaves_no_partition_and_reruns_clean(ray_session, tmp_
     assert not list(out.glob(".tmp-part-*"))
 
     _fragments(src)  # fixed payload
-    resample_to_equi7_tiles(str(src), str(out), out_format="gtiff")
+    run(str(src), str(out))
     assert _outputs(out) == _outputs(tmp_path / "clean")
+
+
+def test_failing_fragment_leaves_no_partition_and_reruns_clean(ray_session, tmp_path):
+    _failing_fragment_reruns_clean(
+        lambda s, o: resample_to_equi7_tiles(s, o, out_format="gtiff"), tmp_path)
+
+
+def test_flagship_failing_fragment_leaves_no_partition_and_reruns_clean(
+        ray_session, tmp_path):
+    """Flagship ingest shares the warp's fragment runner, so it shares its
+    failure rule: the failing fragment is named, the other commits."""
+    _failing_fragment_reruns_clean(
+        lambda s, o: run_flagship_checkpointed(s, o, decode=True), tmp_path)
 
 
 def test_driver_writes_no_tiles(ray_session, tmp_path, monkeypatch):
@@ -215,11 +231,50 @@ def _many_tiles_table(n_tiles: int = 60, per_tile: int = 2) -> pa.Table:
     })
 
 
-@pytest.mark.parametrize("writer", [write_partition, write_equi7_partition,
-                                    write_equi7_raster_partition])
+@pytest.mark.parametrize("writer", [write_equi7_partition, write_equi7_raster_partition])
 def test_manifest_tile_counts_complete_past_50_tiles(tmp_path, writer):
     t = _many_tiles_table()
     writer(tmp_path, "p0", t)
     m = json.loads((tmp_path / "_manifest" / "part-p0.json").read_text())
     assert m["n_tiles"] == 60 == len(m["tile_counts"])
     assert sum(m["tile_counts"].values()) == m["rows_out"] == t.num_rows
+
+
+def _digests(out: Path) -> dict:
+    """sha256 of every written file, and each manifest without ``ts`` and
+    ``stage_s`` (input fragments by file name)."""
+    files = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(out.glob("part-*/**/*")) if p.is_file()}
+    mans = {}
+    for m in Manifest(out).load_all():
+        m = {k: v for k, v in m.items() if k not in ("ts", "stage_s")}
+        m["input_fragments"] = [Path(f).name for f in m["input_fragments"]]
+        mans[m["partition_id"]] = m
+    return {"files": files, "manifests": mans}
+
+
+def test_sink_outputs_match_pinned_digests(ray_session, tmp_path):
+    """File bytes and manifests of the three checkpointed sinks (flagship
+    ingest with and without decode, parquet warp, gtiff warp) on the
+    ``_fragments()`` input.  The golden values in
+    ``data/partition_commit_golden.json`` were captured from the sinks as
+    they were before the three writers shared ``commit_partition`` and
+    the two drivers shared ``run_fragments``.  Every manifest also carries
+    a nested ``stage_s`` that the counter totals skip."""
+    golden = json.loads(GOLDEN.read_text())
+    src = _fragments(tmp_path / "imgs")
+    runs = {
+        "flagship": lambda o: run_flagship_checkpointed(src, o),
+        "flagship_decode": lambda o: run_flagship_checkpointed(src, o, decode=True),
+        "warp_parquet": lambda o: resample_to_equi7_tiles(src, o, out_format="parquet"),
+        "warp_gtiff": lambda o: resample_to_equi7_tiles(src, o, out_format="gtiff"),
+    }
+    stages = {"flagship": ["assign", "read", "write"],
+              "warp": ["encode", "expand", "read", "regrid", "write"]}
+    for name, run in runs.items():
+        out = tmp_path / name
+        counters = run(str(out))
+        assert _digests(out) == golden[name], name
+        for m in Manifest(out).load_all():
+            assert sorted(m["stage_s"]) == stages[name.split("_")[0]]
+        assert "stage_s" not in counters
