@@ -3310,11 +3310,10 @@ def q_roi_search_batch(sf_dir: str):
     nx = -(-_XMOD // S)
 
     def stage(batch: pa.Table) -> pa.Table:
-        # fused expand+count: the per-ROI floor sweep (the
-        # projected_bbox_tiles math) lands directly in a dense bincount
-        # over the bounded tile domain -- per-(roi, tile) rows never
-        # materialize when only counts are wanted.  The row-emitting
-        # general stage is stages/roi_search.projected_bbox_tiles.
+        # fused expand+count: the per-ROI floor sweep over the regular
+        # tile grid lands directly in a dense bincount over the bounded
+        # tile domain -- per-(roi, tile) rows never materialize when
+        # only counts are wanted.
         x, y = _derive_xy(batch)
         tx0 = np.maximum(x - R, 0) // S
         tx1 = np.minimum(x + R, _XMOD - 1) // S
@@ -4440,18 +4439,9 @@ def q_tile_coverage(sf_dir: str):
     inventory (export.tiles_table), never a scan."""
     from equi7grid_ray.export import tiles_table
     from equi7grid_ray.stages.aggregate import hash_aggregate
+    from equi7grid_ray.stages.tilestats import tile_counts
 
-    assigned = _assigned_scenes()
-
-    def ones(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "tile": pc.cast(batch.column("tile"), pa.string()),
-            "one": pa.array(np.ones(batch.num_rows, np.int64)),
-        })
-
-    per_tile = hash_aggregate(
-        assigned.map_batches(ones, batch_format="pyarrow"),
-        keys=["tile"], aggs={"n": ("one", "sum")})
+    per_tile = tile_counts(_assigned_scenes(), name="n")
 
     inv = tiles_table("T6", with_wkt=False)
     land = dict(zip(inv.column("tile").to_pylist(),
@@ -4596,19 +4586,9 @@ def q_tile_gaps(sf_dir: str):
     import ray.data as rd
 
     from equi7grid_ray.export import tiles_table
-    from equi7grid_ray.stages.aggregate import hash_aggregate
+    from equi7grid_ray.stages.tilestats import tile_counts
 
-    assigned = _assigned_scenes()
-
-    def ones(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "tile": pc.cast(batch.column("tile"), pa.string()),
-            "one": pa.array(np.ones(batch.num_rows, np.int64)),
-        })
-
-    per_tile = hash_aggregate(
-        assigned.map_batches(ones, batch_format="pyarrow"),
-        keys=["tile"], aggs={"n": ("one", "sum")})
+    per_tile = tile_counts(_assigned_scenes(), name="n")
     seen = set(per_tile.to_pandas()["tile"])
     inv = tiles_table("T6", with_wkt=False)
     keep = [
@@ -4963,6 +4943,42 @@ _OCT_DX = (2, 1, 0, -1, -2, -1, 0, 1)
 _OCT_DY = (0, 1, 2, 1, 0, -1, -2, -1)
 
 
+def _octagons(cx, cy, r) -> pa.Table:
+    """Integer-vertex octagon layer (poly_id, vx, vy): vertex j of
+    polygon k sits at (cx[k] + r[k] * _OCT_DX[j], cy[k] + r[k] * _OCT_DY[j])."""
+    return pa.table({
+        "poly_id": pa.array(np.arange(len(cx)), pa.int64()),
+        "vx": pa.array((cx[:, None] + r[:, None] * np.array(_OCT_DX)).tolist(),
+                       pa.list_(pa.int64())),
+        "vy": pa.array((cy[:, None] + r[:, None] * np.array(_OCT_DY)).tolist(),
+                       pa.list_(pa.int64())),
+    })
+
+
+def _eu_cells_octagons():
+    """The poly_* inputs: the EU northern-hemisphere tile-mosaic cells
+    as (px, py, v) -- 75 km cell centers in projected metres from the
+    tile's lattice point -- and the 16-octagon polygon layer."""
+    from equi7grid_ray.grid import CONTINENT_CODES, tile_lattice
+    from equi7grid_ray.stages.mosaic import tile_mosaic
+
+    def to_cells(b: pa.Table) -> pa.Table:
+        cidx, te, tn = tile_lattice(b.column("tile").to_numpy(zero_copy_only=False))
+        keep = (cidx == CONTINENT_CODES.index("EU")) & (tn >= 0)
+        gr = b.column("gr").to_numpy(zero_copy_only=False).astype(np.int64)[keep]
+        gc = b.column("gc").to_numpy(zero_copy_only=False).astype(np.int64)[keep]
+        return pa.table({
+            "px": pa.array(te[keep] * 100_000 + gc * 75_000 + 37_500, pa.int64()),
+            "py": pa.array(tn[keep] * 100_000 + 562_500 - gr * 75_000, pa.int64()),
+            "v": b.column("v_max").filter(pa.array(keep)).cast(pa.int64()),
+        })
+
+    cells = tile_mosaic(_tiled_scenes()).map_batches(to_cells, batch_format="pyarrow")
+    k = np.arange(16, dtype=np.int64)
+    return cells, _octagons((k * 977_003) % 7_000_000, (k * 1_409_009) % 5_500_000,
+                            150_000 + (k * 13_001) % 450_000)
+
+
 def q_aoi_point_report(sf_dir: str):
     """AOI containment report: 24 broadcast octagon AOIs in
     micro-degree lon/lat space against the lineitem coordinate sweep
@@ -4974,16 +4990,9 @@ def q_aoi_point_report(sf_dir: str):
     from equi7grid_ray.stages.rasterize import rasterize_polygons
 
     k = np.arange(24, dtype=np.int64)
-    cx = 10_000_000 + (k * 14_500_077) % 340_000_000
-    cy = 10_000_000 + (k * 7_700_143) % 160_000_000
-    r = 2_000_000 + (k * 333_337) % 8_000_000
-    polys = pa.table({
-        "poly_id": pa.array(k, pa.int64()),
-        "vx": pa.array([(cx[i] + r[i] * np.array(_OCT_DX)).tolist()
-                        for i in range(24)], pa.list_(pa.int64())),
-        "vy": pa.array([(cy[i] + r[i] * np.array(_OCT_DY)).tolist()
-                        for i in range(24)], pa.list_(pa.int64())),
-    })
+    polys = _octagons(10_000_000 + (k * 14_500_077) % 340_000_000,
+                      10_000_000 + (k * 7_700_143) % 160_000_000,
+                      2_000_000 + (k * 333_337) % 8_000_000)
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
@@ -5015,18 +5024,8 @@ def q_rasterize_polys(sf_dir: str):
     from equi7grid_ray.stages.rasterize import rasterize_polygons
 
     k = np.arange(24, dtype=np.int64)
-    cx = 200 + (k * 977) % 2800
-    cy = 200 + (k * 1409) % 2800
-    r = 50 + (k * 13) % 200
-    polys = pa.table({
-        "poly_id": pa.array(k, pa.int64()),
-        "vx": pa.array([(cx[i] + r[i] * np.array(_OCT_DX)).tolist()
-                        for i in range(24)],
-                       pa.list_(pa.int64())),
-        "vy": pa.array([(cy[i] + r[i] * np.array(_OCT_DY)).tolist()
-                        for i in range(24)],
-                       pa.list_(pa.int64())),
-    })
+    polys = _octagons(200 + (k * 977) % 2800, 200 + (k * 1409) % 2800,
+                      50 + (k * 13) % 200)
 
     def to_cells(batch: pa.Table) -> pa.Table:
         i = batch.column("id").to_numpy()
@@ -5189,41 +5188,9 @@ def q_poly_majority(sf_dir: str):
     zonal statistic (dominant land-cover class per region).  Same EU
     mosaic-cell grid + octagon layer as poly_zonal; bounded
     (poly, value, count) partials + a tiny per-poly resolve."""
-
-    from equi7grid_ray.stages.mosaic import tile_mosaic
     from equi7grid_ray.stages.rasterize import rasterize_majority
 
-    mosaic = tile_mosaic(_tiled_scenes())
-
-    def to_cells(b: pa.Table) -> pa.Table:
-        keep = pc.and_(
-            pc.equal(pc.utf8_slice_codeunits(b.column("tile"), 0, 2), "EU"),
-            pc.equal(pc.utf8_slice_codeunits(b.column("tile"), 7, 8), "N"))
-        b = b.filter(keep)
-        te = pc.cast(pc.utf8_slice_codeunits(b.column("tile"), 4, 7),
-                     pa.int64()).to_numpy(zero_copy_only=False)
-        tn = pc.cast(pc.utf8_slice_codeunits(b.column("tile"), 8, 11),
-                     pa.int64()).to_numpy(zero_copy_only=False)
-        gr = b.column("gr").to_numpy(zero_copy_only=False).astype(np.int64)
-        gc = b.column("gc").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "px": pa.array(te * 100_000 + gc * 75_000 + 37_500, pa.int64()),
-            "py": pa.array(tn * 100_000 + 562_500 - gr * 75_000, pa.int64()),
-            "v": b.column("v_max").cast(pa.int64()),
-        })
-
-    cells = mosaic.map_batches(to_cells, batch_format="pyarrow")
-    k = np.arange(16, dtype=np.int64)
-    cx = (k * 977_003) % 7_000_000
-    cy = (k * 1_409_009) % 5_500_000
-    r = 150_000 + (k * 13_001) % 450_000
-    polys = pa.table({
-        "poly_id": pa.array(k, pa.int64()),
-        "vx": pa.array([(cx[i] + r[i] * np.array(_OCT_DX)).tolist()
-                        for i in range(16)], pa.list_(pa.int64())),
-        "vy": pa.array([(cy[i] + r[i] * np.array(_OCT_DY)).tolist()
-                        for i in range(16)], pa.list_(pa.int64())),
-    })
+    cells, polys = _eu_cells_octagons()
     return rasterize_majority(cells, polys)
 
 
@@ -5258,41 +5225,9 @@ def q_poly_zonal(sf_dir: str):
     composite value over its footprint (n_cells, centroid numerators,
     sum/max of v_max).  SQL rebuilds the mosaic through the pinned
     image->tile lookup and restates the PIP inequalities."""
-
-    from equi7grid_ray.stages.mosaic import tile_mosaic
     from equi7grid_ray.stages.rasterize import rasterize_polygons
 
-    mosaic = tile_mosaic(_tiled_scenes())
-
-    def to_cells(b: pa.Table) -> pa.Table:
-        keep = pc.and_(
-            pc.equal(pc.utf8_slice_codeunits(b.column("tile"), 0, 2), "EU"),
-            pc.equal(pc.utf8_slice_codeunits(b.column("tile"), 7, 8), "N"))
-        b = b.filter(keep)
-        te = pc.cast(pc.utf8_slice_codeunits(b.column("tile"), 4, 7),
-                     pa.int64()).to_numpy(zero_copy_only=False)
-        tn = pc.cast(pc.utf8_slice_codeunits(b.column("tile"), 8, 11),
-                     pa.int64()).to_numpy(zero_copy_only=False)
-        gr = b.column("gr").to_numpy(zero_copy_only=False).astype(np.int64)
-        gc = b.column("gc").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "px": pa.array(te * 100_000 + gc * 75_000 + 37_500, pa.int64()),
-            "py": pa.array(tn * 100_000 + 562_500 - gr * 75_000, pa.int64()),
-            "v": b.column("v_max").cast(pa.int64()),
-        })
-
-    cells = mosaic.map_batches(to_cells, batch_format="pyarrow")
-    k = np.arange(16, dtype=np.int64)
-    cx = (k * 977_003) % 7_000_000
-    cy = (k * 1_409_009) % 5_500_000
-    r = 150_000 + (k * 13_001) % 450_000
-    polys = pa.table({
-        "poly_id": pa.array(k, pa.int64()),
-        "vx": pa.array([(cx[i] + r[i] * np.array(_OCT_DX)).tolist()
-                        for i in range(16)], pa.list_(pa.int64())),
-        "vy": pa.array([(cy[i] + r[i] * np.array(_OCT_DY)).tolist()
-                        for i in range(16)], pa.list_(pa.int64())),
-    })
+    cells, polys = _eu_cells_octagons()
     return rasterize_polygons(cells, polys, value_col="v")
 
 
@@ -6556,14 +6491,10 @@ def q_tile_workload_balance(sf_dir: str):
     plus the rank tie rule (count DESC, tile ASC) shared with the SQL
     row_number mirror."""
     from equi7grid_ray.arrowutil import single_group
-    from equi7grid_ray.stages.aggregate import hash_aggregate
+    from equi7grid_ray.stages.tilestats import tile_counts
 
     W = 8
-    counts = hash_aggregate(
-        _assigned_scenes().map_batches(
-            lambda b: pa.table({"tile": b.column("tile").cast(pa.string())}),
-            batch_format="pyarrow"),
-        keys=["tile"], aggs={"n": ("tile", "count")})
+    counts = tile_counts(_assigned_scenes(), name="n")
 
     def fold(g: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd
@@ -7409,13 +7340,7 @@ WITH cnt AS (
   SELECT tile, count(*)::BIGINT AS x
   FROM {_oracle_lookup('image_tiles.parquet')}
   WHERE i < 2000 GROUP BY tile),
-par AS (
-  SELECT tile, x, 1 + x % 4 AS w, substr(tile, 1, 2) AS ck,
-         CAST(substr(tile, 5, 3) AS BIGINT) AS te,
-         CASE WHEN substr(tile, 8, 1) = 'S'
-              THEN -CAST(substr(tile, 9, 3) AS BIGINT)
-              ELSE CAST(substr(tile, 9, 3) AS BIGINT) END AS tn
-  FROM cnt),
+{sqlgen.lattice_cte('cnt', 'tile, x, 1 + x % 4 AS w')},
 mx AS (SELECT ck, max(x) AS mx FROM par GROUP BY ck),
 cd0 AS MATERIALIZED (
   SELECT p.tile, p.ck, p.te, p.tn, p.w,
@@ -7570,13 +7495,7 @@ FROM v GROUP BY i""",
             "ORDER BY ivf_list"
         ),
         "tile_erosion": f"""
-WITH par AS (
-  SELECT tile, continent AS ck,
-         CAST(substr(tile, 5, 3) AS BIGINT) AS te,
-         CASE WHEN substr(tile, 8, 1) = 'S'
-              THEN -CAST(substr(tile, 9, 3) AS BIGINT)
-              ELSE CAST(substr(tile, 9, 3) AS BIGINT) END AS tn
-  FROM {_oracle_lookup('tiles_t6.parquet')}),
+WITH {sqlgen.lattice_cte(_oracle_lookup('tiles_t6.parquet'))},
 nb AS (
   SELECT a.tile,
     (count(*) FILTER (WHERE greatest(abs(a.te - b.te), abs(a.tn - b.tn))
@@ -8468,147 +8387,29 @@ SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
 FROM blk GROUP BY tile, gr, gc""",
         "tile_focal_mean": f"""
 WITH {_scene_blocks(2000)},
-mos AS (
-  SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
-         max(m)::BIGINT AS v
-  FROM blk GROUP BY tile, gr, gc),
-par AS (
-  SELECT tile, gr, gc, v, substr(tile, 1, 2) AS cont,
-         CAST(substr(tile, 5, 3) AS BIGINT) AS te,
-         CASE WHEN substr(tile, 8, 1) = 'S'
-              THEN -CAST(substr(tile, 9, 3) AS BIGINT)
-              ELSE CAST(substr(tile, 9, 3) AS BIGINT) END AS tn
-  FROM mos),
-osq AS (SELECT * FROM (VALUES (-1,-1),(-1,0),(-1,1),(0,-1),(0,0),(0,1),
-                              (1,-1),(1,0),(1,1)) o(dr, dc)),
-g AS (
-  SELECT c.tile, c.gr, c.gc, c.cont,
-    c.te + CASE WHEN c.gc + o.dc < 0 THEN -6
-                WHEN c.gc + o.dc > 7 THEN 6 ELSE 0 END AS se,
-    c.tn + CASE WHEN c.gr + o.dr < 0 THEN 6
-                WHEN c.gr + o.dr > 7 THEN -6 ELSE 0 END AS sn,
-    ((c.gr + o.dr) % 8 + 8) % 8 AS sgr,
-    ((c.gc + o.dc) % 8 + 8) % 8 AS sgc
-  FROM par c, osq o),
-j AS (
-  SELECT g.tile, g.gr, g.gc, s.v
-  FROM g JOIN par s ON s.cont = g.cont AND s.te = g.se AND s.tn = g.sn
-                   AND s.gr = g.sgr AND s.gc = g.sgc)
+{sqlgen.mosaic_gather_ctes([(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)])}
 SELECT tile, gr, gc, (sum(v) // count(*))::BIGINT AS focal,
        count(*)::BIGINT AS wn
 FROM j GROUP BY tile, gr, gc""",
         "tile_gradient": f"""
 WITH {_scene_blocks(2000)},
-mos AS (
-  SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
-         max(m)::BIGINT AS v
-  FROM blk GROUP BY tile, gr, gc),
-par AS (
-  SELECT tile, gr, gc, v, substr(tile, 1, 2) AS cont,
-         CAST(substr(tile, 5, 3) AS BIGINT) AS te,
-         CASE WHEN substr(tile, 8, 1) = 'S'
-              THEN -CAST(substr(tile, 9, 3) AS BIGINT)
-              ELSE CAST(substr(tile, 9, 3) AS BIGINT) END AS tn
-  FROM mos),
-dirs AS (SELECT * FROM (VALUES (0, 1), (0, -1), (1, 0), (-1, 0))
-         o(dr, dc)),
-g AS (
-  SELECT c.tile, c.gr, c.gc, c.cont, o.dr, o.dc,
-    c.te + CASE WHEN c.gc + o.dc < 0 THEN -6
-                WHEN c.gc + o.dc > 7 THEN 6 ELSE 0 END AS se,
-    c.tn + CASE WHEN c.gr + o.dr < 0 THEN 6
-                WHEN c.gr + o.dr > 7 THEN -6 ELSE 0 END AS sn,
-    ((c.gr + o.dr) % 8 + 8) % 8 AS sgr,
-    ((c.gc + o.dc) % 8 + 8) % 8 AS sgc
-  FROM par c, dirs o),
-j AS (
-  SELECT g.tile, g.gr, g.gc, g.dr, g.dc, s.v
-  FROM g JOIN par s ON s.cont = g.cont AND s.te = g.se AND s.tn = g.sn
-                   AND s.gr = g.sgr AND s.gc = g.sgc),
-piv AS (
-  SELECT tile, gr, gc,
-    max(CASE WHEN dr = 0 AND dc = 1 THEN v END) AS ve,
-    max(CASE WHEN dr = 0 AND dc = -1 THEN v END) AS vw,
-    max(CASE WHEN dr = 1 THEN v END) AS vs,
-    max(CASE WHEN dr = -1 THEN v END) AS vn
-  FROM j GROUP BY tile, gr, gc)
-SELECT tile, gr, gc, (ve - vw)::BIGINT AS gx, (vs - vn)::BIGINT AS gy,
-       (abs(ve - vw) + abs(vs - vn))::BIGINT AS g1
-FROM piv
-WHERE ve IS NOT NULL AND vw IS NOT NULL
-  AND vs IS NOT NULL AND vn IS NOT NULL""",
+{sqlgen.gradient_ctes()}
+SELECT tile, gr, gc, gx::BIGINT AS gx, gy::BIGINT AS gy,
+       (abs(gx) + abs(gy))::BIGINT AS g1
+FROM grad""",
         "tile_tri": f"""
 WITH {_scene_blocks(2000)},
-mos AS (
-  SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
-         max(m)::BIGINT AS v
-  FROM blk GROUP BY tile, gr, gc),
-par AS (
-  SELECT tile, gr, gc, v, substr(tile, 1, 2) AS cont,
-         CAST(substr(tile, 5, 3) AS BIGINT) AS te,
-         CASE WHEN substr(tile, 8, 1) = 'S'
-              THEN -CAST(substr(tile, 9, 3) AS BIGINT)
-              ELSE CAST(substr(tile, 9, 3) AS BIGINT) END AS tn
-  FROM mos),
-dirs AS (SELECT * FROM (VALUES (0, 1), (1, 1), (1, 0), (1, -1),
-                               (0, -1), (-1, -1), (-1, 0), (-1, 1))
-         o(dr, dc)),
-g AS (
-  SELECT c.tile, c.gr, c.gc, c.cont, c.v AS vc,
-    c.te + CASE WHEN c.gc + o.dc < 0 THEN -6
-                WHEN c.gc + o.dc > 7 THEN 6 ELSE 0 END AS se,
-    c.tn + CASE WHEN c.gr + o.dr < 0 THEN 6
-                WHEN c.gr + o.dr > 7 THEN -6 ELSE 0 END AS sn,
-    ((c.gr + o.dr) % 8 + 8) % 8 AS sgr,
-    ((c.gc + o.dc) % 8 + 8) % 8 AS sgc
-  FROM par c, dirs o),
-j AS (
-  SELECT g.tile, g.gr, g.gc, g.vc, s.v
-  FROM g JOIN par s ON s.cont = g.cont AND s.te = g.se AND s.tn = g.sn
-                   AND s.gr = g.sgr AND s.gc = g.sgc)
+{sqlgen.mosaic_gather_ctes([(0, 1), (1, 1), (1, 0), (1, -1),
+                           (0, -1), (-1, -1), (-1, 0), (-1, 1)])}
 SELECT tile, gr, gc, sum(abs(vc - v))::BIGINT AS tri
 FROM j GROUP BY tile, gr, gc HAVING count(*) = 8""",
         "tile_aspect": f"""
 WITH {_scene_blocks(2000)},
-mos AS (
-  SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
-         max(m)::BIGINT AS v
-  FROM blk GROUP BY tile, gr, gc),
-par AS (
-  SELECT tile, gr, gc, v, substr(tile, 1, 2) AS cont,
-         CAST(substr(tile, 5, 3) AS BIGINT) AS te,
-         CASE WHEN substr(tile, 8, 1) = 'S'
-              THEN -CAST(substr(tile, 9, 3) AS BIGINT)
-              ELSE CAST(substr(tile, 9, 3) AS BIGINT) END AS tn
-  FROM mos),
-dirs AS (SELECT * FROM (VALUES (0, 1), (0, -1), (1, 0), (-1, 0))
-         o(dr, dc)),
-g AS (
-  SELECT c.tile, c.gr, c.gc, c.cont, o.dr, o.dc,
-    c.te + CASE WHEN c.gc + o.dc < 0 THEN -6
-                WHEN c.gc + o.dc > 7 THEN 6 ELSE 0 END AS se,
-    c.tn + CASE WHEN c.gr + o.dr < 0 THEN 6
-                WHEN c.gr + o.dr > 7 THEN -6 ELSE 0 END AS sn,
-    ((c.gr + o.dr) % 8 + 8) % 8 AS sgr,
-    ((c.gc + o.dc) % 8 + 8) % 8 AS sgc
-  FROM par c, dirs o),
-j AS (
-  SELECT g.tile, g.gr, g.gc, g.dr, g.dc, s.v
-  FROM g JOIN par s ON s.cont = g.cont AND s.te = g.se AND s.tn = g.sn
-                   AND s.gr = g.sgr AND s.gc = g.sgc),
-piv AS (
-  SELECT tile, gr, gc,
-    max(CASE WHEN dr = 0 AND dc = 1 THEN v END) AS ve,
-    max(CASE WHEN dr = 0 AND dc = -1 THEN v END) AS vw,
-    max(CASE WHEN dr = 1 THEN v END) AS vs,
-    max(CASE WHEN dr = -1 THEN v END) AS vn
-  FROM j GROUP BY tile, gr, gc),
+{sqlgen.gradient_ctes()},
 gr2 AS (
   SELECT substr(tile, 1, 2) AS continent,
-         (vw - ve)::BIGINT AS u, (vn - vs)::BIGINT AS w
-  FROM piv
-  WHERE ve IS NOT NULL AND vw IS NOT NULL
-    AND vs IS NOT NULL AND vn IS NOT NULL),
+         (-gx)::BIGINT AS u, (-gy)::BIGINT AS w
+  FROM grad),
 cls AS (
   SELECT continent,
     CASE WHEN u = 0 AND w = 0 THEN 0
@@ -8625,129 +8426,13 @@ SELECT continent, aspect::BIGINT AS aspect, count(*)::BIGINT AS n
 FROM cls GROUP BY continent, aspect""",
         "tile_flow_d8": f"""
 WITH {_scene_blocks(2000)},
-mos AS (
-  SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
-         max(m)::BIGINT AS v
-  FROM blk GROUP BY tile, gr, gc),
-par AS (
-  SELECT tile, gr, gc, v, substr(tile, 1, 2) AS cont,
-         CAST(substr(tile, 5, 3) AS BIGINT) AS te,
-         CASE WHEN substr(tile, 8, 1) = 'S'
-              THEN -CAST(substr(tile, 9, 3) AS BIGINT)
-              ELSE CAST(substr(tile, 9, 3) AS BIGINT) END AS tn
-  FROM mos),
-dirs AS (SELECT * FROM (VALUES (0, 1, 1), (1, 1, 2), (1, 0, 4),
-                               (1, -1, 8), (0, -1, 16), (-1, -1, 32),
-                               (-1, 0, 64), (-1, 1, 128))
-         o(dr, dc, code)),
-g AS (
-  SELECT c.tile, c.gr, c.gc, c.cont, c.v AS vc, o.code,
-    c.te + CASE WHEN c.gc + o.dc < 0 THEN -6
-                WHEN c.gc + o.dc > 7 THEN 6 ELSE 0 END AS se,
-    c.tn + CASE WHEN c.gr + o.dr < 0 THEN 6
-                WHEN c.gr + o.dr > 7 THEN -6 ELSE 0 END AS sn,
-    ((c.gr + o.dr) % 8 + 8) % 8 AS sgr,
-    ((c.gc + o.dc) % 8 + 8) % 8 AS sgc
-  FROM par c, dirs o),
-j AS (
-  SELECT g.tile, g.gr, g.gc, g.code, g.vc, s.v
-  FROM g JOIN par s ON s.cont = g.cont AND s.te = g.se AND s.tn = g.sn
-                   AND s.gr = g.sgr AND s.gc = g.sgc),
-piv AS (
-  SELECT tile, gr, gc, any_value(vc) AS vc,
-    max(CASE WHEN code = 1 THEN v END) AS ve,
-    max(CASE WHEN code = 2 THEN v END) AS vse,
-    max(CASE WHEN code = 4 THEN v END) AS vs,
-    max(CASE WHEN code = 8 THEN v END) AS vsw,
-    max(CASE WHEN code = 16 THEN v END) AS vw,
-    max(CASE WHEN code = 32 THEN v END) AS vnw,
-    max(CASE WHEN code = 64 THEN v END) AS vn,
-    max(CASE WHEN code = 128 THEN v END) AS vne
-  FROM j GROUP BY tile, gr, gc HAVING count(*) = 8),
-sc AS (
-  SELECT *, greatest(vc - ve, vc - vse, vc - vs, vc - vsw, vc - vw,
-                     vc - vnw, vc - vn, vc - vne) AS best
-  FROM piv)
-SELECT tile, gr, gc,
-  (CASE WHEN best <= 0 THEN 0
-        WHEN vc - ve = best THEN 1
-        WHEN vc - vse = best THEN 2
-        WHEN vc - vs = best THEN 4
-        WHEN vc - vsw = best THEN 8
-        WHEN vc - vw = best THEN 16
-        WHEN vc - vnw = best THEN 32
-        WHEN vc - vn = best THEN 64
-        ELSE 128 END)::BIGINT AS dir,
-  greatest(best, 0)::BIGINT AS "drop"
+{sqlgen.d8_ctes()}
+SELECT tile, gr, gc, code::BIGINT AS dir,
+       greatest(best, 0)::BIGINT AS "drop"
 FROM sc""",
         "tile_flow_accum": f"""
 WITH RECURSIVE {_scene_blocks(2000)},
-mos AS (
-  SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
-         max(m)::BIGINT AS v
-  FROM blk GROUP BY tile, gr, gc),
-par AS (
-  SELECT tile, gr, gc, v, substr(tile, 1, 2) AS cont,
-         CAST(substr(tile, 5, 3) AS BIGINT) AS te,
-         CASE WHEN substr(tile, 8, 1) = 'S'
-              THEN -CAST(substr(tile, 9, 3) AS BIGINT)
-              ELSE CAST(substr(tile, 9, 3) AS BIGINT) END AS tn
-  FROM mos),
-dirs AS (SELECT * FROM (VALUES (0, 1, 1), (1, 1, 2), (1, 0, 4),
-                               (1, -1, 8), (0, -1, 16), (-1, -1, 32),
-                               (-1, 0, 64), (-1, 1, 128))
-         o(dr, dc, code)),
-g AS (
-  SELECT c.tile, c.gr, c.gc, c.cont, c.v AS vc, o.code,
-    c.te + CASE WHEN c.gc + o.dc < 0 THEN -6
-                WHEN c.gc + o.dc > 7 THEN 6 ELSE 0 END AS se,
-    c.tn + CASE WHEN c.gr + o.dr < 0 THEN 6
-                WHEN c.gr + o.dr > 7 THEN -6 ELSE 0 END AS sn,
-    ((c.gr + o.dr) % 8 + 8) % 8 AS sgr,
-    ((c.gc + o.dc) % 8 + 8) % 8 AS sgc
-  FROM par c, dirs o),
-j AS (
-  SELECT g.tile, g.gr, g.gc, g.code, g.vc, s.v
-  FROM g JOIN par s ON s.cont = g.cont AND s.te = g.se AND s.tn = g.sn
-                   AND s.gr = g.sgr AND s.gc = g.sgc),
-piv AS (
-  SELECT tile, gr, gc, any_value(vc) AS vc,
-    max(CASE WHEN code = 1 THEN v END) AS ve,
-    max(CASE WHEN code = 2 THEN v END) AS vse,
-    max(CASE WHEN code = 4 THEN v END) AS vs,
-    max(CASE WHEN code = 8 THEN v END) AS vsw,
-    max(CASE WHEN code = 16 THEN v END) AS vw,
-    max(CASE WHEN code = 32 THEN v END) AS vnw,
-    max(CASE WHEN code = 64 THEN v END) AS vn,
-    max(CASE WHEN code = 128 THEN v END) AS vne
-  FROM j GROUP BY tile, gr, gc HAVING count(*) = 8),
-d8 AS (
-  SELECT p.tile, p.gr, p.gc, r.cont, r.te, r.tn,
-    CASE WHEN best <= 0 THEN 0
-         WHEN vc - ve = best THEN 1
-         WHEN vc - vse = best THEN 2
-         WHEN vc - vs = best THEN 4
-         WHEN vc - vsw = best THEN 8
-         WHEN vc - vw = best THEN 16
-         WHEN vc - vnw = best THEN 32
-         WHEN vc - vn = best THEN 64
-         ELSE 128 END AS code
-  FROM (SELECT *, greatest(vc - ve, vc - vse, vc - vs, vc - vsw,
-                           vc - vw, vc - vnw, vc - vn, vc - vne) AS best
-        FROM piv) p
-  JOIN par r ON r.tile = p.tile AND r.gr = p.gr AND r.gc = p.gc),
-flow AS (
-  SELECT f.tile, f.gr, f.gc, i.tile AS dtile, i.gr AS dgr, i.gc AS dgc
-  FROM (SELECT d.tile, d.gr, d.gc, d.cont,
-          d.te + CASE WHEN d.gc + o.dc < 0 THEN -6
-                      WHEN d.gc + o.dc > 7 THEN 6 ELSE 0 END AS se,
-          d.tn + CASE WHEN d.gr + o.dr < 0 THEN 6
-                      WHEN d.gr + o.dr > 7 THEN -6 ELSE 0 END AS sn,
-          ((d.gr + o.dr) % 8 + 8) % 8 AS sgr,
-          ((d.gc + o.dc) % 8 + 8) % 8 AS sgc
-        FROM d8 d JOIN dirs o ON o.code = d.code) f
-  JOIN d8 i ON i.cont = f.cont AND i.te = f.se AND i.tn = f.sn
-           AND i.gr = f.sgr AND i.gc = f.sgc),
+{sqlgen.d8_flow_ctes()},
 rec AS (
   SELECT tile, gr, gc, tile AS ct, gr AS cr, gc AS cc FROM d8
   UNION ALL
@@ -8758,72 +8443,7 @@ SELECT ct AS tile, cr AS gr, cc AS gc, count(*)::BIGINT AS acc
 FROM rec GROUP BY 1, 2, 3""",
         "tile_basins": f"""
 WITH RECURSIVE {_scene_blocks(2000)},
-mos AS (
-  SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
-         max(m)::BIGINT AS v
-  FROM blk GROUP BY tile, gr, gc),
-par AS (
-  SELECT tile, gr, gc, v, substr(tile, 1, 2) AS cont,
-         CAST(substr(tile, 5, 3) AS BIGINT) AS te,
-         CASE WHEN substr(tile, 8, 1) = 'S'
-              THEN -CAST(substr(tile, 9, 3) AS BIGINT)
-              ELSE CAST(substr(tile, 9, 3) AS BIGINT) END AS tn
-  FROM mos),
-dirs AS (SELECT * FROM (VALUES (0, 1, 1), (1, 1, 2), (1, 0, 4),
-                               (1, -1, 8), (0, -1, 16), (-1, -1, 32),
-                               (-1, 0, 64), (-1, 1, 128))
-         o(dr, dc, code)),
-g AS (
-  SELECT c.tile, c.gr, c.gc, c.cont, c.v AS vc, o.code,
-    c.te + CASE WHEN c.gc + o.dc < 0 THEN -6
-                WHEN c.gc + o.dc > 7 THEN 6 ELSE 0 END AS se,
-    c.tn + CASE WHEN c.gr + o.dr < 0 THEN 6
-                WHEN c.gr + o.dr > 7 THEN -6 ELSE 0 END AS sn,
-    ((c.gr + o.dr) % 8 + 8) % 8 AS sgr,
-    ((c.gc + o.dc) % 8 + 8) % 8 AS sgc
-  FROM par c, dirs o),
-j AS (
-  SELECT g.tile, g.gr, g.gc, g.code, g.vc, s.v
-  FROM g JOIN par s ON s.cont = g.cont AND s.te = g.se AND s.tn = g.sn
-                   AND s.gr = g.sgr AND s.gc = g.sgc),
-piv AS (
-  SELECT tile, gr, gc, any_value(vc) AS vc,
-    max(CASE WHEN code = 1 THEN v END) AS ve,
-    max(CASE WHEN code = 2 THEN v END) AS vse,
-    max(CASE WHEN code = 4 THEN v END) AS vs,
-    max(CASE WHEN code = 8 THEN v END) AS vsw,
-    max(CASE WHEN code = 16 THEN v END) AS vw,
-    max(CASE WHEN code = 32 THEN v END) AS vnw,
-    max(CASE WHEN code = 64 THEN v END) AS vn,
-    max(CASE WHEN code = 128 THEN v END) AS vne
-  FROM j GROUP BY tile, gr, gc HAVING count(*) = 8),
-d8 AS (
-  SELECT p.tile, p.gr, p.gc, p.vc AS v, r.cont, r.te, r.tn,
-    CASE WHEN best <= 0 THEN 0
-         WHEN vc - ve = best THEN 1
-         WHEN vc - vse = best THEN 2
-         WHEN vc - vs = best THEN 4
-         WHEN vc - vsw = best THEN 8
-         WHEN vc - vw = best THEN 16
-         WHEN vc - vnw = best THEN 32
-         WHEN vc - vn = best THEN 64
-         ELSE 128 END AS code
-  FROM (SELECT *, greatest(vc - ve, vc - vse, vc - vs, vc - vsw,
-                           vc - vw, vc - vnw, vc - vn, vc - vne) AS best
-        FROM piv) p
-  JOIN par r ON r.tile = p.tile AND r.gr = p.gr AND r.gc = p.gc),
-flow AS (
-  SELECT f.tile, f.gr, f.gc, i.tile AS dtile, i.gr AS dgr, i.gc AS dgc
-  FROM (SELECT d.tile, d.gr, d.gc, d.cont,
-          d.te + CASE WHEN d.gc + o.dc < 0 THEN -6
-                      WHEN d.gc + o.dc > 7 THEN 6 ELSE 0 END AS se,
-          d.tn + CASE WHEN d.gr + o.dr < 0 THEN 6
-                      WHEN d.gr + o.dr > 7 THEN -6 ELSE 0 END AS sn,
-          ((d.gr + o.dr) % 8 + 8) % 8 AS sgr,
-          ((d.gc + o.dc) % 8 + 8) % 8 AS sgc
-        FROM d8 d JOIN dirs o ON o.code = d.code) f
-  JOIN d8 i ON i.cont = f.cont AND i.te = f.se AND i.tn = f.sn
-           AND i.gr = f.sgr AND i.gc = f.sgc),
+{sqlgen.d8_flow_ctes()},
 walk AS (
   SELECT tile, gr, gc, v, tile AS ct, gr AS cr, gc AS cc FROM d8
   UNION ALL
@@ -9209,41 +8829,7 @@ r AS (
   FROM img)
 SELECT fmt, reason, count(*)::BIGINT AS n FROM r GROUP BY fmt, reason""",
         "poly_zonal": f"""
-WITH {_scene_blocks(2000)},
-mos AS (
-  SELECT tile, gr, gc, max(m)::BIGINT AS v
-  FROM blk GROUP BY tile, gr, gc),
-cell AS (
-  SELECT CAST(substr(tile, 5, 3) AS BIGINT) * 100000
-           + gc * 75000 + 37500 AS cpx,
-         CAST(substr(tile, 9, 3) AS BIGINT) * 100000
-           + 562500 - gr * 75000 AS cpy, v
-  FROM mos
-  WHERE substr(tile, 1, 2) = 'EU' AND substr(tile, 8, 1) = 'N'),
-p AS (
-  SELECT k AS poly_id, (k * 977003) % 7000000 AS cx,
-         (k * 1409009) % 5500000 AS cy,
-         150000 + (k * 13001) % 450000 AS r
-  FROM range(16) t(k)),
-d(v, dx, dy) AS (VALUES (0, 2, 0), (1, 1, 1), (2, 0, 2), (3, -1, 1),
-                        (4, -2, 0), (5, -1, -1), (6, 0, -2), (7, 1, -1)),
-vert AS (SELECT poly_id, v, cx + r * dx AS vx, cy + r * dy AS vy
-         FROM p, d),
-edge AS (
-  SELECT a.poly_id, a.vx AS x1, a.vy AS y1, b.vx AS x2, b.vy AS y2
-  FROM vert a JOIN vert b
-    ON b.poly_id = a.poly_id AND b.v = (a.v + 1) % 8),
-crs AS (
-  SELECT e.poly_id, c.cpx, c.cpy
-  FROM edge e JOIN cell c
-    ON ((e.y1 > c.cpy) <> (e.y2 > c.cpy))
-   AND (CASE WHEN e.y2 > e.y1
-        THEN (e.x2 - e.x1) * (c.cpy - e.y1)
-             - (c.cpx - e.x1) * (e.y2 - e.y1) > 0
-        ELSE (e.x2 - e.x1) * (c.cpy - e.y1)
-             - (c.cpx - e.x1) * (e.y2 - e.y1) < 0 END)),
-hit AS (SELECT poly_id, cpx, cpy FROM crs
-        GROUP BY poly_id, cpx, cpy HAVING count(*) % 2 = 1)
+WITH {sqlgen.poly_cells_ctes(_scene_blocks(2000))}
 SELECT h.poly_id, count(*)::BIGINT AS n_cells,
        sum(h.cpx)::BIGINT AS sum_px, sum(h.cpy)::BIGINT AS sum_py,
        sum(c.v)::BIGINT AS sum_v, max(c.v)::BIGINT AS max_v
@@ -9262,41 +8848,7 @@ FROM mos a JOIN mos b
 GROUP BY a.tile, b.tile
 HAVING sum((a.v - b.v) * (a.v - b.v)) <= 2000""",
         "poly_majority": f"""
-WITH {_scene_blocks(2000)},
-mos AS (
-  SELECT tile, gr, gc, max(m)::BIGINT AS v
-  FROM blk GROUP BY tile, gr, gc),
-cell AS (
-  SELECT CAST(substr(tile, 5, 3) AS BIGINT) * 100000
-           + gc * 75000 + 37500 AS cpx,
-         CAST(substr(tile, 9, 3) AS BIGINT) * 100000
-           + 562500 - gr * 75000 AS cpy, v
-  FROM mos
-  WHERE substr(tile, 1, 2) = 'EU' AND substr(tile, 8, 1) = 'N'),
-p AS (
-  SELECT k AS poly_id, (k * 977003) % 7000000 AS cx,
-         (k * 1409009) % 5500000 AS cy,
-         150000 + (k * 13001) % 450000 AS r
-  FROM range(16) t(k)),
-d(v, dx, dy) AS (VALUES (0, 2, 0), (1, 1, 1), (2, 0, 2), (3, -1, 1),
-                        (4, -2, 0), (5, -1, -1), (6, 0, -2), (7, 1, -1)),
-vert AS (SELECT poly_id, v, cx + r * dx AS vx, cy + r * dy AS vy
-         FROM p, d),
-edge AS (
-  SELECT a.poly_id, a.vx AS x1, a.vy AS y1, b.vx AS x2, b.vy AS y2
-  FROM vert a JOIN vert b
-    ON b.poly_id = a.poly_id AND b.v = (a.v + 1) % 8),
-crs AS (
-  SELECT e.poly_id, c.cpx, c.cpy
-  FROM edge e JOIN cell c
-    ON ((e.y1 > c.cpy) <> (e.y2 > c.cpy))
-   AND (CASE WHEN e.y2 > e.y1
-        THEN (e.x2 - e.x1) * (c.cpy - e.y1)
-             - (c.cpx - e.x1) * (e.y2 - e.y1) > 0
-        ELSE (e.x2 - e.x1) * (c.cpy - e.y1)
-             - (c.cpx - e.x1) * (e.y2 - e.y1) < 0 END)),
-hit AS (SELECT poly_id, cpx, cpy FROM crs
-        GROUP BY poly_id, cpx, cpy HAVING count(*) % 2 = 1),
+WITH {sqlgen.poly_cells_ctes(_scene_blocks(2000))},
 vc AS (
   SELECT h.poly_id, c.v, count(*)::BIGINT AS n
   FROM hit h JOIN cell c ON c.cpx = h.cpx AND c.cpy = h.cpy
@@ -9757,13 +9309,7 @@ SELECT printf('img%012d', i) AS image_id,
   sum(box)::BIGINT AS box_total
 FROM sel GROUP BY i""",
         "zone_shape": f"""
-WITH par AS (
-  SELECT tile, continent AS ck,
-         CAST(substr(tile, 5, 3) AS BIGINT) AS te,
-         CASE WHEN substr(tile, 8, 1) = 'S'
-              THEN -CAST(substr(tile, 9, 3) AS BIGINT)
-              ELSE CAST(substr(tile, 9, 3) AS BIGINT) END AS tn
-  FROM {_oracle_lookup('tiles_t6.parquet')}),
+WITH {sqlgen.lattice_cte(_oracle_lookup('tiles_t6.parquet'))},
 nb AS (
   SELECT a.tile, a.ck, count(b.tile)::BIGINT AS n4
   FROM par a LEFT JOIN par b
@@ -9819,13 +9365,7 @@ JOIN supplier s ON s.s_suppkey = l.l_suppkey
 WHERE s.s_acctbal >= 0
 GROUP BY 1, 2, 3""",
         "land_regions": f"""
-WITH RECURSIVE par AS (
-  SELECT tile, continent AS ck,
-         CAST(substr(tile, 5, 3) AS BIGINT) AS te,
-         CASE WHEN substr(tile, 8, 1) = 'S'
-              THEN -CAST(substr(tile, 9, 3) AS BIGINT)
-              ELSE CAST(substr(tile, 9, 3) AS BIGINT) END AS tn
-  FROM {_oracle_lookup('tiles_t6.parquet')} WHERE covers_land),
+WITH RECURSIVE {sqlgen.lattice_cte(_oracle_lookup('tiles_t6.parquet') + ' WHERE covers_land')},
 e AS (
   SELECT a.tile AS ta, b.tile AS tb
   FROM par a JOIN par b
@@ -10309,13 +9849,7 @@ WITH cnt AS (
   SELECT tile, count(*)::BIGINT AS x
   FROM {_oracle_lookup('image_tiles.parquet')}
   WHERE i < 2000 GROUP BY tile),
-par AS (
-  SELECT tile, x, substr(tile, 1, 2) AS ck,
-         CAST(substr(tile, 5, 3) AS BIGINT) AS te,
-         CASE WHEN substr(tile, 8, 1) = 'S'
-              THEN -CAST(substr(tile, 9, 3) AS BIGINT)
-              ELSE CAST(substr(tile, 9, 3) AS BIGINT) END AS tn
-  FROM cnt)
+{sqlgen.lattice_cte('cnt', 'tile, x')}
 SELECT a.tile, count(*)::BIGINT AS n_nbrs,
        sum(b.x)::BIGINT AS nbr_scenes
 FROM par a JOIN par b
@@ -10327,13 +9861,7 @@ cnt AS (
   SELECT tile, count(*)::BIGINT AS n
   FROM {_oracle_lookup('image_tiles.parquet')}
   WHERE i < 2000 GROUP BY tile),
-par AS (
-  SELECT tile, n, substr(tile, 1, 2) AS ck,
-         CAST(substr(tile, 5, 3) AS BIGINT) AS te,
-         CASE WHEN substr(tile, 8, 1) = 'S'
-              THEN -CAST(substr(tile, 9, 3) AS BIGINT)
-              ELSE CAST(substr(tile, 9, 3) AS BIGINT) END AS tn
-  FROM cnt),
+{sqlgen.lattice_cte('cnt', 'tile, n')},
 e AS (
   SELECT a.tile AS ta, b.tile AS tb
   FROM par a JOIN par b ON a.ck = b.ck
@@ -10375,13 +9903,7 @@ WITH cnt AS (
   SELECT tile, count(*)::BIGINT AS x
   FROM {_oracle_lookup('image_tiles.parquet')}
   WHERE i < 2000 GROUP BY tile),
-par AS (
-  SELECT tile, x, substr(tile, 1, 2) AS ck,
-         CAST(substr(tile, 5, 3) AS BIGINT) AS te,
-         CASE WHEN substr(tile, 8, 1) = 'S'
-              THEN -CAST(substr(tile, 9, 3) AS BIGINT)
-              ELSE CAST(substr(tile, 9, 3) AS BIGINT) END AS tn
-  FROM cnt),
+{sqlgen.lattice_cte('cnt', 'tile, x')},
 st AS (SELECT count(*)::HUGEINT AS n, sum(x)::HUGEINT AS s FROM par),
 d AS (SELECT tile, ck, te, tn, (st.n * x - st.s)::HUGEINT AS dv
       FROM par, st),

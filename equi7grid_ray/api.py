@@ -328,16 +328,21 @@ def get_tile_from_lonlat(lon: float, lat: float, tiling_id=None,
     return get_tile_from_xy(continent, float(x), float(y), tiling_id, spec)
 
 
-def get_tile_from_name(name: str, spec: GridSpec | None = None) -> TileInfo:
-    """Parse + validate a full tilename (ValueError for off-grid corners,
-    TileOutOfZoneError outside the zone; core.py:172-228)."""
-    spec = spec or GridSpec.standard()
-    try:
-        p = parse_tile_names(name, spec)
-    except Exception as exc:  # malformed strings (wrong shape, non-digits)
-        raise ValueError(f"The given tilename '{name}' is not valid.") from exc
+def _parse_name(name: str, spec: GridSpec) -> dict:
+    """One tile name decoded by ``parse_tile_names``; ValueError for any
+    other shape, an unknown tiling or an off-grid corner."""
+    p = parse_tile_names(name, spec)
     if not bool(p["valid"]):
         raise ValueError(f"The given tilename '{name}' is not valid.")
+    return p
+
+
+def get_tile_from_name(name: str, spec: GridSpec | None = None) -> TileInfo:
+    """Parse + validate a full tilename (ValueError for malformed names
+    and off-grid corners, TileOutOfZoneError outside the zone;
+    core.py:172-228)."""
+    spec = spec or GridSpec.standard()
+    p = _parse_name(name, spec)
     continent = str(p["continent"])
     if continent not in CONTINENTS:
         raise ValueError(f"unknown continent in '{name}'")
@@ -352,7 +357,7 @@ def get_tile_from_name(name: str, spec: GridSpec | None = None) -> TileInfo:
 def get_children_from_name(name: str, spec: GridSpec | None = None) -> list[TileInfo]:
     """Children at the next higher level (core.py:326-340)."""
     spec = spec or GridSpec.standard()
-    p = parse_tile_names(name, spec)
+    p = _parse_name(name, spec)
     lvl = spec.level_of(str(p["tiling"]))
     child_lvl = lvl + 1
     if child_lvl not in spec.tilings:
@@ -373,7 +378,7 @@ def get_children_from_name(name: str, spec: GridSpec | None = None) -> list[Tile
 def get_parent_from_name(name: str, spec: GridSpec | None = None) -> TileInfo:
     """Parent at the next lower level (core.py:342-356)."""
     spec = spec or GridSpec.standard()
-    p = parse_tile_names(name, spec)
+    p = _parse_name(name, spec)
     lvl = spec.level_of(str(p["tiling"]))
     parent_lvl = lvl - 1
     if parent_lvl not in spec.tilings:

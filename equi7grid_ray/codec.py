@@ -190,14 +190,6 @@ def decode_png(buf, copy: bool = True) -> np.ndarray:
     return img if ch == 1 else img.reshape(h, w, ch)
 
 
-def decode_png_gray8(buf, copy: bool = True) -> np.ndarray:
-    """Back-compat alias: decode a PNG known to be 8-bit grayscale."""
-    img = decode_png(buf, copy=copy)
-    if img.ndim != 2:
-        raise ValueError("expected a grayscale PNG")
-    return img
-
-
 def png_stream_stats(buf, keep_rows=None, chunk: int = 1 << 16):
     """Pixel sum and sum of squares (exact integers) of a filter-0 8-bit
     gray/RGB PNG and, optionally, copies of the requested scanlines --

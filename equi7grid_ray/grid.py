@@ -40,6 +40,8 @@ __all__ = [
     "partial_names",
     "full_names",
     "parse_tile_names",
+    "tile_lattice",
+    "lattice_key",
     "parent_ll",
     "children_ll",
     "rc2xy",
@@ -216,38 +218,61 @@ def full_names(continent, ll_x, ll_y, tiling_name: str) -> np.ndarray:
     return np.char.add(np.char.add(cont, "_"), part)
 
 
+#: continent code table: a tile's continent index is its rank here
+#: (alphabetical, so index order is tile-name order)
+CONTINENT_CODES = tuple(sorted(CONTINENTS))
+
+# fixed-width name layout ``CC_E###N###T#``: the fixed marker
+# characters and the digit positions of the easting, northing and
+# tiling tokens
+_MARK_POS, _MARK_CHARS = [2, 3, 11], np.array([ord(c) for c in "_ET"])
+_DIGITS = [4, 5, 6, 8, 9, 10, 12]
+
+
 def parse_tile_names(
     names, spec: GridSpec | None = None
 ) -> dict[str, np.ndarray]:
-    """Parse full tile names vectorized.
+    """Parse full tile names vectorized (one fixed-width decode, no
+    per-name Python).
 
-    Returns dict with ``continent``, ``tiling``, ``ll_x``, ``ll_y`` and
-    ``valid`` (False where x/y is not a multiple of the tile size --
-    the reference raises ValueError there, core.py:197-199; zone
-    containment is a separate check).
+    The accepted shape is exactly the 13 characters :func:`full_names`
+    writes: two upper-case letters, ``_E``, three easting digits, ``N``
+    or ``S``, three northing digits, ``T`` and one tiling digit (e.g.
+    ``EU_E048N012T6``, ``AS_E066S018T6``).  Returns a dict with
+    ``continent``, ``tiling``, ``ll_x``, ``ll_y`` (metres; ``S``
+    northings negative; NaN where the name has another shape) and
+    ``valid``: False for any other shape, a tiling the spec does not
+    define, or an x/y that is not a multiple of the tile size (the
+    reference raises ValueError there, core.py:197-199; zone
+    containment is a separate check).  Scalar in, scalars out.
     """
     spec = spec or GridSpec.standard()
     arr = np.asarray(names, dtype="U")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    continent = np.array([n[:2] for n in arr], dtype="U2")
-    part = np.array([n[3:] for n in arr], dtype="U16")
-    tiling = np.array([p[-2:] for p in part], dtype="U4")
-    tx = np.array([p[1:4] for p in part]).astype(np.int64)
-    ylab = np.array([p[4] for p in part])
-    ty = np.array([p[5:8] for p in part]).astype(np.int64)
-    ll_x = tx * 1e5
-    ll_y = np.where(ylab == "S", -ty, ty) * 1e5
-    sizes = np.array(
-        [spec.tile_size(t) if any(t == n for n, _ in spec.tilings.values()) else np.nan
-         for t in tiling]
+    width = max(arr.dtype.itemsize // 4, 13)
+    code = arr.astype(f"U{width}").view(np.uint32).reshape(len(arr), width)
+    digit = code[:, _DIGITS].astype(np.int64) - ord("0")
+    upper = (code[:, :2] >= ord("A")) & (code[:, :2] <= ord("Z"))
+    south = code[:, 7] == ord("S")
+    shape_ok = (
+        upper.all(axis=1)
+        & ((digit >= 0) & (digit <= 9)).all(axis=1)
+        & (code[:, _MARK_POS] == _MARK_CHARS).all(axis=1)
+        & (south | (code[:, 7] == ord("N")))
+        & (code[:, 13:] == 0).all(axis=1)
     )
+    tx = digit[:, 0] * 100 + digit[:, 1] * 10 + digit[:, 2]
+    ty = digit[:, 3] * 100 + digit[:, 4] * 10 + digit[:, 5]
+    ll_x = np.where(shape_ok, tx * 1e5, np.nan)
+    ll_y = np.where(shape_ok, np.where(south, -ty, ty) * 1e5, np.nan)
+    continent = np.ascontiguousarray(code[:, :2]).view("U2")[:, 0]
+    tiling = np.ascontiguousarray(code[:, 11:13]).view("U2")[:, 0]
+    size = np.full(len(arr), np.nan)
+    for name, tile_size in spec.tilings.values():
+        size[tiling == name] = tile_size
     with np.errstate(invalid="ignore"):
-        valid = (
-            ~np.isnan(sizes)
-            & (np.mod(ll_x, sizes) == 0)
-            & (np.mod(ll_y, sizes) == 0)
-        )
+        valid = shape_ok & (np.mod(ll_x, size) == 0) & (np.mod(ll_y, size) == 0)
     out = {
         "continent": continent,
         "tiling": tiling,
@@ -258,6 +283,30 @@ def parse_tile_names(
     if scalar:
         out = {k: v[0] for k, v in out.items()}
     return out
+
+
+def tile_lattice(names) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lattice coordinates of full tile names: (continent index into
+    :data:`CONTINENT_CODES`, easting, signed northing), the last two in
+    100 km units (``ll_x / 1e5``, ``ll_y / 1e5``) -- the integer lattice
+    every tile-neighbourhood operator walks in tile-size steps (6 at
+    T6).  ValueError on a name :func:`parse_tile_names` cannot decode."""
+    names = np.atleast_1d(np.asarray(names, dtype="U"))
+    p = parse_tile_names(names)
+    bad = np.isnan(p["ll_x"])
+    if bad.any():
+        raise ValueError(f"malformed tile name {names[bad][0]!r}")
+    cidx = np.searchsorted(np.asarray(CONTINENT_CODES), p["continent"])
+    return (cidx.astype(np.int64),
+            np.rint(p["ll_x"] / 1e5).astype(np.int64),
+            np.rint(p["ll_y"] / 1e5).astype(np.int64))
+
+
+def lattice_key(cidx, te, tn) -> np.ndarray:
+    """int64 key of a (continent index, easting, northing) lattice
+    point; offsets of +1200 keep every halo shift non-negative."""
+    return ((np.asarray(cidx, np.int64) * 4000 + te + 1200) * 4000
+            + tn + 1200)
 
 
 def parent_ll(ll_x, ll_y, parent_size: float) -> tuple[np.ndarray, np.ndarray]:

@@ -220,28 +220,3 @@ def write_images_parquet(
         tmp.rename(f)
     return out
 
-
-def read_images(path: str | Path, **kwargs):
-    """ray.data entry for the image table.
-
-    The BASELINE input is a Lance table; when the path IS a Lance
-    dataset and the ``lance`` package is importable this reads it
-    natively (``rd.read_lance`` streams fragments exactly like the
-    parquet path streams files).  The sandbox has no ``lance``, so the
-    deterministic Parquet stand-in -- one file per Lance-fragment
-    resume unit -- is the tested path; a Lance path without the package
-    is rejected loudly rather than mis-read."""
-    import ray.data as rd
-
-    p = Path(path)
-    if p.suffix == ".lance" or (p / "_versions").is_dir():
-        try:
-            import lance  # noqa: F401  (gate only)
-        except ImportError as exc:
-            raise NotImplementedError(
-                f"{p} is a Lance dataset but the 'lance' package is not "
-                "installed in this environment; use the Parquet stand-in "
-                "(sources.images.write_images_parquet)"
-            ) from exc
-        return rd.read_lance(str(p), **kwargs)
-    return rd.read_parquet(str(p), **kwargs)

@@ -331,6 +331,174 @@ blk AS (
   FROM px GROUP BY tile, i, gr, gc)"""
 
 
+def lattice_cte(src: str, cols: str = "tile") -> str:
+    """CTE ``par``: ``cols`` of ``src`` plus each tile's lattice point
+    decoded from the fixed-width ``CC_E###{N|S}###T#`` name --
+    continent ``ck``, easting ``te`` and SIGNED northing ``tn`` (S
+    tiles negative), both in 100 km units."""
+    return f"""par AS (
+  SELECT {cols}, substr(tile, 1, 2) AS ck,
+         CAST(substr(tile, 5, 3) AS BIGINT) AS te,
+         CASE WHEN substr(tile, 8, 1) = 'S'
+              THEN -CAST(substr(tile, 9, 3) AS BIGINT)
+              ELSE CAST(substr(tile, 9, 3) AS BIGINT) END AS tn
+  FROM {src})"""
+
+
+def _neighbour_cell(c: str, o: str) -> str:
+    """Columns ``se, sn, sgr, sgc``: the lattice point and cell of the
+    8x8 composite cell at offset (``o``.dr, ``o``.dc) from cell ``c``,
+    wrapping into the +/-6 easting / northing neighbour tile (gr is
+    south-positive)."""
+    return f"""{c}.te + CASE WHEN {c}.gc + {o}.dc < 0 THEN -6
+                WHEN {c}.gc + {o}.dc > 7 THEN 6 ELSE 0 END AS se,
+    {c}.tn + CASE WHEN {c}.gr + {o}.dr < 0 THEN 6
+                WHEN {c}.gr + {o}.dr > 7 THEN -6 ELSE 0 END AS sn,
+    (({c}.gr + {o}.dr) % 8 + 8) % 8 AS sgr,
+    (({c}.gc + {o}.dc) % 8 + 8) % 8 AS sgc"""
+
+
+def mosaic_gather_ctes(offsets, codes=None) -> str:
+    """CTEs ``mos`` (the 8x8 max composite of ``blk``), ``par`` (its
+    lattice points), ``dirs(dr, dc, code)`` and ``g`` / ``j``: every
+    composite cell (tile, gr, gc, value ``vc``) joined with the value
+    ``v`` of its neighbour at each (dr, dc) of ``offsets`` that exists
+    -- the SQL halo exchange of the mosaic stencil operators.  ``code``
+    labels each offset (default: its position)."""
+    codes = range(len(offsets)) if codes is None else codes
+    values = ", ".join(f"({dr}, {dc}, {k})"
+                       for (dr, dc), k in zip(offsets, codes))
+    return f"""mos AS (
+  SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
+         max(m)::BIGINT AS v
+  FROM blk GROUP BY tile, gr, gc),
+{lattice_cte("mos", "tile, gr, gc, v")},
+dirs AS (SELECT * FROM (VALUES {values}) o(dr, dc, code)),
+g AS (
+  SELECT c.tile, c.gr, c.gc, c.ck, c.v AS vc, o.dr, o.dc, o.code,
+    {_neighbour_cell("c", "o")}
+  FROM par c, dirs o),
+j AS (
+  SELECT g.tile, g.gr, g.gc, g.vc, g.dr, g.dc, g.code, s.v
+  FROM g JOIN par s ON s.ck = g.ck AND s.te = g.se AND s.tn = g.sn
+                   AND s.gr = g.sgr AND s.gc = g.sgc)"""
+
+
+def gradient_ctes() -> str:
+    """:func:`mosaic_gather_ctes` over the 4 rook offsets, then
+    ``grad(tile, gr, gc, gx, gy)``: central differences gx = v(east) -
+    v(west), gy = v(south) - v(north) of every cell with all four
+    neighbours."""
+    return f"""{mosaic_gather_ctes([(0, 1), (0, -1), (1, 0), (-1, 0)])},
+piv AS (
+  SELECT tile, gr, gc,
+    max(CASE WHEN dr = 0 AND dc = 1 THEN v END) AS ve,
+    max(CASE WHEN dr = 0 AND dc = -1 THEN v END) AS vw,
+    max(CASE WHEN dr = 1 THEN v END) AS vs,
+    max(CASE WHEN dr = -1 THEN v END) AS vn
+  FROM j GROUP BY tile, gr, gc),
+grad AS (
+  SELECT tile, gr, gc, ve - vw AS gx, vs - vn AS gy
+  FROM piv
+  WHERE ve IS NOT NULL AND vw IS NOT NULL
+    AND vs IS NOT NULL AND vn IS NOT NULL)"""
+
+
+#: D8 directions in priority order (ties pick the earliest): (dr, dc,
+#: ESRI code, pivot column) with gr south-positive
+_D8 = ((0, 1, 1, "ve"), (1, 1, 2, "vse"), (1, 0, 4, "vs"),
+       (1, -1, 8, "vsw"), (0, -1, 16, "vw"), (-1, -1, 32, "vnw"),
+       (-1, 0, 64, "vn"), (-1, 1, 128, "vne"))
+
+
+def d8_ctes() -> str:
+    """:func:`mosaic_gather_ctes` over the 8 D8 offsets (code = ESRI
+    code), then ``sc(tile, gr, gc, vc, best, code)`` for every cell
+    with all 8 neighbours: the steepest drop ``best`` and the code of
+    the first direction reaching it (0 when no neighbour is lower)."""
+    gather = mosaic_gather_ctes([(dr, dc) for dr, dc, _, _ in _D8],
+                                [k for _, _, k, _ in _D8])
+    pivot = ",\n".join(f"    max(CASE WHEN code = {k} THEN v END) AS {col}"
+                       for _, _, k, col in _D8)
+    drops = ", ".join(f"vc - {col}" for *_, col in _D8)
+    first = "\n".join(f"         WHEN vc - {col} = best THEN {k}"
+                      for _, _, k, col in _D8[:-1])
+    return f"""{gather},
+piv AS (
+  SELECT tile, gr, gc, any_value(vc) AS vc,
+{pivot}
+  FROM j GROUP BY tile, gr, gc HAVING count(*) = 8),
+best AS (SELECT *, greatest({drops}) AS best FROM piv),
+sc AS (
+  SELECT tile, gr, gc, vc, best,
+    CASE WHEN best <= 0 THEN 0
+{first}
+         ELSE {_D8[-1][2]} END AS code
+  FROM best)"""
+
+
+def d8_flow_ctes() -> str:
+    """:func:`d8_ctes`, then ``d8(tile, gr, gc, v, ck, te, tn, code)``
+    (each interior cell on the lattice) and ``flow(tile, gr, gc, dtile,
+    dgr, dgc)``: the D8 edge to the steepest-drop neighbour where that
+    neighbour is itself interior."""
+    return f"""{d8_ctes()},
+d8 AS (
+  SELECT p.tile, p.gr, p.gc, p.vc AS v, r.ck, r.te, r.tn, p.code
+  FROM sc p
+  JOIN par r ON r.tile = p.tile AND r.gr = p.gr AND r.gc = p.gc),
+flow AS (
+  SELECT f.tile, f.gr, f.gc, i.tile AS dtile, i.gr AS dgr, i.gc AS dgc
+  FROM (SELECT d.tile, d.gr, d.gc, d.ck,
+          {_neighbour_cell("d", "o")}
+        FROM d8 d JOIN dirs o ON o.code = d.code) f
+  JOIN d8 i ON i.ck = f.ck AND i.te = f.se AND i.tn = f.sn
+           AND i.gr = f.sgr AND i.gc = f.sgc)"""
+
+
+def poly_cells_ctes(blocks: str) -> str:
+    """After the scene-block CTEs ``blocks``: ``mos``, ``cell(cpx, cpy,
+    v)`` (the EU northern-hemisphere composite cells as 75 km cell
+    centers in projected metres from the tile's lattice point), the
+    16-octagon layer ``p`` / ``d`` / ``vert`` / ``edge``, the exact
+    ray-casting crossings ``crs`` and ``hit(poly_id, cpx, cpy)``: the
+    cells inside each polygon (odd crossing parity)."""
+    return f"""{blocks},
+mos AS (
+  SELECT tile, gr, gc, max(m)::BIGINT AS v
+  FROM blk GROUP BY tile, gr, gc),
+cell AS (
+  SELECT CAST(substr(tile, 5, 3) AS BIGINT) * 100000
+           + gc * 75000 + 37500 AS cpx,
+         CAST(substr(tile, 9, 3) AS BIGINT) * 100000
+           + 562500 - gr * 75000 AS cpy, v
+  FROM mos
+  WHERE substr(tile, 1, 2) = 'EU' AND substr(tile, 8, 1) = 'N'),
+p AS (
+  SELECT k AS poly_id, (k * 977003) % 7000000 AS cx,
+         (k * 1409009) % 5500000 AS cy,
+         150000 + (k * 13001) % 450000 AS r
+  FROM range(16) t(k)),
+d(v, dx, dy) AS (VALUES (0, 2, 0), (1, 1, 1), (2, 0, 2), (3, -1, 1),
+                        (4, -2, 0), (5, -1, -1), (6, 0, -2), (7, 1, -1)),
+vert AS (SELECT poly_id, v, cx + r * dx AS vx, cy + r * dy AS vy
+         FROM p, d),
+edge AS (
+  SELECT a.poly_id, a.vx AS x1, a.vy AS y1, b.vx AS x2, b.vy AS y2
+  FROM vert a JOIN vert b
+    ON b.poly_id = a.poly_id AND b.v = (a.v + 1) % 8),
+crs AS (
+  SELECT e.poly_id, c.cpx, c.cpy
+  FROM edge e JOIN cell c
+    ON ((e.y1 > c.cpy) <> (e.y2 > c.cpy))
+   AND (CASE WHEN e.y2 > e.y1
+        THEN (e.x2 - e.x1) * (c.cpy - e.y1)
+             - (c.cpx - e.x1) * (e.y2 - e.y1) > 0
+        ELSE (e.x2 - e.x1) * (c.cpy - e.y1)
+             - (c.cpx - e.x1) * (e.y2 - e.y1) < 0 END)),
+hit AS (SELECT poly_id, cpx, cpy FROM crs
+        GROUP BY poly_id, cpx, cpy HAVING count(*) % 2 = 1)"""
+
 def image_stats_sql(n_images: int = 500) -> str:
     """Mirror of sources/images.py make_batch + DecodeImages px_mean:
     pixel (r, c) of image i is ((r*h + c*w + i) % 256); DuckDB avg over

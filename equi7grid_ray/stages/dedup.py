@@ -129,15 +129,6 @@ def hash_bytes_offsets(
     return out.view(np.int64)
 
 
-def _hash_texts(texts: list[str]) -> np.ndarray:
-    """64-bit content hash of each string (offset-buffer path)."""
-    joined = "".join(texts).encode()
-    flat = np.frombuffer(joined, dtype=np.uint8)
-    lens = np.array([len(t.encode()) for t in texts], dtype=np.int64)
-    offs = np.concatenate([[0], np.cumsum(lens)])
-    return hash_bytes_offsets(flat, offs)
-
-
 def exact_dedup(ds, key: str = "text", id_col: str = "doc_id"):
     """Keep the min-id row per distinct ``key`` value.  The shuffle moves
     only (hash, id) pairs -- payload columns are re-joined by id if the

@@ -17,6 +17,12 @@ resolution.  All arithmetic is exact integers (block mean = block_sum
 // block_px), so the composite is SQL-mirrorable through the synthetic
 pixel formula joined to the pinned image->tile lookup golden
 (tools/gen_oracle_lookups.py).
+
+The stencil operators over the composite (focal mean, gradient /
+aspect, D8 flow / accumulation / basins, TRI) share one cross-tile
+halo exchange, :func:`_halo_exchange` (scatter -> hash_aggregate ->
+cogroup join), and one neighbour-key wrap, :func:`_neighbour_keys`;
+cells are placed on the tile lattice by ``grid.tile_lattice``.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from equi7grid_ray.grid import lattice_key, tile_lattice
 from equi7grid_ray.stages.aggregate import hash_aggregate
 from equi7grid_ray.stages.multimodal import frames
 
@@ -107,111 +114,101 @@ def tile_mosaic(ds, *, grid: int = 8, n_partitions: int = 32):
     )
 
 
-#: fixed continent order for the packed stencil key
-_CONTS = ("AF", "AN", "AS", "EU", "NA", "OC", "SA")
-
-
-def _packed_keys(cont_idx, te, tn, gr, gc, grid=8):
-    """int64 key for a (continent, tile-easting, tile-northing, cell)
-    tuple; eastings/northings offset by +1200 so the +/-6 halo shifts
-    never go negative."""
-    return (((cont_idx.astype(np.int64) * 4000 + te + 1200) * 4000
-             + tn + 1200) * grid * grid + gr * grid + gc)
-
-
-
-def _parse_tile_cols(b: pa.Table):
-    """(continent index, easting, SIGNED northing, gr, gc) arrays from
-    a mosaic batch.  The northing token carries a hemisphere sign
-    (N006 vs S006) -- parsing it unsigned would conflate hemisphere
-    twin tiles into one packed stencil key."""
-    import pyarrow.compute as pc
-
-    tile = b.column("tile")
-    cont = pc.utf8_slice_codeunits(tile, 0, 2)
-    cidx = np.searchsorted(np.asarray(_CONTS),
-                           cont.to_numpy(zero_copy_only=False))
-    te = pc.cast(pc.utf8_slice_codeunits(tile, 4, 7), pa.int64()) \
-        .to_numpy(zero_copy_only=False)
-    tn = pc.cast(pc.utf8_slice_codeunits(tile, 8, 11), pa.int64()) \
-        .to_numpy(zero_copy_only=False)
-    sign = pc.equal(pc.utf8_slice_codeunits(tile, 7, 8), "S") \
-        .to_numpy(zero_copy_only=False)
-    tn = np.where(sign, -tn, tn)
+def _cell_coords(b: pa.Table):
+    """(continent index, easting, signed northing, gr, gc) int64 arrays
+    of a composite batch: the tile's lattice point plus the cell."""
+    cidx, te, tn = tile_lattice(b.column("tile").to_numpy(zero_copy_only=False))
     gr = b.column("gr").to_numpy(zero_copy_only=False).astype(np.int64)
     gc = b.column("gc").to_numpy(zero_copy_only=False).astype(np.int64)
     return cidx, te, tn, gr, gc
+
+
+def _packed_keys(cidx, te, tn, gr, gc, grid=8):
+    """int64 key of a composite cell: its tile's lattice key, then the
+    cell (gr, gc) of the ``grid`` x ``grid`` block grid."""
+    return lattice_key(cidx, te, tn) * grid * grid + gr * grid + gc
+
+
+def _neighbour_keys(cidx, te, tn, gr, gc, dr, dc, grid):
+    """Packed key of the cell at offset (dr, dc) from (gr, gc): a cell
+    beyond a tile edge wraps into the +/-6 easting / northing neighbour
+    tile of the SAME continent (gr is south-positive; Equi7 zones are
+    disjoint projections, so there is no cross-continent adjacency)."""
+    tr, tc = gr + dr, gc + dc
+    sn = tn + np.where(tr < 0, 6, 0) - np.where(tr >= grid, 6, 0)
+    se = te + np.where(tc < 0, -6, 0) + np.where(tc >= grid, 6, 0)
+    return _packed_keys(cidx, se, sn, tr % grid, tc % grid, grid)
+
+
+def _halo_exchange(mosaic, *, value: str, grid: int, n_partitions: int,
+                   offsets, contrib):
+    """The cross-tile halo exchange every stencil operator runs: join
+    each composite cell with per-column SUMS over its neighbours at
+    ``offsets`` ((dr, dc) pairs).  ``contrib(k, v)`` maps the values
+    ``v`` of the cells that are some center's neighbour at
+    ``offsets[k]`` to {column: int64 array}.
+
+    Shape: the bounded composite (|tiles| * grid^2 rows) materializes
+    once; each cell SCATTERS its contributions to the centers it
+    neighbours as packed int64 keys (metadata only, no pixel moves),
+    one hash_aggregate sums them, and one partition-cogroup join puts
+    the sums back onto the existing centers (phantom centers drop).
+    Returns a Dataset of (fkey, tile, gr, gc, v, <contrib columns>)."""
+    from equi7grid_ray.stages.join import shuffle_hash_join
+
+    mosaic = mosaic.materialize()  # bounded: |tiles| * grid^2
+    cols = list(contrib(0, np.zeros(0, np.int64)))  # contribution names
+
+    def scatter(b: pa.Table) -> pa.Table:
+        cidx, te, tn, gr, gc = _cell_coords(b)
+        v = b.column(value).to_numpy(zero_copy_only=False).astype(np.int64)
+        parts = [contrib(k, v) for k in range(len(offsets))]
+        keys = [_neighbour_keys(cidx, te, tn, gr, gc, -dr, -dc, grid)
+                for dr, dc in offsets]
+        out = {"fkey": pa.array(np.concatenate(keys), pa.int64())}
+        for c in cols:
+            out[c + "_"] = pa.array(
+                np.concatenate([p[c] for p in parts]), pa.int64())
+        return pa.table(out)
+
+    sums = hash_aggregate(
+        mosaic.map_batches(scatter, batch_format="pyarrow"),
+        keys=["fkey"], aggs={c: (c + "_", "sum") for c in cols},
+        n_partitions=n_partitions,
+    )
+
+    def centers(b: pa.Table) -> pa.Table:
+        return pa.table({
+            "fkey": pa.array(_packed_keys(*_cell_coords(b), grid), pa.int64()),
+            "tile": b.column("tile"),
+            "gr": b.column("gr"),
+            "gc": b.column("gc"),
+            "v": b.column(value).cast(pa.int64()),
+        })
+
+    return shuffle_hash_join(
+        mosaic.map_batches(centers, batch_format="pyarrow"), sums,
+        on="fkey", n_partitions=n_partitions,
+        # static hint: sums is an aggregate output -- schema() on it
+        # would run the whole scatter+fold once during plan build
+        right_schema=pa.schema([("fkey", pa.int64())]
+                               + [(c, pa.int64()) for c in cols]))
 
 
 def tile_focal_mean(mosaic, *, value: str = "v_max", grid: int = 8,
                     n_partitions: int = 32):
     """3x3 focal (moving-window) mean over the tile-mosaic composite,
     ACROSS tile boundaries -- the distributed stencil / halo-exchange
-    step of map-algebra toolchains.  Cell (gr, gc) of a tile is
-    georeferenced gr south-positive / gc east-positive, so edge cells
-    read the adjacent cells of the +/-6-easting / +/-6-northing
-    neighbour tiles of the SAME continent (Equi7 zones are disjoint
-    projections; there is no cross-continent adjacency).  Windows keep
+    step of map-algebra toolchains.  Edge cells read the adjacent cells
+    of the neighbour tiles (:func:`_neighbour_keys`).  Windows keep
     whatever neighbours exist: focal = sum // count over present cells
-    (exact integers).
-
-    Shape: the bounded composite (|tiles| * grid^2 rows) materializes
-    once; each cell SCATTERS its value to its 9 window centers as a
-    packed int64 key (metadata-only exchange), one hash_aggregate
-    folds (sum, count), and one partition-cogroup join back onto the
-    existing centers drops phantom windows.  No pixel ever moves."""
-    import pyarrow.compute as pc
-
-    from equi7grid_ray.stages.join import shuffle_hash_join
-
-    mosaic = mosaic.materialize()  # bounded: |tiles| * grid^2
-
-    parse = _parse_tile_cols
-
-    def scatter(b: pa.Table) -> pa.Table:
-        cidx, te, tn, gr, gc = parse(b)
-        v = b.column(value).to_numpy(zero_copy_only=False).astype(np.int64)
-        keys, vals = [], []
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                tr, tc = gr + dr, gc + dc
-                sn = tn + np.where(tr < 0, 6, 0) - np.where(tr >= grid, 6, 0)
-                se = te + np.where(tc < 0, -6, 0) + np.where(tc >= grid, 6, 0)
-                keys.append(_packed_keys(cidx, se, sn, tr % grid,
-                                         tc % grid, grid))
-                vals.append(v)
-        return pa.table({
-            "fkey": pa.array(np.concatenate(keys), pa.int64()),
-            "v_": pa.array(np.concatenate(vals), pa.int64()),
-        })
-
-    from equi7grid_ray.stages.aggregate import hash_aggregate
-
-    sums = hash_aggregate(
-        mosaic.map_batches(scatter, batch_format="pyarrow"),
-        keys=["fkey"],
-        aggs={"wsum": ("v_", "sum"), "wn": ("v_", "count")},
-        n_partitions=n_partitions,
-    )
-
-    def centers(b: pa.Table) -> pa.Table:
-        cidx, te, tn, gr, gc = parse(b)
-        return pa.table({
-            "fkey": pa.array(_packed_keys(cidx, te, tn, gr, gc, grid),
-                             pa.int64()),
-            "tile": b.column("tile"),
-            "gr": b.column("gr"),
-            "gc": b.column("gc"),
-        })
-
-    joined = shuffle_hash_join(
-        mosaic.map_batches(centers, batch_format="pyarrow"), sums,
-        on="fkey", n_partitions=n_partitions,
-        # static hint: sums is an aggregate output -- schema() on it
-        # would run the whole scatter+fold once during plan build
-        right_schema=pa.schema([("fkey", pa.int64()),
-                                ("wsum", pa.int64()),
-                                ("wn", pa.int64())]))
+    (exact integers).  Shape: one :func:`_halo_exchange` over the 9
+    window offsets, then a map-only finish."""
+    offsets = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+    joined = _halo_exchange(
+        mosaic, value=value, grid=grid, n_partitions=n_partitions,
+        offsets=offsets,
+        contrib=lambda k, v: {"wsum": v, "wn": np.ones_like(v)})
 
     def finish(b: pa.Table) -> pa.Table:
         ws = b.column("wsum").to_numpy(zero_copy_only=False)
@@ -260,8 +257,7 @@ def tile_similarity(mosaic, *, max_d2: int, grid: int = 8,
     gc = t.column("gc").to_numpy(zero_copy_only=False).astype(np.int64)
     v = t.column(value).to_numpy(zero_copy_only=False).astype(np.int64)
     m[tinv, gr * grid + gc] = v
-    cont = np.array([s[:2] for s in tiles])
-    _, ccode = np.unique(cont, return_inverse=True)
+    ccode = tile_lattice(tiles)[0]
     mat_ref = ray.put((tiles, m, ccode))
 
     def pairs(batch: pa.Table) -> pa.Table:
@@ -382,7 +378,7 @@ def tile_gradient(mosaic, *, value: str = "v_max", grid: int = 8,
                   n_partitions: int = 32):
     """Central-difference gradient (the slope/roughness map-algebra
     step) over the tile-mosaic composite, ACROSS tile boundaries via
-    the same +/-6 easting/northing halo rule as :func:`tile_focal_mean`:
+    the shared :func:`_halo_exchange`:
 
         gx = v(east neighbour) - v(west neighbour)
         gy = v(south neighbour) - v(north neighbour)   (gr south-positive)
@@ -390,70 +386,19 @@ def tile_gradient(mosaic, *, value: str = "v_max", grid: int = 8,
 
     Only cells with BOTH horizontal and BOTH vertical neighbours
     present are emitted (the interior after halo exchange -- a
-    derivative needs both sides).  Shape: each cell scatters signed
-    contributions to its 4 neighbour centers as packed int64 keys
-    (metadata-only), one hash_aggregate folds (gx, gy, nx, ny), one
-    cogroup join back onto existing centers."""
-    import pyarrow.compute as pc
+    derivative needs both sides).  The neighbour at (dr, dc) adds
+    dc * v to gx and dr * v to gy; nx / ny count the neighbours."""
+    offsets = [(0, 1), (0, -1), (1, 0), (-1, 0)]
 
-    from equi7grid_ray.stages.aggregate import hash_aggregate
-    from equi7grid_ray.stages.join import shuffle_hash_join
+    def contrib(k, v):
+        dr, dc = offsets[k]
+        one = np.ones_like(v)
+        return {"gx": dc * v, "gy": dr * v,
+                "nx": abs(dc) * one, "ny": abs(dr) * one}
 
-    mosaic = mosaic.materialize()  # bounded: |tiles| * grid^2
-
-    parse = _parse_tile_cols
-
-    def scatter(b: pa.Table) -> pa.Table:
-        cidx, te, tn, gr, gc = parse(b)
-        v = b.column(value).to_numpy(zero_copy_only=False).astype(np.int64)
-        keys, gx, gy, nx, ny = [], [], [], [], []
-        z = np.zeros(len(v), np.int64)
-        one = np.ones(len(v), np.int64)
-        # (dr, dc, sign, horizontal?): receiving center sits at
-        # (gr - dr, gc - dc) relative to this cell
-        for dr, dc, sgn, horiz in ((0, 1, -1, True), (0, -1, 1, True),
-                                   (1, 0, -1, False), (-1, 0, 1, False)):
-            tr, tc = gr - dr, gc - dc
-            sn = tn + np.where(tr < 0, 6, 0) - np.where(tr >= grid, 6, 0)
-            se = te + np.where(tc < 0, -6, 0) + np.where(tc >= grid, 6, 0)
-            keys.append(_packed_keys(cidx, se, sn, tr % grid,
-                                     tc % grid, grid))
-            gx.append(-sgn * v if horiz else z)
-            gy.append(-sgn * v if not horiz else z)
-            nx.append(one if horiz else z)
-            ny.append(one if not horiz else z)
-        return pa.table({
-            "fkey": pa.array(np.concatenate(keys), pa.int64()),
-            "gx_": pa.array(np.concatenate(gx), pa.int64()),
-            "gy_": pa.array(np.concatenate(gy), pa.int64()),
-            "nx_": pa.array(np.concatenate(nx), pa.int64()),
-            "ny_": pa.array(np.concatenate(ny), pa.int64()),
-        })
-
-    sums = hash_aggregate(
-        mosaic.map_batches(scatter, batch_format="pyarrow"),
-        keys=["fkey"],
-        aggs={"gx": ("gx_", "sum"), "gy": ("gy_", "sum"),
-              "nx": ("nx_", "sum"), "ny": ("ny_", "sum")},
-        n_partitions=n_partitions,
-    )
-
-    def centers(b: pa.Table) -> pa.Table:
-        cidx, te, tn, gr, gc = parse(b)
-        return pa.table({
-            "fkey": pa.array(_packed_keys(cidx, te, tn, gr, gc, grid),
-                             pa.int64()),
-            "tile": b.column("tile"),
-            "gr": b.column("gr"),
-            "gc": b.column("gc"),
-        })
-
-    joined = shuffle_hash_join(
-        mosaic.map_batches(centers, batch_format="pyarrow"), sums,
-        on="fkey", n_partitions=n_partitions,
-        right_schema=pa.schema([("fkey", pa.int64()),
-                                ("gx", pa.int64()), ("gy", pa.int64()),
-                                ("nx", pa.int64()), ("ny", pa.int64())]))
+    joined = _halo_exchange(mosaic, value=value, grid=grid,
+                            n_partitions=n_partitions, offsets=offsets,
+                            contrib=contrib)
 
     def finish(b: pa.Table) -> pa.Table:
         nx = b.column("nx").to_numpy(zero_copy_only=False)
@@ -483,71 +428,28 @@ _D8 = ((0, 1, 1), (1, 1, 2), (1, 0, 4), (1, -1, 8),
 
 
 def _d8_neighbours(mosaic, *, value: str, grid: int, n_partitions: int):
-    """Shared D8 halo exchange: join every composite cell with its 8
-    Moore-neighbour values (packed into 8-bit fields of two int64
-    columns -- composite values are 8-bit block means, so one SUM
+    """D8 halo exchange: every composite cell joined with its 8
+    Moore-neighbour values, packed into 8-bit fields of two int64
+    columns (composite values are 8-bit block means, so one SUM
     reconstructs all 8 and the exchange moves 3 ints per scatter row
     instead of 16 columns).  Returns a Dataset of
 
         (fkey, tile, gr, gc, v, pa8, pb8, nn)
 
     where nn is the number of neighbours present (interior = 8)."""
-    from equi7grid_ray.stages.join import shuffle_hash_join
 
-    mosaic = mosaic.materialize()  # bounded: |tiles| * grid^2
-
-    parse = _parse_tile_cols
-
-    def scatter(b: pa.Table) -> pa.Table:
-        cidx, te, tn, gr, gc = parse(b)
-        v = b.column(value).to_numpy(zero_copy_only=False).astype(np.int64)
+    def contrib(k, v):
         if v.size and (v.min() < 0 or v.max() > 255):
             raise ValueError("D8 stages require an 8-bit composite")
-        keys, pa_, pb_ = [], [], []
-        z = np.zeros(len(v), np.int64)
-        for k, (dr, dc, _code) in enumerate(_D8):
-            # receiving center sits at (gr - dr, gc - dc): this cell is
-            # ITS neighbour in direction k
-            tr, tc = gr - dr, gc - dc
-            sn = tn + np.where(tr < 0, 6, 0) - np.where(tr >= grid, 6, 0)
-            se = te + np.where(tc < 0, -6, 0) + np.where(tc >= grid, 6, 0)
-            keys.append(_packed_keys(cidx, se, sn, tr % grid,
-                                     tc % grid, grid))
-            pa_.append(v << (8 * k) if k < 4 else z)
-            pb_.append(v << (8 * (k - 4)) if k >= 4 else z)
-        n = len(v) * 8
-        return pa.table({
-            "fkey": pa.array(np.concatenate(keys), pa.int64()),
-            "pa_": pa.array(np.concatenate(pa_), pa.int64()),
-            "pb_": pa.array(np.concatenate(pb_), pa.int64()),
-            "n_": pa.array(np.ones(n, np.int64), pa.int64()),
-        })
+        z = np.zeros_like(v)
+        return {"pa8": v << (8 * k) if k < 4 else z,
+                "pb8": v << (8 * (k - 4)) if k >= 4 else z,
+                "nn": np.ones_like(v)}
 
-    sums = hash_aggregate(
-        mosaic.map_batches(scatter, batch_format="pyarrow"),
-        keys=["fkey"],
-        aggs={"pa8": ("pa_", "sum"), "pb8": ("pb_", "sum"),
-              "nn": ("n_", "sum")},
-        n_partitions=n_partitions,
-    )
-
-    def centers(b: pa.Table) -> pa.Table:
-        cidx, te, tn, gr, gc = parse(b)
-        return pa.table({
-            "fkey": pa.array(_packed_keys(cidx, te, tn, gr, gc, grid),
-                             pa.int64()),
-            "tile": b.column("tile"),
-            "gr": b.column("gr"),
-            "gc": b.column("gc"),
-            "v": b.column(value).cast(pa.int64()),
-        })
-
-    return shuffle_hash_join(
-        mosaic.map_batches(centers, batch_format="pyarrow"), sums,
-        on="fkey", n_partitions=n_partitions,
-        right_schema=pa.schema([("fkey", pa.int64()),
-                                ("pa8", pa.int64()), ("pb8", pa.int64()),
-                                ("nn", pa.int64())]))
+    return _halo_exchange(mosaic, value=value, grid=grid,
+                          n_partitions=n_partitions,
+                          offsets=[(dr, dc) for dr, dc, _ in _D8],
+                          contrib=contrib)
 
 
 def _d8_steepest(b: pa.Table):
@@ -567,8 +469,8 @@ def tile_flow_d8(mosaic, *, value: str = "v_max", grid: int = 8,
                  n_partitions: int = 32):
     """D8 flow routing over the tile-mosaic composite treated as a DEM
     (the first step of every hydrology toolchain: flow direction +
-    steepest drop per cell), ACROSS tile boundaries via the same
-    +/-6 easting/northing halo rule as :func:`tile_focal_mean`.
+    steepest drop per cell), ACROSS tile boundaries via the shared
+    :func:`_halo_exchange`.
 
     Per cell with ALL 8 Moore neighbours present (the interior after
     halo exchange):
@@ -612,13 +514,9 @@ def _d8_edge_base(mosaic, *, value: str, grid: int, n_partitions: int):
     def edges(b: pa.Table) -> pa.Table:
         nn = b.column("nn").to_numpy(zero_copy_only=False)
         best, first = _d8_steepest(b)
-        cidx, te, tn, gr, gc = _parse_tile_cols(b)
         dr = np.array([d[0] for d in _D8], np.int64)[first]
         dc = np.array([d[1] for d in _D8], np.int64)[first]
-        tr, tc = gr + dr, gc + dc
-        sn = tn + np.where(tr < 0, 6, 0) - np.where(tr >= grid, 6, 0)
-        se = te + np.where(tc < 0, -6, 0) + np.where(tc >= grid, 6, 0)
-        down = _packed_keys(cidx, se, sn, tr % grid, tc % grid, grid)
+        down = _neighbour_keys(*_cell_coords(b), dr, dc, grid)
         t = pa.table({
             "tile": b.column("tile"),
             "gr": b.column("gr"),
@@ -959,8 +857,6 @@ def tile_aspect(mosaic, *, value: str = "v_max", grid: int = 8,
     (gr is south-positive, so w > 0 faces south).  Output: one row per
     (continent, aspect) with the cell count -- bounded 7 x 9."""
     import pyarrow.compute as pc
-
-    from equi7grid_ray.stages.aggregate import hash_aggregate
 
     grad = tile_gradient(mosaic, value=value, grid=grid,
                          n_partitions=n_partitions)

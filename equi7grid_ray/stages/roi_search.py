@@ -22,67 +22,7 @@ from equi7grid_ray import aeqd
 from equi7grid_ray.grid import GridSpec, full_names, tile_ll_from_xy
 from equi7grid_ray.tiling_state import get_grid_state
 
-__all__ = ["BBoxTilesStage", "roi_tile_counts", "projected_bbox_tiles",
-           "bbox_tile_counts"]
-
-
-def projected_bbox_tiles(batch: pa.Table, tile_size: int = 600_000,
-                         suffix: str = "T6") -> pa.Table:
-    """Grid-arithmetic ROI expand: rows (roi_id, x_min, y_min, x_max,
-    y_max) in projected metres -> one row per (roi, overlapped tile) of
-    the regular tile grid (the reference's ``get_tiles_in_bbox`` floor
-    sweep, core.py:527-560, WITHOUT the zone-membership filter -- the
-    pure grid layer, so a SQL oracle can rederive it integer-exactly).
-
-    Fully vectorized: variable per-row spans expanded with repeat/arange
-    arithmetic, no Python loop over ROIs."""
-    from equi7grid_ray.grid import partial_names
-
-    S = np.int64(tile_size)
-    x0 = batch.column("x_min").to_numpy(zero_copy_only=False).astype(np.int64)
-    x1 = batch.column("x_max").to_numpy(zero_copy_only=False).astype(np.int64)
-    y0 = batch.column("y_min").to_numpy(zero_copy_only=False).astype(np.int64)
-    y1 = batch.column("y_max").to_numpy(zero_copy_only=False).astype(np.int64)
-    tx0, tx1 = x0 // S, x1 // S
-    ty0, ty1 = y0 // S, y1 // S
-    nx = (tx1 - tx0 + 1).astype(np.int64)
-    ny = (ty1 - ty0 + 1).astype(np.int64)
-    cnt = nx * ny
-    total = int(cnt.sum())
-    rows = np.repeat(np.arange(len(x0), dtype=np.int64), cnt)
-    off = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    ny_r = np.repeat(ny, cnt)
-    tx = np.repeat(tx0, cnt) + off // ny_r
-    ty = np.repeat(ty0, cnt) + off % ny_r
-    names = partial_names((tx * S).astype(np.float64), (ty * S).astype(np.float64),
-                          suffix)
-    return pa.table({
-        "roi_id": batch.column("roi_id").take(pa.array(rows)),
-        "tile": pa.array(names.tolist(), pa.string()),
-    })
-
-
-def bbox_tile_counts(ds, tile_size: int = 600_000, suffix: str = "T6"):
-    """Projected-bbox ROI rows -> per-tile ROI counts with per-batch
-    partial counts before the keyed shuffle."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    hits = ds.map_batches(
-        lambda b: projected_bbox_tiles(b, tile_size, suffix),
-        batch_format="pyarrow",
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        vc = pc.value_counts(batch.column("tile"))
-        return pa.table({"tile": vc.field("values").cast(pa.string()),
-                         "pn": vc.field("counts").cast(pa.int64())})
-
-    from equi7grid_ray.stages.aggregate import hash_aggregate
-
-    return hash_aggregate(
-        hits.map_batches(partial, batch_format="pyarrow"),
-        keys=["tile"], aggs={"n": ("pn", "sum")})
+__all__ = ["BBoxTilesStage", "roi_tile_counts"]
 
 
 class BBoxTilesStage:
@@ -178,9 +118,10 @@ class BBoxTilesStage:
 
 def roi_tile_counts(ds, tiling_id: str = "T6", spec: GridSpec | None = None,
                     batch_size: int = 8192):
-    """ROI rows -> per-tile ROI counts: the coarse-cell-keyed
-    groupby-aggregate shuffle with per-batch partials."""
-    from ray.data.aggregate import Sum
+    """ROI rows -> per-tile ROI counts ``n``: the coarse-cell-keyed
+    groupby-aggregate shuffle with per-batch partials
+    (``tilestats.tile_counts``)."""
+    from equi7grid_ray.stages.tilestats import tile_counts
 
     hits = ds.map_batches(
         BBoxTilesStage,
@@ -190,16 +131,4 @@ def roi_tile_counts(ds, tiling_id: str = "T6", spec: GridSpec | None = None,
         concurrency=(1, 8),
         num_cpus=1,
     )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        vc = pc.value_counts(batch.column("tile"))
-        return pa.table({"tile": vc.field("values").cast(pa.string()),
-                         "pn": vc.field("counts").cast(pa.int64())})
-
-    from equi7grid_ray.stages.aggregate import hash_aggregate
-
-    return hash_aggregate(
-        hits.map_batches(partial, batch_format="pyarrow"),
-        keys=["tile"], aggs={"n": ("pn", "sum")})
+    return tile_counts(hits, name="n")

@@ -5,11 +5,14 @@ revisit cadence (acquisition-gap stats per tile).
 Both ride the tile-assignment output (reference-side analogue: the
 per-tile file inventory a resample_to_equi7_tiles archive produces,
 reference warp.py:424-578).  Scale shape: the per-tile COUNT aggregate
-is the only thing that ever shuffles; the Moran fold then runs over
-the bounded tile table (<= ~27k T6 tiles globally -- the same bounded
-materialization as the flagship tile histogram), with all arithmetic
-in exact Python bigints so the SQL mirror is bit-identical (division
-truncates toward zero, DuckDB's ``//`` rule).
+(:func:`tile_counts`) is the only thing that ever shuffles; the lattice
+folds then run over the bounded tile table (<= ~27k T6 tiles globally
+-- the same bounded materialization as the flagship tile histogram)
+built by :func:`_observed_tiles`, with every neighbour lookup going
+through :func:`_neighbour_index` (offsets -> row index, -1 where
+absent).  Moran arithmetic is in exact Python bigints so the SQL
+mirror is bit-identical (division truncates toward zero, DuckDB's
+``//`` rule).
 """
 
 from __future__ import annotations
@@ -18,10 +21,13 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from equi7grid_ray.grid import (CONTINENT_CODES, full_names, lattice_key,
+                                tile_lattice)
 from equi7grid_ray.stages.aggregate import hash_aggregate
 
-__all__ = ["tile_moran", "tile_revisit", "tile_clusters", "tile_kring",
-           "tile_erosion_depth", "tile_cost_distance", "coverage_gini"]
+__all__ = ["tile_counts", "tile_moran", "tile_revisit", "tile_clusters",
+           "tile_kring", "tile_erosion_depth", "tile_cost_distance",
+           "coverage_gini"]
 
 
 def _tdiv(a: int, b: int) -> int:
@@ -30,16 +36,61 @@ def _tdiv(a: int, b: int) -> int:
     return q if (a < 0) == (b < 0) else -q
 
 
-def _parse_names(tiles: pd.Series) -> pd.DataFrame:
-    """Vectorized tile-name parse: continent, easting (100 km units),
-    SIGNED northing (S tiles negative, the v1.1 codec rule,
-    reference core.py:109-132)."""
-    cont = tiles.str[:2]
-    te = tiles.str[4:7].astype(np.int64)
-    tn = tiles.str[8:11].astype(np.int64)
-    sign = np.where(tiles.str[7] == "S", -1, 1)
-    return pd.DataFrame({"tile": tiles, "cont": cont, "te": te,
-                         "tn": tn * sign})
+def tile_counts(ds, *, name: str = "x", n_partitions: int = 32):
+    """Per-tile row count of a Dataset with a ``tile`` column: per-batch
+    ``value_counts`` partials, then one keyed sum.  Returns (tile,
+    ``name``) rows with tile as a plain string."""
+    import pyarrow.compute as pc
+
+    def partial(batch: pa.Table) -> pa.Table:
+        vc = pc.value_counts(batch.column("tile"))
+        return pa.table({"tile": vc.field("values").cast(pa.string()),
+                         "pn": vc.field("counts").cast(pa.int64())})
+
+    return hash_aggregate(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        keys=["tile"], aggs={name: ("pn", "sum")},
+        n_partitions=n_partitions)
+
+
+def _lattice_frame(tiles) -> pd.DataFrame:
+    """The bounded tile table on the lattice: tile, continent index
+    ``cidx``, easting ``te`` and signed northing ``tn``."""
+    tiles = np.asarray(tiles, dtype=object)
+    cidx, te, tn = tile_lattice(tiles.astype(str))
+    return pd.DataFrame({"tile": tiles, "cidx": cidx, "te": te, "tn": tn})
+
+
+def _observed_tiles(assigned, n_partitions: int) -> pd.DataFrame:
+    """:func:`_lattice_frame` of the observed tiles plus their scene
+    count ``x`` -- collected to the driver (bounded: one row per
+    observed tile)."""
+    df = tile_counts(assigned, n_partitions=n_partitions).to_pandas()
+    return _lattice_frame(df["tile"]).assign(x=df["x"].to_numpy(np.int64))
+
+
+def _neighbour_index(par: pd.DataFrame, offsets) -> list[np.ndarray]:
+    """Per (de, dn) lattice offset: for every row of ``par`` the row
+    index of the same-continent tile at (te + de, tn + dn), or -1 where
+    there is none."""
+    cidx, te, tn = (par[c].to_numpy(np.int64) for c in ("cidx", "te", "tn"))
+    if not len(par):
+        return [np.zeros(0, np.int64) for _ in offsets]
+    key = lattice_key(cidx, te, tn)
+    order = np.argsort(key)
+    skey = key[order]
+    out = []
+    for de, dn in offsets:
+        want = lattice_key(cidx, te + de, tn + dn)
+        pos = np.minimum(np.searchsorted(skey, want), len(skey) - 1)
+        out.append(np.where(skey[pos] == want, order[pos], -1))
+    return out
+
+
+def _ring_offsets(radius: int, step: int):
+    """(de, dn) offsets of the (2r+1)^2 Chebyshev neighbourhood."""
+    return [(dx * step, dy * step) for dx in range(-radius, radius + 1)
+            for dy in range(-radius, radius + 1)]
 
 
 def tile_moran(assigned, *, step: int = 6, q: int = 10**9,
@@ -54,54 +105,29 @@ def tile_moran(assigned, *, step: int = 6, q: int = 10**9,
     reported as ``i_q9`` = trunc(1e9 * I).  Emits one row with the
     exact intermediates (n_tiles, w_pairs, num, den) so the oracle
     pins the whole computation, not just the quotient."""
-    import pyarrow.compute as pc
+    import ray.data as rd
 
-    def ones(batch: pa.Table) -> pa.Table:
-        # the assigner emits tile dictionary-encoded; decode for the
-        # string-hash partition path
-        return pa.table({
-            "tile": pc.cast(batch.column("tile"), pa.string()),
-            "one": pa.array(np.ones(batch.num_rows, np.int64)),
-        })
-
-    counts = hash_aggregate(
-        assigned.map_batches(ones, batch_format="pyarrow"),
-        keys=["tile"], aggs={"x": ("one", "sum")},
-        n_partitions=n_partitions,
-    )
-    # bounded fold: <= |observed tiles| rows ever reach the driver
-    df = counts.to_pandas()
-    par = _parse_names(df["tile"].astype(str))
-    par["x"] = df["x"].to_numpy()
+    par = _observed_tiles(assigned, n_partitions)
     n = len(par)
-    s = int(par["x"].sum())
-    d = (n * par["x"].to_numpy(dtype=object) - s)
-    par["d"] = d
+    x = par["x"].to_numpy(dtype=object)
+    s = int(x.sum())
+    d = n * x - s
     den = int(sum(int(v) * int(v) for v in d))
-    # rook neighbours via two self-merges (E/W handled by +step only,
-    # counted twice by symmetry -> double; same for N/S)
-    east = par.copy()
-    east["te"] = east["te"] + step
-    me = par.merge(east, on=["cont", "te", "tn"], suffixes=("", "_b"))
-    north = par.copy()
-    north["tn"] = north["tn"] + step
-    mn = par.merge(north, on=["cont", "te", "tn"], suffixes=("", "_b"))
-    w = 2 * (len(me) + len(mn))
-    num = 2 * (
-        sum(int(a) * int(b) for a, b in zip(me["d"], me["d_b"]))
-        + sum(int(a) * int(b) for a, b in zip(mn["d"], mn["d_b"]))
-    )
+    # rook pairs via the east and north neighbour maps (each unordered
+    # pair found once -> doubled by symmetry)
+    w = num = 0
+    for nb in _neighbour_index(par, [(step, 0), (0, step)]):
+        has = np.flatnonzero(nb >= 0)
+        w += 2 * len(has)
+        num += 2 * sum(int(a) * int(b) for a, b in zip(d[has], d[nb[has]]))
     i_q9 = _tdiv(q * n * num, w * den) if w and den else 0
-    out = pa.table({
+    return rd.from_arrow(pa.table({
         "n_tiles": pa.array([n], pa.int64()),
         "w_pairs": pa.array([w], pa.int64()),
         "num": pa.array([num], pa.int64()),
         "den": pa.array([den], pa.int64()),
         "i_q9": pa.array([i_q9], pa.int64()),
-    })
-    import ray.data as rd
-
-    return rd.from_arrow(out)
+    }))
 
 
 def tile_revisit(assigned, *, n_partitions: int = 32):
@@ -154,33 +180,22 @@ def tile_revisit(assigned, *, n_partitions: int = 32):
     )
 
 
-#: alphabetical continent order -- matches tile-name lexicographic order
-_CONTS = ("AF", "AN", "AS", "EU", "NA", "OC", "SA")
-_CONT_IDX = {c: k for k, c in enumerate(_CONTS)}
-
-
-def _tile_node_ids(par: pd.DataFrame) -> np.ndarray:
-    """Order-isomorphic int64 encoding of tile names (cont alphabetical,
-    easting, hemisphere N<S, |northing| digits) -- the min node id of a
-    component decodes back to the lexicographically-min tile name."""
-    cont = par["cont"].map(_CONT_IDX).to_numpy(np.int64)
-    te = par["te"].to_numpy(np.int64)
-    tn = par["tn"].to_numpy(np.int64)
+def _tile_node_ids(cidx, te, tn) -> np.ndarray:
+    """Order-isomorphic int64 encoding of tile lattice points (continent
+    index in name order, easting, hemisphere N<S, |northing| digits) --
+    the min node id of a component decodes back to the
+    lexicographically-min tile name."""
     hemi = (tn < 0).astype(np.int64)
-    return ((cont * 1000 + te) * 2 + hemi) * 1000 + np.abs(tn)
+    return ((cidx * 1000 + te) * 2 + hemi) * 1000 + np.abs(tn)
 
 
 def _node_to_tile(node: np.ndarray) -> list[str]:
     digits = node % 1000
     node = node // 1000
-    hemi = node % 2
+    tn = np.where(node % 2 == 1, -digits, digits)
     node = node // 2
-    te = node % 1000
-    cont = node // 1000
-    return [
-        f"{_CONTS[int(c)]}_E{int(e):03d}{'S' if hm else 'N'}{int(dg):03d}T6"
-        for c, e, hm, dg in zip(cont, te, hemi, digits)
-    ]
+    cont = np.asarray(CONTINENT_CODES)[node // 1000]
+    return full_names(cont, node % 1000 * 1e5, tn * 1e5, "T6").tolist()
 
 
 def tile_clusters(assigned, *, step: int = 6, n_partitions: int = 32):
@@ -193,47 +208,27 @@ def tile_clusters(assigned, *, step: int = 6, n_partitions: int = 32):
     built over the bounded tile table (same bounded fold as tile_moran)
     and resolved by stages.graph.connected_components (numpy min-label
     fixpoint on this edge scale)."""
-    import pyarrow.compute as pc
-
     import ray.data as rd
 
     from equi7grid_ray.stages.graph import connected_components
 
-    def ones(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "tile": pc.cast(batch.column("tile"), pa.string()),
-            "one": pa.array(np.ones(batch.num_rows, np.int64)),
-        })
-
-    counts = hash_aggregate(
-        assigned.map_batches(ones, batch_format="pyarrow"),
-        keys=["tile"], aggs={"x": ("one", "sum")},
-        n_partitions=n_partitions,
-    )
-    df = counts.to_pandas()  # bounded: observed tiles
-    par = _parse_names(df["tile"].astype(str))
-    par["node"] = _tile_node_ids(par)
-    par["x"] = df["x"].to_numpy()
-    # rook edges via two shifted self-merges + self-loops (self-loops
-    # keep isolated tiles as singleton components)
-    east = par[["cont", "te", "tn", "node"]].copy()
-    east["te"] = east["te"] + step
-    me = par.merge(east, on=["cont", "te", "tn"], suffixes=("", "_b"))
-    north = par[["cont", "te", "tn", "node"]].copy()
-    north["tn"] = north["tn"] + step
-    mn = par.merge(north, on=["cont", "te", "tn"], suffixes=("", "_b"))
-    id_a = np.concatenate([par["node"].to_numpy(np.int64),
-                           me["node"].to_numpy(np.int64),
-                           mn["node"].to_numpy(np.int64)])
-    id_b = np.concatenate([par["node"].to_numpy(np.int64),
-                           me["node_b"].to_numpy(np.int64),
-                           mn["node_b"].to_numpy(np.int64)])
+    par = _observed_tiles(assigned, n_partitions)
+    node = _tile_node_ids(*(par[c].to_numpy(np.int64)
+                            for c in ("cidx", "te", "tn")))
+    # rook edges from the east/north neighbour maps + self-loops
+    # (self-loops keep isolated tiles as singleton components)
+    id_a, id_b = [node], [node]
+    for nb in _neighbour_index(par, [(step, 0), (0, step)]):
+        has = nb >= 0
+        id_a.append(node[has])
+        id_b.append(node[nb[has]])
     pairs = rd.from_arrow(pa.table({
-        "id_a": pa.array(id_a, pa.int64()),
-        "id_b": pa.array(id_b, pa.int64()),
+        "id_a": pa.array(np.concatenate(id_a), pa.int64()),
+        "id_b": pa.array(np.concatenate(id_b), pa.int64()),
     }))
     comp = connected_components(pairs).to_pandas()
     lab = dict(zip(comp["node"], comp["component"]))
+    par["node"] = node
     par["comp"] = par["node"].map(lab)
     agg = par.groupby("comp", as_index=False).agg(
         n_tiles=("node", "size"), n_scenes=("x", "sum"))
@@ -255,41 +250,17 @@ def tile_kring(assigned, *, radius_steps: int = 2, step: int = 6,
     archive is thin).
 
     Shape: the per-tile COUNT is the only row shuffle; the k-ring
-    fold runs over the bounded tile table as (2r+1)^2 vectorized
-    shifted merges (the tile_clusters pattern).  Emits
-    (tile, n_nbrs, nbr_scenes)."""
-    import pyarrow.compute as pc
-
+    fold runs over the bounded tile table as (2r+1)^2 neighbour-index
+    gathers.  Emits (tile, n_nbrs, nbr_scenes)."""
     import ray.data as rd
 
-    def ones(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "tile": pc.cast(batch.column("tile"), pa.string()),
-            "one": pa.array(np.ones(batch.num_rows, np.int64)),
-        })
-
-    counts = hash_aggregate(
-        assigned.map_batches(ones, batch_format="pyarrow"),
-        keys=["tile"], aggs={"x": ("one", "sum")},
-        n_partitions=n_partitions,
-    )
-    df = counts.to_pandas()  # bounded: observed tiles
-    par = _parse_names(df["tile"].astype(str))
-    par["x"] = df["x"].to_numpy()
-    par["tile"] = df["tile"].to_numpy()
+    par = _observed_tiles(assigned, n_partitions)
+    x = par["x"].to_numpy(np.int64)
     n_nbrs = np.zeros(len(par), np.int64)
     nbr_sc = np.zeros(len(par), np.int64)
-    base = par[["cont", "te", "tn", "x"]].copy()
-    for dx in range(-radius_steps, radius_steps + 1):
-        for dy in range(-radius_steps, radius_steps + 1):
-            sh = base.copy()
-            sh["te"] = sh["te"] + dx * step
-            sh["tn"] = sh["tn"] + dy * step
-            m = par.reset_index().merge(
-                sh, on=["cont", "te", "tn"], suffixes=("", "_b"))
-            idx = m["index"].to_numpy()
-            n_nbrs[idx] += 1
-            nbr_sc[idx] += m["x_b"].to_numpy(np.int64)
+    for nb in _neighbour_index(par, _ring_offsets(radius_steps, step)):
+        n_nbrs += nb >= 0
+        nbr_sc += np.where(nb >= 0, x[nb], 0)
     return rd.from_arrow(pa.table({
         "tile": pa.array(par["tile"].to_numpy(), pa.string()),
         "n_nbrs": pa.array(n_nbrs, pa.int64()),
@@ -320,44 +291,18 @@ def tile_cost_distance(assigned, *, rounds: int = 8, step: int = 6,
 
     Shape: the per-tile COUNT is the only row shuffle; the relaxation
     runs over the bounded observed-tile table with the 4 neighbor
-    index maps precomputed once (merge -> gather), so each round is
-    four numpy gathers.  The SQL mirror unrolls the same rounds as
+    index maps precomputed once, so each round is four numpy gathers.  The SQL mirror unrolls the same rounds as
     chained materialized CTEs with four LEFT JOINs each.  Emits
     (tile, w, dist)."""
-    import pyarrow.compute as pc
-
     import ray.data as rd
 
-    def ones(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "tile": pc.cast(batch.column("tile"), pa.string()),
-            "one": pa.array(np.ones(batch.num_rows, np.int64)),
-        })
-
-    counts = hash_aggregate(
-        assigned.map_batches(ones, batch_format="pyarrow"),
-        keys=["tile"], aggs={"x": ("one", "sum")},
-        n_partitions=n_partitions,
-    )
-    df = counts.to_pandas()  # bounded: observed tiles
-    par = _parse_names(df["tile"].astype(str))
-    x = df["x"].to_numpy(np.int64)
+    par = _observed_tiles(assigned, n_partitions)
+    x = par["x"].to_numpy(np.int64)
     w = 1 + x % 4
-    cont_max = par.assign(x=x).groupby("cont")["x"].transform("max") \
-        .to_numpy(np.int64)
+    cont_max = par.groupby("cidx")["x"].transform("max").to_numpy(np.int64)
     dist = np.where(x == cont_max, 0, _COST_BIG).astype(np.int64)
-    # neighbor index maps: nbr[d][k] = row index of tile k's neighbor
-    # in direction d, or -1
-    key = pd.DataFrame({"cont": par["cont"], "te": par["te"],
-                        "tn": par["tn"], "idx": np.arange(len(par))})
-    nbrs = []
-    for dx, dy in ((step, 0), (-step, 0), (0, step), (0, -step)):
-        sh = key.copy()
-        sh["te"] = sh["te"] + dx
-        sh["tn"] = sh["tn"] + dy
-        m = key.merge(sh, on=["cont", "te", "tn"], how="left",
-                      suffixes=("", "_b"))
-        nbrs.append(m["idx_b"].fillna(-1).to_numpy(np.int64))
+    nbrs = _neighbour_index(
+        par, [(step, 0), (-step, 0), (0, step), (0, -step)])
     for _ in range(rounds):
         nd = dist.copy()
         for nb in nbrs:
@@ -366,7 +311,7 @@ def tile_cost_distance(assigned, *, rounds: int = 8, step: int = 6,
         dist = nd
     out = np.where(dist >= _COST_BIG, -1, dist)
     return rd.from_arrow(pa.table({
-        "tile": pa.array(df["tile"].to_numpy(), pa.string()),
+        "tile": pa.array(par["tile"].to_numpy(), pa.string()),
         "w": pa.array(w, pa.int64()),
         "dist": pa.array(out, pa.int64()),
     }))
@@ -381,26 +326,19 @@ def tile_erosion_depth(tiles, *, step: int = 6, max_depth: int = 3):
     can run without edge handling.
 
     ``tiles``: the bounded zone inventory (export.tiles_table —
-    O(thousands) rows planet-wide), folded with (2r+1)^2 shifted
-    merges.  Emits (tile, n1, n2, n3, depth) where n_d counts zone
+    O(thousands) rows planet-wide), folded with (2r+1)^2
+    neighbour-index maps.  Emits (tile, n1, n2, n3, depth) where n_d counts zone
     tiles within Chebyshev d (self included)."""
     import ray.data as rd
 
-    df = tiles.to_pandas()  # bounded: the zone inventory
-    par = _parse_names(df["tile"].astype(str))
+    par = _lattice_frame(tiles.to_pandas()["tile"])  # bounded: zone inventory
     counts = {d: np.zeros(len(par), np.int64)
               for d in range(1, max_depth + 1)}
-    base = par[["cont", "te", "tn"]].copy()
-    for dx in range(-max_depth, max_depth + 1):
-        for dy in range(-max_depth, max_depth + 1):
-            ring = max(abs(dx), abs(dy))
-            sh = base.copy()
-            sh["te"] = sh["te"] + dx * step
-            sh["tn"] = sh["tn"] + dy * step
-            m = par.reset_index().merge(sh, on=["cont", "te", "tn"])
-            idx = m["index"].to_numpy()
-            for d in range(max(1, ring), max_depth + 1):
-                counts[d][idx] += 1
+    offsets = _ring_offsets(max_depth, step)
+    for (de, dn), nb in zip(offsets, _neighbour_index(par, offsets)):
+        ring = max(abs(de), abs(dn)) // step
+        for d in range(max(1, ring), max_depth + 1):
+            counts[d] += nb >= 0
     full = {d: (2 * d + 1) ** 2 for d in counts}
     depth = np.full(len(par), max_depth + 1, np.int64)
     for d in range(max_depth, 0, -1):
@@ -432,15 +370,7 @@ def coverage_gini(assigned, *, n_partitions: int = 32):
     the fold runs per continent over the bounded tile table."""
     import pyarrow.compute as pc
 
-    from equi7grid_ray.stages.aggregate import hash_aggregate
-
-    counts = hash_aggregate(
-        assigned.map_batches(
-            lambda b: pa.table(
-                {"tile": pc.cast(b.column("tile"), pa.string())}),
-            batch_format="pyarrow"),
-        keys=["tile"], aggs={"c": ("tile", "count")},
-        n_partitions=n_partitions)
+    counts = tile_counts(assigned, name="c", n_partitions=n_partitions)
 
     def with_cont(b: pa.Table) -> pa.Table:
         return b.append_column(
@@ -479,28 +409,21 @@ def zone_shape_metrics(tiles):
     needing edge handling).
 
     ``tiles``: the bounded zone inventory (export.tiles_table); four
-    shifted merges, one rollup -- the tile_erosion_depth fold pattern.
-    SQL mirrors with a rook-neighbour self-join on tile-name
+    neighbour-index maps, one rollup.  SQL mirrors with a rook-neighbour self-join on tile-name
     arithmetic over the pinned tiles_t6 golden."""
     import ray.data as rd
 
-    df = tiles.to_pandas()  # bounded: the zone inventory
-    par = _parse_names(df["tile"].astype(str))
-    n4 = np.zeros(len(par), np.int64)
-    base = par[["cont", "te", "tn"]].copy()
-    for dx, dy in ((6, 0), (-6, 0), (0, 6), (0, -6)):
-        sh = base.copy()
-        sh["te"] = sh["te"] + dx
-        sh["tn"] = sh["tn"] + dy
-        m = par.reset_index().merge(sh, on=["cont", "te", "tn"])
-        n4[m["index"].to_numpy()] += 1
-    g = par.assign(n4=n4).groupby("cont", as_index=False).agg(
+    par = _lattice_frame(tiles.to_pandas()["tile"])  # bounded: zone inventory
+    n4 = sum((nb >= 0).astype(np.int64) for nb in _neighbour_index(
+        par, [(6, 0), (-6, 0), (0, 6), (0, -6)]))
+    g = par.assign(n4=n4).groupby("cidx", as_index=False).agg(
         n_tiles=("tile", "size"),
         perimeter_edges=("n4", lambda s: int((4 - s).sum())),
         n_interior=("n4", lambda s: int((s == 4).sum())),
     )
     return rd.from_arrow(pa.table({
-        "continent": pa.array(g["cont"].astype(str), pa.string()),
+        "continent": pa.array(
+            np.asarray(CONTINENT_CODES)[g["cidx"].to_numpy()], pa.string()),
         "n_tiles": pa.array(g["n_tiles"].to_numpy(np.int64), pa.int64()),
         "perimeter_edges": pa.array(
             g["perimeter_edges"].to_numpy(np.int64), pa.int64()),
@@ -516,28 +439,19 @@ def land_regions(tiles):
     sizes per-region work units (a region is the natural halo-exchange
     closure for land-only processing).
 
-    Bounded fold over the zone inventory: 4 shifted merges build the
-    adjacency, then a numpy min-label fixpoint (iterations <= lattice
+    Bounded fold over the zone inventory: 2 neighbour-index maps build
+    the adjacency, then a numpy min-label fixpoint (iterations <= lattice
     diameter of the largest region).  SQL mirrors reachability with a
     recursive CTE over the pinned tiles_t6 golden."""
     import ray.data as rd
 
     df = tiles.to_pandas()
-    df = df[df["covers_land"].astype(bool)].reset_index(drop=True)
-    par = _parse_names(df["tile"].astype(str))
+    par = _lattice_frame(df["tile"][df["covers_land"].astype(bool)])
     n = len(par)
     label = np.arange(n, dtype=np.int64)
-    base = par[["cont", "te", "tn"]].reset_index()
-    edges = []
-    for dx, dy in ((6, 0), (0, 6)):
-        sh = base.copy()
-        sh["te"] = sh["te"] + dx
-        sh["tn"] = sh["tn"] + dy
-        m = base.merge(sh, on=["cont", "te", "tn"],
-                       suffixes=("_a", "_b"))
-        edges.append(np.stack([m["index_a"].to_numpy(np.int64),
-                               m["index_b"].to_numpy(np.int64)], 1))
-    e = np.concatenate(edges) if edges else np.zeros((0, 2), np.int64)
+    edges = [np.stack([np.flatnonzero(nb >= 0), nb[nb >= 0]], 1)
+             for nb in _neighbour_index(par, [(6, 0), (0, 6)])]
+    e = np.concatenate(edges)
     while True:
         la = label[e[:, 0]]
         lb = label[e[:, 1]]
@@ -549,11 +463,12 @@ def land_regions(tiles):
         if np.array_equal(new, label):
             break
         label = new
-    out = par.assign(root=label).groupby("cont")
+    out = par.assign(root=label).groupby("cidx")
     rows = []
     for c, g in out:
         sizes = g.groupby("root").size()
-        rows.append((c, int(sizes.size), int(sizes.max()), int(len(g))))
+        rows.append((CONTINENT_CODES[c], int(sizes.size), int(sizes.max()),
+                     int(len(g))))
     rows.sort()
     return rd.from_arrow(pa.table({
         "continent": pa.array([r[0] for r in rows], pa.string()),

@@ -154,14 +154,12 @@ def test_tile_clusters_crafted(ray_session):
 
 
 def test_tile_node_codec_roundtrip():
-    from equi7grid_ray.stages.tilestats import (_node_to_tile,
-                                                _parse_names,
-                                                _tile_node_ids)
+    from equi7grid_ray.grid import tile_lattice
+    from equi7grid_ray.stages.tilestats import _node_to_tile, _tile_node_ids
 
     names = ["EU_E048N012T6", "AS_E066S018T6", "AF_E000N000T6",
              "SA_E090N090T6", "OC_E132S006T6"]
-    par = _parse_names(pd.Series(names))
-    nodes = _tile_node_ids(par)
+    nodes = _tile_node_ids(*tile_lattice(names))
     assert _node_to_tile(nodes) == names
     # order-isomorphism: int order == name lexicographic order
     by_node = [n for _, n in sorted(zip(nodes, names))]
