@@ -735,11 +735,11 @@ def q_lsh_near_dup_verified(sf_dir: str):
 
 def q_near_dup_components(sf_dir: str):
     """Near-duplicate clusters: connected components over the MinHash-
-    LSH candidate-pair graph (hash-to-min label propagation, one
-    partition-cogroup shuffle + one groupby-min per round).  The step
-    every production dedup needs after pair generation -- pairs alone
-    don't say which docs to drop.  Oracle: recursive-CTE reachability
-    over the same pair set."""
+    LSH candidate-pair graph (min-label propagation with pointer jumps,
+    run in one task over the collected pair set, which duplicate mass
+    bounds).  The step every production dedup needs after pair
+    generation -- pairs alone don't say which docs to drop.  Oracle:
+    recursive-CTE reachability over the same pair set."""
     from equi7grid_ray.stages.dedup import lsh_candidate_pairs
     from equi7grid_ray.stages.graph import connected_components
 
@@ -4071,9 +4071,9 @@ q_image_otsu = _frame_query(mm.OtsuThreshold, 300)
 def q_pagerank(sf_dir: str):
     """Exact fixed-point PageRank (Q1e12 integer ranks, 3 rounds,
     dangling mass dropped) over a derived 1000-node directed graph --
-    one cogroup join + one hash_aggregate per round, rank table
-    materialized between rounds.  Oracle: the same 3 rounds unrolled in
-    SQL."""
+    one hash_aggregate dedupes the edges (at most 1000 x 1000), then
+    the rounds run in one task as numpy scatters.  Oracle: the same 3
+    rounds unrolled in SQL."""
     from equi7grid_ray.stages.graph import pagerank_int
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
@@ -4325,8 +4325,8 @@ def q_tile_basins(sf_dir: str):
     a DEM (hydrology step three after tile_flow_d8 / tile_flow_accum):
     every interior cell is labeled with its terminal D8 sink by
     pointer doubling (<= 8 rounds: elevation strictly drops along
-    every edge and values are 8-bit, so path depth <= 255); one row
-    per basin with the sink's cell, elevation, member count and exact
+    every edge and values are 8-bit, so path depth <= 255), run in one
+    task over the collected flow edges; one row per basin with the sink's cell, elevation, member count and exact
     member-elevation mass.  SQL mirrors the transitive closure with a
     recursive CTE over the same flow edges and keeps the terminal row
     per start cell."""
@@ -5401,10 +5401,10 @@ def q_tile_flow_accum(sf_dir: str):
     per interior cell the count of interior cells whose downstream
     steepest-descent path passes through it.  Elevation strictly drops
     along every edge (8-bit values bound path depth at 255), so the
-    engine pushes accumulation in descending elevation bands -- exact,
-    no fixpoint detection; a distributed depth-synchronous variant is
-    parity-tested.  SQL mirrors via a recursive CTE walking each
-    cell's path over the interior set."""
+    engine pushes accumulation in descending elevation bands, in one
+    task over the collected flow edges -- exact, no fixpoint
+    detection.  SQL mirrors via a recursive CTE walking each cell's
+    path over the interior set."""
 
     from equi7grid_ray.stages.mosaic import tile_flow_accum, tile_mosaic
 

@@ -1019,7 +1019,8 @@ def components_sql(num_perm: int = 64, bands: int = 16, shingle: int = 8,
     (mirror of stages/graph.py:connected_components over the pair set
     of lsh_pairs_sql): component = min doc_id reachable through pairs.
     The recursive CTE enumerates reachable nodes (fine at oracle scale;
-    the engine's hash-to-min propagation is the scale path).
+    the engine runs a numpy min-label fixpoint over the collected
+    pairs).
     Output (doc_id BIGINT, component BIGINT), pair-nodes only."""
     inner = lsh_pairs_sql(num_perm, bands, shingle, max_bucket)
     return f"""

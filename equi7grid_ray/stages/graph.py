@@ -1,41 +1,32 @@
-"""Distributed connected components over an edge list.
+"""Graph operators over edge-list Datasets: connected components and
+the canonical-id maps built on them, triangle counts, integer
+PageRank, degree assortativity and common-neighbour link prediction.
 
-The missing last step of every near-duplicate pipeline: LSH / dhash /
-embedding stages emit *pairs*; actual deduplication needs the
-transitive closure -- group pairs into components and keep one
-canonical document per component.  (The reference's spatial analogue
-is merging overlapping tile footprints into contiguous regions.)
+Connected components are the missing last step of every near-duplicate
+pipeline: LSH / dhash / embedding stages emit *pairs*; actual
+deduplication needs the transitive closure -- group pairs into
+components and keep one canonical document per component.  (The
+reference's spatial analogue is merging overlapping tile footprints
+into contiguous regions.)
 
-Algorithm: hash-to-min label propagation (Rastogi et al., "Finding
-Connected Components in MapReduce and Beyond", the min-label variant).
-Every node starts labelled with its own id; each round every node
-broadcasts its current minimum label to its neighbours and adopts the
-minimum it hears.  Labels are monotonically non-increasing and the
-fixpoint assigns each node the minimum node id of its component; the
-round count is bounded by the component diameter (near-dup clusters
-are tiny-diameter, so 2-4 rounds in practice).
+Algorithm: min-label propagation (Rastogi et al., "Finding Connected
+Components in MapReduce and Beyond", the min-label variant) with a
+pointer jump per pass.  Every node starts labelled with its own id;
+each pass every edge carries the smaller endpoint label to the other
+endpoint.  Labels are monotonically non-increasing and the fixpoint
+assigns each node the minimum node id of its component.
 
-Scale shape:
-
-- State is a ``(node, lbl)`` Dataset with one row per node *appearing
-  in a pair* -- orders of magnitude smaller than the corpus for
-  near-dup graphs, but still distributed (never a driver-side dict).
-- One round = ONE hash-partitioned cogroup shuffle (tagged union of
-  labels + symmetric edges, one vectorized pandas merge per
-  *partition*, never per node -- the partition-cogroup pattern from
-  stages/join.py / dedup.py) followed by ONE ``groupby(node).min``.
-- Convergence is detected with a cheap label-sum fold (1-row partials
-  merged on the driver): labels only ever decrease, so an unchanged sum
-  means a fixpoint.
-- Each round's label table is ``materialize()``d: it is the iterative
-  algorithm's state (size = #pair-nodes), not the corpus -- the same
-  justified exception as flagship.py's per-tile partials.
+Scale shape: the pair set is bounded by duplicate mass -- orders of
+magnitude smaller than the corpus -- so it is collected once and the
+fixpoint runs in one task.  On bounded inputs a single-task fixpoint
+beats a per-round distributed loop, whose fixed scheduling cost is
+paid once per round (McSherry et al., "Scalability! But at what
+COST?", HotOS 2015); :func:`pagerank_int` follows the same shape.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 __all__ = ["connected_components", "canonical_assignments",
@@ -43,10 +34,6 @@ __all__ = ["connected_components", "canonical_assignments",
            "degree_assortativity", "common_neighbor_pairs"]
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-#: rounds used by the most recent connected_components() call on this
-#: process (driver-side observability for tests / bench notes)
-last_rounds: int = 0
 
 
 def _local_min_labels(a: np.ndarray,
@@ -70,17 +57,7 @@ def _local_min_labels(a: np.ndarray,
     return nodes, nodes[lbl]
 
 
-def _part_of(node: np.ndarray, n_partitions: int) -> np.ndarray:
-    """Deterministic hash partition of int64 node ids (shared
-    splitmix64 partitioner)."""
-    from equi7grid_ray.arrowutil import hash_partition
-
-    return hash_partition(node, n_partitions)
-
-
-def connected_components(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
-                         n_partitions: int = 32, max_rounds: int = 30,
-                         local_max_edges: int = 2_000_000):
+def connected_components(pairs, *, id_a: str = "id_a", id_b: str = "id_b"):
     """Edge list ``(id_a, id_b)`` -> ``(node, component)`` Dataset where
     ``component`` is the minimum node id reachable from ``node``.
 
@@ -88,185 +65,22 @@ def connected_components(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
     documents are trivially their own component; join back with
     :func:`canonical_assignments` for the full corpus view).
 
-    Size-adaptive: when the (already bounded -- near-dup pair sets are
-    O(duplicate mass), orders of magnitude smaller than the corpus)
-    edge list has at most ``local_max_edges`` rows, the whole fixpoint
-    runs as ONE numpy task over the collected pairs (32 MB at the
-    default cap) instead of paying 3-6 rounds x 2 shuffles of fixed
-    per-round scheduling cost -- measured 14.8 s -> sub-second on a
-    500-image sweep graph.  Larger graphs take the distributed
-    hash-to-min label-propagation path unchanged; pass
-    ``local_max_edges=0`` to force it (the parity tests do).
-    """
-    global last_rounds
+    The pair columns are collected once (near-dup pair sets are
+    O(duplicate mass)) and :func:`_local_min_labels` runs the fixpoint
+    in one task.  Zero pairs give zero rows of the same schema."""
     import ray.data as rd
 
     from equi7grid_ray.arrowutil import collect_tables
 
-    # bounded by construction (near-dup pair mass), and consumed twice
-    # (size probe + fast-path collect / distributed to_edges) -- pin the
-    # blocks in the object store so the upstream LSH/dhash sweep runs once
-    pairs = pairs.materialize()
-    n_edges = pairs.count()
-    if 0 < n_edges <= local_max_edges:
-        t = collect_tables(pairs.select_columns([id_a, id_b]))
-        a = t.column(id_a).to_numpy().astype(np.int64)
-        b = t.column(id_b).to_numpy().astype(np.int64)
-        nodes, lbl_idx = _local_min_labels(a, b)
-        last_rounds = 0
-        return rd.from_arrow(pa.table({
-            "node": pa.array(nodes, pa.int64()),
-            "component": pa.array(lbl_idx, pa.int64()),
-        }))
-    # Symmetric edge table (node, nbr) + per-round label/query rows,
-    # tagged into one schema so a single hash shuffle cogroups a node's
-    # rows.  kind: 0 = edge (val = neighbour id), 1 = label (val = the
-    # node's current label), 2 = pointer-doubling query (row keyed by
-    # the label target l, val = the asking node u; the target answers
-    # with ITS label, so u learns lbl(lbl(u)) in one round).
-    def to_edges(batch: pa.Table) -> pa.Table:
-        a = batch.column(id_a).to_numpy().astype(np.int64)
-        b = batch.column(id_b).to_numpy().astype(np.int64)
-        if len(a):
-            # Local contraction (zero extra shuffle): collapse each
-            # block's edge set to a spanning STAR forest (node -> block-
-            # local component minimum).  Connectivity is preserved
-            # exactly; intra-block diameter drops to <= 2, so the global
-            # hash-to-min loop converges in fewer rounds -- LSH-bucket
-            # pair blocks are near-cliques and collapse almost entirely.
-            # keep node==root rows too: they preserve self-edge-only
-            # nodes (a==b pairs) in the node set, and are no-op messages
-            a, b = _local_min_labels(a, b)
-        node = np.concatenate([a, b])
-        val = np.concatenate([b, a])
-        return pa.table({
-            "node": pa.array(node, pa.int64()),
-            "val": pa.array(val, pa.int64()),
-            "kind": pa.array(np.zeros(len(node), dtype=np.int8), pa.int8()),
-        })
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        part = _part_of(batch.column("node").to_numpy(), n_partitions)
-        return batch.append_column("part", pa.array(part, pa.int32()))
-
-    # Edges are loop-invariant: hash-partition them ONCE here instead of
-    # re-hashing the union every round.
-    edges = (pairs.map_batches(to_edges, batch_format="pyarrow")
-             .map_batches(add_part, batch_format="pyarrow")
-             .materialize())
-    if edges.count() == 0:
-        def empty(batch: pa.Table) -> pa.Table:
-            return pa.table({"node": batch.column("node"),
-                             "component": batch.column("val")})
-        return edges.map_batches(empty, batch_format="pyarrow")
-
-    # Seed labels with min(self, direct neighbours) -- on star-contracted
-    # edges that is already the block-local component minimum, saving the
-    # first message round outright.  (hash_aggregate, not the native
-    # Aggregate: its per-block operator overhead dominates every round
-    # at sweep scale -- see stages/aggregate.py.)
-    from equi7grid_ray.stages.aggregate import hash_aggregate
-
-    labels = (
-        hash_aggregate(edges.select_columns(["node", "val"]),
-                       keys=["node"], aggs={"nmin": ("val", "min")},
-                       n_partitions=n_partitions)
-        .map_batches(
-            lambda b: pa.table({
-                "node": b.column("node"),
-                "lbl": pa.array(
-                    np.minimum(b.column("node").to_numpy().astype(np.int64),
-                               b.column("nmin").to_numpy().astype(np.int64)),
-                    pa.int64()),
-            }),
-            batch_format="pyarrow")
-        .materialize()
-    )
-
-    def tag_labels(batch: pa.Table) -> pa.Table:
-        node = batch.column("node").to_numpy().astype(np.int64)
-        lbl = batch.column("lbl").to_numpy().astype(np.int64)
-        # pointer-doubling queries for nodes not already at their label
-        q = lbl != node
-        out_node = np.concatenate([node, lbl[q]])
-        out_val = np.concatenate([lbl, node[q]])
-        kind = np.concatenate([
-            np.ones(len(node), dtype=np.int8),
-            np.full(int(q.sum()), 2, dtype=np.int8),
-        ])
-        part = _part_of(out_node, n_partitions)
-        return pa.table({
-            "node": pa.array(out_node, pa.int64()),
-            "val": pa.array(out_val, pa.int64()),
-            "kind": pa.array(kind, pa.int8()),
-            "part": pa.array(part, pa.int32()),
-        })
-
-    def propagate(g: pd.DataFrame) -> pd.DataFrame:
-        """One vectorized pass over a hash partition: every node's rows
-        (one label row, its edge rows, and any pointer-doubling queries
-        addressed to it) are colocated here."""
-        kind = g["kind"].to_numpy()
-        lbl = g[kind == 1][["node", "val"]].rename(columns={"val": "lbl"})
-        edge = g[kind == 0][["node", "val"]]
-        qry = g[kind == 2][["node", "val"]]
-        # message to each neighbour: my current label
-        msgs = edge.merge(lbl, on="node", how="left")
-        # pointer doubling: answer each query (keyed by me) with MY
-        # label, delivered to the asking node in `val`
-        ans = qry.merge(lbl, on="node", how="left")
-        out_node = np.concatenate([
-            msgs["val"].to_numpy(np.int64),           # neighbour hears lbl
-            ans["val"].to_numpy(np.int64),            # asker hears lbl(lbl)
-            lbl["node"].to_numpy(np.int64),           # keep own label
-        ])
-        out_lbl = np.concatenate([
-            msgs["lbl"].to_numpy(np.int64),
-            ans["lbl"].to_numpy(np.int64),
-            lbl["lbl"].to_numpy(np.int64),
-        ])
-        return pd.DataFrame({
-            "node": pd.Series(out_node, dtype=np.int64),
-            "lbl": pd.Series(out_lbl, dtype=np.int64),
-        })
-
-    last_rounds = 0
-    prev_sum = None
-    def label_psum(b: pa.Table) -> pa.Table:
-        return pa.table({"s": pa.array(
-            [int(b.column("lbl").to_numpy().sum())], pa.int64())})
-
-    for _round in range(max_rounds):
-        last_rounds = _round + 1
-        msgs = (labels.map_batches(tag_labels, batch_format="pyarrow")
-                .union(edges)
-                .groupby("part")
-                .map_groups(propagate, batch_format="pandas"))
-        labels = hash_aggregate(
-            msgs, keys=["node"], aggs={"lbl": ("lbl", "min")},
-            n_partitions=n_partitions,
-        ).materialize()
-        # fixpoint detector: labels only decrease, so an unchanged sum
-        # means convergence; 1-row partials folded on the driver (the
-        # native global Aggregate costs ~1 s of operator overhead/round)
-        cur = 0
-        for t in labels.map_batches(
-                label_psum, batch_format="pyarrow").iter_batches(
-                batch_format="pyarrow"):
-            col = t["s"] if isinstance(t, pa.Table) else t.column("s")
-            cur += int(col.to_numpy(zero_copy_only=False).sum())
-        if prev_sum is not None and cur == prev_sum:
-            break
-        prev_sum = cur
-    else:  # pragma: no cover - diameter > max_rounds
-        raise RuntimeError(
-            f"connected_components did not converge in {max_rounds} rounds")
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch.column("node"),
-                         "component": batch.column("lbl")})
-
-    return labels.map_batches(rename, batch_format="pyarrow")
+    t = collect_tables(pairs.select_columns([id_a, id_b]), schema=pa.schema(
+        [(id_a, pa.int64()), (id_b, pa.int64())]))
+    nodes, comp = _local_min_labels(
+        t.column(id_a).to_numpy().astype(np.int64),
+        t.column(id_b).to_numpy().astype(np.int64))
+    return rd.from_arrow(pa.table({
+        "node": pa.array(nodes, pa.int64()),
+        "component": pa.array(comp, pa.int64()),
+    }))
 
 
 def canonical_assignments(docs, components, *, id_col: str = "doc_id"):
@@ -551,9 +365,7 @@ def triangle_count(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
 
 def pagerank_int(edges, *, src: str = "src", dst: str = "dst",
                  iters: int = 3, scale: int = 10**12,
-                 d_num: int = 85, d_den: int = 100,
-                 n_partitions: int = 32,
-                 local_max_edges: int = 2_000_000):
+                 d_num: int = 85, d_den: int = 100):
     """PageRank over a directed edge list in EXACT integer arithmetic
     (SQL-mirrorable, platform-independent): ranks are Q(scale) fixed
     point,
@@ -568,119 +380,34 @@ def pagerank_int(edges, *, src: str = "src", dst: str = "dst",
     than redistributed -- the standard sparse-push variant, documented
     so both sides agree).  |V| = nodes appearing in any edge.
 
-    Distributed shape: one partition-cogroup join (ranks onto edges by
-    src) + one hash_aggregate (sum by dst) + one vectorized remap per
-    round; the rank table (O(|V|) rows) is materialized between rounds
-    so a round never re-executes its predecessors.  No driver-side
-    state beyond the |V| scalar."""
-    import pyarrow.compute as pc_
+    Shape: one hash_aggregate dedupes the edges, which bounds what is
+    collected; the rounds then run in one task as numpy gathers and
+    ``np.add.at`` scatters.  Zero edges give zero rows."""
     import ray.data as rd
 
+    from equi7grid_ray.arrowutil import collect_tables
     from equi7grid_ray.stages.aggregate import hash_aggregate
-    from equi7grid_ray.stages.join import shuffle_hash_join
 
-    e = hash_aggregate(edges, keys=[src, dst],
-                       aggs={"_m": (src, "count")}) \
-        .map_batches(lambda b: b.select([src, dst]),
-                     batch_format="pyarrow").materialize()
-
-    # bounded local fast path (same trick as connected_components):
-    # the distinct edge set is the whole state; when it fits one task,
-    # 2*iters shuffles of fixed overhead lose to one numpy loop by 10x
-    # (measured 19.8s -> sub-second on the 1000-node bench graph).
-    # local_max_edges=0 forces the distributed path (parity tests).
-    if local_max_edges and e.count() <= local_max_edges:
-        from equi7grid_ray.arrowutil import collect_tables
-
-        et = collect_tables(e, schema=pa.schema([(src, pa.int64()),
-                                                 (dst, pa.int64())]))
-        es = et.column(src).to_numpy(zero_copy_only=False).astype(np.int64)
-        ed = et.column(dst).to_numpy(zero_copy_only=False).astype(np.int64)
-        nodes_np = np.unique(np.concatenate([es, ed]))
-        nv = len(nodes_np)
-        if nv == 0:
-            import ray.data as rd
-            return rd.from_arrow(pa.table({
-                "node": pa.array([], pa.int64()),
-                "rank_q": pa.array([], pa.int64())}))
-        si = np.searchsorted(nodes_np, es)
-        di = np.searchsorted(nodes_np, ed)
-        deg_np = np.bincount(si, minlength=nv).astype(np.int64)
-        r_init_l = scale // nv
-        base_l = ((d_den - d_num) * r_init_l) // d_den
-        r = np.full(nv, r_init_l, np.int64)
-        for _ in range(iters):
-            contrib = r[si] // deg_np[si]
-            s = np.zeros(nv, np.int64)
-            np.add.at(s, di, contrib)
-            r = base_l + (d_num * s) // d_den
-        import ray.data as rd
-        return rd.from_arrow(pa.table({
-            "node": pa.array(nodes_np, pa.int64()),
-            "rank_q": pa.array(r, pa.int64())}))
-
-    deg = hash_aggregate(e, keys=[src], aggs={"deg": (src, "count")})
-    # attach out-degree to edges ONCE; reused every round
-    e_deg = shuffle_hash_join(e, deg, on=src,
-                              n_partitions=n_partitions).materialize()
-
-    def side(col):
-        def f(b: pa.Table) -> pa.Table:
-            return pa.table({"node": b.column(col)})
-        return f
-
-    nodes = hash_aggregate(
-        e.map_batches(side(src), batch_format="pyarrow")
-         .union(e.map_batches(side(dst), batch_format="pyarrow")),
-        keys=["node"], aggs={"_c": ("node", "count")}) \
-        .map_batches(lambda b: b.select(["node"]), batch_format="pyarrow") \
-        .materialize()
-    n_nodes = nodes.count()
-    if n_nodes == 0:
-        return nodes.map_batches(
-            lambda b: b.append_column("rank_q", pa.array([], pa.int64())),
-            batch_format="pyarrow")
-    r_init = scale // n_nodes
+    e = hash_aggregate(edges, keys=[src, dst], aggs={"_m": (src, "count")})
+    et = collect_tables(e.select_columns([src, dst]), schema=pa.schema(
+        [(src, pa.int64()), (dst, pa.int64())]))
+    es = et.column(src).to_numpy().astype(np.int64)
+    ed = et.column(dst).to_numpy().astype(np.int64)
+    nodes = np.unique(np.concatenate([es, ed]))
+    nv = len(nodes)
+    si = np.searchsorted(nodes, es)
+    di = np.searchsorted(nodes, ed)
+    deg = np.bincount(si, minlength=nv).astype(np.int64)
+    r_init = scale // max(nv, 1)
     base = ((d_den - d_num) * r_init) // d_den
-
-    rank = nodes.map_batches(
-        lambda b: b.append_column(
-            "rank_q", pa.array(np.full(b.num_rows, r_init, np.int64))),
-        batch_format="pyarrow").materialize()
-
-    def as_src(b: pa.Table) -> pa.Table:
-        return b.rename_columns([src if c == "node" else c
-                                 for c in b.column_names])
-
+    r = np.full(nv, r_init, np.int64)
     for _ in range(iters):
-        contribs = shuffle_hash_join(
-            e_deg, rank.map_batches(as_src, batch_format="pyarrow"),
-            on=src, n_partitions=n_partitions)
-
-        def to_contrib(b: pa.Table) -> pa.Table:
-            r = b.column("rank_q").to_numpy(zero_copy_only=False)
-            d = b.column("deg").to_numpy(zero_copy_only=False)
-            return pa.table({
-                "node": b.column(dst),
-                "c_": pa.array(r // d, pa.int64()),
-            })
-
-        sums = hash_aggregate(
-            contribs.map_batches(to_contrib, batch_format="pyarrow"),
-            keys=["node"], aggs={"s": ("c_", "sum")})
-        joined = shuffle_hash_join(nodes, sums, on="node", how="left",
-                                   n_partitions=n_partitions)
-
-        def remap(b: pa.Table) -> pa.Table:
-            s = pc_.fill_null(b.column("s"), 0).cast(pa.int64()) \
-                .to_numpy(zero_copy_only=False)
-            return pa.table({
-                "node": b.column("node"),
-                "rank_q": pa.array(base + (d_num * s) // d_den, pa.int64()),
-            })
-
-        rank = joined.map_batches(remap, batch_format="pyarrow").materialize()
-    return rank
+        s = np.zeros(nv, np.int64)
+        np.add.at(s, di, r[si] // deg[si])
+        r = base + (d_num * s) // d_den
+    return rd.from_arrow(pa.table({
+        "node": pa.array(nodes, pa.int64()),
+        "rank_q": pa.array(r, pa.int64())}))
 
 
 def degree_assortativity(pairs, *, id_a: str = "id_a",

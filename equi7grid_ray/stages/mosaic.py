@@ -502,11 +502,23 @@ def tile_flow_d8(mosaic, *, value: str = "v_max", grid: int = 8,
     return joined.map_batches(finish, batch_format="pyarrow")
 
 
-def _d8_edge_base(mosaic, *, value: str, grid: int, n_partitions: int):
-    """Materialized D8 edge list over the interior cells: one row per
-    cell with all 8 Moore neighbours, columns (tile, gr, gc, fkey,
-    down, v) where ``down`` is the packed key of the steepest-drop
-    neighbour (-1 on pits/flats).  METADATA only -- 3 ints per cell."""
+#: column types of the D8 edge list: the composite's (tile, gr, gc),
+#: the packed cell key, its downstream key and the elevation
+_D8_BASE = pa.schema([
+    ("tile", pa.string()), ("gr", pa.int32()), ("gc", pa.int32()),
+    ("fkey", pa.int64()), ("down", pa.int64()), ("v", pa.int64()),
+])
+
+
+def _d8_flow_graph(mosaic, *, value: str, grid: int, n_partitions: int):
+    """The D8 flow graph over the interior cells (all 8 Moore
+    neighbours present), collected for one in-task pass: the
+    ``_D8_BASE`` edge table, where ``down`` is the packed key of the
+    steepest-drop neighbour (-1 on pits/flats), each cell's downstream
+    row index ``tgt`` and the mask ``has`` of cells whose downstream
+    cell is interior (pits, flats and outlets have none).  METADATA
+    only -- 3 ints per interior cell of the composite, never pixels."""
+    from equi7grid_ray.arrowutil import collect_tables
 
     joined = _d8_neighbours(mosaic, value=value, grid=grid,
                             n_partitions=n_partitions)
@@ -527,11 +539,19 @@ def _d8_edge_base(mosaic, *, value: str, grid: int, n_partitions: int):
         })
         return t.filter(pa.array(nn == 8))
 
-    return joined.map_batches(edges, batch_format="pyarrow").materialize()
+    et = collect_tables(joined.map_batches(edges, batch_format="pyarrow"),
+                        schema=_D8_BASE).cast(_D8_BASE)
+    keys = et.column("fkey").to_numpy()
+    down = et.column("down").to_numpy()
+    order = np.argsort(keys)
+    pos = np.searchsorted(keys[order], down)
+    tgt = order[np.clip(pos, 0, len(keys) - 1)]
+    has = (down >= 0) & (keys[tgt] == down)
+    return et, tgt, has
 
 
 def tile_flow_accum(mosaic, *, value: str = "v_max", grid: int = 8,
-                    n_partitions: int = 32, local_max_cells: int = 4_000_000):
+                    n_partitions: int = 32):
     """D8 flow ACCUMULATION over the tile composite: per interior cell
     the count of interior cells (including itself) whose downstream
     D8 path passes through it -- the drainage-area map, step two of
@@ -546,105 +566,27 @@ def tile_flow_accum(mosaic, *, value: str = "v_max", grid: int = 8,
     band pushing its finished accumulation downstream -- <= 256
     exact vectorized passes, no fixpoint detection needed.
 
-    Scale shape: the (cell, down, v) edge list is METADATA (3 ints per
-    interior cell -- ~2.6 GB for the full planet at T6/G8, vs the
-    pixels it summarizes).  Under ``local_max_cells`` it folds in one
-    task (np.add.at per descending elevation band -- cells of equal
-    elevation can never flow into each other, so a band's accumulation
-    is final when its turn comes); above the cap (or with
-    ``local_max_cells=0``, as the parity test forces) the
-    depth-synchronous push runs distributed: per round one
-    hash_aggregate of contributions by downstream key + one cogroup
-    join back onto the cells, acc_k counting cells within k upstream
-    steps, fixpoint when the monotone total stops growing (<= depth
-    <= 255 rounds).  Contributions to non-interior keys vanish in the
-    join -- outlets by construction."""
+    Shape: the (cell, down, v) edge list is METADATA (3 ints per
+    interior cell), collected once by :func:`_d8_flow_graph`; the
+    band fold (``np.add.at`` per band) runs in one task.  Returns
+    ``(tile, gr, gc, acc)``; a composite with no interior cell gives
+    zero rows."""
     import ray.data as rd
 
-    from equi7grid_ray.arrowutil import collect_tables
-    from equi7grid_ray.stages.join import shuffle_hash_join
-
-    base = _d8_edge_base(mosaic, value=value, grid=grid,
-                         n_partitions=n_partitions)
-    n_cells = base.count()
-
-    if 0 < n_cells <= local_max_cells:
-        et = collect_tables(base)
-        keys = et.column("fkey").to_numpy(zero_copy_only=False)
-        down = et.column("down").to_numpy(zero_copy_only=False)
-        v = et.column("v").to_numpy(zero_copy_only=False)
-        order = np.argsort(keys)
-        pos = np.searchsorted(keys[order], down)
-        pos_c = np.clip(pos, 0, len(keys) - 1)
-        tgt = order[pos_c]
-        has = (down >= 0) & (keys[tgt] == down)  # downstream is interior
-        acc = np.ones(len(keys), np.int64)
-        for lvl in np.unique(v)[::-1]:  # descending elevation bands
-            band = np.flatnonzero((v == lvl) & has)
-            if len(band):
-                np.add.at(acc, tgt[band], acc[band])
-        out = pa.table({
-            "tile": et.column("tile"),
-            "gr": et.column("gr"),
-            "gc": et.column("gc"),
-            "acc": pa.array(acc, pa.int64()),
-        })
-        return rd.from_arrow(out)
-
-    # distributed depth-synchronous rounds
-    base_schema = pa.schema([
-        ("tile", pa.string()), ("gr", pa.int32()), ("gc", pa.int32()),
-        ("fkey", pa.int64()), ("down", pa.int64()), ("v", pa.int64()),
-    ])
-    acc_ds = base.map_batches(
-        lambda b: b.append_column(
-            "acc", pa.array(np.ones(b.num_rows, np.int64), pa.int64())),
-        batch_format="pyarrow").materialize()
-    prev_total = -1
-    for _round in range(256):  # depth bound: elevation is 8-bit strict-drop
-        total = acc_ds.sum("acc")
-        if total == prev_total:
-            break
-        prev_total = total
-
-        def push(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            t = b.filter(pc.greater_equal(b.column("down"), 0))
-            return pa.table({"fkey": t.column("down"),
-                             "acc_in": t.column("acc")})
-
-        contrib = hash_aggregate(
-            acc_ds.map_batches(push, batch_format="pyarrow"),
-            keys=["fkey"], aggs={"s": ("acc_in", "sum")},
-            n_partitions=n_partitions)
-        joined2 = shuffle_hash_join(
-            base, contrib, on="fkey", how="left",
-            n_partitions=n_partitions,
-            left_schema=base_schema,
-            right_schema=pa.schema([("fkey", pa.int64()),
-                                    ("s", pa.int64())]))
-
-        def fold(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            s = pc.fill_null(b.column("s").cast(pa.int64()), 0)
-            return pa.table({
-                "tile": b.column("tile"), "gr": b.column("gr"),
-                "gc": b.column("gc"), "fkey": b.column("fkey"),
-                "down": b.column("down"), "v": b.column("v"),
-                "acc": pc.add(s, 1),
-            })
-
-        acc_ds = joined2.map_batches(fold, batch_format="pyarrow") \
-            .materialize()
-    return acc_ds.map_batches(
-        lambda b: b.select(["tile", "gr", "gc", "acc"]),
-        batch_format="pyarrow")
+    et, tgt, has = _d8_flow_graph(mosaic, value=value, grid=grid,
+                                  n_partitions=n_partitions)
+    v = et.column("v").to_numpy()
+    acc = np.ones(et.num_rows, np.int64)
+    for lvl in np.unique(v)[::-1]:  # descending elevation bands
+        band = np.flatnonzero((v == lvl) & has)
+        if len(band):
+            np.add.at(acc, tgt[band], acc[band])
+    return rd.from_arrow(et.select(["tile", "gr", "gc"]).append_column(
+        "acc", pa.array(acc, pa.int64())))
 
 
 def tile_basins(mosaic, *, value: str = "v_max", grid: int = 8,
-                n_partitions: int = 32, local_max_cells: int = 4_000_000):
+                n_partitions: int = 32):
     """Watershed BASIN delineation over the tile composite treated as
     a DEM -- hydrology step three after :func:`tile_flow_d8`
     (direction) and :func:`tile_flow_accum` (drainage area): label
@@ -660,150 +602,31 @@ def tile_basins(mosaic, *, value: str = "v_max", grid: int = 8,
     The flow graph is functional and acyclic with depth <= 255
     (elevation strictly drops along every edge, 8-bit values), so
     POINTER DOUBLING reaches every sink in <= 8 rounds -- no fixpoint
-    detection.  Under ``local_max_cells`` the doubling runs as one
-    numpy task over the bounded (cell, down) table; above it each
-    round is ONE partition-cogroup self-join shipping (fkey, ptr)
-    pairs -- 16 bytes per cell per round, never pixels.  The final
-    per-basin fold is one hash_aggregate + one join back onto the
-    sink rows."""
+    detection.  The rounds and the per-basin fold run in one task over
+    the collected :func:`_d8_flow_graph`; a composite with no interior
+    cell gives zero rows."""
     import ray.data as rd
 
-    from equi7grid_ray.arrowutil import collect_tables
-    from equi7grid_ray.stages.join import shuffle_hash_join
-
-    base = _d8_edge_base(mosaic, value=value, grid=grid,
-                         n_partitions=n_partitions)
-    n_cells = base.count()
-
-    def _finish_local(tile, gr, gc, v, root):
-        # root: index into the arrays of each cell's sink
-        n_grp = len(tile)
-        cnt = np.bincount(root, minlength=n_grp).astype(np.int64)
-        sv = np.zeros(n_grp, np.int64)
-        np.add.at(sv, root, v)
-        sink = np.flatnonzero(cnt > 0)
-        return pa.table({
-            "tile": pa.array(np.asarray(tile)[sink]),
-            "gr": pa.array(np.asarray(gr)[sink]),
-            "gc": pa.array(np.asarray(gc)[sink]),
-            "v_sink": pa.array(v[sink], pa.int64()),
-            "n_cells": pa.array(cnt[sink], pa.int64()),
-            "sum_v": pa.array(sv[sink], pa.int64()),
-        })
-
-    if 0 < n_cells <= local_max_cells:
-        et = collect_tables(base)
-        keys = et.column("fkey").to_numpy(zero_copy_only=False)
-        down = et.column("down").to_numpy(zero_copy_only=False)
-        v = et.column("v").to_numpy(zero_copy_only=False)
-        order = np.argsort(keys)
-        pos = np.searchsorted(keys[order], down)
-        pos_c = np.clip(pos, 0, len(keys) - 1)
-        tgt = order[pos_c]
-        has = (down >= 0) & (keys[tgt] == down)  # downstream is interior
-        ptr = np.where(has, tgt, np.arange(len(keys)))
-        for _ in range(8):  # 2^8 >= max path depth 255
-            ptr = ptr[ptr]
-        out = _finish_local(
-            et.column("tile").to_numpy(zero_copy_only=False),
-            et.column("gr").to_numpy(zero_copy_only=False),
-            et.column("gc").to_numpy(zero_copy_only=False), v, ptr)
-        return rd.from_arrow(out)
-
-    # distributed pointer doubling: ptr starts at the interior
-    # downstream (or self); each round resolves ptr -> ptr(ptr) via one
-    # cogroup self-join keyed on the CURRENT pointer ("at")
-    base_schema = pa.schema([
-        ("tile", pa.string()), ("gr", pa.int32()), ("gc", pa.int32()),
-        ("fkey", pa.int64()), ("down", pa.int64()), ("v", pa.int64()),
-    ])
-
-    # seed ptr = downstream IF that cell is interior (down >= 0 alone
-    # is not enough: a steepest neighbour can sit outside the interior
-    # set -- an outlet -- in which case the cell is its own sink), so
-    # resolve membership with one left join against the cell keys
-    def cand(b: pa.Table) -> pa.Table:
-        down = b.column("down").to_numpy(zero_copy_only=False)
-        fkey = b.column("fkey").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "fkey": b.column("fkey"),
-            "at": pa.array(np.where(down >= 0, down, fkey), pa.int64()),
-        })
-
-    members = base.map_batches(
-        lambda b: pa.table({"at": b.column("fkey"),
-                            "hit": pa.array(
-                                np.ones(b.num_rows, np.int8), pa.int8())}),
-        batch_format="pyarrow")
-    seeded = shuffle_hash_join(
-        base.map_batches(cand, batch_format="pyarrow"), members,
-        on="at", how="left", n_partitions=n_partitions,
-        left_schema=pa.schema([("fkey", pa.int64()), ("at", pa.int64())]),
-        right_schema=pa.schema([("at", pa.int64()), ("hit", pa.int8())]))
-
-    def pick(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        hit = pc.is_valid(b.column("hit"))
-        return pa.table({
-            "fkey": b.column("fkey"),
-            "ptr": pc.if_else(hit, b.column("at"), b.column("fkey")),
-        })
-
-    ptr_ds = seeded.map_batches(pick, batch_format="pyarrow").materialize()
-    for _ in range(8):
-        probe = ptr_ds.map_batches(
-            lambda b: pa.table({"cell": b.column("fkey"),
-                                "at": b.column("ptr")}),
-            batch_format="pyarrow")
-        lookup = ptr_ds.map_batches(
-            lambda b: pa.table({"at": b.column("fkey"),
-                                "nxt": b.column("ptr")}),
-            batch_format="pyarrow")
-        j = shuffle_hash_join(
-            probe, lookup, on="at", how="inner",
-            n_partitions=n_partitions,
-            left_schema=pa.schema([("cell", pa.int64()),
-                                   ("at", pa.int64())]),
-            right_schema=pa.schema([("at", pa.int64()),
-                                    ("nxt", pa.int64())]))
-        # inner is total: every ptr value is an interior key (sinks
-        # point at themselves), so each cell matches exactly one row
-        ptr_ds = j.map_batches(
-            lambda b: pa.table({"fkey": b.column("cell"),
-                                "ptr": b.column("nxt")}),
-            batch_format="pyarrow").materialize()
-
-    # per-sink fold: member count + elevation mass (v rides the seed
-    # table via one join back onto base), then sink coordinates
-    vj = shuffle_hash_join(
-        ptr_ds, base, on="fkey", n_partitions=n_partitions,
-        left_schema=pa.schema([("fkey", pa.int64()),
-                               ("ptr", pa.int64())]),
-        right_schema=base_schema)
-    folded = hash_aggregate(
-        vj.map_batches(
-            lambda b: pa.table({"fkey": b.column("ptr"),
-                                "v": b.column("v")}),
-            batch_format="pyarrow"),
-        keys=["fkey"],
-        aggs={"n_cells": ("v", "count"), "sum_v": ("v", "sum")},
-        n_partitions=n_partitions)
-    out = shuffle_hash_join(
-        folded, base, on="fkey", n_partitions=n_partitions,
-        left_schema=pa.schema([("fkey", pa.int64()),
-                               ("n_cells", pa.int64()),
-                               ("sum_v", pa.int64())]),
-        right_schema=base_schema)
-    return out.map_batches(
-        lambda b: pa.table({
-            "tile": b.column("tile"), "gr": b.column("gr"),
-            "gc": b.column("gc"),
-            "v_sink": b.column("v").cast(pa.int64()),
-            "n_cells": b.column("n_cells").cast(pa.int64()),
-            "sum_v": b.column("sum_v").cast(pa.int64()),
-        }),
-        batch_format="pyarrow")
+    et, tgt, has = _d8_flow_graph(mosaic, value=value, grid=grid,
+                                  n_partitions=n_partitions)
+    n = et.num_rows
+    ptr = np.where(has, tgt, np.arange(n))
+    for _ in range(8):  # 2^8 >= max path depth 255
+        ptr = ptr[ptr]
+    v = et.column("v").to_numpy()
+    cnt = np.bincount(ptr, minlength=n).astype(np.int64)
+    sv = np.zeros(n, np.int64)
+    np.add.at(sv, ptr, v)
+    sink = np.flatnonzero(cnt > 0)
+    out = et.select(["tile", "gr", "gc"]).take(sink)
+    return rd.from_arrow(pa.table({
+        "tile": out.column("tile"),
+        "gr": out.column("gr"),
+        "gc": out.column("gc"),
+        "v_sink": pa.array(v[sink], pa.int64()),
+        "n_cells": pa.array(cnt[sink], pa.int64()),
+        "sum_v": pa.array(sv[sink], pa.int64()),
+    }))
 
 
 def tile_tri(mosaic, *, value: str = "v_max", grid: int = 8,

@@ -440,29 +440,22 @@ def land_regions(tiles):
     closure for land-only processing).
 
     Bounded fold over the zone inventory: 2 neighbour-index maps build
-    the adjacency, then a numpy min-label fixpoint (iterations <= lattice
-    diameter of the largest region).  SQL mirrors reachability with a
-    recursive CTE over the pinned tiles_t6 golden."""
+    the adjacency, then the numpy min-label fixpoint of
+    ``graph._local_min_labels`` over the tile indices (a tile with no
+    land neighbour keeps its own index).  SQL mirrors reachability with
+    a recursive CTE over the pinned tiles_t6 golden."""
     import ray.data as rd
+
+    from equi7grid_ray.stages.graph import _local_min_labels
 
     df = tiles.to_pandas()
     par = _lattice_frame(df["tile"][df["covers_land"].astype(bool)])
-    n = len(par)
-    label = np.arange(n, dtype=np.int64)
-    edges = [np.stack([np.flatnonzero(nb >= 0), nb[nb >= 0]], 1)
-             for nb in _neighbour_index(par, [(6, 0), (0, 6)])]
-    e = np.concatenate(edges)
-    while True:
-        la = label[e[:, 0]]
-        lb = label[e[:, 1]]
-        mnl = np.minimum(la, lb)
-        new = label.copy()
-        np.minimum.at(new, e[:, 0], mnl)
-        np.minimum.at(new, e[:, 1], mnl)
-        new = new[new]  # pointer-double for faster convergence
-        if np.array_equal(new, label):
-            break
-        label = new
+    label = np.arange(len(par), dtype=np.int64)
+    nbs = _neighbour_index(par, [(6, 0), (0, 6)])
+    nodes, comp = _local_min_labels(
+        np.concatenate([np.flatnonzero(nb >= 0) for nb in nbs]),
+        np.concatenate([nb[nb >= 0] for nb in nbs]))
+    label[nodes] = comp
     out = par.assign(root=label).groupby("cidx")
     rows = []
     for c, g in out:

@@ -25,7 +25,7 @@ def _uf_components(pairs):
     return {n: find(n) for n in parent}
 
 
-def _run_cc(pairs, **kw):
+def _run_cc(pairs):
     import ray
 
     from equi7grid_ray.stages.graph import connected_components
@@ -34,23 +34,23 @@ def _run_cc(pairs, **kw):
         "id_a": pa.array([a for a, _ in pairs], pa.int64()),
         "id_b": pa.array([b for _, b in pairs], pa.int64()),
     }))
-    out = connected_components(ds, **kw).to_pandas()
+    out = connected_components(ds).to_pandas()
     return dict(zip(out["node"], out["component"]))
 
 
 def test_cc_simple_chain_and_triangle(ray_session):
     # chain 1-2-3-4, triangle 10-11-12, isolated pair (20,21)
     pairs = [(1, 2), (2, 3), (3, 4), (10, 11), (11, 12), (10, 12), (20, 21)]
-    got = _run_cc(pairs, local_max_edges=0)  # distributed path
+    got = _run_cc(pairs)
     assert got == _uf_components(pairs)
     assert got[4] == 1 and got[12] == 10 and got[21] == 20
 
 
 def test_cc_long_path_needs_many_rounds(ray_session):
-    # a 40-node path: diameter 39 exceeds naive per-round reach unless
-    # propagation iterates; also exercises the convergence detector
+    # a 40-node path: diameter 39 exceeds one pass's reach, so the
+    # fixpoint must iterate (pointer jumps) until labels stop changing
     pairs = [(i, i + 1) for i in range(100, 140)]
-    got = _run_cc(pairs, max_rounds=60, local_max_edges=0)
+    got = _run_cc(pairs)
     assert set(got.values()) == {100}
     assert len(got) == 41
 
@@ -63,9 +63,6 @@ def test_cc_random_graph_matches_union_find(ray_session):
     # add some cross-links to merge clusters
     extra = [(int(nodes[i]), int(nodes[i + 50])) for i in range(0, 100, 7)]
     allp = [p for p in pairs + extra if p[0] != p[1]]
-    got = _run_cc(allp, local_max_edges=0)
-    assert got == _uf_components(allp)
-    # the bounded single-task fast path must agree exactly
     assert _run_cc(allp) == _uf_components(allp)
 
 
@@ -180,9 +177,28 @@ def test_pagerank_int_hand_graph(ray_session):
     assert got == {1: 451, 2: 190, 3: 351}
 
 
-def test_pagerank_int_local_vs_distributed_parity(ray_session):
-    """The bounded local fast path and the distributed path must agree
-    exactly (local_max_edges=0 forces distributed)."""
+def _pagerank_reference(edges, iters, scale, d_num=85, d_den=100):
+    """Pure-Python integer PageRank, the pagerank_int docstring formula
+    over the distinct edge set: node -> rank."""
+    edges = set(edges)
+    nodes = {n for e in edges for n in e}
+    outdeg = {n: 0 for n in nodes}
+    for u, _ in edges:
+        outdeg[u] += 1
+    r0 = scale // len(nodes)
+    base = ((d_den - d_num) * r0) // d_den
+    r = {n: r0 for n in nodes}
+    for _ in range(iters):
+        s = {n: 0 for n in nodes}
+        for u, v in edges:
+            s[v] += r[u] // outdeg[u]
+        r = {n: base + (d_num * s[n]) // d_den for n in nodes}
+    return r
+
+
+def test_pagerank_int_random_graph_matches_reference(ray_session):
+    """600 random edges over 80 nodes (with duplicates and self-loops)
+    vs the pure-Python reference."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -190,17 +206,15 @@ def test_pagerank_int_local_vs_distributed_parity(ray_session):
 
     rng = np.random.default_rng(23)
     n = 600
-    edges = pa.table({
-        "src": pa.array(rng.integers(0, 80, n), pa.int64()),
-        "dst": pa.array(rng.integers(0, 80, n), pa.int64()),
-    })
-    fast = pagerank_int(rd.from_arrow(edges), iters=3,
-                        scale=10**9).to_pandas()
-    slow = pagerank_int(rd.from_arrow(edges), iters=3, scale=10**9,
-                        local_max_edges=0).to_pandas()
-    f = dict(zip(fast["node"], fast["rank_q"]))
-    s = dict(zip(slow["node"], slow["rank_q"]))
-    assert f == s and len(f) > 0
+    src = rng.integers(0, 80, n)
+    dst = rng.integers(0, 80, n)
+    edges = pa.table({"src": pa.array(src, pa.int64()),
+                      "dst": pa.array(dst, pa.int64())})
+    out = pagerank_int(rd.from_arrow(edges), iters=3,
+                       scale=10**9).to_pandas()
+    got = dict(zip(out["node"], out["rank_q"]))
+    want = _pagerank_reference(zip(src.tolist(), dst.tolist()), 3, 10**9)
+    assert got == want and len(got) > 0
 
 
 def test_canonical_by_quality_keeps_longest(ray_session):
@@ -329,3 +343,49 @@ def test_common_neighbor_pairs_matches_naive(ray_session):
             exp.append((u, v, cn))
     assert list(map(tuple, got[["id_a", "id_b", "cn"]].to_numpy())) \
         == sorted(exp)
+
+
+def test_graph_operators_zero_rows_keep_schema(ray_session):
+    """Inputs with nothing to label give zero rows with the declared
+    columns and types: a one-cell mosaic (no interior cell) for the
+    hydrology operators, zero pairs / edges for the graph operators."""
+    import ray
+    import ray.data as rd
+
+    from equi7grid_ray.stages.graph import (canonical_assignments,
+                                            connected_components,
+                                            pagerank_int)
+    from equi7grid_ray.stages.mosaic import tile_basins, tile_flow_accum
+
+    def rows_and_schema(ds):
+        t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+        return t.num_rows, t.schema
+
+    cell = pa.schema([("tile", pa.string()), ("gr", pa.int32()),
+                      ("gc", pa.int32())])
+    i64 = pa.int64()
+    one_cell = pa.table({"tile": ["EU_E036N078T6"],
+                         "gr": pa.array([0], pa.int32()),
+                         "gc": pa.array([0], pa.int32()),
+                         "v_max": pa.array([10], i64)})
+    no_pairs = pa.table({"id_a": pa.array([], i64),
+                         "id_b": pa.array([], i64)})
+    no_edges = pa.table({"src": pa.array([], i64),
+                         "dst": pa.array([], i64)})
+    comp = connected_components(rd.from_arrow(no_pairs))
+    cases = [
+        (tile_flow_accum(rd.from_arrow(one_cell)),
+         pa.schema(list(cell) + [("acc", i64)])),
+        (tile_basins(rd.from_arrow(one_cell)),
+         pa.schema(list(cell) + [("v_sink", i64), ("n_cells", i64),
+                                 ("sum_v", i64)])),
+        (comp, pa.schema([("node", i64), ("component", i64)])),
+        (pagerank_int(rd.from_arrow(no_edges)),
+         pa.schema([("node", i64), ("rank_q", i64)])),
+    ]
+    for ds, want in cases:
+        n, got = rows_and_schema(ds)
+        assert n == 0 and got.equals(want), (got, want)
+    docs = rd.from_arrow(pa.table({"doc_id": pa.array([4, 2], i64)}))
+    out = canonical_assignments(docs, comp).to_pandas()
+    assert sorted(zip(out["doc_id"], out["canonical"])) == [(2, 2), (4, 4)]

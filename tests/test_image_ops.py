@@ -1293,23 +1293,20 @@ def test_tile_flow_accum_matches_reference(ray_session):
     assert sum(got.values()) >= len(got)  # every cell counts itself
 
 
-def test_tile_flow_accum_distributed_parity(ray_session):
-    """local_max_cells=0 forces the depth-synchronous distributed
-    rounds; output must match the local elevation-band path."""
+def test_tile_flow_accum_second_dem_matches_reference(ray_session):
+    """A second DEM with no planted pit, against the scalar reference."""
     import ray.data as rd
 
     from equi7grid_ray.stages.mosaic import tile_flow_accum
 
     dem = (np.arange(8)[:, None] * 31 + np.arange(16)[None, :] * 73
            + 7) % 256
-    t = _two_tile_mosaic(dem)
-    local = tile_flow_accum(rd.from_arrow(t)).to_pandas()
-    dist = tile_flow_accum(rd.from_arrow(t), local_max_cells=0) \
+    out = tile_flow_accum(rd.from_arrow(_two_tile_mosaic(dem))) \
         .to_pandas()
-    key = ["tile", "gr", "gc"]
-    local = local.sort_values(key).reset_index(drop=True)
-    dist = dist.sort_values(key).reset_index(drop=True)
-    assert local.equals(dist[local.columns])
+    got = {(r.tile, r.gr, r.gc): r.acc for r in out.itertuples()}
+    exp = {("EU_E036N078T6" if c < 8 else "EU_E042N078T6", r, c % 8): a
+           for (r, c), a in _flow_accum_reference(dem).items()}
+    assert got == exp
 
 
 def _raw_one(img: np.ndarray) -> pa.Table:
@@ -1452,9 +1449,9 @@ def test_tile_basins_matches_reference(ray_session):
     assert out["n_cells"].sum() == 6 * 14
 
 
-def test_tile_basins_distributed_parity(ray_session):
-    """local_max_cells=0 forces the pointer-doubling join rounds; the
-    output must match the local numpy path."""
+def test_tile_basins_second_dem_matches_reference(ray_session):
+    """A second DEM with one pit on the west tile, against the scalar
+    reference."""
     import ray.data as rd
 
     from equi7grid_ray.stages.mosaic import tile_basins
@@ -1462,14 +1459,15 @@ def test_tile_basins_distributed_parity(ray_session):
     dem = (np.arange(8)[:, None] * 31 + np.arange(16)[None, :] * 73
            + 7) % 256
     dem[5, 3] = 0
-    t = _two_tile_mosaic(dem)
-    local = tile_basins(rd.from_arrow(t)).to_pandas()
-    dist = tile_basins(rd.from_arrow(t), local_max_cells=0,
-                       n_partitions=4).to_pandas()
-    key = ["tile", "gr", "gc"]
-    local = local.sort_values(key).reset_index(drop=True)
-    dist = dist.sort_values(key).reset_index(drop=True)
-    assert local.equals(dist[local.columns])
+    out = tile_basins(rd.from_arrow(_two_tile_mosaic(dem)),
+                      n_partitions=4).to_pandas()
+    got = {(r.tile, r.gr, r.gc): (r.v_sink, r.n_cells, r.sum_v)
+           for r in out.itertuples()}
+    exp = {("EU_E036N078T6" if c < 8 else "EU_E042N078T6", r, c % 8):
+           (int(dem[r, c]), n, sv)
+           for (r, c), (n, sv) in _basins_reference(dem).items()}
+    assert got == exp
+    assert out["n_cells"].sum() == 6 * 14
 
 
 def test_audio_vad_crafted_segments():
