@@ -1013,6 +1013,23 @@ FROM documents d LEFT JOIN hits h USING (doc_id)
 WHERE d.doc_id >= {n_bench}"""
 
 
+def _reach_ctes(num_perm: int, bands: int, shingle: int, max_bucket: int) -> str:
+    """``WITH RECURSIVE pairs, edges, reach(node, r)``: each node of the
+    MinHash-LSH pair graph with every node it reaches.  ``pairs`` and
+    ``edges`` are MATERIALIZED: DuckDB otherwise inlines a CTE at each
+    reference, so the whole pair query would re-run for every use of
+    ``pairs``."""
+    inner = lsh_pairs_sql(num_perm, bands, shingle, max_bucket)
+    return f"""WITH RECURSIVE pairs AS MATERIALIZED (SELECT * FROM ({inner}) lsh),
+edges AS MATERIALIZED (
+  SELECT id_a AS u, id_b AS v FROM pairs
+  UNION ALL SELECT id_b AS u, id_a AS v FROM pairs),
+reach(node, r) AS (
+  SELECT u, u FROM edges
+  UNION
+  SELECT e.u, reach.r FROM edges e JOIN reach ON reach.node = e.v)"""
+
+
 def components_sql(num_perm: int = 64, bands: int = 16, shingle: int = 8,
                    max_bucket: int = 200) -> str:
     """Connected components over the MinHash-LSH candidate-pair graph
@@ -1022,16 +1039,8 @@ def components_sql(num_perm: int = 64, bands: int = 16, shingle: int = 8,
     the engine runs a numpy min-label fixpoint over the collected
     pairs).
     Output (doc_id BIGINT, component BIGINT), pair-nodes only."""
-    inner = lsh_pairs_sql(num_perm, bands, shingle, max_bucket)
     return f"""
-WITH RECURSIVE pairs AS (SELECT * FROM ({inner}) lsh),
-edges AS (
-  SELECT id_a AS u, id_b AS v FROM pairs
-  UNION ALL SELECT id_b AS u, id_a AS v FROM pairs),
-reach(node, r) AS (
-  SELECT u, u FROM edges
-  UNION
-  SELECT e.u, reach.r FROM edges e JOIN reach ON reach.node = e.v)
+{_reach_ctes(num_perm, bands, shingle, max_bucket)}
 SELECT node AS doc_id, MIN(r) AS component FROM reach GROUP BY node"""
 
 
@@ -1041,16 +1050,8 @@ def canonical_sql(num_perm: int = 64, bands: int = 16, shingle: int = 8,
     minimum doc_id of its near-duplicate component (itself when it
     appears in no candidate pair).  Mirrors
     stages/graph.py:canonical_assignments over components_sql."""
-    inner = lsh_pairs_sql(num_perm, bands, shingle, max_bucket)
     return f"""
-WITH RECURSIVE pairs AS (SELECT * FROM ({inner}) lsh),
-edges AS (
-  SELECT id_a AS u, id_b AS v FROM pairs
-  UNION ALL SELECT id_b AS u, id_a AS v FROM pairs),
-reach(node, r) AS (
-  SELECT u, u FROM edges
-  UNION
-  SELECT e.u, reach.r FROM edges e JOIN reach ON reach.node = e.v),
+{_reach_ctes(num_perm, bands, shingle, max_bucket)},
 comp AS (SELECT node, MIN(r) AS component FROM reach GROUP BY node)
 SELECT d.doc_id, COALESCE(c.component, d.doc_id) AS canonical
 FROM documents d LEFT JOIN comp c ON c.node = d.doc_id"""
@@ -1094,16 +1095,8 @@ def canonical_quality_sql(num_perm: int = 64, bands: int = 16,
     highest-n_chars member of its near-duplicate component (ties ->
     smallest doc_id; itself when in no candidate pair).  Mirrors
     stages/graph.py:canonical_by_quality over components_sql."""
-    inner = lsh_pairs_sql(num_perm, bands, shingle, max_bucket)
     return f"""
-WITH RECURSIVE pairs AS (SELECT * FROM ({inner}) lsh),
-edges AS (
-  SELECT id_a AS u, id_b AS v FROM pairs
-  UNION ALL SELECT id_b AS u, id_a AS v FROM pairs),
-reach(node, r) AS (
-  SELECT u, u FROM edges
-  UNION
-  SELECT e.u, reach.r FROM edges e JOIN reach ON reach.node = e.v),
+{_reach_ctes(num_perm, bands, shingle, max_bucket)},
 comp AS (SELECT node, MIN(r) AS component FROM reach GROUP BY node),
 best AS (
   SELECT component, node AS rep FROM (
@@ -1233,16 +1226,8 @@ def dedup_report_sql(num_perm: int = 64, bands: int = 16, shingle: int = 8,
     """Per-source dedup survival report: doc counts, exact-text extras
     (doc_id != min id of its text group), near-dup extras (canonical
     != doc_id over the LSH component closure), and survivors."""
-    inner = lsh_pairs_sql(num_perm, bands, shingle, max_bucket)
     return f"""
-WITH RECURSIVE pairs AS (SELECT * FROM ({inner}) lsh),
-edges AS (
-  SELECT id_a AS u, id_b AS v FROM pairs
-  UNION ALL SELECT id_b AS u, id_a AS v FROM pairs),
-reach(node, r) AS (
-  SELECT u, u FROM edges
-  UNION
-  SELECT e.u, reach.r FROM edges e JOIN reach ON reach.node = e.v),
+{_reach_ctes(num_perm, bands, shingle, max_bucket)},
 comp AS (SELECT node, MIN(r) AS component FROM reach GROUP BY node),
 flags AS (
   SELECT d.source,

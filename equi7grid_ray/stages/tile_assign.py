@@ -6,16 +6,27 @@ Pipeline per batch (all vectorized):
   decode (optional)  ->  zone classify (raster PIP)  ->  per-continent
   AEQD forward  ->  tile floor + name codec  ->  covers_land lookup
 
+With ``emit_xy=False`` (and the interpolated projector) most rows skip
+everything after decode: a cell -> tile table over the 0.1 deg zone
+raster (``ZoneClassifier.build_cell_tile_table``) names the tile of
+every cell that lies in one zone and, with a 1 km margin, in one tile.
+Each row takes one gather into it; only the rows of the other cells --
+those that straddle a tile or zone edge, and invalid coordinates -- take
+the path above.  The output is the same, row for row and byte for byte.
+
 One row is emitted per (image x containing zone) -- the reference's
 ``Grid.lonlat_to_xy`` multi-zone semantics (core.py + pytileproj,
-tests/test_equi7grid.py:405-439) as a vectorized explode.  The heavy
-spatial state (zone raster, tile tables) is built/loaded once per actor
+tests/test_equi7grid.py:405-439) as a vectorized explode, grouped by
+continent rank, then ascending input row.  The heavy spatial state (zone
+raster, tile tables, cell -> tile table) is built/loaded once per actor
 in ``__init__`` (actor-pool stage), never per batch.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
+import json
 
 import numpy as np
 import pyarrow as pa
@@ -129,7 +140,15 @@ def _decode_means(batch: pa.Table) -> np.ndarray:
 
 class TileAssigner:
     """Actor-pool stage: ``ds.map_batches(TileAssigner, fn_constructor_kwargs=...,
-    batch_format='pyarrow', concurrency=N)``."""
+    batch_format='pyarrow', concurrency=N)``.
+
+    ``emit_xy=False`` assigners load the cell -> tile table of their
+    (grid spec, tiling) in ``__init__``: the T6 tables of
+    ``GridSpec.standard()`` and ``standard(buffered=True)`` ship in
+    ``data/``; any other is built on first use (a few seconds) and cached
+    there -- but never inside a Ray worker, where a missing table means
+    every row takes the full path.  ``exact_projection=True`` uses no
+    table: every row goes through ``aeqd.forward``."""
 
     def __init__(
         self,
@@ -190,6 +209,48 @@ class TileAssigner:
             self._proj = build_zone_projectors(
                 self.state.zc.polys, self.continents
             )
+        # per dictionary entry: continent rank and covers_land, each with
+        # a trailing entry for "no tile" (rank -1, no land)
+        sizes = [len(self._names[c]) for c in self.continents]
+        self._rank_of = np.append(
+            np.repeat(np.arange(len(sizes), dtype=np.int8), sizes), np.int8(-1))
+        self._land_of = np.concatenate(
+            [self._tilings[c].covers_land for c in self.continents] + [[False]]
+        ).astype(bool)
+        # cell -> tile table: emit_xy=False rows in a cell that lies in one
+        # zone and one tile skip classify/project/floor/lookup
+        self._cell_table = None
+        if not emit_xy and not exact_projection:
+            self._cell_table = self._load_cell_table()
+
+    def _project(self, cont: str, lon, lat) -> tuple[np.ndarray, np.ndarray]:
+        proj = self._proj.get(cont)
+        if proj is not None:
+            return proj(lon, lat)
+        return aeqd.forward(cont, lon, lat)
+
+    def _locate(self, cont: str, ll_x, ll_y) -> np.ndarray:
+        """Dictionary index of each tile corner of ``cont``, -1 for a
+        corner outside its tile set."""
+        pos = self._tilings[cont].lookup(ll_x, ll_y)
+        return np.where(pos >= 0, pos + self._dict_offsets[cont], -1)
+
+    def table_zones(self) -> list:
+        """``(zone bit, project, locate)`` per continent: the input of
+        ``ZoneClassifier.build_cell_tile_table`` for this assigner."""
+        return [
+            (1 << col, functools.partial(self._project, cont),
+             functools.partial(self._locate, cont))
+            for cont, col in zip(self.continents, self.zone_cols)
+        ]
+
+    def _load_cell_table(self) -> np.ndarray | None:
+        zc = self.state.zc
+        key = json.dumps([self.tiling, self.tile_size, zc.order, self.continents,
+                          self._dict_values.to_pylist()]).encode()
+        return zc.cell_tile_table(
+            self.tiling, key,
+            lambda: zc.build_cell_tile_table(self.table_zones(), self.tile_size))
 
     #: top-level cache block: the assign pipeline materializes ~20
     #: batch-length arrays (projection, floor, lookup, take); slicing the
@@ -212,9 +273,22 @@ class TileAssigner:
 
         px_mean = _decode_means(batch) if self.decode else None
 
-        # packed uint8 zone bitmask: 1 byte/row instead of a (n, 7) bool
-        # matrix (DRAM pressure at high concurrency)
-        bits = self.state.zc.classify_bits(lon, lat)
+        zc = self.state.zc
+        table = self._cell_table
+        if table is None:
+            fb = None
+            # packed uint8 zone bitmask: 1 byte/row instead of a (n, 7)
+            # bool matrix (DRAM pressure at high concurrency)
+            bits = zc.classify_bits(lon, lat)
+        else:
+            # one gather per row; only the rows of a -1 cell (zone or
+            # tile edge, invalid coordinates) take the full path below
+            cell, valid = zc.cell_index(lon, lat)
+            hit = np.where(valid, table.take(cell), -1)
+            fb = np.flatnonzero(hit < 0)
+            bits = zc.classify_bits(lon[fb], lat[fb])
+            hit_rank = self._rank_of.take(hit)  # -1 -> trailing "no tile"
+            tid = hit.astype(np.int32)
 
         emit_xy = self.emit_xy
         out_idx: list[np.ndarray] = []
@@ -223,35 +297,39 @@ class TileAssigner:
         out_y: list[np.ndarray] = []
         out_llx: list[np.ndarray] = []
         out_lly: list[np.ndarray] = []
-        out_land: list[np.ndarray] = []
         out_tidx: list[np.ndarray] = []
-        any_miss = False
-        miss_names: list[tuple[int, np.ndarray, np.ndarray, str]] = []
+        n_out = 0
+        miss_pos: list[np.ndarray] = []
+        miss_names: list[np.ndarray] = []
         for rank, (cont, zc_col) in enumerate(zip(self.continents, self.zone_cols)):
             rows = np.flatnonzero(bits & np.uint8(1 << zc_col))
+            if fb is not None:
+                rows = fb[rows]
+            miss_rows = None
+            if len(rows):
+                x, y = self._project(cont, lon[rows], lat[rows])
+                llx, lly = tile_ll_from_xy(x, y, self.tile_size)
+                pos = self._tilings[cont].lookup(llx, lly)
+                tidx = np.maximum(pos, 0).astype(np.int32) + np.int32(self._dict_offsets[cont])
+                miss = pos < 0
+                if miss.any():  # zone-edge float cases: format those few names
+                    miss_rows = rows[miss]
+                    miss_names.append(full_names(cont, llx[miss], lly[miss], self.tiling))
+            if fb is not None:
+                # merge this continent's table rows with its full-path rows
+                in_rank = hit_rank == rank
+                if len(rows):
+                    in_rank[rows] = True
+                    tid[rows] = tidx
+                rows = np.flatnonzero(in_rank)
+                tidx = tid[rows]
             if len(rows) == 0:
                 continue
-            proj = self._proj.get(cont)
-            if proj is not None:
-                x, y = proj(lon[rows], lat[rows])
-            else:
-                x, y = aeqd.forward(cont, lon[rows], lat[rows])
-            llx, lly = tile_ll_from_xy(x, y, self.tile_size)
-            ct = self._tilings[cont]
-            pos = ct.lookup(llx, lly)
-            safe = np.maximum(pos, 0)
-            land = np.where(pos >= 0, ct.covers_land[safe], False)
-            tidx = safe.astype(np.int32) + np.int32(self._dict_offsets[cont])
-            miss = pos < 0
-            if miss.any():  # zone-edge float cases: format those few names
-                any_miss = True
-                miss_names.append(
-                    (sum(len(a) for a in out_idx), miss,
-                     full_names(cont, llx[miss], lly[miss], self.tiling), cont)
-                )
+            if miss_rows is not None:
+                miss_pos.append(n_out + np.searchsorted(rows, miss_rows))
+            n_out += len(rows)
             out_idx.append(rows)
             out_rank.append(np.full(len(rows), rank, dtype=np.int8))
-            out_land.append(land)
             out_tidx.append(tidx)
             if emit_xy:  # projected coords only concatenated when emitted
                 out_x.append(x)
@@ -263,12 +341,10 @@ class TileAssigner:
             idx = np.empty(0, dtype=np.int64)
             rank = np.empty(0, dtype=np.int8)
             x = y = llx = lly = np.empty(0)
-            land = np.empty(0, dtype=bool)
             tidx = np.empty(0, dtype=np.int32)
         else:
             idx = np.concatenate(out_idx)
             rank = np.concatenate(out_rank)
-            land = np.concatenate(out_land)
             tidx = np.concatenate(out_tidx)
             if emit_xy:
                 x = np.concatenate(out_x)
@@ -277,22 +353,18 @@ class TileAssigner:
                 lly = np.concatenate(out_lly)
 
         dict_values = self._dict_values
-        if any_miss:
+        if miss_pos:
             # rare zone-edge float cases: append the few out-of-table names
             # to the dictionary and rewrite just those indices -- the hot
             # rows keep their zero-copy dictionary encoding
-            mpos: list[np.ndarray] = []
-            mname: list[np.ndarray] = []
-            for off, miss, mn, _c in miss_names:
-                mpos.append(off + np.flatnonzero(miss))
-                mname.append(mn)
-            mpos_all = np.concatenate(mpos)
-            uniq, inv = np.unique(np.concatenate(mname), return_inverse=True)
+            uniq, inv = np.unique(np.concatenate(miss_names), return_inverse=True)
             tidx = tidx.copy()
-            tidx[mpos_all] = np.int32(len(dict_values)) + inv.astype(np.int32)
+            tidx[np.concatenate(miss_pos)] = np.int32(len(dict_values)) + inv.astype(np.int32)
             dict_values = pa.concat_arrays(
                 [dict_values, pa.array(uniq.tolist(), pa.string())]
             )
+        # an appended (out-of-table) name clips to the trailing "no land"
+        land = self._land_of.take(tidx, mode="clip")
         tile_col = pa.DictionaryArray.from_arrays(pa.array(tidx), dict_values)
         cont_col = pa.DictionaryArray.from_arrays(
             pa.array(rank.astype(np.int32)), self._cont_values

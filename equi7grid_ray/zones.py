@@ -19,6 +19,9 @@ query path.
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,25 @@ __all__ = ["GeoPolygon", "ZoneClassifier", "get_zone_classifier"]
 
 _RASTER_RES = 0.1
 _DATA_DIR = Path(__file__).resolve().parent / "data"
+
+#: metres a cell's projected footprint keeps from every tile edge before
+#: the cell -> tile table answers for it (see build_cell_tile_table)
+CELL_TABLE_MARGIN = 1_000.0
+#: bump when the cell -> tile table build changes (keys the table files)
+_CELL_TABLE_VERSION = 1
+_TABLE_BAND_ROWS = 64
+
+
+def _corner_max(a: np.ndarray) -> np.ndarray:
+    """Per cell, the max of a node array over the cell's four corners."""
+    return np.maximum(np.maximum(a[:-1, :-1], a[1:, :-1]),
+                      np.maximum(a[:-1, 1:], a[1:, 1:]))
+
+
+def _in_ray_worker() -> bool:
+    ray = sys.modules.get("ray")
+    return (ray is not None and ray.is_initialized()
+            and ray.get_runtime_context().worker.mode == ray.WORKER_MODE)
 
 
 class GeoPolygon:
@@ -133,13 +155,21 @@ class ZoneClassifier:
         rings = load_zone_rings(buffered=buffered)
         self.polys = {z: GeoPolygon(r) for z, r in rings.items()}
         self.res = _RASTER_RES
-        self._inside, self._boundary = self._load_or_build_raster()
+        inside, boundary = self._load_or_build_raster()
         # interleaved (inside | boundary << 8) uint16 raster: the hot
         # path does ONE random gather per point instead of two -- both
         # bytes share a cache line, halving random memory transactions
-        # (the binding resource at full-machine concurrency)
-        self._packed = (self._inside.astype(np.uint16)
-                        | (self._boundary.astype(np.uint16) << 8))
+        # (the binding resource at full-machine concurrency).  The two
+        # uint8 rasters are not kept.
+        self._packed = (inside.astype(np.uint16)
+                        | (boundary.astype(np.uint16) << 8))
+        self._cell_tables: dict[str, np.ndarray] = {}
+
+    def __getstate__(self) -> dict:
+        # a pickled classifier (e.g. inside a broadcast TileAssigner) does
+        # not carry the cell -> tile tables other callers loaded; the
+        # assigner holds its own
+        return {**self.__dict__, "_cell_tables": {}}
 
     # -- raster ------------------------------------------------------------
 
@@ -214,8 +244,7 @@ class ZoneClassifier:
         lon = np.asarray(lon, dtype=np.float64).ravel()
         lat = np.asarray(lat, dtype=np.float64).ravel()
         res = self.res
-        ncol = self._inside.shape[1]
-        nrow = self._inside.shape[0]
+        nrow, ncol = self._packed.shape
         ci = np.clip(((lon + 180.0) / res).astype(np.int64), 0, ncol - 1)
         ri = np.clip(((lat + 90.0) / res).astype(np.int64), 0, nrow - 1)
         pk = self._packed[ri, ci]  # one gather: inside | boundary << 8
@@ -233,6 +262,22 @@ class ZoneClassifier:
                 out[bmask, zi] = poly.contains(lon[bmask], lat[bmask])
         return out
 
+    def cell_index(self, lon, lat) -> tuple[np.ndarray, np.ndarray]:
+        """(flat raster cell, valid) per lon/lat: the cell is
+        ``row * ncol + col`` of the 0.1 deg raster, and ``valid`` is False
+        for a non-finite row or one with |lon| > 180 or |lat| > 90.
+        Such rows still get a cell in range (fmax/fmin clamp in float, so
+        NaN and inf land in the raster before the int32 cast); callers
+        mask them with ``valid``.  lon = 180 and lat = 90 fall in the last
+        column and row."""
+        lon = np.asarray(lon, dtype=np.float64).ravel()
+        lat = np.asarray(lat, dtype=np.float64).ravel()
+        nrow, ncol = self._packed.shape
+        valid = (np.abs(lon) <= 180.0) & (np.abs(lat) <= 90.0)  # False for NaN
+        ci = np.fmin(np.fmax((lon + 180.0) / self.res, 0.0), ncol - 1).astype(np.int32)
+        ri = np.fmin(np.fmax((lat + 90.0) / self.res, 0.0), nrow - 1).astype(np.int32)
+        return ri * ncol + ci, valid
+
     def classify_bits(self, lon, lat) -> np.ndarray:
         """(n,) uint8 zone-membership bitmask (bit i = self.order[i]).
 
@@ -242,17 +287,10 @@ class ZoneClassifier:
         or one with |lon| > 180 or |lat| > 90, gets no bits."""
         lon = np.asarray(lon, dtype=np.float64).ravel()
         lat = np.asarray(lat, dtype=np.float64).ravel()
-        res = self.res
-        ncol = self._inside.shape[1]
-        nrow = self._inside.shape[0]
-        valid = (np.abs(lon) <= 180.0) & (np.abs(lat) <= 90.0)  # False for NaN
-        # fmax/fmin clamp in float, so NaN and inf land in the raster
-        # before the int32 cast; such rows, like the out-of-range ones,
-        # then lose their bits
-        ci = np.fmin(np.fmax((lon + 180.0) / res, 0.0), ncol - 1).astype(np.int32)
-        ri = np.fmin(np.fmax((lat + 90.0) / res, 0.0), nrow - 1).astype(np.int32)
-        # one flat gather: inside | boundary << 8
-        pk = self._packed.ravel().take(ri * ncol + ci)
+        cell, valid = self.cell_index(lon, lat)
+        # one flat gather: inside | boundary << 8; invalid rows lose
+        # their bits
+        pk = self._packed.ravel().take(cell)
         pk *= valid
         out = (pk & 0xFF).astype(np.uint8)
         bb = (pk >> 8).astype(np.uint8)
@@ -273,6 +311,127 @@ class ZoneClassifier:
     def contains(self, zone: str, lon, lat) -> np.ndarray:
         zi = self.order.index(zone)
         return self.classify(lon, lat)[:, zi]
+
+    # -- cell -> tile table ------------------------------------------------
+
+    def build_cell_tile_table(self, zones, tile_size: float,
+                              rows: tuple[int, int] | None = None) -> np.ndarray:
+        """(nrow, ncol) int32 table over the raster: the tile every point
+        of a cell is assigned to, or -1.
+
+        ``zones`` lists ``(bit, project, locate)`` per zone:
+        ``project(lon, lat) -> (x, y)`` is the zone's forward projection
+        and ``locate(ll_x, ll_y)`` maps a tile's lower-left corner to the
+        value to store (-1 for a tile outside the zone's tile set).  A
+        cell gets a value when (a) its raster entry has no boundary bit
+        and exactly this zone's inside bit, so :meth:`classify_bits`
+        answers that one zone for every point of the cell, and (b) its
+        whole projected footprint, widened by :data:`CELL_TABLE_MARGIN`
+        on every side, lies in one tile.  ``rows`` builds just the raster
+        rows ``[r0, r1)``; each cell depends only on its own samples, so
+        any split gives the same values.
+
+        Sampling and the margin bound: the footprint is sampled at the
+        cell's four corners, nodes of the 0.1 deg lattice shared with the
+        neighbouring cells (nodes past a pole continue over it,
+        ``f(lon, 90 + d) = f(lon + 180, 90 - d)``).  The bilinear
+        interpolant of the corners is a convex combination of them, and
+        the projection differs from it by at most
+        ``(h_lon**2 max|f_lon,lon| + h_lat**2 max|f_lat,lat|) / 8`` per
+        coordinate.  ``h**2 f''`` is estimated at each corner from the
+        second difference of the lattice nodes around it, and the
+        cell's box is widened by that bound on top of the margin.  Over
+        every table cell of the standard and buffered specs the bound is
+        at most 6.1 m, so the 1 km margin covers an estimate off by more
+        than two orders of magnitude, the < 2 mm error of the
+        interpolated projector against the exact solver
+        (``tests/test_interp.py``) and the float rounding of the cell
+        index: the table gives the tile the projector and the exact
+        solver give."""
+        nrow, ncol = self._packed.shape
+        r0, r1 = (0, nrow) if rows is None else rows
+        res = self.res
+        m = CELL_TABLE_MARGIN
+        t = float(tile_size)
+        out = np.full((r1 - r0, ncol), -1, dtype=np.int32)
+        for a in range(r0, r1, _TABLE_BAND_ROWS):
+            b = min(r1, a + _TABLE_BAND_ROWS)
+            nb = b - a
+            pk = self._packed[a:b]
+            for bit, project, locate in zones:
+                # boundary-free cells holding exactly this zone's bit
+                cells = pk == np.uint16(bit)
+                if not cells.any():
+                    continue
+                # lattice nodes (a - 1 + k, j - 1): each cell's four
+                # corners plus the one-node ring its second differences read
+                ring = np.zeros((nb + 3, ncol), dtype=bool)
+                for d in range(4):
+                    ring[d:d + nb] |= cells
+                need = np.zeros((nb + 3, ncol + 3), dtype=bool)
+                for d in range(4):
+                    need[:, d:d + ncol] |= ring
+                k, j = np.nonzero(need)
+                lat = -90.0 + res * (a - 1 + k)
+                lon = -180.0 + res * (j - 1)
+                over = np.abs(lat) > 90.0
+                lon = np.where(over, (lon + 360.0) % 360.0 - 180.0, lon)
+                lat = np.where(over, np.copysign(180.0, lat) - lat, lat)
+                box_ok = cells.copy()
+                tile_ij = []
+                for v in project(lon, lat):
+                    g = np.full(need.shape, np.nan)
+                    g[k, j] = v
+                    c = g[1:nb + 2, 1:ncol + 2]  # the corner nodes
+                    d_lon = np.abs(g[1:nb + 2, :ncol + 1] - 2.0 * c + g[1:nb + 2, 2:])
+                    d_lat = np.abs(g[:nb + 1, 1:ncol + 2] - 2.0 * c + g[2:, 1:ncol + 2])
+                    err = (_corner_max(d_lon) + _corner_max(d_lat)) / 8.0
+                    lo = np.minimum(np.minimum(c[:-1, :-1], c[1:, :-1]),
+                                    np.minimum(c[:-1, 1:], c[1:, 1:]))
+                    hi = np.maximum(np.maximum(c[:-1, :-1], c[1:, :-1]),
+                                    np.maximum(c[:-1, 1:], c[1:, 1:]))
+                    with np.errstate(invalid="ignore"):
+                        i0 = np.floor((lo - m - err) / t)
+                        box_ok &= i0 == np.floor((hi + m + err) / t)
+                    tile_ij.append(i0)
+                tx, ty = (i[box_ok] * t for i in tile_ij)
+                out[a - r0:b - r0][box_ok] = locate(tx, ty)
+        return out
+
+    def cell_tile_table(self, name: str, key: bytes, build) -> np.ndarray | None:
+        """The flat cell -> tile table ``build()`` makes, with a trailing
+        -1 cell, loaded from (or saved to) the package data directory.
+
+        The file name hashes the zone raster, ``key`` (the caller's tile
+        set, dictionary and tile size), the margin and the build version,
+        so a change to any of them misses the cache.  A new file is
+        written to a temporary name and renamed into place, so a
+        concurrent reader sees the whole file or none.  The table is
+        int16 while its values fit.  Inside a Ray worker a missing table
+        is not built: the call returns None and the caller assigns
+        without it."""
+        h = hashlib.sha256(memoryview(self._packed))
+        h.update(key)
+        h.update(json.dumps([CELL_TABLE_MARGIN, _CELL_TABLE_VERSION]).encode())
+        sfx = "bfrd" if self.buffered else "std"
+        p = _DATA_DIR / f"celltiles_{sfx}_{name}_{h.hexdigest()[:12]}.npz"
+        if p.name in self._cell_tables:
+            return self._cell_tables[p.name]
+        if p.exists():
+            table = np.load(p)["table"]
+        elif _in_ray_worker():
+            return None
+        else:
+            table = build()
+            if table.max(initial=-1) <= np.iinfo(np.int16).max:
+                table = table.astype(np.int16)
+            tmp = p.with_name(f"{p.name}.{os.getpid()}.tmp")
+            with open(tmp, "wb") as f:
+                np.savez_compressed(f, table=table)
+            os.replace(tmp, p)
+        flat = np.append(table.ravel(), table.dtype.type(-1))
+        self._cell_tables[p.name] = flat
+        return flat
 
 
 _classifiers: dict[bool, ZoneClassifier] = {}

@@ -1,0 +1,263 @@
+"""Cell -> tile table of the ``emit_xy=False`` assign path.
+
+A row in a table cell takes its tile from one gather; every other row
+takes the full path (zone classify, projection, tile floor, lookup).
+These tests hold the table path to the two table-free paths row by row:
+``exact_projection=True`` (the Karney solver) and ``emit_xy=True`` (the
+interpolated projector), on inputs chosen to sit where a wrong table
+entry would show -- tile edges, the antimeridian, the poles -- and check
+the table file itself: rebuilt bands are bit-equal to the tracked file,
+and a changed key misses the cache."""
+
+from __future__ import annotations
+
+import io
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+from equi7grid_ray import aeqd, zones
+from equi7grid_ray.grid import GridSpec, tile_ll_from_xy
+from equi7grid_ray.stages.tile_assign import TileAssigner
+
+NCOL = 3600
+
+
+def _assigners(tiling="T6", spec=None, **kw):
+    return (TileAssigner(tiling, spec=spec, emit_xy=False, **kw),
+            TileAssigner(tiling, spec=spec, emit_xy=False, exact_projection=True, **kw),
+            TileAssigner(tiling, spec=spec, emit_xy=True, **kw))
+
+
+@pytest.fixture(scope="module")
+def t6():
+    return _assigners("T6")
+
+
+def _batch(lon, lat) -> pa.Table:
+    lon = np.asarray(lon, np.float64)
+    return pa.table({"image_id": pa.array(np.arange(len(lon), dtype=np.int64)),
+                     "lon": lon, "lat": np.asarray(lat, np.float64)})
+
+
+def _assert_paths_agree(assigners, batch, exact=True):
+    table, exact_path, full = assigners
+    got = table(batch)
+    assert got.num_rows > 0
+    if exact:
+        assert got.equals(exact_path(batch))
+    assert got.equals(full(batch).select(got.column_names))
+    return got
+
+
+def _table_rows(ta, lon, lat) -> np.ndarray:
+    cell, valid = ta.state.zc.cell_index(lon, lat)
+    return np.where(valid, ta._cell_table.take(cell), -1)
+
+
+def test_uniform_sweep_with_invalid_rows(t6):
+    rng = np.random.default_rng(11)
+    n = 50_000
+    lon = rng.uniform(-180.0, 180.0, n)
+    lat = rng.uniform(-90.0, 90.0, n)
+    bad = rng.choice(n, 200, replace=False)
+    lon[bad[:50]] = np.nan
+    lat[bad[50:100]] = 95.0
+    lon[bad[100:150]] = 200.0
+    lat[bad[150:]] = -np.inf
+    assert (_table_rows(t6[0], lon, lat) >= 0).mean() > 0.9
+    got = _assert_paths_agree(t6, _batch(lon, lat))
+    # grouped by continent rank, then ascending input row
+    rank = got.column("continent").combine_chunks().indices.to_numpy()
+    ids = got.column("image_id").to_numpy()
+    assert (np.diff(rank) >= 0).all()
+    assert (np.diff(ids)[np.diff(rank) == 0] > 0).all()
+    assert not np.isin(bad, ids).any()
+
+
+def test_antimeridian_and_polar_bands(t6):
+    rng = np.random.default_rng(3)
+    n = 4_000
+    lon = np.concatenate([
+        rng.uniform(179.0, 180.0, n), rng.uniform(-180.0, -179.0, n),
+        np.full(n, 180.0), np.full(n, -180.0),
+        rng.uniform(-180.0, 180.0, 4 * n),
+        np.round(rng.uniform(-180.0, 180.0, n), 1),  # on cell edges
+    ])
+    lat = np.concatenate([
+        rng.uniform(-90.0, 90.0, 4 * n),
+        rng.uniform(89.0, 90.0, n), rng.uniform(-90.0, -89.0, n),
+        np.full(n, 90.0), np.full(n, -90.0),
+        np.round(rng.uniform(-90.0, 90.0, n), 1),
+    ])
+    assert (_table_rows(t6[0], lon, lat) >= 0).any()
+    _assert_paths_agree(t6, _batch(lon, lat))
+
+
+@pytest.mark.parametrize("tiling", ["T6", "T1"])
+def test_points_a_millimetre_either_side_of_tile_edges(tiling, t6):
+    """For every tile edge, points 1 mm inside and 1 mm outside it,
+    wherever the point's cell or a neighbour of it is a table cell: no
+    such point takes the table, and the table path equals the full
+    path.  (An edge of one zone's tile may lie inside another zone,
+    where the table holds that zone's tile.)  The exact solver is left
+    out here: within its 2 mm error
+    budget of an edge the interpolated projector may pick the other
+    tile, with or without the table (the table answers only for cells
+    at least the margin away from every edge)."""
+    assigners = t6 if tiling == "T6" else _assigners(tiling)
+    ta = assigners[0]
+    tbl = ta._cell_table[:-1].reshape(-1, NCOL) >= 0
+    near = tbl.copy()  # a table cell in the 3x3 neighbourhood
+    near[1:] |= tbl[:-1]
+    near[:-1] |= tbl[1:]
+    near[:, 1:] |= near[:, :-1].copy()
+    near[:, :-1] |= near[:, 1:].copy()
+    t = ta.tile_size
+    frac = (np.arange(4) + 0.5) / 4
+    lons, lats, ranks = [], [], []
+    for rank, cont in enumerate(ta.continents):
+        ct = ta._tilings[cont]
+        for (ex, ey), (nx, ny) in ((((0, 1), (0, 0)), (1, 0)),
+                                   (((0, 0), (0, 1)), (0, 1))):
+            # points along the west (south) edge of every tile
+            x = ct.ll_x[:, None] + t * (ex[0] + ex[1] * frac)[None, :]
+            y = ct.ll_y[:, None] + t * (ey[0] + ey[1] * frac)[None, :]
+            for side in (-1e-3, 1e-3):
+                lo, la = aeqd.inverse(cont, (x + side * nx).ravel(), (y + side * ny).ravel())
+                lons.append(lo)
+                lats.append(la)
+                ranks.append(np.full(len(lo), rank))
+    lon, lat, rank = (np.concatenate(a) for a in (lons, lats, ranks))
+    cell, valid = ta.state.zc.cell_index(lon, lat)
+    keep = valid & near.ravel()[cell]
+    assert keep.sum() > 1000
+    lon, lat, rank = lon[keep], lat[keep], rank[keep]
+    assert (ta._rank_of[_table_rows(ta, lon, lat)] != rank).all()
+    _assert_paths_agree(assigners, _batch(lon, lat), exact=False)
+
+
+def _lattice_check(ta, cells: np.ndarray, k: int = 21, chunk: int = 2_000):
+    """Every point of a k x k lattice over each table cell (edges
+    included) projects into the tile the table names."""
+    frac = np.linspace(0.0, 1.0, k)
+    fl, fp = (a.ravel() for a in np.meshgrid(frac, frac))
+    table = ta._cell_table
+    for st in range(0, len(cells), chunk):
+        c = cells[st:st + chunk]
+        r, q = np.divmod(c, NCOL)
+        lon = (-180.0 + 0.1 * (q[:, None] + fl[None, :])).ravel()
+        lat = (-90.0 + 0.1 * (r[:, None] + fp[None, :])).ravel()
+        want = np.repeat(table[c], k * k)
+        rank = ta._rank_of[want]
+        for ri, cont in enumerate(ta.continents):
+            m = rank == ri
+            if not m.any():
+                continue
+            x, y = ta._project(cont, lon[m], lat[m])
+            got = ta._locate(cont, *tile_ll_from_xy(x, y, ta.tile_size))
+            np.testing.assert_array_equal(got, want[m])
+
+
+def test_dense_lattice_in_sampled_and_near_edge_cells(t6, monkeypatch):
+    ta = t6[0]
+    table = ta._cell_table[:-1]
+    cells = np.flatnonzero(table >= 0)
+    rng = np.random.default_rng(5)
+    _lattice_check(ta, rng.choice(cells, 20_000, replace=False))
+    # the cells within 5 km of a tile edge: table cells that a 5 km
+    # margin would leave out
+    monkeypatch.setattr(zones, "CELL_TABLE_MARGIN", 5_000.0)
+    wide = ta.state.zc.build_cell_tile_table(ta.table_zones(), ta.tile_size).ravel()
+    assert ((wide >= 0) <= (table >= 0)).all()
+    assert (wide[wide >= 0] == table[wide >= 0]).all()
+    near = np.flatnonzero((table >= 0) & (wide < 0))
+    assert len(near) > 10_000
+    _lattice_check(ta, near)
+
+
+def _ipc(t: pa.Table) -> bytes:
+    sink = io.BytesIO()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue()
+
+
+@pytest.mark.parametrize("emit_id", [True, False])
+@pytest.mark.parametrize("emit_cell", [True, False])
+def test_arrow_ipc_bytes_equal_table_free_run(emit_id, emit_cell):
+    from equi7grid_ray.sources.images import make_batch
+
+    rng = np.random.default_rng(17)
+    n = 30_000
+    lon = rng.uniform(-180.0, 180.0, n)
+    lat = rng.uniform(-90.0, 90.0, n)
+    lon[:30] = np.nan
+    lat[30:60] = 95.0
+    kw = dict(emit_cell=emit_cell, emit_id=emit_id)
+    table, exact, _ = _assigners(**kw)
+    batch = _batch(lon, lat)
+    assert _ipc(table(batch)) == _ipc(exact(batch))
+    images = make_batch(0, 300)
+    table, exact, _ = _assigners(decode=True, **kw)
+    assert _ipc(table(images)) == _ipc(exact(images))
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_rebuilt_bands_bit_equal_tracked_table(buffered):
+    """South polar, mid-latitude and north polar bands (every band spans
+    the antimeridian) rebuild bit-equal to the tracked T6 table."""
+    ta = TileAssigner(spec=GridSpec.standard(buffered=buffered), emit_xy=False)
+    zc = ta.state.zc
+    tracked = ta._cell_table[:-1].reshape(-1, NCOL)
+    for r0, r1 in ((0, 20), (1290, 1310), (1780, 1800)):
+        band = zc.build_cell_tile_table(ta.table_zones(), ta.tile_size, rows=(r0, r1))
+        np.testing.assert_array_equal(band, tracked[r0:r1])
+        assert (band >= 0).any()
+
+
+def test_changed_key_misses_the_cache(tmp_path, monkeypatch):
+    calls = []
+
+    def build():
+        calls.append(1)
+        return np.arange(6480000, dtype=np.int32).reshape(1800, 3600) % 7 - 1
+
+    zc = zones.get_zone_classifier()
+    zc._cell_tables.clear()
+    monkeypatch.setattr(zones, "_DATA_DIR", tmp_path)
+    a = zc.cell_tile_table("T6", b"key-1", build)
+    assert len(calls) == 1 and a.dtype == np.int16 and a[-1] == -1
+    # with the process cache empty, the file is loaded, not rebuilt
+    zc._cell_tables.clear()
+    b = zc.cell_tile_table("T6", b"key-1", build)
+    assert len(calls) == 1 and np.array_equal(a, b)
+    zc.cell_tile_table("T6", b"key-2", build)
+    assert len(calls) == 2
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert len(files) == 2 and all(f.startswith("celltiles_std_T6_") for f in files)
+    zc._cell_tables.clear()
+
+
+def test_ray_worker_never_builds_a_missing_table(ray_session, tmp_path):
+    import ray
+
+    @ray.remote(num_cpus=1)
+    def load(data_dir):
+        from pathlib import Path
+
+        from equi7grid_ray import zones
+
+        def build():
+            raise AssertionError("built inside a Ray worker")
+
+        zc = zones.ZoneClassifier()
+        saved, zones._DATA_DIR = zones._DATA_DIR, Path(data_dir)
+        try:
+            return zc.cell_tile_table("T6", b"absent", build)
+        finally:
+            zones._DATA_DIR = saved
+
+    assert ray.get(load.remote(str(tmp_path))) is None
+    assert not any(p.name.startswith("celltiles_") for p in tmp_path.iterdir())
