@@ -1670,30 +1670,54 @@ def q_knn_tiles_geodesic(sf_dir: str):
     return nn.groupby("rank").aggregate(Count(alias_name="n"))
 
 
-def q_regrid_sample(sf_dir: str):
-    """Regrid 400 synthetic image rows into their tiles; returns per-tile
-    window counts + resampled-pixel checksum (raster->vector stage)."""
+def _int16_scenes(prefix: str, n: int, **cols) -> pa.Table:
+    """The regrid family's scene set: ``n`` raw int16 64 x 64 rasters
+    whose pixel (r, c) of image i is (131 r + 17 c + 7 i) mod 5003 - 2500,
+    ids ``{prefix}{i:09d}``; ``cols`` adds per-row columns (centres,
+    scale/offset, captions)."""
+    w = h = 64
+    r = np.arange(h, dtype=np.int64)[:, None]
+    c = np.arange(w, dtype=np.int64)[None, :]
+    payloads = [((r * 131 + c * 17 + i * 7) % 5003 - 2500).astype(np.int16).tobytes()
+                for i in range(n)]
+    return pa.table({
+        "image_id": pa.array([f"{prefix}{i:09d}" for i in range(n)], pa.string()),
+        "bytes": pa.array(payloads, pa.binary()),
+        "w": pa.array(np.full(n, w, np.int32)),
+        "h": pa.array(np.full(n, h, np.int32)),
+        "fmt": pa.array(["raw"] * n, pa.string()),
+        "dtype": pa.array(["int16"] * n, pa.string()),
+        **{k: pa.array(v) for k, v in cols.items()},
+    })
+
+
+def _tile_window_sums(out, dtype=np.int16, nodata=-9999):
+    """Per tile of a regrid output: window count and pixel sum, plus the
+    valid-pixel count when ``nodata`` is given (nodata pixels excluded)."""
     from ray.data.aggregate import Count, Sum
-
-    from equi7grid_ray.stages.regrid import regrid_pipeline
-
-    ds = _images(400)
-    out = regrid_pipeline(ds, concurrency=(1, 2))
 
     def summarize(batch: pa.Table) -> pa.Table:
         from equi7grid_ray.arrowutil import payload_sums
 
-        sums, _ = payload_sums(batch.column("pixels"), np.uint8)
-        return pa.table({
-            "tile": batch.column("tile"),
-            "px_sum": pa.array(sums, pa.int64()),
-        })
+        sums, nval = payload_sums(batch.column("pixels"), dtype, nodata=nodata)
+        cols = {"tile": batch.column("tile"), "px_sum": pa.array(sums, pa.int64())}
+        if nodata is not None:
+            cols["n_valid"] = pa.array(nval, pa.int64())
+        return pa.table(cols)
 
-    return (
-        out.map_batches(summarize, batch_format="pyarrow")
-        .groupby("tile")
-        .aggregate(Count(alias_name="n_windows"), Sum("px_sum", alias_name="px_sum"))
-    )
+    aggs = [Count(alias_name="n_windows"), Sum("px_sum", alias_name="px_sum")]
+    if nodata is not None:
+        aggs.append(Sum("n_valid", alias_name="n_valid"))
+    return out.map_batches(summarize, batch_format="pyarrow").groupby("tile").aggregate(*aggs)
+
+
+def q_regrid_sample(sf_dir: str):
+    """Regrid 400 synthetic image rows into their tiles; returns per-tile
+    window counts + resampled-pixel checksum (raster->vector stage)."""
+    from equi7grid_ray.stages.regrid import regrid_pipeline
+
+    return _tile_window_sums(regrid_pipeline(_images(400), concurrency=(1, 2)),
+                             np.uint8, nodata=None)
 
 
 def q_regrid_int16(sf_dir: str):
@@ -1703,58 +1727,17 @@ def q_regrid_int16(sf_dir: str):
     checksum.  Pins the band-dtype generality of the reference's
     resample_tile (warp.py:290-330, int16 fixtures test_warp.py:52,92)."""
     import ray.data as rd
-    from ray.data.aggregate import Count, Sum
 
     from equi7grid_ray.sources.images import centers_for_index
-    from equi7grid_ray.stages.regrid import ExpandTilePairs, RegridStage
+    from equi7grid_ray.stages.regrid import regrid_pipeline
 
-    idx = np.arange(200, dtype=np.int64)
-    lon, lat = centers_for_index(idx)
-    w = h = 64
-    payloads = []
-    for i in idx:
-        r = np.arange(h, dtype=np.int64)[:, None]
-        c = np.arange(w, dtype=np.int64)[None, :]
-        img = ((r * 131 + c * 17 + int(i) * 7) % 5003 - 2500).astype(np.int16)
-        payloads.append(img.tobytes())
-    t = pa.table({
-        "image_id": pa.array([f"i16{int(i):09d}" for i in idx], pa.string()),
-        "bytes": pa.array(payloads, pa.binary()),
-        "w": pa.array(np.full(len(idx), w, np.int32)),
-        "h": pa.array(np.full(len(idx), h, np.int32)),
-        "fmt": pa.array(["raw"] * len(idx), pa.string()),
-        "dtype": pa.array(["int16"] * len(idx), pa.string()),
-        "scale": pa.array(np.full(len(idx), 0.01), pa.float64()),
-        "offset": pa.array(np.zeros(len(idx)), pa.float64()),
-        "lon": pa.array(lon, pa.float64()),
-        "lat": pa.array(lat, pa.float64()),
-        "caption": pa.array([f"int16 scene {int(i)}" for i in idx], pa.string()),
-    })
-    ds = rd.from_arrow(t)
-    pairs = ds.map_batches(ExpandTilePairs, batch_format="pyarrow",
-                           concurrency=(1, 2), num_cpus=1)
-    out = pairs.map_batches(
-        RegridStage, fn_constructor_kwargs=dict(nodata=-9999),
-        batch_format="pyarrow", concurrency=(1, 2), num_cpus=1,
-    )
-
-    def summarize(batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import payload_sums
-
-        sums, nval = payload_sums(batch.column("pixels"), np.int16, nodata=-9999)
-        return pa.table({
-            "tile": batch.column("tile"),
-            "px_sum": pa.array(sums, pa.int64()),
-            "n_valid": pa.array(nval, pa.int64()),
-        })
-
-    return (
-        out.map_batches(summarize, batch_format="pyarrow")
-        .groupby("tile")
-        .aggregate(Count(alias_name="n_windows"),
-                   Sum("px_sum", alias_name="px_sum"),
-                   Sum("n_valid", alias_name="n_valid"))
-    )
+    n = 200
+    lon, lat = centers_for_index(np.arange(n, dtype=np.int64))
+    t = _int16_scenes("i16", n, scale=np.full(n, 0.01), offset=np.zeros(n),
+                      lon=lon, lat=lat,
+                      caption=[f"int16 scene {i}" for i in range(n)])
+    return _tile_window_sums(regrid_pipeline(rd.from_arrow(t), nodata=-9999,
+                                             concurrency=(1, 2)))
 
 
 def q_gtiff_roundtrip(sf_dir: str):
@@ -1776,25 +1759,8 @@ def q_gtiff_roundtrip(sf_dir: str):
     from equi7grid_ray.stages.regrid import GTiffEncodeStage, regrid_pipeline
 
     spec = GridSpec.standard({"T6": 1000})
-    idx = np.arange(150, dtype=np.int64)
-    lon, lat = centers_for_index(idx)
-    w = h = 64
-    payloads = []
-    for i in idx:
-        r = np.arange(h, dtype=np.int64)[:, None]
-        c = np.arange(w, dtype=np.int64)[None, :]
-        img = ((r * 131 + c * 17 + int(i) * 7) % 5003 - 2500).astype(np.int16)
-        payloads.append(img.tobytes())
-    t = pa.table({
-        "image_id": pa.array([f"gt{int(i):09d}" for i in idx], pa.string()),
-        "bytes": pa.array(payloads, pa.binary()),
-        "w": pa.array(np.full(len(idx), w, np.int32)),
-        "h": pa.array(np.full(len(idx), h, np.int32)),
-        "fmt": pa.array(["raw"] * len(idx), pa.string()),
-        "dtype": pa.array(["int16"] * len(idx), pa.string()),
-        "lon": pa.array(lon, pa.float64()),
-        "lat": pa.array(lat, pa.float64()),
-    })
+    lon, lat = centers_for_index(np.arange(150, dtype=np.int64))
+    t = _int16_scenes("gt", 150, lon=lon, lat=lat)
     out = regrid_pipeline(rd.from_arrow(t), spec=spec, nodata=-9999,
                           concurrency=(1, 2))
     tifs = out.map_batches(
@@ -1943,57 +1909,14 @@ def q_regrid_cubic(sf_dir: str):
     valid-pixel checksum.  Oracled via the pinned regrid_cubic_pin
     approval golden."""
     import ray.data as rd
-    from ray.data.aggregate import Count, Sum
 
     from equi7grid_ray.sources.images import centers_for_index
-    from equi7grid_ray.stages.regrid import ExpandTilePairs, RegridStage
+    from equi7grid_ray.stages.regrid import regrid_pipeline
 
-    idx = np.arange(200, dtype=np.int64)
-    lon, lat = centers_for_index(idx)
-    w = h = 64
-    payloads = []
-    for i in idx:
-        r = np.arange(h, dtype=np.int64)[:, None]
-        c = np.arange(w, dtype=np.int64)[None, :]
-        img = ((r * 131 + c * 17 + int(i) * 7) % 5003 - 2500).astype(np.int16)
-        payloads.append(img.tobytes())
-    t = pa.table({
-        "image_id": pa.array([f"cub{int(i):09d}" for i in idx], pa.string()),
-        "bytes": pa.array(payloads, pa.binary()),
-        "w": pa.array(np.full(len(idx), w, np.int32)),
-        "h": pa.array(np.full(len(idx), h, np.int32)),
-        "fmt": pa.array(["raw"] * len(idx), pa.string()),
-        "dtype": pa.array(["int16"] * len(idx), pa.string()),
-        "lon": pa.array(lon, pa.float64()),
-        "lat": pa.array(lat, pa.float64()),
-    })
-    ds = rd.from_arrow(t)
-    pairs = ds.map_batches(ExpandTilePairs, batch_format="pyarrow",
-                           concurrency=(1, 2), num_cpus=1)
-    out = pairs.map_batches(
-        RegridStage,
-        fn_constructor_kwargs=dict(resampling="cubic", nodata=-9999),
-        batch_format="pyarrow", concurrency=(1, 2), num_cpus=1,
-    )
-
-    def summarize(batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import payload_sums
-
-        sums, nval = payload_sums(batch.column("pixels"), np.int16,
-                                  nodata=-9999)
-        return pa.table({
-            "tile": batch.column("tile"),
-            "px_sum": pa.array(sums, pa.int64()),
-            "n_valid": pa.array(nval, pa.int64()),
-        })
-
-    return (
-        out.map_batches(summarize, batch_format="pyarrow")
-        .groupby("tile")
-        .aggregate(Count(alias_name="n_windows"),
-                   Sum("px_sum", alias_name="px_sum"),
-                   Sum("n_valid", alias_name="n_valid"))
-    )
+    lon, lat = centers_for_index(np.arange(200, dtype=np.int64))
+    t = _int16_scenes("cub", 200, lon=lon, lat=lat)
+    return _tile_window_sums(regrid_pipeline(rd.from_arrow(t), resampling="cubic",
+                                             nodata=-9999, concurrency=(1, 2)))
 
 
 def q_regrid_equi7(sf_dir: str):
@@ -2005,33 +1928,17 @@ def q_regrid_equi7(sf_dir: str):
     (grid-to-grid resampling, reference warp.py:205-330 semantics with
     an Equi7 input grid)."""
     import ray.data as rd
-    from ray.data.aggregate import Count, Sum
 
     from equi7grid_ray.stages.regrid import RegridStage
 
-    n_img, w, h, res = 200, 64, 64, 1000.0
+    n_img, w, res = 200, 64, 1000.0
     half = w * res / 2.0
     idx = np.arange(n_img, dtype=np.int64)
     # quarter-pixel offset keeps every gather coordinate off the .5
     # rounding boundary (exact dyadic fractions in both numpy and SQL)
     cx = ((idx * _XMUL) % _XMOD).astype(np.float64) + 125.0
     cy = ((idx * _YMUL) % _YMOD).astype(np.float64) + 125.0
-    payloads = []
-    for i in idx:
-        r = np.arange(h, dtype=np.int64)[:, None]
-        c = np.arange(w, dtype=np.int64)[None, :]
-        img = ((r * 131 + c * 17 + int(i) * 7) % 5003 - 2500).astype(np.int16)
-        payloads.append(img.tobytes())
-    t = pa.table({
-        "image_id": pa.array([f"e7{int(i):09d}" for i in idx], pa.string()),
-        "bytes": pa.array(payloads, pa.binary()),
-        "w": pa.array(np.full(n_img, w, np.int32)),
-        "h": pa.array(np.full(n_img, h, np.int32)),
-        "fmt": pa.array(["raw"] * n_img, pa.string()),
-        "dtype": pa.array(["int16"] * n_img, pa.string()),
-        "cx": pa.array(cx, pa.float64()),
-        "cy": pa.array(cy, pa.float64()),
-    })
+    t = _int16_scenes("e7", n_img, cx=cx, cy=cy)
 
     def expand(batch: pa.Table) -> pa.Table:
         from equi7grid_ray.grid import partial_names
@@ -2069,31 +1976,13 @@ def q_regrid_equi7(sf_dir: str):
             cols[name] = batch.column(name).take(take)
         return pa.table(cols)
 
-    ds = rd.from_arrow(t)
-    pairs = ds.map_batches(expand, batch_format="pyarrow")
+    pairs = rd.from_arrow(t).map_batches(expand, batch_format="pyarrow")
     out = pairs.map_batches(
         RegridStage,
-        fn_constructor_kwargs=dict(src_crs="equi7", src_res_m=res, nodata=-9999),
+        fn_constructor_kwargs=dict(src_crs="equi7", src_res=res, nodata=-9999),
         batch_format="pyarrow", concurrency=(1, 2), num_cpus=1,
     )
-
-    def summarize(batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import payload_sums
-
-        sums, nval = payload_sums(batch.column("pixels"), np.int16, nodata=-9999)
-        return pa.table({
-            "tile": batch.column("tile"),
-            "px_sum": pa.array(sums, pa.int64()),
-            "n_valid": pa.array(nval, pa.int64()),
-        })
-
-    return (
-        out.map_batches(summarize, batch_format="pyarrow")
-        .groupby("tile")
-        .aggregate(Count(alias_name="n_windows"),
-                   Sum("px_sum", alias_name="px_sum"),
-                   Sum("n_valid", alias_name="n_valid"))
-    )
+    return _tile_window_sums(out)
 
 
 def q_ann_lsh_buckets(sf_dir: str):

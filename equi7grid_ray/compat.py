@@ -279,10 +279,10 @@ def _gtiff_source_meta(filepath):
     test_warp.py:43-124 fixtures) and derive the engine's source-grid
     parameters: (array, src_crs, center_lon, center_lat, res, nodata).
 
-    Geographic CRS (GeoKey model 2): north-up lon/lat grid,
-    ``src_res_deg`` = pixel size.  EPSG:3857: webmercator grid,
-    ``src_res_m`` = pixel size.  Other projected CRSs raise (the two
-    families are what the reference's warp tests exercise)."""
+    Geographic CRS (GeoKey model 2): north-up lon/lat grid, ``res`` =
+    pixel size in degrees.  EPSG:3857: webmercator grid, ``res`` in
+    metres.  Other projected CRSs raise (the two families are what the
+    reference's warp tests exercise)."""
     from equi7grid_ray.gtiff import read_gtiff
 
     g = read_gtiff(filepath)
@@ -411,23 +411,16 @@ def get_overlapping_tiles(
         )
     if filepath is not None:
         if str(filepath).endswith((".tif", ".tiff")):
-            g, src_crs, lon_c, lat_c, res, _nd = _gtiff_source_meta(filepath)
-            a = g.array
-            h, w = a.shape[-2], a.shape[-1]
-            if src_crs == "geog":
-                geog_bbox = (lon_c - w * res / 2.0, lat_c - h * res / 2.0,
-                             lon_c + w * res / 2.0, lat_c + h * res / 2.0)
-            else:
-                from equi7grid_ray import mercator
+            import pyarrow as pa
 
-                mcx, mcy = mercator.forward(np.array([lon_c]),
-                                            np.array([lat_c]))
-                xs = mcx[0] + np.array([-1, 1]) * w * res / 2.0
-                ys = mcy[0] + np.array([-1, 1]) * h * res / 2.0
-                lo, la = mercator.inverse(
-                    np.array([xs[0], xs[1], xs[0], xs[1]]),
-                    np.array([ys[0], ys[0], ys[1], ys[1]]))
-                geog_bbox = (lo.min(), la.min(), lo.max(), la.max())
+            from equi7grid_ray.stages.regrid import PROBES_5, SourceGrid
+
+            g, src_crs, lon_c, lat_c, res, _nd = _gtiff_source_meta(filepath)
+            h, w = g.array.shape[-2:]
+            grid = SourceGrid(src_crs, res)
+            cx, cy = grid.centers(pa.table({"lon": [lon_c], "lat": [lat_c]}))
+            lo, la = grid.point(cx, cy, w, h, *PROBES_5)
+            geog_bbox = (lo.min(), la.min(), lo.max(), la.max())
         else:
             geog_bbox = _parquet_footprint_bbox(
                 filepath, accurate=accurate_boundary)
@@ -492,7 +485,10 @@ def resample_to_equi7_tiles(
     must be 1 (payload rows are
     band-complete); ``tile_dtype``/``tile_scale``/``tile_offset`` are
     row-driven here (per-row ``dtype``/``scale``/``offset`` columns) and
-    raise if forced; ``create_e7_folder=False`` is unsupported."""
+    raise if forced; ``create_e7_folder=False`` is unsupported.
+    ``src_res_deg`` is the pixel size of parquet image rows (default
+    ``SRC_RES_DEG``); a GeoTIFF input takes its CRS and pixel size from
+    the file."""
     from pathlib import Path as _Path
 
     from equi7grid_ray.pipelines import warp as warp_mod
@@ -541,20 +537,15 @@ def resample_to_equi7_tiles(
         import tempfile
 
         frag_dir = _Path(tempfile.mkdtemp(prefix="e7r_gtiff_in_"))
-        input_path, tif_src_crs, tif_res, tif_nodata = _gtiff_to_row_parquet(
+        input_path, src_crs, src_res, tif_nodata = _gtiff_to_row_parquet(
             src, frag_dir)
         if image_nodata is None and tif_nodata is not None:
             # reference default: nodata from the file metadata
             # (warp.py:291 src nodatavals)
             image_nodata = tif_nodata
-        if tif_src_crs == "geog":
-            src_crs_eff, res_deg_eff, res_m_eff = "geog", tif_res, 1000.0
-        else:
-            src_crs_eff, res_deg_eff, res_m_eff = (
-                "webmercator", None, tif_res)
     else:
         input_path = src  # one fragment file or a directory of them
-        src_crs_eff, res_deg_eff, res_m_eff = "geog", src_res_deg, 1000.0
+        src_crs, src_res = "geog", src_res_deg
     out = _Path(output_dirpath)
     if overwrite and (out / "_manifest").exists():
         import shutil as _shutil
@@ -566,10 +557,6 @@ def resample_to_equi7_tiles(
         # reference signature: naming_traffo(filepath, ftilename)
         traffo = lambda stem, ftile: naming_traffo(src, ftile)  # noqa: E731
 
-    from equi7grid_ray.stages.regrid import SRC_RES_DEG
-
-    if res_deg_eff is None and src_crs_eff == "geog":
-        res_deg_eff = SRC_RES_DEG
     warp_mod.resample_to_equi7_tiles(
         str(input_path), str(out),
         tiling_id=tiling, spec=e7grid.spec,
@@ -579,12 +566,11 @@ def resample_to_equi7_tiles(
         out_format="gtiff",
         nodata=(tile_nodata if tile_nodata is not None
                 else (image_nodata if image_nodata is not None else 0)),
-        src_crs=src_crs_eff,
-        src_res_m=res_m_eff,
+        src_crs=src_crs,
+        src_res=src_res,
         compress_type=comp,
         tif_is_tiled=tif_is_tiled,
         tile_blocksize=tile_blocksize or 256,
-        src_res_deg=res_deg_eff if res_deg_eff is not None else SRC_RES_DEG,
         concurrency=(1, max(1, int(n_tasks))),
     )
     # this call's fragments only: other partitions in ``out`` may come

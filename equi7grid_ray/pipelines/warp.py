@@ -28,9 +28,9 @@ import pyarrow.parquet as pq
 from equi7grid_ray import roi as roi_mod
 from equi7grid_ray.grid import GridSpec
 from equi7grid_ray.stages.regrid import (
-    SRC_RES_DEG,
     GTiffEncodeStage,
     expand_and_regrid,
+    expansion_grid,
     task_cap,
 )
 from equi7grid_ray.state import checkpoint
@@ -124,12 +124,11 @@ def resample_to_equi7_tiles(
     out_format: str = "parquet",
     nodata: float = 0,
     src_crs: str = "geog",
-    src_res_m: float = 1000.0,
+    src_res: float | None = None,
     compress_type: str = "deflate",
     tif_is_tiled: bool = False,
     tile_blocksize: int = 256,
     tif_overviews: tuple[int, ...] | None = None,
-    src_res_deg: float | None = None,
     batch_size: int = 1024,
     concurrency=(1, 8),
 ) -> dict:
@@ -143,6 +142,12 @@ def resample_to_equi7_tiles(
     tiled / blocksize kwargs map to ``compress_type``
     ("deflate"|"none"|"lzw"; the reference's zstd needs libzstd, absent
     here), ``tif_is_tiled`` and ``tile_blocksize``).
+
+    The source grid is ``src_crs`` ('geog' or 'webmercator') at
+    ``src_res`` units per pixel: degrees for geog (default
+    ``SRC_RES_DEG``), metres for webmercator (default 1000); see
+    ``stages.regrid.SourceGrid``.  Any other ``src_crs`` raises
+    ValueError before a fragment runs.
 
     Every pending fragment is one ``checkpoint.run_fragments`` task (one
     CPU; at most ``task_cap(concurrency)`` at a time) that regrids,
@@ -158,14 +163,14 @@ def resample_to_equi7_tiles(
     Returns the manifest counter summary."""
     if out_format not in ("parquet", "gtiff"):
         raise ValueError(f"unknown out_format {out_format!r}")
+    expansion_grid(src_crs, src_res)
     kw = dict(
         out_format=out_format, batch_size=batch_size,
         keep=sorted(set(ftilenames)) if ftilenames else None,
         naming_traffo=naming_traffo,
         regrid_kw=dict(
             tiling_id=tiling_id, spec=spec, resampling=resampling,
-            nodata=nodata, src_crs=src_crs, src_res_m=src_res_m,
-            src_res_deg=src_res_deg if src_res_deg is not None else SRC_RES_DEG,
+            nodata=nodata, src_crs=src_crs, src_res=src_res,
         ),
         encode_kw=dict(
             tiling_id=tiling_id, spec=spec, compress=compress_type,

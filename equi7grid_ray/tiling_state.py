@@ -110,8 +110,6 @@ class ContinentTiling:
     extra_offsets: np.ndarray  # (ntiles+1,) into extra_* (zone-edge points)
     extra_lon: np.ndarray
     extra_lat: np.ndarray
-    extra_x: np.ndarray
-    extra_y: np.ndarray
 
     def __post_init__(self):
         # dense tile index over the box of (round(ll_x/1e5), round(ll_y/1e5))
@@ -346,8 +344,6 @@ def _build_continent_tiling(
         extra_offsets=extra_offsets,
         extra_lon=np.asarray(elon, dtype=np.float32),
         extra_lat=np.asarray(elat, dtype=np.float32),
-        extra_x=extra_x,
-        extra_y=extra_y,
     )
 
 
@@ -401,7 +397,6 @@ class GridState:
                 d["ll_x"], d["ll_y"], d["covers_land"],
                 d["atlas_lon"], d["atlas_lat"], d["atlas_inzone"],
                 d["extra_offsets"], d["extra_lon"], d["extra_lat"],
-                d["extra_x"], d["extra_y"],
             )
         else:
             ct = _build_continent_tiling(
@@ -413,7 +408,6 @@ class GridState:
                 atlas_lon=ct.atlas_lon, atlas_lat=ct.atlas_lat,
                 atlas_inzone=ct.atlas_inzone, extra_offsets=ct.extra_offsets,
                 extra_lon=ct.extra_lon, extra_lat=ct.extra_lat,
-                extra_x=ct.extra_x, extra_y=ct.extra_y,
             )
         self._tilings[key] = ct
         return ct

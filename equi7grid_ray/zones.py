@@ -240,27 +240,11 @@ class ZoneClassifier:
     # -- queries -----------------------------------------------------------
 
     def classify(self, lon, lat) -> np.ndarray:
-        """(n, len(order)) bool: zone membership per point."""
-        lon = np.asarray(lon, dtype=np.float64).ravel()
-        lat = np.asarray(lat, dtype=np.float64).ravel()
-        res = self.res
-        nrow, ncol = self._packed.shape
-        ci = np.clip(((lon + 180.0) / res).astype(np.int64), 0, ncol - 1)
-        ri = np.clip(((lat + 90.0) / res).astype(np.int64), 0, nrow - 1)
-        pk = self._packed[ri, ci]  # one gather: inside | boundary << 8
-        ib = (pk & 0xFF).astype(np.uint8)
-        bb = (pk >> 8).astype(np.uint8)
-        out = np.zeros((len(lon), len(self.order)), dtype=bool)
-        for zi, zone in enumerate(self.order):
-            poly = self.polys.get(zone)
-            if poly is None:
-                continue
-            bit = np.uint8(1 << zi)
-            out[:, zi] = (ib & bit) != 0
-            bmask = (bb & bit) != 0
-            if bmask.any():
-                out[bmask, zi] = poly.contains(lon[bmask], lat[bmask])
-        return out
+        """(n, len(order)) bool: zone membership per point, the bit-unpack
+        of :meth:`classify_bits` (same validity rule: a non-finite row,
+        or one with |lon| > 180 or |lat| > 90, is in no zone)."""
+        bits = self._zone_bits(lon, lat)
+        return (bits[:, None] >> np.arange(len(self.order), dtype=np.uint8)) & 1 == 1
 
     def cell_index(self, lon, lat) -> tuple[np.ndarray, np.ndarray]:
         """(flat raster cell, valid) per lon/lat: the cell is
@@ -307,6 +291,10 @@ class ZoneClassifier:
                     sub = np.where(inside, sub | bit, sub & ~bit)
                     out[bmask] = sub
         return out
+
+    # the kernel under a second name for classify: a span wrapped around
+    # either public name then counts each row once
+    _zone_bits = classify_bits
 
     def contains(self, zone: str, lon, lat) -> np.ndarray:
         zi = self.order.index(zone)

@@ -105,6 +105,34 @@ def test_classify_bits_invalid_coordinates():
     assert zc.classify_bits(edge_lon, edge_lat).tolist() == [oc, oc, 0, 0, 0, 0, 0, 0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("buffered", [False, True])
+def test_classify_is_unpacked_classify_bits(buffered):
+    """The bool zone matrix is the bit-unpack of the packed kernel on a
+    sweep past the valid range with edge, NaN and inf values on each
+    axis; invalid rows are in no zone, with no cast warning."""
+    from equi7grid_ray.zones import get_zone_classifier
+
+    zc = get_zone_classifier(buffered)
+    rng = np.random.default_rng(12)
+    special = np.array([180.0, -180.0, 180.05, -180.05, 179.95, -179.95, 90.0, -90.0,
+                        90.05, -90.05, 89.95, -89.95, np.nan, np.inf, -np.inf, 0.0])
+    sl, sb = np.meshgrid(special, special)
+    lon = np.concatenate([rng.uniform(-200.0, 200.0, 100_000), sl.ravel(),
+                          rng.uniform(-200.0, 200.0, len(special)), special])
+    lat = np.concatenate([rng.uniform(-100.0, 100.0, 100_000), sb.ravel(), special,
+                          rng.uniform(-100.0, 100.0, len(special))])
+    bits = zc.classify_bits(lon, lat)
+    member = zc.classify(lon, lat)
+    assert member.dtype == bool and member.shape == (len(lon), len(zc.order))
+    want = (bits[:, None] & (1 << np.arange(len(zc.order)))) != 0
+    np.testing.assert_array_equal(member, want)
+    invalid = ~((np.abs(lon) <= 180.0) & (np.abs(lat) <= 90.0))
+    assert invalid.sum() > 15_000
+    assert not member[invalid].any() and not bits[invalid].any()
+    assert member[~invalid].any(axis=1).mean() > 0.9
+
+
 def test_geodesic_inverse_coincident_and_equatorial():
     """Special cases the Newton solver cannot represent (advisor round 1):
     coincident endpoints and purely equatorial geodesics must return finite

@@ -205,7 +205,7 @@ def test_webmercator_source_regrid():
         "ll_x": pa.array([6.6e6]),
         "ll_y": pa.array([3.0e6]),
     })
-    stage = RegridStage(src_crs="webmercator", src_res_m=10_000.0)
+    stage = RegridStage(src_crs="webmercator", src_res=10_000.0)
     out = stage(batch)
     row = {c: out.column(c)[0].as_py() for c in out.column_names}
     assert row["win_h"] > 0 and row["win_w"] > 0
@@ -386,7 +386,7 @@ def test_regrid_equi7_identity_gather():
         "cx": pa.array([cx]),
         "cy": pa.array([cy]),
     })
-    out = RegridStage(src_crs="equi7", src_res_m=res, nodata=-9999)(batch)
+    out = RegridStage(src_crs="equi7", src_res=res, nodata=-9999)(batch)
     r0 = out.column("r0")[0].as_py()
     c0 = out.column("c0")[0].as_py()
     wh = out.column("win_h")[0].as_py()
@@ -496,3 +496,60 @@ def test_regrid_cubic_end_to_end():
 
     with _pytest.raises(ValueError, match="unknown resampling"):
         RegridStage(resampling="lanczos")(pairs)
+
+
+def test_source_grid_point_and_pixel_agree():
+    """One source geometry per CRS: a footprint point maps back to its
+    fractional source pixel, the corner offsets reproduce the
+    centre +- w * res / 2 extents exactly, and ``src_res`` defaults per
+    CRS."""
+    from equi7grid_ray.stages.regrid import SourceGrid
+
+    assert SourceGrid("geog").res == SRC_RES_DEG
+    assert SourceGrid("webmercator").res == SourceGrid("equi7").res == 1000.0
+    batch = pa.table({"lon": [15.1, -120.3], "lat": [45.3, -33.0],
+                      "cx": [4.2e6, 1.1e6], "cy": [1.3e6, 5.5e6]})
+    w, h = np.array([64.0, 40.0]), np.array([32.0, 50.0])
+    fx, fy = np.array([[-0.5], [0.25], [0.5]]), np.array([[0.5], [-0.25], [-0.5]])
+    for crs, res in (("geog", 0.002), ("webmercator", 250.0), ("equi7", 1000.0)):
+        grid = SourceGrid(crs, res)
+        cx, cy = grid.centers(batch)
+        x, y = grid.point(cx, cy, w, h, fx, fy)
+        u, v = grid.pixel(cx, cy, w, h, x, y)
+        np.testing.assert_allclose(u, fx * w + w / 2 - 0.5, atol=1e-6)
+        np.testing.assert_allclose(v, h / 2 - fy * h - 0.5, atol=1e-6)
+    grid = SourceGrid("geog", 0.003)
+    x, y = grid.point(batch.column("lon").to_numpy(), batch.column("lat").to_numpy(),
+                      w, h, np.array([[-0.5], [0.5]]), np.array([[-0.5], [0.5]]))
+    lon, lat = batch.column("lon").to_numpy(), batch.column("lat").to_numpy()
+    assert (x[0] == lon - w * 0.003 / 2.0).all() and (x[1] == lon + w * 0.003 / 2.0).all()
+    assert (y[0] == lat - h * 0.003 / 2.0).all() and (y[1] == lat + h * 0.003 / 2.0).all()
+
+
+@pytest.mark.parametrize("crs", ["bogus", "EPSG:4326", "Geog", ""])
+def test_unknown_src_crs_rejected(crs):
+    """Both stages reject a source CRS they do not know instead of
+    treating it as geog."""
+    with pytest.raises(ValueError, match="src_crs"):
+        ExpandTilePairs(src_crs=crs)
+    with pytest.raises(ValueError, match="src_crs"):
+        RegridStage(src_crs=crs)
+
+
+def test_expand_rejects_equi7_source(tmp_path):
+    """A plane source has no continent to tile into: ExpandTilePairs, the
+    regrid pipeline and the warp refuse src_crs='equi7' up front instead
+    of tiling rows from their image_id."""
+    from equi7grid_ray.pipelines.warp import resample_to_equi7_tiles
+    from equi7grid_ray.stages.regrid import regrid_pipeline
+
+    with pytest.raises(ValueError, match="equi7"):
+        ExpandTilePairs(src_crs="equi7")
+    with pytest.raises(ValueError, match="equi7"):
+        regrid_pipeline(None, src_crs="equi7")
+    with pytest.raises(ValueError, match="equi7"):
+        resample_to_equi7_tiles(str(tmp_path / "in"), str(tmp_path / "out"),
+                                src_crs="equi7", src_res=1000.0)
+    assert not (tmp_path / "out").exists()
+    # the plane source itself still regrids, from pairs its caller built
+    RegridStage(src_crs="equi7", src_res=1000.0)

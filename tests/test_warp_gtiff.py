@@ -64,7 +64,7 @@ def _run(tmp_path, spec, **kw):
     resample_to_equi7_tiles(
         str(src), str(out), tiling_id="T6", spec=spec,
         resampling="bilinear", out_format="gtiff", nodata=NODATA,
-        src_res_deg=RES, **kw,
+        src_res=RES, **kw,
     )
     files = sorted(out.glob("part-*/EQUI7_*/*/*.tif"))
     return out, ar, files
@@ -131,7 +131,7 @@ def test_gtiff_resume_and_manifest(ray_session, tmp_path, spec):
     resample_to_equi7_tiles(
         str(src), str(out), tiling_id="T6", spec=spec,
         resampling="bilinear", out_format="gtiff", nodata=NODATA,
-        src_res_deg=RES,
+        src_res=RES,
     )
     for f, ts in stamps.items():
         assert f.stat().st_mtime == ts
@@ -176,7 +176,7 @@ def test_reprojecting_webmercator_discrete_eu(ray_session, tmp_path):
     resample_to_equi7_tiles(
         str(src), str(out), tiling_id="T6", spec=spec_eu,
         resampling="nearest", out_format="gtiff", nodata=nodata,
-        src_crs="webmercator", src_res_m=sampling,
+        src_crs="webmercator", src_res=sampling,
     )
     files = sorted(out.glob("part-*/EQUI7_*/*/*.tif"))
     got = {(f.parent.parent.name.removeprefix("EQUI7_"), f.parent.name)
@@ -284,7 +284,7 @@ def test_retile_written_gtiffs_to_coarser_sampling(ray_session, tmp_path, spec):
     })
     spec2 = GridSpec.standard({"T6": 2000})
     out2 = RegridStage(tiling_id="T6", spec=spec2, src_crs="equi7",
-                       src_res_m=1000.0, nodata=NODATA)(pair)
+                       src_res=1000.0, nodata=NODATA)(pair)
     assert out2.num_rows == 1
     wh = out2.column("win_h")[0].as_py()
     ww = out2.column("win_w")[0].as_py()
