@@ -646,9 +646,7 @@ def q_tile_assign_real(sf_dir: str):
     """The real flagship operator: zone PIP + ellipsoidal AEQD forward +
     tile assign on the derived coordinate sweep; oracled via the pinned
     sweep_assign lookup golden (tools/gen_oracle_lookups.py)."""
-    from ray.data.aggregate import Sum
-
-    from equi7grid_ray.stages.tile_assign import TileAssigner
+    from equi7grid_ray.pipelines.flagship import tile_assignments, tile_histogram
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
@@ -666,51 +664,19 @@ def q_tile_assign_real(sf_dir: str):
     # broadcast-state task variant: the assigner (zone raster, atlases,
     # interp grids, ~55 MB) is built ONCE on the driver and ray.put --
     # an actor pool would rebuild it per fresh actor (~3 s each)
-    from equi7grid_ray.pipelines.flagship import tile_assignments
-
     assigned = tile_assignments(prepped, emit_cell=False, batch_size=65_536)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        # dictionary-encoded hot path: bincount the indices, no strings
-        col = batch.column("tile")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if pa.types.is_dictionary(col.type):
-            idx = col.indices.to_numpy(zero_copy_only=False)
-            counts = np.bincount(idx, minlength=len(col.dictionary))
-            nz = np.flatnonzero(counts)
-            return pa.table({
-                "tile": col.dictionary.take(pa.array(nz)).cast(pa.string()),
-                "pn": pa.array(counts[nz], pa.int64()),
-            })
-        vc = pc.value_counts(col)
-        return pa.table({"tile": vc.field("values").cast(pa.string()),
-                         "pn": vc.field("counts").cast(pa.int64())})
-
-    return (
-        assigned.map_batches(partial, batch_format="pyarrow")
-        .groupby("tile")
-        .aggregate(Sum("pn", alias_name="n"))
-    )
+    return tile_histogram(assigned)
 
 
 def q_roi_tiles_global(sf_dir: str):
     """Global-bbox ROI->tiles search (SURVEY 2.4); returns the 1801-tile
     inventory with land flags, oracled against the committed tiles_t6
     golden (static-table equality)."""
-    from equi7grid_ray import roi
     from equi7grid_ray.tiling_state import get_grid_state
-    from equi7grid_ray.grid import full_names
 
-    state = get_grid_state()
-    rows = {"tile": [], "covers_land": []}
-    for c in state.spec.continents():
-        ct = state.tiles(c, "T6")
-        names = full_names(c, ct.ll_x, ct.ll_y, "T6")
-        rows["tile"].extend(names.tolist())
-        rows["covers_land"].extend(ct.covers_land.tolist())
-    return pa.table({"tile": pa.array(rows["tile"], pa.string()),
-                     "covers_land": pa.array(rows["covers_land"], pa.bool_())})
+    index = get_grid_state().tile_index("T6")
+    return pa.table({"tile": pa.array(index.names.tolist(), pa.string()),
+                     "covers_land": pa.array(index.covers_land[:-1], pa.bool_())})
 
 
 def q_lsh_near_dup(sf_dir: str):

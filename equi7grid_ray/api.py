@@ -40,7 +40,7 @@ from equi7grid_ray.grid import (
     tile_ll_from_xy,
     xy2rc,
 )
-from equi7grid_ray.tiling_state import get_grid_state
+from equi7grid_ray.tiling_state import _edges_cross_rect, _rect_poly_intersects, get_grid_state
 
 
 @dataclass(frozen=True)
@@ -147,13 +147,9 @@ class TileInfo:
         return GeoPolygon([(ring, False)])
 
     def _closed_intersects(self, poly) -> bool:
-        from equi7grid_ray.tiling_state import _rect_poly_intersects
-
         return _rect_poly_intersects(poly, self.ll_x, self.ll_y, self.ur_x, self.ur_y)
 
     def _interior_intersects(self, poly) -> bool:
-        from equi7grid_ray.tiling_state import _rect_poly_intersects
-
         e = self._EPS
         return _rect_poly_intersects(
             poly, self.ll_x + e, self.ll_y + e, self.ur_x - e, self.ur_y - e
@@ -172,8 +168,6 @@ class TileInfo:
             return False
         # no geometry-boundary edge may cross the tile interior
         e = self._EPS
-        from equi7grid_ray.tiling_state import _rect_poly_intersects
-
         for xy, _h in poly.rings:
             inside = (
                 (xy[:, 0] > self.ll_x + e)
@@ -217,30 +211,8 @@ class TileInfo:
     def _boundary_crosses_interior(self, poly) -> bool:
         """Any polygon-ring edge passing through the OPEN tile rect."""
         e = self._EPS
-        rx0, ry0 = self.ll_x + e, self.ll_y + e
-        rx1, ry1 = self.ur_x - e, self.ur_y - e
-        x1, y1, x2, y2 = poly.x1, poly.y1, poly.x2, poly.y2
-        bb = (
-            (np.minimum(x1, x2) <= rx1)
-            & (np.maximum(x1, x2) >= rx0)
-            & (np.minimum(y1, y2) <= ry1)
-            & (np.maximum(y1, y2) >= ry0)
-        )
-        if not bb.any():
-            return False
-        x1, y1, x2, y2 = x1[bb], y1[bb], x2[bb], y2[bb]
-        dx, dy = x2 - x1, y2 - y1
-        t0 = np.zeros(len(x1))
-        t1 = np.ones(len(x1))
-        ok = np.ones(len(x1), dtype=bool)
-        for p, q in ((-dx, x1 - rx0), (dx, rx1 - x1), (-dy, y1 - ry0), (dy, ry1 - y1)):
-            zero = p == 0
-            ok &= ~(zero & (q < 0))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.where(zero, 0.0, q / np.where(p == 0, 1.0, p))
-            t0 = np.where(~zero & (p < 0), np.maximum(t0, r), t0)
-            t1 = np.where(~zero & (p > 0), np.minimum(t1, r), t1)
-        return bool((ok & (t0 < t1)).any())
+        return _edges_cross_rect(poly, self.ll_x + e, self.ll_y + e,
+                                 self.ur_x - e, self.ur_y - e, strict=True)
 
     @property
     def boundary_wkt(self) -> str:

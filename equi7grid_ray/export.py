@@ -19,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from equi7grid_ray.constants import CONTINENTS
-from equi7grid_ray.grid import GridSpec, full_names
+from equi7grid_ray.grid import GridSpec
 from equi7grid_ray.tiling_state import get_grid_state
 
 __all__ = ["tiles_table", "write_tiles_parquet", "to_ogc_tms_json", "write_grid_def"]
@@ -35,15 +35,15 @@ def tiles_table(
     """The full tile inventory as an Arrow table (tile, continent, ll_x,
     ll_y, tile_size, sampling, covers_land [, boundary_wkt])."""
     spec = spec or GridSpec.standard()
-    state = get_grid_state(spec)
-    t = spec.tile_size(tiling_id)
+    index = get_grid_state(spec).tile_index(tiling_id)
+    t = index.tile_size
     s = spec.sampling_of(tiling_id)
     parts = []
-    for c in continents or spec.continents():
-        ct = state.tiles(c, tiling_id)
+    for c in continents or index.continents:
+        ct = index.tilings[c]
         n = len(ct.ll_x)
         cols = {
-            "tile": pa.array(full_names(c, ct.ll_x, ct.ll_y, spec.tiling_name(tiling_id)).tolist()),
+            "tile": pa.array(index.continent_names(c).tolist()),
             "continent": pa.array([c] * n),
             "ll_x": pa.array(ct.ll_x, pa.float64()),
             "ll_y": pa.array(ct.ll_y, pa.float64()),

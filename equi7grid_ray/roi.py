@@ -14,8 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from equi7grid_ray import aeqd
-from equi7grid_ray.grid import GridSpec, full_names
-from equi7grid_ray.tiling_state import GridState, _ROI_SEG_DEG, _densify_ring, get_grid_state
+from equi7grid_ray.grid import GridSpec
+from equi7grid_ray.tiling_state import (ContinentTiling, GridState, TileIndex, _ROI_SEG_DEG,
+                                        _densify_ring, get_grid_state)
 
 __all__ = [
     "GeogBBoxROI",
@@ -93,10 +94,9 @@ class GeogPolygonROI:
         return lon, dens[:, 1]
 
 
-def _continent_hits(state: GridState, continent: str, tiling_id, roi) -> np.ndarray:
+def _continent_hits(state: GridState, ct: ContinentTiling, roi) -> np.ndarray:
     """Bool mask over the continent's tile table: tile intersects
     ROI ∩ zone."""
-    ct = state.tiles(continent, tiling_id)
     n = len(ct.ll_x)
     if n == 0:
         return np.zeros(0, dtype=bool)
@@ -112,36 +112,35 @@ def _continent_hits(state: GridState, continent: str, tiling_id, roi) -> np.ndar
         np.logical_or.at(hit, np.repeat(np.arange(n), counts), ehit)
     # (c) densified ROI boundary points inside the zone -> their tiles
     blon, blat = roi.boundary_samples()
-    zin = state.zc.contains(continent, blon, blat)
+    zin = state.zc.contains(ct.continent, blon, blat)
     if zin.any():
-        px, py = aeqd.forward(continent, blon[zin], blat[zin])
+        px, py = aeqd.forward(ct.continent, blon[zin], blat[zin])
         t = ct.tile_size
         idx = ct.lookup(np.floor(px / t) * t, np.floor(py / t) * t)
         hit[idx[idx >= 0]] = True
     return hit
 
 
-def _emit(state: GridState, tiling_id, per_continent_masks, cover_land: bool):
-    spec = state.spec
-    tiling = spec.tiling_name(tiling_id)
+def _emit(index: TileIndex, per_continent_masks, cover_land: bool) -> list[str]:
+    """Names of the masked tiles, continent by continent in the order
+    given, (ll_x, ll_y) order within one."""
     names: list[str] = []
-    rows = []
     for continent, mask in per_continent_masks:
-        ct = state.tiles(continent, tiling)
         if cover_land:
-            mask = mask & ct.covers_land
-        sel = np.flatnonzero(mask)
-        nm = full_names(continent, ct.ll_x[sel], ct.ll_y[sel], tiling)
-        names.extend(nm.tolist())
-        rows.append(
-            {
-                "continent": continent,
-                "ll_x": ct.ll_x[sel],
-                "ll_y": ct.ll_y[sel],
-                "covers_land": ct.covers_land[sel],
-            }
-        )
-    return names, rows
+            mask = mask & index.tilings[continent].covers_land
+        names.extend(index.continent_names(continent, np.flatnonzero(mask)).tolist())
+    return names
+
+
+def _tiles_hit(roi, tiling_id, cover_land: bool, spec: GridSpec | None,
+               continents: list[str] | None) -> list[str]:
+    """Names of the tiles ``roi`` hits, continent by continent in
+    ``continents`` order (default: the spec's)."""
+    state = get_grid_state(spec)
+    index = state.tile_index(tiling_id)
+    masks = [(c, _continent_hits(state, index.tilings[c], roi))
+             for c in continents or index.continents]
+    return _emit(index, masks, cover_land)
 
 
 def tiles_in_geog_bbox(
@@ -154,12 +153,7 @@ def tiles_in_geog_bbox(
 ) -> list[str]:
     """All tiles intersecting the geographic bbox, ordered by
     ``system_order`` then (ll_x, ll_y)."""
-    state = get_grid_state(spec)
-    roi = GeogBBoxROI(*bbox)
-    conts = continents or state.spec.continents()
-    masks = [(c, _continent_hits(state, c, tiling_id, roi)) for c in conts]
-    names, _ = _emit(state, tiling_id, masks, cover_land)
-    return names
+    return _tiles_hit(GeogBBoxROI(*bbox), tiling_id, cover_land, spec, continents)
 
 
 def tiles_in_geom(
@@ -177,20 +171,12 @@ def tiles_in_geom(
     ``crs='<continent>'`` (e.g. 'EU'): a *projected* geometry in that
     continent's plane (the reference's ProjGeom flavour) -- densified in
     proj space, inverse-projected, then searched geographically."""
-    state = get_grid_state(spec)
     if crs != "geog":
-        from equi7grid_ray import aeqd
-        from equi7grid_ray.tiling_state import _densify_ring
-
         ring = np.asarray(ring_xy, dtype=np.float64)
         dens = _densify_ring(ring, 50_000.0)  # <=50 km proj segments
         lon, lat = aeqd.inverse(crs, dens[:, 0], dens[:, 1])
         ring_xy = np.column_stack([lon, lat])
-    roi = GeogPolygonROI(ring_xy)
-    conts = continents or state.spec.continents()
-    masks = [(c, _continent_hits(state, c, tiling_id, roi)) for c in conts]
-    names, _ = _emit(state, tiling_id, masks, cover_land)
-    return names
+    return _tiles_hit(GeogPolygonROI(ring_xy), tiling_id, cover_land, spec, continents)
 
 
 def tiles_in_proj_bbox(
@@ -203,8 +189,8 @@ def tiles_in_proj_bbox(
 ) -> list[str]:
     """Tiles of one continent overlapping a projected bbox
     (cf. tests/test_equi7grid.py:388-402)."""
-    state = get_grid_state(spec)
-    ct = state.tiles(continent, tiling_id)
+    index = get_grid_state(spec).tile_index(tiling_id)
+    ct = index.tilings[continent]
     t = ct.tile_size
     x0, y0, x1, y1 = (float(v) for v in bbox)
     mask = (
@@ -213,5 +199,4 @@ def tiles_in_proj_bbox(
         & (ct.ll_y < y1)
         & (ct.ll_y + t > y0)
     )
-    names, _ = _emit(state, tiling_id, [(continent, mask)], cover_land)
-    return names
+    return _emit(index, [(continent, mask)], cover_land)

@@ -42,6 +42,9 @@ from equi7grid_ray.stages.tile_assign import derive_lonlat
 from equi7grid_ray.tiling_state import get_grid_state
 
 SRC_RES_DEG = 0.001  # source pixel size of the synthetic image rasters
+#: most summed target pixels RegridStage holds per pass over a continent's
+#: pairs (about a dozen int64/float64 arrays of that length)
+CHUNK_PX = 1 << 20
 #: the source CRSs a raster row can be gridded in
 SRC_CRS = ("geog", "webmercator", "equi7")
 #: footprint probes as (fx, fy) offsets: the 4 corners and the centre
@@ -150,9 +153,7 @@ class ExpandTilePairs:
         self.state = get_grid_state(self.spec)
         self.tiling = self.spec.tiling_name(tiling_id)
         self.tile_size = self.spec.tile_size(tiling_id)
-        self.continents = self.spec.continents()
-        self.zone_cols = [self.state.zc.order.index(c) for c in self.continents]
-        self._tilings = {c: self.state.tiles(c, self.tiling) for c in self.continents}
+        self.index = self.state.tile_index(self.tiling)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         sx, sy = self.grid.centers(batch)
@@ -172,7 +173,8 @@ class ExpandTilePairs:
         cont_out: list[str] = []
         llx_out: list[np.ndarray] = []
         lly_out: list[np.ndarray] = []
-        for cont, zc_col in zip(self.continents, self.zone_cols):
+        index = self.index
+        for rank, (cont, zc_col) in enumerate(zip(index.continents, index.zone_cols)):
             m = member[:, :, zc_col]  # (9, n)
             if not m.any():
                 continue
@@ -201,9 +203,7 @@ class ExpandTilePairs:
             ny_r = ny[rep]
             llx = ((tx0[rep] + off // ny_r) * ts).astype(np.float64)
             lly = ((ty0[rep] + off % ny_r) * ts).astype(np.float64)
-            ct = self._tilings[cont]
-            pos = ct.lookup(llx, lly)
-            keep = pos >= 0  # only tiles inside the zone
+            keep = index.locate(rank, llx, lly) >= 0  # only tiles inside the zone
             rows_out.append(rows_u[rep][keep])
             cont_out.append(cont)
             llx_out.append(llx[keep])
@@ -248,10 +248,11 @@ class RegridStage:
     """Stateful map_batches stage: one output row per (image, tile) pair
     with the resampled pixel window.
 
-    Per batch, target pixels of ALL pairs of one continent are
-    inverse-projected in a single vectorized geodesic call and mapped to
-    source pixels by ``SourceGrid.pixel``, then gathered per pair
-    (nearest, bilinear, cubic or cubic_spline)."""
+    Per batch, the target pixels of one continent's pairs are
+    inverse-projected in vectorized geodesic calls of up to
+    ``CHUNK_PX`` pixels and mapped to source pixels by
+    ``SourceGrid.pixel``, then gathered per pair (nearest, bilinear,
+    cubic or cubic_spline)."""
 
     def __init__(
         self,
@@ -379,47 +380,38 @@ class RegridStage:
             # cell g of pair k maps to (row, col) = divmod(g - offs[k],
             # wwv[k]), identical ordering to the old meshgrid.ravel()
             sz = whv * wwv
-            total = int(sz.sum())
-            if total == 0:
-                continue
             offs = np.concatenate([[0], np.cumsum(sz)])
-            pair_of = np.repeat(np.arange(m, dtype=np.int64), sz)
-            lidx = np.arange(total, dtype=np.int64) - offs[pair_of]
-            wwp = wwv[pair_of]
-            rowp = lidx // wwp
-            colp = lidx - rowp * wwp
-            tx = tllx[pair_of] + (c0v[pair_of] + 0.5 + colp) * s
-            ty = (tlly[pair_of] + self.tile_size
-                  - (r0v[pair_of] + 0.5 + rowp) * s)
-            if not grid.planar:  # one vectorized call per continent
-                tx, ty = aeqd.inverse(cont, tx, ty)
-            src_of = idxs[pair_of]
-            u, v = grid.pixel(sx[src_of], sy[src_of], w[src_of], h[src_of], tx, ty)
-            for k, j in enumerate(idxs):
-                wh, ww = int(whv[k]), int(wwv[k])
-                if wh * ww == 0:
+            # consecutive pairs in passes of at most CHUNK_PX target
+            # pixels: the pixel-long arrays below stay bounded however
+            # many pairs the batch holds (every step is per pixel, so
+            # the split does not change a byte)
+            for lo, hi in _pixel_chunks(sz, CHUNK_PX):
+                base = offs[lo]
+                if offs[hi] == base:
                     continue
-                sl = slice(offs[k], offs[k + 1])
-                img = get_img(j)
-                nd = _nodata_as(self.nodata, img.dtype)
-                nb = 1 if img.ndim == 2 else img.shape[0]
-                img3 = img[None] if img.ndim == 2 else img
-                if self.resampling == "bilinear":
-                    out = _bilinear(img3, v[sl], u[sl], nd)
-                elif self.resampling in ("cubic", "cubic_spline"):
-                    out = _cubic(img3, v[sl], u[sl], nd,
-                                 spline=self.resampling == "cubic_spline")
-                elif self.resampling == "nearest":
-                    ui = np.rint(u[sl]).astype(np.int64)
-                    vi = np.rint(v[sl]).astype(np.int64)
-                    valid = (ui >= 0) & (ui < w[j]) & (vi >= 0) & (vi < h[j])
-                    out = np.full((nb, len(ui)), nd, dtype=img.dtype)
-                    out[:, valid] = img3[:, vi[valid], ui[valid]]
-                else:
-                    raise ValueError(
-                        f"unknown resampling {self.resampling!r} "
-                        "(nearest/bilinear/cubic/cubic_spline)")
-                pixels[j] = out.reshape(nb, wh, ww).tobytes()
+                pair_of = np.repeat(np.arange(lo, hi, dtype=np.int64), sz[lo:hi])
+                lidx = np.arange(base, offs[hi], dtype=np.int64) - offs[pair_of]
+                wwp = wwv[pair_of]
+                rowp = lidx // wwp
+                colp = lidx - rowp * wwp
+                tx = tllx[pair_of] + (c0v[pair_of] + 0.5 + colp) * s
+                ty = (tlly[pair_of] + self.tile_size
+                      - (r0v[pair_of] + 0.5 + rowp) * s)
+                if not grid.planar:  # one vectorized call per pass
+                    tx, ty = aeqd.inverse(cont, tx, ty)
+                src_of = idxs[pair_of]
+                u, v = grid.pixel(sx[src_of], sy[src_of], w[src_of], h[src_of], tx, ty)
+                for k in range(lo, hi):
+                    wh, ww = int(whv[k]), int(wwv[k])
+                    if wh * ww == 0:
+                        continue
+                    j = idxs[k]
+                    sl = slice(offs[k] - base, offs[k + 1] - base)
+                    img = get_img(j)
+                    img3 = img[None] if img.ndim == 2 else img
+                    out = _resample(img3, u[sl], v[sl],
+                                    _nodata_as(self.nodata, img.dtype), self.resampling)
+                    pixels[j] = out.reshape(len(img3), wh, ww).tobytes()
 
         cols = {
             "image_id": batch.column("image_id"),
@@ -442,6 +434,39 @@ class RegridStage:
             if meta in batch.column_names:
                 cols[meta] = batch.column(meta)
         return pa.table(cols)
+
+
+def _resample(img: np.ndarray, u: np.ndarray, v: np.ndarray, nodata,
+              method: str) -> np.ndarray:
+    """(bands, n) samples of ``img`` (bands, h, w) at the fractional
+    source pixels (u, v); nodata outside the footprint."""
+    if method == "bilinear":
+        return _bilinear(img, v, u, nodata)
+    if method in ("cubic", "cubic_spline"):
+        return _cubic(img, v, u, nodata, spline=method == "cubic_spline")
+    if method != "nearest":
+        raise ValueError(f"unknown resampling {method!r} "
+                         "(nearest/bilinear/cubic/cubic_spline)")
+    _, h, w = img.shape
+    ui = np.rint(u).astype(np.int64)
+    vi = np.rint(v).astype(np.int64)
+    valid = (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
+    out = np.full((len(img), len(ui)), nodata, dtype=img.dtype)
+    out[:, valid] = img[:, vi[valid], ui[valid]]
+    return out
+
+
+def _pixel_chunks(sz: np.ndarray, cap: int):
+    """``(lo, hi)`` ranges of consecutive pairs whose summed window
+    pixels ``sz`` stay within ``cap``; a larger single window forms its
+    own range."""
+    lo = acc = 0
+    for k, n in enumerate(sz.tolist()):
+        if acc + n > cap and k > lo:
+            yield lo, k
+            lo, acc = k, 0
+        acc += n
+    yield lo, len(sz)
 
 
 def _nodata_as(nodata, dt) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from equi7grid_ray import aeqd
-from equi7grid_ray.grid import GridSpec, full_names, tile_ll_from_xy
+from equi7grid_ray.grid import GridSpec, tile_ll_from_xy
 from equi7grid_ray.tiling_state import get_grid_state
 
 __all__ = ["BBoxTilesStage", "roi_tile_counts"]
@@ -35,13 +35,7 @@ class BBoxTilesStage:
         self.state = get_grid_state(self.spec)
         self.tiling = self.spec.tiling_name(tiling_id)
         self.tile_size = self.spec.tile_size(tiling_id)
-        self.continents = self.spec.continents()
-        self.zone_cols = [self.state.zc.order.index(c) for c in self.continents]
-        self._tilings = {c: self.state.tiles(c, self.tiling) for c in self.continents}
-        self._names = {
-            c: full_names(c, ct.ll_x, ct.ll_y, self.tiling)
-            for c, ct in self._tilings.items()
-        }
+        self.index = self.state.tile_index(self.tiling)
         self.k = probes_per_axis
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -51,9 +45,9 @@ class BBoxTilesStage:
         lon1 = batch.column("lon_max").to_numpy(zero_copy_only=False)
         lat1 = batch.column("lat_max").to_numpy(zero_copy_only=False)
 
+        index = self.index
         out_row: list[np.ndarray] = []
         out_tidx: list[np.ndarray] = []
-        out_cont: list[str] = []
 
         # per-ROW probe density: one batch-wide k keyed off the largest
         # bbox over-probes mixed batches 25x (a 16x16 grid for every
@@ -79,22 +73,20 @@ class BBoxTilesStage:
             member = self.state.zc.classify(pl.ravel(), pb.ravel()).reshape(
                 k * k, len(sub), -1
             )
-            for cont, zc_col in zip(self.continents, self.zone_cols):
+            for rank, (cont, zc_col) in enumerate(zip(index.continents, index.zone_cols)):
                 m = member[:, :, zc_col]
                 if not m.any():
                     continue
                 pr, rows = np.nonzero(m)
                 x, y = aeqd.forward(cont, pl[pr, rows], pb[pr, rows])
                 llx, lly = tile_ll_from_xy(x, y, self.tile_size)
-                ct = self._tilings[cont]
-                pos = ct.lookup(llx, lly)
+                pos = index.locate(rank, llx, lly)
                 ok = pos >= 0
                 grows = sub[rows[ok]]  # back to batch row ids
                 key = grows * np.int64(1 << 32) + pos[ok]
                 _, uniq = np.unique(key, return_index=True)
                 out_row.append(grows[uniq])
                 out_tidx.append(pos[ok][uniq])
-                out_cont.append(cont)
 
         if not out_row:
             return pa.table({
@@ -103,16 +95,12 @@ class BBoxTilesStage:
                 "tile": pa.array([], pa.string()),
             })
         rows = np.concatenate(out_row)
-        tiles = np.concatenate(
-            [self._names[c][ix] for c, ix in zip(out_cont, out_tidx)]
-        )
-        conts = np.concatenate(
-            [np.full(len(ix), c, "U2") for c, ix in zip(out_cont, out_tidx)]
-        )
+        tidx = np.concatenate(out_tidx)
+        conts = np.asarray(index.continents, "U2")[index.rank[tidx]]
         return pa.table({
             "roi_id": batch.column("roi_id").take(pa.array(rows)),
             "continent": pa.array(conts),
-            "tile": pa.array(tiles),
+            "tile": pa.array(index.names[tidx]),
         })
 
 

@@ -5,8 +5,8 @@
   merged with a small sort+limit -- the baseline ANN path.
 - LSH-bucketed variant (random hyperplanes): the scale path -- buckets
   become the shuffle key, only same-bucket candidates are scored.
-- per-partition KD-tree (KDTreeIndex) for kNN nearest-tile queries over
-  tile centroids (north-rule component; numpy implementation).
+- exact kNN nearest-tile queries over tile centroids (``KDTree``: a
+  blocked brute-force distance scan per continent).
 """
 
 from __future__ import annotations
@@ -107,28 +107,12 @@ class HyperplaneLSH:
 
 
 class KDTree:
-    """Minimal numpy KD-tree (2D) with vectorized batched kNN queries;
-    state for the per-partition nearest-tile stage."""
+    """Exact 2-D kNN over a fixed point set by blocked brute force (no
+    tree is built; see :meth:`query`): the state of the nearest-tile
+    stage."""
 
-    def __init__(self, points: np.ndarray, leaf_size: int = 32):
+    def __init__(self, points: np.ndarray):
         self.pts = np.asarray(points, dtype=np.float64)
-        n = len(self.pts)
-        self.idx = np.arange(n)
-        # build implicit tree: recursively sorted index ranges
-        self.nodes: list[tuple[int, int, int, float]] = []  # (lo, hi, axis, split)
-        self._build(0, n, 0)
-        self.leaf_size = leaf_size
-
-    def _build(self, lo: int, hi: int, depth: int) -> None:
-        if hi - lo <= 32:
-            return
-        axis = depth % 2
-        seg = self.idx[lo:hi]
-        order = np.argsort(self.pts[seg, axis], kind="stable")
-        self.idx[lo:hi] = seg[order]
-        mid = (lo + hi) // 2
-        self._build(lo, mid, depth + 1)
-        self._build(mid, hi, depth + 1)
 
     def query(self, q: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Batched kNN by blocked brute force over the (small) point set --
@@ -155,23 +139,18 @@ class KDTree:
 
 class knn_tiles:
     """Stateful stage: k nearest tiles (by centroid distance in the
-    continental plane) for each projected point row.  KD-tree over tile
-    centroids built once per actor per continent."""
+    continental plane) for each projected point row.  A kNN index over
+    the tile centroids of each continent, built once per actor."""
 
     def __init__(self, k: int = 3, tiling_id: str = "T6"):
-        from equi7grid_ray.grid import GridSpec, full_names
         from equi7grid_ray.tiling_state import get_grid_state
 
         self.k = k
-        spec = GridSpec.standard()
-        state = get_grid_state(spec)
+        self.index = get_grid_state().tile_index(tiling_id)
         self.trees = {}
-        self.names = {}
-        for c in spec.continents():
-            ct = state.tiles(c, tiling_id)
+        for c, ct in self.index.tilings.items():
             cent = np.column_stack([ct.ll_x + ct.tile_size / 2, ct.ll_y + ct.tile_size / 2])
             self.trees[c] = KDTree(cent)
-            self.names[c] = full_names(c, ct.ll_x, ct.ll_y, tiling_id)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from equi7grid_ray.arrowutil import continent_codes
@@ -189,7 +168,7 @@ class knn_tiles:
             kk = d.shape[1]
             out_id.append(np.repeat(rows, kk))
             out_rank.append(np.tile(np.arange(kk, dtype=np.int32), len(rows)))
-            out_tile.append(self.names[c][i.ravel()])
+            out_tile.append(self.index.continent_names(c, i.ravel()))
             out_dist.append(d.ravel())
         rows = np.concatenate(out_id) if out_id else np.empty(0, np.int64)
         return pa.table(

@@ -175,27 +175,12 @@ class TileAssigner:
         # against a shared memory bus at full-machine concurrency.
         self.emit_id = emit_id
         self.passthrough = passthrough
-        self.continents = self.spec.continents()
-        self.zone_cols = [self.state.zc.order.index(c) for c in self.continents]
-        self._tilings = {c: self.state.tiles(c, self.tiling) for c in self.continents}
-        # precomputed full-name table per continent: the per-row "codec"
-        # becomes an indexed gather instead of string formatting
-        self._names = {
-            c: full_names(c, ct.ll_x, ct.ll_y, self.tiling)
-            for c, ct in self._tilings.items()
-        }
-        # global dictionary for dictionary-encoded output (index gather
-        # replaces any per-row string work)
-        self._dict_offsets = {}
-        off = 0
-        parts = []
-        for c in self.continents:
-            self._dict_offsets[c] = off
-            parts.append(self._names[c])
-            off += len(self._names[c])
-        self._dict_values = pa.array(
-            np.concatenate(parts) if parts else np.empty(0, dtype="U16")
-        )
+        # the tiling's tile set, name dictionary and zone bits: output
+        # tiles are dictionary-encoded over ``index.names`` (an index
+        # gather replaces any per-row string work)
+        self.index = self.state.tile_index(self.tiling)
+        self.continents = self.index.continents
+        self._dict_values = pa.array(self.index.names)
         self._cont_values = pa.array(np.asarray(self.continents, dtype="U2"))
         # forward projectors: gridded bicubic interpolation of the exact
         # AEQD forward per non-polar zone (max error < 1e-3 m, two-plus
@@ -209,14 +194,6 @@ class TileAssigner:
             self._proj = build_zone_projectors(
                 self.state.zc.polys, self.continents
             )
-        # per dictionary entry: continent rank and covers_land, each with
-        # a trailing entry for "no tile" (rank -1, no land)
-        sizes = [len(self._names[c]) for c in self.continents]
-        self._rank_of = np.append(
-            np.repeat(np.arange(len(sizes), dtype=np.int8), sizes), np.int8(-1))
-        self._land_of = np.concatenate(
-            [self._tilings[c].covers_land for c in self.continents] + [[False]]
-        ).astype(bool)
         # cell -> tile table: emit_xy=False rows in a cell that lies in one
         # zone and one tile skip classify/project/floor/lookup
         self._cell_table = None
@@ -229,25 +206,20 @@ class TileAssigner:
             return proj(lon, lat)
         return aeqd.forward(cont, lon, lat)
 
-    def _locate(self, cont: str, ll_x, ll_y) -> np.ndarray:
-        """Dictionary index of each tile corner of ``cont``, -1 for a
-        corner outside its tile set."""
-        pos = self._tilings[cont].lookup(ll_x, ll_y)
-        return np.where(pos >= 0, pos + self._dict_offsets[cont], -1)
-
     def table_zones(self) -> list:
         """``(zone bit, project, locate)`` per continent: the input of
         ``ZoneClassifier.build_cell_tile_table`` for this assigner."""
+        index = self.index
         return [
             (1 << col, functools.partial(self._project, cont),
-             functools.partial(self._locate, cont))
-            for cont, col in zip(self.continents, self.zone_cols)
+             functools.partial(index.locate, rank))
+            for rank, (cont, col) in enumerate(zip(index.continents, index.zone_cols))
         ]
 
     def _load_cell_table(self) -> np.ndarray | None:
         zc = self.state.zc
         key = json.dumps([self.tiling, self.tile_size, zc.order, self.continents,
-                          self._dict_values.to_pylist()]).encode()
+                          self.index.names.tolist()]).encode()
         return zc.cell_tile_table(
             self.tiling, key,
             lambda: zc.build_cell_tile_table(self.table_zones(), self.tile_size))
@@ -287,7 +259,7 @@ class TileAssigner:
             hit = np.where(valid, table.take(cell), -1)
             fb = np.flatnonzero(hit < 0)
             bits = zc.classify_bits(lon[fb], lat[fb])
-            hit_rank = self._rank_of.take(hit)  # -1 -> trailing "no tile"
+            hit_rank = self.index.rank.take(hit)  # -1 -> trailing "no tile"
             tid = hit.astype(np.int32)
 
         emit_xy = self.emit_xy
@@ -301,7 +273,8 @@ class TileAssigner:
         n_out = 0
         miss_pos: list[np.ndarray] = []
         miss_names: list[np.ndarray] = []
-        for rank, (cont, zc_col) in enumerate(zip(self.continents, self.zone_cols)):
+        index = self.index
+        for rank, (cont, zc_col) in enumerate(zip(index.continents, index.zone_cols)):
             rows = np.flatnonzero(bits & np.uint8(1 << zc_col))
             if fb is not None:
                 rows = fb[rows]
@@ -309,9 +282,8 @@ class TileAssigner:
             if len(rows):
                 x, y = self._project(cont, lon[rows], lat[rows])
                 llx, lly = tile_ll_from_xy(x, y, self.tile_size)
-                pos = self._tilings[cont].lookup(llx, lly)
-                tidx = np.maximum(pos, 0).astype(np.int32) + np.int32(self._dict_offsets[cont])
-                miss = pos < 0
+                tidx = index.locate(rank, llx, lly).astype(np.int32)
+                miss = tidx < 0  # rewritten below with the appended names
                 if miss.any():  # zone-edge float cases: format those few names
                     miss_rows = rows[miss]
                     miss_names.append(full_names(cont, llx[miss], lly[miss], self.tiling))
@@ -364,7 +336,7 @@ class TileAssigner:
                 [dict_values, pa.array(uniq.tolist(), pa.string())]
             )
         # an appended (out-of-table) name clips to the trailing "no land"
-        land = self._land_of.take(tidx, mode="clip")
+        land = index.covers_land.take(tidx, mode="clip")
         tile_col = pa.DictionaryArray.from_arrays(pa.array(tidx), dict_values)
         cont_col = pa.DictionaryArray.from_arrays(
             pa.array(rank.astype(np.int32)), self._cont_values

@@ -27,6 +27,16 @@ densified boundary sample of R lands in T while inside the zone (catches
 R smaller than the sample spacing).  All tests are vectorized numpy;
 state is built once per process and cached on disk, so Ray workers doing
 ``map_batches`` reuse it via a module-level singleton.
+
+Above the per-continent tilings, each tiling of a GridSpec has one
+:class:`TileIndex` (``GridState.tile_index``): the continents in spec
+order with their zone bits, the global tile-name dictionary
+(continent-major, (ll_x, ll_y) order within a continent) with each
+continent's offset, the continent rank and ``covers_land`` of every
+entry, and ``locate`` from a tile corner to its dictionary index.  Tile
+assignment (and its cell -> tile table), the batched ROI search, pair
+expansion, kNN tiles, the ROI functions and the tile inventory export
+all read their tiles and names from it; none builds names itself.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ import numpy as np
 
 from equi7grid_ray import aeqd
 from equi7grid_ray.constants import CONTINENTS, DEF_SEG_LEN_DEG
-from equi7grid_ray.grid import GridSpec
+from equi7grid_ray.grid import GridSpec, full_names
 from equi7grid_ray.zones import GeoPolygon, get_zone_classifier
 from equi7grid_ray.sources.zone_build import ZONES_NPZ, load_zone_rings
 
@@ -152,7 +162,13 @@ def _rect_poly_intersects(poly: GeoPolygon, rx0, ry0, rx1, ry1) -> bool:
         m = (xy[:, 0] >= rx0) & (xy[:, 0] <= rx1) & (xy[:, 1] >= ry0) & (xy[:, 1] <= ry1)
         if m.any():
             return True
-    # edge crossing rect (Liang-Barsky accept), restricted to nearby edges
+    return _edges_cross_rect(poly, rx0, ry0, rx1, ry1)
+
+
+def _edges_cross_rect(poly: GeoPolygon, rx0, ry0, rx1, ry1, *, strict: bool = False) -> bool:
+    """Any polygon-ring edge meeting the rectangle (Liang-Barsky clip
+    accept over the edges whose bbox touches it).  ``strict`` asks for a
+    clipped piece of positive length (``t0 < t1``), not just a point."""
     x1, y1, x2, y2 = poly.x1, poly.y1, poly.x2, poly.y2
     bb = (
         (np.minimum(x1, x2) <= rx1)
@@ -179,7 +195,7 @@ def _rect_poly_intersects(poly: GeoPolygon, rx0, ry0, rx1, ry1) -> bool:
             r = np.where(zero, 0.0, q / np.where(p == 0, 1.0, p))
         t0 = np.where(~zero & (p < 0), np.maximum(t0, r), t0)
         t1 = np.where(~zero & (p > 0), np.minimum(t1, r), t1)
-    return bool((ok & (t0 <= t1)).any())
+    return bool((ok & ((t0 < t1) if strict else (t0 <= t1))).any())
 
 
 def _build_continent_tiling(
@@ -347,6 +363,52 @@ def _build_continent_tiling(
     )
 
 
+class TileIndex:
+    """The tile set of one (GridSpec, tiling), declared once: which tiles
+    exist, the dictionary index and name of each, and each continent's
+    zone bit.  Tile assignment, ROI search, expansion, kNN and export
+    all read it; :meth:`GridState.tile_index` builds it on first use.
+
+    - ``continents``: the spec's continents in order; ``zone_cols[r]``
+      is the zone bit (``ZoneClassifier.classify`` column) of continent
+      rank ``r``, ``tilings[c]`` its :class:`ContinentTiling`;
+    - ``names``: the global name dictionary, continent-major and in
+      (ll_x, ll_y) order within a continent; ``offsets[c]`` is the
+      index of continent ``c``'s first tile in it;
+    - ``rank`` and ``covers_land``: per dictionary entry, each with a
+      trailing "no tile" entry (rank -1, no land) that index -1 reads.
+    """
+
+    def __init__(self, state: GridState, tiling: str):
+        spec = state.spec
+        self.tiling = tiling
+        self.tile_size = spec.tile_size(tiling)
+        self.continents = spec.continents()
+        self.zone_cols = [state.zc.order.index(c) for c in self.continents]
+        self.tilings = {c: state.tiles(c, tiling) for c in self.continents}
+        names = [full_names(c, ct.ll_x, ct.ll_y, tiling) for c, ct in self.tilings.items()]
+        sizes = [len(nm) for nm in names]
+        self.offsets = dict(zip(self.continents, np.cumsum([0] + sizes[:-1]).tolist()))
+        self.names = np.concatenate(names) if names else np.empty(0, dtype="U16")
+        self.rank = np.append(
+            np.repeat(np.arange(len(sizes), dtype=np.int8), sizes), np.int8(-1))
+        self.covers_land = np.concatenate(
+            [ct.covers_land for ct in self.tilings.values()] + [[False]]).astype(bool)
+
+    def locate(self, rank: int, ll_x, ll_y) -> np.ndarray:
+        """Dictionary index of each tile corner of continent ``rank``, -1
+        for a corner outside its tile set."""
+        cont = self.continents[rank]
+        pos = self.tilings[cont].lookup(ll_x, ll_y)
+        return np.where(pos >= 0, pos + self.offsets[cont], -1)
+
+    def continent_names(self, continent: str, sel=slice(None)) -> np.ndarray:
+        """Names of ``continent``'s tiles; ``sel`` picks positions in its
+        tile arrays."""
+        off = self.offsets[continent]
+        return self.names[off : off + len(self.tilings[continent].ll_x)][sel]
+
+
 # ---------------------------------------------------------------------------
 # GridState: the broadcastable, process-cached bundle
 # ---------------------------------------------------------------------------
@@ -363,6 +425,7 @@ class GridState:
         self.zc = get_zone_classifier(buffered=spec.buffered)
         self._proj_zones: dict[str, ProjZone] = {}
         self._tilings: dict[tuple[str, str], ContinentTiling] = {}
+        self._tile_indexes: dict[str, TileIndex] = {}
         from equi7grid_ray.land import get_land_polygon
 
         self._land = get_land_polygon()
@@ -411,6 +474,13 @@ class GridState:
             )
         self._tilings[key] = ct
         return ct
+
+    def tile_index(self, tiling_id: int | str) -> TileIndex:
+        """The :class:`TileIndex` of one tiling, built on first use."""
+        tiling = self.spec.tiling_name(tiling_id)
+        if tiling not in self._tile_indexes:
+            self._tile_indexes[tiling] = TileIndex(self, tiling)
+        return self._tile_indexes[tiling]
 
 
 _states: dict[tuple, GridState] = {}

@@ -118,7 +118,7 @@ def test_points_a_millimetre_either_side_of_tile_edges(tiling, t6):
     frac = (np.arange(4) + 0.5) / 4
     lons, lats, ranks = [], [], []
     for rank, cont in enumerate(ta.continents):
-        ct = ta._tilings[cont]
+        ct = ta.index.tilings[cont]
         for (ex, ey), (nx, ny) in ((((0, 1), (0, 0)), (1, 0)),
                                    (((0, 0), (0, 1)), (0, 1))):
             # points along the west (south) edge of every tile
@@ -134,7 +134,7 @@ def test_points_a_millimetre_either_side_of_tile_edges(tiling, t6):
     keep = valid & near.ravel()[cell]
     assert keep.sum() > 1000
     lon, lat, rank = lon[keep], lat[keep], rank[keep]
-    assert (ta._rank_of[_table_rows(ta, lon, lat)] != rank).all()
+    assert (ta.index.rank[_table_rows(ta, lon, lat)] != rank).all()
     _assert_paths_agree(assigners, _batch(lon, lat), exact=False)
 
 
@@ -150,13 +150,13 @@ def _lattice_check(ta, cells: np.ndarray, k: int = 21, chunk: int = 2_000):
         lon = (-180.0 + 0.1 * (q[:, None] + fl[None, :])).ravel()
         lat = (-90.0 + 0.1 * (r[:, None] + fp[None, :])).ravel()
         want = np.repeat(table[c], k * k)
-        rank = ta._rank_of[want]
+        rank = ta.index.rank[want]
         for ri, cont in enumerate(ta.continents):
             m = rank == ri
             if not m.any():
                 continue
             x, y = ta._project(cont, lon[m], lat[m])
-            got = ta._locate(cont, *tile_ll_from_xy(x, y, ta.tile_size))
+            got = ta.index.locate(ri, *tile_ll_from_xy(x, y, ta.tile_size))
             np.testing.assert_array_equal(got, want[m])
 
 

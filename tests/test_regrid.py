@@ -553,3 +553,33 @@ def test_expand_rejects_equi7_source(tmp_path):
     assert not (tmp_path / "out").exists()
     # the plane source itself still regrids, from pairs its caller built
     RegridStage(src_crs="equi7", src_res=1000.0)
+
+
+@pytest.mark.parametrize("cap", [2_000, 300])
+def test_regrid_passes_bounded_and_byte_identical(monkeypatch, cap):
+    """RegridStage inverse-projects a continent's target pixels in
+    passes of at most ``CHUNK_PX`` summed pixels (one larger window is a
+    pass of its own); the output bytes equal an unsplit run."""
+    from equi7grid_ray.stages import regrid
+
+    pairs = ExpandTilePairs(src_crs="webmercator", src_res=150.0)(make_batch(0, 40))
+    stage = RegridStage(src_crs="webmercator", src_res=150.0, resampling="bilinear")
+    monkeypatch.setattr(regrid, "CHUNK_PX", 1 << 40)
+    whole = stage(pairs)
+    sizes = []
+    inverse = aeqd.inverse
+
+    def recorded(cont, x, y):
+        sizes.append(np.size(x))
+        return inverse(cont, x, y)
+
+    monkeypatch.setattr(aeqd, "inverse", recorded)
+    monkeypatch.setattr(regrid, "CHUNK_PX", cap)
+    split = stage(pairs)
+    assert split.equals(whole)
+    assert split.column("pixels").to_pylist() == whole.column("pixels").to_pylist()
+    npx = (np.asarray(whole.column("win_h"), np.int64)
+           * np.asarray(whole.column("win_w"), np.int64))
+    assert sum(sizes) == npx.sum()
+    assert len(sizes) > len(set(pairs.column("continent").to_pylist()))
+    assert max(sizes) <= max(cap, npx.max())
