@@ -610,19 +610,17 @@ def q_user_gap_quantiles(sf_dir: str):
     """Per-user inter-event-gap quantiles (exact, quantile_disc rule,
     dyadic q): lag-gap derivation per user partition, then the exact
     grouped-quantile fold."""
-    from equi7grid_ray.stages.aggregate import _key_parts
+    from equi7grid_ray.stages.aggregate import cogroup
     from equi7grid_ray.stages.quantiles import grouped_quantiles
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "user_id": batch.column("user_id").cast(pa.int64()),
             "event_id": batch.column("event_id").cast(pa.int64()),
             "tsu": pc.cast(batch.column("ts"), pa.int64()),
         })
-        return t.append_column(
-            "__part", pa.array(_key_parts(t, ["user_id"], 16)))
 
     def gaps(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "tsu", "event_id"], kind="stable")
@@ -635,9 +633,8 @@ def q_user_gap_quantiles(sf_dir: str):
         return pd.DataFrame({"user_id": u[same],
                              "gap_us": gap[same].astype(np.int64)})
 
-    gds = (ev.map_batches(prep, batch_format="pyarrow")
-           .groupby("__part")
-           .map_groups(gaps, batch_format="pandas"))
+    gds = cogroup(ev.map_batches(prep, batch_format="pyarrow"), ["user_id"],
+                  gaps, n_partitions=16)
     return grouped_quantiles(gds, col="gap_us", qs=(0.25, 0.5, 0.75),
                              keys=["user_id"])
 
@@ -1203,7 +1200,7 @@ def q_dedup_report(sf_dir: str):
     flags ride one (hash, id, source) cogroup; near flags probe the
     broadcast component table; per-source partials fold in one keyed
     aggregate."""
-    from equi7grid_ray.stages.aggregate import _key_parts, hash_aggregate
+    from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
     from equi7grid_ray.stages.dedup import (_column_bytes,
                                             hash_bytes_offsets,
                                             lsh_candidate_pairs)
@@ -1244,13 +1241,11 @@ def q_dedup_report(sf_dir: str):
 
     def hash_rows(batch: pa.Table) -> pa.Table:
         flat, offs = _column_bytes(batch.column("text"))
-        t = pa.table({
+        return pa.table({
             "h": pa.array(hash_bytes_offsets(flat, offs), pa.int64()),
             "doc_id": batch.column("doc_id").cast(pa.int64()),
             "source": batch.column("source"),
         })
-        return t.append_column("__part",
-                               pa.array(_key_parts(t, ["h"], 32)))
 
     def exact_partials(g: pd.DataFrame) -> pd.DataFrame:
         extra = g["doc_id"] != g.groupby("h")["doc_id"].transform("min")
@@ -1264,9 +1259,8 @@ def q_dedup_report(sf_dir: str):
     near = ds.map_batches(near_partials, batch_format="pyarrow") \
         .select_columns(["source", "n_docs", "n_near_extra",
                          "n_exact_extra"])
-    exact = ds.map_batches(hash_rows, batch_format="pyarrow") \
-        .groupby("__part") \
-        .map_groups(exact_partials, batch_format="pandas")
+    exact = cogroup(ds.map_batches(hash_rows, batch_format="pyarrow"), ["h"],
+                    exact_partials, n_partitions=32)
     agg = hash_aggregate(
         near.union(exact), keys=["source"],
         aggs={"n_docs": ("n_docs", "sum"),
@@ -2774,7 +2768,7 @@ def q_events_hourly_distinct(sf_dir: str):
             "n_users": batch.column("n_users"),
         })
 
-    from equi7grid_ray.stages.join import _add_part_fn
+    from equi7grid_ray.stages.aggregate import cogroup
 
     def resolve(g):
         # one pass per w-partition: cross-batch distinct + count per w
@@ -2784,13 +2778,9 @@ def q_events_hourly_distinct(sf_dir: str):
         import pandas as pd
         return pd.DataFrame({"w": w, "n_users": n.astype(np.int64)})
 
-    return (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .map_batches(_add_part_fn("w", 32), batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(resolve, batch_format="pandas")
+    return cogroup(ds.map_batches(pairs, batch_format="pyarrow"), ["w"],
+                   resolve, n_partitions=32) \
         .map_batches(to_ts, batch_format="pyarrow")
-    )
 
 
 def q_lineitem_skyline(sf_dir: str):
@@ -3383,22 +3373,20 @@ def q_priority_transitions(sf_dir: str):
     (o_orderdate, o_orderkey) emit (prev, cur) transitions, counted
     globally.  One customer-hash partition + vectorized shift per
     partition; lag() window mirror."""
-    from equi7grid_ray.stages.aggregate import _key_parts, hash_aggregate
+    from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
 
     ods = _read(sf_dir, "orders",
                 ["o_custkey", "o_orderkey", "o_orderdate",
                  "o_orderpriority"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "ck": batch.column("o_custkey").cast(pa.int64()),
             "ok": batch.column("o_orderkey").cast(pa.int64()),
             "ts": pc.cast(pc.cast(batch.column("o_orderdate"),
                                   pa.timestamp("us")), pa.int64()),
             "pr": batch.column("o_orderpriority"),
         })
-        return t.append_column(
-            "__part", pa.array(_key_parts(t, ["ck"], 32)))
 
     def trans(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["ck", "ts", "ok"], kind="stable")
@@ -3418,9 +3406,8 @@ def q_priority_transitions(sf_dir: str):
             "one": np.ones(int(keep.sum()), np.int64),
         })
 
-    parted = ods.map_batches(prep, batch_format="pyarrow")
-    pairs = parted.groupby("__part").map_groups(trans,
-                                                batch_format="pandas")
+    pairs = cogroup(ods.map_batches(prep, batch_format="pyarrow"), ["ck"],
+                    trans, n_partitions=32)
     return hash_aggregate(
         pairs, keys=["prev_priority", "priority"],
         aggs={"n": ("one", "sum")}, n_partitions=8)
@@ -3739,7 +3726,7 @@ def q_events_asof_click(sf_dir: str):
     purchases = ev.map_batches(prep("purchase", None), batch_format="pyarrow")
     clicks = ev.map_batches(prep("click", "click_ts_us"), batch_format="pyarrow")
     j = asof_join(purchases, clicks, on="ts_us", by="user_id",
-                  direction="backward", n_partitions=16)
+                  direction="backward")
 
     def post(batch: pa.Table) -> pa.Table:
         click = batch.column("click_ts_us")
@@ -4414,23 +4401,11 @@ def q_source_checksums(sf_dir: str):
         lambda b: wrap_sum(b, "fp", None, "psum", "pn"),
         batch_format="pyarrow")
 
-    from equi7grid_ray.stages.aggregate import _key_parts
+    from equi7grid_ray.stages.aggregate import cogroup
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__part", pa.array(_key_parts(batch, ["source"], 8)))
-
-    def resolve(batch: pa.Table) -> pa.Table:
-        return wrap_sum(batch, "psum", "pn", "csum", "n_docs")
-
-    return (
-        parts.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(lambda g: resolve(
-            pa.Table.from_pandas(g.drop(columns="__part"),
-                                 preserve_index=False)).to_pandas(),
-                    batch_format="pandas")
-    )
+    return cogroup(parts, ["source"],
+                   lambda t: wrap_sum(t, "psum", "pn", "csum", "n_docs"),
+                   n_partitions=8, batch_format="pyarrow")
 
 
 def q_tile_gaps(sf_dir: str):
@@ -4500,18 +4475,16 @@ def q_late_events(sf_dir: str):
     mirror."""
     import pandas as pd
 
-    from equi7grid_ray.stages.aggregate import _key_parts
+    from equi7grid_ray.stages.aggregate import cogroup
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "user_id": batch.column("user_id").cast(pa.int64()),
             "event_id": batch.column("event_id").cast(pa.int64()),
             "tsu": pc.cast(batch.column("ts"), pa.int64()),
         })
-        return t.append_column(
-            "__part", pa.array(_key_parts(t, ["user_id"], 16)))
 
     def late(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "event_id"], kind="stable")
@@ -4524,12 +4497,8 @@ def q_late_events(sf_dir: str):
             n_late=("lateness", lambda s: int((s > _LATE_D_US).sum())),
             max_late_us=("lateness", "max"))
 
-    return (
-        ev.map_batches(prep, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(lambda g: late(g.drop(columns="__part")),
-                    batch_format="pandas")
-    )
+    return cogroup(ev.map_batches(prep, batch_format="pyarrow"), ["user_id"],
+                   late, n_partitions=16)
 
 
 _STAY_R2 = 40_000           # 200-unit stay radius, squared (no sqrt)
@@ -6045,20 +6014,18 @@ def q_events_debounce(sf_dir: str):
     bursts; keep = first of burst) -- the duplicate-click filter every
     event pipeline runs.  One keyed partition pass; lag() SQL
     mirror."""
-    from equi7grid_ray.stages.aggregate import _key_parts, hash_aggregate
+    from equi7grid_ray.stages.aggregate import cogroup
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts",
                                   "event_type"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        out = pa.table({
+        return pa.table({
             "user_id": batch.column("user_id").cast(pa.int64()),
             "event_type": batch.column("event_type"),
             "ts_us": batch.column("ts").cast(pa.int64()),
             "event_id": batch.column("event_id").cast(pa.int64()),
         })
-        part = _key_parts(out, ["user_id"], 32)
-        return out.append_column("__part", pa.array(part, pa.int32()))
 
     def bursts(g: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd
@@ -6077,8 +6044,8 @@ def q_events_debounce(sf_dir: str):
             .agg(n_events=("kept", "size"), n_kept=("kept", "sum")) \
             .astype({"n_events": np.int64, "n_kept": np.int64})
 
-    return (ds.map_batches(prep, batch_format="pyarrow")
-            .groupby("__part").map_groups(bursts, batch_format="pandas"))
+    return cogroup(ds.map_batches(prep, batch_format="pyarrow"), ["user_id"],
+                   bursts, n_partitions=32)
 
 
 def q_edge_distance(sf_dir: str):
@@ -6242,19 +6209,17 @@ def q_reactivations(sf_dir: str):
     order gaps longer than 60 days and the longest gap (days, trunc)
     -- the winback-campaign input.  One keyed partition pass; lag()
     SQL mirror."""
-    from equi7grid_ray.stages.aggregate import _key_parts
+    from equi7grid_ray.stages.aggregate import cogroup
 
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderkey",
                                   "o_orderdate"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        out = pa.table({
+        return pa.table({
             "ckey": batch.column("o_custkey").cast(pa.int64()),
             "okey": batch.column("o_orderkey").cast(pa.int64()),
             "t": batch.column("o_orderdate").cast(pa.int64()),
         })
-        return out.append_column(
-            "__part", pa.array(_key_parts(out, ["ckey"], 16), pa.int32()))
 
     def gaps(g: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd
@@ -6274,8 +6239,8 @@ def q_reactivations(sf_dir: str):
         ).astype({"n_orders": np.int64, "n_reactivations": np.int64,
                   "max_gap_days": np.int64})
 
-    return (ds.map_batches(prep, batch_format="pyarrow")
-            .groupby("__part").map_groups(gaps, batch_format="pandas"))
+    return cogroup(ds.map_batches(prep, batch_format="pyarrow"), ["ckey"],
+                   gaps, n_partitions=16)
 
 
 def q_k_anonymity(sf_dir: str):
@@ -6581,7 +6546,7 @@ def q_order_attribution(sf_dir: str):
 
     j = asof_join(ev.map_batches(prep_e, batch_format="pyarrow"),
                   ded, on="t", by="uid", direction="backward",
-                  allow_exact_matches=False, n_partitions=16)
+                  allow_exact_matches=False)
 
     names = np.array(PRIOS + ["?", "?", "none"])
 

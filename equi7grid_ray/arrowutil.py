@@ -6,7 +6,7 @@ import numpy as np
 import pyarrow as pa
 
 __all__ = ["binary_view", "continent_codes", "collect_tables",
-           "single_group", "hash_partition"]
+           "single_group"]
 
 
 def binary_view(col) -> tuple[memoryview, np.ndarray]:
@@ -86,26 +86,11 @@ def collect_tables(ds, schema: "pa.Schema | None" = None) -> pa.Table:
 def single_group(ds, fn, out_cols: list[str], *,
                  batch_format: str = "pandas"):
     """Run ``fn`` once over ALL rows of ``ds`` (a whole-dataset
-    reduction): append a constant group key, groupby it, map_groups,
-    project to ``out_cols`` (passed explicitly so no schema inference
-    executes the plan early).  ``ds`` must already be reduced to a
-    bounded size (partials)."""
-    tagged = ds.map_batches(
-        lambda t: t.append_column(
-            "__g", pa.array(np.zeros(t.num_rows, np.int8))),
-        batch_format="pyarrow",
-    )
-    grouped = tagged.groupby("__g").map_groups(fn, batch_format=batch_format)
-    return grouped.select_columns(out_cols)
+    reduction): a cogroup with no key and one partition, projected to
+    ``out_cols`` (passed explicitly so no schema inference executes the
+    plan early).  ``ds`` must already be reduced to a bounded size
+    (partials)."""
+    from equi7grid_ray.stages.aggregate import cogroup
 
-
-def hash_partition(keys, n_partitions: int):
-    """Deterministic partition ids for int64 keys: splitmix64 finalizer
-    then modulo.  The ONE shared implementation of the hash-partition
-    idiom (graph/pack/rank/neighbors/chunk-dedup cogroups)."""
-    import numpy as np
-
-    from equi7grid_ray.stages.dedup import _mix64
-
-    k = np.asarray(keys).astype(np.int64).view(np.uint64)
-    return (_mix64(k) % np.uint64(n_partitions)).astype(np.int32)
+    return cogroup(ds, [], fn, n_partitions=1,
+                   batch_format=batch_format).select_columns(out_cols)

@@ -23,15 +23,13 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from equi7grid_ray.stages.aggregate import hash_aggregate
-from equi7grid_ray.stages.join import _add_part_fn
+from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
 
 __all__ = ["pair_affinity"]
 
 
 def pair_affinity(ds, *, basket_col: str, item_col: str,
-                  min_support: int = 2, lift_q: int = 10**6,
-                  n_partitions: int = 64):
+                  min_support: int = 2, lift_q: int = 10**6):
     """All item pairs (a < b) co-occurring in >= ``min_support``
     distinct baskets, with exact Q-scaled lift.  Duplicate items
     within a basket count once.  Output:
@@ -39,9 +37,6 @@ def pair_affinity(ds, *, basket_col: str, item_col: str,
         item_a, item_b, support, lift_q
     """
     import ray
-
-    parted = ds.map_batches(_add_part_fn(basket_col, n_partitions),
-                            batch_format="pyarrow")
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         d = g[[basket_col, item_col]].drop_duplicates()
@@ -70,9 +65,9 @@ def pair_affinity(ds, *, basket_col: str, item_col: str,
                              "support": np.ones(len(a_idx), np.int64)})
 
     sup = hash_aggregate(
-        parted.groupby("__part").map_groups(pairs, batch_format="pandas"),
+        cogroup(ds, [basket_col], pairs, n_partitions=64),
         keys=["item_a", "item_b"], aggs={"support": ("support", "sum")},
-        n_partitions=max(8, n_partitions // 4))
+        n_partitions=16)
 
     def dedup_items(batch: pa.Table) -> pa.Table:
         d = pa.table({

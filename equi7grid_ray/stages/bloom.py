@@ -116,8 +116,7 @@ def build_bloom(ds, on: str, *, fpp: float = 0.001,
     return BloomFilter(words, m, k)
 
 
-def bloom_semi_join(big, small, *, on: str, fpp: float = 0.001,
-                    n_partitions: int = 32):
+def bloom_semi_join(big, small, *, on: str, fpp: float = 0.001):
     """Exact semi-join of ``big`` against ``small``'s ``on`` keys using
     a Bloom prefilter to shrink the verify shuffle. Returns ``big``
     rows whose key appears in ``small`` (schema unchanged)."""
@@ -143,11 +142,10 @@ def bloom_semi_join(big, small, *, on: str, fpp: float = 0.001,
         small.select_columns([on]), keys=[on],
         aggs={"__one": (on, "count")}).select_columns([on])
     return shuffle_hash_join(candidates, uniq, on=on, how="inner",
-                             n_partitions=n_partitions)
+                             n_partitions=32)
 
 
-def bloom_anti_join(big, small, *, on: str, fpp: float = 0.001,
-                    n_partitions: int = 32):
+def bloom_anti_join(big, small, *, on: str, fpp: float = 0.001):
     """Exact ANTI-join: ``big`` rows whose key does NOT appear in
     ``small``.  The Bloom filter makes the common case free: a key the
     filter rejects is DEFINITELY absent (no false negatives), so it is
@@ -186,7 +184,7 @@ def bloom_anti_join(big, small, *, on: str, fpp: float = 0.001,
     uniq = hash_aggregate(small.select_columns([on]), keys=[on],
                           aggs={"__m": (on, "count")})
     joined = shuffle_hash_join(maybe, uniq, on=on,
-                               how="left", n_partitions=n_partitions)
+                               how="left", n_partitions=32)
     cols = list(big.schema().names)
 
     def unmatched(batch: pa.Table) -> pa.Table:

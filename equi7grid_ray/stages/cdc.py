@@ -26,7 +26,7 @@ OP_DELETE = "delete"
 
 
 def apply_changes(base, changes, *, key_col: str, seq_col: str,
-                  op_col: str = "op", n_partitions: int = 32,
+                  op_col: str = "op",
                   tiebreak_cols: tuple[str, ...] = ()):
     """Merge ``changes`` (columns: key, seq, op, payload...) into
     ``base`` (columns: key, payload...); returns the latest surviving
@@ -41,7 +41,7 @@ def apply_changes(base, changes, *, key_col: str, seq_col: str,
     exact ties; well-formed streams have unique sequences per key and
     never need this).
     """
-    from equi7grid_ray.arrowutil import hash_partition
+    from equi7grid_ray.stages.aggregate import cogroup
 
     payload = [c for c in base.schema().names if c != key_col]
     out_names = [key_col] + payload
@@ -53,10 +53,6 @@ def apply_changes(base, changes, *, key_col: str, seq_col: str,
             cols[c] = batch.column(c)
         cols["__seq"] = pa.array(np.full(n, -1, np.int64), pa.int64())
         cols["__del"] = pa.array(np.zeros(n, np.int8), pa.int8())
-        part = hash_partition(
-            batch.column(key_col).to_numpy(zero_copy_only=False)
-            .astype(np.int64), n_partitions)
-        cols["__part"] = pa.array(part, pa.int32())
         return pa.table(cols)
 
     def tag_changes(batch: pa.Table) -> pa.Table:
@@ -68,10 +64,6 @@ def apply_changes(base, changes, *, key_col: str, seq_col: str,
         cols["__seq"] = batch.column(seq_col).cast(pa.int64())
         cols["__del"] = pc.cast(
             pc.equal(batch.column(op_col), OP_DELETE), pa.int8())
-        part = hash_partition(
-            batch.column(key_col).to_numpy(zero_copy_only=False)
-            .astype(np.int64), n_partitions)
-        cols["__part"] = pa.array(part, pa.int32())
         return pa.table(cols)
 
     tagged = base.map_batches(tag_base, batch_format="pyarrow").union(
@@ -93,12 +85,10 @@ def apply_changes(base, changes, *, key_col: str, seq_col: str,
         keep = win[d[win] == 0]
         return g.iloc[keep][out_names]
 
-    return (tagged.groupby("__part")
-            .map_groups(resolve, batch_format="pandas"))
+    return cogroup(tagged, [key_col], resolve, n_partitions=32)
 
 
-def table_diff(left, right, *, key_col: str, cols: list[str],
-               n_partitions: int = 64):
+def table_diff(left, right, *, key_col: str, cols: list[str]):
     """Data reconciliation: which keys differ between two tables?
 
     Returns ``(key_col, status)`` with status in ``only_left`` /
@@ -120,7 +110,7 @@ def table_diff(left, right, *, key_col: str, cols: list[str],
     """
     from equi7grid_ray.stages.dedup import (_column_bytes, _mix64,
                                             hash_bytes_offsets)
-    from equi7grid_ray.stages.join import _add_part_fn
+    from equi7grid_ray.stages.aggregate import cogroup
 
     def _prep(side: int):
         def fn(batch: pa.Table) -> pa.Table:
@@ -151,8 +141,6 @@ def table_diff(left, right, *, key_col: str, cols: list[str],
 
     both = left.map_batches(_prep(0), batch_format="pyarrow").union(
         right.map_batches(_prep(1), batch_format="pyarrow"))
-    parted = both.map_batches(_add_part_fn(key_col, n_partitions),
-                              batch_format="pyarrow")
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
         l = g[g["__side"] == 0][[key_col, "__rh"]]
@@ -170,5 +158,4 @@ def table_diff(left, right, *, key_col: str, cols: list[str],
             "status": status[keep],
         })
 
-    return parted.groupby("__part").map_groups(resolve,
-                                               batch_format="pandas")
+    return cogroup(both, [key_col], resolve, n_partitions=64)

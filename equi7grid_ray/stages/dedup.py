@@ -287,8 +287,7 @@ class MinHasher:
 
 def lsh_candidate_pairs(ds, num_perm: int = 64, bands: int = 16,
                         shingle: int = 8, id_col: str = "doc_id",
-                        text_col: str = "text", n_partitions: int = 64,
-                        max_bucket: int = 200):
+                        text_col: str = "text", max_bucket: int = 200):
     """documents -> candidate near-duplicate pairs via banded MinHash.
 
     Scale shape: signature rows are hash-partitioned by band_hash so each
@@ -306,13 +305,6 @@ def lsh_candidate_pairs(ds, num_perm: int = 64, bands: int = 16,
         concurrency=(1, 8),
     )
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        bh = batch.column("band_hash").to_numpy()
-        part = (bh.view(np.uint64) % np.uint64(n_partitions)).astype(np.int32)
-        return batch.append_column("part", pa.array(part, pa.int32()))
-
-    parted = mh.map_batches(add_part, batch_format="pyarrow")
-
     def pairs_in_partition(g: pd.DataFrame) -> pd.DataFrame:
         # drop mega-buckets, then one self-merge for all buckets at once
         sizes = g.groupby(["band", "band_hash"])[id_col].transform("size")
@@ -326,14 +318,13 @@ def lsh_candidate_pairs(ds, num_perm: int = 64, bands: int = 16,
         out.columns = ["id_a", "id_b"]
         return out
 
-    cand = parted.groupby("part").map_groups(
-        pairs_in_partition, batch_format="pandas"
-    )
+    from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
+
+    cand = cogroup(mh, ["band", "band_hash"], pairs_in_partition,
+                   n_partitions=64)
     # dedupe across bands/partitions (no per-group Python): the hash-
     # partition cogroup aggregate replaces Ray's sort-aggregate, whose
     # per-block operator cost dwarfs the data (stages/aggregate.py)
-    from equi7grid_ray.stages.aggregate import hash_aggregate
-
     return hash_aggregate(
         cand, keys=["id_a", "id_b"], aggs={"n_bands": ("id_a", "count")},
     ).select_columns(["id_a", "id_b"])
@@ -467,8 +458,7 @@ def _ngram_set_per_row(col, n: int,
 def verified_near_dup_pairs(ds, *, threshold: float = 0.8, n: int = 3,
                             num_perm: int = 64, bands: int = 16,
                             shingle: int = 8, id_col: str = "doc_id",
-                            text_col: str = "text", max_bucket: int = 200,
-                            n_partitions: int = 32):
+                            text_col: str = "text", max_bucket: int = 200):
     """LSH candidates -> exact character-n-gram Jaccard verification ->
     pairs with similarity >= ``threshold`` (the full near-dup dedup
     pipeline: cheap banded recall, exact precision).
@@ -517,10 +507,10 @@ def verified_near_dup_pairs(ds, *, threshold: float = 0.8, n: int = 3,
     # join 1 once just to learn its column names (see shuffle_hash_join)
     _wa = shuffle_join_schema(_pair_schema, _da, on="id_a")
     with_a = shuffle_hash_join(pairs, _docs_as("id_a", "text_a"),
-                               on="id_a", n_partitions=n_partitions,
+                               on="id_a", n_partitions=32,
                                left_schema=_pair_schema, right_schema=_da)
     with_ab = shuffle_hash_join(with_a, _docs_as("id_b", "text_b"),
-                                on="id_b", n_partitions=n_partitions,
+                                on="id_b", n_partitions=32,
                                 left_schema=_wa, right_schema=_db)
 
     def verify(batch: pa.Table) -> pa.Table:
@@ -615,7 +605,7 @@ def flag_contaminated(ds, bench_texts, *, k: int = 8,
 
 
 def chunk_dedup(ds, *, tokens_per_chunk: int = 16, id_col: str = "doc_id",
-                text_col: str = "text", n_partitions: int = 32):
+                text_col: str = "text"):
     """Sub-document (paragraph-granularity) deduplication: explode each
     document into consecutive ``tokens_per_chunk``-token chunks, keep
     only the globally FIRST occurrence of each distinct chunk (min
@@ -629,7 +619,7 @@ def chunk_dedup(ds, *, tokens_per_chunk: int = 16, id_col: str = "doc_id",
     never chunk text; first-occurrence resolution is ONE vectorized
     pandas pass per hash PARTITION (never per chunk) that immediately
     combines to per-doc partials, so the final groupby moves at most
-    n_partitions rows per document.
+    one row per document and partition.
 
     Returns (doc_id, n_chunks, n_kept, kept_len) -- kept_len is the
     character length of surviving chunks (joined with single spaces).
@@ -647,7 +637,6 @@ def chunk_dedup(ds, *, tokens_per_chunk: int = 16, id_col: str = "doc_id",
             "idx": pa.array([], pa.int64()),
             id_col: pa.array([], pa.int64()),
             "clen": pa.array([], pa.int64()),
-            "part": pa.array([], pa.int32()),
         })
         if len(col) == 0:
             return empty
@@ -685,13 +674,11 @@ def chunk_dedup(ds, *, tokens_per_chunk: int = 16, id_col: str = "doc_id",
         # would diverge on non-ASCII text)
         clen = pc.utf8_length(chunk_str).to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        from equi7grid_ray.arrowutil import hash_partition
         return pa.table({
             "h": pa.array(h, pa.int64()),
             "idx": pa.array(within, pa.int64()),
             id_col: pa.array(ids, pa.int64()),
             "clen": pa.array(clen, pa.int64()),
-            "part": pa.array(hash_partition(h, n_partitions), pa.int32()),
         })
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
@@ -721,10 +708,10 @@ def chunk_dedup(ds, *, tokens_per_chunk: int = 16, id_col: str = "doc_id",
         return out.astype({id_col: np.int64, "n_chunks": np.int64,
                            "n_kept": np.int64, "kept_len": np.int64})
 
-    from equi7grid_ray.stages.aggregate import hash_aggregate
+    from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
 
-    occ = ds.map_batches(explode, batch_format="pyarrow")
-    partials = occ.groupby("part").map_groups(resolve, batch_format="pandas")
+    partials = cogroup(ds.map_batches(explode, batch_format="pyarrow"),
+                       ["h"], resolve, n_partitions=32)
     # hash_aggregate, not the native Aggregate: the per-doc partial
     # combine pays ~seconds of AllToAll operator overhead otherwise
     # (stages/aggregate.py)
@@ -733,14 +720,13 @@ def chunk_dedup(ds, *, tokens_per_chunk: int = 16, id_col: str = "doc_id",
         aggs={"n_chunks": ("n_chunks", "sum"),
               "n_kept": ("n_kept", "sum"),
               "kept_len": ("kept_len", "sum")},
-        n_partitions=n_partitions,
+        n_partitions=32,
     )
 
 
 def lsh_cross_pairs(left, right, *, num_perm: int = 64, bands: int = 16,
                     shingle: int = 8, id_col: str = "doc_id",
-                    text_col: str = "text", n_partitions: int = 64,
-                    max_bucket: int = 200):
+                    text_col: str = "text", max_bucket: int = 200):
     """Cross-corpus LSH near-duplicate JOIN: candidate pairs with one
     endpoint in ``left`` (train) and one in ``right`` (eval) -- the
     scale path for decontaminating a training corpus against an
@@ -754,7 +740,7 @@ def lsh_cross_pairs(left, right, *, num_perm: int = 64, bands: int = 16,
     (mirroring the SQL oracle's union-sized cut).  Returns distinct
     ``(train_id, eval_id)``.
     """
-    from equi7grid_ray.stages.aggregate import hash_aggregate
+    from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
 
     def mk(side_ds, side: int):
         mh = side_ds.map_batches(
@@ -767,12 +753,8 @@ def lsh_cross_pairs(left, right, *, num_perm: int = 64, bands: int = 16,
         )
 
         def tag(batch: pa.Table) -> pa.Table:
-            bh = batch.column("band_hash").to_numpy()
-            part = (bh.view(np.uint64) % np.uint64(n_partitions)) \
-                .astype(np.int32)
             return batch.append_column(
-                "__side", pa.array(np.full(batch.num_rows, side, np.int8))
-            ).append_column("part", pa.array(part, pa.int32()))
+                "__side", pa.array(np.full(batch.num_rows, side, np.int8)))
 
         return mh.map_batches(tag, batch_format="pyarrow")
 
@@ -794,15 +776,15 @@ def lsh_cross_pairs(left, right, *, num_perm: int = 64, bands: int = 16,
         out.columns = ["train_id", "eval_id"]
         return out
 
-    cand = both.groupby("part").map_groups(
-        pairs_in_partition, batch_format="pandas")
+    cand = cogroup(both, ["band", "band_hash"], pairs_in_partition,
+                   n_partitions=64)
     return hash_aggregate(
         cand, keys=["train_id", "eval_id"], aggs={"__n": ("train_id", "count")},
     ).select_columns(["train_id", "eval_id"])
 
 
 def doc_novelty(ds, *, k: int = 8, id_col: str = "doc_id",
-                text_col: str = "text", n_partitions: int = 32):
+                text_col: str = "text"):
     """Per-document n-gram novelty vs the EARLIER corpus: of a doc's
     distinct char-``k``-gram hashes, how many appear in no smaller
     doc_id -- the "how much new text does this doc add" curation score
@@ -817,7 +799,7 @@ def doc_novelty(ds, *, k: int = 8, id_col: str = "doc_id",
     ever shuffle.  Docs shorter than ``k`` emit no row."""
     import pandas as pd
 
-    from equi7grid_ray.stages.aggregate import hash_aggregate
+    from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
 
     def shingles(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col).to_numpy(zero_copy_only=False) \
@@ -830,11 +812,9 @@ def doc_novelty(ds, *, k: int = 8, id_col: str = "doc_id",
         keep = np.ones(len(hi), dtype=bool)
         keep[1:] = (hi[1:] != hi[:-1]) | (d[1:] != d[:-1])
         hi, d = hi[keep], d[keep]
-        part = (hi.view(np.uint64) % np.uint64(n_partitions)).astype(np.int32)
         return pa.table({
             "h": pa.array(hi, pa.int64()),
             "doc": pa.array(d, pa.int64()),
-            "__part": pa.array(part, pa.int32()),
         })
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
@@ -850,11 +830,11 @@ def doc_novelty(ds, *, k: int = 8, id_col: str = "doc_id",
         return pd.DataFrame({id_col: ud, "n_shingles": n_sh,
                              "n_novel": n_nov})
 
-    parts = ds.map_batches(shingles, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pandas")
+    parts = cogroup(ds.map_batches(shingles, batch_format="pyarrow"), ["h"],
+                    resolve, n_partitions=32)
     return hash_aggregate(
         parts, keys=[id_col],
         aggs={"n_shingles": ("n_shingles", "sum"),
               "n_novel": ("n_novel", "sum")},
-        n_partitions=n_partitions,
+        n_partitions=32,
     )

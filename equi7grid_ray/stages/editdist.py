@@ -48,7 +48,7 @@ def edit_distance(a: np.ndarray, b: np.ndarray) -> int:
 def edit_verified_pairs(ds, *, max_dist: int, num_perm: int = 64,
                         bands: int = 16, shingle: int = 8,
                         id_col: str = "doc_id", text_col: str = "text",
-                        max_bucket: int = 200, n_partitions: int = 32):
+                        max_bucket: int = 200):
     """LSH candidates -> exact Levenshtein -> ordered pairs
     (id_a < id_b, edit_dist) with distance <= ``max_dist``.
 
@@ -88,10 +88,10 @@ def edit_verified_pairs(ds, *, max_dist: int, num_perm: int = 64,
     # join 1 once just to learn its column names (see shuffle_hash_join)
     _wa = shuffle_join_schema(_pair_schema, _da, on="id_a")
     with_a = shuffle_hash_join(pairs, _docs_as("id_a", "text_a"),
-                               on="id_a", n_partitions=n_partitions,
+                               on="id_a", n_partitions=32,
                                left_schema=_pair_schema, right_schema=_da)
     with_ab = shuffle_hash_join(with_a, _docs_as("id_b", "text_b"),
-                                on="id_b", n_partitions=n_partitions,
+                                on="id_b", n_partitions=32,
                                 left_schema=_wa, right_schema=_db)
 
     def verify(batch: pa.Table) -> pa.Table:

@@ -33,9 +33,6 @@ __all__ = ["connected_components", "canonical_assignments",
            "canonical_by_quality", "pagerank_int",
            "degree_assortativity", "common_neighbor_pairs"]
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-
 def _local_min_labels(a: np.ndarray,
                       b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """In-memory min-label fixpoint over one edge block: returns
@@ -200,8 +197,7 @@ def canonical_by_quality(docs, components, *, id_col: str = "doc_id",
     return docs.map_batches(assign, batch_format="pyarrow")
 
 
-def triangle_count(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
-                   n_partitions: int = 32):
+def triangle_count(pairs, *, id_a: str = "id_a", id_b: str = "id_b"):
     """Count triangles in the undirected graph given as an edge list.
 
     The classic distributed shape (degree-oriented node-iterator,
@@ -248,7 +244,7 @@ def triangle_count(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
         return pa.table({"u": pa.array(su[first], pa.int64()),
                          "v": pa.array(sv[first], pa.int64())})
 
-    from equi7grid_ray.stages.aggregate import hash_aggregate
+    from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
 
     edges = (
         hash_aggregate(pairs.map_batches(canon, batch_format="pyarrow"),
@@ -275,8 +271,6 @@ def triangle_count(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
     dref = ray.put((nodes[order], degs[order]))
 
     def orient(batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import hash_partition
-
         snodes, sdegs = ray.get(dref)
         u = batch.column("u").to_numpy(zero_copy_only=False).astype(np.int64)
         v = batch.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -288,9 +282,7 @@ def triangle_count(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
         src = np.where(u_first, u, v)
         dst = np.where(u_first, v, u)
         return pa.table({"src": pa.array(src, pa.int64()),
-                         "dst": pa.array(dst, pa.int64()),
-                         "part": pa.array(hash_partition(src, n_partitions),
-                                          pa.int32())})
+                         "dst": pa.array(dst, pa.int64())})
 
     oriented = edges.map_batches(orient, batch_format="pyarrow") \
         .materialize()
@@ -304,22 +296,12 @@ def triangle_count(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
             "v": j["dst_2"].to_numpy(np.int64)[lt],
         })
 
-    wedge_ds = oriented.groupby("part").map_groups(
-        wedges, batch_format="pandas")
+    wedge_ds = cogroup(oriented, ["src"], wedges, n_partitions=32)
 
     # closure: does wedge (u, v) exist as an edge (in either
     # orientation)?  Tag wedges and oriented edges into one schema,
     # hash-partition on a canonical (min, max) key, one vectorized
     # membership probe per partition.
-    def _pair_part(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        # partition-consistent (not injective -- membership compares
-        # the actual (u, v) columns) mix of the pair
-        from equi7grid_ray.arrowutil import hash_partition
-
-        with np.errstate(over="ignore"):
-            mixed = lo.view(np.uint64) * _GOLD ^ hi.view(np.uint64)
-        return hash_partition(mixed.view(np.int64), n_partitions)
-
     def tag_wedge(batch: pa.Table) -> pa.Table:
         u = batch.column("u").to_numpy(zero_copy_only=False) \
             .astype(np.int64)
@@ -329,8 +311,7 @@ def triangle_count(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
         hi = np.maximum(u, v)
         return pa.table({"u": pa.array(lo, pa.int64()),
                          "v": pa.array(hi, pa.int64()),
-                         "kind": pa.array(np.zeros(len(lo), np.int8)),
-                         "part": pa.array(_pair_part(lo, hi), pa.int32())})
+                         "kind": pa.array(np.zeros(len(lo), np.int8))})
 
     def tag_edge(batch: pa.Table) -> pa.Table:
         u = batch.column("u").to_numpy(zero_copy_only=False) \
@@ -339,8 +320,7 @@ def triangle_count(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
             .astype(np.int64)  # already u < v
         return pa.table({"u": pa.array(u, pa.int64()),
                          "v": pa.array(v, pa.int64()),
-                         "kind": pa.array(np.ones(len(u), np.int8)),
-                         "part": pa.array(_pair_part(u, v), pa.int32())})
+                         "kind": pa.array(np.ones(len(u), np.int8))})
 
     tagged = wedge_ds.map_batches(tag_wedge, batch_format="pyarrow") \
         .union(edges.map_batches(tag_edge, batch_format="pyarrow"))
@@ -352,7 +332,7 @@ def triangle_count(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
         n = len(w.merge(e, on=["u", "v"])) if len(w) and len(e) else 0
         return pd.DataFrame({"pt": [np.int64(n)]})
 
-    parts = tagged.groupby("part").map_groups(close, batch_format="pandas")
+    parts = cogroup(tagged, ["u", "v"], close, n_partitions=32)
 
     def total(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -495,7 +475,7 @@ def degree_assortativity(pairs, *, id_a: str = "id_a",
 
 
 def common_neighbor_pairs(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
-                          min_common: int = 2, n_partitions: int = 32):
+                          min_common: int = 2):
     """Link prediction by common-neighbour count: for every NON-adjacent
     node pair of the undirected graph, the number of shared neighbours
     (the classic link-prediction baseline; Liben-Nowell & Kleinberg's
@@ -523,8 +503,7 @@ def common_neighbor_pairs(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
     """
     import pandas as pd
 
-    from equi7grid_ray.arrowutil import hash_partition
-    from equi7grid_ray.stages.aggregate import hash_aggregate
+    from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
 
     def canon(batch: pa.Table) -> pa.Table:
         a = batch.column(id_a).to_numpy(zero_copy_only=False) \
@@ -557,9 +536,7 @@ def common_neighbor_pairs(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
         s = np.concatenate([u, v]).astype(np.int64)
         t = np.concatenate([v, u]).astype(np.int64)
         return pa.table({"s": pa.array(s, pa.int64()),
-                         "t": pa.array(t, pa.int64()),
-                         "part": pa.array(hash_partition(s, n_partitions),
-                                          pa.int32())})
+                         "t": pa.array(t, pa.int64())})
 
     def wedges(g: pd.DataFrame) -> pd.DataFrame:
         j = g[["s", "t"]].merge(g[["s", "t"]], on="s", suffixes=("_1", "_2"))
@@ -572,14 +549,9 @@ def common_neighbor_pairs(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
             .rename(columns={"size": "c"}).astype({"c": np.int64})
 
     cand = hash_aggregate(
-        edges.map_batches(dirs, batch_format="pyarrow")
-        .groupby("part").map_groups(wedges, batch_format="pandas"),
+        cogroup(edges.map_batches(dirs, batch_format="pyarrow"), ["s"],
+                wedges, n_partitions=32),
         keys=["u", "v"], aggs={"cn": ("c", "sum")})
-
-    def _pair_part(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            mixed = lo.view(np.uint64) * _GOLD ^ hi.view(np.uint64)
-        return hash_partition(mixed.view(np.int64), n_partitions)
 
     def tag_cand(batch: pa.Table) -> pa.Table:
         u = batch.column("u").to_numpy(zero_copy_only=False) \
@@ -593,8 +565,7 @@ def common_neighbor_pairs(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
         return pa.table({"u": pa.array(u, pa.int64()),
                          "v": pa.array(v, pa.int64()),
                          "cn": pa.array(cn, pa.int64()),
-                         "kind": pa.array(np.zeros(len(u), np.int8)),
-                         "part": pa.array(_pair_part(u, v), pa.int32())})
+                         "kind": pa.array(np.zeros(len(u), np.int8))})
 
     def tag_edge(batch: pa.Table) -> pa.Table:
         u = batch.column("u").to_numpy(zero_copy_only=False) \
@@ -604,8 +575,7 @@ def common_neighbor_pairs(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
         return pa.table({"u": pa.array(u, pa.int64()),
                          "v": pa.array(v, pa.int64()),
                          "cn": pa.array(np.zeros(len(u), np.int64)),
-                         "kind": pa.array(np.ones(len(u), np.int8)),
-                         "part": pa.array(_pair_part(u, v), pa.int32())})
+                         "kind": pa.array(np.ones(len(u), np.int8))})
 
     tagged = cand.map_batches(tag_cand, batch_format="pyarrow") \
         .union(edges.map_batches(tag_edge, batch_format="pyarrow"))
@@ -624,4 +594,4 @@ def common_neighbor_pairs(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
                              "id_b": m["v"].to_numpy(np.int64),
                              "cn": m["cn"].to_numpy(np.int64)})
 
-    return tagged.groupby("part").map_groups(anti, batch_format="pandas")
+    return cogroup(tagged, ["u", "v"], anti, n_partitions=32)

@@ -7,14 +7,14 @@ fingerprints within Hamming distance <= 3 agree on at least one full
 band -- so banding is an EXACT pre-filter (recall 1.0 by construction
 when no bucket is dropped), not an approximation.
 
-Scale shape mirrors dedup.lsh_candidate_pairs: band rows hash-partition
-so one vectorized self-merge + popcount handles many buckets per
-partition (never Python-per-bucket); uncapped, each pair is emitted
-only by its FIRST matching band (earlier-band xor segments checked
-vectorized) so the output is globally unique with no cross-band dedupe
-shuffle; with a finite ``max_bucket`` oversized buckets are dropped
-(the mega-bucket valve for spam clusters whose true pair set is itself
-quadratic) and surviving pairs dedupe through a result-sized shuffle.
+Scale shape: band rows cogroup by (band, band key) so one vectorized
+self-merge + popcount handles many buckets per partition (never
+Python-per-bucket); uncapped, each pair is emitted only by its FIRST
+matching band (earlier-band xor segments checked vectorized) so the
+output is globally unique with no cross-band dedupe shuffle; with a
+finite ``max_bucket`` oversized buckets are dropped (the mega-bucket
+valve for spam clusters whose true pair set is itself quadratic) and
+surviving pairs dedupe through a result-sized shuffle.
 """
 
 from __future__ import annotations
@@ -23,11 +23,13 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
+
 __all__ = ["banded_hamming_pairs"]
 
 
 def banded_hamming_pairs(hashed, *, hash_col: str, id_col: str,
-                         max_dist: int = 3, n_partitions: int = 64,
+                         max_dist: int = 3,
                          max_bucket: int | None = 2000):
     """``(id_col, hash_col)`` Dataset -> distinct pairs (id_a < id_b)
     with Hamming(hash_a, hash_b) <= ``max_dist`` (exact for
@@ -44,7 +46,6 @@ def banded_hamming_pairs(hashed, *, hash_col: str, id_col: str,
         shifts = (48 - 16 * band).astype(np.uint64)
         key = ((np.repeat(dh, 4) >> shifts) & np.uint64(0xFFFF)) \
             .astype(np.int64)
-        part = ((key * np.int64(4) + band) % n_partitions).astype(np.int32)
         ids = batch.column(id_col).take(
             pa.array(np.repeat(np.arange(n, dtype=np.int64), 4)))
         return pa.table({
@@ -52,10 +53,7 @@ def banded_hamming_pairs(hashed, *, hash_col: str, id_col: str,
             "__h": pa.array(np.repeat(dh.view(np.int64), 4), pa.int64()),
             "band": pa.array(band, pa.int32()),
             "band_key": pa.array(key, pa.int64()),
-            "part": pa.array(part, pa.int32()),
         })
-
-    parted = hashed.map_batches(band_expand, batch_format="pyarrow")
 
     def pairs_in_partition(g: pd.DataFrame) -> pd.DataFrame:
         ids = g[id_col].to_numpy()
@@ -101,8 +99,8 @@ def banded_hamming_pairs(hashed, *, hash_col: str, id_col: str,
         return pd.DataFrame({"id_a": np.where(lo, a, b),
                              "id_b": np.where(lo, b, a)})
 
-    pairs = parted.groupby("part").map_groups(pairs_in_partition,
-                                              batch_format="pandas")
+    pairs = cogroup(hashed.map_batches(band_expand, batch_format="pyarrow"),
+                    ["band", "band_key"], pairs_in_partition, n_partitions=64)
     if max_bucket is None:
         return pairs
     # capped path: a pair is emitted by EVERY matching surviving band,
@@ -112,8 +110,6 @@ def banded_hamming_pairs(hashed, *, hash_col: str, id_col: str,
     # block, and map_groups hands it one (mostly tiny) block per
     # partition -- measured 13.7 s -> 0.3 s on a 64-partition sweep
     # (see stages/aggregate.py).
-    from equi7grid_ray.stages.aggregate import hash_aggregate
-
     return hash_aggregate(
         pairs, keys=["id_a", "id_b"], aggs={"__n": ("id_a", "count")},
     ).select_columns(["id_a", "id_b"])

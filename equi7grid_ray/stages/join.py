@@ -16,11 +16,10 @@ Three equality-join shapes, chosen by side size:
   index gather -- zero shuffle, the pattern the scale guidance
   prescribes for dimension tables.
 - ``shuffle_hash_join``: both sides are tagged and unioned, then
-  hash-partitioned by key with ``groupby(key).map_groups`` and merged
-  per partition group with a pandas merge -- the classic cogroup
-  shuffle join for two large sides.  Keys are salted only by Ray's own
-  hash partitioning; heavy skew should pre-aggregate or use the
-  broadcast path.
+  hash-partitioned by key with ``aggregate.cogroup`` and merged per
+  partition with a pandas merge -- the classic cogroup shuffle join
+  for two large sides.  Keys are not salted; heavy skew should
+  pre-aggregate or use the broadcast path.
 
 Both return a Dataset and preserve streaming on the probe/large side.
 
@@ -49,6 +48,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from equi7grid_ray.stages.aggregate import cogroup
 
 __all__ = ["broadcast_join", "native_join", "shuffle_hash_join",
            "shuffle_join_schema", "asof_join", "range_join"]
@@ -197,30 +198,6 @@ def broadcast_join(
     )
 
 
-def _add_part_fn(on: str, n_partitions: int):
-    """map_batches body appending ``__part = mix64(key) % n_partitions``
-    (int keys hashed directly, strings via the offset-buffer hash)."""
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.stages.dedup import (
-            _column_bytes,
-            _mix64,
-            hash_bytes_offsets,
-        )
-
-        col = batch.column(on)
-        if pa.types.is_integer(col.type) or pa.types.is_floating(col.type):
-            k = col.to_numpy(zero_copy_only=False).astype(np.int64)
-            h = _mix64(k.view(np.uint64))
-        else:
-            flat, offs = _column_bytes(col.cast(pa.string()))
-            h = hash_bytes_offsets(flat, offs).view(np.uint64)
-        part = (h % np.uint64(n_partitions)).astype(np.int32)
-        return batch.append_column("__part", pa.array(part, pa.int32()))
-
-    return add_part
-
-
 def shuffle_hash_join(
     left,
     right,
@@ -232,11 +209,10 @@ def shuffle_hash_join(
     left_schema: "pa.Schema | None" = None,
     right_schema: "pa.Schema | None" = None,
 ):
-    """Cogroup shuffle join: tag both sides, union, hash-partition by
-    ``hash(key) % n_partitions``, ONE vectorized pandas merge per
+    """Cogroup shuffle join: tag both sides, union, then one
+    ``aggregate.cogroup`` on ``on`` with ONE vectorized pandas merge per
     partition (many keys per merge -- O(n_partitions) Python calls, not
-    O(distinct keys); the same partitioned-cogroup pattern as
-    dedup.lsh_candidate_pairs, round-2 verdict "What's wrong" #4).
+    O(distinct keys)).
 
     Works for two large sides; the shuffle moves every row once.
     Mirrors the semantics of Ray's upcoming native Dataset.join so
@@ -260,9 +236,6 @@ def shuffle_hash_join(
     rcols = [rmap[c] for c in rkeep if c != on]
     unioned, super_fields = _tag_union(left, right, lkeep, rkeep, rmap,
                                        left_schema, right_schema)
-    parted = unioned.map_batches(
-        _add_part_fn(on, n_partitions), batch_format="pyarrow"
-    )
     np_types = _np_types(super_fields)
     # Emit Arrow with an explicit schema: keeps empty partitions
     # schema-stable (object->null inference) AND keeps the output
@@ -280,7 +253,7 @@ def shuffle_hash_join(
                                     schema=out_schema,
                                     preserve_index=False)
 
-    return parted.groupby("__part").map_groups(merge, batch_format="pandas")
+    return cogroup(unioned, [on], merge, n_partitions=n_partitions)
 
 
 def _as_arrow_schema(sch) -> pa.Schema:
@@ -413,7 +386,6 @@ def asof_join(
     direction: str = "backward",
     allow_exact_matches: bool = True,
     suffix: str = "_r",
-    n_partitions: int = 64,
 ):
     """Point-in-time join: for each left row, the ONE right row with the
     closest ``on`` value at-or-before it ('backward') / at-or-after it
@@ -424,7 +396,7 @@ def asof_join(
     Shuffle shape: both sides hash-partitioned by ``by`` (every row
     moves once); each partition is merged by ONE ``pandas.merge_asof``
     -- a sort + per-key galloping scan over the whole partition, so
-    Python-call count is O(n_partitions), not O(keys) or O(rows).
+    Python-call count is O(partitions), not O(keys) or O(rows).
     Ties on (by, on) keep pandas' semantics (last right row wins);
     pre-dedupe the right side per (by, on) for full determinism."""
     if direction not in ("backward", "forward"):
@@ -438,9 +410,6 @@ def asof_join(
     rdata = [c for c in rkeep if c not in (on, by)]
     unioned, super_fields = _tag_union(
         left, right, lkeep, [on, by] + rdata, rename
-    )
-    parted = unioned.map_batches(
-        _add_part_fn(by, n_partitions), batch_format="pyarrow"
     )
     np_types = _np_types(super_fields)
     rout = [rename.get(c, c) for c in rdata]
@@ -458,7 +427,7 @@ def asof_join(
             allow_exact_matches=allow_exact_matches,
         )
 
-    return parted.groupby("__part").map_groups(merge, batch_format="pandas")
+    return cogroup(unioned, [by], merge, n_partitions=16)
 
 
 def range_join(

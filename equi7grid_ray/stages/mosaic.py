@@ -89,7 +89,7 @@ class MosaicGrid:
         })
 
 
-def tile_mosaic(ds, *, grid: int = 8, n_partitions: int = 32):
+def tile_mosaic(ds, *, grid: int = 8):
     """images-with-tile Dataset -> per-(tile, cell) composite: the
     elementwise MAX composite, the SUM (mean numerator), and the scene
     count.  ``ds`` must carry (tile, bytes, w, h, fmt) -- i.e. the
@@ -110,7 +110,7 @@ def tile_mosaic(ds, *, grid: int = 8, n_partitions: int = 32):
             "v_sum": ("v_sum", "sum"),
             "n_img": ("n_img", "sum"),
         },
-        n_partitions=n_partitions,
+        n_partitions=32,
     )
 
 
@@ -140,8 +140,7 @@ def _neighbour_keys(cidx, te, tn, gr, gc, dr, dc, grid):
     return _packed_keys(cidx, se, sn, tr % grid, tc % grid, grid)
 
 
-def _halo_exchange(mosaic, *, value: str, grid: int, n_partitions: int,
-                   offsets, contrib):
+def _halo_exchange(mosaic, *, value: str, grid: int, offsets, contrib):
     """The cross-tile halo exchange every stencil operator runs: join
     each composite cell with per-column SUMS over its neighbours at
     ``offsets`` ((dr, dc) pairs).  ``contrib(k, v)`` maps the values
@@ -174,7 +173,7 @@ def _halo_exchange(mosaic, *, value: str, grid: int, n_partitions: int,
     sums = hash_aggregate(
         mosaic.map_batches(scatter, batch_format="pyarrow"),
         keys=["fkey"], aggs={c: (c + "_", "sum") for c in cols},
-        n_partitions=n_partitions,
+        n_partitions=32,
     )
 
     def centers(b: pa.Table) -> pa.Table:
@@ -188,15 +187,14 @@ def _halo_exchange(mosaic, *, value: str, grid: int, n_partitions: int,
 
     return shuffle_hash_join(
         mosaic.map_batches(centers, batch_format="pyarrow"), sums,
-        on="fkey", n_partitions=n_partitions,
+        on="fkey", n_partitions=32,
         # static hint: sums is an aggregate output -- schema() on it
         # would run the whole scatter+fold once during plan build
         right_schema=pa.schema([("fkey", pa.int64())]
                                + [(c, pa.int64()) for c in cols]))
 
 
-def tile_focal_mean(mosaic, *, value: str = "v_max", grid: int = 8,
-                    n_partitions: int = 32):
+def tile_focal_mean(mosaic, *, value: str = "v_max", grid: int = 8):
     """3x3 focal (moving-window) mean over the tile-mosaic composite,
     ACROSS tile boundaries -- the distributed stencil / halo-exchange
     step of map-algebra toolchains.  Edge cells read the adjacent cells
@@ -206,8 +204,7 @@ def tile_focal_mean(mosaic, *, value: str = "v_max", grid: int = 8,
     window offsets, then a map-only finish."""
     offsets = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
     joined = _halo_exchange(
-        mosaic, value=value, grid=grid, n_partitions=n_partitions,
-        offsets=offsets,
+        mosaic, value=value, grid=grid, offsets=offsets,
         contrib=lambda k, v: {"wsum": v, "wn": np.ones_like(v)})
 
     def finish(b: pa.Table) -> pa.Table:
@@ -349,8 +346,7 @@ class MaskedMosaicGrid(MosaicGrid):
         })
 
 
-def tile_clear_composite(ds, *, grid: int = 8, cloud_t: int = 200,
-                         n_partitions: int = 32):
+def tile_clear_composite(ds, *, grid: int = 8, cloud_t: int = 200):
     """Cloud-masked best-pixel composite: per (tile, cell) the total
     and clear observation counts and the MAX over clear observations
     (-1 where the cell never had a clear view -- the gap-fill
@@ -370,12 +366,11 @@ def tile_clear_composite(ds, *, grid: int = 8, cloud_t: int = 200,
             "n_clear": ("n_clear", "sum"),
             "max_clear": ("max_clear", "max"),
         },
-        n_partitions=n_partitions,
+        n_partitions=32,
     )
 
 
-def tile_gradient(mosaic, *, value: str = "v_max", grid: int = 8,
-                  n_partitions: int = 32):
+def tile_gradient(mosaic, *, value: str = "v_max", grid: int = 8):
     """Central-difference gradient (the slope/roughness map-algebra
     step) over the tile-mosaic composite, ACROSS tile boundaries via
     the shared :func:`_halo_exchange`:
@@ -397,8 +392,7 @@ def tile_gradient(mosaic, *, value: str = "v_max", grid: int = 8,
                 "nx": abs(dc) * one, "ny": abs(dr) * one}
 
     joined = _halo_exchange(mosaic, value=value, grid=grid,
-                            n_partitions=n_partitions, offsets=offsets,
-                            contrib=contrib)
+                            offsets=offsets, contrib=contrib)
 
     def finish(b: pa.Table) -> pa.Table:
         nx = b.column("nx").to_numpy(zero_copy_only=False)
@@ -427,7 +421,7 @@ _D8 = ((0, 1, 1), (1, 1, 2), (1, 0, 4), (1, -1, 8),
        (0, -1, 16), (-1, -1, 32), (-1, 0, 64), (-1, 1, 128))
 
 
-def _d8_neighbours(mosaic, *, value: str, grid: int, n_partitions: int):
+def _d8_neighbours(mosaic, *, value: str, grid: int):
     """D8 halo exchange: every composite cell joined with its 8
     Moore-neighbour values, packed into 8-bit fields of two int64
     columns (composite values are 8-bit block means, so one SUM
@@ -447,7 +441,6 @@ def _d8_neighbours(mosaic, *, value: str, grid: int, n_partitions: int):
                 "nn": np.ones_like(v)}
 
     return _halo_exchange(mosaic, value=value, grid=grid,
-                          n_partitions=n_partitions,
                           offsets=[(dr, dc) for dr, dc, _ in _D8],
                           contrib=contrib)
 
@@ -465,8 +458,7 @@ def _d8_steepest(b: pa.Table):
     return drops.max(axis=0), drops.argmax(axis=0)  # argmax = FIRST max
 
 
-def tile_flow_d8(mosaic, *, value: str = "v_max", grid: int = 8,
-                 n_partitions: int = 32):
+def tile_flow_d8(mosaic, *, value: str = "v_max", grid: int = 8):
     """D8 flow routing over the tile-mosaic composite treated as a DEM
     (the first step of every hydrology toolchain: flow direction +
     steepest drop per cell), ACROSS tile boundaries via the shared
@@ -482,8 +474,7 @@ def tile_flow_d8(mosaic, *, value: str = "v_max", grid: int = 8,
 
     Shape: the :func:`_d8_neighbours` packed halo exchange (one
     hash_aggregate + one cogroup join), then a map-only finish."""
-    joined = _d8_neighbours(mosaic, value=value, grid=grid,
-                            n_partitions=n_partitions)
+    joined = _d8_neighbours(mosaic, value=value, grid=grid)
     codes = np.array([c for _, _, c in _D8], np.int64)
 
     def finish(b: pa.Table) -> pa.Table:
@@ -510,7 +501,7 @@ _D8_BASE = pa.schema([
 ])
 
 
-def _d8_flow_graph(mosaic, *, value: str, grid: int, n_partitions: int):
+def _d8_flow_graph(mosaic, *, value: str, grid: int):
     """The D8 flow graph over the interior cells (all 8 Moore
     neighbours present), collected for one in-task pass: the
     ``_D8_BASE`` edge table, where ``down`` is the packed key of the
@@ -520,8 +511,7 @@ def _d8_flow_graph(mosaic, *, value: str, grid: int, n_partitions: int):
     only -- 3 ints per interior cell of the composite, never pixels."""
     from equi7grid_ray.arrowutil import collect_tables
 
-    joined = _d8_neighbours(mosaic, value=value, grid=grid,
-                            n_partitions=n_partitions)
+    joined = _d8_neighbours(mosaic, value=value, grid=grid)
 
     def edges(b: pa.Table) -> pa.Table:
         nn = b.column("nn").to_numpy(zero_copy_only=False)
@@ -550,8 +540,7 @@ def _d8_flow_graph(mosaic, *, value: str, grid: int, n_partitions: int):
     return et, tgt, has
 
 
-def tile_flow_accum(mosaic, *, value: str = "v_max", grid: int = 8,
-                    n_partitions: int = 32):
+def tile_flow_accum(mosaic, *, value: str = "v_max", grid: int = 8):
     """D8 flow ACCUMULATION over the tile composite: per interior cell
     the count of interior cells (including itself) whose downstream
     D8 path passes through it -- the drainage-area map, step two of
@@ -573,8 +562,7 @@ def tile_flow_accum(mosaic, *, value: str = "v_max", grid: int = 8,
     zero rows."""
     import ray.data as rd
 
-    et, tgt, has = _d8_flow_graph(mosaic, value=value, grid=grid,
-                                  n_partitions=n_partitions)
+    et, tgt, has = _d8_flow_graph(mosaic, value=value, grid=grid)
     v = et.column("v").to_numpy()
     acc = np.ones(et.num_rows, np.int64)
     for lvl in np.unique(v)[::-1]:  # descending elevation bands
@@ -585,8 +573,7 @@ def tile_flow_accum(mosaic, *, value: str = "v_max", grid: int = 8,
         "acc", pa.array(acc, pa.int64())))
 
 
-def tile_basins(mosaic, *, value: str = "v_max", grid: int = 8,
-                n_partitions: int = 32):
+def tile_basins(mosaic, *, value: str = "v_max", grid: int = 8):
     """Watershed BASIN delineation over the tile composite treated as
     a DEM -- hydrology step three after :func:`tile_flow_d8`
     (direction) and :func:`tile_flow_accum` (drainage area): label
@@ -607,8 +594,7 @@ def tile_basins(mosaic, *, value: str = "v_max", grid: int = 8,
     cell gives zero rows."""
     import ray.data as rd
 
-    et, tgt, has = _d8_flow_graph(mosaic, value=value, grid=grid,
-                                  n_partitions=n_partitions)
+    et, tgt, has = _d8_flow_graph(mosaic, value=value, grid=grid)
     n = et.num_rows
     ptr = np.where(has, tgt, np.arange(n))
     for _ in range(8):  # 2^8 >= max path depth 255
@@ -629,8 +615,7 @@ def tile_basins(mosaic, *, value: str = "v_max", grid: int = 8,
     }))
 
 
-def tile_tri(mosaic, *, value: str = "v_max", grid: int = 8,
-             n_partitions: int = 32):
+def tile_tri(mosaic, *, value: str = "v_max", grid: int = 8):
     """Terrain Ruggedness Index (Riley et al. 1999, the sqrt-free
     integer form) over the tile composite with cross-tile halo
     exchange: per interior cell the sum of absolute differences to its
@@ -641,8 +626,7 @@ def tile_tri(mosaic, *, value: str = "v_max", grid: int = 8,
     -- the roughness screen that complements slope (tile_gradient) and
     flow (tile_flow_*).  Reuses the packed D8 halo exchange; cells
     missing any neighbour are dropped."""
-    joined = _d8_neighbours(mosaic, value=value, grid=grid,
-                            n_partitions=n_partitions)
+    joined = _d8_neighbours(mosaic, value=value, grid=grid)
 
     def finish(b: pa.Table) -> pa.Table:
         nn = b.column("nn").to_numpy(zero_copy_only=False)
@@ -663,8 +647,7 @@ def tile_tri(mosaic, *, value: str = "v_max", grid: int = 8,
     return joined.map_batches(finish, batch_format="pyarrow")
 
 
-def tile_aspect(mosaic, *, value: str = "v_max", grid: int = 8,
-                n_partitions: int = 32):
+def tile_aspect(mosaic, *, value: str = "v_max", grid: int = 8):
     """Aspect (downslope compass facing) HISTOGRAM per continent over
     the tile composite -- the terrain-exposure rollup next to
     tile_gradient's slope map.  Central differences with the same halo
@@ -681,8 +664,7 @@ def tile_aspect(mosaic, *, value: str = "v_max", grid: int = 8,
     (continent, aspect) with the cell count -- bounded 7 x 9."""
     import pyarrow.compute as pc
 
-    grad = tile_gradient(mosaic, value=value, grid=grid,
-                         n_partitions=n_partitions)
+    grad = tile_gradient(mosaic, value=value, grid=grid)
 
     def classify(b: pa.Table) -> pa.Table:
         gx = b.column("gx").to_numpy(zero_copy_only=False)

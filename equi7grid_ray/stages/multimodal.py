@@ -336,7 +336,7 @@ class AHashImages(DHashImages):
         return _image_table(batch, {"ahash": self._pack(64 * g > total[:, None])})
 
 
-def dhash_near_dup(ds, max_dist: int = 3, n_partitions: int = 64,
+def dhash_near_dup(ds, max_dist: int = 3,
                    max_bucket: int | None = 2000, concurrency=(1, 8)):
     """images -> EXACT Hamming-near-duplicate pairs via banded dHash.
 
@@ -350,13 +350,13 @@ def dhash_near_dup(ds, max_dist: int = 3, n_partitions: int = 64,
     near-identical spam clusters, where the TRUE pair set is itself
     quadratic and not worth emitting.
 
-    Scale shape mirrors lsh_candidate_pairs (dedup.py): band rows are
-    hash-partitioned so one vectorized self-merge + popcount handles
-    many buckets per partition (no Python-per-bucket).  Each pair is
-    emitted only by its FIRST matching band (earlier-band xor segments
-    checked vectorized), so the output is globally unique with NO
-    cross-band dedupe shuffle; the wide merge carries only integers
-    (local index codes), ids are gathered for the surviving pairs only.
+    Scale shape (stages/hamming.py): band rows cogroup by (band, band
+    key) so one vectorized self-merge + popcount handles many buckets
+    per partition (no Python-per-bucket). Each pair is emitted only by
+    its FIRST matching band (earlier-band xor segments checked
+    vectorized), so the output is globally unique with NO cross-band
+    dedupe shuffle; the wide merge carries only integers (local index
+    codes), ids are gathered for the surviving pairs only.
     Shuffle payload is (id, band, band_key, dhash) -- never pixels."""
     if not 0 <= max_dist <= 3:
         raise ValueError("max_dist must be in [0, 3] for exact 4-band recall")
@@ -365,9 +365,7 @@ def dhash_near_dup(ds, max_dist: int = 3, n_partitions: int = 64,
     hashed = ds.map_batches(DHashImages, batch_format="pyarrow",
                             concurrency=concurrency)
     return banded_hamming_pairs(hashed, hash_col="dhash", id_col="image_id",
-                                max_dist=max_dist,
-                                n_partitions=n_partitions,
-                                max_bucket=max_bucket)
+                                max_dist=max_dist, max_bucket=max_bucket)
 
 
 class PatchStats(_FrameRows):
@@ -499,7 +497,7 @@ def image_ensemble_canonical_ids(ds, max_dist: int = 3,
     pairs_a = banded_hamming_pairs(hashed_a, hash_col="ahash",
                                    id_col="image_id", max_dist=max_dist,
                                    **{k: v for k, v in pair_kwargs.items()
-                                      if k in ("n_partitions", "max_bucket")})
+                                      if k == "max_bucket"})
     from equi7grid_ray.stages.aggregate import hash_aggregate
 
     pairs = hash_aggregate(
@@ -1683,8 +1681,7 @@ class Median3Stats(_FrameStats):
         return (med != center).sum(), med.sum(dtype=np.int64), center.size
 
 
-def shift_detect(ds, *, stride: int = 9, max_lag: int = 4,
-                 n_partitions: int = 16):
+def shift_detect(ds, *, stride: int = 9, max_lag: int = 4):
     """Scene co-registration check: estimate the vertical mis-
     registration between revisit pairs (frame i vs frame i + ``stride``
     -- same dimensions by the fixture's size cycle) from horizontal
@@ -1720,7 +1717,6 @@ def shift_detect(ds, *, stride: int = 9, max_lag: int = 4,
                 rr.append(r); vv.append(prof)
                 side.append(np.ones(len(prof), np.int8))
         pidc = np.concatenate(pid) if pid else np.empty(0, np.int64)
-        part = (pidc % n_partitions).astype(np.int32)
         return pa.table({
             "pid": pa.array(pidc, pa.int64()),
             "r": pa.array(np.concatenate(rr) if rr else
@@ -1729,7 +1725,6 @@ def shift_detect(ds, *, stride: int = 9, max_lag: int = 4,
                           np.empty(0, np.int64), pa.int64()),
             "side": pa.array(np.concatenate(side) if side else
                              np.empty(0, np.int8), pa.int8()),
-            "__part": pa.array(part, pa.int32()),
         })
 
     R = 1 << 10  # rows per frame < 1024: packed (pair, row) key
@@ -1783,8 +1778,10 @@ def shift_detect(ds, *, stride: int = 9, max_lag: int = 4,
         return pd.DataFrame({"pid": upid, "best_lag": best_d,
                              "sad": best_sad, "n_overlap": best_n})
 
-    out = ds.map_batches(profiles, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pandas")
+    from equi7grid_ray.stages.aggregate import cogroup
+
+    out = cogroup(ds.map_batches(profiles, batch_format="pyarrow"), ["pid"],
+                  resolve, n_partitions=16)
 
     def finish(batch: pa.Table) -> pa.Table:
         pid = batch.column("pid").to_numpy(zero_copy_only=False)

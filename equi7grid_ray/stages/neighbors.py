@@ -10,8 +10,8 @@ standard distributed shape (grid / PBSM spatial join) is:
 2. REPLICATE each point into its 8 neighbour cells (factor-9 map-side
    blowup of (id, x, y) metadata only -- never payloads);
 3. shuffle by cell, one vectorized self-merge per hash PARTITION of
-   cells (the partition-cogroup pattern: one pandas merge per
-   partition, never per cell);
+   cells (``aggregate.cogroup``: one pandas merge per partition, never
+   per cell);
 4. emit pair (a, b) exactly once via the canonical-cell rule: only
    where the SMALLER id is in its home cell (a replica pair is
    counted in the home cell of its min-id endpoint and nowhere else).
@@ -27,11 +27,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from equi7grid_ray.stages.aggregate import cogroup
+
 __all__ = ["neighbor_pairs", "rect_overlap_join", "snap_to_segments"]
 
 def neighbor_pairs(ds, *, radius: float, x_col: str = "x", y_col: str = "y",
-                   id_col: str = "id", cell_size: float | None = None,
-                   n_partitions: int = 32):
+                   id_col: str = "id", cell_size: float | None = None):
     """All distinct pairs (id_a < id_b) within euclidean ``radius``.
 
     Returns a Dataset ``(id_a, id_b, d2)`` where ``d2`` is the squared
@@ -60,15 +61,12 @@ def neighbor_pairs(ds, *, radius: float, x_col: str = "x", y_col: str = "y",
         ck_all = np.concatenate([o[0] for o in outs])
         home = np.concatenate([
             np.full(n, o[1], dtype=bool) for o in outs])
-        from equi7grid_ray.arrowutil import hash_partition
-        part = hash_partition(ck_all, n_partitions)
         return pa.table({
             "ck": pa.array(ck_all, pa.int64()),
             id_col: pa.array(np.tile(ids, 9), pa.int64()),
             "x": pa.array(np.tile(x, 9)),
             "y": pa.array(np.tile(y, 9)),
             "home": pa.array(home),
-            "part": pa.array(part, pa.int32()),
         })
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
@@ -93,13 +91,12 @@ def neighbor_pairs(ds, *, radius: float, x_col: str = "x", y_col: str = "y",
         })
 
     rep = ds.map_batches(replicate, batch_format="pyarrow")
-    return rep.groupby("part").map_groups(resolve, batch_format="pandas")
+    return cogroup(rep, ["ck"], resolve, n_partitions=32)
 
 
 def rect_overlap_join(ds, *, id_col: str = "id", x0_col: str = "x0",
                       x1_col: str = "x1", y0_col: str = "y0",
-                      y1_col: str = "y1", cell_shift: int = 8,
-                      n_partitions: int = 32):
+                      y1_col: str = "y1", cell_shift: int = 8):
     """All distinct pairs (id_a < id_b) of rectangles with POSITIVE
     intersection area (touching edges don't count) — scene-footprint
     overlap detection, the 2-D interval join (the reference's
@@ -137,9 +134,6 @@ def rect_overlap_join(ds, *, id_col: str = "id", x0_col: str = "x0",
             - np.repeat(starts[:-1], reps)
         cx = cx0[ridx] + local // ncy[ridx]
         cy = cy0[ridx] + local % ncy[ridx]
-        cell = cx * 1_000_003 + cy
-        part = ((cell.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-                >> np.uint64(40)).astype(np.int64) % n_partitions
         return pa.table({
             "id": pa.array(ids[ridx], pa.int64()),
             "x0": pa.array(x0[ridx], pa.int64()),
@@ -148,11 +142,9 @@ def rect_overlap_join(ds, *, id_col: str = "id", x0_col: str = "x0",
             "y1": pa.array(y1[ridx], pa.int64()),
             "cx": pa.array(cx, pa.int64()),
             "cy": pa.array(cy, pa.int64()),
-            "__part": pa.array(part.astype(np.int32), pa.int32()),
         })
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__part")
         m = g.merge(g, on=["cx", "cy"], suffixes=("_a", "_b"))
         m = m[m.id_a < m.id_b]
         if m.empty:
@@ -177,9 +169,8 @@ def rect_overlap_join(ds, *, id_col: str = "id", x0_col: str = "x0",
             "ov_area": (ox * oy)[keep],
         })
 
-    return (ds.map_batches(replicate, batch_format="pyarrow")
-            .groupby("__part")
-            .map_groups(resolve, batch_format="pandas"))
+    return cogroup(ds.map_batches(replicate, batch_format="pyarrow"),
+                   ["cx", "cy"], resolve, n_partitions=32)
 
 
 def snap_to_segments(ds, segments: np.ndarray, *, x_col: str = "x",

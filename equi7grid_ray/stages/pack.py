@@ -93,8 +93,7 @@ def pack_sequences(ds, *, budget: int, shard_size: int = 64,
 
 
 def assemble_sequences(ds, *, key_col: str, order_cols: list[str],
-                       token_col: str, sep: str = " ",
-                       n_partitions: int = 32):
+                       token_col: str, sep: str = " "):
     """Ordered per-key concatenation -- SQL ``string_agg(token, sep
     ORDER BY ...) GROUP BY key`` -- the "assemble the user's session /
     conversation into one training example" step.
@@ -109,17 +108,7 @@ def assemble_sequences(ds, *, key_col: str, order_cols: list[str],
     import pandas as pd
     import pyarrow.compute as pc
 
-    from equi7grid_ray.arrowutil import hash_partition
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        cols = {key_col: batch.column(key_col),
-                token_col: batch.column(token_col)}
-        for c in order_cols:
-            cols[c] = batch.column(c)
-        cols["part"] = pa.array(hash_partition(k, n_partitions), pa.int32())
-        return pa.table(cols)
+    from equi7grid_ray.stages.aggregate import cogroup
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
         keys = g[key_col].to_numpy(np.int64)
@@ -143,8 +132,6 @@ def assemble_sequences(ds, *, key_col: str, order_cols: list[str],
             "seq": pd.Series(joined.to_pylist(), dtype=object),
         })
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(resolve, batch_format="pandas")
-    )
+    cols = list(dict.fromkeys([key_col, token_col] + order_cols))
+    return cogroup(ds.select_columns(cols), [key_col], resolve,
+                   n_partitions=32)

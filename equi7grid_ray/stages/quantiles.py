@@ -94,8 +94,7 @@ def grouped_quantiles(ds, *, col: str, qs: tuple[float, ...],
     return single_group(hist, pick, ["q", "v"])
 
 
-def weighted_median(ds, *, key: str, val: str, weight: str,
-                    n_partitions: int = 32):
+def weighted_median(ds, *, key: str, val: str, weight: str):
     """Exact weighted lower median per key: the smallest value v with
     ``2 * cumweight(v) >= total_weight`` (integer weights, no
     interpolation -- the rule a SQL window cumsum states verbatim).
@@ -106,16 +105,11 @@ def weighted_median(ds, *, key: str, val: str, weight: str,
     partition.  Output: ``key, wmedian, total_w``."""
     import pandas as pd
 
-    from equi7grid_ray.stages.aggregate import _key_parts, hash_aggregate
+    from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
 
     cell = hash_aggregate(ds, keys=[key, val],
                           aggs={"w": (weight, "sum")},
-                          n_partitions=n_partitions)
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__part", pa.array(_key_parts(batch, [key], n_partitions),
-                               pa.int32()))
+                          n_partitions=32)
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, val], kind="stable")
@@ -130,5 +124,4 @@ def weighted_median(ds, *, key: str, val: str, weight: str,
         out = out.drop(columns="total_w").merge(tot, on=key)
         return out.astype({"wmedian": np.int64, "total_w": np.int64})
 
-    return (cell.map_batches(add_part, batch_format="pyarrow")
-            .groupby("__part").map_groups(resolve, batch_format="pandas"))
+    return cogroup(cell, [key], resolve, n_partitions=32)

@@ -31,8 +31,7 @@ import pyarrow as pa
 
 __all__ = ["global_rank", "pareto_front_2d"]
 
-def global_rank(ds, *, value_col: str, id_col: str, n_tiles: int = 0,
-                n_partitions: int = 32):
+def global_rank(ds, *, value_col: str, id_col: str, n_tiles: int = 0):
     """Rank rows by ``(value_col, id_col)`` ascending.
 
     Returns ``(id_col, value_col, rnk)`` with 1-based dense row numbers
@@ -51,7 +50,7 @@ def global_rank(ds, *, value_col: str, id_col: str, n_tiles: int = 0,
         return pa.table({"v": pa.array(vals, pa.int64()),
                          "c": pa.array(cnt, pa.int64())})
 
-    from equi7grid_ray.stages.aggregate import hash_aggregate
+    from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
 
     hist = collect_tables(
         hash_aggregate(ds.map_batches(vcounts, batch_format="pyarrow"),
@@ -73,15 +72,12 @@ def global_rank(ds, *, value_col: str, id_col: str, n_tiles: int = 0,
         # bucket boundary after which groups shrink from ceil to floor
         pivot = rem * (base + 1)
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        from equi7grid_ray.arrowutil import hash_partition
-
+    def prep(batch: pa.Table) -> pa.Table:
         v = batch.column(value_col).to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         return pa.table({
             id_col: batch.column(id_col),
             value_col: pa.array(v, pa.int64()),
-            "part": pa.array(hash_partition(v, n_partitions), pa.int32()),
         })
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
@@ -111,11 +107,8 @@ def global_rank(ds, *, value_col: str, id_col: str, n_tiles: int = 0,
         return pd.DataFrame({k: pd.Series(x, dtype=np.int64)
                              for k, x in out.items()})
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(resolve, batch_format="pandas")
-    )
+    return cogroup(ds.map_batches(prep, batch_format="pyarrow"), [value_col],
+                   resolve, n_partitions=32)
 
 
 def _front_2d(q: np.ndarray, p: np.ndarray) -> np.ndarray:

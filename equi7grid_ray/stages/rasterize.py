@@ -38,8 +38,7 @@ __all__ = ["point_in_polygon_mask", "rasterize_polygons",
 
 
 def rasterize_majority(cells, polys: pa.Table, *, px_col: str = "px",
-                       py_col: str = "py", value_col: str = "v",
-                       n_partitions: int = 8):
+                       py_col: str = "py", value_col: str = "v"):
     """Zonal MAJORITY (mode) — the categorical zonal statistic (land
     cover class per region): for each polygon, the most frequent cell
     value over its footprint, ties -> smallest value.  Same broadcast
@@ -87,7 +86,7 @@ def rasterize_majority(cells, polys: pa.Table, *, px_col: str = "px",
     counts = hash_aggregate(
         cells.map_batches(partials, batch_format="pyarrow"),
         keys=["poly_id", "v"], aggs={"n": ("n", "sum")},
-        n_partitions=n_partitions)
+        n_partitions=8)
 
     def mode(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["n", "v"], ascending=[False, True],
@@ -178,8 +177,7 @@ def point_in_polygon_mask(px: np.ndarray, py: np.ndarray,
 
 
 def rasterize_polygons(cells, polys: pa.Table, *, px_col: str = "px",
-                       py_col: str = "py", value_col: str | None = None,
-                       n_partitions: int = 8):
+                       py_col: str = "py", value_col: str | None = None):
     """Rasterize the (small, broadcast) polygon table onto the
     streaming cell grid.
 
@@ -246,7 +244,7 @@ def rasterize_polygons(cells, polys: pa.Table, *, px_col: str = "px",
         aggs["sum_v"] = ("sum_v", "sum")
         aggs["max_v"] = ("max_v", "max")
     return hash_aggregate(part, keys=["poly_id"], aggs=aggs,
-                          n_partitions=n_partitions)
+                          n_partitions=8)
 
 
 def poly_simplify(ds, *, tol2: int, id_col: str = "poly_id",

@@ -206,8 +206,7 @@ def isqrt_i64(n: np.ndarray) -> np.ndarray:
     return s
 
 
-def mixture_allocation(ds, *, key: str, target: int,
-                       n_partitions: int = 16):
+def mixture_allocation(ds, *, key: str, target: int):
     """Temperature-based data-mixture planner: allocate a sampling
     budget of ``target`` rows across the values of ``key`` with
     weights proportional to sqrt(count) (the alpha = 0.5 temperature
@@ -237,7 +236,7 @@ def mixture_allocation(ds, *, key: str, target: int,
         ds.map_batches(partial, batch_format="pyarrow"),
         keys=[key],
         aggs={"n_rows": ("n_rows", "sum")},
-        n_partitions=n_partitions,
+        n_partitions=16,
     )
 
     def alloc(batch: pa.Table) -> pa.Table:

@@ -61,8 +61,7 @@ __all__ = ["jaccard_similarity_join", "containment_join"]
 
 def jaccard_similarity_join(ds, *, threshold: float = 0.8, n: int = 8,
                             id_col: str = "doc_id", text_col: str = "text",
-                            n_partitions: int = 64, max_bucket: int = 500,
-                            join_partitions: int = 32):
+                            max_bucket: int = 500):
     """All pairs ``(id_a < id_b)`` with distinct-char-``n``-gram Jaccard
     >= ``threshold`` (exact, recall 1 unless a token bucket exceeds
     ``max_bucket``).  ``threshold`` is snapped to a rational p/q so both
@@ -70,7 +69,7 @@ def jaccard_similarity_join(ds, *, threshold: float = 0.8, n: int = 8,
     import ray.data as rd
 
     from equi7grid_ray.arrowutil import collect_tables
-    from equi7grid_ray.stages.aggregate import hash_aggregate
+    from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
     from equi7grid_ray.stages.dedup import _ngram_set_per_row
     from equi7grid_ray.stages.join import (shuffle_hash_join,
                                        shuffle_join_schema)
@@ -113,7 +112,6 @@ def jaccard_similarity_join(ds, *, threshold: float = 0.8, n: int = 8,
         empty = pa.table({
             id_col: batch.column(id_col).slice(0, 0),
             "__tok": pa.array([], pa.int64()),
-            "__part": pa.array([], pa.int32()),
         })
         if len(h) == 0:
             return empty
@@ -134,16 +132,12 @@ def jaccard_similarity_join(ds, *, threshold: float = 0.8, n: int = 8,
         keep = (rank < p[row]) & (df_of >= 2)
         rk = row[keep]
         tok = h[keep].view(np.int64)
-        part = (tok.view(np.uint64) % np.uint64(n_partitions)).astype(np.int32)
         return pa.table({
             id_col: batch.column(id_col).take(pa.array(rk)),
             "__tok": pa.array(tok, pa.int64()),
             "__pos": pa.array(rank[keep].astype(np.int32), pa.int32()),
             "__m": pa.array(m[rk].astype(np.int32), pa.int32()),
-            "__part": pa.array(part, pa.int32()),
         })
-
-    parted = ds.map_batches(prefix_tokens, batch_format="pyarrow")
 
     def pairs_in_partition(g: pd.DataFrame) -> pd.DataFrame:
         sizes = g.groupby("__tok")[id_col].transform("size")
@@ -170,9 +164,8 @@ def jaccard_similarity_join(ds, *, threshold: float = 0.8, n: int = 8,
         out.columns = ["id_a", "id_b"]
         return out
 
-    cand = parted.groupby("__part").map_groups(
-        pairs_in_partition, batch_format="pandas"
-    )
+    cand = cogroup(ds.map_batches(prefix_tokens, batch_format="pyarrow"),
+                   ["__tok"], pairs_in_partition, n_partitions=64)
     cand = hash_aggregate(
         cand, keys=["id_a", "id_b"], aggs={"__n": ("id_a", "count")},
     ).select_columns(["id_a", "id_b"]).materialize()
@@ -198,10 +191,10 @@ def jaccard_similarity_join(ds, *, threshold: float = 0.8, n: int = 8,
     _db = pa.schema([("id_b", pa.int64()), ("text_b", pa.string())])
     _wa = shuffle_join_schema(_pair_schema, _da, on="id_a")
     with_a = shuffle_hash_join(cand, _docs_as("id_a", "text_a"),
-                               on="id_a", n_partitions=join_partitions,
+                               on="id_a", n_partitions=32,
                                left_schema=_pair_schema, right_schema=_da)
     with_ab = shuffle_hash_join(with_a, _docs_as("id_b", "text_b"),
-                                on="id_b", n_partitions=join_partitions,
+                                on="id_b", n_partitions=32,
                                 left_schema=_wa, right_schema=_db)
 
     def verify(batch: pa.Table) -> pa.Table:
@@ -228,8 +221,7 @@ def jaccard_similarity_join(ds, *, threshold: float = 0.8, n: int = 8,
 
 def containment_join(ds, *, threshold: float = 0.8, n: int = 8,
                      id_col: str = "doc_id", text_col: str = "text",
-                     n_partitions: int = 64, max_bucket: int = 500,
-                     join_partitions: int = 32):
+                     max_bucket: int = 500):
     """Exact set-CONTAINMENT self-join: every ORDERED pair (a, b),
     a != b, with ``|A ∩ B| / |A| >= threshold`` over distinct
     character-``n``-gram sets — the quote / subset / partial-copy
@@ -253,7 +245,7 @@ def containment_join(ds, *, threshold: float = 0.8, n: int = 8,
     import ray.data as rd
 
     from equi7grid_ray.arrowutil import collect_tables
-    from equi7grid_ray.stages.aggregate import hash_aggregate
+    from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
     from equi7grid_ray.stages.dedup import _ngram_set_per_row
     from equi7grid_ray.stages.join import (shuffle_hash_join,
                                        shuffle_join_schema)
@@ -294,7 +286,6 @@ def containment_join(ds, *, threshold: float = 0.8, n: int = 8,
             "__pos": pa.array([], pa.int32()),
             "__m": pa.array([], pa.int32()),
             "__pref": pa.array([], pa.bool_()),
-            "__part": pa.array([], pa.int32()),
         })
         if len(h) == 0:
             return empty
@@ -315,18 +306,13 @@ def containment_join(ds, *, threshold: float = 0.8, n: int = 8,
         keep = df_of >= 2
         rk = row[keep]
         tok = h[keep].view(np.int64)
-        part = (tok.view(np.uint64) % np.uint64(n_partitions)) \
-            .astype(np.int32)
         return pa.table({
             id_col: batch.column(id_col).take(pa.array(rk)),
             "__tok": pa.array(tok, pa.int64()),
             "__pos": pa.array(rank[keep].astype(np.int32), pa.int32()),
             "__m": pa.array(m[rk].astype(np.int32), pa.int32()),
             "__pref": pa.array(rank[keep] < p[rk]),
-            "__part": pa.array(part, pa.int32()),
         })
-
-    parted = ds.map_batches(role_tokens, batch_format="pyarrow")
 
     def pairs_in_partition(g: pd.DataFrame) -> pd.DataFrame:
         sizes = g.groupby("__tok")[id_col].transform("size")
@@ -349,8 +335,8 @@ def containment_join(ds, *, threshold: float = 0.8, n: int = 8,
         out.columns = ["id_a", "id_b"]
         return out
 
-    cand = parted.groupby("__part").map_groups(
-        pairs_in_partition, batch_format="pandas")
+    cand = cogroup(ds.map_batches(role_tokens, batch_format="pyarrow"),
+                   ["__tok"], pairs_in_partition, n_partitions=64)
     cand = hash_aggregate(
         cand, keys=["id_a", "id_b"], aggs={"__n": ("id_a", "count")},
     ).select_columns(["id_a", "id_b"]).materialize()
@@ -374,10 +360,10 @@ def containment_join(ds, *, threshold: float = 0.8, n: int = 8,
     _db = pa.schema([("id_b", pa.int64()), ("text_b", pa.string())])
     _wa = shuffle_join_schema(_pair_schema, _da, on="id_a")
     with_a = shuffle_hash_join(cand, _docs_as("id_a", "text_a"),
-                               on="id_a", n_partitions=join_partitions,
+                               on="id_a", n_partitions=32,
                                left_schema=_pair_schema, right_schema=_da)
     with_ab = shuffle_hash_join(with_a, _docs_as("id_b", "text_b"),
-                                on="id_b", n_partitions=join_partitions,
+                                on="id_b", n_partitions=32,
                                 left_schema=_wa, right_schema=_db)
 
     def verify(batch: pa.Table) -> pa.Table:

@@ -225,7 +225,7 @@ class BandedLSH:
 
 def embedding_near_dup_pairs(ds, dim: int, *, threshold: float = 0.4,
                              bands: int = 8, r: int = 4,
-                             max_bucket: int = 500, n_partitions: int = 32,
+                             max_bucket: int = 500,
                              col: str = "embedding", id_col: str = "vec_id",
                              seed: int = 42):
     """All embedding pairs with cosine >= ``threshold`` among banded-LSH
@@ -235,23 +235,14 @@ def embedding_near_dup_pairs(ds, dim: int, *, threshold: float = 0.4,
 
     Scale shape: only bucket collisions are scored (never all-pairs);
     buckets larger than ``max_bucket`` are dropped (they would be
-    near-identical floods); the shuffle key is (band, bucket) hashed
-    into ``n_partitions`` groups so map_groups runs O(partitions) pandas
-    calls, not O(buckets)."""
+    near-identical floods); the shuffle key is (band, bucket), cogrouped
+    so O(partitions) pandas calls run, not O(buckets)."""
     sig = ds.map_batches(
         BandedLSH,
         fn_constructor_kwargs=dict(dim=dim, bands=bands, r=r, col=col,
                                    id_col=id_col, seed=seed),
         batch_format="pyarrow", concurrency=(1, 4), num_cpus=1,
     )
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        band = batch.column("band").to_numpy().astype(np.int64)
-        bucket = batch.column("bucket").to_numpy()
-        part = ((band * np.int64(1 << r) + bucket) % n_partitions).astype(np.int32)
-        return batch.append_column("part", pa.array(part, pa.int32()))
-
-    parted = sig.map_batches(add_part, batch_format="pyarrow")
 
     def pairs_in_partition(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"id_a": pd.Series([], dtype=np.int64),
@@ -272,11 +263,10 @@ def embedding_near_dup_pairs(ds, dim: int, *, threshold: float = 0.4,
         out.columns = ["id_a", "id_b"]
         return out
 
-    cand = parted.groupby("part").map_groups(
-        pairs_in_partition, batch_format="pandas"
-    )
-    from equi7grid_ray.stages.aggregate import hash_aggregate
+    from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
 
+    cand = cogroup(sig, ["band", "bucket"], pairs_in_partition,
+                   n_partitions=32)
     return hash_aggregate(
         cand, keys=["id_a", "id_b"], aggs={"n_bands": ("id_a", "count")},
     ).select_columns(["id_a", "id_b"])
@@ -546,7 +536,7 @@ def pq_sdc_topk(codes, query_code: int, *, k: int = 10, m: int = 8,
 
 
 def embedding_dim_stats(ds, *, col: str = "embedding",
-                        id_col: str = "vec_id", n_partitions: int = 8):
+                        id_col: str = "vec_id"):
     """Per-dimension moment statistics over the int8-quantized codes —
     the PCA/whitening prep pass of an embedding pipeline (which
     dimensions carry variance; which are dead).  Quantize rule shared
@@ -600,7 +590,7 @@ def embedding_dim_stats(ds, *, col: str = "embedding",
         ds.map_batches(partials, batch_format="pyarrow"),
         keys=["d"],
         aggs={"n": ("n", "sum"), "s": ("s", "sum"), "ss": ("ss", "sum")},
-        n_partitions=n_partitions)
+        n_partitions=8)
 
     def close(batch: pa.Table) -> pa.Table:
         n = batch.column("n").to_numpy()

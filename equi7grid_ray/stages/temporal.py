@@ -28,7 +28,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from equi7grid_ray.stages.aggregate import hash_aggregate
+from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
 from equi7grid_ray.stages.multimodal import frames
 
 __all__ = ["SceneCellMeans", "tile_temporal_median", "tile_change_detect",
@@ -82,17 +82,11 @@ class SceneCellMeans:
         })
 
 
-def tile_temporal_median(cells, *, n_partitions: int = 32):
+def tile_temporal_median(cells):
     """Per (tile, gr, gc): exact lower-median / min / max / count of
     the per-scene block means.  One hash partition on ``tile`` (all
     cells of one tile colocate), then ONE np.lexsort + group-boundary
     pass per partition -- no per-group Python."""
-    from equi7grid_ray.stages.aggregate import _key_parts
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__part", pa.array(_key_parts(batch, ["tile"], n_partitions)))
-
     def medians(g: pd.DataFrame) -> pd.DataFrame:
         tcode, tuniq = pd.factorize(g["tile"], sort=False)
         gr = g["gr"].to_numpy()
@@ -117,14 +111,10 @@ def tile_temporal_median(cells, *, n_partitions: int = 32):
             "v_max": m[starts + counts - 1].astype(np.int64),
         })
 
-    return (
-        cells.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(medians, batch_format="pandas")
-    )
+    return cogroup(cells, ["tile"], medians, n_partitions=32)
 
 
-def tile_mk_trend(cells, *, n_partitions: int = 32):
+def tile_mk_trend(cells):
     """Per-(tile, cell) Mann-Kendall trend statistic over the scene
     stack -- the NONPARAMETRIC counterpart of :func:`tile_trend`'s
     least-squares slope and the standard EO monotonic-trend test
@@ -141,19 +131,14 @@ def tile_mk_trend(cells, *, n_partitions: int = 32):
     comparison v[k+d] vs v[k] is one vectorized pass over the whole
     partition masked to same-group rows, so Python cost is O(max
     stack depth), never O(groups) or O(pairs)."""
-    from equi7grid_ray.stages.aggregate import _key_parts
-
     def prep(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "tile": pc.cast(batch.column("tile"), pa.string()),
             "gr": batch.column("gr"),
             "gc": batch.column("gc"),
             "i": batch.column("i"),
             "m": batch.column("m"),
         })
-        return t.append_column(
-            "__part",
-            pa.array(_key_parts(t, ["tile", "gr", "gc"], n_partitions)))
 
     def mk(g: pd.DataFrame) -> pd.DataFrame:
         tcode, _ = pd.factorize(g["tile"], sort=False)
@@ -189,14 +174,11 @@ def tile_mk_trend(cells, *, n_partitions: int = 32):
             "n_pairs": n * (n - 1) // 2,
         })
 
-    return (
-        cells.map_batches(prep, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(mk, batch_format="pandas")
-    )
+    return cogroup(cells.map_batches(prep, batch_format="pyarrow"),
+                   ["tile", "gr", "gc"], mk, n_partitions=32)
 
 
-def tile_trend(cells, *, q: int = 10**6, n_partitions: int = 32):
+def tile_trend(cells, *, q: int = 10**6):
     """Per-(tile, cell) temporal TREND of the block means over scene
     index (the exact-integer least-squares slope -- the land-change /
     vegetation-trend primitive):
@@ -229,7 +211,7 @@ def tile_trend(cells, *, q: int = 10**6, n_partitions: int = 32):
         aggs={"n_sc": ("one", "sum"), "st": ("t", "sum"),
               "sv": ("v", "sum"), "stv": ("tv", "sum"),
               "stt": ("tt", "sum")},
-        n_partitions=n_partitions,
+        n_partitions=32,
     )
 
     def slope(batch: pa.Table) -> pa.Table:
@@ -257,7 +239,7 @@ def tile_trend(cells, *, q: int = 10**6, n_partitions: int = 32):
     return agg.map_batches(slope, batch_format="pyarrow")
 
 
-def tile_change_detect(cells, *, thresh: int = 8, n_partitions: int = 32):
+def tile_change_detect(cells, *, thresh: int = 8):
     """Two-epoch change detection per tile: epoch-0 vs epoch-1 MAX
     composites compared cell-by-cell; a cell "changed" when
     ``|v1 - v0| >= thresh``.  Cells observed in only one epoch are
@@ -283,7 +265,7 @@ def tile_change_detect(cells, *, thresh: int = 8, n_partitions: int = 32):
         cells.map_batches(split_epochs, batch_format="pyarrow"),
         keys=["tile", "gr", "gc"],
         aggs={"v0": ("m0", "max"), "v1": ("m1", "max")},
-        n_partitions=n_partitions,
+        n_partitions=32,
     )
 
     def deltas(batch: pa.Table) -> pa.Table:
@@ -307,12 +289,11 @@ def tile_change_detect(cells, *, thresh: int = 8, n_partitions: int = 32):
             "n_changed": ("changed", "sum"),
             "sum_absd": ("absd", "sum"),
         },
-        n_partitions=n_partitions,
+        n_partitions=32,
     )
 
 
-def tile_anomaly(cells, *, t: int = 2, min_n: int = 3,
-                 n_partitions: int = 32):
+def tile_anomaly(cells, *, t: int = 2, min_n: int = 3):
     """Per-(tile, cell) temporal OUTLIER screening: a scene's block
     mean is anomalous when its exact z-score exceeds ``t`` —
     cross-multiplied so no division or sqrt appears:
@@ -328,12 +309,6 @@ def tile_anomaly(cells, *, t: int = 2, min_n: int = 3,
     (``outl_scene_sum`` = sum of flagged scene indices — an
     order-independent witness the SQL mirror recomputes).  One tile
     hash partition, one lexsort + reduceat pass per partition."""
-    from equi7grid_ray.stages.aggregate import _key_parts
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__part", pa.array(_key_parts(batch, ["tile"], n_partitions)))
-
     t2 = t * t
 
     def screen(g: pd.DataFrame) -> pd.DataFrame:
@@ -368,26 +343,16 @@ def tile_anomaly(cells, *, t: int = 2, min_n: int = 3,
         })
         return out[keep].reset_index(drop=True)
 
-    return (
-        cells.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(screen, batch_format="pandas")
-    )
+    return cogroup(cells, ["tile"], screen, n_partitions=32)
 
 
-def tile_best_scene_cell(cells, *, n_partitions: int = 32):
+def tile_best_scene_cell(cells):
     """Per-(tile, cell) PROVENANCE of the max composite: which scene
     supplied the winning value (ties -> smallest scene index, the
     deterministic rule row_number() mirrors).  One lexsort per tile
     partition — the argmax rides the same pass that would build the
     composite, so provenance costs nothing extra at 100 TB.  Emits
     (tile, gr, gc, best_scene, best_m)."""
-    from equi7grid_ray.stages.aggregate import _key_parts
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__part", pa.array(_key_parts(batch, ["tile"], n_partitions)))
-
     def argmax(g: pd.DataFrame) -> pd.DataFrame:
         tcode, tuniq = pd.factorize(g["tile"], sort=False)
         gr = g["gr"].to_numpy()
@@ -410,14 +375,10 @@ def tile_best_scene_cell(cells, *, n_partitions: int = 32):
             "best_m": m[first],
         })
 
-    return (
-        cells.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(argmax, batch_format="pandas")
-    )
+    return cogroup(cells, ["tile"], argmax, n_partitions=32)
 
 
-def tile_iqr_composite(cells, *, n_partitions: int = 32):
+def tile_iqr_composite(cells):
     """Per (tile, gr, gc): exact QUARTILE composite over the scene
     stack -- the robust-compositing counterpart of
     :func:`tile_temporal_median` (Q1/Q3 band composites and their
@@ -431,12 +392,6 @@ def tile_iqr_composite(cells, *, n_partitions: int = 32):
 
     Same shape as the median composite: one hash partition on tile,
     ONE lexsort + group-boundary pass per partition."""
-    from equi7grid_ray.stages.aggregate import _key_parts
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__part", pa.array(_key_parts(batch, ["tile"], n_partitions)))
-
     def quartiles(g: pd.DataFrame) -> pd.DataFrame:
         tcode, tuniq = pd.factorize(g["tile"], sort=False)
         gr = g["gr"].to_numpy()
@@ -466,11 +421,7 @@ def tile_iqr_composite(cells, *, n_partitions: int = 32):
             "iqr": q3 - q1,
         })
 
-    return (
-        cells.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(quartiles, batch_format="pandas")
-    )
+    return cogroup(cells, ["tile"], quartiles, n_partitions=32)
 
 
 def sax_motifs(counts, *, key: str = "event_type", hr_col: str = "hr",
@@ -526,8 +477,7 @@ def sax_motifs(counts, *, key: str = "event_type", hr_col: str = "hr",
     return single_group(counts, fold, [key, "motif", "n"])
 
 
-def tile_transition_matrix(cells, *, class_div: int = 64,
-                           n_partitions: int = 32):
+def tile_transition_matrix(cells, *, class_div: int = 64):
     """Two-epoch class-transition (land-cover change) matrix: epoch-0
     vs epoch-1 per-cell MAX composites classified into
     ``256 // class_div`` brightness classes, cross-tabulated per
@@ -556,7 +506,7 @@ def tile_transition_matrix(cells, *, class_div: int = 64,
         cells.map_batches(split_epochs, batch_format="pyarrow"),
         keys=["tile", "gr", "gc"],
         aggs={"v0": ("m0", "max"), "v1": ("m1", "max")},
-        n_partitions=n_partitions,
+        n_partitions=32,
     )
 
     def classify(batch: pa.Table) -> pa.Table:

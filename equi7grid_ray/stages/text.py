@@ -551,7 +551,7 @@ def gopher_filter(batch: pa.Table) -> pa.Table:
 
 
 def inverted_index(ds, *, id_col: str = "doc_id", text_col: str = "text",
-                   k_postings: int = 10, n_partitions: int = 32):
+                   k_postings: int = 10):
     """Build an inverted index: whitespace token -> document frequency
     + the first ``k_postings`` doc ids (ascending) as a CSV posting
     list -- the search-engine / RAG-retrieval index-build step.
@@ -567,7 +567,7 @@ def inverted_index(ds, *, id_col: str = "doc_id", text_col: str = "text",
     """
     import pandas as pd
 
-    from equi7grid_ray.stages.dedup import _column_bytes, hash_bytes_offsets
+    from equi7grid_ray.stages.aggregate import cogroup
 
     def explode(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch.column(text_col), " ")
@@ -578,10 +578,6 @@ def inverted_index(ds, *, id_col: str = "doc_id", text_col: str = "text",
         ids = batch.column(id_col).take(parents)
         df = pa.table({"token": flat, id_col: ids}).to_pandas() \
             .drop_duplicates()
-        arr = pa.array(df.token.to_numpy(), pa.string())
-        flatb, offs = _column_bytes(arr)
-        h = hash_bytes_offsets(flatb, offs).view(np.uint64)
-        df["part"] = (h % np.uint64(n_partitions)).astype(np.int32)
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
@@ -614,8 +610,8 @@ def inverted_index(ds, *, id_col: str = "doc_id", text_col: str = "text",
                                   dtype=object),
         })
 
-    return (ds.map_batches(explode, batch_format="pyarrow")
-            .groupby("part").map_groups(resolve, batch_format="pandas"))
+    return cogroup(ds.map_batches(explode, batch_format="pyarrow"), ["token"],
+                   resolve, n_partitions=32)
 
 
 def collocations_pmi(ds, *, col: str = "text", k: int = 50,
@@ -802,7 +798,7 @@ def doc_chunks(batch: pa.Table, *, id_col: str = "doc_id",
 
 
 def vocab_growth(ds, *, bucket_docs: int = 50, id_col: str = "doc_id",
-                 text_col: str = "text", n_partitions: int = 16):
+                 text_col: str = "text"):
     """Heaps-law vocabulary growth curve: docs are grouped into
     ingestion buckets of ``bucket_docs`` consecutive doc_ids; a token
     is NEW in the bucket of the smallest doc_id carrying it.  Emits
@@ -843,7 +839,7 @@ def vocab_growth(ds, *, bucket_docs: int = 50, id_col: str = "doc_id",
     firsts = hash_aggregate(
         ds.map_batches(partial, batch_format="pyarrow"),
         keys=["token"], aggs={"first_doc": ("first_doc", "min")},
-        n_partitions=n_partitions,
+        n_partitions=16,
     )
 
     def to_bucket(batch: pa.Table) -> pa.Table:

@@ -163,7 +163,11 @@ class TileAssigner:
         exact_projection: bool = False,
     ):
         self.spec = spec or GridSpec.standard()
-        self.state = get_grid_state(self.spec)
+        # keep only this assigner's pieces of the shared GridState: a
+        # broadcast assigner pickles its attributes, and the state also
+        # holds every other tiling any caller in the process loaded
+        state = get_grid_state(self.spec)
+        self.zc = state.zc
         self.tiling = self.spec.tiling_name(tiling_id)
         self.tile_size = self.spec.tile_size(tiling_id)
         self.decode = decode
@@ -178,7 +182,7 @@ class TileAssigner:
         # the tiling's tile set, name dictionary and zone bits: output
         # tiles are dictionary-encoded over ``index.names`` (an index
         # gather replaces any per-row string work)
-        self.index = self.state.tile_index(self.tiling)
+        self.index = state.tile_index(self.tiling)
         self.continents = self.index.continents
         self._dict_values = pa.array(self.index.names)
         self._cont_values = pa.array(np.asarray(self.continents, dtype="U2"))
@@ -192,7 +196,7 @@ class TileAssigner:
             from equi7grid_ray.interp import build_zone_projectors
 
             self._proj = build_zone_projectors(
-                self.state.zc.polys, self.continents
+                self.zc.polys, self.continents
             )
         # cell -> tile table: emit_xy=False rows in a cell that lies in one
         # zone and one tile skip classify/project/floor/lookup
@@ -217,7 +221,7 @@ class TileAssigner:
         ]
 
     def _load_cell_table(self) -> np.ndarray | None:
-        zc = self.state.zc
+        zc = self.zc
         key = json.dumps([self.tiling, self.tile_size, zc.order, self.continents,
                           self.index.names.tolist()]).encode()
         return zc.cell_tile_table(
@@ -245,7 +249,7 @@ class TileAssigner:
 
         px_mean = _decode_means(batch) if self.decode else None
 
-        zc = self.state.zc
+        zc = self.zc
         table = self._cell_table
         if table is None:
             fb = None

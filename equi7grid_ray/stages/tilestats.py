@@ -36,7 +36,7 @@ def _tdiv(a: int, b: int) -> int:
     return q if (a < 0) == (b < 0) else -q
 
 
-def tile_counts(ds, *, name: str = "x", n_partitions: int = 32):
+def tile_counts(ds, *, name: str = "x"):
     """Per-tile row count of a Dataset with a ``tile`` column: per-batch
     ``value_counts`` partials, then one keyed sum.  Returns (tile,
     ``name``) rows with tile as a plain string."""
@@ -49,8 +49,7 @@ def tile_counts(ds, *, name: str = "x", n_partitions: int = 32):
 
     return hash_aggregate(
         ds.map_batches(partial, batch_format="pyarrow"),
-        keys=["tile"], aggs={name: ("pn", "sum")},
-        n_partitions=n_partitions)
+        keys=["tile"], aggs={name: ("pn", "sum")})
 
 
 def _lattice_frame(tiles) -> pd.DataFrame:
@@ -61,11 +60,11 @@ def _lattice_frame(tiles) -> pd.DataFrame:
     return pd.DataFrame({"tile": tiles, "cidx": cidx, "te": te, "tn": tn})
 
 
-def _observed_tiles(assigned, n_partitions: int) -> pd.DataFrame:
+def _observed_tiles(assigned) -> pd.DataFrame:
     """:func:`_lattice_frame` of the observed tiles plus their scene
     count ``x`` -- collected to the driver (bounded: one row per
     observed tile)."""
-    df = tile_counts(assigned, n_partitions=n_partitions).to_pandas()
+    df = tile_counts(assigned).to_pandas()
     return _lattice_frame(df["tile"]).assign(x=df["x"].to_numpy(np.int64))
 
 
@@ -93,8 +92,7 @@ def _ring_offsets(radius: int, step: int):
             for dy in range(-radius, radius + 1)]
 
 
-def tile_moran(assigned, *, step: int = 6, q: int = 10**9,
-               n_partitions: int = 32):
+def tile_moran(assigned, *, step: int = 6, q: int = 10**9):
     """Moran's I of the per-tile scene count over rook-adjacent tiles
     (same continent, +/-``step`` in easting XOR northing; binary
     weights; universe = observed tiles).
@@ -107,7 +105,7 @@ def tile_moran(assigned, *, step: int = 6, q: int = 10**9,
     pins the whole computation, not just the quotient."""
     import ray.data as rd
 
-    par = _observed_tiles(assigned, n_partitions)
+    par = _observed_tiles(assigned)
     n = len(par)
     x = par["x"].to_numpy(dtype=object)
     s = int(x.sum())
@@ -130,7 +128,7 @@ def tile_moran(assigned, *, step: int = 6, q: int = 10**9,
     }))
 
 
-def tile_revisit(assigned, *, n_partitions: int = 32):
+def tile_revisit(assigned):
     """Per-tile revisit cadence over the scene index (the acquisition
     -time stand-in): scene count, first/last index, and the largest
     gap between consecutive acquisitions (0 for single-scene tiles).
@@ -139,17 +137,15 @@ def tile_revisit(assigned, *, n_partitions: int = 32):
     partition -- no per-group Python."""
     import pyarrow.compute as pc
 
-    from equi7grid_ray.stages.aggregate import _key_parts
+    from equi7grid_ray.stages.aggregate import cogroup
 
     def prep(batch: pa.Table) -> pa.Table:
         idx = pc.cast(
             pc.utf8_slice_codeunits(batch.column("image_id"), 3, 32),
             pa.int64(),
         )
-        t = pa.table({"tile": pc.cast(batch.column("tile"), pa.string()),
-                      "i": idx})
-        return t.append_column(
-            "__part", pa.array(_key_parts(t, ["tile"], n_partitions)))
+        return pa.table({"tile": pc.cast(batch.column("tile"), pa.string()),
+                         "i": idx})
 
     def cadence(g: pd.DataFrame) -> pd.DataFrame:
         tcode, tuniq = pd.factorize(g["tile"], sort=False)
@@ -173,11 +169,8 @@ def tile_revisit(assigned, *, n_partitions: int = 32):
             "max_gap": np.maximum.reduceat(gaps, starts),
         })
 
-    return (
-        assigned.map_batches(prep, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(cadence, batch_format="pandas")
-    )
+    return cogroup(assigned.map_batches(prep, batch_format="pyarrow"),
+                   ["tile"], cadence, n_partitions=32)
 
 
 def _tile_node_ids(cidx, te, tn) -> np.ndarray:
@@ -198,7 +191,7 @@ def _node_to_tile(node: np.ndarray) -> list[str]:
     return full_names(cont, node % 1000 * 1e5, tn * 1e5, "T6").tolist()
 
 
-def tile_clusters(assigned, *, step: int = 6, n_partitions: int = 32):
+def tile_clusters(assigned, *, step: int = 6):
     """Connected clusters of observed tiles (rook adjacency on the T6
     lattice): the contiguous-coverage regions of an archive sweep.
     Emits per cluster: the lexicographically-min member tile as the
@@ -212,7 +205,7 @@ def tile_clusters(assigned, *, step: int = 6, n_partitions: int = 32):
 
     from equi7grid_ray.stages.graph import connected_components
 
-    par = _observed_tiles(assigned, n_partitions)
+    par = _observed_tiles(assigned)
     node = _tile_node_ids(*(par[c].to_numpy(np.int64)
                             for c in ("cidx", "te", "tn")))
     # rook edges from the east/north neighbour maps + self-loops
@@ -240,8 +233,7 @@ def tile_clusters(assigned, *, step: int = 6, n_partitions: int = 32):
     }))
 
 
-def tile_kring(assigned, *, radius_steps: int = 2, step: int = 6,
-               n_partitions: int = 32):
+def tile_kring(assigned, *, radius_steps: int = 2, step: int = 6):
     """K-ring neighborhood density on the T6 lattice: for every
     observed tile, how many observed same-continent tiles (and how
     many scenes) sit within Chebyshev distance ``radius_steps`` —
@@ -254,7 +246,7 @@ def tile_kring(assigned, *, radius_steps: int = 2, step: int = 6,
     gathers.  Emits (tile, n_nbrs, nbr_scenes)."""
     import ray.data as rd
 
-    par = _observed_tiles(assigned, n_partitions)
+    par = _observed_tiles(assigned)
     x = par["x"].to_numpy(np.int64)
     n_nbrs = np.zeros(len(par), np.int64)
     nbr_sc = np.zeros(len(par), np.int64)
@@ -271,8 +263,7 @@ def tile_kring(assigned, *, radius_steps: int = 2, step: int = 6,
 _COST_BIG = 1 << 40
 
 
-def tile_cost_distance(assigned, *, rounds: int = 8, step: int = 6,
-                       n_partitions: int = 32):
+def tile_cost_distance(assigned, *, rounds: int = 8, step: int = 6):
     """Least-cost distance over the observed T6 lattice (bounded
     Bellman-Ford -- the cost-distance / accessibility surface of
     raster GIS, run on tile granularity): seeds are each continent's
@@ -296,7 +287,7 @@ def tile_cost_distance(assigned, *, rounds: int = 8, step: int = 6,
     (tile, w, dist)."""
     import ray.data as rd
 
-    par = _observed_tiles(assigned, n_partitions)
+    par = _observed_tiles(assigned)
     x = par["x"].to_numpy(np.int64)
     w = 1 + x % 4
     cont_max = par.groupby("cidx")["x"].transform("max").to_numpy(np.int64)
@@ -350,7 +341,7 @@ def tile_erosion_depth(tiles, *, step: int = 6, max_depth: int = 3):
     return rd.from_arrow(pa.table(cols))
 
 
-def coverage_gini(assigned, *, n_partitions: int = 32):
+def coverage_gini(assigned):
     """Per-continent GINI COEFFICIENT of the per-tile scene counts --
     the coverage-equity statistic (0 = every observed tile revisited
     equally, ->1 = acquisitions piled on few tiles) that drives
@@ -370,7 +361,7 @@ def coverage_gini(assigned, *, n_partitions: int = 32):
     the fold runs per continent over the bounded tile table."""
     import pyarrow.compute as pc
 
-    counts = tile_counts(assigned, name="c", n_partitions=n_partitions)
+    counts = tile_counts(assigned, name="c")
 
     def with_cont(b: pa.Table) -> pa.Table:
         return b.append_column(
@@ -471,7 +462,7 @@ def land_regions(tiles):
     }))
 
 
-def coverage_churn(assigned, *, n_partitions: int = 16):
+def coverage_churn(assigned):
     """Two-epoch coverage churn per continent: which T6 tiles were
     observed in epoch 0 (even scene index) vs epoch 1 (odd), rolled up
     as kept / gained / lost tile counts -- the acquisition-coverage
@@ -503,7 +494,7 @@ def coverage_churn(assigned, *, n_partitions: int = 16):
     per_tile = hash_aggregate(
         assigned.map_batches(parity, batch_format="pyarrow"),
         keys=["tile"], aggs={"h0": ("e0", "max"), "h1": ("e1", "max")},
-        n_partitions=n_partitions)
+        n_partitions=16)
 
     def states(batch: pa.Table) -> pa.Table:
         h0 = batch.column("h0").to_numpy()

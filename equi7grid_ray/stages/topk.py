@@ -8,10 +8,9 @@ Scale shape -- two phases, both vectorized:
    at most k rows per key it contains, so the shuffle that follows
    moves O(k * keys_per_batch) rows, not the corpus.
 2. **Partition cogroup**: surviving rows are hash-partitioned by key
-   (``__part = mix64(key) % P``) and each partition resolved with ONE
+   (``aggregate.cogroup``) and each partition resolved with ONE
    pandas sort + ``groupby(key).head(k)`` -- O(P) Python calls, not
-   O(distinct keys) (the partition-cogroup pattern shared with
-   shuffle_hash_join / lsh_candidate_pairs).
+   O(distinct keys).
 
 Determinism: rows are ordered by ``value`` (desc by default) then by
 ``tie_cols`` ascending -- supply tie columns that make the ordering
@@ -23,7 +22,7 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
-from equi7grid_ray.stages.join import _add_part_fn
+from equi7grid_ray.stages.aggregate import cogroup
 
 __all__ = ["grouped_topk"]
 
@@ -42,14 +41,9 @@ def grouped_topk(ds, *, key: str, value: str, k: int,
                 .groupby(key, sort=False).head(k)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    pruned = ds.map_batches(prune, batch_format="pyarrow")
-    parted = pruned.map_batches(
-        _add_part_fn(key, n_partitions), batch_format="pyarrow"
-    )
-
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.sort_values(by, ascending=asc, kind="stable") \
-               .groupby(key, sort=False).head(k)
-        return out.drop(columns="__part")
+        return g.sort_values(by, ascending=asc, kind="stable") \
+                .groupby(key, sort=False).head(k)
 
-    return parted.groupby("__part").map_groups(resolve, batch_format="pandas")
+    return cogroup(ds.map_batches(prune, batch_format="pyarrow"), [key],
+                   resolve, n_partitions=n_partitions)

@@ -18,7 +18,7 @@ hash-oracle-able:
 
 Ray-Data shape for both: rows hash-partition ONCE by key (each point
 moves exactly once; no global sort), then one vectorized
-sort+diff/groupby pass per partition inside ``map_groups``.  The OD
+sort+diff/groupby pass per partition (``aggregate.cogroup``).  The OD
 flow count is a second metadata-only ``hash_aggregate`` over
 O(distinct cell pairs) rows.  At 100 TB the exchange is bounded by the
 point count (16 B/row of key+coords), and per-partition state is one
@@ -32,8 +32,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from equi7grid_ray.stages.aggregate import hash_aggregate
-from equi7grid_ray.stages.join import _add_part_fn
+from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
 
 __all__ = ["stay_segments", "od_matrix", "covisit_pairs",
            "trajectory_raster"]
@@ -42,7 +41,7 @@ __all__ = ["stay_segments", "od_matrix", "covisit_pairs",
 def stay_segments(ds, *, key_col: str = "user_id", ts_col: str = "ts_us",
                   order_col: str = "event_id", x_col: str = "x",
                   y_col: str = "y", r2: int = 2500,
-                  min_dur_us: int = 0, n_partitions: int = 64):
+                  min_dur_us: int = 0):
     """Per-key stay-segment detection (gaps-and-islands over the
     squared step distance).
 
@@ -56,9 +55,6 @@ def stay_segments(ds, *, key_col: str = "user_id", ts_col: str = "ts_us",
     caller divides; keeping the rational exact keeps the oracle
     exact).  ``(ts_col, order_col)`` must totally order each key's
     points."""
-
-    parted = ds.map_batches(_add_part_fn(key_col, n_partitions),
-                            batch_format="pyarrow")
 
     def run(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, order_col], kind="stable")
@@ -93,13 +89,13 @@ def stay_segments(ds, *, key_col: str = "user_id", ts_col: str = "ts_us",
         })
         return out[out["dur_us"] >= min_dur_us].reset_index(drop=True)
 
-    return parted.groupby("__part").map_groups(run, batch_format="pandas")
+    return cogroup(ds, [key_col], run, n_partitions=64)
 
 
 def od_matrix(ds, *, key_col: str = "user_id", ts_col: str = "ts_us",
               order_col: str = "event_id", x_col: str = "x",
               y_col: str = "y", cell_shift: int = 5,
-              day_us: int = 86_400_000_000, n_partitions: int = 64):
+              day_us: int = 86_400_000_000):
     """Origin–destination flow matrix: per (key, day) trip from the
     day's first point's cell to its last point's cell, flows counted
     per (o_cell_x, o_cell_y, d_cell_x, d_cell_y).
@@ -112,9 +108,6 @@ def od_matrix(ds, *, key_col: str = "user_id", ts_col: str = "ts_us",
 
         o_cx, o_cy, d_cx, d_cy, n_trips
     """
-
-    parted = ds.map_batches(_add_part_fn(key_col, n_partitions),
-                            batch_format="pyarrow")
 
     def trips(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, order_col], kind="stable")
@@ -135,20 +128,18 @@ def od_matrix(ds, *, key_col: str = "user_id", ts_col: str = "ts_us",
             "d_cx": x[last], "d_cy": y[last],
         })
 
-    per_day = parted.groupby("__part").map_groups(trips,
-                                                  batch_format="pandas")
+    per_day = cogroup(ds, [key_col], trips, n_partitions=64)
     return hash_aggregate(
         per_day, keys=["o_cx", "o_cy", "d_cx", "d_cy"],
         aggs={"n_trips": ("o_cx", "count")},
-        n_partitions=max(8, n_partitions // 4),
+        n_partitions=16,
     )
 
 
 def covisit_pairs(ds, *, key_col: str = "user_id", ts_col: str = "ts_us",
                   x_col: str = "x", y_col: str = "y",
                   cell_shift: int = 13, hour_us: int = 3_600_000_000,
-                  max_group: int = 64, min_co: int = 2,
-                  n_partitions: int = 32):
+                  max_group: int = 64, min_co: int = 2):
     """Spatiotemporal CO-VISIT join: pairs of keys present in the same
     coarse cell during the same hour, counted across co-hours -- the
     contact-graph / companion-detection primitive of movement
@@ -186,7 +177,7 @@ def covisit_pairs(ds, *, key_col: str = "user_id", ts_col: str = "ts_us",
     pres = hash_aggregate(
         ds.map_batches(presence, batch_format="pyarrow"),
         keys=["k", "cx", "cy", "h"], aggs={"n": ("k", "count")},
-        n_partitions=n_partitions)
+        n_partitions=32)
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         k = np.sort(g["k"].to_numpy(np.int64))
@@ -200,7 +191,7 @@ def covisit_pairs(ds, *, key_col: str = "user_id", ts_col: str = "ts_us",
         pairs, batch_format="pandas")
     counted = hash_aggregate(
         pair_stream, keys=["k1", "k2"],
-        aggs={"n_cohours": ("k1", "count")}, n_partitions=n_partitions)
+        aggs={"n_cohours": ("k1", "count")}, n_partitions=32)
     return counted.map_batches(
         lambda b: b.filter(pc.greater_equal(b.column("n_cohours"),
                                             min_co)),
@@ -211,8 +202,7 @@ def trajectory_raster(ds, *, key_col: str = "user_id",
                       ts_col: str = "ts_us", order_col: str = "event_id",
                       x_col: str = "x", y_col: str = "y",
                       cell_shift: int = 5,
-                      day_us: int = 86_400_000_000,
-                      n_partitions: int = 64):
+                      day_us: int = 86_400_000_000):
     """Corridor-density raster: every (key, day) trip's origin->
     destination segment is rasterized onto the cell lattice with a
     trunc-division DDA and the sampled cells are counted -- the
@@ -230,8 +220,6 @@ def trajectory_raster(ds, *, key_col: str = "user_id",
     (first/last point per (key, day), od_matrix's partials), the flat
     repeat/arange expansion is pure numpy, and only (cell, 1) partials
     shuffle into the final keyed count."""
-    parted = ds.map_batches(_add_part_fn(key_col, n_partitions),
-                            batch_format="pyarrow")
 
     def trip_cells(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, order_col], kind="stable")
@@ -264,18 +252,17 @@ def trajectory_raster(ds, *, key_col: str = "user_id",
         cy = np.repeat(oy, m) + tdiv(t * np.repeat(dy, m))
         return pd.DataFrame({"cx": cx, "cy": cy})
 
-    cells = parted.groupby("__part").map_groups(trip_cells,
-                                                batch_format="pandas")
+    cells = cogroup(ds, [key_col], trip_cells, n_partitions=64)
     return hash_aggregate(
         cells, keys=["cx", "cy"], aggs={"n_visits": ("cx", "count")},
-        n_partitions=max(8, n_partitions // 4),
+        n_partitions=16,
     )
 
 
 def od_bearing_rose(ds, *, key_col: str = "user_id", ts_col: str = "ts_us",
                     order_col: str = "event_id", x_col: str = "x",
                     y_col: str = "y", cell_shift: int = 5,
-                    day_us: int = 86_400_000_000, n_partitions: int = 64):
+                    day_us: int = 86_400_000_000):
     """Trip bearing rose: each (key, day) origin->destination vector
     classified into 8 compass sectors with EXACT integer tests (the
     tile_aspect rule -- 45-degree boundaries land on |dx| == |dy|):
@@ -287,8 +274,6 @@ def od_bearing_rose(ds, *, key_col: str = "user_id", ts_col: str = "ts_us",
     (x east-positive, y north-positive).  The movement-direction
     census (commute anisotropy) downstream of the same trip builder as
     od_matrix; bounded 9-row output per fold, one keyed pass."""
-    parted = ds.map_batches(_add_part_fn(key_col, n_partitions),
-                            batch_format="pyarrow")
 
     def sectors(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, order_col], kind="stable")
@@ -323,8 +308,7 @@ def od_bearing_rose(ds, *, key_col: str = "user_id", ts_col: str = "ts_us",
         return pd.DataFrame({"sector": sec.astype(np.int64),
                              "n_trips": cnt.astype(np.int64)})
 
-    partials = parted.groupby("__part").map_groups(sectors,
-                                                   batch_format="pandas")
+    partials = cogroup(ds, [key_col], sectors, n_partitions=64)
     return hash_aggregate(partials, keys=["sector"],
                           aggs={"n_trips": ("n_trips", "sum")},
                           n_partitions=4)

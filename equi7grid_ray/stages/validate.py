@@ -120,7 +120,7 @@ def check_table(ds, *, not_null: list[str] | None = None,
 BENFORD_PM = (301, 176, 125, 97, 79, 67, 58, 51, 46)
 
 
-def benford_audit(ds, *, column: str, n_partitions: int = 8):
+def benford_audit(ds, *, column: str):
     """First-significant-digit BENFORD audit of a currency column --
     the classic synthetic/fabricated-data screen (real transaction
     amounts follow Benford's law; generated or tampered ones rarely
@@ -170,7 +170,7 @@ def benford_audit(ds, *, column: str, n_partitions: int = 8):
 
 
 def fk_orphan_audit(child, parent, *, child_key: str, parent_key: str,
-                    relation: str, n_partitions: int = 32):
+                    relation: str):
     """Referential-integrity audit of one foreign-key edge: counts of
     child rows whose key has no parent (orphans) and of parent keys
     with no child (childless) -- the two numbers every ingestion gate
@@ -187,8 +187,8 @@ def fk_orphan_audit(child, parent, *, child_key: str, parent_key: str,
     """
     import pandas as pd
 
-    from equi7grid_ray.arrowutil import hash_partition, single_group
-    from equi7grid_ray.stages.aggregate import hash_aggregate
+    from equi7grid_ray.arrowutil import single_group
+    from equi7grid_ray.stages.aggregate import cogroup, hash_aggregate
 
     ckeys = hash_aggregate(
         child.map_batches(
@@ -213,9 +213,7 @@ def fk_orphan_audit(child, parent, *, child_key: str, parent_key: str,
             return pa.table({
                 "k": pa.array(k, pa.int64()),
                 "rows": pa.array(rows, pa.int64()),
-                "kind": pa.array(np.full(len(k), kind, np.int8)),
-                "part": pa.array(hash_partition(k, n_partitions),
-                                 pa.int32())})
+                "kind": pa.array(np.full(len(k), kind, np.int8))})
         return f
 
     tagged = ckeys.map_batches(tag(0), batch_format="pyarrow") \
@@ -236,7 +234,7 @@ def fk_orphan_audit(child, parent, *, child_key: str, parent_key: str,
             "childless_parents": [np.int64(childless)],
         })
 
-    parts = tagged.groupby("part").map_groups(tally, batch_format="pandas")
+    parts = cogroup(tagged, ["k"], tally, n_partitions=32)
     cols = ["child_rows", "distinct_child_keys", "orphan_rows",
             "distinct_orphan_keys", "childless_parents"]
 

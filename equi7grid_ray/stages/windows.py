@@ -122,8 +122,7 @@ def sessionize(ds, *, user_col: str = "user_id", ts_col: str = "ts",
 def cumulative_over(ds, *, key: str, order: list[str],
                     sums: dict[str, str] | None = None,
                     rolling: dict[str, tuple[str, int]] | None = None,
-                    count_as: str | None = "cum_n",
-                    n_partitions: int = 64):
+                    count_as: str | None = "cum_n"):
     """Running per-key prefix aggregates -- the SQL window
     ``SUM(x) OVER (PARTITION BY key ORDER BY order ROWS UNBOUNDED
     PRECEDING)`` (and ``COUNT(*) OVER ...`` as ``count_as``).
@@ -138,19 +137,17 @@ def cumulative_over(ds, *, key: str, order: list[str],
 
     Shuffle shape: rows hash-partition by ``key`` (each row moves
     once); each partition does ONE vectorized sort + groupby-cumsum --
-    Python-call count is O(n_partitions).  ``order`` must be a total
+    Python-call count is O(partitions).  ``order`` must be a total
     order within each key for deterministic output (pass a unique
     tiebreak column)."""
-    from equi7grid_ray.stages.join import _add_part_fn
+    from equi7grid_ray.stages.aggregate import cogroup
 
     sums = dict(sums or {})
-    parted = ds.map_batches(_add_part_fn(key, n_partitions),
-                            batch_format="pyarrow")
 
     def run(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key] + order, kind="stable")
         grp = g.groupby(key, sort=False)
-        out = g.drop(columns=["__part"])
+        out = g.copy()
         if count_as:
             out[count_as] = grp.cumcount().to_numpy() + 1
         for name, col in sums.items():
@@ -161,12 +158,11 @@ def cumulative_over(ds, *, key: str, order: list[str],
                          .to_numpy().astype(np.int64))
         return out
 
-    return parted.groupby("__part").map_groups(run, batch_format="pandas")
+    return cogroup(ds, [key], run, n_partitions=64)
 
 
 def funnel_stages(ds, *, stages: list[str], key_col: str = "user_id",
-                  ts_col: str = "ts", type_col: str = "event_type",
-                  n_partitions: int = 32):
+                  ts_col: str = "ts", type_col: str = "event_type"):
     """Ordered funnel analysis: for each key, how far through the
     ``stages`` sequence it progressed, where stage i counts only if an
     event of that type occurs STRICTLY AFTER the timestamp that
@@ -183,7 +179,7 @@ def funnel_stages(ds, *, stages: list[str], key_col: str = "user_id",
     """
     import pandas as pd
 
-    from equi7grid_ray.arrowutil import hash_partition
+    from equi7grid_ray.stages.aggregate import cogroup
 
     def prep(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -202,7 +198,6 @@ def funnel_stages(ds, *, stages: list[str], key_col: str = "user_id",
             key_col: pa.array(k, pa.int64()),
             "st": pa.array(st, pa.int8()),
             "tsu": pa.array(ts, pa.int64()),
-            "part": pa.array(hash_partition(k, n_partitions), pa.int32()),
         })
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
@@ -227,15 +222,11 @@ def funnel_stages(ds, *, stages: list[str], key_col: str = "user_id",
             "stage": pd.Series(reached.to_numpy(), dtype=np.int64),
         })
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(resolve, batch_format="pandas")
-    )
+    return cogroup(ds.map_batches(prep, batch_format="pyarrow"), [key_col],
+                   resolve, n_partitions=32)
 
 
-def merge_intervals(ds, *, key_col: str, start_col: str, end_col: str,
-                    n_partitions: int = 32):
+def merge_intervals(ds, *, key_col: str, start_col: str, end_col: str):
     """Gaps-and-islands: per key, merge overlapping/touching intervals
     into maximal islands and report coverage -- the sensor-uptime /
     merged-session primitive.  Interval [s, e] joins the current island
@@ -250,16 +241,15 @@ def merge_intervals(ds, *, key_col: str, start_col: str, end_col: str,
     Returns ``(key_col, n_intervals, n_islands, covered)`` where
     ``covered`` is the union length.
     """
-    from equi7grid_ray.arrowutil import hash_partition
+    from equi7grid_ray.stages.aggregate import cogroup
 
-    def add_part(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         k = batch.column(key_col).to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         return pa.table({
             key_col: pa.array(k, pa.int64()),
             "s": batch.column(start_col).cast(pa.int64()),
             "e": batch.column(end_col).cast(pa.int64()),
-            "part": pa.array(hash_partition(k, n_partitions), pa.int32()),
         })
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
@@ -288,16 +278,13 @@ def merge_intervals(ds, *, key_col: str, start_col: str, end_col: str,
         return out.astype({key_col: np.int64, "n_intervals": np.int64,
                            "n_islands": np.int64, "covered": np.int64})
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(resolve, batch_format="pandas")
-    )
+    return cogroup(ds.map_batches(prep, batch_format="pyarrow"), [key_col],
+                   resolve, n_partitions=32)
 
 
 def scd2_intervals(ds, *, key_col: str = "user_id", ts_col: str = "ts",
                    attr_col: str = "event_type",
-                   tiebreak_col: str = "event_id", n_partitions: int = 64):
+                   tiebreak_col: str = "event_id"):
     """Slowly-changing-dimension type 2 build: collapse each key's
     ordered attribute stream into validity intervals.
 
@@ -311,13 +298,10 @@ def scd2_intervals(ds, *, key_col: str = "user_id", ts_col: str = "ts",
 
     Scale shape: rows hash-partition by ``key_col`` (each event moves
     exactly once, no global sort); each partition runs ONE vectorized
-    sort + shift-compare pass, so Python-call count is O(n_partitions).
+    sort + shift-compare pass, so Python-call count is O(partitions).
     ``tiebreak_col`` must make the per-key order total, or run
     boundaries on equal timestamps would be nondeterministic."""
-    from equi7grid_ray.stages.join import _add_part_fn
-
-    parted = ds.map_batches(_add_part_fn(key_col, n_partitions),
-                            batch_format="pyarrow")
+    from equi7grid_ray.stages.aggregate import cogroup
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, tiebreak_col], kind="stable")
@@ -335,12 +319,11 @@ def scd2_intervals(ds, *, key_col: str = "user_id", ts_col: str = "ts",
             "valid_to": valid_to,
         })
 
-    return parted.groupby("__part").map_groups(resolve, batch_format="pandas")
+    return cogroup(ds, [key_col], resolve, n_partitions=64)
 
 
 def cusum_alarms(ds, *, ts_col: str = "ts", key: str = "event_type",
-                 width_s: int = 3600, h_mult: int = 3,
-                 n_partitions: int = 16):
+                 width_s: int = 3600, h_mult: int = 3):
     """Streaming rate change-point detection: a one-sided CUSUM over
     the per-``key`` event-rate series (counts per ``width_s`` bucket,
     MISSING buckets count 0 -- a rate monitor must see silence), with
@@ -378,7 +361,7 @@ def cusum_alarms(ds, *, ts_col: str = "ts", key: str = "event_type",
     counts = hash_aggregate(
         ds.map_batches(partial, batch_format="pyarrow"),
         keys=[key, "bucket"], aggs={"n": ("n", "sum")},
-        n_partitions=n_partitions,
+        n_partitions=16,
     )
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
@@ -407,7 +390,7 @@ def cusum_alarms(ds, *, ts_col: str = "ts", key: str = "event_type",
 
 
 def seasonal_anomaly(ds, *, ts_col: str = "ts", key: str = "event_type",
-                     t: int = 2, min_n: int = 3, n_partitions: int = 16):
+                     t: int = 2, min_n: int = 3):
     """Seasonal-baseline residual screen over an event stream -- the
     time-series sibling of stages/temporal.py:tile_anomaly.  Each
     observed (key, day, hour-of-day) cell's event count x is compared
@@ -437,7 +420,7 @@ def seasonal_anomaly(ds, *, ts_col: str = "ts", key: str = "event_type",
     inst = hash_aggregate(
         ds.map_batches(bucket, batch_format="pyarrow"),
         keys=[key, "d", "h"], aggs={"x": ("h", "count")},
-        n_partitions=n_partitions)
+        n_partitions=16)
 
     t2 = t * t
 
@@ -469,7 +452,7 @@ def seasonal_anomaly(ds, *, ts_col: str = "ts", key: str = "event_type",
 
 
 def peak_concurrency(ds, *, key: str, start_col: str, end_col: str,
-                     chunk_us: int = 3600 * _US, n_partitions: int = 32):
+                     chunk_us: int = 3600 * _US):
     """Sweep-line peak-overlap: for every ``key``, the maximum number
     of simultaneously-open half-open intervals ``[start, end)`` and
     the earliest boundary instant at which that peak is reached.
@@ -493,7 +476,7 @@ def peak_concurrency(ds, *, key: str, start_col: str, end_col: str,
     ``(key, peak_concurrency, peak_ts_us)``.
     """
     from equi7grid_ray.arrowutil import single_group
-    from equi7grid_ray.stages.aggregate import _key_parts
+    from equi7grid_ray.stages.aggregate import cogroup
 
     def boundaries(batch: pa.Table) -> pa.Table:
         s = batch.column(start_col).cast(pa.int64()).to_numpy()
@@ -504,12 +487,10 @@ def peak_concurrency(ds, *, key: str, start_col: str, end_col: str,
                             -np.ones(len(e), np.int64)])
         kk = pa.concat_arrays([k.combine_chunks()
                                if isinstance(k, pa.ChunkedArray) else k] * 2)
-        out = pa.table({key: kk,
-                        "chunk": pa.array(t // chunk_us, pa.int64()),
-                        "t": pa.array(t, pa.int64()),
-                        "d": pa.array(d, pa.int64())})
-        part = _key_parts(out, [key, "chunk"], n_partitions)
-        return out.append_column("__part", pa.array(part, pa.int32()))
+        return pa.table({key: kk,
+                         "chunk": pa.array(t // chunk_us, pa.int64()),
+                         "t": pa.array(t, pa.int64()),
+                         "d": pa.array(d, pa.int64())})
 
     def summarize(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, "chunk", "t", "d"], kind="stable")
@@ -527,9 +508,8 @@ def peak_concurrency(ds, *, key: str, start_col: str, end_col: str,
         return out.astype({"chunk": np.int64, "total": np.int64,
                            "max_prefix": np.int64, "min_t_at_max": np.int64})
 
-    partials = (ds.map_batches(boundaries, batch_format="pyarrow")
-                .groupby("__part")
-                .map_groups(summarize, batch_format="pandas"))
+    partials = cogroup(ds.map_batches(boundaries, batch_format="pyarrow"),
+                       [key, "chunk"], summarize, n_partitions=32)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, "chunk"], kind="stable")

@@ -227,8 +227,7 @@ def hilbert_key(cx: np.ndarray, cy: np.ndarray, bits: int = 13) -> np.ndarray:
 
 
 def quadtree_leaves(ds, *, x_col: str = "x", y_col: str = "y",
-                    bits: int = 20, max_depth: int = 4, cap: int = 500,
-                    n_partitions: int = 8):
+                    bits: int = 20, max_depth: int = 4, cap: int = 500):
     """Adaptive quadtree binning: split the [0, 2^bits)^2 domain until
     every leaf holds <= ``cap`` points or ``max_depth`` is reached --
     the density-adaptive partitioning that gives skewed point data
@@ -259,7 +258,7 @@ def quadtree_leaves(ds, *, x_col: str = "x", y_col: str = "y",
     hist = hash_aggregate(
         ds.map_batches(leaf_cells, batch_format="pyarrow"),
         keys=["qx", "qy"], aggs={"n": ("qx", "count")},
-        n_partitions=n_partitions)
+        n_partitions=8)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         lv = {max_depth: g.groupby(["qx", "qy"], as_index=False)["n"]

@@ -52,7 +52,7 @@ def _assert_paths_agree(assigners, batch, exact=True):
 
 
 def _table_rows(ta, lon, lat) -> np.ndarray:
-    cell, valid = ta.state.zc.cell_index(lon, lat)
+    cell, valid = ta.zc.cell_index(lon, lat)
     return np.where(valid, ta._cell_table.take(cell), -1)
 
 
@@ -130,7 +130,7 @@ def test_points_a_millimetre_either_side_of_tile_edges(tiling, t6):
                 lats.append(la)
                 ranks.append(np.full(len(lo), rank))
     lon, lat, rank = (np.concatenate(a) for a in (lons, lats, ranks))
-    cell, valid = ta.state.zc.cell_index(lon, lat)
+    cell, valid = ta.zc.cell_index(lon, lat)
     keep = valid & near.ravel()[cell]
     assert keep.sum() > 1000
     lon, lat, rank = lon[keep], lat[keep], rank[keep]
@@ -169,7 +169,7 @@ def test_dense_lattice_in_sampled_and_near_edge_cells(t6, monkeypatch):
     # the cells within 5 km of a tile edge: table cells that a 5 km
     # margin would leave out
     monkeypatch.setattr(zones, "CELL_TABLE_MARGIN", 5_000.0)
-    wide = ta.state.zc.build_cell_tile_table(ta.table_zones(), ta.tile_size).ravel()
+    wide = ta.zc.build_cell_tile_table(ta.table_zones(), ta.tile_size).ravel()
     assert ((wide >= 0) <= (table >= 0)).all()
     assert (wide[wide >= 0] == table[wide >= 0]).all()
     near = np.flatnonzero((table >= 0) & (wide < 0))
@@ -209,7 +209,7 @@ def test_rebuilt_bands_bit_equal_tracked_table(buffered):
     """South polar, mid-latitude and north polar bands (every band spans
     the antimeridian) rebuild bit-equal to the tracked T6 table."""
     ta = TileAssigner(spec=GridSpec.standard(buffered=buffered), emit_xy=False)
-    zc = ta.state.zc
+    zc = ta.zc
     tracked = ta._cell_table[:-1].reshape(-1, NCOL)
     for r0, r1 in ((0, 20), (1290, 1310), (1780, 1800)):
         band = zc.build_cell_tile_table(ta.table_zones(), ta.tile_size, rows=(r0, r1))
@@ -261,3 +261,25 @@ def test_ray_worker_never_builds_a_missing_table(ray_session, tmp_path):
 
     assert ray.get(load.remote(str(tmp_path))) is None
     assert not any(p.name.startswith("celltiles_") for p in tmp_path.iterdir())
+
+
+def test_broadcast_assigner_pickles_only_its_own_tiling():
+    """A pickled assigner carries its zone classifier and its own tile
+    index, not the shared GridState: its size does not grow when other
+    tilings were loaded in the same process first."""
+    import subprocess
+    import sys
+
+    code = (
+        "import pickle\n"
+        "from equi7grid_ray.stages.tile_assign import TileAssigner\n"
+        "size = lambda: len(pickle.dumps(TileAssigner('T3', exact_projection=True)))\n"
+        "fresh = size()\n"
+        "TileAssigner('T6', exact_projection=True)\n"
+        "TileAssigner('T1', exact_projection=True)\n"
+        "print(fresh, size())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    fresh, after = map(int, out.stdout.split())
+    assert fresh == after

@@ -90,7 +90,7 @@ def test_canonical_assignments_full_corpus(ray_session):
     assert out["doc_id"].tolist() == list(range(12))
 
 
-def test_triangle_count_matches_naive(ray_session):
+def test_triangle_count_matches_naive(ray_session, assert_shared_partition):
     import itertools
 
     import ray
@@ -116,7 +116,9 @@ def test_triangle_count_matches_naive(ray_session):
         "id_a": pa.array([a for a, _ in el], pa.int64()),
         "id_b": pa.array([b for _, b in el], pa.int64()),
     }))
-    out = triangle_count(ds, n_partitions=8).to_pandas()
+    # several wedge apexes share one of triangle_count's 32 partitions
+    assert_shared_partition(32, src=[a for a, _ in edges])
+    out = triangle_count(ds).to_pandas()
     assert out["n_triangles"].tolist() == [want]
     assert want > 0
 
@@ -140,7 +142,7 @@ def test_canonical_assignments_no_pairs(ray_session):
     assert out["canonical"].tolist() == [3, 7, 11]
 
 
-def test_triangle_count_huge_node_ids(ray_session):
+def test_triangle_count_huge_node_ids(ray_session, assert_shared_partition):
     """Ids beyond 2^32 must not collide (regression: packed keys)."""
     import ray
 
@@ -151,11 +153,16 @@ def test_triangle_count_huge_node_ids(ray_session):
     # under u*(2^32)+v packing
     pairs = [(base, base + 1), (base + 1, base + 2), (base, base + 2),
              (1, 0), (0, 1 << 32), (7, base)]
+    # a triangle-free path: more edges than partitions, so closure
+    # probes of different pairs share a partition
+    pairs += [(k, k + 1) for k in range(100, 140)]
+    assert_shared_partition(32, u=[min(p) for p in pairs],
+                            v=[max(p) for p in pairs])
     ds = ray.data.from_arrow(pa.table({
         "id_a": pa.array([a for a, _ in pairs], pa.int64()),
         "id_b": pa.array([b for _, b in pairs], pa.int64()),
     }))
-    out = triangle_count(ds, n_partitions=4).to_pandas()
+    out = triangle_count(ds).to_pandas()
     assert out["n_triangles"].tolist() == [1]
 
 
@@ -310,7 +317,8 @@ def test_common_neighbor_pairs_square_and_path(ray_session):
     assert list(map(tuple, got[["id_a", "id_b", "cn"]].to_numpy())) == want
 
 
-def test_common_neighbor_pairs_matches_naive(ray_session):
+def test_common_neighbor_pairs_matches_naive(ray_session,
+                                             assert_shared_partition):
     from itertools import combinations
 
     import ray.data as rd
@@ -322,8 +330,9 @@ def test_common_neighbor_pairs_matches_naive(ray_session):
     a = rng.integers(0, 60, m).astype(np.int64)
     b = rng.integers(0, 60, m).astype(np.int64)
     tbl = pa.table({"id_a": pa.array(a), "id_b": pa.array(b)})
+    assert_shared_partition(32, s=np.concatenate([a, b]))
     got = common_neighbor_pairs(
-        rd.from_arrow(tbl), min_common=2, n_partitions=8
+        rd.from_arrow(tbl), min_common=2
     ).to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
     adj = {}

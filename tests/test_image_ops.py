@@ -1449,18 +1449,22 @@ def test_tile_basins_matches_reference(ray_session):
     assert out["n_cells"].sum() == 6 * 14
 
 
-def test_tile_basins_second_dem_matches_reference(ray_session):
+def test_tile_basins_second_dem_matches_reference(ray_session,
+                                                  assert_shared_partition):
     """A second DEM with one pit on the west tile, against the scalar
     reference."""
     import ray.data as rd
 
-    from equi7grid_ray.stages.mosaic import tile_basins
+    from equi7grid_ray.stages.mosaic import (_cell_coords, _packed_keys,
+                                             tile_basins)
 
     dem = (np.arange(8)[:, None] * 31 + np.arange(16)[None, :] * 73
            + 7) % 256
     dem[5, 3] = 0
-    out = tile_basins(rd.from_arrow(_two_tile_mosaic(dem)),
-                      n_partitions=4).to_pandas()
+    mosaic = _two_tile_mosaic(dem)
+    # cells share the halo exchange's 32 partitions
+    assert_shared_partition(32, fkey=_packed_keys(*_cell_coords(mosaic)))
+    out = tile_basins(rd.from_arrow(mosaic)).to_pandas()
     got = {(r.tile, r.gr, r.gc): (r.v_sink, r.n_cells, r.sum_v)
            for r in out.itertuples()}
     exp = {("EU_E036N078T6" if c < 8 else "EU_E042N078T6", r, c % 8):

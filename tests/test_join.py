@@ -100,7 +100,7 @@ def test_shuffle_join_high_cardinality(ray_session):
     )
 
 
-def test_asof_join_matches_merge_asof(ray_session):
+def test_asof_join_matches_merge_asof(ray_session, assert_shared_partition):
     from equi7grid_ray.stages.join import asof_join
 
     rng = np.random.default_rng(7)
@@ -119,11 +119,12 @@ def test_asof_join_matches_merge_asof(ray_session):
     # depend on input order (documented in the operator docstring)
     rdf = (right.to_pandas().sort_values(["u", "t", "rv"])
            .drop_duplicates(["u", "t"], keep="last"))
+    assert_shared_partition(16, u=left.column("u"))  # asof_join's 16
     for direction in ("backward", "forward"):
         got = (
             asof_join(rd.from_arrow(left),
                       rd.from_arrow(pa.Table.from_pandas(rdf)),
-                      on="t", by="u", direction=direction, n_partitions=8)
+                      on="t", by="u", direction=direction)
             .to_pandas().sort_values(["u", "t", "lv"]).reset_index(drop=True)
         )
         exp = pd.merge_asof(

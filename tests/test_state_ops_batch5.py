@@ -496,17 +496,17 @@ def test_benford_digit_extraction_near_pow10(ray_session):
     assert dict(zip(out["d"], out["dev_pm"]))[1] == 666 - 301
 
 
-def test_fk_orphan_audit_crafted(ray_session):
+def test_fk_orphan_audit_crafted(ray_session, assert_shared_partition):
     import ray.data as rd
 
     from equi7grid_ray.stages.validate import fk_orphan_audit
 
     child = pa.table({"fk": pa.array([1, 1, 2, 3, 99, 99, 99], pa.int64())})
     parent = pa.table({"pk": pa.array([1, 2, 3, 4, 5], pa.int64())})
+    assert_shared_partition(32, k=[1, 2, 3, 4, 5, 99])
     got = fk_orphan_audit(
         rd.from_arrow(child), rd.from_arrow(parent),
         child_key="fk", parent_key="pk", relation="t",
-        n_partitions=4,
     ).to_pandas()
     assert len(got) == 1
     r = got.iloc[0]
@@ -571,7 +571,7 @@ def test_sax_motifs_crafted_series(ray_session):
                                                                 (27, 1)]
 
 
-def test_weighted_median_hand_case(ray_session):
+def test_weighted_median_hand_case(ray_session, assert_shared_partition):
     import ray.data as rd
 
     from equi7grid_ray.stages.quantiles import weighted_median
@@ -579,16 +579,19 @@ def test_weighted_median_hand_case(ray_session):
     # key a: values 1(w3), 5(w1), 9(w2) -> total 6, half 3 -> v=1
     #   (2*3 >= 6 at v=1: lower weighted median)
     # key b: values 2(w1), 4(w1) -> total 2 -> v=2
+    # key y shares a's partition of weighted_median's 32: 7(w1) -> v=7
+    # key f: 3(w2), 8(w2) -> total 4, 2*2 >= 4 at v=3
     tbl = pa.table({
-        "k": pa.array(["a", "a", "a", "b", "b"]),
-        "v": pa.array([1, 5, 9, 2, 4], pa.int64()),
-        "w": pa.array([3, 1, 2, 1, 1], pa.int64()),
+        "k": pa.array(["a", "a", "a", "b", "b", "y", "f", "f"]),
+        "v": pa.array([1, 5, 9, 2, 4, 7, 3, 8], pa.int64()),
+        "w": pa.array([3, 1, 2, 1, 1, 1, 2, 2], pa.int64()),
     })
+    assert_shared_partition(32, k=tbl.column("k"))
     got = weighted_median(rd.from_arrow(tbl), key="k", val="v",
-                          weight="w", n_partitions=4) \
+                          weight="w") \
         .to_pandas().sort_values("k").reset_index(drop=True)
     assert list(map(tuple, got[["k", "wmedian", "total_w"]].to_numpy())) \
-        == [("a", 1, 6), ("b", 2, 2)]
+        == [("a", 1, 6), ("b", 2, 2), ("f", 3, 4), ("y", 7, 1)]
 
 
 def test_snap_to_segments_matches_brute_force(ray_session):

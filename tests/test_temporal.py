@@ -54,11 +54,12 @@ def test_scene_cell_means_match_naive():
         assert (got == m).all()
 
 
-def test_temporal_median_matches_pandas(ray_session):
+def test_temporal_median_matches_pandas(ray_session, assert_shared_partition):
     import ray.data as rd
 
     t = _cells_table()
-    got = tile_temporal_median(rd.from_arrow(t), n_partitions=8) \
+    assert_shared_partition(32, tile=t.column("tile"))
+    got = tile_temporal_median(rd.from_arrow(t)) \
         .to_pandas().sort_values(["tile", "gr", "gc"]).reset_index(drop=True)
     df = t.to_pandas()
 
@@ -75,28 +76,34 @@ def test_temporal_median_matches_pandas(ray_session):
     assert (got["tile"] == ref["tile"]).all()
 
 
-def test_lower_median_tie_rule(ray_session):
+def test_lower_median_tie_rule(ray_session, assert_shared_partition):
     # even count: lower middle (DuckDB quantile_disc(0.5)), not the mean
     import ray.data as rd
 
+    # tile T8 shares T's partition: [5, 6] -> lower middle 5
     t = pa.table({
-        "tile": pa.array(["T"] * 4, pa.string()),
-        "gr": pa.array([0] * 4, pa.int32()),
-        "gc": pa.array([0] * 4, pa.int32()),
-        "epoch": pa.array([0, 1, 0, 1], pa.int64()),
-        "m": pa.array([10, 40, 20, 30], pa.int64()),
+        "tile": pa.array(["T"] * 4 + ["T8"] * 2, pa.string()),
+        "gr": pa.array([0] * 6, pa.int32()),
+        "gc": pa.array([0] * 6, pa.int32()),
+        "epoch": pa.array([0, 1, 0, 1, 0, 1], pa.int64()),
+        "m": pa.array([10, 40, 20, 30, 6, 5], pa.int64()),
     })
-    out = tile_temporal_median(rd.from_arrow(t), n_partitions=2).to_pandas()
-    assert len(out) == 1
-    assert out["v_med"].iloc[0] == 20  # sorted [10,20,30,40] -> idx (4-1)//2
-    assert out["n_sc"].iloc[0] == 4
+    assert_shared_partition(32, tile=t.column("tile"))
+    out = tile_temporal_median(rd.from_arrow(t)).to_pandas() \
+        .set_index("tile")
+    assert len(out) == 2
+    assert out.loc["T", "v_med"] == 20  # sorted [10,20,30,40] -> idx (4-1)//2
+    assert out.loc["T", "n_sc"] == 4
+    assert out.loc["T8", "v_med"] == 5
 
 
-def test_change_detect_matches_pandas(ray_session):
+def test_change_detect_matches_pandas(ray_session, assert_shared_partition):
     import ray.data as rd
 
     t = _cells_table()
-    got = tile_change_detect(rd.from_arrow(t), thresh=8, n_partitions=8) \
+    assert_shared_partition(32, tile=t.column("tile"), gr=t.column("gr"),
+                            gc=t.column("gc"))
+    got = tile_change_detect(rd.from_arrow(t), thresh=8) \
         .to_pandas().sort_values("tile").reset_index(drop=True)
     df = t.to_pandas()
     cell = df.groupby(["tile", "gr", "gc"]).apply(
@@ -132,22 +139,25 @@ def test_change_detect_drops_single_epoch_cells(ray_session):
     assert out["sum_absd"].iloc[0] == 20
 
 
-def test_tile_trend_crafted(ray_session):
+def test_tile_trend_crafted(ray_session, assert_shared_partition):
     import ray.data as rd
 
     from equi7grid_ray.stages.temporal import tile_trend
 
     # cell (0,0): perfect slope +3/step over t = 0,2,4; cell (1,1):
-    # constant (slope 0); cell (2,2): single scene (den 0 -> 0)
+    # constant (slope 0); cell (2,2): single scene (den 0 -> 0); cell
+    # (1,5) shares (0,0)'s partition: constant (slope 0)
     t = pa.table({
-        "tile": pa.array(["T"] * 7, pa.string()),
-        "gr": pa.array([0, 0, 0, 1, 1, 1, 2], pa.int32()),
-        "gc": pa.array([0, 0, 0, 1, 1, 1, 2], pa.int32()),
-        "i": pa.array([0, 2, 4, 1, 3, 5, 9], pa.int64()),
-        "epoch": pa.array([0, 0, 0, 1, 1, 1, 1], pa.int64()),
-        "m": pa.array([10, 16, 22, 7, 7, 7, 99], pa.int64()),
+        "tile": pa.array(["T"] * 9, pa.string()),
+        "gr": pa.array([0, 0, 0, 1, 1, 1, 2, 1, 1], pa.int32()),
+        "gc": pa.array([0, 0, 0, 1, 1, 1, 2, 5, 5], pa.int32()),
+        "i": pa.array([0, 2, 4, 1, 3, 5, 9, 0, 2], pa.int64()),
+        "epoch": pa.array([0, 0, 0, 1, 1, 1, 1, 0, 0], pa.int64()),
+        "m": pa.array([10, 16, 22, 7, 7, 7, 99, 4, 4], pa.int64()),
     })
-    out = tile_trend(rd.from_arrow(t), n_partitions=2).to_pandas() \
+    assert_shared_partition(32, tile=t.column("tile"), gr=t.column("gr"),
+                            gc=t.column("gc"))
+    out = tile_trend(rd.from_arrow(t)).to_pandas() \
         .set_index(["gr", "gc"])
     r = out.loc[(0, 0)]
     # slope = 3 per unit t: num/den = 3 -> trend_q6 = 3e6
@@ -157,25 +167,30 @@ def test_tile_trend_crafted(ray_session):
     assert out.loc[(1, 1)].trend_q6 == 0
     assert out.loc[(2, 2)].slope_den == 0
     assert out.loc[(2, 2)].trend_q6 == 0
+    assert out.loc[(1, 5)].slope_num == 0
 
 
-def test_tile_trend_negative_truncation(ray_session):
+def test_tile_trend_negative_truncation(ray_session, assert_shared_partition):
     import ray.data as rd
 
     from equi7grid_ray.stages.temporal import tile_trend
 
     # slope = -1/3: trunc(1e6 * -1/3) = -333333 (toward zero, the
     # DuckDB // rule), NOT floor (-333334)
+    # plus cell (1,5), one scene, in (0,0)'s partition
     t = pa.table({
-        "tile": pa.array(["T"] * 3, pa.string()),
-        "gr": pa.array([0] * 3, pa.int32()),
-        "gc": pa.array([0] * 3, pa.int32()),
-        "i": pa.array([0, 3, 6], pa.int64()),
-        "epoch": pa.array([0, 0, 0], pa.int64()),
-        "m": pa.array([2, 1, 0], pa.int64()),
+        "tile": pa.array(["T"] * 4, pa.string()),
+        "gr": pa.array([0, 0, 0, 1], pa.int32()),
+        "gc": pa.array([0, 0, 0, 5], pa.int32()),
+        "i": pa.array([0, 3, 6, 0], pa.int64()),
+        "epoch": pa.array([0, 0, 0, 0], pa.int64()),
+        "m": pa.array([2, 1, 0, 9], pa.int64()),
     })
-    out = tile_trend(rd.from_arrow(t), n_partitions=1).to_pandas()
-    assert out["trend_q6"].iloc[0] == -333_333
+    assert_shared_partition(32, tile=t.column("tile"), gr=t.column("gr"),
+                            gc=t.column("gc"))
+    out = tile_trend(rd.from_arrow(t)).to_pandas().set_index(["gr", "gc"])
+    assert out.loc[(0, 0)].trend_q6 == -333_333
+    assert out.loc[(1, 5)].trend_q6 == 0
 
 
 def test_tile_anomaly_matches_scalar(ray_session):
@@ -315,7 +330,7 @@ def test_tile_similarity_crafted(ray_session):
     assert len(tight) == 1
 
 
-def test_mk_trend_matches_brute_pairs(ray_session):
+def test_mk_trend_matches_brute_pairs(ray_session, assert_shared_partition):
     """tile_mk_trend's lag sweep vs a per-group O(n^2) pair loop."""
     import ray.data as rd
 
@@ -331,9 +346,8 @@ def test_mk_trend_matches_brute_pairs(ray_session):
         "i": rng.permutation(n).astype(np.int64),
         "m": rng.integers(0, 5, n).astype(np.int64),  # many ties
     })
-    out = tile_mk_trend(
-        rd.from_arrow(pa.Table.from_pandas(df)), n_partitions=4
-    ).to_pandas()
+    assert_shared_partition(32, tile=df["tile"], gr=df["gr"], gc=df["gc"])
+    out = tile_mk_trend(rd.from_arrow(pa.Table.from_pandas(df))).to_pandas()
     got = {(r.tile, r.gr, r.gc): (r.n_sc, r.mk_s, r.n_pairs)
            for r in out.itertuples()}
     exp = {}
@@ -384,7 +398,8 @@ def test_tile_iqr_rank_rule(ray_session):
         assert (r.n_sc, r.v_q1, r.v_q3, r.iqr) == (n, q1, q3, q3 - q1)
 
 
-def test_tile_transition_matrix_crafted(ray_session):
+def test_tile_transition_matrix_crafted(ray_session,
+                                        assert_shared_partition):
     import ray.data as rd
 
     from equi7grid_ray.stages.temporal import tile_transition_matrix
@@ -393,12 +408,14 @@ def test_tile_transition_matrix_crafted(ray_session):
     #  cell (0,0): e0 max 10 (class 0), e1 max 200 (class 3)
     #  cell (0,1): e0 max 100 (class 1), e1 max 100 (class 1)
     #  cell (1,0): e0 only -> dropped
+    #  cell (0,3): e0 only -> dropped (shares (0,0)'s partition)
     rows = [
         ("EU_E012N012T6", 0, 0, 10, 0), ("EU_E012N012T6", 0, 0, 5, 0),
         ("EU_E012N012T6", 0, 0, 200, 1),
         ("EU_E012N012T6", 0, 1, 100, 0), ("EU_E012N012T6", 0, 1, 90, 1),
         ("EU_E012N012T6", 0, 1, 100, 1),
         ("EU_E012N012T6", 1, 0, 50, 0),
+        ("EU_E012N012T6", 0, 3, 70, 0),
     ]
     tbl = pa.table({
         "tile": pa.array([r[0] for r in rows]),
@@ -407,7 +424,9 @@ def test_tile_transition_matrix_crafted(ray_session):
         "m": pa.array([r[3] for r in rows], pa.int64()),
         "epoch": pa.array([r[4] for r in rows], pa.int64()),
     })
-    got = tile_transition_matrix(rd.from_arrow(tbl), n_partitions=4) \
+    assert_shared_partition(32, tile=tbl.column("tile"), gr=tbl.column("gr"),
+                            gc=tbl.column("gc"))
+    got = tile_transition_matrix(rd.from_arrow(tbl)) \
         .to_pandas().sort_values(["c0", "c1"]).reset_index(drop=True)
     assert list(map(tuple, got.to_numpy())) == [
         ("EU", 0, 3, 1), ("EU", 1, 1, 1)]

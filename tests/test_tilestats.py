@@ -86,11 +86,13 @@ def test_moran_south_tiles_and_continents(ray_session):
     assert out.w_pairs == 2  # only the EU pair, counted both ways
 
 
-def test_revisit_matches_pandas(ray_session):
+def test_revisit_matches_pandas(ray_session, assert_shared_partition):
     rng = np.random.default_rng(3)
-    tiles = [f"EU_E{6 * int(k):03d}N000T6" for k in rng.integers(0, 5, 200)]
+    # 40 tiles over tile_revisit's 32 partitions: tiles share them
+    tiles = [f"EU_E{6 * int(k):03d}N000T6" for k in rng.integers(0, 40, 200)]
+    assert_shared_partition(32, tile=tiles)
     ds = _assigned_scatter(tiles)
-    got = tile_revisit(ds, n_partitions=4).to_pandas() \
+    got = tile_revisit(ds).to_pandas() \
         .sort_values("tile").reset_index(drop=True)
     df = pd.DataFrame({"tile": tiles, "i": np.arange(len(tiles))})
     ref = df.groupby("tile", as_index=False).agg(
@@ -214,19 +216,20 @@ def test_doc_chunks_rejects_bad_params():
         doc_chunks(batch, window=4, stride=0)
 
 
-def test_cost_distance_hand_lattice(ray_session):
-    """3x1 strip + detached tile: hand-checked Bellman-Ford."""
+def test_cost_distance_hand_lattice(ray_session, assert_shared_partition):
+    """3x1 strip + detached tiles: hand-checked Bellman-Ford."""
     import ray.data as rd
 
     from equi7grid_ray.stages.tilestats import tile_cost_distance
 
-    # scene counts: A=4 (seed, w=1), B=1 (w=2), C=2 (w=3); D detached
+    # scene counts: A=4 (seed, w=1), B=1 (w=2), C=2 (w=3); D and E
+    # detached (E shares A's partition of the per-tile count)
     rows = (["EU_E036N012T6"] * 4 + ["EU_E042N012T6"] * 1
             + ["EU_E048N012T6"] * 2 + ["EU_E090N090T6"] * 1
-            + ["AS_E066N030T6"] * 3)
+            + ["AS_E066N030T6"] * 3 + ["EU_E006N096T6"] * 1)
+    assert_shared_partition(32, tile=rows)
     t = pa.table({"tile": pa.array(rows, pa.string())})
-    out = tile_cost_distance(rd.from_arrow(t), rounds=8,
-                             n_partitions=2).to_pandas()
+    out = tile_cost_distance(rd.from_arrow(t), rounds=8).to_pandas()
     got = {r.tile: (r.w, r.dist) for r in out.itertuples()}
     assert got == {
         "EU_E036N012T6": (1, 0),     # continent max -> seed
@@ -234,24 +237,26 @@ def test_cost_distance_hand_lattice(ray_session):
         "EU_E048N012T6": (3, 5),     # 2 + enter w=3
         "EU_E090N090T6": (2, -1),    # detached, unreached
         "AS_E066N030T6": (4, 0),     # AS continent max -> its own seed
+        "EU_E006N096T6": (2, -1),    # detached, unreached
     }
 
 
-def test_cost_distance_round_cap(ray_session):
+def test_cost_distance_round_cap(ray_session, assert_shared_partition):
     """rounds bounds the reachable horizon: with rounds=1 the two-step
     tile stays unreached."""
     import ray.data as rd
 
     from equi7grid_ray.stages.tilestats import tile_cost_distance
 
+    # EU_E006N072T6 (detached) shares EU_E042N012T6's partition
     rows = (["EU_E036N012T6"] * 4 + ["EU_E042N012T6"] * 1
-            + ["EU_E048N012T6"] * 2)
+            + ["EU_E048N012T6"] * 2 + ["EU_E006N072T6"])
+    assert_shared_partition(32, tile=rows)
     t = pa.table({"tile": pa.array(rows, pa.string())})
-    out = tile_cost_distance(rd.from_arrow(t), rounds=1,
-                             n_partitions=2).to_pandas()
+    out = tile_cost_distance(rd.from_arrow(t), rounds=1).to_pandas()
     got = {r.tile: r.dist for r in out.itertuples()}
     assert got == {"EU_E036N012T6": 0, "EU_E042N012T6": 2,
-                   "EU_E048N012T6": -1}
+                   "EU_E048N012T6": -1, "EU_E006N072T6": -1}
 
 
 def test_coverage_gini_hand_values(ray_session):

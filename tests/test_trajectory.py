@@ -11,10 +11,12 @@ from equi7grid_ray.stages.trajectory import od_matrix, stay_segments
 
 @pytest.fixture()
 def track():
-    """Mixed stays and jumps: 3 users, deterministic integer walk."""
+    """Mixed stays and jumps: 80 users (more than the 64 partitions of
+    the trajectory cogroups, so users share partitions), deterministic
+    integer walk."""
     rng = np.random.default_rng(42)
     n = 3000
-    user = rng.integers(0, 3, n).astype(np.int64)
+    user = rng.integers(0, 80, n).astype(np.int64)
     ts = np.sort(rng.integers(0, 10**12, n)).astype(np.int64)
     eid = np.arange(n, dtype=np.int64)
     # small jitter around a per-user base, occasional big jump
@@ -62,10 +64,12 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
-def test_stay_segments_matches_scalar(ray_session, track):
+def test_stay_segments_matches_scalar(ray_session, track,
+                                      assert_shared_partition):
     r2, dur = 30_000, 5 * 10**9
-    got = stay_segments(rd.from_arrow(track), r2=r2, min_dur_us=dur,
-                        n_partitions=7).to_pandas()
+    assert_shared_partition(64, user_id=track.column("user_id"))
+    got = stay_segments(rd.from_arrow(track), r2=r2,
+                        min_dur_us=dur).to_pandas()
     exp = _scalar_stays(track.to_pandas(), r2, dur)
     pd.testing.assert_frame_equal(_canon(got), _canon(exp))
 
@@ -84,9 +88,11 @@ def test_stay_segments_single_point_zero_dur(ray_session):
     assert len(dropped) == 0
 
 
-def test_od_matrix_matches_scalar(ray_session, track):
+def test_od_matrix_matches_scalar(ray_session, track,
+                                  assert_shared_partition):
+    assert_shared_partition(64, user_id=track.column("user_id"))
     got = od_matrix(rd.from_arrow(track), cell_shift=6,
-                    day_us=10**11, n_partitions=5).to_pandas()
+                    day_us=10**11).to_pandas()
     df = track.to_pandas().sort_values(["user_id", "ts_us", "event_id"])
     df["day"] = df.ts_us // 10**11
     rows = []
@@ -147,47 +153,51 @@ def test_covisit_pairs_semantics(ray_session):
     assert (r.k1, r.k2, r.n_cohours) == (1, 2, 2)
 
 
-def test_trajectory_raster_crafted_dda(ray_session):
+def test_trajectory_raster_crafted_dda(ray_session, assert_shared_partition):
     import ray.data as rd
 
     from equi7grid_ray.stages.trajectory import trajectory_raster
 
     # one user, one day, two points: cells (0,0) -> (3,1)  (shift 0)
     # trunc-DDA: x = 0,1,2,3 ; y = trunc(t*1/3) = 0,0,0,1
-    # second user heads negative: (0,0) -> (-3,-2):
-    # x = 0,-1,-2,-3 ; y = trunc(-2t/3) = 0,0,-1,-2
+    # second user (16: shares user 1's partition) heads negative:
+    # (0,0) -> (-3,-2): x = 0,-1,-2,-3 ; y = trunc(-2t/3) = 0,0,-1,-2
     tbl = pa.table({
-        "user_id": pa.array([1, 1, 2, 2], pa.int64()),
+        "user_id": pa.array([1, 1, 16, 16], pa.int64()),
         "event_id": pa.array([1, 2, 1, 2], pa.int64()),
         "ts_us": pa.array([0, 1000, 0, 1000], pa.int64()),
         "x": pa.array([0, 3, 0, -3], pa.int64()),
         "y": pa.array([0, 1, 0, -2], pa.int64()),
     })
-    got = trajectory_raster(rd.from_arrow(tbl), cell_shift=0,
-                            n_partitions=4).to_pandas()
+    assert_shared_partition(64, user_id=tbl.column("user_id"))
+    got = trajectory_raster(rd.from_arrow(tbl), cell_shift=0).to_pandas()
     cells = {(r.cx, r.cy): r.n_visits for r in got.itertuples()}
     assert cells == {(0, 0): 2, (1, 0): 1, (2, 0): 1, (3, 1): 1,
                      (-1, 0): 1, (-2, -1): 1, (-3, -2): 1}
 
 
-def test_trajectory_raster_single_point_trip(ray_session):
+def test_trajectory_raster_single_point_trip(ray_session,
+                                             assert_shared_partition):
     import ray.data as rd
 
     from equi7grid_ray.stages.trajectory import trajectory_raster
 
+    # users 5 and 99 share a partition; each trip is one point
     tbl = pa.table({
-        "user_id": pa.array([5], pa.int64()),
-        "event_id": pa.array([1], pa.int64()),
-        "ts_us": pa.array([0], pa.int64()),
-        "x": pa.array([7], pa.int64()),
-        "y": pa.array([9], pa.int64()),
+        "user_id": pa.array([5, 99], pa.int64()),
+        "event_id": pa.array([1, 1], pa.int64()),
+        "ts_us": pa.array([0, 0], pa.int64()),
+        "x": pa.array([7, 1], pa.int64()),
+        "y": pa.array([9, 2], pa.int64()),
     })
-    got = trajectory_raster(rd.from_arrow(tbl), cell_shift=0,
-                            n_partitions=2).to_pandas()
-    assert got.to_dict("records") == [{"cx": 7, "cy": 9, "n_visits": 1}]
+    assert_shared_partition(64, user_id=tbl.column("user_id"))
+    got = trajectory_raster(rd.from_arrow(tbl), cell_shift=0).to_pandas()
+    assert sorted(got.to_dict("records"), key=lambda r: r["cx"]) == [
+        {"cx": 1, "cy": 2, "n_visits": 1}, {"cx": 7, "cy": 9, "n_visits": 1}]
 
 
-def test_od_bearing_rose_sector_boundaries(ray_session):
+def test_od_bearing_rose_sector_boundaries(ray_session,
+                                           assert_shared_partition):
     import ray.data as rd
 
     from equi7grid_ray.stages.trajectory import od_bearing_rose
@@ -197,8 +207,10 @@ def test_od_bearing_rose_sector_boundaries(ray_session):
     # (2,2) NE diag; (-2,2) NW; (-2,-2) SW; (2,-2) SE
     vecs = [(0, 0), (3, 1), (-3, 1), (1, 3), (1, -3),
             (2, 2), (-2, 2), (-2, -2), (2, -2)]
+    # user ids 0 and 23 share one of od_bearing_rose's 64 partitions
+    users = [0, 23] + list(range(2, len(vecs)))
     rows = []
-    for u, (dx, dy) in enumerate(vecs):
+    for u, (dx, dy) in zip(users, vecs):
         rows.append((u, 1, 0, 0, 0))
         rows.append((u, 2, 1000, dx, dy))
     tbl = pa.table({
@@ -208,7 +220,7 @@ def test_od_bearing_rose_sector_boundaries(ray_session):
         "x": pa.array([r[3] for r in rows], pa.int64()),
         "y": pa.array([r[4] for r in rows], pa.int64()),
     })
-    got = od_bearing_rose(rd.from_arrow(tbl), cell_shift=0,
-                          n_partitions=4).to_pandas()
+    assert_shared_partition(64, user_id=tbl.column("user_id"))
+    got = od_bearing_rose(rd.from_arrow(tbl), cell_shift=0).to_pandas()
     assert dict(zip(got["sector"], got["n_trips"])) == {
         0: 1, 1: 1, 5: 1, 3: 1, 7: 1, 2: 1, 4: 1, 6: 1, 8: 1}

@@ -296,7 +296,8 @@ def test_rollup_counts_matches_pandas(ray_session):
     assert (out["n"].to_numpy(np.int64) == want["n"].to_numpy(np.int64)).all()
 
 
-def test_assemble_sequences_matches_pandas(ray_session):
+def test_assemble_sequences_matches_pandas(ray_session,
+                                           assert_shared_partition):
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -312,9 +313,10 @@ def test_assemble_sequences_matches_pandas(ray_session):
         "o2": np.arange(n, dtype=np.int64),  # unique tiebreak
         "tok": rng.choice(["a", "bb", "ccc", "d"], n),
     })
+    assert_shared_partition(32, k=df["k"])
     out = assemble_sequences(
         ray.data.from_pandas(df), key_col="k", order_cols=["o1", "o2"],
-        token_col="tok", sep="|", n_partitions=8,
+        token_col="tok", sep="|",
     ).to_pandas().sort_values("k").reset_index(drop=True)
     want = (df.sort_values(["k", "o1", "o2"])
             .groupby("k")["tok"]
@@ -326,7 +328,7 @@ def test_assemble_sequences_matches_pandas(ray_session):
             == df.groupby("k").size().sort_index().to_numpy(np.int64)).all()
 
 
-def test_funnel_stages_matches_naive(ray_session):
+def test_funnel_stages_matches_naive(ray_session, assert_shared_partition):
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -345,8 +347,8 @@ def test_funnel_stages_matches_naive(ray_session):
         "event_type": pa.array(types),
         "ts": pa.array(ts),
     }))
-    out = funnel_stages(ds, stages=["view", "click", "purchase"],
-                        n_partitions=8).to_pandas()
+    assert_shared_partition(32, user_id=users)
+    out = funnel_stages(ds, stages=["view", "click", "purchase"]).to_pandas()
     got = dict(zip(out["user_id"].astype(np.int64),
                    out["stage"].astype(np.int64)))
 
@@ -365,7 +367,7 @@ def test_funnel_stages_matches_naive(ray_session):
     assert got == want
 
 
-def test_merge_intervals_matches_naive(ray_session):
+def test_merge_intervals_matches_naive(ray_session, assert_shared_partition):
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -380,8 +382,9 @@ def test_merge_intervals_matches_naive(ray_session):
     e = s + rng.integers(1, 3000, n)
     ds = ray.data.from_arrow(pa.table({
         "k": pa.array(keys), "s": pa.array(s), "e": pa.array(e)}))
-    out = merge_intervals(ds, key_col="k", start_col="s", end_col="e",
-                          n_partitions=8).to_pandas() \
+    assert_shared_partition(32, k=keys)
+    out = merge_intervals(ds, key_col="k", start_col="s",
+                          end_col="e").to_pandas() \
         .sort_values("k").reset_index(drop=True)
 
     want = []
@@ -669,8 +672,6 @@ def test_events_debounce_boundary(ray_session):
 
     # craft via the stage path directly: gaps of exactly 5s are
     # SUPPRESSED (> 5s starts a new burst)
-    from equi7grid_ray.stages.aggregate import _key_parts
-
     tbl = pa.table({
         "event_id": pa.array([1, 2, 3, 4], pa.int64()),
         "user_id": pa.array([7, 7, 7, 7], pa.int64()),

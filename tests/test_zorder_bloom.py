@@ -101,7 +101,7 @@ def test_bloom_filter_no_false_negatives_and_fpp():
     assert fpp < 0.03  # target 0.01 with headroom
 
 
-def test_bloom_semi_join_matches_pandas(ray_session):
+def test_bloom_semi_join_matches_pandas(ray_session, assert_shared_partition):
     import ray
 
     from equi7grid_ray.stages.bloom import bloom_semi_join
@@ -115,9 +115,10 @@ def test_bloom_semi_join_matches_pandas(ray_session):
         "key": rng.choice(400, size=90, replace=False).astype(np.int64),
         "extra": np.arange(90, dtype=np.int64),
     })
+    assert_shared_partition(32, key=big["key"])
     out = bloom_semi_join(
         ray.data.from_pandas(big), ray.data.from_pandas(small),
-        on="key", fpp=0.05, n_partitions=8,
+        on="key", fpp=0.05,
     ).to_pandas()
     want = big[big["key"].isin(set(small["key"]))]
     lcanon = out.sort_values(["key", "payload"]).reset_index(drop=True)
@@ -127,7 +128,7 @@ def test_bloom_semi_join_matches_pandas(ray_session):
     assert set(out.columns) == {"key", "payload"}
 
 
-def test_bloom_anti_join_matches_pandas(ray_session):
+def test_bloom_anti_join_matches_pandas(ray_session, assert_shared_partition):
     import ray
 
     from equi7grid_ray.stages.bloom import bloom_anti_join
@@ -142,9 +143,10 @@ def test_bloom_anti_join_matches_pandas(ray_session):
     })
     # duplicate keys on the small side must not duplicate output rows
     small = pd.concat([small, small.head(10)], ignore_index=True)
+    assert_shared_partition(32, key=big["key"])
     out = bloom_anti_join(
         ray.data.from_pandas(big), ray.data.from_pandas(small),
-        on="key", fpp=0.05, n_partitions=8,
+        on="key", fpp=0.05,
     ).to_pandas()
     want = big[~big["key"].isin(set(small["key"]))]
     lc = out.sort_values(["key", "payload"]).reset_index(drop=True)
@@ -155,7 +157,8 @@ def test_bloom_anti_join_matches_pandas(ray_session):
     assert set(out.columns) == {"key", "payload"}
 
 
-def test_neighbor_pairs_matches_brute_force(ray_session):
+def test_neighbor_pairs_matches_brute_force(ray_session,
+                                            assert_shared_partition):
     import ray
 
     from equi7grid_ray.stages.neighbors import neighbor_pairs
@@ -168,7 +171,11 @@ def test_neighbor_pairs_matches_brute_force(ray_session):
     R = 60.0
     ds = ray.data.from_arrow(pa.table({
         "id": pa.array(ids), "x": pa.array(x), "y": pa.array(y)}))
-    out = neighbor_pairs(ds, radius=R, n_partitions=8).to_pandas()
+    # home cells (the cogroup key) share neighbor_pairs' 32 partitions
+    assert_shared_partition(
+        32, ck=np.floor(x / R).astype(np.int64) * (1 << 31)
+        + np.floor(y / R).astype(np.int64))
+    out = neighbor_pairs(ds, radius=R).to_pandas()
     got = set(zip(out["id_a"].astype(np.int64), out["id_b"].astype(np.int64)))
     dx = x[:, None] - x[None, :]
     dy = y[:, None] - y[None, :]
@@ -179,8 +186,7 @@ def test_neighbor_pairs_matches_brute_force(ray_session):
     assert got == want
     assert len(out) == len(got)  # no duplicate emissions
     # larger cells than the radius are also exact
-    out2 = neighbor_pairs(ds, radius=R, cell_size=150.0,
-                          n_partitions=8).to_pandas()
+    out2 = neighbor_pairs(ds, radius=R, cell_size=150.0).to_pandas()
     got2 = set(zip(out2["id_a"].astype(np.int64),
                    out2["id_b"].astype(np.int64)))
     assert got2 == want
