@@ -312,13 +312,3 @@ def decode_image(buf: bytes, fmt: str, w: int, h: int, dtype="uint8",
     raise NotImplementedError(
         f"image format {fmt!r}: codec unavailable in sandbox "
         "(raw/png/baseline-jpeg supported)")
-
-
-def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB (inf for identical images)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    mse = np.mean((a - b) ** 2)
-    if mse == 0:
-        return float("inf")
-    return 10.0 * np.log10(255.0**2 / mse)

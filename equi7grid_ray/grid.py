@@ -395,18 +395,3 @@ def pixel_to_world_coords(affine, pixel_coords) -> "np.ndarray":
     out[:, 0] = p[:, 0] * a + p[:, 1] * b + c
     out[:, 1] = p[:, 0] * d + p[:, 1] * e + f
     return out
-
-
-def world_to_pixel_coords(affine, world_coords) -> "np.ndarray":
-    """Inverse of :func:`pixel_to_world_coords` (2x2 solve, vectorized)."""
-    a, b, c, d, e, f = tuple(affine)[:6]
-    det = a * e - b * d
-    if det == 0.0:
-        raise ValueError("affine transform is singular")
-    w = np.asarray(world_coords, dtype=np.float64)
-    x = w[:, 0] - c
-    y = w[:, 1] - f
-    out = np.empty_like(w)
-    out[:, 0] = (e * x - b * y) / det
-    out[:, 1] = (-d * x + a * y) / det
-    return out

@@ -6,11 +6,14 @@ worker concurrency the hot tile-assignment path becomes DRAM-bound on
 those temporaries.  This module trades that for a precomputed per-zone
 lookup grid + separable 4-point Lagrange (bicubic) interpolation:
 
-* build once per (continent, bbox): exact ``aeqd.forward`` evaluated on a
-  regular ``step``-degree lon/lat grid, stored as ONE flat row-major
-  ``complex128`` array ``g = x + 1j*y`` (1.4-8.9 MB per zone, 31 MB for
-  the six non-polar zones; built on the driver and broadcast with the
-  stage state);
+* build once per (continent, bbox, step): exact ``aeqd.forward``
+  evaluated on a regular ``step``-degree lon/lat grid, stored as ONE
+  flat row-major ``complex128`` array ``g = x + 1j*y`` (1.4-8.9 MB per
+  zone, 31 MB for the six non-polar zones).  The grid is saved once as
+  an uncompressed ``.npy`` file in the package data directory, named by
+  a hash of everything it depends on (see :func:`get_projector`), and
+  every process maps that file read-only: processes on one machine
+  share its pages, and a pickled projector is just its key;
 * evaluate per batch: one flat base index, then 16 ``g.take`` taps (4
   rows x 4 columns) that each fetch x and y together, ~40 flops per
   point.  A real weight times a complex tap scales both components
@@ -53,12 +56,31 @@ stencil is strictly local (4x4 cells).
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 
 from equi7grid_ray import aeqd
-from equi7grid_ray.constants import ContinentDef
+from equi7grid_ray.constants import CONTINENTS, ContinentDef
+from equi7grid_ray.datafiles import in_ray_worker, write_atomic
 
-__all__ = ["CubicGridProjector", "build_zone_projectors"]
+__all__ = ["CubicGridProjector", "build_zone_projectors", "get_projector"]
+
+_DATA_DIR = Path(__file__).resolve().parent / "data"
+#: bump whenever ``aeqd.forward`` (or the geodesic solver under it)
+#: changes its output, or the grid layout changes: keys the grid files
+_GRID_VERSION = 1
+
+
+def _grid_path(continent: str | ContinentDef, bbox: tuple, step: float) -> Path:
+    """The grid file of one (continent definition, bbox, step)."""
+    cdef = aeqd._cdef(continent)
+    key = json.dumps([dataclasses.astuple(cdef), list(bbox), step, _GRID_VERSION])
+    h = hashlib.sha256(key.encode()).hexdigest()[:12]
+    return _DATA_DIR / f"interpgrid_{cdef.name}_{h}.npy"
 
 
 def _lagrange_weights(f: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -75,7 +97,11 @@ def _lagrange_weights(f: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class CubicGridProjector:
-    """Per-zone forward projector: lon/lat (deg) -> AEQD x/y (m)."""
+    """Per-zone forward projector: lon/lat (deg) -> AEQD x/y (m).
+
+    The grid is mapped from its file (:func:`_grid_path`); a missing
+    file is built and written first.  Pickles as its key: unpickling goes
+    through :func:`get_projector`."""
 
     def __init__(
         self,
@@ -84,11 +110,8 @@ class CubicGridProjector:
         step: float = 0.25,
     ):
         self.continent = continent
-        cdef = continent if isinstance(continent, ContinentDef) else None
-        if cdef is None:
-            from equi7grid_ray.constants import CONTINENTS
-
-            cdef = CONTINENTS[continent]
+        self.bbox = tuple(float(v) for v in bbox)
+        cdef = aeqd._cdef(continent)
         self._far_lon = (cdef.lon_0 + 180.0 + 180.0) % 360.0 - 180.0
         lon0, lat0, lon1, lat1 = bbox
         pad = 2.0 * step
@@ -99,10 +122,21 @@ class CubicGridProjector:
         self.step = float(step)
         self.lon0 = float(lon0)
         self.lat0 = float(lat0)
-        nlon = int(np.ceil((lon1 - lon0) / step)) + 1
-        nlat = int(np.ceil((lat1 - lat0) / step)) + 1
-        lons = lon0 + step * np.arange(nlon)
-        lats = lat0 + step * np.arange(nlat)
+        self.nlon = int(np.ceil((lon1 - lon0) / step)) + 1
+        self.nlat = int(np.ceil((lat1 - lat0) / step)) + 1
+        path = _grid_path(continent, self.bbox, self.step)
+        if not path.exists():
+            g = self._solve()
+            write_atomic(path, lambda f: np.save(f, g))
+        # a plain ndarray view of the map: the 16 gathers in __call__ take
+        # 1.3-1.4x as long on the np.memmap subclass itself
+        self.g = np.load(path, mmap_mode="r").view(np.ndarray)
+
+    def _solve(self) -> np.ndarray:
+        """The flat row-major (nlat, nlon) grid of ``x + 1j*y``: one
+        gather fetches both coordinates of a node."""
+        lons = self.lon0 + self.step * np.arange(self.nlon)
+        lats = self.lat0 + self.step * np.arange(self.nlat)
         glon, glat = np.meshgrid(lons, lats)
         glon = glon.ravel()
         glat = glat.ravel()
@@ -114,14 +148,14 @@ class CubicGridProjector:
         under = glat < -90.0
         glon_e = np.where(over | under, glon + 180.0, glon)
         glat_e = np.where(over, 180.0 - glat, np.where(under, -180.0 - glat, glat))
-        x, y = aeqd.forward(continent, glon_e, glat_e)
-        # flat row-major (nlat, nlon) grid of x + 1j*y: one gather fetches
-        # both coordinates of a node
-        self.g = np.empty(nlat * nlon, dtype=np.complex128)
-        self.g.real = x
-        self.g.imag = y
-        self.nlon = nlon
-        self.nlat = nlat
+        x, y = aeqd.forward(self.continent, glon_e, glat_e)
+        g = np.empty(self.nlat * self.nlon, dtype=np.complex128)
+        g.real = x
+        g.imag = y
+        return g
+
+    def __reduce__(self):
+        return get_projector, (self.continent, self.bbox, self.step)
 
     #: exact-solver bands: the interpolation error concentrates (a) in
     #: the last degree at the poles and (b) in a narrow band along the
@@ -168,42 +202,43 @@ class CubicGridProjector:
             )
         return x, y
 
-    @property
-    def nbytes(self) -> int:
-        return self.g.nbytes
-
 
 _CACHE: dict[tuple, CubicGridProjector] = {}
 
 
 def get_projector(
-    continent: str, bbox: tuple[float, float, float, float], step: float = 0.25
-) -> CubicGridProjector:
-    """Process-cached projector (grids are pure functions of
-    continent/bbox/step; reuse across stages and tests)."""
-    key = (str(continent), tuple(round(float(v), 6) for v in bbox), float(step))
-    if key not in _CACHE:
-        _CACHE[key] = CubicGridProjector(continent, bbox, step=step)
-    return _CACHE[key]
+    continent: str | ContinentDef, bbox: tuple[float, float, float, float],
+    step: float = 0.25,
+) -> CubicGridProjector | None:
+    """Process-cached projector.  Its grid is a pure function of the
+    continent definition, bbox and step, so it lives in a file named by
+    a hash of those and :data:`_GRID_VERSION`; a miss builds the file
+    (~0.5 s per zone).  Inside a Ray worker a missing file is not built:
+    the call returns None and the caller projects with ``aeqd.forward``
+    (as with ``exact_projection=True``)."""
+    key = (continent, tuple(float(v) for v in bbox), float(step))
+    proj = _CACHE.get(key)
+    if proj is None:
+        if in_ray_worker() and not _grid_path(*key).exists():
+            return None
+        proj = _CACHE[key] = CubicGridProjector(*key)
+    return proj
 
 
 def build_zone_projectors(
     polys: dict, continents: list[str], step: float = 0.25
-) -> dict[str, CubicGridProjector]:
+) -> dict[str, CubicGridProjector | None]:
     """Build projectors for the non-polar continents from the zone
     classifier's polygon bboxes (the only region whose points can
     classify into the zone).  The polar AN zone keeps the exact
-    closed-form polar-aspect forward (already cheap)."""
-    from equi7grid_ray.constants import CONTINENTS
-
-    out: dict[str, CubicGridProjector] = {}
+    closed-form polar-aspect forward (already cheap).  Inside a Ray
+    worker a zone whose grid file is missing maps to None."""
+    out: dict[str, CubicGridProjector | None] = {}
     for cont in continents:
-        cdef = CONTINENTS[cont]
-        if cdef.polar:
+        if CONTINENTS[cont].polar:
             continue
         poly = polys.get(cont)
         if poly is None:
             continue
-        x0, y0, x1, y1 = poly.bbox
-        out[cont] = get_projector(cont, (x0, y0, x1, y1), step=step)
+        out[cont] = get_projector(cont, poly.bbox, step=step)
     return out

@@ -150,23 +150,6 @@ def run_flagship_checkpointed(
         dict(assign=make_assign_fn(tiling_id=tiling_id, decode=decode), columns=columns))
 
 
-def ordered_assignments(assignments):
-    """Reference-order output: Ray Data does not preserve order across
-    execution, so where the reference's generator ordering matters
-    (continents by system_order, tiles x-then-y;
-    tests/test_equi7grid.py:273-282) finish with an explicit sort."""
-    return assignments.sort(["continent_rank", "ll_x", "ll_y"])
-
-
-def dedup_images_by_phash(ds, id_col: str = "image_id"):
-    """Exact image dedup on the phash column (input_hint schema): keep
-    the min image_id per phash -- shuffle moves only (phash, id)."""
-    from equi7grid_ray.stages.aggregate import hash_aggregate
-
-    return hash_aggregate(ds.select_columns([id_col, "phash"]),
-                          keys=["phash"], aggs={id_col: (id_col, "min")})
-
-
 def tile_histogram(assignments) -> "pa.Table":
     """Small grouped aggregate over the assignment stream: rows per tile.
     Pre-aggregates inside map_batches (combiner), so at most |tiles|

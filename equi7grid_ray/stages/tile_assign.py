@@ -18,8 +18,8 @@ One row is emitted per (image x containing zone) -- the reference's
 ``Grid.lonlat_to_xy`` multi-zone semantics (core.py + pytileproj,
 tests/test_equi7grid.py:405-439) as a vectorized explode, grouped by
 continent rank, then ascending input row.  The heavy spatial state (zone
-raster, tile tables, cell -> tile table) is built/loaded once per actor
-in ``__init__`` (actor-pool stage), never per batch.
+raster, tile tables, cell -> tile table, projector grids) is built/loaded
+once per actor in ``__init__`` (actor-pool stage), never per batch.
 """
 
 from __future__ import annotations
@@ -147,8 +147,11 @@ class TileAssigner:
     ``GridSpec.standard()`` and ``standard(buffered=True)`` ship in
     ``data/``; any other is built on first use (a few seconds) and cached
     there -- but never inside a Ray worker, where a missing table means
-    every row takes the full path.  ``exact_projection=True`` uses no
-    table: every row goes through ``aeqd.forward``."""
+    every row takes the full path.  The same holds for the projector
+    grids (``interp.get_projector``): a worker that finds a zone's grid
+    file missing projects that zone with ``aeqd.forward``.
+    ``exact_projection=True`` uses no table: every row goes through
+    ``aeqd.forward``."""
 
     def __init__(
         self,
@@ -386,9 +389,11 @@ def _cache_put(key: str, value):
 def make_assign_fn(broadcast: bool = True, **kwargs):
     """Task-based variant of the stage with broadcast state.
 
-    When Ray is up, the TileAssigner (zone raster + tile tables + name
-    dictionaries + interpolation grids, ~64 MB of numpy) is built on the
-    driver and ``ray.put`` once per (assigner config, Ray session): the
+    When Ray is up, the TileAssigner (zone raster, cell -> tile table,
+    tile index and name dictionary: ~33 MB of numpy for the T6
+    ``emit_xy=False`` config; its interpolation grids pickle by key and
+    each process maps them from their files) is built on the driver and
+    ``ray.put`` once per (assigner config, Ray session): the
     ref is kept in ``_PROC_CACHE``, so later pipelines over an equal
     config reuse it and each worker process, which caches the assigner
     it deserializes under that ref, hits its cache on every pass (`small-

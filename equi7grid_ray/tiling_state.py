@@ -50,6 +50,7 @@ import numpy as np
 
 from equi7grid_ray import aeqd
 from equi7grid_ray.constants import CONTINENTS, DEF_SEG_LEN_DEG
+from equi7grid_ray.datafiles import write_atomic
 from equi7grid_ray.grid import GridSpec, full_names
 from equi7grid_ray.zones import GeoPolygon, get_zone_classifier
 from equi7grid_ray.sources.zone_build import ZONES_NPZ, load_zone_rings
@@ -465,13 +466,13 @@ class GridState:
             ct = _build_continent_tiling(
                 continent, tiling, t, self.proj_zone(continent), self._land, self.zc
             )
-            np.savez_compressed(
-                p,
+            write_atomic(p, lambda f: np.savez_compressed(
+                f,
                 ll_x=ct.ll_x, ll_y=ct.ll_y, covers_land=ct.covers_land,
                 atlas_lon=ct.atlas_lon, atlas_lat=ct.atlas_lat,
                 atlas_inzone=ct.atlas_inzone, extra_offsets=ct.extra_offsets,
                 extra_lon=ct.extra_lon, extra_lat=ct.extra_lat,
-            )
+            ))
         self._tilings[key] = ct
         return ct
 

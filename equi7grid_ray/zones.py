@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import sys
 from pathlib import Path
 
 import numpy as np
 
 from equi7grid_ray.constants import DEFAULT_CONTINENT_ORDER
+from equi7grid_ray.datafiles import in_ray_worker, write_atomic
 from equi7grid_ray.sources.zone_build import ZONES_NPZ, load_zone_rings
 
 __all__ = ["GeoPolygon", "ZoneClassifier", "get_zone_classifier"]
@@ -46,12 +45,6 @@ def _corner_max(a: np.ndarray) -> np.ndarray:
     """Per cell, the max of a node array over the cell's four corners."""
     return np.maximum(np.maximum(a[:-1, :-1], a[1:, :-1]),
                       np.maximum(a[:-1, 1:], a[1:, 1:]))
-
-
-def _in_ray_worker() -> bool:
-    ray = sys.modules.get("ray")
-    return (ray is not None and ray.is_initialized()
-            and ray.get_runtime_context().worker.mode == ray.WORKER_MODE)
 
 
 class GeoPolygon:
@@ -184,7 +177,7 @@ class ZoneClassifier:
             d = np.load(p)
             return d["inside"], d["boundary"]
         inside, boundary = self._build_raster()
-        np.savez_compressed(p, inside=inside, boundary=boundary)
+        write_atomic(p, lambda f: np.savez_compressed(f, inside=inside, boundary=boundary))
         return inside, boundary
 
     def _build_raster(self) -> tuple[np.ndarray, np.ndarray]:
@@ -393,7 +386,7 @@ class ZoneClassifier:
         The file name hashes the zone raster, ``key`` (the caller's tile
         set, dictionary and tile size), the margin and the build version,
         so a change to any of them misses the cache.  A new file is
-        written to a temporary name and renamed into place, so a
+        written with :func:`~equi7grid_ray.datafiles.write_atomic`, so a
         concurrent reader sees the whole file or none.  The table is
         int16 while its values fit.  Inside a Ray worker a missing table
         is not built: the call returns None and the caller assigns
@@ -407,16 +400,13 @@ class ZoneClassifier:
             return self._cell_tables[p.name]
         if p.exists():
             table = np.load(p)["table"]
-        elif _in_ray_worker():
+        elif in_ray_worker():
             return None
         else:
             table = build()
             if table.max(initial=-1) <= np.iinfo(np.int16).max:
                 table = table.astype(np.int16)
-            tmp = p.with_name(f"{p.name}.{os.getpid()}.tmp")
-            with open(tmp, "wb") as f:
-                np.savez_compressed(f, table=table)
-            os.replace(tmp, p)
+            write_atomic(p, lambda f: np.savez_compressed(f, table=table))
         flat = np.append(table.ravel(), table.dtype.type(-1))
         self._cell_tables[p.name] = flat
         return flat

@@ -262,6 +262,69 @@ def test_ray_worker_never_builds_a_missing_table(ray_session, tmp_path):
     assert ray.get(load.remote(str(tmp_path))) is None
     assert not any(p.name.startswith("celltiles_") for p in tmp_path.iterdir())
 
+    # nor a projector grid: an assigner unpickled in a worker that finds
+    # no grid file projects with the exact solver
+    @ray.remote(num_cpus=1)
+    def assign(data_dir, blob, batch):
+        import pickle
+        from pathlib import Path
+
+        from equi7grid_ray import interp
+
+        def solve(self):
+            raise AssertionError("grid built inside a Ray worker")
+
+        saved = interp._DATA_DIR, interp._CACHE, interp.CubicGridProjector._solve
+        interp._DATA_DIR, interp._CACHE = Path(data_dir), {}
+        interp.CubicGridProjector._solve = solve
+        try:
+            ta = pickle.loads(blob)
+            return ta._proj, ta(batch)
+        finally:
+            interp._DATA_DIR, interp._CACHE, interp.CubicGridProjector._solve = saved
+
+    import pickle
+
+    rng = np.random.default_rng(23)
+    batch = _batch(rng.uniform(-180.0, 180.0, 20_000), rng.uniform(-90.0, 90.0, 20_000))
+    for kw in (dict(emit_xy=False, emit_cell=False, emit_id=False), {}):
+        ta = TileAssigner("T6", **kw)
+        assert sorted(ta._proj) == ["AF", "AS", "EU", "NA", "OC", "SA"]
+        proj, got = ray.get(assign.remote(str(tmp_path), pickle.dumps(ta), batch))
+        assert proj == dict.fromkeys(ta._proj)
+        # the whole output, so its tile histogram too
+        assert got.equals(TileAssigner("T6", exact_projection=True, **kw)(batch))
+    assert not any(tmp_path.iterdir())
+
+
+def test_broadcast_assigner_pickle_size():
+    """The projector grids pickle by key: a broadcast T6 assigner is
+    its zone raster, cell -> tile table and tile index (64.2 MB when
+    the grids went by value)."""
+    import pickle
+
+    ta = TileAssigner("T6", emit_xy=False, emit_cell=False, emit_id=False)
+    assert len(pickle.dumps(ta)) <= 34_000_000
+
+
+def test_cache_write_is_atomic(tmp_path):
+    """A cache write that raises midway leaves no file at the final
+    name and no temporary file; a whole write lands at the final name."""
+    from equi7grid_ray.datafiles import write_atomic
+
+    p = tmp_path / "cache.npz"
+
+    def fail(f):
+        f.write(b"half a zip")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(p, fail)
+    assert not any(tmp_path.iterdir())
+    write_atomic(p, lambda f: np.savez_compressed(f, a=np.arange(3)))
+    assert [q.name for q in tmp_path.iterdir()] == ["cache.npz"]
+    assert np.load(p)["a"].tolist() == [0, 1, 2]
+
 
 def test_broadcast_assigner_pickles_only_its_own_tiling():
     """A pickled assigner carries its zone classifier and its own tile

@@ -3,12 +3,16 @@ and end-to-end tile-assignment equivalence.
 
 The reference pins coordinate accuracy at assert_allclose rtol=1e-7
 (its tests/test_equi7grid.py:50-99), i.e. ~0.6 m at zone scale; the
-interpolator must sit orders of magnitude inside that."""
+interpolator must sit orders of magnitude inside that.  The projectors
+under test map their grids from the package data files, as every
+assigner does."""
+
+import pickle
 
 import numpy as np
 import pyarrow as pa
 
-from equi7grid_ray import aeqd
+from equi7grid_ray import aeqd, interp
 from equi7grid_ray.interp import _lagrange_weights, build_zone_projectors
 from equi7grid_ray.zones import get_zone_classifier
 
@@ -20,6 +24,7 @@ def test_interp_accuracy_all_zones():
     projs = build_zone_projectors(zc.polys, ["AF", "AS", "EU", "NA", "OC", "SA"])
     rng = np.random.default_rng(7)
     for cont, p in projs.items():
+        assert type(p.g) is np.ndarray and isinstance(p.g.base, np.memmap)
         poly = zc.polys[cont]
         lon = rng.uniform(poly.bbox[0], poly.bbox[2], 100_000)
         lat = rng.uniform(poly.bbox[1], poly.bbox[3], 100_000)
@@ -163,3 +168,65 @@ def test_complex_gather_kernel_bit_equal_to_separate_xy_kernel():
         for got, want in ((got_x, want_x), (got_y, want_y)):
             got = np.ascontiguousarray(got)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), cont
+
+
+def test_loaded_grid_bit_equal_to_fresh_solve():
+    zc = get_zone_classifier(False)
+    projs = build_zone_projectors(zc.polys, ["AF", "AS", "EU", "NA", "OC", "SA"])
+    for cont, p in projs.items():
+        assert p.g.flags.writeable is False
+        assert np.array_equal(p.g.view(np.uint64), p._solve().view(np.uint64)), cont
+
+
+def test_grid_file_key(tmp_path, monkeypatch):
+    """The grid file is keyed by bbox, step and ``_GRID_VERSION``: a
+    change to any of them misses it; an unchanged key loads the file
+    (bit-equal) instead of solving again."""
+    solves = []
+    solve = interp.CubicGridProjector._solve
+
+    def counting(self):
+        solves.append(1)
+        return solve(self)
+
+    monkeypatch.setattr(interp.CubicGridProjector, "_solve", counting)
+    monkeypatch.setattr(interp, "_DATA_DIR", tmp_path)
+    monkeypatch.setattr(interp, "_CACHE", {})
+    bbox = (10.0, 45.0, 12.0, 47.0)
+    a = interp.get_projector("EU", bbox)
+    assert len(solves) == 1 and interp.get_projector("EU", bbox) is a
+    interp._CACHE.clear()
+    b = interp.get_projector("EU", bbox)
+    assert len(solves) == 1 and b is not a
+    assert np.array_equal(a.g.view(np.uint64), b.g.view(np.uint64))
+    interp.get_projector("EU", bbox, step=0.5)
+    interp.get_projector("EU", (10.0, 45.0, 12.0, 47.5))
+    monkeypatch.setattr(interp, "_GRID_VERSION", interp._GRID_VERSION + 1)
+    interp._CACHE.clear()
+    interp.get_projector("EU", bbox)
+    assert len(solves) == 4
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert len(files) == 4 and all(f.startswith("interpgrid_EU_") for f in files)
+
+
+def test_projector_pickles_by_key(monkeypatch):
+    zc = get_zone_classifier(False)
+    p = build_zone_projectors(zc.polys, ["EU"])["EU"]
+    blob = pickle.dumps(p)
+    assert len(blob) < 1_000
+    assert pickle.loads(blob) is p
+    monkeypatch.setattr(interp, "_CACHE", {})  # as in a fresh process
+    q = pickle.loads(blob)
+    assert q is not p and np.array_equal(q.g.view(np.uint64), p.g.view(np.uint64))
+
+
+def test_standard_and_buffered_zones_keep_their_own_grids():
+    """The AF and SA bboxes of the standard and buffered zone polygons
+    differ by ~1e-11 deg.  Each spec still gets its own grid, so an
+    assigner's x/y do not depend on which spec the process loaded first."""
+    conts = ["AF", "SA"]
+    std = build_zone_projectors(get_zone_classifier(False).polys, conts)
+    bfrd = build_zone_projectors(get_zone_classifier(True).polys, conts)
+    for c in conts:
+        assert np.allclose(std[c].bbox, bfrd[c].bbox, rtol=0, atol=1e-8)
+        assert std[c] is not bfrd[c] and std[c].lon0 != bfrd[c].lon0

@@ -9,7 +9,8 @@ DC-prediction slip shows up as an integer mismatch, not a PSNR dip."""
 import numpy as np
 import pytest
 
-from equi7grid_ray.codec import decode_image, encode_image, psnr
+from equi7grid_ray.codec import decode_image, encode_image
+from image_metrics import psnr
 from equi7grid_ray.jpeg import (
     _DCT_M,
     AC_LUMA_SPEC,

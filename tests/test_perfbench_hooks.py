@@ -50,3 +50,26 @@ def test_zone_spans_count_rows_once():
         zc.classify_bits(np.zeros(5), np.zeros(5))
     assert tr.stats["zones.classify"]["calls"] == 2
     assert tr.stats["zones.classify"]["rows"] == 15
+
+
+def test_cold_caches_reopens_the_grid_files(monkeypatch):
+    """After ``cold_caches`` a new assigner maps its projector grids from
+    their files again, as a fresh process does; without it the process
+    cache answers and no grid file is opened."""
+    from equi7grid_ray.stages.tile_assign import TileAssigner
+
+    kw = dict(emit_xy=False, emit_cell=False, emit_id=False)
+    TileAssigner("T6", **kw)
+    opened = []
+    load = np.load
+
+    def counting(file, *a, **k):
+        opened.append(str(file))
+        return load(file, *a, **k)
+
+    monkeypatch.setattr(np, "load", counting)
+    TileAssigner("T6", **kw)
+    assert not any("interpgrid_" in f for f in opened)
+    trace.cold_caches()
+    TileAssigner("T6", **kw)
+    assert len({f for f in opened if "interpgrid_" in f}) == 6

@@ -9,7 +9,8 @@ import pyarrow as pa
 import pytest
 
 from equi7grid_ray import aeqd
-from equi7grid_ray.codec import decode_image, psnr
+from equi7grid_ray.codec import decode_image
+from image_metrics import psnr
 from equi7grid_ray.sources.images import make_batch
 from equi7grid_ray.stages.regrid import (
     SRC_RES_DEG,
