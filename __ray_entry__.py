@@ -2,10 +2,10 @@
 
 ``entry()`` runs the flagship tile-assignment pipeline over sf0.001;
 ``queries()`` exposes one callable per implemented operator family from
-SURVEY.md section 2 (+ the north-rule training-data ops); ``oracle_sql()``
-gives DuckDB-equivalent SQL for every query except the three genuinely
-iterative/float ones (kmeans + the two geodesic-regrid checksums, which
-stay rows-only).
+SURVEY.md section 2 (+ the north-rule training-data ops).  A query is
+declared by one ``oracle_sql()`` entry -- its name and the DuckDB SQL
+that reproduces it -- plus a module-level ``q_<name>(sf_dir)``;
+``queries()`` is a view of ``oracle_sql()`` in that dict's order.
 
 Geospatial queries derive coordinates from integer keys with pure
 integer arithmetic (microdegrees / metres) so the SQL oracle reproduces
@@ -2258,9 +2258,9 @@ def q_kmeans_clusters(sf_dir: str):
     ann_ivf.kmeans_fit): each iteration is one shuffle-free streaming
     pass emitting O(k*dim) partials, merged driver-side.  Returns the
     per-cluster member counts after assignment with the trained
-    centroids.  Iterative (data-dependent float centroids) => rows-only:
-    no SQL oracle, pinned instead by tests/test_join.py's
-    planted-cluster recovery test."""
+    centroids.  Iterative (data-dependent float centroids), so its
+    oracle is the approval-pinned ``kmeans_pin.parquet``;
+    tests/test_join.py::test_kmeans_fit_converges checks the fit."""
     from equi7grid_ray.stages.ann_ivf import IVFAssign, kmeans_fit
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
@@ -3208,7 +3208,7 @@ def q_roi_search_geodesic(sf_dir: str):
 
 
 # Multimodal decode stage: per-image pixel stats + thumbnails over
-# synthesized payloads (codec plumbing; rows-only).
+# synthesized payloads (codec plumbing).
 q_image_stats = _frame_query(
     mm.DecodeImages, 500, select=["image_id", "px_mean"])
 
@@ -3617,8 +3617,7 @@ q_audio_downsample = _frame_query(
 
 
 def q_frame_sample(sf_dir: str):
-    """Video frame-sampling plumbing (deterministic fake demux;
-    rows-only)."""
+    """Video frame-sampling plumbing (deterministic fake demux)."""
     from ray.data.aggregate import Count
 
     return _frame_query(mm.FrameSampler, 100)(sf_dir) \
@@ -3910,7 +3909,7 @@ q_image_harris = _frame_query(mm.HarrisStats, 200, thresh=_HARRIS_T)
 q_image_otsu = _frame_query(mm.OtsuThreshold, 300)
 
 
-def q_pagerank(sf_dir: str):
+def q_pagerank_q(sf_dir: str):
     """Exact fixed-point PageRank (Q1e12 integer ranks, 3 rounds,
     dangling mass dropped) over a derived 1000-node directed graph --
     one hash_aggregate dedupes the edges (at most 1000 x 1000), then
@@ -3933,7 +3932,7 @@ def q_pagerank(sf_dir: str):
     return pagerank_int(ds.map_batches(to_edges, batch_format="pyarrow"))
 
 
-def q_collocations(sf_dir: str):
+def q_collocations_pmi(sf_dir: str):
     """Corpus collocation extraction: top-50 adjacent-token bigrams by
     integer-quantized PMI (exact bigint scoring, HUGEINT SQL mirror);
     token occurrences never shuffle -- only distinct-count partials."""
@@ -4046,7 +4045,7 @@ q_blob_bbox = _frame_query(mm.BlobBoxes, 900, where={"w": 32, "h": 32})
 q_image_rle = _frame_query(mm.RleStats, 300)
 
 
-def q_hist_match(sf_dir: str):
+def q_image_hist_match(sf_dir: str):
     """Radiometric normalization: every scene's histogram matched to
     the corpus-wide reference histogram (one bounded 256-bin aggregate,
     broadcast into the remap stage) -- the pre-mosaic seam-line killer.
@@ -4060,7 +4059,7 @@ def q_hist_match(sf_dir: str):
     )
 
 
-def q_tile_focal(sf_dir: str):
+def q_tile_focal_mean(sf_dir: str):
     """Distributed 3x3 focal mean over the tile-mosaic composite with
     cross-tile halo exchange (edge cells read +/-6-easting/northing
     neighbour tiles of the same continent).  Scatter to packed window
@@ -4075,7 +4074,7 @@ def q_tile_focal(sf_dir: str):
 # NDVI-shaped raster band algebra over RGB payloads (exact
 # integers, Q12-quantized normalized difference); channel-exact SQL
 # mirror over the RGB fixture's band-offset pixel formula.
-q_band_algebra = _frame_query(mm.BandAlgebra, 300, make=images.make_rgb_batch)
+q_rgb_band_algebra = _frame_query(mm.BandAlgebra, 300, make=images.make_rgb_batch)
 
 
 # Per-image 3x3 binary erosion/dilation counts over the v >= 128
@@ -6616,281 +6615,8 @@ def q_discount_elasticity(sf_dir: str):
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    return {
-        "tile_floor_hist": q_tile_floor_hist,
-        "cell_index_hist": q_cell_index_hist,
-        "tile_parent_rollup": q_tile_parent_rollup,
-        "children_expand": q_children_expand,
-        "dedup_exact_docs": q_dedup_exact_docs,
-        "token_stats_by_lang": q_token_stats_by_lang,
-        "bpe_token_stats": q_bpe_token_stats,
-        "punct_by_source": q_punct_by_source,
-        "events_hourly": q_events_hourly,
-        "event_seasonal_anomaly": q_event_seasonal_anomaly,
-        "knn_cosine": q_knn_cosine,
-        "knn_cosine_filtered": q_knn_cosine_filtered,
-        "order_backlog": q_order_backlog,
-        "audio_gate": q_audio_gate,
-        "audio_vad": q_audio_vad,
-        "priority_sla": q_priority_sla,
-        "image_bitplanes": q_image_bitplanes,
-        "kwic_snippets": q_kwic_snippets,
-        "user_gap_quantiles": q_user_gap_quantiles,
-        "tile_assign_real": q_tile_assign_real,
-        "roi_tiles_global": q_roi_tiles_global,
-        "lsh_near_dup": q_lsh_near_dup,
-        "lsh_near_dup_verified": q_lsh_near_dup_verified,
-        "near_dup_components": q_near_dup_components,
-        "dedup_canonical_docs": q_dedup_canonical_docs,
-        "dedup_keep_longest": q_dedup_keep_longest,
-        "mixture_allocation": q_mixture_allocation,
-        "doc_novelty": q_doc_novelty,
-        "event_rate_cusum": q_event_rate_cusum,
-        "vocab_growth": q_vocab_growth,
-        "bm25_topk": q_bm25_topk,
-        "user_retention": q_user_retention,
-        "poly_simplify": q_poly_simplify,
-        "event_type_correlation": q_event_type_correlation,
-        "split_leakage": q_split_leakage,
-        "audio_downsample": q_audio_downsample,
-        "graph_assortativity": q_graph_assortativity,
-        "local_supplier_revenue": q_local_supplier_revenue,
-        "weekly_revenue_delta": q_weekly_revenue_delta,
-        "customer_rfm": q_customer_rfm,
-        "user_skew_report": q_user_skew_report,
-        "dedup_report": q_dedup_report,
-        "chunk_dedup_docs": q_chunk_dedup_docs,
-        "doc_repetition": q_doc_repetition,
-        "simhash_docs": q_simhash_docs,
-        "langid_docs": q_langid_docs,
-        "norm_dedup_docs": q_norm_dedup_docs,
-        "token_topk": q_token_topk,
-        "supplier_revenue_topk": q_supplier_revenue_topk,
-        "token_len_hist": q_token_len_hist,
-        "orders_by_nation": q_orders_by_nation,
-        "segment_revenue_native": q_segment_revenue_native,
-        "customers_no_events": q_customers_no_events,
-        "events_sessionize": q_events_sessionize,
-        "allowed_samplings": q_allowed_samplings,
-        "knn_tiles": q_knn_tiles,
-        "knn_tiles_geodesic": q_knn_tiles_geodesic,
-        "regrid_sample": q_regrid_sample,
-        "regrid_int16": q_regrid_int16,
-        "regrid_equi7": q_regrid_equi7,
-        "gtiff_roundtrip": q_gtiff_roundtrip,
-        "jpeg_blocks": q_jpeg_blocks,
-        "jpeg_header_census": q_jpeg_header_census,
-        "regrid_cubic": q_regrid_cubic,
-        "ann_lsh_buckets": q_ann_lsh_buckets,
-        "distortion_stats": q_distortion_stats,
-        "grid_tiles_export": q_grid_tiles_export,
-        "tile_erosion": q_tile_erosion,
-        "pixel_index": q_pixel_index,
-        "zone_multi_hit_buffered": q_zone_multi_hit_buffered,
-        "image_stats": q_image_stats,
-        "image_stats_rgb": q_image_stats_rgb,
-        "image_dhash": q_image_dhash,
-        "image_dhash_pairs": q_image_dhash_pairs,
-        "image_ahash": q_image_ahash,
-        "image_phash": q_image_phash,
-        "image_stats_pal": q_image_stats_pal,
-        "props_json_extract": q_props_json_extract,
-        "scd2_user_state": q_scd2_user_state,
-        "nchars_outliers": q_nchars_outliers,
-        "jaccard_join_exact": q_jaccard_join_exact,
-        "containment_join": q_containment_join,
-        "part_affinity": q_part_affinity,
-        "priority_transitions": q_priority_transitions,
-        "orders_cdc_diff": q_orders_cdc_diff,
-        "gopher_filter": q_gopher_filter,
-        "embedding_int8": q_embedding_int8,
-        "embedding_dim_stats": q_embedding_dim_stats,
-        "edit_verified_pairs": q_edit_verified_pairs,
-        "inverted_index": q_inverted_index,
-        "nchars_mad_outliers": q_nchars_mad_outliers,
-        "cross_decontam_lsh": q_cross_decontam_lsh,
-        "image_dedup_canonical": q_image_dedup_canonical,
-        "image_dedup_ensemble": q_image_dedup_ensemble,
-        "image_patches": q_image_patches,
-        "image_hist_eq": q_image_hist_eq,
-        "image_pyramid": q_image_pyramid,
-        "tile_mosaic": q_tile_mosaic,
-        "collocations_pmi": q_collocations,
-        "pagerank_q": q_pagerank,
-        "tile_focal_mean": q_tile_focal,
-        "image_blobs": q_image_blobs,
-        "blob_bbox": q_blob_bbox,
-        "blob_perimeter": q_blob_perimeter,
-        "image_seam": q_image_seam,
-        "image_dither": q_image_dither,
-        "header_audit": q_header_audit,
-        "doc_chunks": q_doc_chunks,
-        "image_template": q_image_template,
-        "image_quadtree": q_image_quadtree,
-        "image_rle": q_image_rle,
-        "image_hist_match": q_hist_match,
-        "image_sobel": q_image_sobel,
-        "image_hough4": q_image_hough4,
-        "image_dt": q_image_dt,
-        "image_moments": q_image_moments,
-        "image_harris": q_image_harris,
-        "image_otsu": q_image_otsu,
-        "image_morph": q_image_morph,
-        "tile_temporal_median": q_tile_temporal_median,
-        "tile_change_detect": q_tile_change_detect,
-        "tile_moran": q_tile_moran,
-        "tile_revisit": q_tile_revisit,
-        "pii_scrub": q_pii_scrub,
-        "hilbert_hist": q_hilbert_hist,
-        "image_glcm": q_image_glcm,
-        "image_lbp": q_image_lbp,
-        "image_median3": q_image_median3,
-        "image_shift_detect": q_image_shift_detect,
-        "image_autocorr": q_image_autocorr,
-        "tile_horizon": q_tile_horizon,
-        "tile_clear_composite": q_tile_clear_composite,
-        "tile_gradient": q_tile_gradient,
-        "tile_flow_d8": q_tile_flow_d8,
-        "tile_flow_accum": q_tile_flow_accum,
-        "tile_basins": q_tile_basins,
-        "tile_tri": q_tile_tri,
-        "tile_aspect": q_tile_aspect,
-        "coverage_gini": q_coverage_gini,
-        "tile_coverage": q_tile_coverage,
-        "tile_clusters": q_tile_clusters,
-        "tile_kring": q_tile_kring,
-        "tile_cost_distance": q_tile_cost_distance,
-        "best_scene_topk": q_best_scene_topk,
-        "source_checksums": q_source_checksums,
-        "tile_gaps": q_tile_gaps,
-        "cell_pyramid": q_cell_pyramid,
-        "late_events": q_late_events,
-        "stay_segments": q_stay_segments,
-        "od_matrix": q_od_matrix,
-        "covisit_pairs": q_covisit_pairs,
-        "events_peak_concurrency": q_events_peak_concurrency,
-        "link_prediction": q_link_prediction,
-        "target_encoding": q_target_encoding,
-        "fk_audit": q_fk_audit,
-        "returned_revenue": q_returned_revenue,
-        "poly_self_intersect": q_poly_self_intersect,
-        "trajectory_raster": q_trajectory_raster,
-        "image_boxsum": q_image_boxsum,
-        "zone_shape": q_zone_shape,
-        "feature_hashing": q_feature_hashing,
-        "event_sax": q_event_sax,
-        "parts_supplier": q_parts_supplier,
-        "land_regions": q_land_regions,
-        "od_bearing": q_od_bearing,
-        "brand_median_price": q_brand_median_price,
-        "snap_to_network": q_snap_to_network,
-        "hll_user_overlap": q_hll_user_overlap,
-        "quadtree_cells": q_quadtree_cells,
-        "tile_transition": q_tile_transition,
-        "audio_peak_window": q_audio_peak_window,
-        "doc_readability": q_doc_readability,
-        "video_static_runs": q_video_static_runs,
-        "image_colprofile": q_image_colprofile,
-        "coverage_churn": q_coverage_churn,
-        "event_periodicity": q_event_periodicity,
-        "parquet_rowgroup_stats": q_parquet_rowgroup_stats,
-        "events_debounce": q_events_debounce,
-        "edge_distance": q_edge_distance,
-        "continent_hist_sim": q_continent_hist_sim,
-        "embedding_separation": q_embedding_separation,
-        "reactivations": q_reactivations,
-        "k_anonymity": q_k_anonymity,
-        "tile_workload_balance": q_tile_workload_balance,
-        "abc_analysis": q_abc_analysis,
-        "unicode_audit": q_unicode_audit,
-        "embedding_topdims": q_embedding_topdims,
-        "behavior_signatures": q_behavior_signatures,
-        "order_attribution": q_order_attribution,
-        "discount_elasticity": q_discount_elasticity,
-        "embedding_pq": q_embedding_pq,
-        "tile_trend": q_tile_trend,
-        "tile_mk_trend": q_tile_mk_trend,
-        "tile_iqr": q_tile_iqr,
-        "tile_anomaly": q_tile_anomaly,
-        "cell_provenance": q_cell_provenance,
-        "cell_quadkey": q_cell_quadkey,
-        "cell_geohash": q_cell_geohash,
-        "csv_orders_rollup": q_csv_orders_rollup,
-        "ipc_lineitem_rollup": q_ipc_lineitem_rollup,
-        "jsonl_events_rollup": q_jsonl_events_rollup,
-        "compact_docs": q_compact_docs,
-        "rasterize_polys": q_rasterize_polys,
-        "aoi_point_report": q_aoi_point_report,
-        "poly_stats": q_poly_stats,
-        "poly_zonal": q_poly_zonal,
-        "tile_mosaic_delta": q_tile_mosaic_delta,
-        "poly_majority": q_poly_majority,
-        "tile_similarity": q_tile_similarity,
-        "footprint_overlap": q_footprint_overlap,
-        "mosaic_manifest": q_mosaic_manifest,
-        "image_quality_gate": q_image_quality_gate,
-        "ann_pq_topk": q_ann_pq_topk,
-        "image_hog": q_image_hog,
-        "video_cuts": q_video_cuts,
-        "audio_autocorr": q_audio_autocorr,
-        "rgb_band_algebra": q_band_algebra,
-        "frame_sample": q_frame_sample,
-        "video_frame_stats": q_video_frame_stats,
-        "top_terms": q_top_terms,
-        "doc_tfidf_topk": q_doc_tfidf_topk,
-        "contaminated_docs": q_contaminated_docs,
-        "docs_split_counts": q_docs_split_counts,
-        "audio_pcm_features": q_audio_pcm_features,
-        "docs_stratified_sample": q_docs_stratified_sample,
-        "supplier_topk_per_nation": q_supplier_topk_per_nation,
-        "roi_search_batch": q_roi_search_batch,
-        "roi_search_geodesic": q_roi_search_geodesic,
-        "embedding_near_dup": q_embedding_near_dup,
-        "cell_index_salted": q_cell_index_salted,
-        "zorder_hist": q_zorder_hist,
-        "zorder_bbox_prune": q_zorder_bbox_prune,
-        "orders_bloom_semi": q_orders_bloom_semi,
-        "pack_sequences": q_pack_sequences,
-        "docs_balanced_sample": q_docs_balanced_sample,
-        "incremental_dedup": q_incremental_dedup,
-        "spatial_neighbor_pairs": q_spatial_neighbor_pairs,
-        "distortion_planar": q_distortion_planar,
-        "embedding_centroids": q_embedding_centroids,
-        "events_profile": q_events_profile,
-        "docs_rollup": q_docs_rollup,
-        "docs_cube": q_docs_cube,
-        "nchars_drift": q_nchars_drift,
-        "doc_surprisal": q_doc_surprisal,
-        "triangle_count": q_triangle_count,
-        "docs_rank_ntile": q_docs_rank_ntile,
-        "events_hourly_distinct": q_events_hourly_distinct,
-        "lineitem_skyline": q_lineitem_skyline,
-        "user_event_sequences": q_user_event_sequences,
-        "docs_per_source_cap": q_docs_per_source_cap,
-        "events_funnel": q_events_funnel,
-        "simhash_near_dup": q_simhash_near_dup,
-        "orders_validate": q_orders_validate,
-        "benford_audit": q_benford_audit,
-        "orders_cdc_merge": q_orders_cdc_merge,
-        "users_customers_full": q_users_customers_full,
-        "lineitem_weighted_sample": q_lineitem_weighted_sample,
-        "user_coverage": q_user_coverage,
-        "user_growth": q_user_growth,
-        "ann_ivf_topk": q_ann_ivf_topk,
-        "kmeans_clusters": q_kmeans_clusters,
-        "doc_len_quantiles": q_doc_len_quantiles,
-        "distinct_events_hll": q_distinct_events_hll,
-        "events_hll_by_type": q_events_hll_by_type,
-        "heavy_users_cms": q_heavy_users_cms,
-        "events_pivot": q_events_pivot,
-        "events_pivot_melt": q_events_pivot_melt,
-        "events_running": q_events_running,
-        "events_hopping": q_events_hopping,
-        "events_asof_click": q_events_asof_click,
-        "events_range_join": q_events_range_join,
-        "doc_quality": q_doc_quality,
-        "fingerprint_docs": q_fingerprint_docs,
-    }
+    """One ``q_<name>`` callable per ``oracle_sql()`` entry, in its order."""
+    return {name: globals()[f"q_{name}"] for name in oracle_sql()}
 
 
 def _bpe_token_stats_sql() -> str:
@@ -7102,6 +6828,17 @@ best AS (SELECT vec_id, s, c, dd,
 
 
 def oracle_sql() -> dict[str, str]:
+    """DuckDB SQL reproducing each query, keyed by its name.
+
+    This dict declares the queries: ``queries()`` maps each key to
+    ``q_<key>`` in this order.  Geodesic queries join the pinned
+    lookup goldens (``_oracle_lookup``): the integer coordinate
+    derivation is mirrored bit-exactly in SQL and the geodesic step --
+    zone PIP + ellipsoidal AEQD forward -- is pinned by the committed
+    lookup.  The ``*_pin.parquet`` oracles (regrid, GeoTIFF round trip,
+    kmeans) are approval-pinned results of geodesic-resampling /
+    container / iterative queries (``tools/gen_oracle_lookups.py``
+    ``gen_query_pins``), not SQL-derived."""
     from equi7grid_ray.stages.text import EMAIL_RE as _EMAIL_RE
     from equi7grid_ray.stages.text import PHONE_RE as _PHONE_RE
 
@@ -7215,124 +6952,6 @@ FROM last31 GROUP BY i"""
             "SELECT printf('E%03dN%03dT3', tx + dx, ty + dy) AS child_tile "
             "FROM d CROSS JOIN (VALUES (0, 0), (0, 3), (3, 0), (3, 3)) AS o(dx, dy)"
         ),
-        # --- geodesic ops, oracled via the pinned lookup goldens -------
-        # (tools/gen_oracle_lookups.py; the integer coordinate derivation
-        # is mirrored bit-exactly in SQL, the geodesic step -- zone PIP +
-        # ellipsoidal AEQD forward -- is pinned by the committed lookup,
-        # staleness-guarded by tests/test_oracle_lookups.py)
-        "tile_assign_real": (
-            f"WITH s AS (SELECT {_UDEG_SQL} FROM lineitem) "
-            f"SELECT l.tile, count(*) AS n FROM s "
-            f"JOIN {_oracle_lookup('sweep_assign.parquet')} l "
-            "USING (lon_udeg, lat_udeg) "
-            "WHERE l.tile IS NOT NULL GROUP BY l.tile"
-        ),
-        "distortion_stats": (
-            f"WITH s AS (SELECT {_UDEG_SQL} FROM lineitem "
-            f"WHERE {_SWEEP_SUBSET_SQL}) "
-            "SELECT l.continent, l.k_pct_bucket, count(*) AS n FROM s "
-            f"JOIN {_oracle_lookup('sweep_assign.parquet')} l "
-            "USING (lon_udeg, lat_udeg) "
-            "WHERE l.continent IS NOT NULL "
-            "GROUP BY l.continent, l.k_pct_bucket"
-        ),
-        "knn_tiles_geodesic": (
-            f"WITH s AS (SELECT {_UDEG_SQL} FROM lineitem "
-            f"WHERE {_SWEEP_SUBSET_SQL}), "
-            "c AS (SELECT count(*) AS n FROM s "
-            f"JOIN {_oracle_lookup('sweep_assign.parquet')} l "
-            "USING (lon_udeg, lat_udeg) WHERE l.continent IS NOT NULL) "
-            "SELECT CAST(r.rank AS BIGINT) AS rank, c.n "
-            "FROM (VALUES (0), (1), (2)) r(rank), c"
-        ),
-        "zone_multi_hit_buffered": (
-            f"WITH s AS (SELECT {_UDEG_SQL} FROM lineitem "
-            f"WHERE {_SWEEP_SUBSET_SQL}) "
-            "SELECT l.n_zones, count(*) AS n FROM s "
-            f"JOIN {_oracle_lookup('sweep_assign.parquet')} l "
-            "USING (lon_udeg, lat_udeg) GROUP BY l.n_zones"
-        ),
-        "roi_search_geodesic": (
-            f"WITH s AS (SELECT {_UDEG_SQL} FROM lineitem "
-            f"WHERE {_SWEEP_SUBSET_SQL}) "
-            "SELECT r.tile, count(*) AS n FROM s "
-            f"JOIN {_oracle_lookup('sweep_roi_tiles.parquet')} r "
-            "USING (lon_udeg, lat_udeg) GROUP BY r.tile"
-        ),
-        "roi_tiles_global": (
-            "SELECT tile, covers_land "
-            f"FROM {_oracle_lookup('tiles_t6.parquet')}"
-        ),
-        # pinned-result oracles (tools/gen_oracle_lookups.py
-        # gen_query_pins): geodesic-resampling / container / iterative
-        # queries whose outputs are approval-pinned, not SQL-derived
-        "regrid_sample": (
-            "SELECT tile, n_windows, px_sum "
-            f"FROM {_oracle_lookup('regrid_sample_pin.parquet')}"
-        ),
-        "regrid_int16": (
-            "SELECT tile, n_windows, px_sum, n_valid "
-            f"FROM {_oracle_lookup('regrid_int16_pin.parquet')}"
-        ),
-        "regrid_cubic": (
-            "SELECT tile, n_windows, px_sum, n_valid "
-            f"FROM {_oracle_lookup('regrid_cubic_pin.parquet')}"
-        ),
-        "jpeg_header_census": """
-WITH img AS (
-  SELECT i, 16 + 8 * (i % 5) AS w, 16 + 8 * ((i // 5) % 4) AS h,
-         (CASE WHEN i % 3 = 0 THEN 1 ELSE 3 END)::BIGINT AS components,
-         (CASE WHEN i % 3 <> 0 AND i % 2 = 0
-               THEN 2 ELSE 1 END)::BIGINT AS h_sampling
-  FROM range(240) t(i))
-SELECT components, h_sampling, count(*)::BIGINT AS n,
-       sum(w * h)::BIGINT AS px_area
-FROM img GROUP BY 1, 2""",
-        "gtiff_roundtrip": (
-            "SELECT tile, n_files, n_valid, px_sum, n_geo_ok "
-            f"FROM {_oracle_lookup('gtiff_roundtrip_pin.parquet')}"
-        ),
-        # closed-form JPEG DC formula: q00=5 at quality 85 (Annex K
-        # luma [0,0]=16 scaled by s=30: (16*30+50)//100 = 5); numpy
-        # rint == roundbankers (ties-to-even)
-        "jpeg_blocks": """
-WITH img AS (SELECT i FROM range(300) t(i)),
-blk AS (
-  SELECT i, (i * 37 + 53 * b) % 256 AS c
-  FROM img, range(4) bb(b)),
-v AS (
-  SELECT i, least(greatest(
-    roundbankers(roundbankers(8.0 * (c - 128) / 5.0, 0) * 5.0 / 8.0
-                 + 128.0, 0), 0), 255)::BIGINT AS px
-  FROM blk)
-SELECT i AS img, (sum(px) * 64)::BIGINT AS px_sum,
-       1::BIGINT AS stream_ok
-FROM v GROUP BY i""",
-        "kmeans_clusters": (
-            "SELECT ivf_list, n "
-            f"FROM {_oracle_lookup('kmeans_pin.parquet')} "
-            "WHERE sum_label = (SELECT sum(label) FROM embeddings) "
-            "ORDER BY ivf_list"
-        ),
-        "tile_erosion": f"""
-WITH {sqlgen.lattice_cte(_oracle_lookup('tiles_t6.parquet'))},
-nb AS (
-  SELECT a.tile,
-    (count(*) FILTER (WHERE greatest(abs(a.te - b.te), abs(a.tn - b.tn))
-                            <= 6))::BIGINT AS n1,
-    (count(*) FILTER (WHERE greatest(abs(a.te - b.te), abs(a.tn - b.tn))
-                            <= 12))::BIGINT AS n2,
-    count(*)::BIGINT AS n3
-  FROM par a JOIN par b
-    ON a.ck = b.ck AND abs(a.te - b.te) <= 18 AND abs(a.tn - b.tn) <= 18
-  GROUP BY a.tile)
-SELECT tile, n1, n2, n3,
-       (CASE WHEN n1 < 9 THEN 1 WHEN n2 < 25 THEN 2
-             WHEN n3 < 49 THEN 3 ELSE 4 END)::BIGINT AS depth
-FROM nb""",
-        "grid_tiles_export": (
-            f"SELECT * FROM {_oracle_lookup('tiles_t6.parquet')}"
-        ),
         "dedup_exact_docs": "SELECT min(doc_id) AS doc_id FROM documents GROUP BY text",
         "token_stats_by_lang": (
             "SELECT lang, count(*) AS n_docs, "
@@ -7344,6 +6963,12 @@ FROM nb""",
             "SELECT source, count(*) AS n_docs, "
             "CAST(sum(length(text) - length(regexp_replace(text, '[^a-zA-Z0-9 ]', '', 'g'))) AS BIGINT) AS sum_punct "
             "FROM documents GROUP BY source"
+        ),
+        "events_hourly": (
+            "SELECT event_type, "
+            "to_timestamp((epoch_us(ts) // 3600000000) * 3600)::TIMESTAMP AS window_start, "
+            "count(*) AS n, CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT) AS sum_cents "
+            "FROM events GROUP BY event_type, window_start"
         ),
         "event_seasonal_anomaly": """
 WITH inst AS (
@@ -7365,11 +6990,18 @@ SELECT i.event_type, i.h::BIGINT AS h, any_value(g.n)::BIGINT AS n_days,
 FROM inst i JOIN grp g ON g.event_type = i.event_type AND g.h = i.h
 WHERE g.n >= 3
 GROUP BY 1, 2""",
-        "events_hourly": (
-            "SELECT event_type, "
-            "to_timestamp((epoch_us(ts) // 3600000000) * 3600)::TIMESTAMP AS window_start, "
-            "count(*) AS n, CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT) AS sum_cents "
-            "FROM events GROUP BY event_type, window_start"
+        "knn_cosine": (
+            "SELECT vec_id FROM ("
+            "SELECT vec_id, list_cosine_similarity(embedding, "
+            "(SELECT embedding FROM embeddings WHERE vec_id = 0)) AS c "
+            "FROM embeddings ORDER BY c DESC, vec_id LIMIT 10)"
+        ),
+        "knn_cosine_filtered": (
+            "SELECT vec_id FROM ("
+            "SELECT vec_id, list_cosine_similarity(embedding, "
+            "(SELECT embedding FROM embeddings WHERE vec_id = 0)) AS c "
+            "FROM embeddings WHERE label % 3 = 1 "
+            "ORDER BY c DESC, vec_id LIMIT 10)"
         ),
         "order_backlog": """
 WITH placed AS (
@@ -7388,13 +7020,27 @@ SELECT day, delta,
        (sum(delta) OVER (ORDER BY day
           ROWS UNBOUNDED PRECEDING))::BIGINT AS backlog
 FROM d""",
-        "knn_cosine_filtered": (
-            "SELECT vec_id FROM ("
-            "SELECT vec_id, list_cosine_similarity(embedding, "
-            "(SELECT embedding FROM embeddings WHERE vec_id = 0)) AS c "
-            "FROM embeddings WHERE label % 3 = 1 "
-            "ORDER BY c DESC, vec_id LIMIT 10)"
-        ),
+        "audio_gate": sqlgen.audio_gate_sql(500),
+        "audio_vad": sqlgen.audio_vad_sql(500),
+        "priority_sla": """
+WITH ls AS (
+  SELECT l_orderkey, max(epoch_us(l_shipdate) // 86400000000) AS sd
+  FROM lineitem GROUP BY 1)
+SELECT o.o_orderpriority AS priority, count(*)::BIGINT AS n,
+       (count(*) FILTER (WHERE ls.sd - epoch_us(o.o_orderdate)
+                               // 86400000000 > 90))::BIGINT AS n_late,
+       max(ls.sd - epoch_us(o.o_orderdate) // 86400000000)::BIGINT
+         AS worst_lag
+FROM orders o JOIN ls ON ls.l_orderkey = o.o_orderkey
+GROUP BY o.o_orderpriority""",
+        "image_bitplanes": f"""
+WITH {sqlgen.pixels_sql(300)}
+SELECT printf('img%012d', i) AS image_id,
+       sum((v >> 0) & 1)::BIGINT AS p0, sum((v >> 1) & 1)::BIGINT AS p1,
+       sum((v >> 2) & 1)::BIGINT AS p2, sum((v >> 3) & 1)::BIGINT AS p3,
+       sum((v >> 4) & 1)::BIGINT AS p4, sum((v >> 5) & 1)::BIGINT AS p5,
+       sum((v >> 6) & 1)::BIGINT AS p6, sum((v >> 7) & 1)::BIGINT AS p7
+FROM px GROUP BY i""",
         "kwic_snippets": (
             "SELECT doc_id, strpos(text, ' data ') - 1 AS off, "
             "greatest(strpos(text, ' data ') - 1 - 20, 0) AS win_start, "
@@ -7411,443 +7057,55 @@ FROM d""",
             "SELECT user_id, 0.25 * u.i AS q, vs[u.i]::BIGINT AS v "
             "FROM qq, LATERAL (SELECT unnest(range(1, 4)) AS i) u"
         ),
-        "knn_cosine": (
-            "SELECT vec_id FROM ("
-            "SELECT vec_id, list_cosine_similarity(embedding, "
-            "(SELECT embedding FROM embeddings WHERE vec_id = 0)) AS c "
-            "FROM embeddings ORDER BY c DESC, vec_id LIMIT 10)"
+        "tile_assign_real": (
+            f"WITH s AS (SELECT {_UDEG_SQL} FROM lineitem) "
+            f"SELECT l.tile, count(*) AS n FROM s "
+            f"JOIN {_oracle_lookup('sweep_assign.parquet')} l "
+            "USING (lon_udeg, lat_udeg) "
+            "WHERE l.tile IS NOT NULL GROUP BY l.tile"
         ),
-        "events_sessionize": (
-            "WITH g AS (SELECT user_id, CASE WHEN ts - lag(ts) OVER "
-            "(PARTITION BY user_id ORDER BY ts) > INTERVAL 30 MINUTE "
-            "OR lag(ts) OVER (PARTITION BY user_id ORDER BY ts) IS NULL "
-            "THEN 1 ELSE 0 END AS brk FROM events) "
-            "SELECT user_id, count(*) AS n_events, CAST(sum(brk) AS BIGINT) AS n_sessions "
-            "FROM g GROUP BY user_id"
-        ),
-        "allowed_samplings": (
-            "SELECT s AS sampling FROM generate_series(1, 10000) t(s) "
-            "WHERE 600000 % s = 0"
-        ),
-        "events_hopping": (
-            "SELECT event_type, "
-            "to_timestamp(((epoch_us(ts) // 3600000000) - o.k) * 3600)::TIMESTAMP AS window_start, "
-            "count(*) AS n FROM events CROSS JOIN (VALUES (0), (1)) AS o(k) "
-            "GROUP BY event_type, window_start"
-        ),
-        "cell_index_salted": (
-            f"SELECT ({_CELL_L} * (1::BIGINT << 58)) "
-            f" + ((((l_partkey * {_LATMUL}) % {_LATMOD}) * {1 << _CELL_L}) // {_LATMOD}) * (1::BIGINT << 29) "
-            f" + (((l_orderkey * {_LONMUL}) % {_LONMOD}) * {1 << _CELL_L}) // {_LONMOD} AS cell, "
-            f"count(*) AS n FROM lineitem GROUP BY cell"
-        ),
-        "zorder_hist": sqlgen.zorder_hist_sql(),
-        "zorder_bbox_prune": (
-            # plain bbox predicate: the engine's z-range pruning must be
-            # output-transparent
-            f"WITH xy AS (SELECT (l_orderkey * {_XMUL}) % {_XMOD} AS x, "
-            f"(l_suppkey * {_YMUL}) % {_YMOD} AS y FROM lineitem) "
-            "SELECT count(*) AS n, CAST(sum(x) AS BIGINT) AS sum_x, "
-            "CAST(sum(y) AS BIGINT) AS sum_y FROM xy "
-            "WHERE x BETWEEN 2000000 AND 4500000 "
-            "AND y BETWEEN 50000 AND 3500000"
-        ),
-        "orders_bloom_semi": (
-            "SELECT o_orderpriority, count(*) AS n, "
-            "CAST(sum(o_custkey) AS BIGINT) AS custkey_sum FROM orders "
-            "WHERE o_custkey IN (SELECT c_custkey FROM customer "
-            "WHERE c_mktsegment = 'BUILDING') GROUP BY o_orderpriority"
-        ),
-        "pack_sequences": (
-            # recursive-CTE mirror of stages/pack.py first-fit greedy
-            # (budget 256, shard = doc_id // 64, doc_id order)
-            "WITH RECURSIVE d AS ("
-            "SELECT doc_id, doc_id // 64 AS shard, "
-            "CAST(len(string_split(text, ' ')) AS BIGINT) AS n_toks, "
-            "row_number() OVER (PARTITION BY doc_id // 64 ORDER BY doc_id)"
-            " AS rn FROM documents), "
-            "p AS ("
-            "SELECT shard, rn, doc_id, n_toks, CAST(0 AS BIGINT) AS seq, "
-            "n_toks AS fill FROM d WHERE rn = 1 "
-            "UNION ALL "
-            "SELECT d.shard, d.rn, d.doc_id, d.n_toks, "
-            "CASE WHEN p.fill + d.n_toks <= 256 THEN p.seq ELSE p.seq + 1 "
-            "END, "
-            "CASE WHEN p.fill + d.n_toks <= 256 THEN p.fill + d.n_toks "
-            "ELSE d.n_toks END "
-            "FROM d JOIN p ON d.shard = p.shard AND d.rn = p.rn + 1) "
-            "SELECT doc_id, shard, seq, n_toks FROM p"
-        ),
-        "norm_dedup_docs": (
-            "SELECT min(doc_id) AS doc_id FROM documents "
-            "GROUP BY regexp_replace(lower(text), '[^a-z0-9 ]', '', 'g')"
-        ),
-        "token_topk": (
-            "SELECT token, CAST(count(*) AS BIGINT) AS n FROM "
-            "(SELECT unnest(string_split(text, ' ')) AS token FROM documents) "
-            "GROUP BY token ORDER BY n DESC, token LIMIT 20"
-        ),
-        "supplier_revenue_topk": (
-            "SELECT s_name, cents FROM "
-            "(SELECT l_suppkey, CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)) AS BIGINT) AS cents "
-            "FROM lineitem GROUP BY l_suppkey ORDER BY cents DESC, l_suppkey LIMIT 10) t "
-            "JOIN supplier ON s_suppkey = l_suppkey"
-        ),
-        "orders_by_nation": (
-            "SELECT n_name, count(*) AS n_orders, "
-            "CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS sum_cents "
-            "FROM orders JOIN customer ON o_custkey = c_custkey "
-            "JOIN nation ON c_nationkey = n_nationkey GROUP BY n_name"
-        ),
-        "distinct_events_hll": _hll_oracle_sql(),
-        "events_hll_by_type": _hll_by_oracle_sql(),
-        "heavy_users_cms": _cms_oracle_sql(),
-        "customers_no_events": (
-            "SELECT CAST(c_nationkey AS BIGINT) AS nationkey, "
-            "count(*) AS n FROM customer "
-            "WHERE c_custkey NOT IN (SELECT DISTINCT user_id FROM events) "
-            "GROUP BY nationkey"
-        ),
-        "events_pivot": _events_pivot_sql(),
-        "events_pivot_melt": (
-            "WITH p AS (" + _events_pivot_sql() + ") "
-            + " UNION ALL ".join(
-                f"SELECT hour, '{c}' AS variable, {c} AS value FROM p"
-                for c in [f"n_{x}" for x in
-                          ("click", "error", "purchase", "signup", "view")]
-                + [f"sum_{x}" for x in
-                   ("click", "error", "purchase", "signup", "view")]
-            )
-        ),
-        "events_running": (
-            "SELECT CAST(user_id AS BIGINT) AS user_id, "
-            "CAST(event_id AS BIGINT) AS event_id, "
-            "CAST(count(*) OVER w AS BIGINT) AS cum_n, "
-            "CAST(sum(CAST(round(value * 100) AS BIGINT)) OVER w AS BIGINT) "
-            "AS cum_cents, "
-            "CAST(sum(CAST(round(value * 100) AS BIGINT)) OVER w3 AS BIGINT) "
-            "AS roll3_cents FROM events "
-            "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id "
-            "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW), "
-            "w3 AS (PARTITION BY user_id ORDER BY ts, event_id "
-            "ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)"
-        ),
-        "doc_len_quantiles": (
-            " UNION ALL ".join(
-                f"SELECT lang, CAST({q} AS DOUBLE) AS q, "
-                f"quantile_disc(length(text), {q}) AS v "
-                "FROM documents GROUP BY lang"
-                for q in (0.25, 0.5, 0.75, 0.875)
-            )
-        ),
-        "segment_revenue_native": (
-            "SELECT c_mktsegment AS mktsegment, count(*) AS n_orders, "
-            "CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS sum_cents "
-            "FROM customer JOIN orders ON c_custkey = o_custkey "
-            "GROUP BY c_mktsegment"
-        ),
-        "token_len_hist": (
-            "SELECT lang, "
-            "(length(text) - length(replace(text, ' ', '')) + 1) // 10 AS bucket, "
-            "count(*) AS n FROM documents GROUP BY lang, bucket"
-        ),
-        "langid_docs": _langid_oracle_sql(),
-        "knn_tiles": (
-            # rank per DISTINCT point, weight by multiplicity: a window
-            # partitioned on row columns silently merges full-duplicate
-            # rows (sf0.001 has one duplicate 4-tuple), dropping ranks
-            f"WITH d AS (SELECT (l_orderkey * {_XMUL}) % {_XMOD} AS x, "
-            f"(l_suppkey * {_YMUL}) % {_YMOD} AS y FROM lineitem), "
-            "pts AS (SELECT x, y, count(*) AS w FROM d GROUP BY x, y), "
-            "c AS (SELECT x, y, w, "
-            "x // 600000 + o.dx AS tx, y // 600000 + o.dy AS ty "
-            "FROM pts CROSS JOIN (VALUES (-1,-1),(-1,0),(-1,1),(0,-1),(0,0),(0,1),(1,-1),(1,0),(1,1)) AS o(dx, dy)), "
-            "v AS (SELECT *, "
-            "row_number() OVER (PARTITION BY x, y "
-            "ORDER BY (x - (tx * 600000 + 300000)) ** 2 + (y - (ty * 600000 + 300000)) ** 2, tx, ty) AS rk "
-            "FROM c WHERE tx BETWEEN 0 AND 14 AND ty BETWEEN 0 AND 9) "
-            "SELECT rk - 1 AS rank, printf('E%03dN%03dT6', tx * 6, ty * 6) AS tile, "
-            "CAST(sum(w) AS BIGINT) AS n FROM v WHERE rk <= 3 GROUP BY rank, tile"
-        ),
-        "roi_search_batch": (
-            f"WITH d AS (SELECT (l_orderkey * {_XMUL}) % {_XMOD} AS x, "
-            f"(l_suppkey * {_YMUL}) % {_YMOD} AS y FROM lineitem), "
-            f"b AS (SELECT greatest(x - 250000, 0) AS x0, "
-            f"least(x + 250000, {_XMOD - 1}) AS x1, "
-            f"greatest(y - 250000, 0) AS y0, "
-            f"least(y + 250000, {_YMOD - 1}) AS y1 FROM d), "
-            "t AS (SELECT printf('E%03dN%03dT6', tx.i * 6, ty.j * 6) AS tile "
-            "FROM b, UNNEST(range(x0 // 600000, x1 // 600000 + 1)) AS tx(i), "
-            "UNNEST(range(y0 // 600000, y1 // 600000 + 1)) AS ty(j)) "
-            "SELECT tile, count(*) AS n FROM t GROUP BY tile"
-        ),
-        "simhash_docs": sqlgen.simhash_sql(),
-        "simhash_near_dup": (
-            f"WITH s AS ({sqlgen.simhash_sql()}) "
-            "SELECT a.doc_id AS id_a, b.doc_id AS id_b "
-            "FROM s a JOIN s b ON a.doc_id < b.doc_id "
-            "AND bit_count(xor(a.simhash, b.simhash)) <= 3"
-        ),
-        "lineitem_weighted_sample": _weighted_sample_sql(),
-        "user_growth": (
-            "WITH f AS (SELECT user_id, "
-            "min(epoch_us(ts) // 3600000000) AS d0 FROM events "
-            "GROUP BY user_id), "
-            "c AS (SELECT d0 AS hour, count(*) AS n FROM f GROUP BY d0) "
-            "SELECT hour, CAST(sum(n) OVER (ORDER BY hour "
-            "ROWS UNBOUNDED PRECEDING) AS BIGINT) AS cum_users FROM c"
-        ),
-        "user_coverage": (
-            "WITH iv AS (SELECT user_id, epoch_us(ts) AS s, "
-            "epoch_us(ts) + ((event_id % 7) + 1) * 600000000 AS e "
-            "FROM events), "
-            "w AS (SELECT user_id, s, e, CASE WHEN "
-            "max(e) OVER (PARTITION BY user_id ORDER BY s, e "
-            "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) IS NULL "
-            "OR s > max(e) OVER (PARTITION BY user_id ORDER BY s, e "
-            "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) "
-            "THEN 1 ELSE 0 END AS ni FROM iv), "
-            "w2 AS (SELECT user_id, s, e, sum(ni) OVER "
-            "(PARTITION BY user_id ORDER BY s, e "
-            "ROWS UNBOUNDED PRECEDING) AS island FROM w), "
-            "isl AS (SELECT user_id, island, min(s) AS s0, max(e) AS e1, "
-            "count(*) AS n FROM w2 GROUP BY user_id, island) "
-            "SELECT user_id, CAST(sum(n) AS BIGINT) AS n_intervals, "
-            "count(*) AS n_islands, CAST(sum(e1 - s0) AS BIGINT) AS covered "
-            "FROM isl GROUP BY user_id"
-        ),
-        "users_customers_full": (
-            "WITH c AS (SELECT c_custkey AS k, 1 AS is_cust FROM customer), "
-            "e AS (SELECT user_id AS k, count(*) AS n_ev FROM events "
-            "GROUP BY user_id) "
-            "SELECT CASE WHEN is_cust IS NULL THEN 'events_only' "
-            "WHEN n_ev IS NULL THEN 'cust_only' ELSE 'both' END AS side, "
-            "count(*) AS n_keys, "
-            "CAST(COALESCE(sum(n_ev), 0) AS BIGINT) AS sum_events "
-            "FROM c FULL OUTER JOIN e USING (k) GROUP BY side"
-        ),
-        "orders_cdc_diff": (
-            "WITH base AS (SELECT o_orderkey AS k, "
-            "CAST(round(o_totalprice * 100) AS BIGINT) AS cents, "
-            "CAST(-1 AS BIGINT) AS seq, 0 AS del FROM orders), "
-            "chg AS (SELECT l_orderkey AS k, "
-            "CAST(round(l_extendedprice * 100) AS BIGINT) AS cents, "
-            "CAST(l_linenumber AS BIGINT) AS seq, "
-            "CASE WHEN (l_orderkey + l_linenumber) % 11 = 0 THEN 1 ELSE 0 END AS del "
-            "FROM lineitem), "
-            "allr AS (SELECT * FROM base UNION ALL SELECT * FROM chg), "
-            "r AS (SELECT k, cents, del, row_number() OVER ("
-            "PARTITION BY k ORDER BY seq DESC, del DESC, cents DESC) AS rn FROM allr), "
-            "merged AS (SELECT k, cents FROM r WHERE rn = 1 AND del = 0), "
-            "b AS (SELECT k, cents FROM base) "
-            "SELECT COALESCE(b.k, m.k) AS k, "
-            "CASE WHEN m.k IS NULL THEN 'only_left' "
-            "WHEN b.k IS NULL THEN 'only_right' "
-            "ELSE 'changed' END AS status "
-            "FROM b FULL OUTER JOIN merged m ON m.k = b.k "
-            "WHERE m.k IS NULL OR b.k IS NULL OR m.cents <> b.cents"
-        ),
-        "orders_cdc_merge": (
-            "WITH base AS (SELECT o_orderkey AS k, "
-            "CAST(round(o_totalprice * 100) AS BIGINT) AS cents, "
-            "CAST(-1 AS BIGINT) AS seq, 0 AS del FROM orders), "
-            "chg AS (SELECT l_orderkey AS k, "
-            "CAST(round(l_extendedprice * 100) AS BIGINT) AS cents, "
-            "CAST(l_linenumber AS BIGINT) AS seq, "
-            "CASE WHEN (l_orderkey + l_linenumber) % 11 = 0 THEN 1 ELSE 0 END AS del "
-            "FROM lineitem), "
-            "allr AS (SELECT * FROM base UNION ALL SELECT * FROM chg), "
-            "r AS (SELECT k, cents, del, row_number() OVER ("
-            "PARTITION BY k ORDER BY seq DESC, del DESC, cents DESC) AS rn FROM allr) "
-            "SELECT k, cents FROM r WHERE rn = 1 AND del = 0"
-        ),
-        "benford_audit": """
-WITH c AS (
-  SELECT CAST(round(o_totalprice * 100) AS BIGINT) AS cents FROM orders),
-dd AS (
-  SELECT CAST(substr(CAST(cents AS VARCHAR), 1, 1) AS BIGINT) AS d
-  FROM c WHERE cents > 0),
-cnt AS (SELECT d, count(*)::BIGINT AS n FROM dd GROUP BY d),
-digits AS (SELECT unnest(range(1, 10)) AS d),
-bexp AS (SELECT * FROM (VALUES (1, 301), (2, 176), (3, 125), (4, 97),
-                               (5, 79), (6, 67), (7, 58), (8, 51),
-                               (9, 46)) e(d, exp_pm)),
-tot AS (SELECT sum(n) AS t FROM cnt)
-SELECT g.d::BIGINT AS d, COALESCE(cnt.n, 0)::BIGINT AS n,
-       (1000 * COALESCE(cnt.n, 0) // greatest(t, 1))::BIGINT AS share_pm,
-       e.exp_pm::BIGINT AS exp_pm,
-       abs(1000 * COALESCE(cnt.n, 0) // greatest(t, 1)
-           - e.exp_pm)::BIGINT AS dev_pm
-FROM digits g LEFT JOIN cnt ON cnt.d = g.d
-JOIN bexp e ON e.d = g.d, tot""",
-        "orders_validate": (
-            "SELECT 'not_null:o_custkey' AS \"check\", "
-            "CAST(sum(CASE WHEN o_custkey IS NULL THEN 1 ELSE 0 END) "
-            "AS BIGINT) AS n_violations FROM orders "
-            "UNION ALL SELECT 'positive:o_totalprice', "
-            "CAST(sum(CASE WHEN o_totalprice IS NULL OR o_totalprice <= 0 "
-            "THEN 1 ELSE 0 END) AS BIGINT) FROM orders "
-            "UNION ALL SELECT 'unique:o_orderkey', "
-            "count(*) - count(DISTINCT o_orderkey) FROM orders "
-            "UNION ALL SELECT 'unique:o_custkey', "
-            "count(*) - count(DISTINCT o_custkey) FROM orders "
-            "UNION ALL SELECT 'foreign_key:o_custkey', "
-            "CAST(sum(CASE WHEN o_custkey NOT IN "
-            "(SELECT c_custkey FROM customer) THEN 1 ELSE 0 END) "
-            "AS BIGINT) FROM orders"
+        "roi_tiles_global": (
+            "SELECT tile, covers_land "
+            f"FROM {_oracle_lookup('tiles_t6.parquet')}"
         ),
         "lsh_near_dup": sqlgen.lsh_pairs_sql(),
-        "edit_verified_pairs": sqlgen.lsh_edit_verified_sql(),
-        "cross_decontam_lsh": sqlgen.lsh_cross_pairs_sql(mod=50),
         "lsh_near_dup_verified": sqlgen.lsh_verified_pairs_sql(threshold=0.8),
         "near_dup_components": sqlgen.components_sql(),
         "dedup_canonical_docs": sqlgen.canonical_sql(),
+        "dedup_keep_longest": sqlgen.canonical_quality_sql(),
+        "mixture_allocation": """
+WITH cnt AS (
+  SELECT source, count(*)::BIGINT AS n_rows FROM documents
+  GROUP BY source),
+f0 AS (
+  SELECT source, n_rows,
+         CAST(floor(sqrt(n_rows::DOUBLE)) AS BIGINT) AS f
+  FROM cnt),
+f1 AS (  -- division-based isqrt corrections (overflow-safe)
+  SELECT source, n_rows,
+         f - (CASE WHEN f > 0 AND f > n_rows // greatest(f, 1)
+              THEN 1 ELSE 0 END) AS f2
+  FROM f0),
+wt AS (
+  SELECT source, n_rows,
+         f2 + (CASE WHEN (f2 + 1) <= n_rows // (f2 + 1)
+               THEN 1 ELSE 0 END) AS weight
+  FROM f1),
+tot AS (SELECT sum(weight)::BIGINT AS wsum FROM wt),
+base AS (
+  SELECT source, n_rows, weight,
+         (1000 * weight) // wsum AS base,
+         (1000 * weight) % wsum AS rem
+  FROM wt, tot),
+lr AS (
+  SELECT *, row_number() OVER (ORDER BY rem DESC, source) AS rk,
+         (SELECT 1000 - sum(base) FROM base) AS leftover
+  FROM base)
+SELECT source, n_rows, weight::BIGINT AS weight,
+       (base + CASE WHEN rk <= leftover THEN 1 ELSE 0 END)::BIGINT
+         AS quota
+FROM lr""",
         "doc_novelty": sqlgen.doc_novelty_sql(),
-        "bm25_topk": """
-WITH tok AS (
-  SELECT doc_id, unnest(string_split(text, ' ')) AS t FROM documents),
-tf AS (
-  SELECT doc_id, t, count(*)::BIGINT AS tf FROM tok
-  WHERE t IN ('batch', 'merge', 'stream') GROUP BY 1, 2),
-df AS (SELECT t, count(*)::BIGINT AS df FROM tf GROUP BY t),
-n AS (SELECT count(*)::BIGINT AS n FROM documents),
-sc AS (
-  SELECT tf.doc_id,
-         sum((n.n // greatest(df.df, 1))
-             * ((tf.tf * 3 * 4096) // (tf.tf + 2)))::BIGINT AS score
-  FROM tf JOIN df USING (t), n GROUP BY tf.doc_id)
-SELECT doc_id, score FROM sc ORDER BY score DESC, doc_id LIMIT 10""",
-        "vocab_growth": """
-WITH tok AS (
-  SELECT doc_id, unnest(string_split(text, ' ')) AS token
-  FROM documents),
-f AS (SELECT token, min(doc_id) // 50 AS b FROM tok GROUP BY token),
-h AS (SELECT b, count(*)::BIGINT AS new_tokens FROM f GROUP BY b)
-SELECT b::BIGINT AS bucket, new_tokens,
-       (sum(new_tokens) OVER (ORDER BY b))::BIGINT AS cum_vocab
-FROM h""",
-        "split_leakage": _split_leakage_sql(),
-        "user_skew_report": """
-WITH c AS (
-  SELECT user_id, count(*)::BIGINT AS n FROM events GROUP BY 1),
-agg AS (
-  SELECT count(*)::BIGINT AS n_keys, sum(n)::BIGINT AS n_rows,
-         max(n)::BIGINT AS max_n,
-         quantile_disc(n, 0.5)::BIGINT AS p50_n,
-         quantile_disc(n, 0.9)::BIGINT AS p90_n
-  FROM c),
-hk AS (
-  SELECT user_id AS heavy_key FROM c, agg
-  WHERE c.n = agg.max_n ORDER BY user_id LIMIT 1)
-SELECT a.n_keys, a.n_rows, a.max_n, hk.heavy_key::BIGINT AS heavy_key,
-       (a.max_n * 1000 // a.n_rows)::BIGINT AS top1_pm,
-       a.p50_n, a.p90_n
-FROM agg a, hk""",
-        "customer_rfm": """
-WITH cust AS (
-  SELECT o_custkey AS c,
-         max(epoch_us(o_orderdate) // 604800000000) AS r,
-         count(*)::BIGINT AS f,
-         sum(CAST(round(o_totalprice * 100) AS BIGINT))::BIGINT AS m
-  FROM orders GROUP BY 1),
-q AS (SELECT
-  quantile_disc(r, 0.25) AS r1, quantile_disc(r, 0.5) AS r2,
-  quantile_disc(r, 0.75) AS r3,
-  quantile_disc(f, 0.25) AS f1, quantile_disc(f, 0.5) AS f2,
-  quantile_disc(f, 0.75) AS f3,
-  quantile_disc(m, 0.25) AS m1, quantile_disc(m, 0.5) AS m2,
-  quantile_disc(m, 0.75) AS m3
-  FROM cust)
-SELECT
-  (1 + CASE WHEN r > r1 THEN 1 ELSE 0 END
-     + CASE WHEN r > r2 THEN 1 ELSE 0 END
-     + CASE WHEN r > r3 THEN 1 ELSE 0 END)::BIGINT AS r_code,
-  (1 + CASE WHEN f > f1 THEN 1 ELSE 0 END
-     + CASE WHEN f > f2 THEN 1 ELSE 0 END
-     + CASE WHEN f > f3 THEN 1 ELSE 0 END)::BIGINT AS f_code,
-  (1 + CASE WHEN m > m1 THEN 1 ELSE 0 END
-     + CASE WHEN m > m2 THEN 1 ELSE 0 END
-     + CASE WHEN m > m3 THEN 1 ELSE 0 END)::BIGINT AS m_code,
-  count(*)::BIGINT AS n_customers
-FROM cust, q GROUP BY 1, 2, 3""",
-        "weekly_revenue_delta": """
-WITH wk AS (
-  SELECT epoch_us(o_orderdate) // 604800000000 AS week,
-         sum(CAST(round(o_totalprice * 100) AS BIGINT))::BIGINT
-           AS cents,
-         count(*)::BIGINT AS n_orders
-  FROM orders GROUP BY 1)
-SELECT week, cents, n_orders,
-       coalesce(cents - lag(cents) OVER (ORDER BY week), 0)::BIGINT
-         AS delta
-FROM wk""",
-        "local_supplier_revenue": """
-SELECT n.n_name,
-       sum(CAST(round(l.l_extendedprice * 100) AS BIGINT)
-           * (100 - CAST(round(l.l_discount * 100) AS BIGINT)))::BIGINT
-         AS revenue,
-       count(*)::BIGINT AS n_lines
-FROM lineitem l
-JOIN orders o ON o.o_orderkey = l.l_orderkey
-JOIN customer c ON c.c_custkey = o.o_custkey
-JOIN supplier s ON s.s_suppkey = l.l_suppkey
-JOIN nation n ON n.n_nationkey = s.s_nationkey
-WHERE c.c_nationkey = s.s_nationkey
-GROUP BY n.n_name""",
-        "graph_assortativity": f"""
-WITH pairs AS ({sqlgen.lsh_pairs_sql()}),
-ed AS (
-  SELECT DISTINCT least(id_a, id_b) AS u, greatest(id_a, id_b) AS v
-  FROM pairs WHERE id_a != id_b),
-dirs AS (
-  SELECT u AS s, v AS t FROM ed UNION ALL SELECT v, u FROM ed),
-deg AS (SELECT s AS node, count(*)::BIGINT AS d FROM dirs GROUP BY s),
-x AS (
-  SELECT count(*)::BIGINT AS n_dir,
-         sum(da.d)::BIGINT AS sx,
-         sum(da.d * da.d)::BIGINT AS sxx,
-         sum(da.d * db.d)::BIGINT AS sxy
-  FROM dirs
-  JOIN deg da ON da.node = dirs.s
-  JOIN deg db ON db.node = dirs.t)
-SELECT n_dir, (n_dir * sxy - sx * sx)::BIGINT AS cov_num,
-       (n_dir * sxx - sx * sx)::BIGINT AS var_num
-FROM x""",
-        "event_type_correlation": """
-WITH hc AS (
-  SELECT event_type, epoch_us(ts) // 3600000000 AS hr,
-         count(*)::BIGINT AS n
-  FROM events GROUP BY 1, 2),
-bounds AS (SELECT max(hr) - min(hr) + 1 AS H FROM hc),
-per AS (
-  SELECT event_type, sum(n)::BIGINT AS sx, sum(n * n)::BIGINT AS sxx
-  FROM hc GROUP BY 1),
-cross_ AS (
-  SELECT a.event_type AS type_a, b.event_type AS type_b,
-         sum(a.n * b.n)::BIGINT AS sxy
-  FROM hc a JOIN hc b
-    ON b.hr = a.hr AND a.event_type < b.event_type
-  GROUP BY 1, 2)
-SELECT p1.event_type AS type_a, p2.event_type AS type_b,
-       (bo.H * coalesce(c.sxy, 0) - p1.sx * p2.sx)::BIGINT AS cov_num,
-       (bo.H * p1.sxx - p1.sx * p1.sx)::BIGINT AS varx_num,
-       (bo.H * p2.sxx - p2.sx * p2.sx)::BIGINT AS vary_num,
-       bo.H::BIGINT AS n_hours
-FROM per p1 JOIN per p2 ON p1.event_type < p2.event_type
-CROSS JOIN bounds bo
-LEFT JOIN cross_ c
-  ON c.type_a = p1.event_type AND c.type_b = p2.event_type""",
-        "user_retention": """
-WITH ua AS (
-  SELECT DISTINCT user_id, epoch_us(ts) // 604800000000 AS week
-  FROM events),
-fw AS (SELECT user_id, min(week) AS cohort_week FROM ua
-       GROUP BY user_id)
-SELECT fw.cohort_week::BIGINT AS cohort_week,
-       (ua.week - fw.cohort_week)::BIGINT AS week_offset,
-       count(*)::BIGINT AS n_users
-FROM ua JOIN fw USING (user_id)
-GROUP BY 1, 2""",
         "event_rate_cusum": """
 WITH hc AS (
   SELECT event_type, epoch_us(ts) // 3600000000 AS hr,
@@ -7883,40 +7141,208 @@ SELECT event_type,
        coalesce(min(hr) FILTER (WHERE s >= 3 * k), -1)::BIGINT
          AS first_alarm_bucket
 FROM s GROUP BY event_type""",
-        "dedup_keep_longest": sqlgen.canonical_quality_sql(),
-        "mixture_allocation": """
-WITH cnt AS (
-  SELECT source, count(*)::BIGINT AS n_rows FROM documents
-  GROUP BY source),
-f0 AS (
-  SELECT source, n_rows,
-         CAST(floor(sqrt(n_rows::DOUBLE)) AS BIGINT) AS f
-  FROM cnt),
-f1 AS (  -- division-based isqrt corrections (overflow-safe)
-  SELECT source, n_rows,
-         f - (CASE WHEN f > 0 AND f > n_rows // greatest(f, 1)
-              THEN 1 ELSE 0 END) AS f2
-  FROM f0),
-wt AS (
-  SELECT source, n_rows,
-         f2 + (CASE WHEN (f2 + 1) <= n_rows // (f2 + 1)
-               THEN 1 ELSE 0 END) AS weight
-  FROM f1),
-tot AS (SELECT sum(weight)::BIGINT AS wsum FROM wt),
-base AS (
-  SELECT source, n_rows, weight,
-         (1000 * weight) // wsum AS base,
-         (1000 * weight) % wsum AS rem
-  FROM wt, tot),
-lr AS (
-  SELECT *, row_number() OVER (ORDER BY rem DESC, source) AS rk,
-         (SELECT 1000 - sum(base) FROM base) AS leftover
-  FROM base)
-SELECT source, n_rows, weight::BIGINT AS weight,
-       (base + CASE WHEN rk <= leftover THEN 1 ELSE 0 END)::BIGINT
-         AS quota
-FROM lr""",
+        "vocab_growth": """
+WITH tok AS (
+  SELECT doc_id, unnest(string_split(text, ' ')) AS token
+  FROM documents),
+f AS (SELECT token, min(doc_id) // 50 AS b FROM tok GROUP BY token),
+h AS (SELECT b, count(*)::BIGINT AS new_tokens FROM f GROUP BY b)
+SELECT b::BIGINT AS bucket, new_tokens,
+       (sum(new_tokens) OVER (ORDER BY b))::BIGINT AS cum_vocab
+FROM h""",
+        "bm25_topk": """
+WITH tok AS (
+  SELECT doc_id, unnest(string_split(text, ' ')) AS t FROM documents),
+tf AS (
+  SELECT doc_id, t, count(*)::BIGINT AS tf FROM tok
+  WHERE t IN ('batch', 'merge', 'stream') GROUP BY 1, 2),
+df AS (SELECT t, count(*)::BIGINT AS df FROM tf GROUP BY t),
+n AS (SELECT count(*)::BIGINT AS n FROM documents),
+sc AS (
+  SELECT tf.doc_id,
+         sum((n.n // greatest(df.df, 1))
+             * ((tf.tf * 3 * 4096) // (tf.tf + 2)))::BIGINT AS score
+  FROM tf JOIN df USING (t), n GROUP BY tf.doc_id)
+SELECT doc_id, score FROM sc ORDER BY score DESC, doc_id LIMIT 10""",
+        "user_retention": """
+WITH ua AS (
+  SELECT DISTINCT user_id, epoch_us(ts) // 604800000000 AS week
+  FROM events),
+fw AS (SELECT user_id, min(week) AS cohort_week FROM ua
+       GROUP BY user_id)
+SELECT fw.cohort_week::BIGINT AS cohort_week,
+       (ua.week - fw.cohort_week)::BIGINT AS week_offset,
+       count(*)::BIGINT AS n_users
+FROM ua JOIN fw USING (user_id)
+GROUP BY 1, 2""",
+        "poly_simplify": """
+WITH RECURSIVE p AS (
+  SELECT k AS poly_id, 3 + k % 6 AS nv FROM range(20000) t(k)),
+vert AS (
+  SELECT poly_id, nv, v.v AS v,
+         (poly_id * 131 + v.v * 977) % 2000 AS x,
+         (poly_id * 197 + v.v * 1409) % 2000 AS y
+  FROM p, LATERAL (SELECT unnest(range(nv)) AS v) v),
+walk(poly_id, pos, nv, lx, ly, kept, cks) AS (
+  SELECT poly_id, 0, nv, x, y, 1::BIGINT, (x + 7 * y)::BIGINT
+  FROM vert WHERE v = 0
+  UNION ALL
+  SELECT w.poly_id, w.pos + 1, w.nv,
+         CASE WHEN (v.x - w.lx) * (v.x - w.lx)
+                 + (v.y - w.ly) * (v.y - w.ly) > 250000
+              THEN v.x ELSE w.lx END,
+         CASE WHEN (v.x - w.lx) * (v.x - w.lx)
+                 + (v.y - w.ly) * (v.y - w.ly) > 250000
+              THEN v.y ELSE w.ly END,
+         w.kept + CASE WHEN (v.x - w.lx) * (v.x - w.lx)
+                          + (v.y - w.ly) * (v.y - w.ly) > 250000
+                  THEN 1 ELSE 0 END,
+         w.cks + CASE WHEN (v.x - w.lx) * (v.x - w.lx)
+                         + (v.y - w.ly) * (v.y - w.ly) > 250000
+                 THEN v.x + 7 * v.y ELSE 0 END
+  FROM walk w JOIN vert v
+    ON v.poly_id = w.poly_id AND v.v = w.pos + 1)
+SELECT poly_id, nv::BIGINT AS nv, kept AS n_kept, cks AS kept_cksum
+FROM walk WHERE pos = nv - 1""",
+        "event_type_correlation": """
+WITH hc AS (
+  SELECT event_type, epoch_us(ts) // 3600000000 AS hr,
+         count(*)::BIGINT AS n
+  FROM events GROUP BY 1, 2),
+bounds AS (SELECT max(hr) - min(hr) + 1 AS H FROM hc),
+per AS (
+  SELECT event_type, sum(n)::BIGINT AS sx, sum(n * n)::BIGINT AS sxx
+  FROM hc GROUP BY 1),
+cross_ AS (
+  SELECT a.event_type AS type_a, b.event_type AS type_b,
+         sum(a.n * b.n)::BIGINT AS sxy
+  FROM hc a JOIN hc b
+    ON b.hr = a.hr AND a.event_type < b.event_type
+  GROUP BY 1, 2)
+SELECT p1.event_type AS type_a, p2.event_type AS type_b,
+       (bo.H * coalesce(c.sxy, 0) - p1.sx * p2.sx)::BIGINT AS cov_num,
+       (bo.H * p1.sxx - p1.sx * p1.sx)::BIGINT AS varx_num,
+       (bo.H * p2.sxx - p2.sx * p2.sx)::BIGINT AS vary_num,
+       bo.H::BIGINT AS n_hours
+FROM per p1 JOIN per p2 ON p1.event_type < p2.event_type
+CROSS JOIN bounds bo
+LEFT JOIN cross_ c
+  ON c.type_a = p1.event_type AND c.type_b = p2.event_type""",
+        "split_leakage": _split_leakage_sql(),
+        "audio_downsample": f"""
+WITH {sqlgen.pcm_samples_sql(500)},
+blk AS (
+  SELECT i, k // 4 AS b, sum(v) AS s, count(*) AS c
+  FROM sv GROUP BY i, k // 4),
+y AS (SELECT i, s // 4 AS y FROM blk WHERE c = 4)
+SELECT printf('img%012d', i) AS image_id,
+       count(*)::BIGINT AS n_out,
+       sum(y * y)::BIGINT AS sum_sq_ds,
+       max(abs(y))::BIGINT AS peak_ds
+FROM y GROUP BY i""",
+        "graph_assortativity": f"""
+WITH pairs AS ({sqlgen.lsh_pairs_sql()}),
+ed AS (
+  SELECT DISTINCT least(id_a, id_b) AS u, greatest(id_a, id_b) AS v
+  FROM pairs WHERE id_a != id_b),
+dirs AS (
+  SELECT u AS s, v AS t FROM ed UNION ALL SELECT v, u FROM ed),
+deg AS (SELECT s AS node, count(*)::BIGINT AS d FROM dirs GROUP BY s),
+x AS (
+  SELECT count(*)::BIGINT AS n_dir,
+         sum(da.d)::BIGINT AS sx,
+         sum(da.d * da.d)::BIGINT AS sxx,
+         sum(da.d * db.d)::BIGINT AS sxy
+  FROM dirs
+  JOIN deg da ON da.node = dirs.s
+  JOIN deg db ON db.node = dirs.t)
+SELECT n_dir, (n_dir * sxy - sx * sx)::BIGINT AS cov_num,
+       (n_dir * sxx - sx * sx)::BIGINT AS var_num
+FROM x""",
+        "local_supplier_revenue": """
+SELECT n.n_name,
+       sum(CAST(round(l.l_extendedprice * 100) AS BIGINT)
+           * (100 - CAST(round(l.l_discount * 100) AS BIGINT)))::BIGINT
+         AS revenue,
+       count(*)::BIGINT AS n_lines
+FROM lineitem l
+JOIN orders o ON o.o_orderkey = l.l_orderkey
+JOIN customer c ON c.c_custkey = o.o_custkey
+JOIN supplier s ON s.s_suppkey = l.l_suppkey
+JOIN nation n ON n.n_nationkey = s.s_nationkey
+WHERE c.c_nationkey = s.s_nationkey
+GROUP BY n.n_name""",
+        "weekly_revenue_delta": """
+WITH wk AS (
+  SELECT epoch_us(o_orderdate) // 604800000000 AS week,
+         sum(CAST(round(o_totalprice * 100) AS BIGINT))::BIGINT
+           AS cents,
+         count(*)::BIGINT AS n_orders
+  FROM orders GROUP BY 1)
+SELECT week, cents, n_orders,
+       coalesce(cents - lag(cents) OVER (ORDER BY week), 0)::BIGINT
+         AS delta
+FROM wk""",
+        "customer_rfm": """
+WITH cust AS (
+  SELECT o_custkey AS c,
+         max(epoch_us(o_orderdate) // 604800000000) AS r,
+         count(*)::BIGINT AS f,
+         sum(CAST(round(o_totalprice * 100) AS BIGINT))::BIGINT AS m
+  FROM orders GROUP BY 1),
+q AS (SELECT
+  quantile_disc(r, 0.25) AS r1, quantile_disc(r, 0.5) AS r2,
+  quantile_disc(r, 0.75) AS r3,
+  quantile_disc(f, 0.25) AS f1, quantile_disc(f, 0.5) AS f2,
+  quantile_disc(f, 0.75) AS f3,
+  quantile_disc(m, 0.25) AS m1, quantile_disc(m, 0.5) AS m2,
+  quantile_disc(m, 0.75) AS m3
+  FROM cust)
+SELECT
+  (1 + CASE WHEN r > r1 THEN 1 ELSE 0 END
+     + CASE WHEN r > r2 THEN 1 ELSE 0 END
+     + CASE WHEN r > r3 THEN 1 ELSE 0 END)::BIGINT AS r_code,
+  (1 + CASE WHEN f > f1 THEN 1 ELSE 0 END
+     + CASE WHEN f > f2 THEN 1 ELSE 0 END
+     + CASE WHEN f > f3 THEN 1 ELSE 0 END)::BIGINT AS f_code,
+  (1 + CASE WHEN m > m1 THEN 1 ELSE 0 END
+     + CASE WHEN m > m2 THEN 1 ELSE 0 END
+     + CASE WHEN m > m3 THEN 1 ELSE 0 END)::BIGINT AS m_code,
+  count(*)::BIGINT AS n_customers
+FROM cust, q GROUP BY 1, 2, 3""",
+        "user_skew_report": """
+WITH c AS (
+  SELECT user_id, count(*)::BIGINT AS n FROM events GROUP BY 1),
+agg AS (
+  SELECT count(*)::BIGINT AS n_keys, sum(n)::BIGINT AS n_rows,
+         max(n)::BIGINT AS max_n,
+         quantile_disc(n, 0.5)::BIGINT AS p50_n,
+         quantile_disc(n, 0.9)::BIGINT AS p90_n
+  FROM c),
+hk AS (
+  SELECT user_id AS heavy_key FROM c, agg
+  WHERE c.n = agg.max_n ORDER BY user_id LIMIT 1)
+SELECT a.n_keys, a.n_rows, a.max_n, hk.heavy_key::BIGINT AS heavy_key,
+       (a.max_n * 1000 // a.n_rows)::BIGINT AS top1_pm,
+       a.p50_n, a.p90_n
+FROM agg a, hk""",
         "dedup_report": sqlgen.dedup_report_sql(),
+        "chunk_dedup_docs": (
+            # mirror of stages/dedup.py:chunk_dedup (K=16): 1-based
+            # inclusive list slices; first occurrence = lexicographic
+            # min (doc_id, chunk_idx) via a row_number window
+            "WITH t AS (SELECT doc_id, string_split(text, ' ') AS toks "
+            "FROM documents), "
+            "paras AS (SELECT doc_id, c.i AS idx, "
+            "array_to_string(toks[c.i*16+1 : least((c.i+1)*16, len(toks))], ' ') AS para "
+            "FROM t, LATERAL (SELECT unnest(range((len(toks)+15)//16)) AS i) c), "
+            "keyed AS (SELECT doc_id, idx, para, row_number() OVER "
+            "(PARTITION BY para ORDER BY doc_id, idx) AS rn FROM paras) "
+            "SELECT doc_id, count(*) AS n_chunks, "
+            "CAST(sum(CASE WHEN rn = 1 THEN 1 ELSE 0 END) AS BIGINT) AS n_kept, "
+            "CAST(sum(CASE WHEN rn = 1 THEN length(para) ELSE 0 END) AS BIGINT) AS kept_len "
+            "FROM keyed GROUP BY doc_id"
+        ),
         "doc_repetition": (
             # string-equality mirror of the engine's hash-equality
             # multiplicities (collision-free at these scales)
@@ -7945,21 +7371,170 @@ FROM lr""",
             "CAST(COALESCE(ba.max_bigram_n, 0) AS BIGINT) AS max_bigram_n "
             "FROM ta LEFT JOIN ba USING (doc_id)"
         ),
-        "chunk_dedup_docs": (
-            # mirror of stages/dedup.py:chunk_dedup (K=16): 1-based
-            # inclusive list slices; first occurrence = lexicographic
-            # min (doc_id, chunk_idx) via a row_number window
-            "WITH t AS (SELECT doc_id, string_split(text, ' ') AS toks "
-            "FROM documents), "
-            "paras AS (SELECT doc_id, c.i AS idx, "
-            "array_to_string(toks[c.i*16+1 : least((c.i+1)*16, len(toks))], ' ') AS para "
-            "FROM t, LATERAL (SELECT unnest(range((len(toks)+15)//16)) AS i) c), "
-            "keyed AS (SELECT doc_id, idx, para, row_number() OVER "
-            "(PARTITION BY para ORDER BY doc_id, idx) AS rn FROM paras) "
-            "SELECT doc_id, count(*) AS n_chunks, "
-            "CAST(sum(CASE WHEN rn = 1 THEN 1 ELSE 0 END) AS BIGINT) AS n_kept, "
-            "CAST(sum(CASE WHEN rn = 1 THEN length(para) ELSE 0 END) AS BIGINT) AS kept_len "
-            "FROM keyed GROUP BY doc_id"
+        "simhash_docs": sqlgen.simhash_sql(),
+        "langid_docs": _langid_oracle_sql(),
+        "norm_dedup_docs": (
+            "SELECT min(doc_id) AS doc_id FROM documents "
+            "GROUP BY regexp_replace(lower(text), '[^a-z0-9 ]', '', 'g')"
+        ),
+        "token_topk": (
+            "SELECT token, CAST(count(*) AS BIGINT) AS n FROM "
+            "(SELECT unnest(string_split(text, ' ')) AS token FROM documents) "
+            "GROUP BY token ORDER BY n DESC, token LIMIT 20"
+        ),
+        "supplier_revenue_topk": (
+            "SELECT s_name, cents FROM "
+            "(SELECT l_suppkey, CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)) AS BIGINT) AS cents "
+            "FROM lineitem GROUP BY l_suppkey ORDER BY cents DESC, l_suppkey LIMIT 10) t "
+            "JOIN supplier ON s_suppkey = l_suppkey"
+        ),
+        "token_len_hist": (
+            "SELECT lang, "
+            "(length(text) - length(replace(text, ' ', '')) + 1) // 10 AS bucket, "
+            "count(*) AS n FROM documents GROUP BY lang, bucket"
+        ),
+        "orders_by_nation": (
+            "SELECT n_name, count(*) AS n_orders, "
+            "CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS sum_cents "
+            "FROM orders JOIN customer ON o_custkey = c_custkey "
+            "JOIN nation ON c_nationkey = n_nationkey GROUP BY n_name"
+        ),
+        "segment_revenue_native": (
+            "SELECT c_mktsegment AS mktsegment, count(*) AS n_orders, "
+            "CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS sum_cents "
+            "FROM customer JOIN orders ON c_custkey = o_custkey "
+            "GROUP BY c_mktsegment"
+        ),
+        "customers_no_events": (
+            "SELECT CAST(c_nationkey AS BIGINT) AS nationkey, "
+            "count(*) AS n FROM customer "
+            "WHERE c_custkey NOT IN (SELECT DISTINCT user_id FROM events) "
+            "GROUP BY nationkey"
+        ),
+        "events_sessionize": (
+            "WITH g AS (SELECT user_id, CASE WHEN ts - lag(ts) OVER "
+            "(PARTITION BY user_id ORDER BY ts) > INTERVAL 30 MINUTE "
+            "OR lag(ts) OVER (PARTITION BY user_id ORDER BY ts) IS NULL "
+            "THEN 1 ELSE 0 END AS brk FROM events) "
+            "SELECT user_id, count(*) AS n_events, CAST(sum(brk) AS BIGINT) AS n_sessions "
+            "FROM g GROUP BY user_id"
+        ),
+        "allowed_samplings": (
+            "SELECT s AS sampling FROM generate_series(1, 10000) t(s) "
+            "WHERE 600000 % s = 0"
+        ),
+        "knn_tiles": (
+            # rank per DISTINCT point, weight by multiplicity: a window
+            # partitioned on row columns silently merges full-duplicate
+            # rows (sf0.001 has one duplicate 4-tuple), dropping ranks
+            f"WITH d AS (SELECT (l_orderkey * {_XMUL}) % {_XMOD} AS x, "
+            f"(l_suppkey * {_YMUL}) % {_YMOD} AS y FROM lineitem), "
+            "pts AS (SELECT x, y, count(*) AS w FROM d GROUP BY x, y), "
+            "c AS (SELECT x, y, w, "
+            "x // 600000 + o.dx AS tx, y // 600000 + o.dy AS ty "
+            "FROM pts CROSS JOIN (VALUES (-1,-1),(-1,0),(-1,1),(0,-1),(0,0),(0,1),(1,-1),(1,0),(1,1)) AS o(dx, dy)), "
+            "v AS (SELECT *, "
+            "row_number() OVER (PARTITION BY x, y "
+            "ORDER BY (x - (tx * 600000 + 300000)) ** 2 + (y - (ty * 600000 + 300000)) ** 2, tx, ty) AS rk "
+            "FROM c WHERE tx BETWEEN 0 AND 14 AND ty BETWEEN 0 AND 9) "
+            "SELECT rk - 1 AS rank, printf('E%03dN%03dT6', tx * 6, ty * 6) AS tile, "
+            "CAST(sum(w) AS BIGINT) AS n FROM v WHERE rk <= 3 GROUP BY rank, tile"
+        ),
+        "knn_tiles_geodesic": (
+            f"WITH s AS (SELECT {_UDEG_SQL} FROM lineitem "
+            f"WHERE {_SWEEP_SUBSET_SQL}), "
+            "c AS (SELECT count(*) AS n FROM s "
+            f"JOIN {_oracle_lookup('sweep_assign.parquet')} l "
+            "USING (lon_udeg, lat_udeg) WHERE l.continent IS NOT NULL) "
+            "SELECT CAST(r.rank AS BIGINT) AS rank, c.n "
+            "FROM (VALUES (0), (1), (2)) r(rank), c"
+        ),
+        "regrid_sample": (
+            "SELECT tile, n_windows, px_sum "
+            f"FROM {_oracle_lookup('regrid_sample_pin.parquet')}"
+        ),
+        "regrid_int16": (
+            "SELECT tile, n_windows, px_sum, n_valid "
+            f"FROM {_oracle_lookup('regrid_int16_pin.parquet')}"
+        ),
+        "regrid_equi7": sqlgen.regrid_equi7_sql(),
+        "gtiff_roundtrip": (
+            "SELECT tile, n_files, n_valid, px_sum, n_geo_ok "
+            f"FROM {_oracle_lookup('gtiff_roundtrip_pin.parquet')}"
+        ),
+        # closed-form JPEG DC formula: q00=5 at quality 85 (Annex K
+        # luma [0,0]=16 scaled by s=30: (16*30+50)//100 = 5); numpy
+        # rint == roundbankers (ties-to-even)
+        "jpeg_blocks": """
+WITH img AS (SELECT i FROM range(300) t(i)),
+blk AS (
+  SELECT i, (i * 37 + 53 * b) % 256 AS c
+  FROM img, range(4) bb(b)),
+v AS (
+  SELECT i, least(greatest(
+    roundbankers(roundbankers(8.0 * (c - 128) / 5.0, 0) * 5.0 / 8.0
+                 + 128.0, 0), 0), 255)::BIGINT AS px
+  FROM blk)
+SELECT i AS img, (sum(px) * 64)::BIGINT AS px_sum,
+       1::BIGINT AS stream_ok
+FROM v GROUP BY i""",
+        "jpeg_header_census": """
+WITH img AS (
+  SELECT i, 16 + 8 * (i % 5) AS w, 16 + 8 * ((i // 5) % 4) AS h,
+         (CASE WHEN i % 3 = 0 THEN 1 ELSE 3 END)::BIGINT AS components,
+         (CASE WHEN i % 3 <> 0 AND i % 2 = 0
+               THEN 2 ELSE 1 END)::BIGINT AS h_sampling
+  FROM range(240) t(i))
+SELECT components, h_sampling, count(*)::BIGINT AS n,
+       sum(w * h)::BIGINT AS px_area
+FROM img GROUP BY 1, 2""",
+        "regrid_cubic": (
+            "SELECT tile, n_windows, px_sum, n_valid "
+            f"FROM {_oracle_lookup('regrid_cubic_pin.parquet')}"
+        ),
+        "ann_lsh_buckets": sqlgen.ann_lsh_buckets_sql(dim=64, n_planes=8),
+        "distortion_stats": (
+            f"WITH s AS (SELECT {_UDEG_SQL} FROM lineitem "
+            f"WHERE {_SWEEP_SUBSET_SQL}) "
+            "SELECT l.continent, l.k_pct_bucket, count(*) AS n FROM s "
+            f"JOIN {_oracle_lookup('sweep_assign.parquet')} l "
+            "USING (lon_udeg, lat_udeg) "
+            "WHERE l.continent IS NOT NULL "
+            "GROUP BY l.continent, l.k_pct_bucket"
+        ),
+        "grid_tiles_export": (
+            f"SELECT * FROM {_oracle_lookup('tiles_t6.parquet')}"
+        ),
+        "tile_erosion": f"""
+WITH {sqlgen.lattice_cte(_oracle_lookup('tiles_t6.parquet'))},
+nb AS (
+  SELECT a.tile,
+    (count(*) FILTER (WHERE greatest(abs(a.te - b.te), abs(a.tn - b.tn))
+                            <= 6))::BIGINT AS n1,
+    (count(*) FILTER (WHERE greatest(abs(a.te - b.te), abs(a.tn - b.tn))
+                            <= 12))::BIGINT AS n2,
+    count(*)::BIGINT AS n3
+  FROM par a JOIN par b
+    ON a.ck = b.ck AND abs(a.te - b.te) <= 18 AND abs(a.tn - b.tn) <= 18
+  GROUP BY a.tile)
+SELECT tile, n1, n2, n3,
+       (CASE WHEN n1 < 9 THEN 1 WHEN n2 < 25 THEN 2
+             WHEN n3 < 49 THEN 3 ELSE 4 END)::BIGINT AS depth
+FROM nb""",
+        "pixel_index": (
+            f"WITH d AS (SELECT (l_orderkey * {_XMUL}) % {_XMOD} AS x, "
+            f"(l_suppkey * {_YMUL}) % {_YMOD} AS y FROM lineitem) "
+            "SELECT printf('E%03dN%03dT6', x // 600000 * 6, y // 600000 * 6) AS tile, "
+            "LEAST((y // 600000 * 600000 + 600000 - y) // 500, 1199) // 300 AS r_blk, "
+            "((x - x // 600000 * 600000) // 500) // 300 AS c_blk, "
+            "count(*) AS n FROM d GROUP BY tile, r_blk, c_blk"
+        ),
+        "zone_multi_hit_buffered": (
+            f"WITH s AS (SELECT {_UDEG_SQL} FROM lineitem "
+            f"WHERE {_SWEEP_SUBSET_SQL}) "
+            "SELECT l.n_zones, count(*) AS n FROM s "
+            f"JOIN {_oracle_lookup('sweep_assign.parquet')} l "
+            "USING (lon_udeg, lat_udeg) GROUP BY l.n_zones"
         ),
         "image_stats": sqlgen.image_stats_sql(500),
         "image_stats_rgb": sqlgen.image_stats_rgb_sql(300),
@@ -7987,6 +7562,17 @@ SELECT user_id,
        event_type, valid_from,
        lead(valid_from) OVER w2 AS valid_to
 FROM s WINDOW w2 AS (PARTITION BY user_id ORDER BY valid_from, event_id)""",
+        "nchars_outliers": """
+WITH st AS (
+  SELECT lang, count(*) AS n, sum(n_chars) AS s,
+         sum(n_chars::HUGEINT * n_chars) AS ss
+  FROM documents GROUP BY lang)
+SELECT d.lang, d.doc_id, d.n_chars
+FROM documents d JOIN st ON st.lang = d.lang
+WHERE st.n > 1
+  AND (st.n * d.n_chars - st.s)::HUGEINT
+      * (st.n * d.n_chars - st.s) * (st.n - 1)
+      > 4 * st.n::HUGEINT * (st.n * st.ss - st.s::HUGEINT * st.s)""",
         "jaccard_join_exact": """
 WITH d AS (SELECT doc_id, text FROM documents WHERE doc_id < 500),
 grams AS (
@@ -8002,29 +7588,6 @@ FROM inter i
 JOIN gcnt na ON na.doc_id = i.id_a
 JOIN gcnt nb ON nb.doc_id = i.id_b
 WHERE i.ni * 9 >= 4 * (na.ng + nb.ng)""",
-        "priority_transitions": """
-WITH seq AS (
-  SELECT o_custkey, o_orderpriority AS pr,
-         lag(o_orderpriority) OVER (
-           PARTITION BY o_custkey
-           ORDER BY o_orderdate, o_orderkey) AS prev
-  FROM orders)
-SELECT prev AS prev_priority, pr AS priority, count(*)::BIGINT AS n
-FROM seq WHERE prev IS NOT NULL GROUP BY prev, pr""",
-        "part_affinity": """
-WITH d AS (SELECT DISTINCT l_orderkey AS bk, l_partkey AS it
-           FROM lineitem),
-nb AS (SELECT count(DISTINCT bk) AS n FROM d),
-cnt AS (SELECT it, count(*) AS c FROM d GROUP BY it),
-pr AS (
-  SELECT a.it AS item_a, b.it AS item_b, count(*)::BIGINT AS support
-  FROM d a JOIN d b ON a.bk = b.bk AND a.it < b.it
-  GROUP BY 1, 2 HAVING count(*) >= 2)
-SELECT p.item_a, p.item_b, p.support,
-       ((p.support * nb.n * 1000000) // (ca.c * cb.c))::BIGINT AS lift_q
-FROM pr p
-JOIN cnt ca ON ca.it = p.item_a
-JOIN cnt cb ON cb.it = p.item_b, nb""",
         "containment_join": """
 WITH d AS (SELECT doc_id, text FROM documents WHERE doc_id < 500),
 grams AS (
@@ -8039,20 +7602,109 @@ inter AS (
 SELECT i.id_a, i.id_b
 FROM inter i JOIN gcnt na ON na.doc_id = i.id_a
 WHERE i.ni * 5 >= 4 * na.ng""",
-        "nchars_outliers": """
+        "part_affinity": """
+WITH d AS (SELECT DISTINCT l_orderkey AS bk, l_partkey AS it
+           FROM lineitem),
+nb AS (SELECT count(DISTINCT bk) AS n FROM d),
+cnt AS (SELECT it, count(*) AS c FROM d GROUP BY it),
+pr AS (
+  SELECT a.it AS item_a, b.it AS item_b, count(*)::BIGINT AS support
+  FROM d a JOIN d b ON a.bk = b.bk AND a.it < b.it
+  GROUP BY 1, 2 HAVING count(*) >= 2)
+SELECT p.item_a, p.item_b, p.support,
+       ((p.support * nb.n * 1000000) // (ca.c * cb.c))::BIGINT AS lift_q
+FROM pr p
+JOIN cnt ca ON ca.it = p.item_a
+JOIN cnt cb ON cb.it = p.item_b, nb""",
+        "priority_transitions": """
+WITH seq AS (
+  SELECT o_custkey, o_orderpriority AS pr,
+         lag(o_orderpriority) OVER (
+           PARTITION BY o_custkey
+           ORDER BY o_orderdate, o_orderkey) AS prev
+  FROM orders)
+SELECT prev AS prev_priority, pr AS priority, count(*)::BIGINT AS n
+FROM seq WHERE prev IS NOT NULL GROUP BY prev, pr""",
+        "orders_cdc_diff": (
+            "WITH base AS (SELECT o_orderkey AS k, "
+            "CAST(round(o_totalprice * 100) AS BIGINT) AS cents, "
+            "CAST(-1 AS BIGINT) AS seq, 0 AS del FROM orders), "
+            "chg AS (SELECT l_orderkey AS k, "
+            "CAST(round(l_extendedprice * 100) AS BIGINT) AS cents, "
+            "CAST(l_linenumber AS BIGINT) AS seq, "
+            "CASE WHEN (l_orderkey + l_linenumber) % 11 = 0 THEN 1 ELSE 0 END AS del "
+            "FROM lineitem), "
+            "allr AS (SELECT * FROM base UNION ALL SELECT * FROM chg), "
+            "r AS (SELECT k, cents, del, row_number() OVER ("
+            "PARTITION BY k ORDER BY seq DESC, del DESC, cents DESC) AS rn FROM allr), "
+            "merged AS (SELECT k, cents FROM r WHERE rn = 1 AND del = 0), "
+            "b AS (SELECT k, cents FROM base) "
+            "SELECT COALESCE(b.k, m.k) AS k, "
+            "CASE WHEN m.k IS NULL THEN 'only_left' "
+            "WHEN b.k IS NULL THEN 'only_right' "
+            "ELSE 'changed' END AS status "
+            "FROM b FULL OUTER JOIN merged m ON m.k = b.k "
+            "WHERE m.k IS NULL OR b.k IS NULL OR m.cents <> b.cents"
+        ),
+        "gopher_filter": _gopher_filter_sql(),
+        "embedding_int8": """
+WITH e AS (SELECT vec_id, unnest(embedding)::DOUBLE AS v,
+                  generate_subscripts(embedding, 1) AS d FROM embeddings),
+st AS (SELECT d, min(v) AS mn, max(v) AS mx FROM e GROUP BY d),
+c AS (SELECT e.vec_id,
+             CASE WHEN st.mx = st.mn THEN 0
+                  ELSE least(greatest(
+                      floor((e.v - st.mn) * 255.0 / (st.mx - st.mn)),
+                      0), 255)::BIGINT END AS code
+      FROM e JOIN st ON st.d = e.d)
+SELECT vec_id, sum(code)::BIGINT AS code_sum,
+       min(code) AS code_min, max(code) AS code_max
+FROM c GROUP BY vec_id""",
+        "embedding_dim_stats": """
+WITH e AS (SELECT vec_id, unnest(embedding)::DOUBLE AS v,
+                  generate_subscripts(embedding, 1) AS d FROM embeddings),
+st AS (SELECT d, min(v) AS mn, max(v) AS mx FROM e GROUP BY d),
+c AS (SELECT e.d,
+             CASE WHEN st.mx = st.mn THEN 0
+                  ELSE least(greatest(
+                      floor((e.v - st.mn) * 255.0 / (st.mx - st.mn)),
+                      0), 255)::BIGINT END AS code
+      FROM e JOIN st ON st.d = e.d),
+m AS (SELECT d - 1 AS d, count(*)::BIGINT AS n, sum(code)::BIGINT AS s,
+             sum(code * code)::BIGINT AS ss
+      FROM c GROUP BY d)
+SELECT d, n, s, ss, (n * ss - s * s)::BIGINT AS var_num FROM m""",
+        "edit_verified_pairs": sqlgen.lsh_edit_verified_sql(),
+        "inverted_index": """
+WITH tok AS (
+  SELECT DISTINCT doc_id, unnest(string_split(text, ' ')) AS token
+  FROM documents),
+r AS (SELECT token, doc_id,
+             row_number() OVER (PARTITION BY token ORDER BY doc_id) AS rn
+      FROM tok)
+SELECT token, count(*)::BIGINT AS df,
+       string_agg(CASE WHEN rn <= 10 THEN doc_id::VARCHAR END,
+                  ',' ORDER BY doc_id) AS postings
+FROM r GROUP BY token""",
+        "nchars_mad_outliers": """
 WITH st AS (
-  SELECT lang, count(*) AS n, sum(n_chars) AS s,
-         sum(n_chars::HUGEINT * n_chars) AS ss
-  FROM documents GROUP BY lang)
-SELECT d.lang, d.doc_id, d.n_chars
-FROM documents d JOIN st ON st.lang = d.lang
-WHERE st.n > 1
-  AND (st.n * d.n_chars - st.s)::HUGEINT
-      * (st.n * d.n_chars - st.s) * (st.n - 1)
-      > 4 * st.n::HUGEINT * (st.n * st.ss - st.s::HUGEINT * st.s)""",
+  SELECT source, quantile_disc(n_chars, 0.5) AS med
+  FROM documents GROUP BY source),
+m2 AS (
+  SELECT d.source, quantile_disc(abs(d.n_chars - st.med), 0.5) AS mad
+  FROM documents d JOIN st USING (source) GROUP BY d.source)
+SELECT d.source, d.doc_id, d.n_chars
+FROM documents d JOIN st USING (source) JOIN m2 USING (source)
+WHERE abs(d.n_chars - st.med) > 3 * m2.mad""",
+        "cross_decontam_lsh": sqlgen.lsh_cross_pairs_sql(mod=50),
         "image_dedup_canonical": sqlgen.image_canonical_sql(500, max_dist=3),
         "image_dedup_ensemble":
             sqlgen.image_ensemble_canonical_sql(500, max_dist=3),
+        "image_patches": f"""
+WITH {sqlgen.pixels_sql(500)}
+SELECT printf('img%012d', i) AS image_id, CAST(r // 16 AS INT) AS pr,
+       CAST(c // 16 AS INT) AS pc, sum(v)::BIGINT AS px_sum
+FROM px GROUP BY i, pr, pc""",
         "image_hist_eq": f"""
 WITH {sqlgen.pixels_sql(500)},
 hist AS (SELECT i, v, count(*) AS c FROM px GROUP BY i, v),
@@ -8067,11 +7719,6 @@ SELECT printf('img%012d', i) AS image_id,
        sum(eq * c)::BIGINT AS eq_sum,
        min(eq)::BIGINT AS eq_min, max(eq)::BIGINT AS eq_max
 FROM lut GROUP BY i""",
-        "image_patches": f"""
-WITH {sqlgen.pixels_sql(500)}
-SELECT printf('img%012d', i) AS image_id, CAST(r // 16 AS INT) AS pr,
-       CAST(c // 16 AS INT) AS pc, sum(v)::BIGINT AS px_sum
-FROM px GROUP BY i, pr, pc""",
         "image_pyramid": f"""
 WITH {sqlgen.pixels_sql(300)},
 blk AS (
@@ -8082,6 +7729,38 @@ SELECT printf('img%012d', i) AS image_id, CAST(l AS INT) AS level,
        sum(m)::BIGINT AS py_sum, min(m)::BIGINT AS py_min,
        max(m)::BIGINT AS py_max
 FROM blk GROUP BY i, l""",
+        "tile_mosaic": f"""
+WITH {_scene_blocks(2000)}
+SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
+       max(m)::BIGINT AS v_max, sum(m)::BIGINT AS v_sum,
+       count(*)::BIGINT AS n_img
+FROM blk GROUP BY tile, gr, gc""",
+        "collocations_pmi": """
+WITH arr AS (
+  SELECT doc_id, regexp_split_to_array(text, '\\s+') AS a FROM documents),
+toks AS (
+  SELECT doc_id, a[i.i] AS tok, i.i AS pos
+  FROM arr, LATERAL (SELECT unnest(range(1, len(a) + 1)) AS i) i
+  WHERE a[i.i] <> ''),
+seq AS (
+  SELECT doc_id, tok,
+         row_number() OVER (PARTITION BY doc_id ORDER BY pos) AS p
+  FROM toks),
+pairs AS (
+  SELECT a.tok AS tok_a, b.tok AS tok_b
+  FROM seq a JOIN seq b ON b.doc_id = a.doc_id AND b.p = a.p + 1),
+uni AS (SELECT tok, count(*)::HUGEINT AS c FROM seq GROUP BY tok),
+nn AS (SELECT (SELECT count(*) FROM seq)::HUGEINT AS n,
+              (SELECT count(*) FROM pairs)::HUGEINT AS np),
+big AS (
+  SELECT tok_a, tok_b, count(*)::BIGINT AS n_ab FROM pairs
+  GROUP BY tok_a, tok_b HAVING count(*) >= 5)
+SELECT b.tok_a, b.tok_b, b.n_ab,
+       ((nn.n * nn.n * 1000000 * b.n_ab)
+        // (nn.np * ua.c * ub.c))::BIGINT AS score
+FROM big b JOIN uni ua ON ua.tok = b.tok_a
+           JOIN uni ub ON ub.tok = b.tok_b, nn
+ORDER BY score DESC, tok_a, tok_b LIMIT 50""",
         "pagerank_q": """
 WITH e0 AS (
   SELECT DISTINCT l_orderkey % 1000 AS src, (l_partkey * 7) % 1000 AS dst
@@ -8113,173 +7792,422 @@ r3 AS (SELECT n.node,
               (SELECT base FROM prm) + (85 * COALESCE(s.s, 0)) // 100 AS r
        FROM nodes n LEFT JOIN s3 s ON s.node = n.node)
 SELECT node, r::BIGINT AS rank_q FROM r3""",
-        "collocations_pmi": """
-WITH arr AS (
-  SELECT doc_id, regexp_split_to_array(text, '\\s+') AS a FROM documents),
-toks AS (
-  SELECT doc_id, a[i.i] AS tok, i.i AS pos
-  FROM arr, LATERAL (SELECT unnest(range(1, len(a) + 1)) AS i) i
-  WHERE a[i.i] <> ''),
-seq AS (
-  SELECT doc_id, tok,
-         row_number() OVER (PARTITION BY doc_id ORDER BY pos) AS p
-  FROM toks),
-pairs AS (
-  SELECT a.tok AS tok_a, b.tok AS tok_b
-  FROM seq a JOIN seq b ON b.doc_id = a.doc_id AND b.p = a.p + 1),
-uni AS (SELECT tok, count(*)::HUGEINT AS c FROM seq GROUP BY tok),
-nn AS (SELECT (SELECT count(*) FROM seq)::HUGEINT AS n,
-              (SELECT count(*) FROM pairs)::HUGEINT AS np),
-big AS (
-  SELECT tok_a, tok_b, count(*)::BIGINT AS n_ab FROM pairs
-  GROUP BY tok_a, tok_b HAVING count(*) >= 5)
-SELECT b.tok_a, b.tok_b, b.n_ab,
-       ((nn.n * nn.n * 1000000 * b.n_ab)
-        // (nn.np * ua.c * ub.c))::BIGINT AS score
-FROM big b JOIN uni ua ON ua.tok = b.tok_a
-           JOIN uni ub ON ub.tok = b.tok_b, nn
-ORDER BY score DESC, tok_a, tok_b LIMIT 50""",
-        "tile_mosaic": f"""
-WITH {_scene_blocks(2000)}
-SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
-       max(m)::BIGINT AS v_max, sum(m)::BIGINT AS v_sum,
-       count(*)::BIGINT AS n_img
-FROM blk GROUP BY tile, gr, gc""",
-        "tile_clear_composite": f"""
-WITH {_scene_blocks(2000)}
-SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
-       count(*)::BIGINT AS n_img,
-       sum(CASE WHEN m < 200 THEN 1 ELSE 0 END)::BIGINT AS n_clear,
-       coalesce(max(m) FILTER (WHERE m < 200), -1)::BIGINT AS max_clear
-FROM blk GROUP BY tile, gr, gc""",
-        "cell_provenance": f"""
-WITH {_scene_blocks(2000)},
-rk AS (
-  SELECT tile, gr, gc, i, m, row_number() OVER (
-      PARTITION BY tile, gr, gc ORDER BY m DESC, i) AS rn
-  FROM blk)
-SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
-       i::BIGINT AS best_scene, m::BIGINT AS best_m
-FROM rk WHERE rn = 1""",
-        "tile_anomaly": f"""
-WITH {_scene_blocks(2000)},
-st AS (
-  SELECT tile, gr, gc, count(*)::BIGINT AS n, sum(m)::BIGINT AS s,
-         sum(m * m)::BIGINT AS ss
-  FROM blk GROUP BY tile, gr, gc HAVING count(*) >= 3),
-fl AS (
-  SELECT b.tile, b.gr, b.gc, st.n, b.i,
-         CASE WHEN (b.m * st.n - st.s) * (b.m * st.n - st.s)
-                   > 4 * (st.n * st.ss - st.s * st.s)
-              THEN 1 ELSE 0 END AS f
-  FROM blk b JOIN st
-    ON st.tile = b.tile AND st.gr = b.gr AND st.gc = b.gc)
-SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
-       max(n)::BIGINT AS n_sc, sum(f)::BIGINT AS n_outl,
-       sum(CASE WHEN f = 1 THEN i ELSE 0 END)::BIGINT AS outl_scene_sum
-FROM fl GROUP BY tile, gr, gc""",
-        "mosaic_manifest": f"""
-WITH {_scene_blocks(2000)},
-mos AS (
-  SELECT tile, gr, gc, max(m)::BIGINT AS v_max
-  FROM blk GROUP BY tile, gr, gc)
-SELECT substr(tile, 1, 2) AS "group", count(*)::BIGINT AS n_rows,
-       min(v_max)::BIGINT AS min_v, max(v_max)::BIGINT AS max_v
-FROM mos GROUP BY substr(tile, 1, 2)""",
-        "footprint_overlap": """
-WITH r AS (
-  SELECT k AS id, (k * 131) % 10000 AS x0, (k * 197) % 10000 AS y0,
-         (k * 131) % 10000 + 1 + (k * 7) % 200 AS x1,
-         (k * 197) % 10000 + 1 + (k * 11) % 200 AS y1
-  FROM range(3000) t(k)),
-p AS (
-  SELECT a.id AS id_a, b.id AS id_b,
-         least(a.x1, b.x1) - greatest(a.x0, b.x0) AS ox,
-         least(a.y1, b.y1) - greatest(a.y0, b.y0) AS oy
-  FROM r a JOIN r b ON a.id < b.id)
-SELECT id_a, id_b, (ox * oy)::BIGINT AS ov_area
-FROM p WHERE ox > 0 AND oy > 0""",
-        "tile_mosaic_delta": f"""
-WITH {_scene_blocks(2200)}
-SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
-       max(m)::BIGINT AS v_max, sum(m)::BIGINT AS v_sum,
-       count(*)::BIGINT AS n_img
-FROM blk GROUP BY tile, gr, gc""",
         "tile_focal_mean": f"""
 WITH {_scene_blocks(2000)},
 {sqlgen.mosaic_gather_ctes([(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)])}
 SELECT tile, gr, gc, (sum(v) // count(*))::BIGINT AS focal,
        count(*)::BIGINT AS wn
 FROM j GROUP BY tile, gr, gc""",
-        "tile_gradient": f"""
-WITH {_scene_blocks(2000)},
-{sqlgen.gradient_ctes()}
-SELECT tile, gr, gc, gx::BIGINT AS gx, gy::BIGINT AS gy,
-       (abs(gx) + abs(gy))::BIGINT AS g1
-FROM grad""",
-        "tile_tri": f"""
-WITH {_scene_blocks(2000)},
-{sqlgen.mosaic_gather_ctes([(0, 1), (1, 1), (1, 0), (1, -1),
-                           (0, -1), (-1, -1), (-1, 0), (-1, 1)])}
-SELECT tile, gr, gc, sum(abs(vc - v))::BIGINT AS tri
-FROM j GROUP BY tile, gr, gc HAVING count(*) = 8""",
-        "tile_aspect": f"""
-WITH {_scene_blocks(2000)},
-{sqlgen.gradient_ctes()},
-gr2 AS (
-  SELECT substr(tile, 1, 2) AS continent,
-         (-gx)::BIGINT AS u, (-gy)::BIGINT AS w
-  FROM grad),
-cls AS (
-  SELECT continent,
-    CASE WHEN u = 0 AND w = 0 THEN 0
-         WHEN abs(u) > abs(w) AND u > 0 THEN 1
-         WHEN abs(u) > abs(w) THEN 5
-         WHEN abs(w) > abs(u) AND w > 0 THEN 3
-         WHEN abs(w) > abs(u) THEN 7
-         WHEN u > 0 AND w > 0 THEN 2
-         WHEN u < 0 AND w > 0 THEN 4
-         WHEN u < 0 AND w < 0 THEN 6
-         ELSE 8 END AS aspect
-  FROM gr2)
-SELECT continent, aspect::BIGINT AS aspect, count(*)::BIGINT AS n
-FROM cls GROUP BY continent, aspect""",
-        "tile_flow_d8": f"""
-WITH {_scene_blocks(2000)},
-{sqlgen.d8_ctes()}
-SELECT tile, gr, gc, code::BIGINT AS dir,
-       greatest(best, 0)::BIGINT AS "drop"
-FROM sc""",
-        "tile_flow_accum": f"""
-WITH RECURSIVE {_scene_blocks(2000)},
-{sqlgen.d8_flow_ctes()},
-rec AS (
-  SELECT tile, gr, gc, tile AS ct, gr AS cr, gc AS cc FROM d8
-  UNION ALL
-  SELECT r.tile, r.gr, r.gc, f.dtile, f.dgr, f.dgc
-  FROM rec r JOIN flow f ON f.tile = r.ct AND f.gr = r.cr
-                        AND f.gc = r.cc)
-SELECT ct AS tile, cr AS gr, cc AS gc, count(*)::BIGINT AS acc
-FROM rec GROUP BY 1, 2, 3""",
-        "tile_basins": f"""
-WITH RECURSIVE {_scene_blocks(2000)},
-{sqlgen.d8_flow_ctes()},
-walk AS (
-  SELECT tile, gr, gc, v, tile AS ct, gr AS cr, gc AS cc FROM d8
-  UNION ALL
-  SELECT w.tile, w.gr, w.gc, w.v, f.dtile, f.dgr, f.dgc
-  FROM walk w JOIN flow f ON f.tile = w.ct AND f.gr = w.cr
-                         AND f.gc = w.cc),
-term AS (
-  SELECT * FROM walk w
-  WHERE NOT EXISTS (SELECT 1 FROM flow f WHERE f.tile = w.ct
-                    AND f.gr = w.cr AND f.gc = w.cc))
-SELECT t.ct AS tile, t.cr AS gr, t.cc AS gc,
-       any_value(s.v)::BIGINT AS v_sink,
-       count(*)::BIGINT AS n_cells,
-       sum(t.v)::BIGINT AS sum_v
-FROM term t JOIN d8 s ON s.tile = t.ct AND s.gr = t.cr AND s.gc = t.cc
-GROUP BY 1, 2, 3""",
+        "image_blobs": """
+WITH RECURSIVE img AS (SELECT 9 * k AS i FROM range(100) t(k)),
+px AS (
+  SELECT i, r.r AS r, c.c AS c
+  FROM img,
+  LATERAL (SELECT unnest(range(32)) AS r) r,
+  LATERAL (SELECT unnest(range(32)) AS c) c
+  WHERE ((r.r * 32 + c.c * 32 + i) % 256) >= 128),
+fl AS (
+  SELECT i, r, c,
+         c - row_number() OVER (PARTITION BY i, r ORDER BY c) AS grp
+  FROM px),
+runs AS (
+  SELECT i, r, min(c) AS c0, max(c) + 1 AS c1,
+         row_number() OVER (PARTITION BY i ORDER BY r, min(c)) AS rid
+  FROM fl GROUP BY i, r, grp),
+adj AS (
+  SELECT a.i, a.rid AS ra, b.rid AS rb
+  FROM runs a JOIN runs b
+    ON b.i = a.i AND b.r = a.r + 1 AND a.c0 < b.c1 AND b.c0 < a.c1),
+edges AS (SELECT i, ra, rb FROM adj UNION SELECT i, rb AS ra, ra AS rb
+          FROM adj),
+reach(i, rid, l) AS (
+  SELECT i, rid, rid FROM runs
+  UNION
+  SELECT e.i, e.ra, r2.l FROM edges e
+  JOIN reach r2 ON r2.i = e.i AND r2.rid = e.rb),
+comp AS (SELECT i, rid, min(l) AS root FROM reach GROUP BY i, rid),
+rsz AS (
+  SELECT r.i, c2.root, sum(r.c1 - r.c0) AS px
+  FROM runs r JOIN comp c2 ON c2.i = r.i AND c2.rid = r.rid
+  GROUP BY r.i, c2.root)
+SELECT printf('img%012d', i) AS image_id, count(*)::BIGINT AS n_blobs,
+       max(px)::BIGINT AS max_blob, sum(px)::BIGINT AS fg_px
+FROM rsz GROUP BY i""",
+        "blob_bbox": """
+WITH RECURSIVE img AS (SELECT 9 * k AS i FROM range(100) t(k)),
+px AS (
+  SELECT i, r.r AS r, c.c AS c
+  FROM img,
+  LATERAL (SELECT unnest(range(32)) AS r) r,
+  LATERAL (SELECT unnest(range(32)) AS c) c
+  WHERE ((r.r * 32 + c.c * 32 + i) % 256) >= 128),
+fl AS (
+  SELECT i, r, c,
+         c - row_number() OVER (PARTITION BY i, r ORDER BY c) AS grp
+  FROM px),
+runs AS (
+  SELECT i, r, min(c) AS c0, max(c) + 1 AS c1,
+         row_number() OVER (PARTITION BY i ORDER BY r, min(c)) AS rid
+  FROM fl GROUP BY i, r, grp),
+adj AS (
+  SELECT a.i, a.rid AS ra, b.rid AS rb
+  FROM runs a JOIN runs b
+    ON b.i = a.i AND b.r = a.r + 1 AND a.c0 < b.c1 AND b.c0 < a.c1),
+edges AS (SELECT i, ra, rb FROM adj UNION SELECT i, rb AS ra, ra AS rb
+          FROM adj),
+reach(i, rid, l) AS (
+  SELECT i, rid, rid FROM runs
+  UNION
+  SELECT e.i, e.ra, r2.l FROM edges e
+  JOIN reach r2 ON r2.i = e.i AND r2.rid = e.rb),
+comp AS (SELECT i, rid, min(l) AS root FROM reach GROUP BY i, rid),
+geo AS (
+  SELECT r.i, c2.root,
+         min(r.r) AS min_r, max(r.r) AS max_r,
+         min(r.c0) AS min_c, max(r.c1) - 1 AS max_c,
+         sum(r.c1 - r.c0) AS area
+  FROM runs r JOIN comp c2 ON c2.i = r.i AND c2.rid = r.rid
+  GROUP BY r.i, c2.root)
+SELECT printf('img%012d', g.i) AS image_id,
+       lr.r::BIGINT AS lbl_r, lr.c0::BIGINT AS lbl_c,
+       g.min_r::BIGINT AS min_r, g.max_r::BIGINT AS max_r,
+       g.min_c::BIGINT AS min_c, g.max_c::BIGINT AS max_c,
+       g.area::BIGINT AS area
+FROM geo g JOIN runs lr ON lr.i = g.i AND lr.rid = g.root""",
+        "blob_perimeter": """
+WITH RECURSIVE img AS (SELECT 9 * k AS i FROM range(100) t(k)),
+px AS (
+  SELECT i, r.r AS r, c.c AS c
+  FROM img,
+  LATERAL (SELECT unnest(range(32)) AS r) r,
+  LATERAL (SELECT unnest(range(32)) AS c) c
+  WHERE ((r.r * 32 + c.c * 32 + i) % 256) >= 128),
+fl AS (
+  SELECT i, r, c,
+         c - row_number() OVER (PARTITION BY i, r ORDER BY c) AS grp
+  FROM px),
+runs AS (
+  SELECT i, r, min(c) AS c0, max(c) + 1 AS c1,
+         row_number() OVER (PARTITION BY i ORDER BY r, min(c)) AS rid
+  FROM fl GROUP BY i, r, grp),
+adjo AS (
+  SELECT a.i, a.rid AS ra, b.rid AS rb,
+         least(a.c1, b.c1) - greatest(a.c0, b.c0) AS ov
+  FROM runs a JOIN runs b
+    ON b.i = a.i AND b.r = a.r + 1 AND a.c0 < b.c1 AND b.c0 < a.c1),
+edges AS (SELECT i, ra, rb FROM adjo UNION SELECT i, rb AS ra, ra AS rb
+          FROM adjo),
+reach(i, rid, l) AS (
+  SELECT i, rid, rid FROM runs
+  UNION
+  SELECT e.i, e.ra, r2.l FROM edges e
+  JOIN reach r2 ON r2.i = e.i AND r2.rid = e.rb),
+comp AS (SELECT i, rid, min(l) AS root FROM reach GROUP BY i, rid),
+geo AS (
+  SELECT r.i, c2.root, sum(r.c1 - r.c0) AS area,
+         sum(r.c1 - r.c0 - 1) AS hadj
+  FROM runs r JOIN comp c2 ON c2.i = r.i AND c2.rid = r.rid
+  GROUP BY r.i, c2.root),
+vs AS (
+  SELECT a.i, c2.root, sum(a.ov) AS vadj
+  FROM adjo a JOIN comp c2 ON c2.i = a.i AND c2.rid = a.ra
+  GROUP BY a.i, c2.root)
+SELECT printf('img%012d', g.i) AS image_id,
+       lr.r::BIGINT AS lbl_r, lr.c0::BIGINT AS lbl_c,
+       g.area::BIGINT AS area,
+       (4 * g.area - 2 * (g.hadj + COALESCE(v.vadj, 0)))::BIGINT AS perim
+FROM geo g
+LEFT JOIN vs v ON v.i = g.i AND v.root = g.root
+JOIN runs lr ON lr.i = g.i AND lr.rid = g.root""",
+        "image_seam": seam_sql,
+        "image_dither": f"""
+WITH {sqlgen.pixels_sql(300)},
+pb AS (
+  SELECT i, r, c, w, v,
+    CASE (r % 4) * 4 + (c % 4)
+      WHEN 0 THEN 0 WHEN 1 THEN 8 WHEN 2 THEN 2 WHEN 3 THEN 10
+      WHEN 4 THEN 12 WHEN 5 THEN 4 WHEN 6 THEN 14 WHEN 7 THEN 6
+      WHEN 8 THEN 3 WHEN 9 THEN 11 WHEN 10 THEN 1 WHEN 11 THEN 9
+      WHEN 12 THEN 15 WHEN 13 THEN 7 WHEN 14 THEN 13 ELSE 5 END AS b
+  FROM px)
+SELECT printf('img%012d', i) AS image_id,
+  (count(*) FILTER (WHERE v > b * 16 + 8))::BIGINT AS n_on,
+  COALESCE(sum(r * w + c) FILTER (WHERE v > b * 16 + 8), 0)::BIGINT
+    AS pos_sum
+FROM pb GROUP BY i""",
+        "header_audit": """
+WITH img AS (
+  SELECT i, CASE WHEN i % 2 = 0 THEN 'raw' ELSE 'png' END AS fmt
+  FROM range(2000) t(i)),
+r AS (
+  SELECT fmt,
+    CASE WHEN fmt = 'png' AND i % 13 = 5 THEN 'bad_sig'
+         WHEN i % 11 = 3 THEN 'dim_mismatch'
+         ELSE 'ok' END AS reason
+  FROM img)
+SELECT fmt, reason, count(*)::BIGINT AS n FROM r GROUP BY fmt, reason""",
+        "doc_chunks": """
+WITH toks AS (
+  SELECT doc_id, string_split(text, ' ') AS t,
+         len(string_split(text, ' ')) AS n
+  FROM documents),
+ch AS (
+  SELECT doc_id, t, n, s.s AS chunk_idx, s.s * 24 AS tok_start,
+         least(32, n - s.s * 24) AS n_toks
+  FROM toks,
+  LATERAL (SELECT unnest(range(
+      1 + CASE WHEN n > 32 THEN (n - 32 + 23) // 24 ELSE 0 END)) AS s) s)
+SELECT doc_id, chunk_idx, tok_start, n_toks::BIGINT AS n_toks,
+       length(array_to_string(t[tok_start + 1 : tok_start + n_toks],
+                              ' '))::BIGINT AS n_chars
+FROM ch""",
+        "image_template": """
+WITH img AS (SELECT 9 * k AS i FROM range(100) t(k)),
+pos AS (
+  SELECT i, pr.pr AS pr, pc2.pc AS pc FROM img,
+  LATERAL (SELECT unnest(range(25)) AS pr) pr,
+  LATERAL (SELECT unnest(range(25)) AS pc) pc2),
+sadt AS (
+  SELECT p.i, p.pr, p.pc,
+    sum(abs((((p.pr + d.dr) * 32 + (p.pc + d.dc) * 32 + p.i) % 256)
+            - ((d.dr * 13 + d.dc * 7 + 3) % 256)))::BIGINT AS sad
+  FROM pos p,
+  LATERAL (SELECT a.a // 8 AS dr, a.a % 8 AS dc
+           FROM (SELECT unnest(range(64)) AS a) a) d
+  GROUP BY p.i, p.pr, p.pc),
+mn AS (SELECT i, min(sad) AS m, sum(sad) AS tot FROM sadt GROUP BY i),
+win AS (
+  SELECT s.i, s.sad, s.pr, s.pc, mn.tot,
+         row_number() OVER (PARTITION BY s.i ORDER BY s.pr, s.pc) AS rn
+  FROM sadt s JOIN mn ON mn.i = s.i AND s.sad = mn.m)
+SELECT printf('img%012d', i) AS image_id, sad::BIGINT AS best_sad,
+       pr::BIGINT AS best_pr, pc::BIGINT AS best_pc,
+       tot::BIGINT AS sad_sum
+FROM win WHERE rn = 1""",
+        "image_quadtree": """
+WITH img AS (SELECT 9 * k AS i FROM range(100) t(k)),
+px AS (
+  SELECT i, r.r AS r, c.c AS c, ((r.r * 32 + c.c * 32 + i) % 256) AS v
+  FROM img,
+  LATERAL (SELECT unnest(range(32)) AS r) r,
+  LATERAL (SELECT unnest(range(32)) AS c) c),
+lvl AS (
+  SELECT i, l.l AS l, r // (32 // (1 << l.l)) AS br,
+         c // (32 // (1 << l.l)) AS bc,
+         max(v) - min(v) AS rng
+  FROM px, LATERAL (SELECT unnest(range(4)) AS l) l
+  GROUP BY i, l.l, br, bc),
+j3 AS (
+  SELECT b.i, b.l, b.rng, p1.rng AS r1, p2.rng AS r2, p3.rng AS r3
+  FROM lvl b
+  LEFT JOIN lvl p1 ON p1.i = b.i AND p1.l = b.l - 1
+    AND p1.br = b.br // 2 AND p1.bc = b.bc // 2
+  LEFT JOIN lvl p2 ON p2.i = b.i AND p2.l = b.l - 2
+    AND p2.br = b.br // 4 AND p2.bc = b.bc // 4
+  LEFT JOIN lvl p3 ON p3.i = b.i AND p3.l = b.l - 3
+    AND p3.br = b.br // 8 AND p3.bc = b.bc // 8),
+leaf AS (
+  SELECT i, l FROM j3
+  WHERE COALESCE(r1 > 60, true) AND COALESCE(r2 > 60, true)
+    AND COALESCE(r3 > 60, true) AND (rng <= 60 OR l = 3))
+SELECT printf('img%012d', i) AS image_id, count(*)::BIGINT AS n_leaves,
+       sum(l)::BIGINT AS depth_sum,
+       (count(*) FILTER (WHERE l = 3))::BIGINT AS n_deepest
+FROM leaf GROUP BY i""",
+        "image_rle": f"""
+WITH {sqlgen.pixels_sql(300)},
+ch AS (
+  SELECT i, r, c, v,
+         CASE WHEN lag(v) OVER (PARTITION BY i, r ORDER BY c)
+                   IS DISTINCT FROM v THEN 1 ELSE 0 END AS brk
+  FROM px),
+grp AS (SELECT i, r, c,
+               sum(brk) OVER (PARTITION BY i, r ORDER BY c) AS g
+        FROM ch),
+runs AS (SELECT i, count(*) AS len FROM grp GROUP BY i, r, g)
+SELECT printf('img%012d', i) AS image_id, count(*)::BIGINT AS n_runs,
+       max(len)::BIGINT AS max_run
+FROM runs GROUP BY i""",
+        "image_hist_match": f"""
+WITH {sqlgen.pixels_sql(300)},
+hist AS (SELECT i, v, count(*)::BIGINT AS c FROM px GROUP BY i, v),
+cdf AS (SELECT i, v, c, sum(c) OVER (PARTITION BY i ORDER BY v) AS cf
+        FROM hist),
+nsrc AS (SELECT i, max(cf) AS n_src FROM cdf GROUP BY i),
+rhist AS (SELECT v, count(*)::BIGINT AS c FROM px GROUP BY v),
+rn AS (SELECT sum(c)::BIGINT AS n_ref FROM rhist),
+rcdf AS (SELECT u.u AS u,
+         (SELECT COALESCE(sum(c), 0) FROM rhist WHERE v <= u.u) AS cf
+         FROM range(256) u(u)),
+lut AS (
+  SELECT s.i, s.v, s.c, min(r.u) AS m
+  FROM cdf s JOIN nsrc n ON n.i = s.i, rcdf r, rn
+  WHERE r.cf * n.n_src >= s.cf * rn.n_ref
+  GROUP BY s.i, s.v, s.c)
+SELECT printf('img%012d', i) AS image_id,
+       sum(m * c)::BIGINT AS mt_sum, min(m)::BIGINT AS mt_min,
+       max(m)::BIGINT AS mt_max
+FROM lut GROUP BY i""",
+        "image_sobel": f"""
+WITH {sqlgen.img_cte(300)},
+e AS (
+  SELECT i,
+    abs(  (((r.r - 1) * h + (c.c + 1) * w + i) % 256)
+        + 2 * (((r.r) * h + (c.c + 1) * w + i) % 256)
+        + (((r.r + 1) * h + (c.c + 1) * w + i) % 256)
+        - (((r.r - 1) * h + (c.c - 1) * w + i) % 256)
+        - 2 * (((r.r) * h + (c.c - 1) * w + i) % 256)
+        - (((r.r + 1) * h + (c.c - 1) * w + i) % 256))
+  + abs(  (((r.r + 1) * h + (c.c - 1) * w + i) % 256)
+        + 2 * (((r.r + 1) * h + (c.c) * w + i) % 256)
+        + (((r.r + 1) * h + (c.c + 1) * w + i) % 256)
+        - (((r.r - 1) * h + (c.c - 1) * w + i) % 256)
+        - 2 * (((r.r - 1) * h + (c.c) * w + i) % 256)
+        - (((r.r - 1) * h + (c.c + 1) * w + i) % 256)) AS e
+  FROM img,
+  LATERAL (SELECT unnest(range(1, h - 1)) AS r) r,
+  LATERAL (SELECT unnest(range(1, w - 1)) AS c) c)
+SELECT printf('img%012d', i) AS image_id,
+       sum(e)::BIGINT AS grad_sum,
+       (count(*) FILTER (WHERE e >= 256))::BIGINT AS edge_px
+FROM e GROUP BY i""",
+        "image_hough4": f"""
+WITH {sqlgen.img_cte(300)},
+e AS (
+  SELECT i, r.r AS r, c.c AS c,
+    abs(  (((r.r - 1) * h + (c.c + 1) * w + i) % 256)
+        + 2 * (((r.r) * h + (c.c + 1) * w + i) % 256)
+        + (((r.r + 1) * h + (c.c + 1) * w + i) % 256)
+        - (((r.r - 1) * h + (c.c - 1) * w + i) % 256)
+        - 2 * (((r.r) * h + (c.c - 1) * w + i) % 256)
+        - (((r.r + 1) * h + (c.c - 1) * w + i) % 256))
+  + abs(  (((r.r + 1) * h + (c.c - 1) * w + i) % 256)
+        + 2 * (((r.r + 1) * h + (c.c) * w + i) % 256)
+        + (((r.r + 1) * h + (c.c + 1) * w + i) % 256)
+        - (((r.r - 1) * h + (c.c - 1) * w + i) % 256)
+        - 2 * (((r.r - 1) * h + (c.c) * w + i) % 256)
+        - (((r.r - 1) * h + (c.c + 1) * w + i) % 256)) AS e
+  FROM img,
+  LATERAL (SELECT unnest(range(1, h - 1)) AS r) r,
+  LATERAL (SELECT unnest(range(1, w - 1)) AS c) c),
+edges AS (SELECT i, r, c FROM e WHERE e >= 256),
+votes AS (
+  SELECT i, o.o AS o,
+         CASE o.o WHEN 0 THEN c WHEN 1 THEN r + c WHEN 2 THEN r
+              ELSE r - c END AS rho,
+         count(*) AS cnt
+  FROM edges, (VALUES (0), (1), (2), (3)) o(o)
+  GROUP BY 1, 2, 3),
+best AS (
+  SELECT i, o, rho, cnt,
+         row_number() OVER (PARTITION BY i
+                            ORDER BY cnt DESC, o, rho) AS rn
+  FROM votes),
+ne AS (SELECT i, count(*)::BIGINT AS n_edges FROM edges GROUP BY i)
+SELECT printf('img%012d', g.i) AS image_id,
+       COALESCE(ne.n_edges, 0)::BIGINT AS n_edges,
+       COALESCE(b.o, -1)::BIGINT AS best_orient,
+       COALESCE(b.rho, 0)::BIGINT AS best_rho,
+       COALESCE(b.cnt, 0)::BIGINT AS best_votes
+FROM img g LEFT JOIN ne ON ne.i = g.i
+LEFT JOIN (SELECT * FROM best WHERE rn = 1) b ON b.i = g.i""",
+        "image_dt": f"""
+WITH {sqlgen.img_cte(300)},
+px AS (
+  SELECT i, w, h, r.r AS r, c.c AS c,
+         ((r.r * h + c.c * w + i) % 256) >= 200 AS fg
+  FROM img,
+  LATERAL (SELECT unnest(range(h)) AS r) r,
+  LATERAL (SELECT unnest(range(w)) AS c) c),
+o2 AS (
+  SELECT dr.x AS dr, dc.x AS dc,
+         greatest(abs(dr.x), abs(dc.x)) AS d
+  FROM (SELECT unnest(range(-2, 3)) AS x) dr,
+       (SELECT unnest(range(-2, 3)) AS x) dc),
+near AS (
+  SELECT p.i, p.r, p.c, any_value(p.fg::INT) AS fg,
+         min(CASE WHEN q.fg THEN o.d END) AS dmin
+  FROM px p
+  JOIN o2 o ON TRUE
+  LEFT JOIN px q ON q.i = p.i AND q.r = p.r + o.dr AND q.c = p.c + o.dc
+  GROUP BY p.i, p.r, p.c)
+SELECT printf('img%012d', i) AS image_id,
+       (count(*) FILTER (WHERE fg = 1))::BIGINT AS n_d0,
+       (count(*) FILTER (WHERE fg = 0 AND dmin = 1))::BIGINT AS n_d1,
+       (count(*) FILTER (WHERE fg = 0 AND dmin = 2))::BIGINT AS n_d2,
+       (count(*) FILTER (WHERE fg = 0 AND dmin IS NULL))::BIGINT AS n_far
+FROM near GROUP BY i""",
+        "image_moments": f"""
+WITH {sqlgen.pixels_sql(300)},
+m AS (
+  SELECT i, sum(v)::BIGINT AS m00, sum(r * v)::BIGINT AS m10,
+         sum(c * v)::BIGINT AS m01, sum(r * r * v)::BIGINT AS m20,
+         sum(c * c * v)::BIGINT AS m02, sum(r * c * v)::BIGINT AS m11
+  FROM px GROUP BY i)
+SELECT printf('img%012d', i) AS image_id, m00, m10, m01,
+       (m00 * m20 - m10 * m10)::BIGINT AS mu20s,
+       (m00 * m02 - m01 * m01)::BIGINT AS mu02s,
+       (m00 * m11 - m10 * m01)::BIGINT AS mu11s
+FROM m""",
+        "image_harris": f"""
+WITH {sqlgen.img_cte(200)},
+g AS (
+  SELECT i, w, h, r.r AS r, c.c AS c,
+    ((r.r * h + (c.c + 1) * w + i) % 256)
+      - ((r.r * h + (c.c - 1) * w + i) % 256) AS ix,
+    (((r.r + 1) * h + c.c * w + i) % 256)
+      - (((r.r - 1) * h + c.c * w + i) % 256) AS iy
+  FROM img,
+  LATERAL (SELECT unnest(range(1, h - 1)) AS r) r,
+  LATERAL (SELECT unnest(range(1, w - 1)) AS c) c),
+hs AS (
+  SELECT i, w, h, r, c,
+    sum(ix * ix) OVER wc AS hxx, sum(iy * iy) OVER wc AS hyy,
+    sum(ix * iy) OVER wc AS hxy
+  FROM g WINDOW wc AS (PARTITION BY i, r ORDER BY c
+    ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING)),
+vs AS (
+  SELECT i, w, h, r, c,
+    sum(hxx) OVER wr AS sxx, sum(hyy) OVER wr AS syy,
+    sum(hxy) OVER wr AS sxy
+  FROM hs WINDOW wr AS (PARTITION BY i, c ORDER BY r
+    ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING)),
+resp AS (
+  SELECT i, 16 * (sxx * syy - sxy * sxy)
+             - (sxx + syy) * (sxx + syy) AS r16
+  FROM vs WHERE r BETWEEN 2 AND h - 3 AND c BETWEEN 2 AND w - 3)
+SELECT printf('img%012d', i) AS image_id,
+  (count(*) FILTER (WHERE r16 > {_HARRIS_T}))::BIGINT AS n_corners,
+  max(r16)::BIGINT AS r16_max,
+  COALESCE(sum(r16) FILTER (WHERE r16 > 0), 0)::BIGINT AS pos_sum
+FROM resp GROUP BY i""",
+        "image_otsu": f"""
+WITH {sqlgen.pixels_sql(300)},
+hist AS (SELECT i, v, count(*)::BIGINT AS c FROM px GROUP BY i, v),
+tot AS (SELECT i, sum(c)::HUGEINT AS tw, sum(v * c)::HUGEINT AS ts
+        FROM hist GROUP BY i),
+cum AS (SELECT i, v AS t,
+               (sum(c) OVER (PARTITION BY i ORDER BY v))::HUGEINT AS w0,
+               (sum(v * c) OVER (PARTITION BY i ORDER BY v))::HUGEINT AS s0
+        FROM hist),
+cand AS (
+  SELECT c.i, c.t,
+         ((c.s0 * t2.tw - t2.ts * c.w0)
+          * (c.s0 * t2.tw - t2.ts * c.w0))::HUGEINT AS num,
+         (c.w0 * (t2.tw - c.w0))::HUGEINT AS den
+  FROM cum c JOIN tot t2 ON t2.i = c.i
+  WHERE c.w0 > 0 AND c.w0 < t2.tw AND c.t < 255),
+best AS (
+  SELECT a.i, min(a.t) AS otsu_t
+  FROM cand a
+  WHERE NOT EXISTS (SELECT 1 FROM cand b
+                    WHERE b.i = a.i AND b.num * a.den > a.num * b.den)
+  GROUP BY a.i)
+SELECT printf('img%012d', b.i) AS image_id, CAST(b.otsu_t AS INT) AS otsu_t,
+       (count(*) FILTER (WHERE p.v > b.otsu_t))::BIGINT AS fg_px,
+       COALESCE(sum(p.v) FILTER (WHERE p.v > b.otsu_t), 0)::BIGINT AS fg_sum
+FROM best b JOIN px p ON p.i = b.i
+GROUP BY b.i, b.otsu_t""",
         "image_morph": f"""
 WITH {sqlgen.img_cte(300)},
 s AS (
@@ -8300,14 +8228,6 @@ SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
        quantile_disc(m, 0.5)::BIGINT AS v_med,
        min(m)::BIGINT AS v_min, max(m)::BIGINT AS v_max
 FROM blk GROUP BY tile, gr, gc""",
-        "tile_iqr": f"""
-WITH {_scene_blocks(2000)}
-SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
-       count(*)::BIGINT AS n_sc,
-       quantile_disc(m, 0.25)::BIGINT AS v_q1,
-       quantile_disc(m, 0.75)::BIGINT AS v_q3,
-       (quantile_disc(m, 0.75) - quantile_disc(m, 0.25))::BIGINT AS iqr
-FROM blk GROUP BY tile, gr, gc""",
         "tile_change_detect": f"""
 WITH {_scene_blocks(2000)},
 cell AS (
@@ -8320,6 +8240,59 @@ SELECT tile, count(*)::BIGINT AS n_cells,
        (count(*) FILTER (WHERE abs(v1 - v0) >= 8))::BIGINT AS n_changed,
        sum(abs(v1 - v0))::BIGINT AS sum_absd
 FROM cell GROUP BY tile""",
+        "tile_moran": f"""
+WITH cnt AS (
+  SELECT tile, count(*)::BIGINT AS x
+  FROM {_oracle_lookup('image_tiles.parquet')}
+  WHERE i < 2000 GROUP BY tile),
+{sqlgen.lattice_cte('cnt', 'tile, x')},
+st AS (SELECT count(*)::HUGEINT AS n, sum(x)::HUGEINT AS s FROM par),
+d AS (SELECT tile, ck, te, tn, (st.n * x - st.s)::HUGEINT AS dv
+      FROM par, st),
+pr AS (
+  SELECT a.dv AS da, b.dv AS db
+  FROM d a JOIN d b ON a.ck = b.ck
+   AND ((abs(a.te - b.te) = 6 AND a.tn = b.tn)
+     OR (a.te = b.te AND abs(a.tn - b.tn) = 6)))
+SELECT CAST(st.n AS BIGINT) AS n_tiles,
+       CAST((SELECT count(*) FROM pr) AS BIGINT) AS w_pairs,
+       CAST((SELECT COALESCE(sum(da * db), 0) FROM pr) AS BIGINT) AS num,
+       CAST((SELECT sum(dv * dv) FROM d) AS BIGINT) AS den,
+       CAST((1000000000::HUGEINT * st.n
+             * (SELECT COALESCE(sum(da * db), 0) FROM pr))
+            // ((SELECT count(*) FROM pr)::HUGEINT
+                * (SELECT sum(dv * dv) FROM d)) AS BIGINT) AS i_q9
+FROM st""",
+        "tile_revisit": f"""
+WITH seq AS (
+  SELECT tile, i,
+         i - lag(i) OVER (PARTITION BY tile ORDER BY i) AS gap
+  FROM {_oracle_lookup('image_tiles.parquet')} WHERE i < 2000)
+SELECT tile, count(*)::BIGINT AS n_sc,
+       min(i)::BIGINT AS i_min, max(i)::BIGINT AS i_max,
+       COALESCE(max(gap), 0)::BIGINT AS max_gap
+FROM seq GROUP BY tile""",
+        "pii_scrub": f"""
+WITH inj AS (
+  SELECT doc_id,
+    text
+    || CASE WHEN doc_id % 7 = 0
+            THEN ' contact user' || CAST(doc_id AS VARCHAR)
+                 || '@example.com' ELSE '' END
+    || CASE WHEN doc_id % 11 = 0
+            THEN ' call +1 555 000 '
+                 || lpad(CAST(doc_id % 10000 AS VARCHAR), 4, '0')
+                 || ' now' ELSE '' END AS t
+  FROM documents),
+r1 AS (
+  SELECT doc_id,
+    len(regexp_extract_all(t, '{_EMAIL_RE}'))::BIGINT AS n_email,
+    regexp_replace(t, '{_EMAIL_RE}', '<EMAIL>', 'g') AS t2
+  FROM inj)
+SELECT doc_id, n_email,
+  len(regexp_extract_all(t2, '{_PHONE_RE}'))::BIGINT AS n_phone,
+  regexp_replace(t2, '{_PHONE_RE}', '<PHONE>', 'g') AS red_text
+FROM r1""",
         "hilbert_hist": sqlgen.hilbert_hist_sql(),
         "image_glcm": f"""
 WITH {sqlgen.img_cte(300)},
@@ -8369,34 +8342,6 @@ SELECT printf('img%012d', i) AS image_id,
        sum(m)::BIGINT AS med_sum,
        count(*)::BIGINT AS n_interior
 FROM med GROUP BY i""",
-        "tile_horizon": f"""
-WITH {_scene_blocks(2000)},
-mos AS (
-  SELECT tile, gr, gc, max(m)::BIGINT AS v
-  FROM blk GROUP BY tile, gr, gc),
-vis AS (
-  SELECT tile, gr, gc, v,
-         CASE WHEN v > coalesce(max(v) OVER (
-             PARTITION BY tile, gr ORDER BY gc
-             ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), -1)
-         THEN 1 ELSE 0 END AS viz
-  FROM mos)
-SELECT tile, gr::BIGINT AS gr, sum(viz)::BIGINT AS n_visible,
-       max(v)::BIGINT AS row_max
-FROM vis GROUP BY tile, gr""",
-        "image_autocorr": f"""
-WITH {sqlgen.pixels_sql(300)}
-SELECT printf('img%012d', i) AS image_id,
-       count(*)::BIGINT AS n_px,
-       sum(v)::BIGINT AS s,
-       sum(v * v)::BIGINT AS ss,
-       sum(CASE WHEN r < h - 1
-           THEN v * (((r + 1) * h + c * w + i) % 256) ELSE 0 END)::BIGINT
-         AS lag_v,
-       sum(CASE WHEN c < w - 1
-           THEN v * ((r * h + (c + 1) * w + i) % 256) ELSE 0 END)::BIGINT
-         AS lag_h
-FROM px GROUP BY i""",
         "image_shift_detect": f"""
 WITH {sqlgen.pixels_sql(300)},
 prof AS (SELECT i, r, sum(v)::BIGINT AS v FROM px GROUP BY i, r),
@@ -8416,6 +8361,126 @@ WHERE NOT EXISTS (
   WHERE l2.pid = l.pid AND (
     l2.sad * l.n < l.sad * l2.n
     OR (l2.sad * l.n = l.sad * l2.n AND l2.d < l.d)))""",
+        "image_autocorr": f"""
+WITH {sqlgen.pixels_sql(300)}
+SELECT printf('img%012d', i) AS image_id,
+       count(*)::BIGINT AS n_px,
+       sum(v)::BIGINT AS s,
+       sum(v * v)::BIGINT AS ss,
+       sum(CASE WHEN r < h - 1
+           THEN v * (((r + 1) * h + c * w + i) % 256) ELSE 0 END)::BIGINT
+         AS lag_v,
+       sum(CASE WHEN c < w - 1
+           THEN v * ((r * h + (c + 1) * w + i) % 256) ELSE 0 END)::BIGINT
+         AS lag_h
+FROM px GROUP BY i""",
+        "tile_horizon": f"""
+WITH {_scene_blocks(2000)},
+mos AS (
+  SELECT tile, gr, gc, max(m)::BIGINT AS v
+  FROM blk GROUP BY tile, gr, gc),
+vis AS (
+  SELECT tile, gr, gc, v,
+         CASE WHEN v > coalesce(max(v) OVER (
+             PARTITION BY tile, gr ORDER BY gc
+             ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), -1)
+         THEN 1 ELSE 0 END AS viz
+  FROM mos)
+SELECT tile, gr::BIGINT AS gr, sum(viz)::BIGINT AS n_visible,
+       max(v)::BIGINT AS row_max
+FROM vis GROUP BY tile, gr""",
+        "tile_clear_composite": f"""
+WITH {_scene_blocks(2000)}
+SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
+       count(*)::BIGINT AS n_img,
+       sum(CASE WHEN m < 200 THEN 1 ELSE 0 END)::BIGINT AS n_clear,
+       coalesce(max(m) FILTER (WHERE m < 200), -1)::BIGINT AS max_clear
+FROM blk GROUP BY tile, gr, gc""",
+        "tile_gradient": f"""
+WITH {_scene_blocks(2000)},
+{sqlgen.gradient_ctes()}
+SELECT tile, gr, gc, gx::BIGINT AS gx, gy::BIGINT AS gy,
+       (abs(gx) + abs(gy))::BIGINT AS g1
+FROM grad""",
+        "tile_flow_d8": f"""
+WITH {_scene_blocks(2000)},
+{sqlgen.d8_ctes()}
+SELECT tile, gr, gc, code::BIGINT AS dir,
+       greatest(best, 0)::BIGINT AS "drop"
+FROM sc""",
+        "tile_flow_accum": f"""
+WITH RECURSIVE {_scene_blocks(2000)},
+{sqlgen.d8_flow_ctes()},
+rec AS (
+  SELECT tile, gr, gc, tile AS ct, gr AS cr, gc AS cc FROM d8
+  UNION ALL
+  SELECT r.tile, r.gr, r.gc, f.dtile, f.dgr, f.dgc
+  FROM rec r JOIN flow f ON f.tile = r.ct AND f.gr = r.cr
+                        AND f.gc = r.cc)
+SELECT ct AS tile, cr AS gr, cc AS gc, count(*)::BIGINT AS acc
+FROM rec GROUP BY 1, 2, 3""",
+        "tile_basins": f"""
+WITH RECURSIVE {_scene_blocks(2000)},
+{sqlgen.d8_flow_ctes()},
+walk AS (
+  SELECT tile, gr, gc, v, tile AS ct, gr AS cr, gc AS cc FROM d8
+  UNION ALL
+  SELECT w.tile, w.gr, w.gc, w.v, f.dtile, f.dgr, f.dgc
+  FROM walk w JOIN flow f ON f.tile = w.ct AND f.gr = w.cr
+                         AND f.gc = w.cc),
+term AS (
+  SELECT * FROM walk w
+  WHERE NOT EXISTS (SELECT 1 FROM flow f WHERE f.tile = w.ct
+                    AND f.gr = w.cr AND f.gc = w.cc))
+SELECT t.ct AS tile, t.cr AS gr, t.cc AS gc,
+       any_value(s.v)::BIGINT AS v_sink,
+       count(*)::BIGINT AS n_cells,
+       sum(t.v)::BIGINT AS sum_v
+FROM term t JOIN d8 s ON s.tile = t.ct AND s.gr = t.cr AND s.gc = t.cc
+GROUP BY 1, 2, 3""",
+        "tile_tri": f"""
+WITH {_scene_blocks(2000)},
+{sqlgen.mosaic_gather_ctes([(0, 1), (1, 1), (1, 0), (1, -1),
+                           (0, -1), (-1, -1), (-1, 0), (-1, 1)])}
+SELECT tile, gr, gc, sum(abs(vc - v))::BIGINT AS tri
+FROM j GROUP BY tile, gr, gc HAVING count(*) = 8""",
+        "tile_aspect": f"""
+WITH {_scene_blocks(2000)},
+{sqlgen.gradient_ctes()},
+gr2 AS (
+  SELECT substr(tile, 1, 2) AS continent,
+         (-gx)::BIGINT AS u, (-gy)::BIGINT AS w
+  FROM grad),
+cls AS (
+  SELECT continent,
+    CASE WHEN u = 0 AND w = 0 THEN 0
+         WHEN abs(u) > abs(w) AND u > 0 THEN 1
+         WHEN abs(u) > abs(w) THEN 5
+         WHEN abs(w) > abs(u) AND w > 0 THEN 3
+         WHEN abs(w) > abs(u) THEN 7
+         WHEN u > 0 AND w > 0 THEN 2
+         WHEN u < 0 AND w > 0 THEN 4
+         WHEN u < 0 AND w < 0 THEN 6
+         ELSE 8 END AS aspect
+  FROM gr2)
+SELECT continent, aspect::BIGINT AS aspect, count(*)::BIGINT AS n
+FROM cls GROUP BY continent, aspect""",
+        "coverage_gini": f"""
+WITH cnt AS (
+  SELECT tile, count(*)::BIGINT AS c
+  FROM {_oracle_lookup('image_tiles.parquet')} WHERE i < 2000
+  GROUP BY tile),
+r AS (
+  SELECT substr(tile, 1, 2) AS cont, c,
+         row_number() OVER (PARTITION BY substr(tile, 1, 2)
+                            ORDER BY c) AS rk
+  FROM cnt)
+SELECT cont, count(*)::BIGINT AS n_tiles, sum(c)::BIGINT AS total,
+       (2 * sum(rk * c) - (count(*) + 1) * sum(c))::BIGINT AS gini_num,
+       (count(*) * sum(c))::BIGINT AS gini_den,
+       (1000 * (2 * sum(rk * c) - (count(*) + 1) * sum(c))
+        // (count(*) * sum(c)))::BIGINT AS gini_pm
+FROM r GROUP BY cont""",
         "tile_coverage": f"""
 WITH cnt AS (
   SELECT tile, count(*)::BIGINT AS n
@@ -8436,439 +8501,61 @@ seen AS (
 SELECT s.continent, i.n_zone, i.n_land_zone, s.n_seen, s.n_land_seen,
        s.n_scenes, (s.n_seen * 1000 // i.n_zone)::BIGINT AS cover_pm
 FROM seen s JOIN inv i USING (continent)""",
-        "ipc_lineitem_rollup": (
-            "SELECT l_returnflag, l_linestatus, count(*)::BIGINT AS n, "
-            "sum(CAST(round(l_extendedprice * 100) AS BIGINT))::BIGINT "
-            "AS sum_cents, max(l_orderkey)::BIGINT AS max_key "
-            "FROM lineitem GROUP BY 1, 2"
-        ),
-        "csv_orders_rollup": """
-SELECT o_orderstatus, o_orderpriority, count(*)::BIGINT AS n,
-       min(o_orderkey)::BIGINT AS min_key,
-       max(o_orderkey)::BIGINT AS max_key
-FROM orders GROUP BY o_orderstatus, o_orderpriority""",
-        "jsonl_events_rollup": """
-SELECT event_type, count(*)::BIGINT AS n,
-       max(event_id)::BIGINT AS max_event,
-       sum(user_id)::BIGINT AS sum_users
-FROM events GROUP BY event_type""",
-        "compact_docs": """
-SELECT source, count(*)::BIGINT AS n, sum(n_chars)::BIGINT AS sum_chars,
-       sum(doc_id)::BIGINT AS sum_id, min(doc_id)::BIGINT AS min_id,
-       max(doc_id)::BIGINT AS max_id
-FROM documents GROUP BY source""",
-        "aoi_point_report": f"""
-WITH p AS (
-  SELECT k AS poly_id, 10000000 + (k * 14500077) % 340000000 AS cx,
-         10000000 + (k * 7700143) % 160000000 AS cy,
-         2000000 + (k * 333337) % 8000000 AS r
-  FROM range(24) t(k)),
-d(v, dx, dy) AS (VALUES (0, 2, 0), (1, 1, 1), (2, 0, 2), (3, -1, 1),
-                        (4, -2, 0), (5, -1, -1), (6, 0, -2), (7, 1, -1)),
-vert AS (SELECT poly_id, v, cx + r * dx AS vx, cy + r * dy AS vy
-         FROM p, d),
-edge AS (
-  SELECT a.poly_id, a.vx AS x1, a.vy AS y1, b.vx AS x2, b.vy AS y2
-  FROM vert a JOIN vert b
-    ON b.poly_id = a.poly_id AND b.v = (a.v + 1) % 8),
-pt AS (
-  SELECT (l_orderkey * {_LONMUL}) % {_LONMOD} AS px,
-         (l_partkey * {_LATMUL}) % {_LATMOD} AS py,
-         l_orderkey AS v, count(*) AS w
-  FROM lineitem GROUP BY 1, 2, 3),
-crs AS (
-  SELECT e.poly_id, c.px, c.py, c.v, any_value(c.w) AS w,
-         count(*) AS nc
-  FROM edge e JOIN pt c
-    ON ((e.y1 > c.py) <> (e.y2 > c.py))
-   AND (CASE WHEN e.y2 > e.y1
-        THEN (e.x2 - e.x1) * (c.py - e.y1)
-             - (c.px - e.x1) * (e.y2 - e.y1) > 0
-        ELSE (e.x2 - e.x1) * (c.py - e.y1)
-             - (c.px - e.x1) * (e.y2 - e.y1) < 0 END)
-  GROUP BY e.poly_id, c.px, c.py, c.v)
-SELECT poly_id, sum(w)::BIGINT AS n_cells,
-       sum(px * w)::BIGINT AS sum_px, sum(py * w)::BIGINT AS sum_py,
-       sum(v * w)::BIGINT AS sum_v, max(v)::BIGINT AS max_v
-FROM crs WHERE nc % 2 = 1 GROUP BY poly_id""",
-        "rasterize_polys": """
-WITH p AS (
-  SELECT k AS poly_id, 200 + (k * 977) % 2800 AS cx,
-         200 + (k * 1409) % 2800 AS cy, 50 + (k * 13) % 200 AS r
-  FROM range(24) t(k)),
-d(v, dx, dy) AS (VALUES (0, 2, 0), (1, 1, 1), (2, 0, 2), (3, -1, 1),
-                        (4, -2, 0), (5, -1, -1), (6, 0, -2), (7, 1, -1)),
-vert AS (SELECT poly_id, v, cx + r * dx AS vx, cy + r * dy AS vy
-         FROM p, d),
-edge AS (
-  SELECT a.poly_id, a.vx AS x1, a.vy AS y1, b.vx AS x2, b.vy AS y2
-  FROM vert a JOIN vert b
-    ON b.poly_id = a.poly_id AND b.v = (a.v + 1) % 8),
-cell AS (SELECT (i // 100) * 32 + 16 AS px, (i % 100) * 32 + 16 AS py
-         FROM range(10000) t(i)),
-crs AS (
-  SELECT e.poly_id, c.px, c.py
-  FROM edge e JOIN cell c
-    ON ((e.y1 > c.py) <> (e.y2 > c.py))
-   AND (CASE WHEN e.y2 > e.y1
-        THEN (e.x2 - e.x1) * (c.py - e.y1)
-             - (c.px - e.x1) * (e.y2 - e.y1) > 0
-        ELSE (e.x2 - e.x1) * (c.py - e.y1)
-             - (c.px - e.x1) * (e.y2 - e.y1) < 0 END)),
-par AS (SELECT poly_id, px, py FROM crs
-        GROUP BY poly_id, px, py HAVING count(*) % 2 = 1)
-SELECT poly_id, count(*)::BIGINT AS n_cells,
-       sum(px)::BIGINT AS sum_px, sum(py)::BIGINT AS sum_py
-FROM par GROUP BY poly_id""",
-        "poly_stats": """
-WITH p AS (SELECT k AS poly_id, 3 + k % 6 AS nv FROM range(20000) t(k)),
-vert AS (
-  SELECT poly_id, nv, v.v AS v,
-         (poly_id * 131 + v.v * 977) % 2000 AS x,
-         (poly_id * 197 + v.v * 1409) % 2000 AS y
-  FROM p, LATERAL (SELECT unnest(range(nv)) AS v) v),
+        "tile_clusters": f"""
+WITH RECURSIVE
+cnt AS (
+  SELECT tile, count(*)::BIGINT AS n
+  FROM {_oracle_lookup('image_tiles.parquet')}
+  WHERE i < 2000 GROUP BY tile),
+{sqlgen.lattice_cte('cnt', 'tile, n')},
 e AS (
-  SELECT a.poly_id, a.nv, a.x AS x1, a.y AS y1, b.x AS x2, b.y AS y2
-  FROM vert a JOIN vert b
-    ON b.poly_id = a.poly_id AND b.v = (a.v + 1) % a.nv)
-SELECT poly_id, max(nv)::BIGINT AS nv,
-       sum(x1 * y2 - x2 * y1)::BIGINT AS area2,
-       sum((x2 - x1) * (x2 - x1) + (y2 - y1) * (y2 - y1))::BIGINT
-         AS edge_sq,
-       sum((x1 + x2) * (x1 * y2 - x2 * y1))::BIGINT AS cx6a,
-       sum((y1 + y2) * (x1 * y2 - x2 * y1))::BIGINT AS cy6a,
-       min(x1)::BIGINT AS min_x, max(x1)::BIGINT AS max_x,
-       min(y1)::BIGINT AS min_y, max(y1)::BIGINT AS max_y
-FROM e GROUP BY poly_id""",
-        "poly_simplify": """
-WITH RECURSIVE p AS (
-  SELECT k AS poly_id, 3 + k % 6 AS nv FROM range(20000) t(k)),
-vert AS (
-  SELECT poly_id, nv, v.v AS v,
-         (poly_id * 131 + v.v * 977) % 2000 AS x,
-         (poly_id * 197 + v.v * 1409) % 2000 AS y
-  FROM p, LATERAL (SELECT unnest(range(nv)) AS v) v),
-walk(poly_id, pos, nv, lx, ly, kept, cks) AS (
-  SELECT poly_id, 0, nv, x, y, 1::BIGINT, (x + 7 * y)::BIGINT
-  FROM vert WHERE v = 0
-  UNION ALL
-  SELECT w.poly_id, w.pos + 1, w.nv,
-         CASE WHEN (v.x - w.lx) * (v.x - w.lx)
-                 + (v.y - w.ly) * (v.y - w.ly) > 250000
-              THEN v.x ELSE w.lx END,
-         CASE WHEN (v.x - w.lx) * (v.x - w.lx)
-                 + (v.y - w.ly) * (v.y - w.ly) > 250000
-              THEN v.y ELSE w.ly END,
-         w.kept + CASE WHEN (v.x - w.lx) * (v.x - w.lx)
-                          + (v.y - w.ly) * (v.y - w.ly) > 250000
-                  THEN 1 ELSE 0 END,
-         w.cks + CASE WHEN (v.x - w.lx) * (v.x - w.lx)
-                         + (v.y - w.ly) * (v.y - w.ly) > 250000
-                 THEN v.x + 7 * v.y ELSE 0 END
-  FROM walk w JOIN vert v
-    ON v.poly_id = w.poly_id AND v.v = w.pos + 1)
-SELECT poly_id, nv::BIGINT AS nv, kept AS n_kept, cks AS kept_cksum
-FROM walk WHERE pos = nv - 1""",
-        "image_quadtree": """
-WITH img AS (SELECT 9 * k AS i FROM range(100) t(k)),
-px AS (
-  SELECT i, r.r AS r, c.c AS c, ((r.r * 32 + c.c * 32 + i) % 256) AS v
-  FROM img,
-  LATERAL (SELECT unnest(range(32)) AS r) r,
-  LATERAL (SELECT unnest(range(32)) AS c) c),
-lvl AS (
-  SELECT i, l.l AS l, r // (32 // (1 << l.l)) AS br,
-         c // (32 // (1 << l.l)) AS bc,
-         max(v) - min(v) AS rng
-  FROM px, LATERAL (SELECT unnest(range(4)) AS l) l
-  GROUP BY i, l.l, br, bc),
-j3 AS (
-  SELECT b.i, b.l, b.rng, p1.rng AS r1, p2.rng AS r2, p3.rng AS r3
-  FROM lvl b
-  LEFT JOIN lvl p1 ON p1.i = b.i AND p1.l = b.l - 1
-    AND p1.br = b.br // 2 AND p1.bc = b.bc // 2
-  LEFT JOIN lvl p2 ON p2.i = b.i AND p2.l = b.l - 2
-    AND p2.br = b.br // 4 AND p2.bc = b.bc // 4
-  LEFT JOIN lvl p3 ON p3.i = b.i AND p3.l = b.l - 3
-    AND p3.br = b.br // 8 AND p3.bc = b.bc // 8),
-leaf AS (
-  SELECT i, l FROM j3
-  WHERE COALESCE(r1 > 60, true) AND COALESCE(r2 > 60, true)
-    AND COALESCE(r3 > 60, true) AND (rng <= 60 OR l = 3))
-SELECT printf('img%012d', i) AS image_id, count(*)::BIGINT AS n_leaves,
-       sum(l)::BIGINT AS depth_sum,
-       (count(*) FILTER (WHERE l = 3))::BIGINT AS n_deepest
-FROM leaf GROUP BY i""",
-        "image_template": """
-WITH img AS (SELECT 9 * k AS i FROM range(100) t(k)),
-pos AS (
-  SELECT i, pr.pr AS pr, pc2.pc AS pc FROM img,
-  LATERAL (SELECT unnest(range(25)) AS pr) pr,
-  LATERAL (SELECT unnest(range(25)) AS pc) pc2),
-sadt AS (
-  SELECT p.i, p.pr, p.pc,
-    sum(abs((((p.pr + d.dr) * 32 + (p.pc + d.dc) * 32 + p.i) % 256)
-            - ((d.dr * 13 + d.dc * 7 + 3) % 256)))::BIGINT AS sad
-  FROM pos p,
-  LATERAL (SELECT a.a // 8 AS dr, a.a % 8 AS dc
-           FROM (SELECT unnest(range(64)) AS a) a) d
-  GROUP BY p.i, p.pr, p.pc),
-mn AS (SELECT i, min(sad) AS m, sum(sad) AS tot FROM sadt GROUP BY i),
-win AS (
-  SELECT s.i, s.sad, s.pr, s.pc, mn.tot,
-         row_number() OVER (PARTITION BY s.i ORDER BY s.pr, s.pc) AS rn
-  FROM sadt s JOIN mn ON mn.i = s.i AND s.sad = mn.m)
-SELECT printf('img%012d', i) AS image_id, sad::BIGINT AS best_sad,
-       pr::BIGINT AS best_pr, pc::BIGINT AS best_pc,
-       tot::BIGINT AS sad_sum
-FROM win WHERE rn = 1""",
-        "doc_chunks": """
-WITH toks AS (
-  SELECT doc_id, string_split(text, ' ') AS t,
-         len(string_split(text, ' ')) AS n
-  FROM documents),
-ch AS (
-  SELECT doc_id, t, n, s.s AS chunk_idx, s.s * 24 AS tok_start,
-         least(32, n - s.s * 24) AS n_toks
-  FROM toks,
-  LATERAL (SELECT unnest(range(
-      1 + CASE WHEN n > 32 THEN (n - 32 + 23) // 24 ELSE 0 END)) AS s) s)
-SELECT doc_id, chunk_idx, tok_start, n_toks::BIGINT AS n_toks,
-       length(array_to_string(t[tok_start + 1 : tok_start + n_toks],
-                              ' '))::BIGINT AS n_chars
-FROM ch""",
-        "header_audit": """
-WITH img AS (
-  SELECT i, CASE WHEN i % 2 = 0 THEN 'raw' ELSE 'png' END AS fmt
-  FROM range(2000) t(i)),
+  SELECT a.tile AS ta, b.tile AS tb
+  FROM par a JOIN par b ON a.ck = b.ck
+   AND ((abs(a.te - b.te) = 6 AND a.tn = b.tn)
+     OR (a.te = b.te AND abs(a.tn - b.tn) = 6))
+  UNION ALL SELECT tile, tile FROM par),
 r AS (
-  SELECT fmt,
-    CASE WHEN fmt = 'png' AND i % 13 = 5 THEN 'bad_sig'
-         WHEN i % 11 = 3 THEN 'dim_mismatch'
-         ELSE 'ok' END AS reason
-  FROM img)
-SELECT fmt, reason, count(*)::BIGINT AS n FROM r GROUP BY fmt, reason""",
-        "poly_zonal": f"""
-WITH {sqlgen.poly_cells_ctes(_scene_blocks(2000))}
-SELECT h.poly_id, count(*)::BIGINT AS n_cells,
-       sum(h.cpx)::BIGINT AS sum_px, sum(h.cpy)::BIGINT AS sum_py,
-       sum(c.v)::BIGINT AS sum_v, max(c.v)::BIGINT AS max_v
-FROM hit h JOIN cell c ON c.cpx = h.cpx AND c.cpy = h.cpy
-GROUP BY h.poly_id""",
-        "tile_similarity": f"""
+  SELECT tile, tile AS lbl FROM par
+  UNION
+  SELECT e.ta AS tile, r.lbl FROM e JOIN r ON r.tile = e.tb),
+comp AS (SELECT tile, min(lbl) AS comp_tile FROM r GROUP BY tile)
+SELECT c.comp_tile, count(*)::BIGINT AS n_tiles,
+       sum(p.n)::BIGINT AS n_scenes
+FROM comp c JOIN par p USING (tile) GROUP BY c.comp_tile""",
+        "tile_kring": f"""
+WITH cnt AS (
+  SELECT tile, count(*)::BIGINT AS x
+  FROM {_oracle_lookup('image_tiles.parquet')}
+  WHERE i < 2000 GROUP BY tile),
+{sqlgen.lattice_cte('cnt', 'tile, x')}
+SELECT a.tile, count(*)::BIGINT AS n_nbrs,
+       sum(b.x)::BIGINT AS nbr_scenes
+FROM par a JOIN par b
+  ON a.ck = b.ck AND abs(a.te - b.te) <= 12 AND abs(a.tn - b.tn) <= 12
+GROUP BY a.tile""",
+        "tile_cost_distance": cost_distance_sql,
+        "best_scene_topk": f"""
 WITH {_scene_blocks(2000)},
-mos AS (
-  SELECT tile, gr, gc, max(m)::BIGINT AS v
-  FROM blk GROUP BY tile, gr, gc)
-SELECT a.tile AS tile_a, b.tile AS tile_b,
-       sum((a.v - b.v) * (a.v - b.v))::BIGINT AS d2
-FROM mos a JOIN mos b
-  ON a.gr = b.gr AND a.gc = b.gc
- AND substr(a.tile, 1, 2) = substr(b.tile, 1, 2) AND a.tile < b.tile
-GROUP BY a.tile, b.tile
-HAVING sum((a.v - b.v) * (a.v - b.v)) <= 2000""",
-        "poly_majority": f"""
-WITH {sqlgen.poly_cells_ctes(_scene_blocks(2000))},
-vc AS (
-  SELECT h.poly_id, c.v, count(*)::BIGINT AS n
-  FROM hit h JOIN cell c ON c.cpx = h.cpx AND c.cpy = h.cpy
-  GROUP BY h.poly_id, c.v),
-rk AS (
-  SELECT poly_id, v, n, count(*) OVER (PARTITION BY poly_id) AS n_vals,
-         row_number() OVER (PARTITION BY poly_id
-                            ORDER BY n DESC, v) AS rn
-  FROM vc)
-SELECT poly_id, v::BIGINT AS mode_v, n::BIGINT AS mode_n,
-       n_vals::BIGINT AS n_vals
-FROM rk WHERE rn = 1""",
-        "image_quality_gate": f"""
-WITH {sqlgen.pixels_sql(300)},
-rngx AS (SELECT i, (max(v) - min(v))::BIGINT AS pr FROM px GROUP BY i),
-e AS (
-  SELECT i,
-    abs(  (((r.r - 1) * h + (c.c + 1) * w + i) % 256)
-        + 2 * (((r.r) * h + (c.c + 1) * w + i) % 256)
-        + (((r.r + 1) * h + (c.c + 1) * w + i) % 256)
-        - (((r.r - 1) * h + (c.c - 1) * w + i) % 256)
-        - 2 * (((r.r) * h + (c.c - 1) * w + i) % 256)
-        - (((r.r + 1) * h + (c.c - 1) * w + i) % 256))
-  + abs(  (((r.r + 1) * h + (c.c - 1) * w + i) % 256)
-        + 2 * (((r.r + 1) * h + (c.c) * w + i) % 256)
-        + (((r.r + 1) * h + (c.c + 1) * w + i) % 256)
-        - (((r.r - 1) * h + (c.c - 1) * w + i) % 256)
-        - 2 * (((r.r - 1) * h + (c.c) * w + i) % 256)
-        - (((r.r - 1) * h + (c.c + 1) * w + i) % 256)) AS g,
-    (h - 2) * (w - 2) AS ni
-  FROM img,
-  LATERAL (SELECT unnest(range(1, h - 1)) AS r) r,
-  LATERAL (SELECT unnest(range(1, w - 1)) AS c) c),
-ec AS (SELECT i, (count(*) FILTER (WHERE g >= 256))::BIGINT AS edge_px,
-              any_value(ni)::BIGINT AS ni
-       FROM e GROUP BY i)
-SELECT printf('img%012d', ec.i) AS image_id,
-       CASE WHEN r2.pr < 192 THEN 'low_range'
-            WHEN ec.edge_px * 20 < ec.ni THEN 'smooth'
-            WHEN ec.edge_px * 5 > 3 * ec.ni THEN 'busy'
-            ELSE 'ok' END AS reason,
-       ec.edge_px, r2.pr AS px_range
-FROM ec JOIN rngx r2 ON r2.i = ec.i""",
-        "image_hog": f"""
-WITH {sqlgen.img_cte(300)},
-g AS (
-  SELECT i,
-    (  (((r.r - 1) * h + (c.c + 1) * w + i) % 256)
-     + 2 * (((r.r) * h + (c.c + 1) * w + i) % 256)
-     + (((r.r + 1) * h + (c.c + 1) * w + i) % 256)
-     - (((r.r - 1) * h + (c.c - 1) * w + i) % 256)
-     - 2 * (((r.r) * h + (c.c - 1) * w + i) % 256)
-     - (((r.r + 1) * h + (c.c - 1) * w + i) % 256)) AS gx,
-    (  (((r.r + 1) * h + (c.c - 1) * w + i) % 256)
-     + 2 * (((r.r + 1) * h + (c.c) * w + i) % 256)
-     + (((r.r + 1) * h + (c.c + 1) * w + i) % 256)
-     - (((r.r - 1) * h + (c.c - 1) * w + i) % 256)
-     - 2 * (((r.r - 1) * h + (c.c) * w + i) % 256)
-     - (((r.r - 1) * h + (c.c + 1) * w + i) % 256)) AS gy
-  FROM img,
-  LATERAL (SELECT unnest(range(1, h - 1)) AS r) r,
-  LATERAL (SELECT unnest(range(1, w - 1)) AS c) c),
-q AS (
-  SELECT i, gx, gy,
-    2 * (CASE WHEN gy < 0 THEN 1 ELSE 0 END)
-      + (CASE WHEN (gx < 0) <> (gy < 0) THEN 1 ELSE 0 END) AS qd
-  FROM g WHERE gx <> 0 OR gy <> 0),
-b AS (
-  SELECT i, 2 * qd + (CASE WHEN (abs(gx) <= abs(gy)) <> (qd % 2 = 1)
-                      THEN 1 ELSE 0 END) AS bin
-  FROM q),
-agg AS (
-  SELECT i,
-    (count(*) FILTER (WHERE bin = 0))::BIGINT AS o0,
-    (count(*) FILTER (WHERE bin = 1))::BIGINT AS o1,
-    (count(*) FILTER (WHERE bin = 2))::BIGINT AS o2,
-    (count(*) FILTER (WHERE bin = 3))::BIGINT AS o3,
-    (count(*) FILTER (WHERE bin = 4))::BIGINT AS o4,
-    (count(*) FILTER (WHERE bin = 5))::BIGINT AS o5,
-    (count(*) FILTER (WHERE bin = 6))::BIGINT AS o6,
-    (count(*) FILTER (WHERE bin = 7))::BIGINT AS o7,
-    count(*)::BIGINT AS n_grad
-  FROM b GROUP BY i)
-SELECT printf('img%012d', im.i) AS image_id,
-  coalesce(o0, 0) AS o0, coalesce(o1, 0) AS o1, coalesce(o2, 0) AS o2,
-  coalesce(o3, 0) AS o3, coalesce(o4, 0) AS o4, coalesce(o5, 0) AS o5,
-  coalesce(o6, 0) AS o6, coalesce(o7, 0) AS o7,
-  coalesce(n_grad, 0) AS n_grad
-FROM img im LEFT JOIN agg ON agg.i = im.i""",
-        "video_cuts": f"""
-WITH {sqlgen.img_cte(200)},
-d AS (
-  SELECT i, f.f AS f, any_value(w) AS w,
-    sum(abs((((f.f + 1) * h + c.c * w + i) % 256)
-          - ((f.f * h + c.c * w + i) % 256)))::BIGINT AS sad
-  FROM img,
-  LATERAL (SELECT unnest(range(h - 1)) AS f) f,
-  LATERAL (SELECT unnest(range(w)) AS c) c
-  GROUP BY i, f.f)
-SELECT printf('img%012d', im.i) AS image_id,
-  im.h::BIGINT AS n_frames,
-  (count(*) FILTER (WHERE 4 * sad >= 255 * d.w))::BIGINT AS n_cuts,
-  max(sad)::BIGINT AS max_sad,
-  sum(sad)::BIGINT AS sad_sum
-FROM img im JOIN d ON d.i = im.i
-GROUP BY im.i, im.h""",
-        "audio_autocorr": f"""
-WITH {sqlgen.pcm_samples_sql(400)},
-l(lag) AS (VALUES (1), (2), (4), (8)),
-ac AS (
-  SELECT a.i, l.lag, sum(a.v * b.v)::BIGINT AS ac
-  FROM sv a CROSS JOIN l
-  JOIN sv b ON b.i = a.i AND b.k = a.k + l.lag
-  GROUP BY a.i, l.lag),
-wide AS (
-  SELECT i,
-    max(CASE WHEN lag = 1 THEN ac END)::BIGINT AS ac1,
-    max(CASE WHEN lag = 2 THEN ac END)::BIGINT AS ac2,
-    max(CASE WHEN lag = 4 THEN ac END)::BIGINT AS ac4,
-    max(CASE WHEN lag = 8 THEN ac END)::BIGINT AS ac8
-  FROM ac GROUP BY i)
-SELECT printf('img%012d', w2.i) AS image_id,
-  ((im.w * im.h) // 2)::BIGINT AS n_samples,
-  ac1, ac2, ac4, ac8,
-  (CASE WHEN ac1 >= ac2 AND ac1 >= ac4 AND ac1 >= ac8 THEN 1
-        WHEN ac2 >= ac4 AND ac2 >= ac8 THEN 2
-        WHEN ac4 >= ac8 THEN 4 ELSE 8 END)::BIGINT AS best_lag
-FROM wide w2 JOIN img im ON im.i = w2.i""",
-        "tile_trend": f"""
-WITH {_scene_blocks(2000)},
-s AS (
-  SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
-         count(*)::HUGEINT AS n, sum(i)::HUGEINT AS st,
-         sum(m)::HUGEINT AS sv, sum(i * m)::HUGEINT AS stv,
-         sum(i * i)::HUGEINT AS stt
-  FROM blk GROUP BY tile, gr, gc)
-SELECT tile, gr, gc, CAST(n AS BIGINT) AS n_sc,
-       CAST(n * stv - st * sv AS BIGINT) AS slope_num,
-       CAST(n * stt - st * st AS BIGINT) AS slope_den,
-       CAST(CASE WHEN n * stt - st * st = 0 THEN 0
-            ELSE (1000000 * (n * stv - st * sv)) // (n * stt - st * st)
-            END AS BIGINT) AS trend_q6
-FROM s""",
-        "tile_mk_trend": f"""
-WITH {_scene_blocks(2000)},
-p AS (
-  SELECT a.tile, a.gr, a.gc,
-         sum(CASE WHEN b.m > a.m THEN 1 WHEN b.m < a.m THEN -1
-             ELSE 0 END) AS s
-  FROM blk a JOIN blk b
-    ON b.tile = a.tile AND b.gr = a.gr AND b.gc = a.gc AND b.i > a.i
-  GROUP BY a.tile, a.gr, a.gc),
-n AS (SELECT tile, gr, gc, count(*) AS n FROM blk
-      GROUP BY tile, gr, gc)
-SELECT n.tile, CAST(n.gr AS INT) AS gr, CAST(n.gc AS INT) AS gc,
-       n.n::BIGINT AS n_sc, COALESCE(p.s, 0)::BIGINT AS mk_s,
-       (n.n * (n.n - 1) // 2)::BIGINT AS n_pairs
-FROM n LEFT JOIN p
-  ON p.tile = n.tile AND p.gr = n.gr AND p.gc = n.gc""",
-        "cell_geohash": f"""
-WITH c AS (
-  SELECT (((l_orderkey * {_LONMUL}) % {_LONMOD}) * 1024) // {_LONMOD} AS ix,
-         (((l_partkey * {_LATMUL}) % {_LATMOD}) * 1024) // {_LATMOD} AS iy
-  FROM lineitem),
-zz AS (
-  SELECT ((ix >> 9) & 1) * 524288 + ((ix >> 8) & 1) * 131072 + ((ix >> 7) & 1) * 32768 + ((ix >> 6) & 1) * 8192 + ((ix >> 5) & 1) * 2048 + ((ix >> 4) & 1) * 512 + ((ix >> 3) & 1) * 128 + ((ix >> 2) & 1) * 32 + ((ix >> 1) & 1) * 8 + ((ix >> 0) & 1) * 2 + ((iy >> 9) & 1) * 262144 + ((iy >> 8) & 1) * 65536 + ((iy >> 7) & 1) * 16384 + ((iy >> 6) & 1) * 4096 + ((iy >> 5) & 1) * 1024 + ((iy >> 4) & 1) * 256 + ((iy >> 3) & 1) * 64 + ((iy >> 2) & 1) * 16 + ((iy >> 1) & 1) * 4 + ((iy >> 0) & 1) * 1 AS z
-  FROM c),
-k AS (
-  SELECT substr('0123456789bcdefghjkmnpqrstuvwxyz', (CAST((z >> 15) AS BIGINT) & 31)::INT + 1, 1) || substr('0123456789bcdefghjkmnpqrstuvwxyz', (CAST((z >> 10) AS BIGINT) & 31)::INT + 1, 1) || substr('0123456789bcdefghjkmnpqrstuvwxyz', (CAST((z >> 5) AS BIGINT) & 31)::INT + 1, 1) || substr('0123456789bcdefghjkmnpqrstuvwxyz', (CAST((z >> 0) AS BIGINT) & 31)::INT + 1, 1) AS geohash
-  FROM zz)
-SELECT geohash, count(*)::BIGINT AS n FROM k GROUP BY geohash""",
-        "cell_quadkey": f"""
-WITH c AS (
-  SELECT (((l_orderkey * {_LONMUL}) % {_LONMOD}) * 512) // {_LONMOD} AS ix,
-         (((l_partkey * {_LATMUL}) % {_LATMOD}) * 512) // {_LATMOD} AS iy
-  FROM lineitem),
-k AS (
-  SELECT {" || ".join(
-      f"chr((48 + 2 * ((iy >> {8 - k}) & 1) + ((ix >> {8 - k}) & 1))::INT)"
-      for k in range(5))} AS quadkey
-  FROM c)
-SELECT quadkey, count(*)::BIGINT AS n FROM k GROUP BY quadkey""",
-        "embedding_pq": _PQ_CODES_CTES + """
-SELECT vec_id, sum(c << (4 * s))::BIGINT AS pq_code,
-       sum(dd)::BIGINT AS recon_err
-FROM best WHERE rk = 1 GROUP BY vec_id""",
-        "ann_pq_topk": _PQ_CODES_CTES + """,
-codes AS (SELECT vec_id, s, c FROM best WHERE rk = 1),
-qc AS (SELECT s, c AS qcc FROM codes WHERE vec_id = 0),
-lut AS (
-  SELECT a.s, a.c AS c1, b.c AS c2,
-         sum((a.cv - b.cv) * (a.cv - b.cv))::BIGINT AS dd
-  FROM cent a JOIN cent b ON a.s = b.s AND a.d8 = b.d8
-  GROUP BY a.s, a.c, b.c),
-sc AS (
-  SELECT codes.vec_id, sum(lut.dd)::BIGINT AS pq_dist
-  FROM codes JOIN qc ON qc.s = codes.s
-  JOIN lut ON lut.s = codes.s AND lut.c1 = qc.qcc AND lut.c2 = codes.c
-  GROUP BY codes.vec_id)
-SELECT vec_id, pq_dist FROM sc ORDER BY pq_dist, vec_id LIMIT 10""",
+sc AS (SELECT tile, i, sum(m)::BIGINT AS q FROM blk GROUP BY tile, i),
+rk AS (SELECT tile, i, q,
+       row_number() OVER (PARTITION BY tile ORDER BY q DESC, i) AS rn
+       FROM sc)
+SELECT tile, i, q FROM rk WHERE rn <= 2""",
+        "source_checksums": f"""
+WITH fp AS ({{FP_SQL}}),
+u AS (
+  SELECT d.source,
+    CASE WHEN f.fingerprint < 0
+         THEN f.fingerprint::HUGEINT + 18446744073709551616
+         ELSE f.fingerprint::HUGEINT END AS fu
+  FROM fp f JOIN documents d USING (doc_id)),
+s AS (SELECT source, sum(fu) % 18446744073709551616 AS cs,
+             count(*)::BIGINT AS n_docs FROM u GROUP BY source)
+SELECT source,
+  CAST(CASE WHEN cs >= 9223372036854775808
+       THEN cs - 18446744073709551616 ELSE cs END AS BIGINT) AS csum,
+  n_docs
+FROM s""".replace("{FP_SQL}", sqlgen.fingerprint_sql()),
         "tile_gaps": f"""
 SELECT tile, continent
 FROM {_oracle_lookup('tiles_t6.parquet')}
@@ -8922,6 +8609,26 @@ SELECT user_id, min(tsu)::BIGINT AS seg_start,
   (max(tsu) - min(tsu))::BIGINT AS dur_us
 FROM seg GROUP BY user_id, g
 HAVING max(tsu) - min(tsu) >= {_STAY_MIN_DUR_US}""",
+        "od_matrix": """
+WITH pts AS (
+  SELECT user_id, event_id, epoch_us(ts) AS tsu,
+    epoch_us(ts) // 86400000000 AS day,
+    ((user_id * 7919) % 1000000 + (event_id * 131) % 97
+      + CASE WHEN event_id % 7 = 0 THEN 500 ELSE 0 END) // 32 AS cx,
+    ((user_id * 104729) % 1000000 + (event_id * 137) % 89
+      + CASE WHEN event_id % 7 = 0 THEN 500 ELSE 0 END) // 32 AS cy
+  FROM events),
+ranked AS (
+  SELECT *, row_number() OVER w AS rf, row_number() OVER (
+      PARTITION BY user_id, day ORDER BY tsu DESC, event_id DESC) AS rl
+  FROM pts WINDOW w AS (PARTITION BY user_id, day ORDER BY tsu, event_id)),
+trips AS (
+  SELECT f.cx AS o_cx, f.cy AS o_cy, l.cx AS d_cx, l.cy AS d_cy
+  FROM ranked f JOIN ranked l
+    ON f.user_id = l.user_id AND f.day = l.day
+  WHERE f.rf = 1 AND l.rl = 1)
+SELECT o_cx, o_cy, d_cx, d_cy, count(*)::BIGINT AS n_trips
+FROM trips GROUP BY o_cx, o_cy, d_cx, d_cy""",
         "covisit_pairs": """
 WITH pt AS (
   SELECT user_id AS k,
@@ -9643,218 +9350,265 @@ a AS (
 SELECT flag, n, (n * sxy - sx * sy)::BIGINT AS cov_num,
        (n * sxx - sx * sx)::BIGINT AS var_num
 FROM a""",
-        "od_matrix": """
-WITH pts AS (
-  SELECT user_id, event_id, epoch_us(ts) AS tsu,
-    epoch_us(ts) // 86400000000 AS day,
-    ((user_id * 7919) % 1000000 + (event_id * 131) % 97
-      + CASE WHEN event_id % 7 = 0 THEN 500 ELSE 0 END) // 32 AS cx,
-    ((user_id * 104729) % 1000000 + (event_id * 137) % 89
-      + CASE WHEN event_id % 7 = 0 THEN 500 ELSE 0 END) // 32 AS cy
-  FROM events),
-ranked AS (
-  SELECT *, row_number() OVER w AS rf, row_number() OVER (
-      PARTITION BY user_id, day ORDER BY tsu DESC, event_id DESC) AS rl
-  FROM pts WINDOW w AS (PARTITION BY user_id, day ORDER BY tsu, event_id)),
-trips AS (
-  SELECT f.cx AS o_cx, f.cy AS o_cy, l.cx AS d_cx, l.cy AS d_cy
-  FROM ranked f JOIN ranked l
-    ON f.user_id = l.user_id AND f.day = l.day
-  WHERE f.rf = 1 AND l.rl = 1)
-SELECT o_cx, o_cy, d_cx, d_cy, count(*)::BIGINT AS n_trips
-FROM trips GROUP BY o_cx, o_cy, d_cx, d_cy""",
-        "tile_cost_distance": cost_distance_sql,
-        "tile_kring": f"""
-WITH cnt AS (
-  SELECT tile, count(*)::BIGINT AS x
-  FROM {_oracle_lookup('image_tiles.parquet')}
-  WHERE i < 2000 GROUP BY tile),
-{sqlgen.lattice_cte('cnt', 'tile, x')}
-SELECT a.tile, count(*)::BIGINT AS n_nbrs,
-       sum(b.x)::BIGINT AS nbr_scenes
-FROM par a JOIN par b
-  ON a.ck = b.ck AND abs(a.te - b.te) <= 12 AND abs(a.tn - b.tn) <= 12
-GROUP BY a.tile""",
-        "tile_clusters": f"""
-WITH RECURSIVE
-cnt AS (
-  SELECT tile, count(*)::BIGINT AS n
-  FROM {_oracle_lookup('image_tiles.parquet')}
-  WHERE i < 2000 GROUP BY tile),
-{sqlgen.lattice_cte('cnt', 'tile, n')},
-e AS (
-  SELECT a.tile AS ta, b.tile AS tb
-  FROM par a JOIN par b ON a.ck = b.ck
-   AND ((abs(a.te - b.te) = 6 AND a.tn = b.tn)
-     OR (a.te = b.te AND abs(a.tn - b.tn) = 6))
-  UNION ALL SELECT tile, tile FROM par),
-r AS (
-  SELECT tile, tile AS lbl FROM par
-  UNION
-  SELECT e.ta AS tile, r.lbl FROM e JOIN r ON r.tile = e.tb),
-comp AS (SELECT tile, min(lbl) AS comp_tile FROM r GROUP BY tile)
-SELECT c.comp_tile, count(*)::BIGINT AS n_tiles,
-       sum(p.n)::BIGINT AS n_scenes
-FROM comp c JOIN par p USING (tile) GROUP BY c.comp_tile""",
-        "best_scene_topk": f"""
+        "embedding_pq": _PQ_CODES_CTES + """
+SELECT vec_id, sum(c << (4 * s))::BIGINT AS pq_code,
+       sum(dd)::BIGINT AS recon_err
+FROM best WHERE rk = 1 GROUP BY vec_id""",
+        "tile_trend": f"""
 WITH {_scene_blocks(2000)},
-sc AS (SELECT tile, i, sum(m)::BIGINT AS q FROM blk GROUP BY tile, i),
-rk AS (SELECT tile, i, q,
-       row_number() OVER (PARTITION BY tile ORDER BY q DESC, i) AS rn
-       FROM sc)
-SELECT tile, i, q FROM rk WHERE rn <= 2""",
-        "source_checksums": f"""
-WITH fp AS ({{FP_SQL}}),
-u AS (
-  SELECT d.source,
-    CASE WHEN f.fingerprint < 0
-         THEN f.fingerprint::HUGEINT + 18446744073709551616
-         ELSE f.fingerprint::HUGEINT END AS fu
-  FROM fp f JOIN documents d USING (doc_id)),
-s AS (SELECT source, sum(fu) % 18446744073709551616 AS cs,
-             count(*)::BIGINT AS n_docs FROM u GROUP BY source)
-SELECT source,
-  CAST(CASE WHEN cs >= 9223372036854775808
-       THEN cs - 18446744073709551616 ELSE cs END AS BIGINT) AS csum,
-  n_docs
-FROM s""".replace("{FP_SQL}", sqlgen.fingerprint_sql()),
-        "tile_moran": f"""
-WITH cnt AS (
-  SELECT tile, count(*)::BIGINT AS x
-  FROM {_oracle_lookup('image_tiles.parquet')}
-  WHERE i < 2000 GROUP BY tile),
-{sqlgen.lattice_cte('cnt', 'tile, x')},
-st AS (SELECT count(*)::HUGEINT AS n, sum(x)::HUGEINT AS s FROM par),
-d AS (SELECT tile, ck, te, tn, (st.n * x - st.s)::HUGEINT AS dv
-      FROM par, st),
-pr AS (
-  SELECT a.dv AS da, b.dv AS db
-  FROM d a JOIN d b ON a.ck = b.ck
-   AND ((abs(a.te - b.te) = 6 AND a.tn = b.tn)
-     OR (a.te = b.te AND abs(a.tn - b.tn) = 6)))
-SELECT CAST(st.n AS BIGINT) AS n_tiles,
-       CAST((SELECT count(*) FROM pr) AS BIGINT) AS w_pairs,
-       CAST((SELECT COALESCE(sum(da * db), 0) FROM pr) AS BIGINT) AS num,
-       CAST((SELECT sum(dv * dv) FROM d) AS BIGINT) AS den,
-       CAST((1000000000::HUGEINT * st.n
-             * (SELECT COALESCE(sum(da * db), 0) FROM pr))
-            // ((SELECT count(*) FROM pr)::HUGEINT
-                * (SELECT sum(dv * dv) FROM d)) AS BIGINT) AS i_q9
-FROM st""",
-        "coverage_gini": f"""
-WITH cnt AS (
-  SELECT tile, count(*)::BIGINT AS c
-  FROM {_oracle_lookup('image_tiles.parquet')} WHERE i < 2000
-  GROUP BY tile),
-r AS (
-  SELECT substr(tile, 1, 2) AS cont, c,
-         row_number() OVER (PARTITION BY substr(tile, 1, 2)
-                            ORDER BY c) AS rk
-  FROM cnt)
-SELECT cont, count(*)::BIGINT AS n_tiles, sum(c)::BIGINT AS total,
-       (2 * sum(rk * c) - (count(*) + 1) * sum(c))::BIGINT AS gini_num,
-       (count(*) * sum(c))::BIGINT AS gini_den,
-       (1000 * (2 * sum(rk * c) - (count(*) + 1) * sum(c))
-        // (count(*) * sum(c)))::BIGINT AS gini_pm
-FROM r GROUP BY cont""",
-        "tile_revisit": f"""
-WITH seq AS (
-  SELECT tile, i,
-         i - lag(i) OVER (PARTITION BY tile ORDER BY i) AS gap
-  FROM {_oracle_lookup('image_tiles.parquet')} WHERE i < 2000)
-SELECT tile, count(*)::BIGINT AS n_sc,
-       min(i)::BIGINT AS i_min, max(i)::BIGINT AS i_max,
-       COALESCE(max(gap), 0)::BIGINT AS max_gap
-FROM seq GROUP BY tile""",
-        "pii_scrub": f"""
-WITH inj AS (
-  SELECT doc_id,
-    text
-    || CASE WHEN doc_id % 7 = 0
-            THEN ' contact user' || CAST(doc_id AS VARCHAR)
-                 || '@example.com' ELSE '' END
-    || CASE WHEN doc_id % 11 = 0
-            THEN ' call +1 555 000 '
-                 || lpad(CAST(doc_id % 10000 AS VARCHAR), 4, '0')
-                 || ' now' ELSE '' END AS t
-  FROM documents),
-r1 AS (
-  SELECT doc_id,
-    len(regexp_extract_all(t, '{_EMAIL_RE}'))::BIGINT AS n_email,
-    regexp_replace(t, '{_EMAIL_RE}', '<EMAIL>', 'g') AS t2
-  FROM inj)
-SELECT doc_id, n_email,
-  len(regexp_extract_all(t2, '{_PHONE_RE}'))::BIGINT AS n_phone,
-  regexp_replace(t2, '{_PHONE_RE}', '<PHONE>', 'g') AS red_text
-FROM r1""",
-        "image_hough4": f"""
-WITH {sqlgen.img_cte(300)},
+s AS (
+  SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
+         count(*)::HUGEINT AS n, sum(i)::HUGEINT AS st,
+         sum(m)::HUGEINT AS sv, sum(i * m)::HUGEINT AS stv,
+         sum(i * i)::HUGEINT AS stt
+  FROM blk GROUP BY tile, gr, gc)
+SELECT tile, gr, gc, CAST(n AS BIGINT) AS n_sc,
+       CAST(n * stv - st * sv AS BIGINT) AS slope_num,
+       CAST(n * stt - st * st AS BIGINT) AS slope_den,
+       CAST(CASE WHEN n * stt - st * st = 0 THEN 0
+            ELSE (1000000 * (n * stv - st * sv)) // (n * stt - st * st)
+            END AS BIGINT) AS trend_q6
+FROM s""",
+        "tile_mk_trend": f"""
+WITH {_scene_blocks(2000)},
+p AS (
+  SELECT a.tile, a.gr, a.gc,
+         sum(CASE WHEN b.m > a.m THEN 1 WHEN b.m < a.m THEN -1
+             ELSE 0 END) AS s
+  FROM blk a JOIN blk b
+    ON b.tile = a.tile AND b.gr = a.gr AND b.gc = a.gc AND b.i > a.i
+  GROUP BY a.tile, a.gr, a.gc),
+n AS (SELECT tile, gr, gc, count(*) AS n FROM blk
+      GROUP BY tile, gr, gc)
+SELECT n.tile, CAST(n.gr AS INT) AS gr, CAST(n.gc AS INT) AS gc,
+       n.n::BIGINT AS n_sc, COALESCE(p.s, 0)::BIGINT AS mk_s,
+       (n.n * (n.n - 1) // 2)::BIGINT AS n_pairs
+FROM n LEFT JOIN p
+  ON p.tile = n.tile AND p.gr = n.gr AND p.gc = n.gc""",
+        "tile_iqr": f"""
+WITH {_scene_blocks(2000)}
+SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
+       count(*)::BIGINT AS n_sc,
+       quantile_disc(m, 0.25)::BIGINT AS v_q1,
+       quantile_disc(m, 0.75)::BIGINT AS v_q3,
+       (quantile_disc(m, 0.75) - quantile_disc(m, 0.25))::BIGINT AS iqr
+FROM blk GROUP BY tile, gr, gc""",
+        "tile_anomaly": f"""
+WITH {_scene_blocks(2000)},
+st AS (
+  SELECT tile, gr, gc, count(*)::BIGINT AS n, sum(m)::BIGINT AS s,
+         sum(m * m)::BIGINT AS ss
+  FROM blk GROUP BY tile, gr, gc HAVING count(*) >= 3),
+fl AS (
+  SELECT b.tile, b.gr, b.gc, st.n, b.i,
+         CASE WHEN (b.m * st.n - st.s) * (b.m * st.n - st.s)
+                   > 4 * (st.n * st.ss - st.s * st.s)
+              THEN 1 ELSE 0 END AS f
+  FROM blk b JOIN st
+    ON st.tile = b.tile AND st.gr = b.gr AND st.gc = b.gc)
+SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
+       max(n)::BIGINT AS n_sc, sum(f)::BIGINT AS n_outl,
+       sum(CASE WHEN f = 1 THEN i ELSE 0 END)::BIGINT AS outl_scene_sum
+FROM fl GROUP BY tile, gr, gc""",
+        "cell_provenance": f"""
+WITH {_scene_blocks(2000)},
+rk AS (
+  SELECT tile, gr, gc, i, m, row_number() OVER (
+      PARTITION BY tile, gr, gc ORDER BY m DESC, i) AS rn
+  FROM blk)
+SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
+       i::BIGINT AS best_scene, m::BIGINT AS best_m
+FROM rk WHERE rn = 1""",
+        "cell_quadkey": f"""
+WITH c AS (
+  SELECT (((l_orderkey * {_LONMUL}) % {_LONMOD}) * 512) // {_LONMOD} AS ix,
+         (((l_partkey * {_LATMUL}) % {_LATMOD}) * 512) // {_LATMOD} AS iy
+  FROM lineitem),
+k AS (
+  SELECT {" || ".join(
+      f"chr((48 + 2 * ((iy >> {8 - k}) & 1) + ((ix >> {8 - k}) & 1))::INT)"
+      for k in range(5))} AS quadkey
+  FROM c)
+SELECT quadkey, count(*)::BIGINT AS n FROM k GROUP BY quadkey""",
+        "cell_geohash": f"""
+WITH c AS (
+  SELECT (((l_orderkey * {_LONMUL}) % {_LONMOD}) * 1024) // {_LONMOD} AS ix,
+         (((l_partkey * {_LATMUL}) % {_LATMOD}) * 1024) // {_LATMOD} AS iy
+  FROM lineitem),
+zz AS (
+  SELECT ((ix >> 9) & 1) * 524288 + ((ix >> 8) & 1) * 131072 + ((ix >> 7) & 1) * 32768 + ((ix >> 6) & 1) * 8192 + ((ix >> 5) & 1) * 2048 + ((ix >> 4) & 1) * 512 + ((ix >> 3) & 1) * 128 + ((ix >> 2) & 1) * 32 + ((ix >> 1) & 1) * 8 + ((ix >> 0) & 1) * 2 + ((iy >> 9) & 1) * 262144 + ((iy >> 8) & 1) * 65536 + ((iy >> 7) & 1) * 16384 + ((iy >> 6) & 1) * 4096 + ((iy >> 5) & 1) * 1024 + ((iy >> 4) & 1) * 256 + ((iy >> 3) & 1) * 64 + ((iy >> 2) & 1) * 16 + ((iy >> 1) & 1) * 4 + ((iy >> 0) & 1) * 1 AS z
+  FROM c),
+k AS (
+  SELECT substr('0123456789bcdefghjkmnpqrstuvwxyz', (CAST((z >> 15) AS BIGINT) & 31)::INT + 1, 1) || substr('0123456789bcdefghjkmnpqrstuvwxyz', (CAST((z >> 10) AS BIGINT) & 31)::INT + 1, 1) || substr('0123456789bcdefghjkmnpqrstuvwxyz', (CAST((z >> 5) AS BIGINT) & 31)::INT + 1, 1) || substr('0123456789bcdefghjkmnpqrstuvwxyz', (CAST((z >> 0) AS BIGINT) & 31)::INT + 1, 1) AS geohash
+  FROM zz)
+SELECT geohash, count(*)::BIGINT AS n FROM k GROUP BY geohash""",
+        "csv_orders_rollup": """
+SELECT o_orderstatus, o_orderpriority, count(*)::BIGINT AS n,
+       min(o_orderkey)::BIGINT AS min_key,
+       max(o_orderkey)::BIGINT AS max_key
+FROM orders GROUP BY o_orderstatus, o_orderpriority""",
+        "ipc_lineitem_rollup": (
+            "SELECT l_returnflag, l_linestatus, count(*)::BIGINT AS n, "
+            "sum(CAST(round(l_extendedprice * 100) AS BIGINT))::BIGINT "
+            "AS sum_cents, max(l_orderkey)::BIGINT AS max_key "
+            "FROM lineitem GROUP BY 1, 2"
+        ),
+        "jsonl_events_rollup": """
+SELECT event_type, count(*)::BIGINT AS n,
+       max(event_id)::BIGINT AS max_event,
+       sum(user_id)::BIGINT AS sum_users
+FROM events GROUP BY event_type""",
+        "compact_docs": """
+SELECT source, count(*)::BIGINT AS n, sum(n_chars)::BIGINT AS sum_chars,
+       sum(doc_id)::BIGINT AS sum_id, min(doc_id)::BIGINT AS min_id,
+       max(doc_id)::BIGINT AS max_id
+FROM documents GROUP BY source""",
+        "rasterize_polys": """
+WITH p AS (
+  SELECT k AS poly_id, 200 + (k * 977) % 2800 AS cx,
+         200 + (k * 1409) % 2800 AS cy, 50 + (k * 13) % 200 AS r
+  FROM range(24) t(k)),
+d(v, dx, dy) AS (VALUES (0, 2, 0), (1, 1, 1), (2, 0, 2), (3, -1, 1),
+                        (4, -2, 0), (5, -1, -1), (6, 0, -2), (7, 1, -1)),
+vert AS (SELECT poly_id, v, cx + r * dx AS vx, cy + r * dy AS vy
+         FROM p, d),
+edge AS (
+  SELECT a.poly_id, a.vx AS x1, a.vy AS y1, b.vx AS x2, b.vy AS y2
+  FROM vert a JOIN vert b
+    ON b.poly_id = a.poly_id AND b.v = (a.v + 1) % 8),
+cell AS (SELECT (i // 100) * 32 + 16 AS px, (i % 100) * 32 + 16 AS py
+         FROM range(10000) t(i)),
+crs AS (
+  SELECT e.poly_id, c.px, c.py
+  FROM edge e JOIN cell c
+    ON ((e.y1 > c.py) <> (e.y2 > c.py))
+   AND (CASE WHEN e.y2 > e.y1
+        THEN (e.x2 - e.x1) * (c.py - e.y1)
+             - (c.px - e.x1) * (e.y2 - e.y1) > 0
+        ELSE (e.x2 - e.x1) * (c.py - e.y1)
+             - (c.px - e.x1) * (e.y2 - e.y1) < 0 END)),
+par AS (SELECT poly_id, px, py FROM crs
+        GROUP BY poly_id, px, py HAVING count(*) % 2 = 1)
+SELECT poly_id, count(*)::BIGINT AS n_cells,
+       sum(px)::BIGINT AS sum_px, sum(py)::BIGINT AS sum_py
+FROM par GROUP BY poly_id""",
+        "aoi_point_report": f"""
+WITH p AS (
+  SELECT k AS poly_id, 10000000 + (k * 14500077) % 340000000 AS cx,
+         10000000 + (k * 7700143) % 160000000 AS cy,
+         2000000 + (k * 333337) % 8000000 AS r
+  FROM range(24) t(k)),
+d(v, dx, dy) AS (VALUES (0, 2, 0), (1, 1, 1), (2, 0, 2), (3, -1, 1),
+                        (4, -2, 0), (5, -1, -1), (6, 0, -2), (7, 1, -1)),
+vert AS (SELECT poly_id, v, cx + r * dx AS vx, cy + r * dy AS vy
+         FROM p, d),
+edge AS (
+  SELECT a.poly_id, a.vx AS x1, a.vy AS y1, b.vx AS x2, b.vy AS y2
+  FROM vert a JOIN vert b
+    ON b.poly_id = a.poly_id AND b.v = (a.v + 1) % 8),
+pt AS (
+  SELECT (l_orderkey * {_LONMUL}) % {_LONMOD} AS px,
+         (l_partkey * {_LATMUL}) % {_LATMOD} AS py,
+         l_orderkey AS v, count(*) AS w
+  FROM lineitem GROUP BY 1, 2, 3),
+crs AS (
+  SELECT e.poly_id, c.px, c.py, c.v, any_value(c.w) AS w,
+         count(*) AS nc
+  FROM edge e JOIN pt c
+    ON ((e.y1 > c.py) <> (e.y2 > c.py))
+   AND (CASE WHEN e.y2 > e.y1
+        THEN (e.x2 - e.x1) * (c.py - e.y1)
+             - (c.px - e.x1) * (e.y2 - e.y1) > 0
+        ELSE (e.x2 - e.x1) * (c.py - e.y1)
+             - (c.px - e.x1) * (e.y2 - e.y1) < 0 END)
+  GROUP BY e.poly_id, c.px, c.py, c.v)
+SELECT poly_id, sum(w)::BIGINT AS n_cells,
+       sum(px * w)::BIGINT AS sum_px, sum(py * w)::BIGINT AS sum_py,
+       sum(v * w)::BIGINT AS sum_v, max(v)::BIGINT AS max_v
+FROM crs WHERE nc % 2 = 1 GROUP BY poly_id""",
+        "poly_stats": """
+WITH p AS (SELECT k AS poly_id, 3 + k % 6 AS nv FROM range(20000) t(k)),
+vert AS (
+  SELECT poly_id, nv, v.v AS v,
+         (poly_id * 131 + v.v * 977) % 2000 AS x,
+         (poly_id * 197 + v.v * 1409) % 2000 AS y
+  FROM p, LATERAL (SELECT unnest(range(nv)) AS v) v),
 e AS (
-  SELECT i, r.r AS r, c.c AS c,
-    abs(  (((r.r - 1) * h + (c.c + 1) * w + i) % 256)
-        + 2 * (((r.r) * h + (c.c + 1) * w + i) % 256)
-        + (((r.r + 1) * h + (c.c + 1) * w + i) % 256)
-        - (((r.r - 1) * h + (c.c - 1) * w + i) % 256)
-        - 2 * (((r.r) * h + (c.c - 1) * w + i) % 256)
-        - (((r.r + 1) * h + (c.c - 1) * w + i) % 256))
-  + abs(  (((r.r + 1) * h + (c.c - 1) * w + i) % 256)
-        + 2 * (((r.r + 1) * h + (c.c) * w + i) % 256)
-        + (((r.r + 1) * h + (c.c + 1) * w + i) % 256)
-        - (((r.r - 1) * h + (c.c - 1) * w + i) % 256)
-        - 2 * (((r.r - 1) * h + (c.c) * w + i) % 256)
-        - (((r.r - 1) * h + (c.c + 1) * w + i) % 256)) AS e
-  FROM img,
-  LATERAL (SELECT unnest(range(1, h - 1)) AS r) r,
-  LATERAL (SELECT unnest(range(1, w - 1)) AS c) c),
-edges AS (SELECT i, r, c FROM e WHERE e >= 256),
-votes AS (
-  SELECT i, o.o AS o,
-         CASE o.o WHEN 0 THEN c WHEN 1 THEN r + c WHEN 2 THEN r
-              ELSE r - c END AS rho,
-         count(*) AS cnt
-  FROM edges, (VALUES (0), (1), (2), (3)) o(o)
-  GROUP BY 1, 2, 3),
-best AS (
-  SELECT i, o, rho, cnt,
-         row_number() OVER (PARTITION BY i
-                            ORDER BY cnt DESC, o, rho) AS rn
-  FROM votes),
-ne AS (SELECT i, count(*)::BIGINT AS n_edges FROM edges GROUP BY i)
-SELECT printf('img%012d', g.i) AS image_id,
-       COALESCE(ne.n_edges, 0)::BIGINT AS n_edges,
-       COALESCE(b.o, -1)::BIGINT AS best_orient,
-       COALESCE(b.rho, 0)::BIGINT AS best_rho,
-       COALESCE(b.cnt, 0)::BIGINT AS best_votes
-FROM img g LEFT JOIN ne ON ne.i = g.i
-LEFT JOIN (SELECT * FROM best WHERE rn = 1) b ON b.i = g.i""",
-        "image_dt": f"""
-WITH {sqlgen.img_cte(300)},
-px AS (
-  SELECT i, w, h, r.r AS r, c.c AS c,
-         ((r.r * h + c.c * w + i) % 256) >= 200 AS fg
-  FROM img,
-  LATERAL (SELECT unnest(range(h)) AS r) r,
-  LATERAL (SELECT unnest(range(w)) AS c) c),
-o2 AS (
-  SELECT dr.x AS dr, dc.x AS dc,
-         greatest(abs(dr.x), abs(dc.x)) AS d
-  FROM (SELECT unnest(range(-2, 3)) AS x) dr,
-       (SELECT unnest(range(-2, 3)) AS x) dc),
-near AS (
-  SELECT p.i, p.r, p.c, any_value(p.fg::INT) AS fg,
-         min(CASE WHEN q.fg THEN o.d END) AS dmin
-  FROM px p
-  JOIN o2 o ON TRUE
-  LEFT JOIN px q ON q.i = p.i AND q.r = p.r + o.dr AND q.c = p.c + o.dc
-  GROUP BY p.i, p.r, p.c)
-SELECT printf('img%012d', i) AS image_id,
-       (count(*) FILTER (WHERE fg = 1))::BIGINT AS n_d0,
-       (count(*) FILTER (WHERE fg = 0 AND dmin = 1))::BIGINT AS n_d1,
-       (count(*) FILTER (WHERE fg = 0 AND dmin = 2))::BIGINT AS n_d2,
-       (count(*) FILTER (WHERE fg = 0 AND dmin IS NULL))::BIGINT AS n_far
-FROM near GROUP BY i""",
-        "image_sobel": f"""
-WITH {sqlgen.img_cte(300)},
+  SELECT a.poly_id, a.nv, a.x AS x1, a.y AS y1, b.x AS x2, b.y AS y2
+  FROM vert a JOIN vert b
+    ON b.poly_id = a.poly_id AND b.v = (a.v + 1) % a.nv)
+SELECT poly_id, max(nv)::BIGINT AS nv,
+       sum(x1 * y2 - x2 * y1)::BIGINT AS area2,
+       sum((x2 - x1) * (x2 - x1) + (y2 - y1) * (y2 - y1))::BIGINT
+         AS edge_sq,
+       sum((x1 + x2) * (x1 * y2 - x2 * y1))::BIGINT AS cx6a,
+       sum((y1 + y2) * (x1 * y2 - x2 * y1))::BIGINT AS cy6a,
+       min(x1)::BIGINT AS min_x, max(x1)::BIGINT AS max_x,
+       min(y1)::BIGINT AS min_y, max(y1)::BIGINT AS max_y
+FROM e GROUP BY poly_id""",
+        "poly_zonal": f"""
+WITH {sqlgen.poly_cells_ctes(_scene_blocks(2000))}
+SELECT h.poly_id, count(*)::BIGINT AS n_cells,
+       sum(h.cpx)::BIGINT AS sum_px, sum(h.cpy)::BIGINT AS sum_py,
+       sum(c.v)::BIGINT AS sum_v, max(c.v)::BIGINT AS max_v
+FROM hit h JOIN cell c ON c.cpx = h.cpx AND c.cpy = h.cpy
+GROUP BY h.poly_id""",
+        "tile_mosaic_delta": f"""
+WITH {_scene_blocks(2200)}
+SELECT tile, CAST(gr AS INT) AS gr, CAST(gc AS INT) AS gc,
+       max(m)::BIGINT AS v_max, sum(m)::BIGINT AS v_sum,
+       count(*)::BIGINT AS n_img
+FROM blk GROUP BY tile, gr, gc""",
+        "poly_majority": f"""
+WITH {sqlgen.poly_cells_ctes(_scene_blocks(2000))},
+vc AS (
+  SELECT h.poly_id, c.v, count(*)::BIGINT AS n
+  FROM hit h JOIN cell c ON c.cpx = h.cpx AND c.cpy = h.cpy
+  GROUP BY h.poly_id, c.v),
+rk AS (
+  SELECT poly_id, v, n, count(*) OVER (PARTITION BY poly_id) AS n_vals,
+         row_number() OVER (PARTITION BY poly_id
+                            ORDER BY n DESC, v) AS rn
+  FROM vc)
+SELECT poly_id, v::BIGINT AS mode_v, n::BIGINT AS mode_n,
+       n_vals::BIGINT AS n_vals
+FROM rk WHERE rn = 1""",
+        "tile_similarity": f"""
+WITH {_scene_blocks(2000)},
+mos AS (
+  SELECT tile, gr, gc, max(m)::BIGINT AS v
+  FROM blk GROUP BY tile, gr, gc)
+SELECT a.tile AS tile_a, b.tile AS tile_b,
+       sum((a.v - b.v) * (a.v - b.v))::BIGINT AS d2
+FROM mos a JOIN mos b
+  ON a.gr = b.gr AND a.gc = b.gc
+ AND substr(a.tile, 1, 2) = substr(b.tile, 1, 2) AND a.tile < b.tile
+GROUP BY a.tile, b.tile
+HAVING sum((a.v - b.v) * (a.v - b.v)) <= 2000""",
+        "footprint_overlap": """
+WITH r AS (
+  SELECT k AS id, (k * 131) % 10000 AS x0, (k * 197) % 10000 AS y0,
+         (k * 131) % 10000 + 1 + (k * 7) % 200 AS x1,
+         (k * 197) % 10000 + 1 + (k * 11) % 200 AS y1
+  FROM range(3000) t(k)),
+p AS (
+  SELECT a.id AS id_a, b.id AS id_b,
+         least(a.x1, b.x1) - greatest(a.x0, b.x0) AS ox,
+         least(a.y1, b.y1) - greatest(a.y0, b.y0) AS oy
+  FROM r a JOIN r b ON a.id < b.id)
+SELECT id_a, id_b, (ox * oy)::BIGINT AS ov_area
+FROM p WHERE ox > 0 AND oy > 0""",
+        "mosaic_manifest": f"""
+WITH {_scene_blocks(2000)},
+mos AS (
+  SELECT tile, gr, gc, max(m)::BIGINT AS v_max
+  FROM blk GROUP BY tile, gr, gc)
+SELECT substr(tile, 1, 2) AS "group", count(*)::BIGINT AS n_rows,
+       min(v_max)::BIGINT AS min_v, max(v_max)::BIGINT AS max_v
+FROM mos GROUP BY substr(tile, 1, 2)""",
+        "image_quality_gate": f"""
+WITH {sqlgen.pixels_sql(300)},
+rngx AS (SELECT i, (max(v) - min(v))::BIGINT AS pr FROM px GROUP BY i),
 e AS (
   SELECT i,
     abs(  (((r.r - 1) * h + (c.c + 1) * w + i) % 256)
@@ -9868,256 +9622,120 @@ e AS (
         + (((r.r + 1) * h + (c.c + 1) * w + i) % 256)
         - (((r.r - 1) * h + (c.c - 1) * w + i) % 256)
         - 2 * (((r.r - 1) * h + (c.c) * w + i) % 256)
-        - (((r.r - 1) * h + (c.c + 1) * w + i) % 256)) AS e
-  FROM img,
-  LATERAL (SELECT unnest(range(1, h - 1)) AS r) r,
-  LATERAL (SELECT unnest(range(1, w - 1)) AS c) c)
-SELECT printf('img%012d', i) AS image_id,
-       sum(e)::BIGINT AS grad_sum,
-       (count(*) FILTER (WHERE e >= 256))::BIGINT AS edge_px
-FROM e GROUP BY i""",
-        "image_moments": f"""
-WITH {sqlgen.pixels_sql(300)},
-m AS (
-  SELECT i, sum(v)::BIGINT AS m00, sum(r * v)::BIGINT AS m10,
-         sum(c * v)::BIGINT AS m01, sum(r * r * v)::BIGINT AS m20,
-         sum(c * c * v)::BIGINT AS m02, sum(r * c * v)::BIGINT AS m11
-  FROM px GROUP BY i)
-SELECT printf('img%012d', i) AS image_id, m00, m10, m01,
-       (m00 * m20 - m10 * m10)::BIGINT AS mu20s,
-       (m00 * m02 - m01 * m01)::BIGINT AS mu02s,
-       (m00 * m11 - m10 * m01)::BIGINT AS mu11s
-FROM m""",
-        "image_harris": f"""
-WITH {sqlgen.img_cte(200)},
-g AS (
-  SELECT i, w, h, r.r AS r, c.c AS c,
-    ((r.r * h + (c.c + 1) * w + i) % 256)
-      - ((r.r * h + (c.c - 1) * w + i) % 256) AS ix,
-    (((r.r + 1) * h + c.c * w + i) % 256)
-      - (((r.r - 1) * h + c.c * w + i) % 256) AS iy
+        - (((r.r - 1) * h + (c.c + 1) * w + i) % 256)) AS g,
+    (h - 2) * (w - 2) AS ni
   FROM img,
   LATERAL (SELECT unnest(range(1, h - 1)) AS r) r,
   LATERAL (SELECT unnest(range(1, w - 1)) AS c) c),
-hs AS (
-  SELECT i, w, h, r, c,
-    sum(ix * ix) OVER wc AS hxx, sum(iy * iy) OVER wc AS hyy,
-    sum(ix * iy) OVER wc AS hxy
-  FROM g WINDOW wc AS (PARTITION BY i, r ORDER BY c
-    ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING)),
-vs AS (
-  SELECT i, w, h, r, c,
-    sum(hxx) OVER wr AS sxx, sum(hyy) OVER wr AS syy,
-    sum(hxy) OVER wr AS sxy
-  FROM hs WINDOW wr AS (PARTITION BY i, c ORDER BY r
-    ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING)),
-resp AS (
-  SELECT i, 16 * (sxx * syy - sxy * sxy)
-             - (sxx + syy) * (sxx + syy) AS r16
-  FROM vs WHERE r BETWEEN 2 AND h - 3 AND c BETWEEN 2 AND w - 3)
-SELECT printf('img%012d', i) AS image_id,
-  (count(*) FILTER (WHERE r16 > {_HARRIS_T}))::BIGINT AS n_corners,
-  max(r16)::BIGINT AS r16_max,
-  COALESCE(sum(r16) FILTER (WHERE r16 > 0), 0)::BIGINT AS pos_sum
-FROM resp GROUP BY i""",
-        "image_otsu": f"""
-WITH {sqlgen.pixels_sql(300)},
-hist AS (SELECT i, v, count(*)::BIGINT AS c FROM px GROUP BY i, v),
-tot AS (SELECT i, sum(c)::HUGEINT AS tw, sum(v * c)::HUGEINT AS ts
-        FROM hist GROUP BY i),
-cum AS (SELECT i, v AS t,
-               (sum(c) OVER (PARTITION BY i ORDER BY v))::HUGEINT AS w0,
-               (sum(v * c) OVER (PARTITION BY i ORDER BY v))::HUGEINT AS s0
-        FROM hist),
-cand AS (
-  SELECT c.i, c.t,
-         ((c.s0 * t2.tw - t2.ts * c.w0)
-          * (c.s0 * t2.tw - t2.ts * c.w0))::HUGEINT AS num,
-         (c.w0 * (t2.tw - c.w0))::HUGEINT AS den
-  FROM cum c JOIN tot t2 ON t2.i = c.i
-  WHERE c.w0 > 0 AND c.w0 < t2.tw AND c.t < 255),
-best AS (
-  SELECT a.i, min(a.t) AS otsu_t
-  FROM cand a
-  WHERE NOT EXISTS (SELECT 1 FROM cand b
-                    WHERE b.i = a.i AND b.num * a.den > a.num * b.den)
-  GROUP BY a.i)
-SELECT printf('img%012d', b.i) AS image_id, CAST(b.otsu_t AS INT) AS otsu_t,
-       (count(*) FILTER (WHERE p.v > b.otsu_t))::BIGINT AS fg_px,
-       COALESCE(sum(p.v) FILTER (WHERE p.v > b.otsu_t), 0)::BIGINT AS fg_sum
-FROM best b JOIN px p ON p.i = b.i
-GROUP BY b.i, b.otsu_t""",
-        "image_blobs": """
-WITH RECURSIVE img AS (SELECT 9 * k AS i FROM range(100) t(k)),
-px AS (
-  SELECT i, r.r AS r, c.c AS c
-  FROM img,
-  LATERAL (SELECT unnest(range(32)) AS r) r,
-  LATERAL (SELECT unnest(range(32)) AS c) c
-  WHERE ((r.r * 32 + c.c * 32 + i) % 256) >= 128),
-fl AS (
-  SELECT i, r, c,
-         c - row_number() OVER (PARTITION BY i, r ORDER BY c) AS grp
-  FROM px),
-runs AS (
-  SELECT i, r, min(c) AS c0, max(c) + 1 AS c1,
-         row_number() OVER (PARTITION BY i ORDER BY r, min(c)) AS rid
-  FROM fl GROUP BY i, r, grp),
-adj AS (
-  SELECT a.i, a.rid AS ra, b.rid AS rb
-  FROM runs a JOIN runs b
-    ON b.i = a.i AND b.r = a.r + 1 AND a.c0 < b.c1 AND b.c0 < a.c1),
-edges AS (SELECT i, ra, rb FROM adj UNION SELECT i, rb AS ra, ra AS rb
-          FROM adj),
-reach(i, rid, l) AS (
-  SELECT i, rid, rid FROM runs
-  UNION
-  SELECT e.i, e.ra, r2.l FROM edges e
-  JOIN reach r2 ON r2.i = e.i AND r2.rid = e.rb),
-comp AS (SELECT i, rid, min(l) AS root FROM reach GROUP BY i, rid),
-rsz AS (
-  SELECT r.i, c2.root, sum(r.c1 - r.c0) AS px
-  FROM runs r JOIN comp c2 ON c2.i = r.i AND c2.rid = r.rid
-  GROUP BY r.i, c2.root)
-SELECT printf('img%012d', i) AS image_id, count(*)::BIGINT AS n_blobs,
-       max(px)::BIGINT AS max_blob, sum(px)::BIGINT AS fg_px
-FROM rsz GROUP BY i""",
-        "blob_bbox": """
-WITH RECURSIVE img AS (SELECT 9 * k AS i FROM range(100) t(k)),
-px AS (
-  SELECT i, r.r AS r, c.c AS c
-  FROM img,
-  LATERAL (SELECT unnest(range(32)) AS r) r,
-  LATERAL (SELECT unnest(range(32)) AS c) c
-  WHERE ((r.r * 32 + c.c * 32 + i) % 256) >= 128),
-fl AS (
-  SELECT i, r, c,
-         c - row_number() OVER (PARTITION BY i, r ORDER BY c) AS grp
-  FROM px),
-runs AS (
-  SELECT i, r, min(c) AS c0, max(c) + 1 AS c1,
-         row_number() OVER (PARTITION BY i ORDER BY r, min(c)) AS rid
-  FROM fl GROUP BY i, r, grp),
-adj AS (
-  SELECT a.i, a.rid AS ra, b.rid AS rb
-  FROM runs a JOIN runs b
-    ON b.i = a.i AND b.r = a.r + 1 AND a.c0 < b.c1 AND b.c0 < a.c1),
-edges AS (SELECT i, ra, rb FROM adj UNION SELECT i, rb AS ra, ra AS rb
-          FROM adj),
-reach(i, rid, l) AS (
-  SELECT i, rid, rid FROM runs
-  UNION
-  SELECT e.i, e.ra, r2.l FROM edges e
-  JOIN reach r2 ON r2.i = e.i AND r2.rid = e.rb),
-comp AS (SELECT i, rid, min(l) AS root FROM reach GROUP BY i, rid),
-geo AS (
-  SELECT r.i, c2.root,
-         min(r.r) AS min_r, max(r.r) AS max_r,
-         min(r.c0) AS min_c, max(r.c1) - 1 AS max_c,
-         sum(r.c1 - r.c0) AS area
-  FROM runs r JOIN comp c2 ON c2.i = r.i AND c2.rid = r.rid
-  GROUP BY r.i, c2.root)
-SELECT printf('img%012d', g.i) AS image_id,
-       lr.r::BIGINT AS lbl_r, lr.c0::BIGINT AS lbl_c,
-       g.min_r::BIGINT AS min_r, g.max_r::BIGINT AS max_r,
-       g.min_c::BIGINT AS min_c, g.max_c::BIGINT AS max_c,
-       g.area::BIGINT AS area
-FROM geo g JOIN runs lr ON lr.i = g.i AND lr.rid = g.root""",
-        "blob_perimeter": """
-WITH RECURSIVE img AS (SELECT 9 * k AS i FROM range(100) t(k)),
-px AS (
-  SELECT i, r.r AS r, c.c AS c
-  FROM img,
-  LATERAL (SELECT unnest(range(32)) AS r) r,
-  LATERAL (SELECT unnest(range(32)) AS c) c
-  WHERE ((r.r * 32 + c.c * 32 + i) % 256) >= 128),
-fl AS (
-  SELECT i, r, c,
-         c - row_number() OVER (PARTITION BY i, r ORDER BY c) AS grp
-  FROM px),
-runs AS (
-  SELECT i, r, min(c) AS c0, max(c) + 1 AS c1,
-         row_number() OVER (PARTITION BY i ORDER BY r, min(c)) AS rid
-  FROM fl GROUP BY i, r, grp),
-adjo AS (
-  SELECT a.i, a.rid AS ra, b.rid AS rb,
-         least(a.c1, b.c1) - greatest(a.c0, b.c0) AS ov
-  FROM runs a JOIN runs b
-    ON b.i = a.i AND b.r = a.r + 1 AND a.c0 < b.c1 AND b.c0 < a.c1),
-edges AS (SELECT i, ra, rb FROM adjo UNION SELECT i, rb AS ra, ra AS rb
-          FROM adjo),
-reach(i, rid, l) AS (
-  SELECT i, rid, rid FROM runs
-  UNION
-  SELECT e.i, e.ra, r2.l FROM edges e
-  JOIN reach r2 ON r2.i = e.i AND r2.rid = e.rb),
-comp AS (SELECT i, rid, min(l) AS root FROM reach GROUP BY i, rid),
-geo AS (
-  SELECT r.i, c2.root, sum(r.c1 - r.c0) AS area,
-         sum(r.c1 - r.c0 - 1) AS hadj
-  FROM runs r JOIN comp c2 ON c2.i = r.i AND c2.rid = r.rid
-  GROUP BY r.i, c2.root),
-vs AS (
-  SELECT a.i, c2.root, sum(a.ov) AS vadj
-  FROM adjo a JOIN comp c2 ON c2.i = a.i AND c2.rid = a.ra
-  GROUP BY a.i, c2.root)
-SELECT printf('img%012d', g.i) AS image_id,
-       lr.r::BIGINT AS lbl_r, lr.c0::BIGINT AS lbl_c,
-       g.area::BIGINT AS area,
-       (4 * g.area - 2 * (g.hadj + COALESCE(v.vadj, 0)))::BIGINT AS perim
-FROM geo g
-LEFT JOIN vs v ON v.i = g.i AND v.root = g.root
-JOIN runs lr ON lr.i = g.i AND lr.rid = g.root""",
-        "image_seam": seam_sql,
-        "image_dither": f"""
-WITH {sqlgen.pixels_sql(300)},
-pb AS (
-  SELECT i, r, c, w, v,
-    CASE (r % 4) * 4 + (c % 4)
-      WHEN 0 THEN 0 WHEN 1 THEN 8 WHEN 2 THEN 2 WHEN 3 THEN 10
-      WHEN 4 THEN 12 WHEN 5 THEN 4 WHEN 6 THEN 14 WHEN 7 THEN 6
-      WHEN 8 THEN 3 WHEN 9 THEN 11 WHEN 10 THEN 1 WHEN 11 THEN 9
-      WHEN 12 THEN 15 WHEN 13 THEN 7 WHEN 14 THEN 13 ELSE 5 END AS b
-  FROM px)
-SELECT printf('img%012d', i) AS image_id,
-  (count(*) FILTER (WHERE v > b * 16 + 8))::BIGINT AS n_on,
-  COALESCE(sum(r * w + c) FILTER (WHERE v > b * 16 + 8), 0)::BIGINT
-    AS pos_sum
-FROM pb GROUP BY i""",
-        "image_hist_match": f"""
-WITH {sqlgen.pixels_sql(300)},
-hist AS (SELECT i, v, count(*)::BIGINT AS c FROM px GROUP BY i, v),
-cdf AS (SELECT i, v, c, sum(c) OVER (PARTITION BY i ORDER BY v) AS cf
-        FROM hist),
-nsrc AS (SELECT i, max(cf) AS n_src FROM cdf GROUP BY i),
-rhist AS (SELECT v, count(*)::BIGINT AS c FROM px GROUP BY v),
-rn AS (SELECT sum(c)::BIGINT AS n_ref FROM rhist),
-rcdf AS (SELECT u.u AS u,
-         (SELECT COALESCE(sum(c), 0) FROM rhist WHERE v <= u.u) AS cf
-         FROM range(256) u(u)),
+ec AS (SELECT i, (count(*) FILTER (WHERE g >= 256))::BIGINT AS edge_px,
+              any_value(ni)::BIGINT AS ni
+       FROM e GROUP BY i)
+SELECT printf('img%012d', ec.i) AS image_id,
+       CASE WHEN r2.pr < 192 THEN 'low_range'
+            WHEN ec.edge_px * 20 < ec.ni THEN 'smooth'
+            WHEN ec.edge_px * 5 > 3 * ec.ni THEN 'busy'
+            ELSE 'ok' END AS reason,
+       ec.edge_px, r2.pr AS px_range
+FROM ec JOIN rngx r2 ON r2.i = ec.i""",
+        "ann_pq_topk": _PQ_CODES_CTES + """,
+codes AS (SELECT vec_id, s, c FROM best WHERE rk = 1),
+qc AS (SELECT s, c AS qcc FROM codes WHERE vec_id = 0),
 lut AS (
-  SELECT s.i, s.v, s.c, min(r.u) AS m
-  FROM cdf s JOIN nsrc n ON n.i = s.i, rcdf r, rn
-  WHERE r.cf * n.n_src >= s.cf * rn.n_ref
-  GROUP BY s.i, s.v, s.c)
-SELECT printf('img%012d', i) AS image_id,
-       sum(m * c)::BIGINT AS mt_sum, min(m)::BIGINT AS mt_min,
-       max(m)::BIGINT AS mt_max
-FROM lut GROUP BY i""",
-        "image_rle": f"""
-WITH {sqlgen.pixels_sql(300)},
-ch AS (
-  SELECT i, r, c, v,
-         CASE WHEN lag(v) OVER (PARTITION BY i, r ORDER BY c)
-                   IS DISTINCT FROM v THEN 1 ELSE 0 END AS brk
-  FROM px),
-grp AS (SELECT i, r, c,
-               sum(brk) OVER (PARTITION BY i, r ORDER BY c) AS g
-        FROM ch),
-runs AS (SELECT i, count(*) AS len FROM grp GROUP BY i, r, g)
-SELECT printf('img%012d', i) AS image_id, count(*)::BIGINT AS n_runs,
-       max(len)::BIGINT AS max_run
-FROM runs GROUP BY i""",
+  SELECT a.s, a.c AS c1, b.c AS c2,
+         sum((a.cv - b.cv) * (a.cv - b.cv))::BIGINT AS dd
+  FROM cent a JOIN cent b ON a.s = b.s AND a.d8 = b.d8
+  GROUP BY a.s, a.c, b.c),
+sc AS (
+  SELECT codes.vec_id, sum(lut.dd)::BIGINT AS pq_dist
+  FROM codes JOIN qc ON qc.s = codes.s
+  JOIN lut ON lut.s = codes.s AND lut.c1 = qc.qcc AND lut.c2 = codes.c
+  GROUP BY codes.vec_id)
+SELECT vec_id, pq_dist FROM sc ORDER BY pq_dist, vec_id LIMIT 10""",
+        "image_hog": f"""
+WITH {sqlgen.img_cte(300)},
+g AS (
+  SELECT i,
+    (  (((r.r - 1) * h + (c.c + 1) * w + i) % 256)
+     + 2 * (((r.r) * h + (c.c + 1) * w + i) % 256)
+     + (((r.r + 1) * h + (c.c + 1) * w + i) % 256)
+     - (((r.r - 1) * h + (c.c - 1) * w + i) % 256)
+     - 2 * (((r.r) * h + (c.c - 1) * w + i) % 256)
+     - (((r.r + 1) * h + (c.c - 1) * w + i) % 256)) AS gx,
+    (  (((r.r + 1) * h + (c.c - 1) * w + i) % 256)
+     + 2 * (((r.r + 1) * h + (c.c) * w + i) % 256)
+     + (((r.r + 1) * h + (c.c + 1) * w + i) % 256)
+     - (((r.r - 1) * h + (c.c - 1) * w + i) % 256)
+     - 2 * (((r.r - 1) * h + (c.c) * w + i) % 256)
+     - (((r.r - 1) * h + (c.c + 1) * w + i) % 256)) AS gy
+  FROM img,
+  LATERAL (SELECT unnest(range(1, h - 1)) AS r) r,
+  LATERAL (SELECT unnest(range(1, w - 1)) AS c) c),
+q AS (
+  SELECT i, gx, gy,
+    2 * (CASE WHEN gy < 0 THEN 1 ELSE 0 END)
+      + (CASE WHEN (gx < 0) <> (gy < 0) THEN 1 ELSE 0 END) AS qd
+  FROM g WHERE gx <> 0 OR gy <> 0),
+b AS (
+  SELECT i, 2 * qd + (CASE WHEN (abs(gx) <= abs(gy)) <> (qd % 2 = 1)
+                      THEN 1 ELSE 0 END) AS bin
+  FROM q),
+agg AS (
+  SELECT i,
+    (count(*) FILTER (WHERE bin = 0))::BIGINT AS o0,
+    (count(*) FILTER (WHERE bin = 1))::BIGINT AS o1,
+    (count(*) FILTER (WHERE bin = 2))::BIGINT AS o2,
+    (count(*) FILTER (WHERE bin = 3))::BIGINT AS o3,
+    (count(*) FILTER (WHERE bin = 4))::BIGINT AS o4,
+    (count(*) FILTER (WHERE bin = 5))::BIGINT AS o5,
+    (count(*) FILTER (WHERE bin = 6))::BIGINT AS o6,
+    (count(*) FILTER (WHERE bin = 7))::BIGINT AS o7,
+    count(*)::BIGINT AS n_grad
+  FROM b GROUP BY i)
+SELECT printf('img%012d', im.i) AS image_id,
+  coalesce(o0, 0) AS o0, coalesce(o1, 0) AS o1, coalesce(o2, 0) AS o2,
+  coalesce(o3, 0) AS o3, coalesce(o4, 0) AS o4, coalesce(o5, 0) AS o5,
+  coalesce(o6, 0) AS o6, coalesce(o7, 0) AS o7,
+  coalesce(n_grad, 0) AS n_grad
+FROM img im LEFT JOIN agg ON agg.i = im.i""",
+        "video_cuts": f"""
+WITH {sqlgen.img_cte(200)},
+d AS (
+  SELECT i, f.f AS f, any_value(w) AS w,
+    sum(abs((((f.f + 1) * h + c.c * w + i) % 256)
+          - ((f.f * h + c.c * w + i) % 256)))::BIGINT AS sad
+  FROM img,
+  LATERAL (SELECT unnest(range(h - 1)) AS f) f,
+  LATERAL (SELECT unnest(range(w)) AS c) c
+  GROUP BY i, f.f)
+SELECT printf('img%012d', im.i) AS image_id,
+  im.h::BIGINT AS n_frames,
+  (count(*) FILTER (WHERE 4 * sad >= 255 * d.w))::BIGINT AS n_cuts,
+  max(sad)::BIGINT AS max_sad,
+  sum(sad)::BIGINT AS sad_sum
+FROM img im JOIN d ON d.i = im.i
+GROUP BY im.i, im.h""",
+        "audio_autocorr": f"""
+WITH {sqlgen.pcm_samples_sql(400)},
+l(lag) AS (VALUES (1), (2), (4), (8)),
+ac AS (
+  SELECT a.i, l.lag, sum(a.v * b.v)::BIGINT AS ac
+  FROM sv a CROSS JOIN l
+  JOIN sv b ON b.i = a.i AND b.k = a.k + l.lag
+  GROUP BY a.i, l.lag),
+wide AS (
+  SELECT i,
+    max(CASE WHEN lag = 1 THEN ac END)::BIGINT AS ac1,
+    max(CASE WHEN lag = 2 THEN ac END)::BIGINT AS ac2,
+    max(CASE WHEN lag = 4 THEN ac END)::BIGINT AS ac4,
+    max(CASE WHEN lag = 8 THEN ac END)::BIGINT AS ac8
+  FROM ac GROUP BY i)
+SELECT printf('img%012d', w2.i) AS image_id,
+  ((im.w * im.h) // 2)::BIGINT AS n_samples,
+  ac1, ac2, ac4, ac8,
+  (CASE WHEN ac1 >= ac2 AND ac1 >= ac4 AND ac1 >= ac8 THEN 1
+        WHEN ac2 >= ac4 AND ac2 >= ac8 THEN 2
+        WHEN ac4 >= ac8 THEN 4 ELSE 8 END)::BIGINT AS best_lag
+FROM wide w2 JOIN img im ON im.i = w2.i""",
         "rgb_band_algebra": f"""
 WITH {sqlgen.pixels_sql(300)},
 rg AS (SELECT i, v AS rv, (v + 85) % 256 AS gv FROM px)
@@ -10133,7 +9751,6 @@ FROM rg GROUP BY i""",
             "FROM documents, UNNEST(regexp_split_to_array(text, '\\s')) u(tok) "
             "WHERE u.tok <> '' GROUP BY token ORDER BY n DESC, token LIMIT 50"
         ),
-        "contaminated_docs": sqlgen.contamination_sql(n_bench=20, k=24),
         "doc_tfidf_topk": (
             "WITH toks AS (SELECT doc_id, u.tok FROM documents, "
             "UNNEST(regexp_split_to_array(text, '\\s')) u(tok) "
@@ -10153,40 +9770,84 @@ FROM rg GROUP BY i""",
             "SELECT doc_id, tok AS token, CAST(score AS BIGINT) AS score "
             "FROM ranked WHERE r <= 3"
         ),
+        "contaminated_docs": sqlgen.contamination_sql(n_bench=20, k=24),
+        "docs_split_counts": _split_counts_sql(),
         "audio_pcm_features": sqlgen.audio_pcm_sql(500),
-        "audio_downsample": f"""
-WITH {sqlgen.pcm_samples_sql(500)},
-blk AS (
-  SELECT i, k // 4 AS b, sum(v) AS s, count(*) AS c
-  FROM sv GROUP BY i, k // 4),
-y AS (SELECT i, s // 4 AS y FROM blk WHERE c = 4)
-SELECT printf('img%012d', i) AS image_id,
-       count(*)::BIGINT AS n_out,
-       sum(y * y)::BIGINT AS sum_sq_ds,
-       max(abs(y))::BIGINT AS peak_ds
-FROM y GROUP BY i""",
-        "audio_gate": sqlgen.audio_gate_sql(500),
-        "audio_vad": sqlgen.audio_vad_sql(500),
-        "priority_sla": """
-WITH ls AS (
-  SELECT l_orderkey, max(epoch_us(l_shipdate) // 86400000000) AS sd
-  FROM lineitem GROUP BY 1)
-SELECT o.o_orderpriority AS priority, count(*)::BIGINT AS n,
-       (count(*) FILTER (WHERE ls.sd - epoch_us(o.o_orderdate)
-                               // 86400000000 > 90))::BIGINT AS n_late,
-       max(ls.sd - epoch_us(o.o_orderdate) // 86400000000)::BIGINT
-         AS worst_lag
-FROM orders o JOIN ls ON ls.l_orderkey = o.o_orderkey
-GROUP BY o.o_orderpriority""",
-        "image_bitplanes": f"""
-WITH {sqlgen.pixels_sql(300)}
-SELECT printf('img%012d', i) AS image_id,
-       sum((v >> 0) & 1)::BIGINT AS p0, sum((v >> 1) & 1)::BIGINT AS p1,
-       sum((v >> 2) & 1)::BIGINT AS p2, sum((v >> 3) & 1)::BIGINT AS p3,
-       sum((v >> 4) & 1)::BIGINT AS p4, sum((v >> 5) & 1)::BIGINT AS p5,
-       sum((v >> 6) & 1)::BIGINT AS p6, sum((v >> 7) & 1)::BIGINT AS p7
-FROM px GROUP BY i""",
         "docs_stratified_sample": sqlgen.stratified_sample_sql(_SAMPLE_RATES, default_rate=0.0625),
+        "supplier_topk_per_nation": (
+            "WITH r AS (SELECT l_suppkey, "
+            "CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)) AS BIGINT) "
+            "AS cents FROM lineitem GROUP BY l_suppkey), "
+            "j AS (SELECT n_name, s_name, s_suppkey, cents FROM r "
+            "JOIN supplier ON s_suppkey = l_suppkey "
+            "JOIN nation ON n_nationkey = s_nationkey), "
+            "w AS (SELECT *, row_number() OVER (PARTITION BY n_name "
+            "ORDER BY cents DESC, s_suppkey) AS rk FROM j) "
+            "SELECT n_name, s_name, cents FROM w WHERE rk <= 3"
+        ),
+        "roi_search_batch": (
+            f"WITH d AS (SELECT (l_orderkey * {_XMUL}) % {_XMOD} AS x, "
+            f"(l_suppkey * {_YMUL}) % {_YMOD} AS y FROM lineitem), "
+            f"b AS (SELECT greatest(x - 250000, 0) AS x0, "
+            f"least(x + 250000, {_XMOD - 1}) AS x1, "
+            f"greatest(y - 250000, 0) AS y0, "
+            f"least(y + 250000, {_YMOD - 1}) AS y1 FROM d), "
+            "t AS (SELECT printf('E%03dN%03dT6', tx.i * 6, ty.j * 6) AS tile "
+            "FROM b, UNNEST(range(x0 // 600000, x1 // 600000 + 1)) AS tx(i), "
+            "UNNEST(range(y0 // 600000, y1 // 600000 + 1)) AS ty(j)) "
+            "SELECT tile, count(*) AS n FROM t GROUP BY tile"
+        ),
+        "roi_search_geodesic": (
+            f"WITH s AS (SELECT {_UDEG_SQL} FROM lineitem "
+            f"WHERE {_SWEEP_SUBSET_SQL}) "
+            "SELECT r.tile, count(*) AS n FROM s "
+            f"JOIN {_oracle_lookup('sweep_roi_tiles.parquet')} r "
+            "USING (lon_udeg, lat_udeg) GROUP BY r.tile"
+        ),
+        "embedding_near_dup": sqlgen.embedding_near_dup_sql(dim=64, bands=8, r=4, threshold=0.4),
+        "cell_index_salted": (
+            f"SELECT ({_CELL_L} * (1::BIGINT << 58)) "
+            f" + ((((l_partkey * {_LATMUL}) % {_LATMOD}) * {1 << _CELL_L}) // {_LATMOD}) * (1::BIGINT << 29) "
+            f" + (((l_orderkey * {_LONMUL}) % {_LONMOD}) * {1 << _CELL_L}) // {_LONMOD} AS cell, "
+            f"count(*) AS n FROM lineitem GROUP BY cell"
+        ),
+        "zorder_hist": sqlgen.zorder_hist_sql(),
+        "zorder_bbox_prune": (
+            # plain bbox predicate: the engine's z-range pruning must be
+            # output-transparent
+            f"WITH xy AS (SELECT (l_orderkey * {_XMUL}) % {_XMOD} AS x, "
+            f"(l_suppkey * {_YMUL}) % {_YMOD} AS y FROM lineitem) "
+            "SELECT count(*) AS n, CAST(sum(x) AS BIGINT) AS sum_x, "
+            "CAST(sum(y) AS BIGINT) AS sum_y FROM xy "
+            "WHERE x BETWEEN 2000000 AND 4500000 "
+            "AND y BETWEEN 50000 AND 3500000"
+        ),
+        "orders_bloom_semi": (
+            "SELECT o_orderpriority, count(*) AS n, "
+            "CAST(sum(o_custkey) AS BIGINT) AS custkey_sum FROM orders "
+            "WHERE o_custkey IN (SELECT c_custkey FROM customer "
+            "WHERE c_mktsegment = 'BUILDING') GROUP BY o_orderpriority"
+        ),
+        "pack_sequences": (
+            # recursive-CTE mirror of stages/pack.py first-fit greedy
+            # (budget 256, shard = doc_id // 64, doc_id order)
+            "WITH RECURSIVE d AS ("
+            "SELECT doc_id, doc_id // 64 AS shard, "
+            "CAST(len(string_split(text, ' ')) AS BIGINT) AS n_toks, "
+            "row_number() OVER (PARTITION BY doc_id // 64 ORDER BY doc_id)"
+            " AS rn FROM documents), "
+            "p AS ("
+            "SELECT shard, rn, doc_id, n_toks, CAST(0 AS BIGINT) AS seq, "
+            "n_toks AS fill FROM d WHERE rn = 1 "
+            "UNION ALL "
+            "SELECT d.shard, d.rn, d.doc_id, d.n_toks, "
+            "CASE WHEN p.fill + d.n_toks <= 256 THEN p.seq ELSE p.seq + 1 "
+            "END, "
+            "CASE WHEN p.fill + d.n_toks <= 256 THEN p.fill + d.n_toks "
+            "ELSE d.n_toks END "
+            "FROM d JOIN p ON d.shard = p.shard AND d.rn = p.rn + 1) "
+            "SELECT doc_id, shard, seq, n_toks FROM p"
+        ),
         "docs_balanced_sample": sqlgen.balanced_sample_sql("lang"),
         "incremental_dedup": (
             # text-equality mirror of the engine's content-hash
@@ -10195,6 +9856,59 @@ FROM px GROUP BY i""",
             "WHERE doc_id >= 100 AND text NOT IN "
             "(SELECT text FROM documents WHERE doc_id < 100) "
             "GROUP BY text"
+        ),
+        "spatial_neighbor_pairs": (
+            f"WITH p AS (SELECT c_custkey AS id, "
+            f"(c_custkey * {_XMUL}) % {_XMOD} AS x, "
+            f"(c_custkey * {_YMUL}) % {_YMOD} AS y FROM customer) "
+            "SELECT a.id AS id_a, b.id AS id_b, "
+            "(a.x-b.x)*(a.x-b.x) + (a.y-b.y)*(a.y-b.y) AS d2 "
+            "FROM p a JOIN p b ON a.id < b.id "
+            "WHERE (a.x-b.x)*(a.x-b.x) + (a.y-b.y)*(a.y-b.y) "
+            "<= 40000000000"
+        ),
+        "distortion_planar": (
+            f"WITH xy AS (SELECT (l_orderkey * {_XMUL}) % {_XMOD} AS x, "
+            f"(l_suppkey * {_YMUL}) % {_YMOD} AS y FROM lineitem), "
+            "dd AS (SELECT sqrt((x - 5837287.81977)*(x - 5837287.81977) + "
+            "(y - 2121415.69617)*(y - 2121415.69617)) AS d FROM xy) "
+            "SELECT CAST(round(CASE WHEN d = 0 THEN 1.0 "
+            "ELSE d / 6378137.0 / sin(d / 6378137.0) END * 1000000) "
+            "AS BIGINT) AS k_micro, count(*) AS n FROM dd GROUP BY k_micro"
+        ),
+        "embedding_centroids": (
+            "SELECT vec_id % 8 AS cls, u.i AS dim, "
+            "CAST(sum(CAST(round(CAST(u.e AS DOUBLE) * 1000000) AS BIGINT)) "
+            "AS BIGINT) AS s, count(*) AS n "
+            "FROM embeddings, LATERAL (SELECT unnest(embedding) AS e, "
+            "unnest(range(len(embedding))) AS i) u "
+            "GROUP BY cls, dim"
+        ),
+        "events_profile": (
+            " UNION ALL ".join(
+                f"SELECT '{c}' AS col, count(*) AS n, "
+                f"CAST(sum(CASE WHEN {c} IS NULL THEN 1 ELSE 0 END) AS BIGINT)"
+                f" AS n_null, count(DISTINCT {c}) AS n_distinct, "
+                f"min({e}) AS min_v, max({e}) AS max_v FROM events"
+                for c, e in [("event_id", "event_id"),
+                             ("user_id", "user_id"),
+                             ("event_type", "length(event_type)"),
+                             ("props", "length(props)")]
+            )
+        ),
+        "docs_rollup": (
+            "SELECT COALESCE(lang, '<all>') AS lang, "
+            "COALESCE(source, '<all>') AS source, count(*) AS n "
+            "FROM documents GROUP BY ROLLUP(lang, source)"
+        ),
+        "docs_cube": (
+            "WITH d AS (SELECT lang, source, "
+            "CASE WHEN doc_id % 2 = 0 THEN 'even' ELSE 'odd' END AS split "
+            "FROM documents) "
+            "SELECT COALESCE(lang, '<all>') AS lang, "
+            "COALESCE(source, '<all>') AS source, "
+            "COALESCE(split, '<all>') AS split, count(*) AS n "
+            "FROM d GROUP BY CUBE(lang, source, split)"
         ),
         "nchars_drift": """
 WITH d AS (
@@ -10217,19 +9931,62 @@ SELECT c.bucket::BIGINT AS bucket, c.grp, c.obs::BIGINT AS obs,
          * (c.obs * nn.n - ng.n * ci.c))
         // (nn.n * ng.n * ci.c))::BIGINT AS chi2_q
 FROM cnt c JOIN ng ON ng.grp = c.grp JOIN ci ON ci.bucket = c.bucket, nn""",
-        "docs_cube": (
-            "WITH d AS (SELECT lang, source, "
-            "CASE WHEN doc_id % 2 = 0 THEN 'even' ELSE 'odd' END AS split "
-            "FROM documents) "
-            "SELECT COALESCE(lang, '<all>') AS lang, "
-            "COALESCE(source, '<all>') AS source, "
-            "COALESCE(split, '<all>') AS split, count(*) AS n "
-            "FROM d GROUP BY CUBE(lang, source, split)"
+        "doc_surprisal": (
+            # integer bit-length surprisal mirror of
+            # stages/text.py:surprisal_scores (vocab cut 4096 by
+            # count desc, token asc; OOV scores as count 1)
+            "WITH tok AS (SELECT doc_id, "
+            "unnest(string_split(text, ' ')) AS t FROM documents), "
+            "cnt AS (SELECT t, count(*) AS c FROM tok GROUP BY t), "
+            "tot AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM cnt), "
+            "vocab AS (SELECT t, c, row_number() OVER "
+            "(ORDER BY c DESC, t) AS rk FROM cnt), "
+            "keep AS (SELECT t, c FROM vocab WHERE rk <= 4096), "
+            "scored AS (SELECT tok.doc_id, "
+            "length(format('{:b}', tot.n // COALESCE(k.c, 1))) AS s "
+            "FROM tok LEFT JOIN keep k ON tok.t = k.t, tot) "
+            "SELECT doc_id, count(*) AS n_toks, "
+            "CAST(sum(s) AS BIGINT) AS ssum FROM scored GROUP BY doc_id"
         ),
-        "docs_rollup": (
-            "SELECT COALESCE(lang, '<all>') AS lang, "
-            "COALESCE(source, '<all>') AS source, count(*) AS n "
-            "FROM documents GROUP BY ROLLUP(lang, source)"
+        "triangle_count": (
+            "WITH e AS (SELECT DISTINCT "
+            "least(l_orderkey % 500, (l_partkey * 11) % 500) AS u, "
+            "greatest(l_orderkey % 500, (l_partkey * 11) % 500) AS v "
+            "FROM lineitem "
+            "WHERE l_orderkey % 500 <> (l_partkey * 11) % 500) "
+            "SELECT CAST(count(*) AS BIGINT) AS n_triangles "
+            "FROM e a JOIN e b ON b.u = a.v "
+            "JOIN e c ON c.u = a.u AND c.v = b.v"
+        ),
+        "docs_rank_ntile": (
+            "SELECT doc_id, n_chars, "
+            "row_number() OVER (ORDER BY n_chars, doc_id) AS rnk, "
+            "ntile(8) OVER (ORDER BY n_chars, doc_id) AS bucket "
+            "FROM documents"
+        ),
+        "events_hourly_distinct": (
+            "SELECT to_timestamp((epoch_us(ts) // 3600000000) * 3600)"
+            "::TIMESTAMP AS window_start, "
+            "count(DISTINCT user_id) AS n_users "
+            "FROM events GROUP BY window_start"
+        ),
+        "lineitem_skyline": (
+            # dominance via per-quantity max price + cummax over
+            # strictly smaller quantities; duplicates of a front point
+            # all survive (JOIN keeps every matching row)
+            "WITH g AS (SELECT l_quantity AS q, max(l_extendedprice) AS gp "
+            "FROM lineitem GROUP BY q), "
+            "m AS (SELECT q, gp, max(gp) OVER (ORDER BY q "
+            "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS mp "
+            "FROM g), "
+            "k AS (SELECT q, gp FROM m WHERE mp IS NULL OR gp > mp) "
+            "SELECT l_quantity, l_extendedprice FROM lineitem "
+            "JOIN k ON l_quantity = k.q AND l_extendedprice = k.gp"
+        ),
+        "user_event_sequences": (
+            "SELECT user_id, count(*) AS n_items, "
+            "string_agg(event_type, ' ' ORDER BY ts, event_id) AS seq "
+            "FROM events GROUP BY user_id"
         ),
         "docs_per_source_cap": _per_source_cap_sql(),
         "events_funnel": (
@@ -10251,118 +10008,147 @@ FROM cnt c JOIN ng ON ng.grp = c.grp JOIN ci ON ci.bucket = c.bucket, nn""",
             "LEFT JOIN s2 ON u.user_id = s2.user_id "
             "LEFT JOIN s3 ON u.user_id = s3.user_id"
         ),
-        "user_event_sequences": (
-            "SELECT user_id, count(*) AS n_items, "
-            "string_agg(event_type, ' ' ORDER BY ts, event_id) AS seq "
-            "FROM events GROUP BY user_id"
+        "simhash_near_dup": (
+            f"WITH s AS ({sqlgen.simhash_sql()}) "
+            "SELECT a.doc_id AS id_a, b.doc_id AS id_b "
+            "FROM s a JOIN s b ON a.doc_id < b.doc_id "
+            "AND bit_count(xor(a.simhash, b.simhash)) <= 3"
         ),
-        "lineitem_skyline": (
-            # dominance via per-quantity max price + cummax over
-            # strictly smaller quantities; duplicates of a front point
-            # all survive (JOIN keeps every matching row)
-            "WITH g AS (SELECT l_quantity AS q, max(l_extendedprice) AS gp "
-            "FROM lineitem GROUP BY q), "
-            "m AS (SELECT q, gp, max(gp) OVER (ORDER BY q "
-            "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS mp "
-            "FROM g), "
-            "k AS (SELECT q, gp FROM m WHERE mp IS NULL OR gp > mp) "
-            "SELECT l_quantity, l_extendedprice FROM lineitem "
-            "JOIN k ON l_quantity = k.q AND l_extendedprice = k.gp"
+        "orders_validate": (
+            "SELECT 'not_null:o_custkey' AS \"check\", "
+            "CAST(sum(CASE WHEN o_custkey IS NULL THEN 1 ELSE 0 END) "
+            "AS BIGINT) AS n_violations FROM orders "
+            "UNION ALL SELECT 'positive:o_totalprice', "
+            "CAST(sum(CASE WHEN o_totalprice IS NULL OR o_totalprice <= 0 "
+            "THEN 1 ELSE 0 END) AS BIGINT) FROM orders "
+            "UNION ALL SELECT 'unique:o_orderkey', "
+            "count(*) - count(DISTINCT o_orderkey) FROM orders "
+            "UNION ALL SELECT 'unique:o_custkey', "
+            "count(*) - count(DISTINCT o_custkey) FROM orders "
+            "UNION ALL SELECT 'foreign_key:o_custkey', "
+            "CAST(sum(CASE WHEN o_custkey NOT IN "
+            "(SELECT c_custkey FROM customer) THEN 1 ELSE 0 END) "
+            "AS BIGINT) FROM orders"
         ),
-        "events_hourly_distinct": (
-            "SELECT to_timestamp((epoch_us(ts) // 3600000000) * 3600)"
-            "::TIMESTAMP AS window_start, "
-            "count(DISTINCT user_id) AS n_users "
-            "FROM events GROUP BY window_start"
+        "benford_audit": """
+WITH c AS (
+  SELECT CAST(round(o_totalprice * 100) AS BIGINT) AS cents FROM orders),
+dd AS (
+  SELECT CAST(substr(CAST(cents AS VARCHAR), 1, 1) AS BIGINT) AS d
+  FROM c WHERE cents > 0),
+cnt AS (SELECT d, count(*)::BIGINT AS n FROM dd GROUP BY d),
+digits AS (SELECT unnest(range(1, 10)) AS d),
+bexp AS (SELECT * FROM (VALUES (1, 301), (2, 176), (3, 125), (4, 97),
+                               (5, 79), (6, 67), (7, 58), (8, 51),
+                               (9, 46)) e(d, exp_pm)),
+tot AS (SELECT sum(n) AS t FROM cnt)
+SELECT g.d::BIGINT AS d, COALESCE(cnt.n, 0)::BIGINT AS n,
+       (1000 * COALESCE(cnt.n, 0) // greatest(t, 1))::BIGINT AS share_pm,
+       e.exp_pm::BIGINT AS exp_pm,
+       abs(1000 * COALESCE(cnt.n, 0) // greatest(t, 1)
+           - e.exp_pm)::BIGINT AS dev_pm
+FROM digits g LEFT JOIN cnt ON cnt.d = g.d
+JOIN bexp e ON e.d = g.d, tot""",
+        "orders_cdc_merge": (
+            "WITH base AS (SELECT o_orderkey AS k, "
+            "CAST(round(o_totalprice * 100) AS BIGINT) AS cents, "
+            "CAST(-1 AS BIGINT) AS seq, 0 AS del FROM orders), "
+            "chg AS (SELECT l_orderkey AS k, "
+            "CAST(round(l_extendedprice * 100) AS BIGINT) AS cents, "
+            "CAST(l_linenumber AS BIGINT) AS seq, "
+            "CASE WHEN (l_orderkey + l_linenumber) % 11 = 0 THEN 1 ELSE 0 END AS del "
+            "FROM lineitem), "
+            "allr AS (SELECT * FROM base UNION ALL SELECT * FROM chg), "
+            "r AS (SELECT k, cents, del, row_number() OVER ("
+            "PARTITION BY k ORDER BY seq DESC, del DESC, cents DESC) AS rn FROM allr) "
+            "SELECT k, cents FROM r WHERE rn = 1 AND del = 0"
         ),
-        "docs_rank_ntile": (
-            "SELECT doc_id, n_chars, "
-            "row_number() OVER (ORDER BY n_chars, doc_id) AS rnk, "
-            "ntile(8) OVER (ORDER BY n_chars, doc_id) AS bucket "
-            "FROM documents"
+        "users_customers_full": (
+            "WITH c AS (SELECT c_custkey AS k, 1 AS is_cust FROM customer), "
+            "e AS (SELECT user_id AS k, count(*) AS n_ev FROM events "
+            "GROUP BY user_id) "
+            "SELECT CASE WHEN is_cust IS NULL THEN 'events_only' "
+            "WHEN n_ev IS NULL THEN 'cust_only' ELSE 'both' END AS side, "
+            "count(*) AS n_keys, "
+            "CAST(COALESCE(sum(n_ev), 0) AS BIGINT) AS sum_events "
+            "FROM c FULL OUTER JOIN e USING (k) GROUP BY side"
         ),
-        "triangle_count": (
-            "WITH e AS (SELECT DISTINCT "
-            "least(l_orderkey % 500, (l_partkey * 11) % 500) AS u, "
-            "greatest(l_orderkey % 500, (l_partkey * 11) % 500) AS v "
-            "FROM lineitem "
-            "WHERE l_orderkey % 500 <> (l_partkey * 11) % 500) "
-            "SELECT CAST(count(*) AS BIGINT) AS n_triangles "
-            "FROM e a JOIN e b ON b.u = a.v "
-            "JOIN e c ON c.u = a.u AND c.v = b.v"
+        "lineitem_weighted_sample": _weighted_sample_sql(),
+        "user_coverage": (
+            "WITH iv AS (SELECT user_id, epoch_us(ts) AS s, "
+            "epoch_us(ts) + ((event_id % 7) + 1) * 600000000 AS e "
+            "FROM events), "
+            "w AS (SELECT user_id, s, e, CASE WHEN "
+            "max(e) OVER (PARTITION BY user_id ORDER BY s, e "
+            "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) IS NULL "
+            "OR s > max(e) OVER (PARTITION BY user_id ORDER BY s, e "
+            "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) "
+            "THEN 1 ELSE 0 END AS ni FROM iv), "
+            "w2 AS (SELECT user_id, s, e, sum(ni) OVER "
+            "(PARTITION BY user_id ORDER BY s, e "
+            "ROWS UNBOUNDED PRECEDING) AS island FROM w), "
+            "isl AS (SELECT user_id, island, min(s) AS s0, max(e) AS e1, "
+            "count(*) AS n FROM w2 GROUP BY user_id, island) "
+            "SELECT user_id, CAST(sum(n) AS BIGINT) AS n_intervals, "
+            "count(*) AS n_islands, CAST(sum(e1 - s0) AS BIGINT) AS covered "
+            "FROM isl GROUP BY user_id"
         ),
-        "doc_surprisal": (
-            # integer bit-length surprisal mirror of
-            # stages/text.py:surprisal_scores (vocab cut 4096 by
-            # count desc, token asc; OOV scores as count 1)
-            "WITH tok AS (SELECT doc_id, "
-            "unnest(string_split(text, ' ')) AS t FROM documents), "
-            "cnt AS (SELECT t, count(*) AS c FROM tok GROUP BY t), "
-            "tot AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM cnt), "
-            "vocab AS (SELECT t, c, row_number() OVER "
-            "(ORDER BY c DESC, t) AS rk FROM cnt), "
-            "keep AS (SELECT t, c FROM vocab WHERE rk <= 4096), "
-            "scored AS (SELECT tok.doc_id, "
-            "length(format('{:b}', tot.n // COALESCE(k.c, 1))) AS s "
-            "FROM tok LEFT JOIN keep k ON tok.t = k.t, tot) "
-            "SELECT doc_id, count(*) AS n_toks, "
-            "CAST(sum(s) AS BIGINT) AS ssum FROM scored GROUP BY doc_id"
+        "user_growth": (
+            "WITH f AS (SELECT user_id, "
+            "min(epoch_us(ts) // 3600000000) AS d0 FROM events "
+            "GROUP BY user_id), "
+            "c AS (SELECT d0 AS hour, count(*) AS n FROM f GROUP BY d0) "
+            "SELECT hour, CAST(sum(n) OVER (ORDER BY hour "
+            "ROWS UNBOUNDED PRECEDING) AS BIGINT) AS cum_users FROM c"
         ),
-        "events_profile": (
+        "ann_ivf_topk": _ivf_oracle_sql(),
+        "kmeans_clusters": (
+            "SELECT ivf_list, n "
+            f"FROM {_oracle_lookup('kmeans_pin.parquet')} "
+            "WHERE sum_label = (SELECT sum(label) FROM embeddings) "
+            "ORDER BY ivf_list"
+        ),
+        "doc_len_quantiles": (
             " UNION ALL ".join(
-                f"SELECT '{c}' AS col, count(*) AS n, "
-                f"CAST(sum(CASE WHEN {c} IS NULL THEN 1 ELSE 0 END) AS BIGINT)"
-                f" AS n_null, count(DISTINCT {c}) AS n_distinct, "
-                f"min({e}) AS min_v, max({e}) AS max_v FROM events"
-                for c, e in [("event_id", "event_id"),
-                             ("user_id", "user_id"),
-                             ("event_type", "length(event_type)"),
-                             ("props", "length(props)")]
+                f"SELECT lang, CAST({q} AS DOUBLE) AS q, "
+                f"quantile_disc(length(text), {q}) AS v "
+                "FROM documents GROUP BY lang"
+                for q in (0.25, 0.5, 0.75, 0.875)
             )
         ),
-        "embedding_centroids": (
-            "SELECT vec_id % 8 AS cls, u.i AS dim, "
-            "CAST(sum(CAST(round(CAST(u.e AS DOUBLE) * 1000000) AS BIGINT)) "
-            "AS BIGINT) AS s, count(*) AS n "
-            "FROM embeddings, LATERAL (SELECT unnest(embedding) AS e, "
-            "unnest(range(len(embedding))) AS i) u "
-            "GROUP BY cls, dim"
+        "distinct_events_hll": _hll_oracle_sql(),
+        "events_hll_by_type": _hll_by_oracle_sql(),
+        "heavy_users_cms": _cms_oracle_sql(),
+        "events_pivot": _events_pivot_sql(),
+        "events_pivot_melt": (
+            "WITH p AS (" + _events_pivot_sql() + ") "
+            + " UNION ALL ".join(
+                f"SELECT hour, '{c}' AS variable, {c} AS value FROM p"
+                for c in [f"n_{x}" for x in
+                          ("click", "error", "purchase", "signup", "view")]
+                + [f"sum_{x}" for x in
+                   ("click", "error", "purchase", "signup", "view")]
+            )
         ),
-        "distortion_planar": (
-            f"WITH xy AS (SELECT (l_orderkey * {_XMUL}) % {_XMOD} AS x, "
-            f"(l_suppkey * {_YMUL}) % {_YMOD} AS y FROM lineitem), "
-            "dd AS (SELECT sqrt((x - 5837287.81977)*(x - 5837287.81977) + "
-            "(y - 2121415.69617)*(y - 2121415.69617)) AS d FROM xy) "
-            "SELECT CAST(round(CASE WHEN d = 0 THEN 1.0 "
-            "ELSE d / 6378137.0 / sin(d / 6378137.0) END * 1000000) "
-            "AS BIGINT) AS k_micro, count(*) AS n FROM dd GROUP BY k_micro"
+        "events_running": (
+            "SELECT CAST(user_id AS BIGINT) AS user_id, "
+            "CAST(event_id AS BIGINT) AS event_id, "
+            "CAST(count(*) OVER w AS BIGINT) AS cum_n, "
+            "CAST(sum(CAST(round(value * 100) AS BIGINT)) OVER w AS BIGINT) "
+            "AS cum_cents, "
+            "CAST(sum(CAST(round(value * 100) AS BIGINT)) OVER w3 AS BIGINT) "
+            "AS roll3_cents FROM events "
+            "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id "
+            "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW), "
+            "w3 AS (PARTITION BY user_id ORDER BY ts, event_id "
+            "ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)"
         ),
-        "spatial_neighbor_pairs": (
-            f"WITH p AS (SELECT c_custkey AS id, "
-            f"(c_custkey * {_XMUL}) % {_XMOD} AS x, "
-            f"(c_custkey * {_YMUL}) % {_YMOD} AS y FROM customer) "
-            "SELECT a.id AS id_a, b.id AS id_b, "
-            "(a.x-b.x)*(a.x-b.x) + (a.y-b.y)*(a.y-b.y) AS d2 "
-            "FROM p a JOIN p b ON a.id < b.id "
-            "WHERE (a.x-b.x)*(a.x-b.x) + (a.y-b.y)*(a.y-b.y) "
-            "<= 40000000000"
+        "events_hopping": (
+            "SELECT event_type, "
+            "to_timestamp(((epoch_us(ts) // 3600000000) - o.k) * 3600)::TIMESTAMP AS window_start, "
+            "count(*) AS n FROM events CROSS JOIN (VALUES (0), (1)) AS o(k) "
+            "GROUP BY event_type, window_start"
         ),
-        "docs_split_counts": _split_counts_sql(),
-        "supplier_topk_per_nation": (
-            "WITH r AS (SELECT l_suppkey, "
-            "CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)) AS BIGINT) "
-            "AS cents FROM lineitem GROUP BY l_suppkey), "
-            "j AS (SELECT n_name, s_name, s_suppkey, cents FROM r "
-            "JOIN supplier ON s_suppkey = l_suppkey "
-            "JOIN nation ON n_nationkey = s_nationkey), "
-            "w AS (SELECT *, row_number() OVER (PARTITION BY n_name "
-            "ORDER BY cents DESC, s_suppkey) AS rk FROM j) "
-            "SELECT n_name, s_name, cents FROM w WHERE rk <= 3"
-        ),
-        "ann_lsh_buckets": sqlgen.ann_lsh_buckets_sql(dim=64, n_planes=8),
-        "ann_ivf_topk": _ivf_oracle_sql(),
-        "regrid_equi7": sqlgen.regrid_equi7_sql(),
-        "embedding_near_dup": sqlgen.embedding_near_dup_sql(dim=64, bands=8, r=4, threshold=0.4),
         "events_asof_click": (
             "WITH p AS (SELECT user_id, epoch_us(ts) AS ts_us FROM events "
             "WHERE event_type = 'purchase'), "
@@ -10384,62 +10170,5 @@ FROM cnt c JOIN ng ON ng.grp = c.grp JOIN ci ON ci.bucket = c.bucket, nn""",
             "GROUP BY type_a, type_b"
         ),
         "doc_quality": _doc_quality_sql(),
-        "gopher_filter": _gopher_filter_sql(),
-        "embedding_dim_stats": """
-WITH e AS (SELECT vec_id, unnest(embedding)::DOUBLE AS v,
-                  generate_subscripts(embedding, 1) AS d FROM embeddings),
-st AS (SELECT d, min(v) AS mn, max(v) AS mx FROM e GROUP BY d),
-c AS (SELECT e.d,
-             CASE WHEN st.mx = st.mn THEN 0
-                  ELSE least(greatest(
-                      floor((e.v - st.mn) * 255.0 / (st.mx - st.mn)),
-                      0), 255)::BIGINT END AS code
-      FROM e JOIN st ON st.d = e.d),
-m AS (SELECT d - 1 AS d, count(*)::BIGINT AS n, sum(code)::BIGINT AS s,
-             sum(code * code)::BIGINT AS ss
-      FROM c GROUP BY d)
-SELECT d, n, s, ss, (n * ss - s * s)::BIGINT AS var_num FROM m""",
-        "embedding_int8": """
-WITH e AS (SELECT vec_id, unnest(embedding)::DOUBLE AS v,
-                  generate_subscripts(embedding, 1) AS d FROM embeddings),
-st AS (SELECT d, min(v) AS mn, max(v) AS mx FROM e GROUP BY d),
-c AS (SELECT e.vec_id,
-             CASE WHEN st.mx = st.mn THEN 0
-                  ELSE least(greatest(
-                      floor((e.v - st.mn) * 255.0 / (st.mx - st.mn)),
-                      0), 255)::BIGINT END AS code
-      FROM e JOIN st ON st.d = e.d)
-SELECT vec_id, sum(code)::BIGINT AS code_sum,
-       min(code) AS code_min, max(code) AS code_max
-FROM c GROUP BY vec_id""",
-        "nchars_mad_outliers": """
-WITH st AS (
-  SELECT source, quantile_disc(n_chars, 0.5) AS med
-  FROM documents GROUP BY source),
-m2 AS (
-  SELECT d.source, quantile_disc(abs(d.n_chars - st.med), 0.5) AS mad
-  FROM documents d JOIN st USING (source) GROUP BY d.source)
-SELECT d.source, d.doc_id, d.n_chars
-FROM documents d JOIN st USING (source) JOIN m2 USING (source)
-WHERE abs(d.n_chars - st.med) > 3 * m2.mad""",
-        "inverted_index": """
-WITH tok AS (
-  SELECT DISTINCT doc_id, unnest(string_split(text, ' ')) AS token
-  FROM documents),
-r AS (SELECT token, doc_id,
-             row_number() OVER (PARTITION BY token ORDER BY doc_id) AS rn
-      FROM tok)
-SELECT token, count(*)::BIGINT AS df,
-       string_agg(CASE WHEN rn <= 10 THEN doc_id::VARCHAR END,
-                  ',' ORDER BY doc_id) AS postings
-FROM r GROUP BY token""",
         "fingerprint_docs": sqlgen.fingerprint_sql(),
-        "pixel_index": (
-            f"WITH d AS (SELECT (l_orderkey * {_XMUL}) % {_XMOD} AS x, "
-            f"(l_suppkey * {_YMUL}) % {_YMOD} AS y FROM lineitem) "
-            "SELECT printf('E%03dN%03dT6', x // 600000 * 6, y // 600000 * 6) AS tile, "
-            "LEAST((y // 600000 * 600000 + 600000 - y) // 500, 1199) // 300 AS r_blk, "
-            "((x - x // 600000 * 600000) // 500) // 300 AS c_blk, "
-            "count(*) AS n FROM d GROUP BY tile, r_blk, c_blk"
-        ),
     }

@@ -198,220 +198,13 @@ def _driver_queries() -> dict[str, float]:
         ).count()
 
     out: dict[str, float] = {}
-    sel = [
-        "tile_floor_hist",
-        "cell_index_hist",
-        "cell_index_salted",
-        "tile_assign_real",
-        "roi_search_batch",
-        "dedup_exact_docs",
-        "token_stats_by_lang",
-        "events_hourly",
-        "events_sessionize",
-        "knn_cosine",
-        "knn_cosine_filtered",
-        "kwic_snippets",
-        "user_gap_quantiles",
-        "order_backlog",
-        "lsh_near_dup",
-        "regrid_sample",
-        "pixel_index",
-        "events_asof_click",
-        "events_range_join",
-        "fingerprint_docs",
-        "distinct_events_hll",
-        "heavy_users_cms",
-        "doc_len_quantiles",
-        "top_terms",
-        "segment_revenue_native",
-        "events_pivot",
-        "events_running",
-        "doc_tfidf_topk",
-        "customers_no_events",
-        "contaminated_docs",
-        "docs_split_counts",
-        "near_dup_components",
-        "dedup_canonical_docs",
-        "dedup_report",
-        "chunk_dedup_docs",
-        "doc_repetition",
-        "zorder_hist",
-        "zorder_bbox_prune",
-        "orders_bloom_semi",
-        "incremental_dedup",
-        "pack_sequences",
-        "docs_balanced_sample",
-        "spatial_neighbor_pairs",
-        "footprint_overlap",
-        "distortion_planar",
-        "embedding_centroids",
-        "events_profile",
-        "docs_rollup",
-        "docs_cube",
-        "nchars_drift",
-        "doc_surprisal",
-        "triangle_count",
-        "docs_rank_ntile",
-        "events_hourly_distinct",
-        "lineitem_skyline",
-        "user_event_sequences",
-        "docs_per_source_cap",
-        "events_funnel",
-        "simhash_near_dup",
-        "orders_validate",
-        "orders_cdc_merge",
-        "lineitem_weighted_sample",
-        "user_coverage",
-        "user_growth",
-        "image_ahash",
-        "image_phash",
-        "image_stats_pal",
-        "props_json_extract",
-        "scd2_user_state",
-        "nchars_outliers",
-        "jaccard_join_exact",
-        "containment_join",
-        "part_affinity",
-        "priority_transitions",
-        "embedding_dim_stats",
-        "edit_verified_pairs",
-        "orders_cdc_diff",
-        "gopher_filter",
-        "image_dedup_ensemble",
-        "image_patches",
-        "embedding_int8",
-        "inverted_index",
-        "image_hist_eq",
-        "nchars_mad_outliers",
-        "cross_decontam_lsh",
-        "image_dedup_canonical",
-        "image_pyramid",
-        "image_sobel",
-        "image_moments",
-        "image_harris",
-        "header_audit",
-        "image_template",
-        "image_quadtree",
-        "image_otsu",
-        "rgb_band_algebra",
-        "tile_mosaic",
-        "tile_mosaic_delta",
-        "tile_similarity",
-        "rasterize_polys",
-        "aoi_point_report",
-        "poly_stats",
-        "poly_zonal",
-        "poly_majority",
-        "collocations_pmi",
-        "pagerank_q",
-        "tile_focal_mean",
-        "image_blobs",
-        "blob_bbox",
-        "blob_perimeter",
-        "image_seam",
-        "image_dither",
-        "image_rle",
-        "image_hist_match",
-        "image_morph",
-        "tile_temporal_median",
-        "tile_change_detect",
-        "tile_moran",
-        "tile_revisit",
-        "pii_scrub",
-        "hilbert_hist",
-        "image_glcm",
-        "tile_coverage",
-        "tile_clusters",
-        "tile_kring",
-        "tile_cost_distance",
-        "tile_basins",
-        "tile_tri",
-        "tile_aspect",
-        "coverage_gini",
-        "audio_vad",
-        "image_hough4",
-        "image_dt",
-        "benford_audit",
-        "tile_erosion",
-        "best_scene_topk",
-        "source_checksums",
-        "tile_gaps",
-        "cell_pyramid",
-        "late_events",
-        "event_seasonal_anomaly",
-        "stay_segments",
-        "od_matrix",
-        "covisit_pairs",
-        "events_peak_concurrency",
-        "link_prediction",
-        "target_encoding",
-        "fk_audit",
-        "returned_revenue",
-        "poly_self_intersect",
-        "trajectory_raster",
-        "image_boxsum",
-        "zone_shape",
-        "feature_hashing",
-        "event_sax",
-        "parts_supplier",
-        "land_regions",
-        "od_bearing",
-        "brand_median_price",
-        "snap_to_network",
-        "hll_user_overlap",
-        "quadtree_cells",
-        "tile_transition",
-        "audio_peak_window",
-        "doc_readability",
-        "video_static_runs",
-        "image_colprofile",
-        "coverage_churn",
-        "event_periodicity",
-        "parquet_rowgroup_stats",
-        "events_debounce",
-        "edge_distance",
-        "continent_hist_sim",
-        "embedding_separation",
-        "reactivations",
-        "k_anonymity",
-        "tile_workload_balance",
-        "abc_analysis",
-        "unicode_audit",
-        "embedding_topdims",
-        "behavior_signatures",
-        "order_attribution",
-        "discount_elasticity",
-        "embedding_pq",
-        "tile_trend",
-        "tile_mk_trend",
-        "tile_iqr",
-        "tile_anomaly",
-        "cell_provenance",
-        "cell_quadkey",
-        "cell_geohash",
-        "csv_orders_rollup",
-        "ipc_lineitem_rollup",
-        "compact_docs",
-        "mosaic_manifest",
-        "doc_chunks",
-        "jsonl_events_rollup",
-        "image_quality_gate",
-        "ann_pq_topk",
-        "image_hog",
-        "video_cuts",
-        "audio_autocorr",
-    ]
-    qs = e.queries()
-    # sweep EVERYTHING: the explicit list above pins a stable ordering
-    # for the queries it names (round-over-round comparability); any
-    # queries() entry it misses is appended so no operator ships
-    # unbenchmarked (a round-3 ADVICE item hit one such omission)
-    sel = sel + sorted(set(qs) - set(sel))
-    for name in sel:
+    # every query, in queries() order (pinned by
+    # tests/data/query_order.txt, so runs stay comparable)
+    for name, fn in e.queries().items():
         best = float("inf")
         for _trial in range(2):  # best-of-2: the VM's run-to-run noise
             t0 = time.time()     # is +-30% on seconds-scale queries
-            res = qs[name](SF_DIR)
+            res = fn(SF_DIR)
             if hasattr(res, "count"):
                 res.count()  # consume the stream
             best = min(best, time.time() - t0)

@@ -657,16 +657,30 @@ def _tiff_bo(mv: memoryview) -> str:
     return bo
 
 
-def gtiff_ifd_offsets(buf: bytes | memoryview, limit: int = 64) -> list[int]:
-    """Offsets of every IFD in the chain (multi-image / overview files)."""
+def gtiff_ifd_offsets(buf: bytes | memoryview) -> list[int]:
+    """Offsets of every IFD in the chain (multi-image / overview files).
+    A next-IFD pointer back to an IFD already in the chain raises
+    ValueError."""
     mv = memoryview(buf)
     bo = _tiff_bo(mv)
     off = struct.unpack_from(f"{bo}I", mv, 4)[0]
     out: list[int] = []
-    while off and len(out) < limit:
+    seen: set[int] = set()
+    while off:
+        if off in seen:
+            raise ValueError(f"IFD chain cycles back to offset {off}")
+        seen.add(off)
         out.append(off)
         _, off = _read_entries(mv, bo, off)
     return out
+
+
+def _check_chunks(kind: str, offs: list, cnts: list, size: int) -> None:
+    """Raise ValueError for the first strip/tile running past the buffer."""
+    for i, (o, c) in enumerate(zip(offs, cnts)):
+        if o + c > size:
+            raise ValueError(f"{kind} {i} (offset {o}, {c} bytes) runs past"
+                             f" the end of the {size}-byte buffer")
 
 
 def decode_gtiff(buf: bytes | memoryview, ifd: int = 0) -> GTiffImage:
@@ -734,6 +748,7 @@ def decode_gtiff(buf: bytes | memoryview, ifd: int = 0) -> GTiffImage:
         tiles_across = (w + tw - 1) // tw
         tiles_down = (h + th - 1) // th
         per_band = tiles_across * tiles_down
+        _check_chunks("tile", offs, cnts, mv.nbytes)
         for i, (o, c) in enumerate(zip(offs, cnts)):
             band0 = 0 if planar == 1 else i // per_band
             j = i if planar == 1 else i % per_band
@@ -750,6 +765,7 @@ def decode_gtiff(buf: bytes | memoryview, ifd: int = 0) -> GTiffImage:
         offs = t[_T_STRIP_OFFSETS][2]
         cnts = t[_T_STRIP_COUNTS][2]
         strips_per_band = (h + rps - 1) // rps
+        _check_chunks("strip", offs, cnts, mv.nbytes)
         for i, (o, c) in enumerate(zip(offs, cnts)):
             band0 = 0 if planar == 1 else i // strips_per_band
             j = i if planar == 1 else i % strips_per_band

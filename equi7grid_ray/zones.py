@@ -70,12 +70,12 @@ class GeoPolygon:
         lo = np.floor((np.minimum(self.x1, self.x2) - self._x0) / bin_width).astype(np.int64)
         hi = np.floor((np.maximum(self.x1, self.x2) - self._x0) / bin_width).astype(np.int64)
         self._nbins = int(np.floor((self.bbox[2] - self._x0) / bin_width)) + 1
-        counts = np.zeros(self._nbins + 1, dtype=np.int64)
+        # bucket membership: edge k covers bins lo[k]..hi[k], expanded
+        # with the ragged repeat/cumsum-offset pattern of contains()
         spans = hi - lo + 1
-        np.add.at(counts, lo + 1, 1)  # prefix trick then expand below
-        # build bucket membership by explicit expansion (edges span few bins)
         idx = np.repeat(np.arange(len(lo)), spans)
-        bins = np.concatenate([np.arange(a, b + 1) for a, b in zip(lo, hi)]) if len(lo) else np.empty(0, np.int64)
+        starts = np.cumsum(spans) - spans
+        bins = lo[idx] + np.arange(len(idx)) - starts[idx]
         order = np.argsort(bins, kind="stable")
         self._bucket_edges = idx[order]
         self._bucket_offsets = np.searchsorted(bins[order], np.arange(self._nbins + 1))

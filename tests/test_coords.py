@@ -197,3 +197,23 @@ def test_pixel_to_world_affine_general():
     # a trailing (0, 0, 1) row is accepted
     w3 = pixel_to_world_coords(aff2 + (0.0, 0.0, 1.0), px2)
     np.testing.assert_allclose(w3, w2)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_geopolygon_buckets_equal_per_edge_construction(buffered):
+    """The longitude-bucket index equals one ``np.arange(lo, hi + 1)``
+    per edge, stable-sorted by bin, for every standard / buffered zone."""
+    from equi7grid_ray.sources.zone_build import load_zone_rings
+    from equi7grid_ray.zones import GeoPolygon
+
+    for zone, rings in load_zone_rings(buffered=buffered).items():
+        p = GeoPolygon(rings)
+        lo = np.floor((np.minimum(p.x1, p.x2) - p._x0) / p.bin_width).astype(np.int64)
+        hi = np.floor((np.maximum(p.x1, p.x2) - p._x0) / p.bin_width).astype(np.int64)
+        idx = np.concatenate([np.full(b - a + 1, k) for k, (a, b) in enumerate(zip(lo, hi))])
+        bins = np.concatenate([np.arange(a, b + 1) for a, b in zip(lo, hi)])
+        order = np.argsort(bins, kind="stable")
+        want_offsets = np.searchsorted(bins[order], np.arange(p._nbins + 1))
+        assert p._bucket_edges.dtype == idx.dtype, zone
+        np.testing.assert_array_equal(p._bucket_edges, idx[order], err_msg=zone)
+        np.testing.assert_array_equal(p._bucket_offsets, want_offsets, err_msg=zone)

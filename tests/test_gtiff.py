@@ -318,3 +318,45 @@ def test_planar_config_2_read():
     g = decode_gtiff(buf)
     assert g.array.shape == (2, 3, 4)
     assert np.array_equal(g.array, a)
+
+
+def _empty_ifd_chain(n: int, loop_to: int = 0) -> bytes:
+    """Header plus ``n`` zero-entry IFDs, each pointing at the next; the
+    last one points at ``loop_to`` (0 ends the chain)."""
+    offs = [8 + 6 * k for k in range(n)]
+    nxt = offs[1:] + [loop_to]
+    return b"II*\x00" + struct.pack("<I", 8) + b"".join(
+        struct.pack("<HI", 0, o) for o in nxt)
+
+
+def test_ifd_chain_longer_than_64_and_cycle():
+    from equi7grid_ray.gtiff import gtiff_ifd_offsets
+
+    assert gtiff_ifd_offsets(_empty_ifd_chain(70)) == [8 + 6 * k for k in range(70)]
+    # a single IFD whose next-IFD pointer points back at itself
+    with pytest.raises(ValueError, match="cycles back to offset 8"):
+        gtiff_ifd_offsets(_empty_ifd_chain(1, loop_to=8))
+    with pytest.raises(ValueError, match="cycles back to offset 14"):
+        gtiff_ifd_offsets(_empty_ifd_chain(3, loop_to=14))
+    a = np.arange(6, dtype=np.uint8).reshape(2, 3)
+    buf = bytearray(encode_gtiff(a))
+    n = struct.unpack_from("<H", buf, 8)[0]
+    struct.pack_into("<I", buf, 8 + 2 + 12 * n, 8)
+    with pytest.raises(ValueError, match="cycles back to offset 8"):
+        decode_gtiff(bytes(buf))
+
+
+@pytest.mark.parametrize("tiled", [False, True])
+def test_truncated_chunk_raises_before_inflate(tiled):
+    """A strip / tile whose offset + count runs past the buffer is named
+    before any chunk is inflated (a deflate stream cut short would
+    otherwise fail inside zlib or np.frombuffer)."""
+    a = np.arange(64 * 48, dtype=np.uint16).reshape(64, 48)
+    buf = encode_gtiff(a, compress="deflate", tiled=tiled,
+                       blockxsize=16, blockysize=16)
+    assert np.array_equal(decode_gtiff(buf).array, a)
+    cut = buf[:-5]
+    kind, last = ("tile", 11) if tiled else ("strip", 0)
+    with pytest.raises(ValueError, match=rf"{kind} {last} \(offset \d+, \d+ bytes\)"
+                                         rf" runs past the end of the {len(cut)}-byte buffer"):
+        decode_gtiff(cut)

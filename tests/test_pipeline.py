@@ -60,7 +60,7 @@ def test_entry_contract(ray_session):
     assert {"image_id", "continent", "tile", "covers_land"} <= cols
     qs = e.queries()
     orc = e.oracle_sql()
-    assert set(orc) <= set(qs)  # every oracle has a query
+    assert set(orc) == set(qs)  # every query has an oracle and vice versa
     assert len(qs) >= 25 and len(orc) >= 12
     # README advertises the exact counts; keep it from drifting.
     import re
@@ -84,6 +84,29 @@ def test_query_window_matches_driver_snapshot():
     keys = list(e.queries())
     assert len(keys) == 273
     assert keys[:50] == list(json.loads(snap.read_text()))
+
+
+def test_query_order_is_pinned():
+    """queries() keeps the order in tests/data/query_order.txt: the
+    snapshot window above and bench.py's sweep both follow it."""
+    from pathlib import Path
+
+    import __ray_entry__ as e
+
+    pinned = (Path(__file__).resolve().parent / "data" / "query_order.txt").read_text().split()
+    assert list(e.queries()) == pinned
+
+
+def test_each_oracle_has_exactly_one_q_function():
+    """A query is declared once: an oracle_sql() entry (non-empty SQL)
+    plus a module-level q_<name>; no q_* callable is left unregistered."""
+    import __ray_entry__ as e
+
+    orc = e.oracle_sql()
+    q_callables = {n for n, v in vars(e).items() if n.startswith("q_") and callable(v)}
+    assert q_callables == {f"q_{n}" for n in orc}
+    assert all(isinstance(sql, str) and sql.strip() for sql in orc.values())
+    assert all(e.queries()[n] is getattr(e, f"q_{n}") for n in orc)
 
 
 def test_make_assign_fn_rejects_bad_argument_at_call(ray_session):
