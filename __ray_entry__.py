@@ -129,10 +129,9 @@ def _oracle_lookup(name: str) -> str:
     """Absolute read_parquet() ref to a committed oracle-lookup golden
     (generated by tools/gen_oracle_lookups.py, staleness-guarded by
     tests/test_oracle_lookups.py)."""
-    from pathlib import Path
+    from equi7grid_ray.datafiles import DATA_DIR
 
-    p = Path(__file__).resolve().parent / "equi7grid_ray" / "data" / "oracle" / name
-    return f"read_parquet('{p}')"
+    return f"read_parquet('{DATA_DIR / 'oracle' / name}')"
 
 
 def _scene_blocks(n: int) -> str:

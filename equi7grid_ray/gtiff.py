@@ -675,8 +675,13 @@ def gtiff_ifd_offsets(buf: bytes | memoryview) -> list[int]:
     return out
 
 
-def _check_chunks(kind: str, offs: list, cnts: list, size: int) -> None:
-    """Raise ValueError for the first strip/tile running past the buffer."""
+def _check_chunks(kind: str, offs: list, cnts: list, n: int, size: int) -> None:
+    """Raise ValueError unless the offset and byte count lists both hold
+    the image's ``n`` strips/tiles, and for the first one running past
+    the buffer."""
+    if len(offs) != n or len(cnts) != n:
+        raise ValueError(f"{len(offs)} {kind} offsets and {len(cnts)} {kind} byte"
+                         f" counts, but the image has {n} {kind}s")
     for i, (o, c) in enumerate(zip(offs, cnts)):
         if o + c > size:
             raise ValueError(f"{kind} {i} (offset {o}, {c} bytes) runs past"
@@ -724,6 +729,7 @@ def decode_gtiff(buf: bytes | memoryview, ifd: int = 0) -> GTiffImage:
         raise ValueError(f"unsupported predictor {predictor}")
 
     tiled = _T_TILE_OFFSETS in t
+    planes = bands if planar == 2 else 1
     out = np.empty((h, w, bands), dtype=dtype.newbyteorder("="))
     # PlanarConfig 2 (band-sequential): each chunk holds ONE band; the
     # chunk list runs all of band 0's chunks, then band 1's, etc.
@@ -748,7 +754,7 @@ def decode_gtiff(buf: bytes | memoryview, ifd: int = 0) -> GTiffImage:
         tiles_across = (w + tw - 1) // tw
         tiles_down = (h + th - 1) // th
         per_band = tiles_across * tiles_down
-        _check_chunks("tile", offs, cnts, mv.nbytes)
+        _check_chunks("tile", offs, cnts, per_band * planes, mv.nbytes)
         for i, (o, c) in enumerate(zip(offs, cnts)):
             band0 = 0 if planar == 1 else i // per_band
             j = i if planar == 1 else i % per_band
@@ -765,7 +771,7 @@ def decode_gtiff(buf: bytes | memoryview, ifd: int = 0) -> GTiffImage:
         offs = t[_T_STRIP_OFFSETS][2]
         cnts = t[_T_STRIP_COUNTS][2]
         strips_per_band = (h + rps - 1) // rps
-        _check_chunks("strip", offs, cnts, mv.nbytes)
+        _check_chunks("strip", offs, cnts, strips_per_band * planes, mv.nbytes)
         for i, (o, c) in enumerate(zip(offs, cnts)):
             band0 = 0 if planar == 1 else i // strips_per_band
             j = i if planar == 1 else i % strips_per_band

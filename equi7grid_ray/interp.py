@@ -57,30 +57,18 @@ stencil is strictly local (4x4 cells).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 
-from equi7grid_ray import aeqd
+from equi7grid_ray import aeqd, datafiles
 from equi7grid_ray.constants import CONTINENTS, ContinentDef
-from equi7grid_ray.datafiles import in_ray_worker, write_atomic
 
 __all__ = ["CubicGridProjector", "build_zone_projectors", "get_projector"]
 
-_DATA_DIR = Path(__file__).resolve().parent / "data"
 #: bump whenever ``aeqd.forward`` (or the geodesic solver under it)
 #: changes its output, or the grid layout changes: keys the grid files
 _GRID_VERSION = 1
-
-
-def _grid_path(continent: str | ContinentDef, bbox: tuple, step: float) -> Path:
-    """The grid file of one (continent definition, bbox, step)."""
-    cdef = aeqd._cdef(continent)
-    key = json.dumps([dataclasses.astuple(cdef), list(bbox), step, _GRID_VERSION])
-    h = hashlib.sha256(key.encode()).hexdigest()[:12]
-    return _DATA_DIR / f"interpgrid_{cdef.name}_{h}.npy"
 
 
 def _lagrange_weights(f: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -99,9 +87,11 @@ def _lagrange_weights(f: np.ndarray) -> tuple[np.ndarray, ...]:
 class CubicGridProjector:
     """Per-zone forward projector: lon/lat (deg) -> AEQD x/y (m).
 
-    The grid is mapped from its file (:func:`_grid_path`); a missing
-    file is built and written first.  Pickles as its key: unpickling goes
-    through :func:`get_projector`."""
+    The grid is mapped from its file, named by a hash of the continent
+    definition, bbox, step and :data:`_GRID_VERSION`; a missing file is
+    built and written first, except inside a Ray worker, where ``g`` is
+    then None.  Pickles as its key: unpickling goes through
+    :func:`get_projector`."""
 
     def __init__(
         self,
@@ -124,13 +114,14 @@ class CubicGridProjector:
         self.lat0 = float(lat0)
         self.nlon = int(np.ceil((lon1 - lon0) / step)) + 1
         self.nlat = int(np.ceil((lat1 - lat0) / step)) + 1
-        path = _grid_path(continent, self.bbox, self.step)
-        if not path.exists():
-            g = self._solve()
-            write_atomic(path, lambda f: np.save(f, g))
+        key = json.dumps([dataclasses.astuple(cdef), list(self.bbox), self.step,
+                          _GRID_VERSION])
         # a plain ndarray view of the map: the 16 gathers in __call__ take
         # 1.3-1.4x as long on the np.memmap subclass itself
-        self.g = np.load(path, mmap_mode="r").view(np.ndarray)
+        self.g = datafiles.load_or_build(
+            datafiles.data_file(f"interpgrid_{cdef.name}", ".npy", key.encode()),
+            lambda p: np.load(p, mmap_mode="r").view(np.ndarray),
+            self._solve, np.save, optional=True)
 
     def _solve(self) -> np.ndarray:
         """The flat row-major (nlat, nlon) grid of ``x + 1j*y``: one
@@ -219,9 +210,10 @@ def get_projector(
     key = (continent, tuple(float(v) for v in bbox), float(step))
     proj = _CACHE.get(key)
     if proj is None:
-        if in_ray_worker() and not _grid_path(*key).exists():
+        proj = CubicGridProjector(*key)
+        if proj.g is None:
             return None
-        proj = _CACHE[key] = CubicGridProjector(*key)
+        _CACHE[key] = proj
     return proj
 
 

@@ -21,11 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
+from equi7grid_ray.datafiles import DATA_DIR
+
 _WKB_POINT = 1
 _WKB_POLYGON = 3
 _WKB_MULTIPOLYGON = 6
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 ZONES_NPZ = DATA_DIR / "zones_geog.npz"
 REFERENCE_ZONE_DIR = Path("/root/reference/src/equi7grid/data/zones")
 

@@ -931,17 +931,18 @@ def lsh_verified_pairs_sql(threshold: float = 0.8, n: int = 3,
     candidate SQL (lsh_pairs_sql) extended with exact distinct-n-gram
     Jaccard verification >= threshold.  The corpus' candidate Jaccard
     distribution is bimodal (0.67 | 0.93 gap), so the 0.8 threshold has
-    a huge float margin."""
+    a huge float margin.  ``cand`` and ``grams`` are MATERIALIZED: DuckDB
+    otherwise inlines each at all three of its references."""
     base = lsh_pairs_sql(num_perm=num_perm, bands=bands, shingle=shingle,
                          max_bucket=max_bucket)
     head, final = base.rsplit("SELECT DISTINCT a.doc_id AS id_a", 1)
     cand_select = "SELECT DISTINCT a.doc_id AS id_a" + final
     return f"""{head.rstrip()},
-cand AS ({cand_select}),
+cand AS MATERIALIZED ({cand_select}),
 cids AS (
   SELECT DISTINCT id FROM (
     SELECT id_a AS id FROM cand UNION ALL SELECT id_b FROM cand)),
-grams AS (
+grams AS MATERIALIZED (
   SELECT DISTINCT d.doc_id, substring(d.text, CAST(i AS INT), {n}) AS gm
   FROM documents d JOIN cids ON cids.id = d.doc_id,
   UNNEST(range(1, greatest(length(d.text) - {n} + 2, 2))) AS r(i)),

@@ -41,21 +41,16 @@ all read their tiles and names from it; none builds names itself.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from equi7grid_ray import aeqd
+from equi7grid_ray import aeqd, datafiles
 from equi7grid_ray.constants import CONTINENTS, DEF_SEG_LEN_DEG
-from equi7grid_ray.datafiles import write_atomic
 from equi7grid_ray.grid import GridSpec, full_names
 from equi7grid_ray.zones import GeoPolygon, get_zone_classifier
 from equi7grid_ray.sources.zone_build import ZONES_NPZ, load_zone_rings
-
-_DATA_DIR = Path(__file__).resolve().parent / "data"
 
 #: bump when the tile-set/atlas build algorithm changes (keys disk caches)
 _BUILD_VERSION = 4
@@ -436,44 +431,29 @@ class GridState:
             self._proj_zones[continent] = ProjZone(continent, self.spec.buffered)
         return self._proj_zones[continent]
 
-    def _tiling_cache_path(self, continent: str, tiling: str) -> Path:
-        from equi7grid_ray.land import LAND_VERSION
-
-        h = hashlib.sha256(
-            ZONES_NPZ.read_bytes()
-            + json.dumps(
-                [tiling, self.spec.tile_size(tiling), self.spec.buffered, LAND_VERSION, _BUILD_VERSION]
-            ).encode()
-        ).hexdigest()[:12]
-        return _DATA_DIR / f"tiles_{continent}_{tiling}_{h}.npz"
-
     def tiles(self, continent: str, tiling_id: int | str) -> ContinentTiling:
         tiling = self.spec.tiling_name(tiling_id)
         key = (continent, tiling)
         if key in self._tilings:
             return self._tilings[key]
-        p = self._tiling_cache_path(continent, tiling)
+        from equi7grid_ray.land import LAND_VERSION
+
         t = self.spec.tile_size(tiling)
-        if p.exists():
+        p = datafiles.data_file(
+            f"tiles_{continent}_{tiling}", ".npz", ZONES_NPZ.read_bytes(), json.dumps(
+                [tiling, t, self.spec.buffered, LAND_VERSION, _BUILD_VERSION]).encode())
+        # the nine arrays after continent, tiling and tile_size
+        arrays = [f.name for f in fields(ContinentTiling)][3:]
+
+        def load(p):
             d = np.load(p)
-            ct = ContinentTiling(
-                continent, tiling, t,
-                d["ll_x"], d["ll_y"], d["covers_land"],
-                d["atlas_lon"], d["atlas_lat"], d["atlas_inzone"],
-                d["extra_offsets"], d["extra_lon"], d["extra_lat"],
-            )
-        else:
-            ct = _build_continent_tiling(
-                continent, tiling, t, self.proj_zone(continent), self._land, self.zc
-            )
-            write_atomic(p, lambda f: np.savez_compressed(
-                f,
-                ll_x=ct.ll_x, ll_y=ct.ll_y, covers_land=ct.covers_land,
-                atlas_lon=ct.atlas_lon, atlas_lat=ct.atlas_lat,
-                atlas_inzone=ct.atlas_inzone, extra_offsets=ct.extra_offsets,
-                extra_lon=ct.extra_lon, extra_lat=ct.extra_lat,
-            ))
-        self._tilings[key] = ct
+            return ContinentTiling(continent, tiling, t, **{a: d[a] for a in arrays})
+
+        ct = self._tilings[key] = datafiles.load_or_build(
+            p, load,
+            lambda: _build_continent_tiling(
+                continent, tiling, t, self.proj_zone(continent), self._land, self.zc),
+            lambda f, ct: np.savez_compressed(f, **{a: getattr(ct, a) for a in arrays}))
         return ct
 
     def tile_index(self, tiling_id: int | str) -> TileIndex:

@@ -18,20 +18,17 @@ query path.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 
+from equi7grid_ray import datafiles
 from equi7grid_ray.constants import DEFAULT_CONTINENT_ORDER
-from equi7grid_ray.datafiles import in_ray_worker, write_atomic
 from equi7grid_ray.sources.zone_build import ZONES_NPZ, load_zone_rings
 
 __all__ = ["GeoPolygon", "ZoneClassifier", "get_zone_classifier"]
 
 _RASTER_RES = 0.1
-_DATA_DIR = Path(__file__).resolve().parent / "data"
 
 #: metres a cell's projected footprint keeps from every tile edge before
 #: the cell -> tile table answers for it (see build_cell_tile_table)
@@ -45,6 +42,11 @@ def _corner_max(a: np.ndarray) -> np.ndarray:
     """Per cell, the max of a node array over the cell's four corners."""
     return np.maximum(np.maximum(a[:-1, :-1], a[1:, :-1]),
                       np.maximum(a[:-1, 1:], a[1:, 1:]))
+
+
+def _load_raster(path) -> tuple[np.ndarray, np.ndarray]:
+    d = np.load(path)
+    return d["inside"], d["boundary"]
 
 
 class GeoPolygon:
@@ -148,7 +150,11 @@ class ZoneClassifier:
         rings = load_zone_rings(buffered=buffered)
         self.polys = {z: GeoPolygon(r) for z, r in rings.items()}
         self.res = _RASTER_RES
-        inside, boundary = self._load_or_build_raster()
+        sfx = "bfrd" if buffered else "std"
+        inside, boundary = datafiles.load_or_build(
+            datafiles.data_file(f"zone_raster_{sfx}", ".npz", ZONES_NPZ.read_bytes()),
+            _load_raster, self._build_raster,
+            lambda f, r: np.savez_compressed(f, inside=r[0], boundary=r[1]))
         # interleaved (inside | boundary << 8) uint16 raster: the hot
         # path does ONE random gather per point instead of two -- both
         # bytes share a cache line, halving random memory transactions
@@ -165,20 +171,6 @@ class ZoneClassifier:
         return {**self.__dict__, "_cell_tables": {}}
 
     # -- raster ------------------------------------------------------------
-
-    def _raster_cache_path(self) -> Path:
-        h = hashlib.sha256(ZONES_NPZ.read_bytes()).hexdigest()[:12]
-        sfx = "bfrd" if self.buffered else "std"
-        return _DATA_DIR / f"zone_raster_{sfx}_{h}.npz"
-
-    def _load_or_build_raster(self) -> tuple[np.ndarray, np.ndarray]:
-        p = self._raster_cache_path()
-        if p.exists():
-            d = np.load(p)
-            return d["inside"], d["boundary"]
-        inside, boundary = self._build_raster()
-        write_atomic(p, lambda f: np.savez_compressed(f, inside=inside, boundary=boundary))
-        return inside, boundary
 
     def _build_raster(self) -> tuple[np.ndarray, np.ndarray]:
         res = self.res
@@ -381,35 +373,30 @@ class ZoneClassifier:
 
     def cell_tile_table(self, name: str, key: bytes, build) -> np.ndarray | None:
         """The flat cell -> tile table ``build()`` makes, with a trailing
-        -1 cell, loaded from (or saved to) the package data directory.
+        -1 cell, from its file in the package data directory.
 
         The file name hashes the zone raster, ``key`` (the caller's tile
         set, dictionary and tile size), the margin and the build version,
-        so a change to any of them misses the cache.  A new file is
-        written with :func:`~equi7grid_ray.datafiles.write_atomic`, so a
-        concurrent reader sees the whole file or none.  The table is
-        int16 while its values fit.  Inside a Ray worker a missing table
-        is not built: the call returns None and the caller assigns
-        without it."""
-        h = hashlib.sha256(memoryview(self._packed))
-        h.update(key)
-        h.update(json.dumps([CELL_TABLE_MARGIN, _CELL_TABLE_VERSION]).encode())
+        so a change to any of them misses the file.  The table is int16
+        while its values fit.  Inside a Ray worker a missing table is not
+        built: the call returns None and the caller assigns without it."""
         sfx = "bfrd" if self.buffered else "std"
-        p = _DATA_DIR / f"celltiles_{sfx}_{name}_{h.hexdigest()[:12]}.npz"
-        if p.name in self._cell_tables:
-            return self._cell_tables[p.name]
-        if p.exists():
-            table = np.load(p)["table"]
-        elif in_ray_worker():
-            return None
-        else:
-            table = build()
-            if table.max(initial=-1) <= np.iinfo(np.int16).max:
-                table = table.astype(np.int16)
-            write_atomic(p, lambda f: np.savez_compressed(f, table=table))
-        flat = np.append(table.ravel(), table.dtype.type(-1))
-        self._cell_tables[p.name] = flat
-        return flat
+        p = datafiles.data_file(
+            f"celltiles_{sfx}_{name}", ".npz", memoryview(self._packed), key,
+            json.dumps([CELL_TABLE_MARGIN, _CELL_TABLE_VERSION]).encode())
+
+        def save(f, t):
+            if t.max(initial=-1) <= np.iinfo(np.int16).max:
+                t = t.astype(np.int16)
+            np.savez_compressed(f, table=t)
+
+        if p.name not in self._cell_tables:
+            table = datafiles.load_or_build(
+                p, lambda p: np.load(p)["table"], build, save, optional=True)
+            if table is None:
+                return None
+            self._cell_tables[p.name] = np.append(table.ravel(), table.dtype.type(-1))
+        return self._cell_tables[p.name]
 
 
 _classifiers: dict[bool, ZoneClassifier] = {}

@@ -17,7 +17,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from equi7grid_ray import aeqd, zones
+from equi7grid_ray import aeqd, datafiles, zones
 from equi7grid_ray.grid import GridSpec, tile_ll_from_xy
 from equi7grid_ray.stages.tile_assign import TileAssigner
 
@@ -226,7 +226,7 @@ def test_changed_key_misses_the_cache(tmp_path, monkeypatch):
 
     zc = zones.get_zone_classifier()
     zc._cell_tables.clear()
-    monkeypatch.setattr(zones, "_DATA_DIR", tmp_path)
+    monkeypatch.setattr(datafiles, "DATA_DIR", tmp_path)
     a = zc.cell_tile_table("T6", b"key-1", build)
     assert len(calls) == 1 and a.dtype == np.int16 and a[-1] == -1
     # with the process cache empty, the file is loaded, not rebuilt
@@ -247,17 +247,17 @@ def test_ray_worker_never_builds_a_missing_table(ray_session, tmp_path):
     def load(data_dir):
         from pathlib import Path
 
-        from equi7grid_ray import zones
+        from equi7grid_ray import datafiles, zones
 
         def build():
             raise AssertionError("built inside a Ray worker")
 
         zc = zones.ZoneClassifier()
-        saved, zones._DATA_DIR = zones._DATA_DIR, Path(data_dir)
+        saved, datafiles.DATA_DIR = datafiles.DATA_DIR, Path(data_dir)
         try:
             return zc.cell_tile_table("T6", b"absent", build)
         finally:
-            zones._DATA_DIR = saved
+            datafiles.DATA_DIR = saved
 
     assert ray.get(load.remote(str(tmp_path))) is None
     assert not any(p.name.startswith("celltiles_") for p in tmp_path.iterdir())
@@ -269,19 +269,19 @@ def test_ray_worker_never_builds_a_missing_table(ray_session, tmp_path):
         import pickle
         from pathlib import Path
 
-        from equi7grid_ray import interp
+        from equi7grid_ray import datafiles, interp
 
         def solve(self):
             raise AssertionError("grid built inside a Ray worker")
 
-        saved = interp._DATA_DIR, interp._CACHE, interp.CubicGridProjector._solve
-        interp._DATA_DIR, interp._CACHE = Path(data_dir), {}
+        saved = datafiles.DATA_DIR, interp._CACHE, interp.CubicGridProjector._solve
+        datafiles.DATA_DIR, interp._CACHE = Path(data_dir), {}
         interp.CubicGridProjector._solve = solve
         try:
             ta = pickle.loads(blob)
             return ta._proj, ta(batch)
         finally:
-            interp._DATA_DIR, interp._CACHE, interp.CubicGridProjector._solve = saved
+            datafiles.DATA_DIR, interp._CACHE, interp.CubicGridProjector._solve = saved
 
     import pickle
 

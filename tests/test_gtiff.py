@@ -346,15 +346,47 @@ def test_ifd_chain_longer_than_64_and_cycle():
         decode_gtiff(bytes(buf))
 
 
-@pytest.mark.parametrize("tiled", [False, True])
-def test_truncated_chunk_raises_before_inflate(tiled):
-    """A strip / tile whose offset + count runs past the buffer is named
+def _set_count(buf: bytearray, tag: int, n: int) -> None:
+    """Set the value count of IFD 0's entry ``tag`` (little-endian)."""
+    ifd = struct.unpack_from("<I", buf, 4)[0]
+    for i in range(struct.unpack_from("<H", buf, ifd)[0]):
+        e = ifd + 2 + 12 * i
+        if struct.unpack_from("<H", buf, e)[0] == tag:
+            struct.pack_into("<I", buf, e + 4, n)
+
+
+@pytest.mark.parametrize(
+    "tiled,short", [(False, None), (True, None), (False, "both"), (True, "both"),
+                    (True, "counts")],
+    ids=["False", "True", "strip-lists-short", "tile-lists-short", "tile-counts-short"])
+def test_truncated_chunk_raises_before_inflate(tiled, short, monkeypatch):
+    """A strip / tile whose offset + count runs past the buffer, or an
+    offset or byte count list shorter than the chunk grid, is named
     before any chunk is inflated (a deflate stream cut short would
-    otherwise fail inside zlib or np.frombuffer)."""
+    otherwise fail inside zlib or np.frombuffer; a short list left the
+    uncovered pixels uninitialised)."""
     a = np.arange(64 * 48, dtype=np.uint16).reshape(64, 48)
-    buf = encode_gtiff(a, compress="deflate", tiled=tiled,
-                       blockxsize=16, blockysize=16)
+    buf = encode_gtiff(a, compress="deflate", tiled=tiled, blockxsize=16,
+                       blockysize=16, rows_per_strip=16 if short else None)
     assert np.array_equal(decode_gtiff(buf).array, a)
+    if short:
+        # 12 tiles (3 x 4) or 4 strips; patch the list counts down to 2
+        kind, n = ("tile", 12) if tiled else ("strip", 4)
+        offs_tag, cnts_tag = (324, 325) if tiled else (273, 279)
+        short_buf = bytearray(buf)
+        _set_count(short_buf, cnts_tag, 2)
+        if short == "both":
+            _set_count(short_buf, offs_tag, 2)
+
+        def inflate(*args):
+            raise AssertionError("inflated a chunk")
+
+        monkeypatch.setattr(zlib, "decompress", inflate)
+        noffs = 2 if short == "both" else n
+        with pytest.raises(ValueError, match=rf"{noffs} {kind} offsets and 2 {kind} byte"
+                                             rf" counts, but the image has {n} {kind}s"):
+            decode_gtiff(bytes(short_buf))
+        return
     cut = buf[:-5]
     kind, last = ("tile", 11) if tiled else ("strip", 0)
     with pytest.raises(ValueError, match=rf"{kind} {last} \(offset \d+, \d+ bytes\)"

@@ -12,7 +12,7 @@ import pickle
 import numpy as np
 import pyarrow as pa
 
-from equi7grid_ray import aeqd, interp
+from equi7grid_ray import aeqd, datafiles, interp
 from equi7grid_ray.interp import _lagrange_weights, build_zone_projectors
 from equi7grid_ray.zones import get_zone_classifier
 
@@ -190,7 +190,7 @@ def test_grid_file_key(tmp_path, monkeypatch):
         return solve(self)
 
     monkeypatch.setattr(interp.CubicGridProjector, "_solve", counting)
-    monkeypatch.setattr(interp, "_DATA_DIR", tmp_path)
+    monkeypatch.setattr(datafiles, "DATA_DIR", tmp_path)
     monkeypatch.setattr(interp, "_CACHE", {})
     bbox = (10.0, 45.0, 12.0, 47.0)
     a = interp.get_projector("EU", bbox)

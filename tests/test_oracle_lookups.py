@@ -8,13 +8,13 @@ visible in review)."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-ORACLE = Path(__file__).resolve().parent.parent / "equi7grid_ray" / "data" / "oracle"
+from equi7grid_ray.datafiles import DATA_DIR
+
+ORACLE = DATA_DIR / "oracle"
 
 
 def test_tiles_t6_golden_matches_export():

@@ -29,7 +29,9 @@ import pyarrow.parquet as pq
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-OUT_DIR = Path(__file__).resolve().parent.parent / "equi7grid_ray" / "data" / "oracle"
+from equi7grid_ray.datafiles import DATA_DIR
+
+OUT_DIR = DATA_DIR / "oracle"
 DEFAULT_SFS = ["/root/testdata/sf0.001", "/root/testdata/sf0.01"]
 
 
