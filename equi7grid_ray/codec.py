@@ -119,7 +119,7 @@ def _stream_size_error(got: int, size: int) -> ValueError:
     return ValueError(f"{kind} PNG stream: {got} bytes inflated, IHDR needs {size}")
 
 
-def _inflate(idat_parts: list, size: int) -> np.ndarray:
+def _inflate(idat_parts: list, size: int) -> bytes:
     """One-shot inflate of the IDAT stream, which must hold exactly
     ``size`` bytes (a filter byte plus one scanline per row).  A corrupt
     or truncated stream raises ValueError."""
@@ -130,7 +130,7 @@ def _inflate(idat_parts: list, size: int) -> np.ndarray:
         raise ValueError(f"truncated or corrupt PNG stream: {e}") from None
     if len(out) != size:
         raise _stream_size_error(len(out), size)
-    return np.frombuffer(out, dtype=np.uint8)
+    return out
 
 
 def decode_png(buf, copy: bool = True) -> np.ndarray:
@@ -148,7 +148,8 @@ def decode_png(buf, copy: bool = True) -> np.ndarray:
     ch = 3 if ctype == 2 else 1  # paletted scanlines carry indices
     if ctype == 3 and plte is None:
         raise ValueError("paletted PNG without a PLTE chunk")
-    raw = _inflate(idat_parts, h * (w * ch + 1)).reshape(h, w * ch + 1)
+    raw = np.frombuffer(_inflate(idat_parts, h * (w * ch + 1)),
+                        dtype=np.uint8).reshape(h, w * ch + 1)
     if ctype == 3:
         plte = np.frombuffer(plte, dtype=np.uint8).reshape(-1, 3)
         # palette gather: (h, w) indices -> (h, w, 3) RGB (always a new
@@ -190,16 +191,35 @@ def decode_png(buf, copy: bool = True) -> np.ndarray:
     return img if ch == 1 else img.reshape(h, w, ch)
 
 
-def png_stream_stats(buf, keep_rows=None, chunk: int = 1 << 16):
+#: largest count of 8-bit samples whose sum is exact in a uint32
+#: accumulator: 255 * 16_843_009 == 2**32 - 1
+U32_SUM_MAX_SAMPLES = 16_843_009
+
+
+def _sum_u8(a: np.ndarray) -> int:
+    """Exact sum of a uint8 array, accumulated in uint32 (uint64 when
+    ``a`` is too long for uint32 to be exact)."""
+    acc = np.uint32 if len(a) <= U32_SUM_MAX_SAMPLES else np.uint64
+    return int(np.add.reduce(a, dtype=acc))
+
+
+def png_stream_stats(buf, keep_rows=None, chunk: int = 1 << 16, *,
+                     sumsq: bool = True):
     """Pixel sum and sum of squares (exact integers) of a filter-0 8-bit
     gray/RGB PNG and, optionally, copies of the requested scanlines --
     without materializing a decoded frame.  A frame whose filter+pixel
     stream fits ``chunk`` bytes inflates in one shot; a larger one
     streams through a bounded ``chunk``-byte window (zlib.decompressobj
     max_length), so the working set stays cache-resident however large
-    the frame is.  Per window the stats are a float64 ``f.sum()`` and
-    ``f @ f``: every partial sum is an integer below 2**53, so both are
-    exact.
+    the frame is.  The filter bytes are verified 0, so the stats over
+    the inflated stream are the pixel stats.
+
+    The kernel per window (or per one-shot frame): with ``sumsq=True`` a
+    float64 cast, ``sum`` and ``f @ f`` -- every partial sum is an
+    integer below 2**53, so both are exact.  With ``sumsq=False`` only
+    the sum is taken, as ``np.add.reduce(f, dtype=uint32)`` on the uint8
+    stream (``uint64`` past ``U32_SUM_MAX_SAMPLES`` samples), exact with
+    no cast; ``psumsq`` is then None.
 
     Returns ``(psum, psumsq, h, w, ch, rows)`` where ``rows`` is a
     ``(len(keep_rows), w*ch)`` uint8 array (or None), or ``None`` for a
@@ -215,14 +235,16 @@ def png_stream_stats(buf, keep_rows=None, chunk: int = 1 << 16):
     size = h * stride
 
     if size <= chunk:
-        f = _inflate(idat_parts, size)
-        if f[::stride].any():  # the filter byte of every scanline
+        out = _inflate(idat_parts, size)
+        if out[::stride].count(0) != h:  # the filter byte of every scanline
             return None
-        # filter bytes are 0, so stats over the stream ARE the pixel stats
-        x = f.astype(np.float64)
+        f = np.frombuffer(out, dtype=np.uint8)
         rows = None
         if keep_rows is not None:
             rows = f.reshape(h, stride)[np.asarray(keep_rows, dtype=np.intp), 1:]
+        if not sumsq:
+            return _sum_u8(f), None, h, w, ch, rows
+        x = f.astype(np.float64)
         return int(x.sum()), int(x @ x), h, w, ch, rows
 
     rows = None
@@ -233,7 +255,7 @@ def png_stream_stats(buf, keep_rows=None, chunk: int = 1 << 16):
                  for k, r in enumerate(keep_rows)]
 
     psum = 0
-    psumsq = 0
+    psumsq = 0 if sumsq else None
     spos = 0  # absolute position in the decompressed filter+pixel stream
 
     def process(arr: np.ndarray) -> bool:
@@ -243,9 +265,12 @@ def png_stream_stats(buf, keep_rows=None, chunk: int = 1 << 16):
         k0 = -(-spos // stride)
         if arr[k0 * stride - spos :: stride].any():
             return False  # filtered PNG: caller decodes fully
-        x = arr.astype(np.float64)
-        psum += int(x.sum())
-        psumsq += int(x @ x)
+        if sumsq:
+            x = arr.astype(np.float64)
+            psum += int(x.sum())
+            psumsq += int(x @ x)
+        else:
+            psum += _sum_u8(arr)
         for s0, s1, k in spans:
             a = max(s0, spos)
             b = min(s1, spos + ln)

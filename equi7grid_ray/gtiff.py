@@ -72,6 +72,8 @@ _T_GEO_ASCII = 34737
 _T_GDAL_METADATA = 42112
 _T_GDAL_NODATA = 42113
 
+_U32_MAX = 2**32 - 1  # the largest offset a classic TIFF can hold
+
 # field types: id -> (struct char, size)
 _FIELD = {1: ("B", 1), 2: ("s", 1), 3: ("H", 2), 4: ("I", 4), 5: ("II", 8),
           6: ("b", 1), 8: ("h", 2), 9: ("i", 4), 10: ("ii", 8),
@@ -430,6 +432,9 @@ def encode_gtiff(
     for c in chunks:
         chunk_offs.append(pos)
         pos += len(c)
+    if pos > _U32_MAX:  # classic TIFF offsets are u32; BigTIFF is not written
+        raise ValueError(f"GeoTIFF would end at offset {pos}, past the classic"
+                         f" TIFF limit of {_U32_MAX} (BigTIFF is not supported)")
 
     # patch chunk-offset entry values, THEN pack the out-of-line blobs
     off_tag = _T_TILE_OFFSETS if tiled else _T_STRIP_OFFSETS
@@ -688,6 +693,33 @@ def _check_chunks(kind: str, offs: list, cnts: list, n: int, size: int) -> None:
                              f" the end of the {size}-byte buffer")
 
 
+def _inflate_chunk(raw: bytes, comp: int, kind: str, i: int, need: int) -> bytes:
+    """The ``need`` bytes that strip/tile ``i`` decompresses to.  A
+    deflate chunk is inflated with its output capped at ``need``, so a
+    stream that would inflate past it is named without being inflated
+    in full; a chunk that comes out longer or shorter than ``need``, or
+    a corrupt or unterminated deflate stream, raises ValueError."""
+    name = "LZW" if comp == 5 else "deflate"
+    if comp == 5:
+        out = _lzw_decode(raw)
+    else:
+        d = zlib.decompressobj()
+        try:
+            out = d.decompress(raw, need)
+            if len(out) == need and not d.eof and d.decompress(d.unconsumed_tail, 1):
+                raise ValueError(f"deflate {kind} {i} decompresses to more than"
+                                 f" {need} bytes, expected {need}")
+        except zlib.error as e:
+            raise ValueError(f"corrupt deflate {kind} {i}: {e}") from None
+        if len(out) == need and not d.eof:
+            raise ValueError(f"deflate {kind} {i} ends without its end-of-stream"
+                             f" marker after {need} bytes")
+    if len(out) != need:
+        raise ValueError(f"{name} {kind} {i} decompresses to {len(out)} bytes,"
+                         f" expected {need}")
+    return out
+
+
 def decode_gtiff(buf: bytes | memoryview, ifd: int = 0) -> GTiffImage:
     """Parse classic-TIFF bytes into a GTiffImage.  ``ifd`` selects an
     image in a multi-IFD chain (0 = full resolution; overview files put
@@ -734,12 +766,11 @@ def decode_gtiff(buf: bytes | memoryview, ifd: int = 0) -> GTiffImage:
     # PlanarConfig 2 (band-sequential): each chunk holds ONE band; the
     # chunk list runs all of band 0's chunks, then band 1's, etc.
 
-    def chunk_array(raw: bytes, ch: int, cw: int) -> np.ndarray:
-        nb = bands if planar == 1 else 1
-        if comp == 5:
-            raw = _lzw_decode(raw)
-        elif comp != 1:
-            raw = zlib.decompress(raw)
+    nb = bands if planar == 1 else 1
+
+    def chunk_array(raw: bytes, kind: str, i: int, ch: int, cw: int) -> np.ndarray:
+        if comp != 1:
+            raw = _inflate_chunk(raw, comp, kind, i, ch * cw * nb * dtype.itemsize)
         a = np.frombuffer(raw, dtype=dtype, count=ch * cw * nb)
         a = a.reshape(ch, cw, nb)
         if predictor == 2:
@@ -760,7 +791,7 @@ def decode_gtiff(buf: bytes | memoryview, ifd: int = 0) -> GTiffImage:
             j = i if planar == 1 else i % per_band
             ty = (j // tiles_across) * th
             tx = (j % tiles_across) * tw
-            a = chunk_array(bytes(mv[o:o + c]), th, tw)
+            a = chunk_array(bytes(mv[o:o + c]), "tile", i, th, tw)
             if planar == 1:
                 out[ty:ty + th, tx:tx + tw] = a[: h - ty, : w - tx]
             else:
@@ -777,7 +808,7 @@ def decode_gtiff(buf: bytes | memoryview, ifd: int = 0) -> GTiffImage:
             j = i if planar == 1 else i % strips_per_band
             y = j * rps
             rows = min(rps, h - y)
-            a = chunk_array(bytes(mv[o:o + c]), rows, w)
+            a = chunk_array(bytes(mv[o:o + c]), "strip", i, rows, w)
             if planar == 1:
                 out[y:y + rows] = a
             else:

@@ -282,7 +282,7 @@ class DHashImages:
                 # streaming inflate: only the sampled scanlines leave
                 # the bounded window (no decoded-frame materialization)
                 st = png_stream_stats(data[offs[j] : offs[j + 1]],
-                                      keep_rows=ri)
+                                      keep_rows=ri, sumsq=False)
                 if st is not None:
                     _s, _q, _h, ww2, ch, rows = st
                     sampled = rows.reshape(self.GRID_H, ww2, ch)[:, ci]

@@ -35,7 +35,7 @@ import pyarrow.compute as pc
 from equi7grid_ray import aeqd
 from equi7grid_ray.arrowutil import binary_view
 from equi7grid_ray.cells import cell_id
-from equi7grid_ray.codec import decode_image, png_stream_stats
+from equi7grid_ray.codec import U32_SUM_MAX_SAMPLES, decode_image, png_stream_stats
 from equi7grid_ray.grid import GridSpec, full_names, tile_ll_from_xy
 from equi7grid_ray.sources.images import centers_for_index
 from equi7grid_ray.tiling_state import get_grid_state
@@ -110,19 +110,22 @@ def _decode_means(batch: pa.Table) -> np.ndarray:
                 f"{ends[k] - starts[k]} bytes for w*h={npx[k]}"
             )
         values = np.frombuffer(data, dtype=np.uint8)
+        # a uint32 sum of 8-bit samples is exact up to U32_SUM_MAX_SAMPLES
+        acc = np.uint32 if npx.max() <= U32_SUM_MAX_SAMPLES else np.uint64
         sums = np.fromiter(
-            (values[a:b].sum(dtype=np.int64)
+            (np.add.reduce(values[a:b], dtype=acc)
              for a, b in zip(starts.tolist(), ends.tolist())),
             dtype=np.int64, count=len(raw_rows),
         )
         px_mean[raw_rows] = sums / np.maximum(npx, 1)
 
+    offl, wl, hl = offs.tolist(), ws.tolist(), hs.tolist()
     for j in np.flatnonzero(is_png).tolist():
-        buf = data[offs[j] : offs[j + 1]]
-        w, h = int(ws[j]), int(hs[j])
+        buf = data[offl[j] : offl[j + 1]]
+        w, h = wl[j], hl[j]
         # streaming inflate: exact integer pixel sum through a bounded
         # window, no decoded-frame materialization
-        st = png_stream_stats(buf)
+        st = png_stream_stats(buf, sumsq=False)
         if st is None:  # filtered or paletted PNG: full reconstruction
             img = decode_image(buf, "png", w, h, copy=False)
             (hh, ww), mean = img.shape[:2], img.mean()

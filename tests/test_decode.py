@@ -10,6 +10,7 @@ import pyarrow as pa
 import pytest
 
 from equi7grid_ray.codec import (
+    U32_SUM_MAX_SAMPLES,
     decode_image,
     decode_png,
     encode_png_gray8,
@@ -174,6 +175,60 @@ def test_png_stream_stats_exact():
             assert np.array_equal(s2[5], flat[keep])
 
 
+def test_png_stream_stats_sum_only_matches_full_kernel():
+    """``sumsq=False`` gives the full kernel's exact sum (and no sum of
+    squares) on the one-shot and windowed paths, gray and RGB, with and
+    without kept scanlines; filtered and paletted frames still give
+    None."""
+    for buf, fmt, w, h, src in _mixed_rows():
+        if fmt != "png":
+            continue
+        for chunk in (1 << 16, 997):
+            for keep in (None, [0, h // 2, h - 1]):
+                full = png_stream_stats(buf, keep_rows=keep, chunk=chunk)
+                fast = png_stream_stats(buf, keep_rows=keep, chunk=chunk,
+                                        sumsq=False)
+                if src is None:
+                    assert full is None and fast is None
+                    continue
+                assert fast[0] == full[0] == int(src.sum(dtype=np.int64))
+                assert fast[1] is None
+                assert fast[2:5] == full[2:5]
+                if keep is None:
+                    assert fast[5] is None
+                else:
+                    assert np.array_equal(fast[5], full[5])
+
+
+def test_png_sum_only_one_shot_past_uint32_bound():
+    """A one-shot frame of more than ``U32_SUM_MAX_SAMPLES`` samples of
+    255 sums exactly (a uint32 accumulator would wrap)."""
+    h, w = 4011, 4200
+    assert h * w > U32_SUM_MAX_SAMPLES
+    buf = encode_png_gray8(np.full((h, w), 255, np.uint8), level=1)
+    st = png_stream_stats(buf, chunk=1 << 25, sumsq=False)
+    assert st[0] == 255 * h * w and st[1:5] == (None, h, w, 1)
+
+
+@pytest.mark.parametrize("w,h", [(65537, 257), (16_843_010, 1)],
+                         ids=["at-uint32-bound", "past-uint32-bound"])
+def test_raw_mean_exact_across_uint32_bound(assigner, w, h):
+    """255 * 16,843,009 == 2**32 - 1: a raw row of that many 255s is the
+    largest a uint32 sum holds; one more sample needs the uint64
+    accumulator.  Both means equal the int64 reference."""
+    assert 255 * U32_SUM_MAX_SAMPLES == 2**32 - 1
+    n = w * h
+    big = np.full(n, 255, np.uint8)
+    if n > U32_SUM_MAX_SAMPLES:  # the case a uint32 accumulator gets wrong
+        assert int(np.add.reduce(big, dtype=np.uint32)) != 255 * n
+    small = np.arange(1, 5, dtype=np.uint8)
+    t = _table([(big.tobytes(), "raw", w, h, None),
+                (small.tobytes(), "raw", 2, 2, None)])
+    got = _means(assigner, t)
+    assert got["img000000000000"] == big.sum(dtype=np.int64) / n == 255.0
+    assert got["img000000000001"] == small.sum(dtype=np.int64) / 4
+
+
 def test_decode_png_first_row_up_filter():
     """The row above the first scanline is zeros, so an up-filtered
     first row decodes to itself."""
@@ -204,6 +259,8 @@ def test_truncated_png_raises_valueerror(assigner):
         buf = _png(a, truncate=True)
         with pytest.raises(ValueError, match="PNG stream"):
             png_stream_stats(buf)
+        with pytest.raises(ValueError, match="PNG stream"):
+            png_stream_stats(buf, sumsq=False)
         with pytest.raises(ValueError, match="PNG stream"):
             decode_png(buf)
         h, w = a.shape

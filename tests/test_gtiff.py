@@ -11,6 +11,7 @@ import pytest
 
 from equi7grid_ray.gtiff import (
     TIFF_DTYPES,
+    _lzw_encode,
     decode_gtiff,
     encode_gtiff,
     equi7_crs,
@@ -382,6 +383,7 @@ def test_truncated_chunk_raises_before_inflate(tiled, short, monkeypatch):
             raise AssertionError("inflated a chunk")
 
         monkeypatch.setattr(zlib, "decompress", inflate)
+        monkeypatch.setattr(zlib, "decompressobj", inflate)
         noffs = 2 if short == "both" else n
         with pytest.raises(ValueError, match=rf"{noffs} {kind} offsets and 2 {kind} byte"
                                              rf" counts, but the image has {n} {kind}s"):
@@ -392,3 +394,82 @@ def test_truncated_chunk_raises_before_inflate(tiled, short, monkeypatch):
     with pytest.raises(ValueError, match=rf"{kind} {last} \(offset \d+, \d+ bytes\)"
                                          rf" runs past the end of the {len(cut)}-byte buffer"):
         decode_gtiff(cut)
+
+
+def _strip_8x8(comp: int, data: bytes) -> bytes:
+    """One 8x8 uint8 strip holding the ``data`` chunk, compressed with
+    TIFF compression ``comp``."""
+    base = 8 + 2 + 8 * 12 + 4
+    entries = [
+        (256, 3, 1, struct.pack("<HH", 8, 0)),
+        (257, 3, 1, struct.pack("<HH", 8, 0)),
+        (258, 3, 1, struct.pack("<HH", 8, 0)),
+        (259, 3, 1, struct.pack("<HH", comp, 0)),
+        (273, 4, 1, struct.pack("<I", base)),
+        (277, 3, 1, struct.pack("<HH", 1, 0)),
+        (278, 4, 1, struct.pack("<I", 8)),
+        (279, 4, 1, struct.pack("<I", len(data))),
+    ]
+    return _tiff("<", entries, data)
+
+
+def test_deflate_bomb_strip_raises_without_inflating():
+    """A strip whose deflate stream inflates to 64 MB of zeros is named
+    after its 64 expected bytes; the 64 MB are never allocated."""
+    import tracemalloc
+
+    c = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    bomb = b"".join([c.compress(zeros) for _ in range(64)] + [c.flush()])
+    del zeros
+    buf = _strip_8x8(8, bomb)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="deflate strip 0 decompresses to"
+                                             " more than 64 bytes, expected 64"):
+            decode_gtiff(buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("comp,n", [(8, 63), (8, 65), (5, 63), (5, 65)],
+                         ids=["deflate-short", "deflate-long", "lzw-short", "lzw-long"])
+def test_chunk_of_wrong_decompressed_size_raises(comp, n):
+    data = bytes(range(n))
+    chunk = zlib.compress(data) if comp == 8 else _lzw_encode(data)
+    name = "deflate" if comp == 8 else "LZW"
+    got = "more than 64" if (comp, n) == (8, 65) else str(n)
+    with pytest.raises(ValueError, match=rf"{name} strip 0 decompresses to {got}"
+                                         rf" bytes, expected 64"):
+        decode_gtiff(_strip_8x8(comp, chunk))
+    px = bytes(range(64))
+    ok = zlib.compress(px) if comp == 8 else _lzw_encode(px)
+    assert decode_gtiff(_strip_8x8(comp, ok)).array.tobytes() == px
+
+
+def test_corrupt_or_unterminated_deflate_strip_raises():
+    full = zlib.compress(bytes(range(64)))
+    with pytest.raises(ValueError, match="deflate strip 0 ends without its"
+                                         " end-of-stream marker after 64 bytes"):
+        decode_gtiff(_strip_8x8(8, full[:-4]))  # Adler-32 trailer cut off
+    with pytest.raises(ValueError, match="corrupt deflate strip 0"):
+        decode_gtiff(_strip_8x8(8, b"\xff" * len(full)))
+
+
+def test_classic_tiff_offset_limit_raises_before_assembly():
+    """Offsets of a classic TIFF are u32: an image whose end would pass
+    2**32 - 1 raises, naming that end; one ending at the limit encodes.
+    Placed at a high IFD base in segment mode, so nothing near 4 GiB is
+    allocated."""
+    a = np.arange(64, dtype=np.uint8).reshape(8, 8)
+    with pytest.raises(ValueError, match=r"end at offset 429496\d+, past the"
+                                         r" classic TIFF limit of 4294967295"):
+        encode_gtiff(a, _ifd_base=2**32 - 64, _no_header=True)
+    n = len(encode_gtiff(a, _ifd_base=1000, _no_header=True))
+    base = (2**32 - 1 - n) & ~1  # even, like 1000: same padding, same length
+    assert base + n <= 2**32 - 1
+    assert len(encode_gtiff(a, _ifd_base=base, _no_header=True)) == n
+    with pytest.raises(ValueError, match=rf"end at offset {base + 2 + n},"):
+        encode_gtiff(a, _ifd_base=base + 2, _no_header=True)
