@@ -28,11 +28,13 @@ from pathlib import Path
 
 N_DECODE_ROWS = 1_000_000
 N_ASSIGN_ROWS = 256_000_000
-# file counts sized so read->assign FUSES (override_num_blocks == n_files
-# keeps the read's split factor at 1; Ray Data only fuses unsplit reads)
-# and so both 8- and 32-cpu runs get many uniform waves of tasks.  With
-# fusion the image payloads never transit the object store -- decisive on
-# this VM (~4 GB/s aggregate memory bandwidth, slow first-touch paging).
+# file counts sized so both 8- and 32-cpu runs split the files into
+# equal groups: tile_assignments_from_files runs one read->assign task
+# per group of contiguous files, at most one per CPU (64 files: 8 tasks
+# of 8 files on 8 cpus, 32 tasks of 2 on 32).  Each group is one
+# override_num_blocks block, so the read stays unsplit and FUSES with the
+# assign; the image payloads never transit the object store -- decisive
+# on this VM (~4 GB/s aggregate memory bandwidth, slow first-touch paging).
 N_DECODE_FILES = 128
 N_ASSIGN_FILES = 64
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")

@@ -535,8 +535,10 @@ def _lzw_encode(data: bytes) -> bytes:
     return np.packbits(np.concatenate(parts)).tobytes()
 
 
-def _lzw_decode(data: bytes) -> bytes:
-    """TIFF-flavour LZW decode (early-change).
+def _lzw_decode(data: bytes, limit: int | None = None) -> bytes:
+    """TIFF-flavour LZW decode (early-change).  With ``limit``, decoding
+    stops at the first code that takes the output past ``limit`` bytes,
+    so a stream that would decode to far more is never held in full.
 
     Segment-wise VECTORIZED code extraction (between width changes all
     codes share a width -> one reshape+dot per run; width-change points
@@ -597,6 +599,8 @@ def _lzw_decode(data: bytes) -> bytes:
             prev = c
             prev_emit = cur
             prev_len = clen
+            if limit is not None and len(out) > limit:
+                return bytes(out)
         pos += stop * wd
         remaining -= stop
         if stop < k:  # hit a clear or EOI
@@ -695,13 +699,17 @@ def _check_chunks(kind: str, offs: list, cnts: list, n: int, size: int) -> None:
 
 def _inflate_chunk(raw: bytes, comp: int, kind: str, i: int, need: int) -> bytes:
     """The ``need`` bytes that strip/tile ``i`` decompresses to.  A
-    deflate chunk is inflated with its output capped at ``need``, so a
-    stream that would inflate past it is named without being inflated
-    in full; a chunk that comes out longer or shorter than ``need``, or
-    a corrupt or unterminated deflate stream, raises ValueError."""
+    chunk is decompressed with its output capped at ``need``, so a
+    stream that would decompress past it is named without being
+    decompressed in full; a chunk that comes out longer or shorter than
+    ``need``, or a corrupt or unterminated deflate stream, raises
+    ValueError."""
     name = "LZW" if comp == 5 else "deflate"
     if comp == 5:
-        out = _lzw_decode(raw)
+        out = _lzw_decode(raw, need)
+        if len(out) > need:
+            raise ValueError(f"LZW {kind} {i} decompresses to more than"
+                             f" {need} bytes, expected {need}")
     else:
         d = zlib.decompressobj()
         try:
@@ -769,8 +777,12 @@ def decode_gtiff(buf: bytes | memoryview, ifd: int = 0) -> GTiffImage:
     nb = bands if planar == 1 else 1
 
     def chunk_array(raw: bytes, kind: str, i: int, ch: int, cw: int) -> np.ndarray:
+        need = ch * cw * nb * dtype.itemsize
         if comp != 1:
-            raw = _inflate_chunk(raw, comp, kind, i, ch * cw * nb * dtype.itemsize)
+            raw = _inflate_chunk(raw, comp, kind, i, need)
+        elif len(raw) < need:
+            raise ValueError(f"uncompressed {kind} {i} has {len(raw)} bytes,"
+                             f" expected {need}")
         a = np.frombuffer(raw, dtype=dtype, count=ch * cw * nb)
         a = a.reshape(ch, cw, nb)
         if predictor == 2:

@@ -67,21 +67,32 @@ def tile_assignments_from_files(
     emit_id: bool = True,
 ):
     """Read-in-map variant of :func:`tile_assignments`: the input Dataset
-    holds file PATHS; each task reads its file with plain pyarrow and runs
-    the assigner in the same task.
+    holds groups of file PATHS; each task reads its group's files with
+    plain pyarrow and runs the assigner in the same task.
 
     Rationale: Ray Data's built-in parquet reader iterates 10k-row batch
     slices with per-batch schema handling -- measured ~1 us/row vs
     ~0.06 us/row for a straight ``pq.read_table`` of the same (page-cached)
     file.  On the assignment hot path that read overhead is ~40% of the
     work and scales worse than the compute, so the headline pipeline reads
-    inside the map task.  Retry granularity stays per-file (a failed task
-    re-reads only its file); each file must fit in a worker heap.
+    inside the map task.
+
+    A task is a contiguous group of files, at most one task per cluster
+    CPU (:func:`_file_groups`): every Ray Data task pays a fixed ~10 ms
+    of scheduling, so tasks queued for the same CPU slot only add that
+    cost.  A cluster with at least as many CPUs as files runs one task
+    per file.  Retry granularity is the group (a failed task re-reads
+    its group's files); each row group must fit in a worker heap.  An
+    empty ``files`` raises ValueError before any Ray work.
     """
     import pyarrow.parquet as pq
+    import ray
     import ray.data as rd
+    from ray._private.auto_init_hook import auto_init_ray
 
     files = [str(f) for f in files]
+    if not files:
+        raise ValueError("tile_assignments_from_files: the file list is empty")
     assign = make_assign_fn(
         tiling_id=tiling_id, spec=spec, decode=decode, passthrough=passthrough,
         emit_cell=emit_cell, emit_xy=emit_xy, emit_id=emit_id,
@@ -91,15 +102,25 @@ def tile_assignments_from_files(
         # stream one row group at a time: row-group-sized batches keep the
         # assigner's working set in cache and bound task heap usage by the
         # row-group size, not the file size
-        for path in batch.column("path").to_pylist():
-            pf = pq.ParquetFile(path)
-            for rg in range(pf.num_row_groups):
-                t = pf.read_row_group(rg, columns=columns, use_threads=False)
-                yield assign(t)
+        for paths in batch.column("paths").to_pylist():
+            for path in paths:
+                pf = pq.ParquetFile(path)
+                for rg in range(pf.num_row_groups):
+                    t = pf.read_row_group(rg, columns=columns, use_threads=False)
+                    yield assign(t)
 
-    ds = rd.from_items([{"path": f} for f in files],
-                       override_num_blocks=len(files))
+    auto_init_ray()  # what Ray Data itself does before its first task
+    groups = _file_groups(files, int(ray.cluster_resources()["CPU"]))
+    ds = rd.from_items([{"paths": g} for g in groups],
+                       override_num_blocks=len(groups))
     return ds.map_batches(read_and_assign, batch_format="pyarrow", num_cpus=1)
+
+
+def _file_groups(files: list[str], n_cpus: int) -> list[list[str]]:
+    """``files`` in ``min(len(files), n_cpus)`` contiguous groups whose
+    sizes differ by at most one, in input order, none empty."""
+    n = min(len(files), n_cpus)
+    return [list(g) for g in np.array_split(np.array(files, dtype=object), n)]
 
 
 def _ingest_fragment(path: str, *, out_dir: str, assign, columns) -> None:

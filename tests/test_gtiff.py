@@ -434,13 +434,40 @@ def test_deflate_bomb_strip_raises_without_inflating():
     assert peak < 1 << 20
 
 
+def test_lzw_bomb_strip_raises_without_decoding():
+    """A strip whose LZW stream decodes to 4 MB of zeros is named after
+    its 64 expected bytes; decoding stops once the output passes them."""
+    import tracemalloc
+
+    buf = _strip_8x8(5, _lzw_encode(bytes(4 << 20)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="LZW strip 0 decompresses to"
+                                             " more than 64 bytes, expected 64"):
+            decode_gtiff(buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_short_uncompressed_strip_raises():
+    """An uncompressed strip shorter than its rows is named with both
+    byte counts; one of the full 64 bytes decodes."""
+    with pytest.raises(ValueError, match="uncompressed strip 0 has 32 bytes,"
+                                         " expected 64"):
+        decode_gtiff(_strip_8x8(1, bytes(32)))
+    px = bytes(range(64))
+    assert decode_gtiff(_strip_8x8(1, px)).array.tobytes() == px
+
+
 @pytest.mark.parametrize("comp,n", [(8, 63), (8, 65), (5, 63), (5, 65)],
                          ids=["deflate-short", "deflate-long", "lzw-short", "lzw-long"])
 def test_chunk_of_wrong_decompressed_size_raises(comp, n):
     data = bytes(range(n))
     chunk = zlib.compress(data) if comp == 8 else _lzw_encode(data)
     name = "deflate" if comp == 8 else "LZW"
-    got = "more than 64" if (comp, n) == (8, 65) else str(n)
+    got = "more than 64" if n == 65 else str(n)
     with pytest.raises(ValueError, match=rf"{name} strip 0 decompresses to {got}"
                                          rf" bytes, expected 64"):
         decode_gtiff(_strip_8x8(comp, chunk))

@@ -299,3 +299,70 @@ def test_ipc_roundtrip_exact(ray_session, tmp_path):
     exp = pq.read_table(f"{sf}/lineitem.parquet", columns=cols) \
         .to_pandas().sort_values(cols).reset_index(drop=True)
     assert got.equals(exp[got.columns])
+
+
+_POINT_KW = dict(emit_cell=False, emit_xy=False, emit_id=False)
+
+
+def _point_files(d, n_files: int) -> list:
+    """``n_files`` parquet files of two row groups each, every group
+    with a NaN, a lat = 95 and a lon = 200 row among its points."""
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(20)
+    files = []
+    for k in range(n_files):
+        lon = rng.uniform(-180, 180, 600)
+        lat = rng.uniform(-80, 80, 600)
+        for g in (0, 300):
+            lon[g], lat[g + 1], lon[g + 2] = np.nan, 95.0, 200.0
+        files.append(d / f"part-{k}.parquet")
+        pq.write_table(pa.table({"image_id": np.arange(600) + 600 * k, "lon": lon, "lat": lat}),
+                       files[-1], row_group_size=300)
+    return files
+
+
+@pytest.mark.parametrize("n_files", [3, 7])
+def test_tile_assignments_from_files_matches_in_process(ray_session, tmp_path, n_files):
+    """On the 4-CPU session (7 files: 4 tasks of grouped files; 3 files:
+    one task each) the tile histogram equals the in-process assigner's
+    over every row group."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from equi7grid_ray.pipelines.flagship import tile_assignments_from_files, tile_histogram
+    from equi7grid_ray.stages.tile_assign import TileAssigner
+
+    files = _point_files(tmp_path, n_files)
+    got = tile_histogram(tile_assignments_from_files(files, columns=["lon", "lat"], **_POINT_KW))
+    assigner = TileAssigner(**_POINT_KW)
+    want = pc.value_counts(pa.concat_tables([
+        assigner(pq.ParquetFile(f).read_row_group(rg, columns=["lon", "lat"]))
+        for f in files for rg in range(2)]).column("tile").cast(pa.string()))
+    assert 0 < sum(got.column("n").to_pylist()) < 600 * n_files
+    assert dict(zip(got.column("tile").to_pylist(), got.column("n").to_pylist())) == \
+        dict(zip(want.field("values").to_pylist(), want.field("counts").to_pylist()))
+
+
+def test_file_groups_contiguous_at_most_one_per_cpu():
+    from equi7grid_ray.pipelines.flagship import _file_groups
+
+    files = [f"f{i}.parquet" for i in range(7)]
+    groups = _file_groups(files, 4)
+    assert [len(g) for g in groups] == [2, 2, 2, 1]
+    assert sum(groups, []) == files
+    assert _file_groups(files[:3], 4) == [[f] for f in files[:3]]
+    assert _file_groups(files[:4], 1) == [files[:4]]
+
+
+def test_tile_assignments_from_files_empty_list_raises(monkeypatch):
+    """An empty file list is named on the caller before the assigner is
+    built or broadcast (and before Ray's own ``parallelism`` error)."""
+    from equi7grid_ray.pipelines import flagship
+
+    def no_assigner(**_kw):
+        raise AssertionError("assigner built for an empty file list")
+
+    monkeypatch.setattr(flagship, "make_assign_fn", no_assigner)
+    with pytest.raises(ValueError, match="file list is empty"):
+        flagship.tile_assignments_from_files([])
