@@ -28,10 +28,13 @@ from pathlib import Path
 
 N_DECODE_ROWS = 1_000_000
 N_ASSIGN_ROWS = 256_000_000
-# file counts sized so both 8- and 32-cpu runs split the files into
-# equal groups: tile_assignments_from_files runs one read->assign task
-# per group of contiguous files, at most one per CPU (64 files: 8 tasks
-# of 8 files on 8 cpus, 32 tasks of 2 on 32).  Each group is one
+# file counts sized so both 8- and 32-cpu runs split the files evenly.
+# tile_assignments_from_files runs one read->assign task per group of
+# contiguous files, at most one per CPU (64 files: 8 tasks of 8 files on
+# 8 cpus, 32 tasks of 2 on 32), i.e. ONE static wave where one task per
+# file used to give many waves that balance load as workers free up.
+# The grouping was measured only on a 1-cpu cluster (perfbench); its
+# effect on these 8- and 32-cpu runs is unmeasured.  Each group is one
 # override_num_blocks block, so the read stays unsplit and FUSES with the
 # assign; the image payloads never transit the object store -- decisive
 # on this VM (~4 GB/s aggregate memory bandwidth, slow first-touch paging).

@@ -535,10 +535,10 @@ def _lzw_encode(data: bytes) -> bytes:
     return np.packbits(np.concatenate(parts)).tobytes()
 
 
-def _lzw_decode(data: bytes, limit: int | None = None) -> bytes:
-    """TIFF-flavour LZW decode (early-change).  With ``limit``, decoding
-    stops at the first code that takes the output past ``limit`` bytes,
-    so a stream that would decode to far more is never held in full.
+def _lzw_decode(data: bytes, limit: int) -> bytes:
+    """TIFF-flavour LZW decode (early-change).  Decoding stops at the
+    first code that takes the output past ``limit`` bytes, so a stream
+    that would decode to far more is never held in full.
 
     Segment-wise VECTORIZED code extraction (between width changes all
     codes share a width -> one reshape+dot per run; width-change points
@@ -599,7 +599,7 @@ def _lzw_decode(data: bytes, limit: int | None = None) -> bytes:
             prev = c
             prev_emit = cur
             prev_len = clen
-            if limit is not None and len(out) > limit:
+            if len(out) > limit:
                 return bytes(out)
         pos += stop * wd
         remaining -= stop

@@ -80,15 +80,17 @@ def tile_assignments_from_files(
     A task is a contiguous group of files, at most one task per cluster
     CPU (:func:`_file_groups`): every Ray Data task pays a fixed ~10 ms
     of scheduling, so tasks queued for the same CPU slot only add that
-    cost.  A cluster with at least as many CPUs as files runs one task
-    per file.  Retry granularity is the group (a failed task re-reads
-    its group's files); each row group must fit in a worker heap.  An
-    empty ``files`` raises ValueError before any Ray work.
+    cost.  The CPU count is read once, when this Dataset is built; a
+    cluster that grows later keeps the groups, and one with no CPU yet
+    (an autoscaler still adding workers) runs one task per file.  A
+    cluster with at least as many CPUs as files also runs one task per
+    file.  Retry granularity is the group (a failed task re-reads its
+    group's files); each row group must fit in a worker heap.  An empty
+    ``files`` raises ValueError before any Ray work.
     """
     import pyarrow.parquet as pq
     import ray
     import ray.data as rd
-    from ray._private.auto_init_hook import auto_init_ray
 
     files = [str(f) for f in files]
     if not files:
@@ -109,8 +111,9 @@ def tile_assignments_from_files(
                     t = pf.read_row_group(rg, columns=columns, use_threads=False)
                     yield assign(t)
 
-    auto_init_ray()  # what Ray Data itself does before its first task
-    groups = _file_groups(files, int(ray.cluster_resources()["CPU"]))
+    if not ray.is_initialized():
+        ray.init()  # what Ray Data itself does before its first task
+    groups = _file_groups(files, int(ray.cluster_resources().get("CPU", 0)))
     ds = rd.from_items([{"paths": g} for g in groups],
                        override_num_blocks=len(groups))
     return ds.map_batches(read_and_assign, batch_format="pyarrow", num_cpus=1)
@@ -118,8 +121,9 @@ def tile_assignments_from_files(
 
 def _file_groups(files: list[str], n_cpus: int) -> list[list[str]]:
     """``files`` in ``min(len(files), n_cpus)`` contiguous groups whose
-    sizes differ by at most one, in input order, none empty."""
-    n = min(len(files), n_cpus)
+    sizes differ by at most one, in input order, none empty; with no CPU
+    (``n_cpus`` 0), one group per file."""
+    n = min(len(files), n_cpus) if n_cpus > 0 else len(files)
     return [list(g) for g in np.array_split(np.array(files, dtype=object), n)]
 
 

@@ -230,7 +230,7 @@ def test_lzw_roundtrip_and_interop_shape():
     ]
     for d in cases:
         enc = _lzw_encode(d)
-        assert _lzw_decode(enc) == d
+        assert _lzw_decode(enc, len(d)) == d
     # spec shape: stream begins with a ClearCode (256 at 9 bits MSB
     # first: 1_0000_0000 -> first byte 0x80)
     assert _lzw_encode(b"A")[0] == 0x80

@@ -353,6 +353,7 @@ def test_file_groups_contiguous_at_most_one_per_cpu():
     assert sum(groups, []) == files
     assert _file_groups(files[:3], 4) == [[f] for f in files[:3]]
     assert _file_groups(files[:4], 1) == [files[:4]]
+    assert _file_groups(files, 0) == [[f] for f in files]  # no CPU yet
 
 
 def test_tile_assignments_from_files_empty_list_raises(monkeypatch):
