@@ -95,11 +95,17 @@ def _png_chunks(buf) -> tuple[int, int, int, memoryview | None, list]:
     w = h = ctype = None
     plte = None
     idat_parts: list = []
-    while pos + 8 <= end:
+    while pos < end:
+        if pos + _CHUNK_HEAD.size > end:
+            raise ValueError(f"PNG chunk header at byte {pos} runs past the end"
+                             f" of the {end}-byte buffer")
         ln, tag = _CHUNK_HEAD.unpack_from(buf, pos)
         if tag == b"IDAT":
             idat_parts.append(buf[pos + 8 : pos + 8 + ln])
         elif tag == b"IHDR":
+            if pos + 8 + _IHDR.size > end:
+                raise ValueError(f"PNG IHDR at byte {pos} runs past the end"
+                                 f" of the {end}-byte buffer")
             w, h, bit, ctype = _IHDR.unpack_from(buf, pos + 8)
             if bit != 8 or ctype not in (0, 2, 3):
                 raise NotImplementedError(
@@ -115,19 +121,39 @@ def _png_chunks(buf) -> tuple[int, int, int, memoryview | None, list]:
 
 
 def _stream_size_error(got: int, size: int) -> ValueError:
-    kind = "truncated" if got < size else "oversized"
-    return ValueError(f"{kind} PNG stream: {got} bytes inflated, IHDR needs {size}")
+    if got > size:
+        return ValueError(f"oversized PNG stream: more than {size} bytes inflated,"
+                          f" IHDR needs {size}")
+    return ValueError(f"truncated PNG stream: {got} bytes inflated, IHDR needs {size}")
+
+
+def inflate_capped(data, need: int) -> tuple[bytes, bool]:
+    """Inflate the zlib stream ``data`` with its output capped at
+    ``need + 1`` bytes, so a stream that holds more than ``need`` bytes
+    is never inflated in full: ``(out, ended)``, ``ended`` True when the
+    stream's end-of-stream marker was reached.  ``len(out) > need``
+    means the stream holds more than ``need`` bytes.  A corrupt stream
+    raises ``zlib.error``."""
+    d = zlib.decompressobj()
+    out = d.decompress(data, need + 1)
+    return out, d.eof
 
 
 def _inflate(idat_parts: list, size: int) -> bytes:
     """One-shot inflate of the IDAT stream, which must hold exactly
-    ``size`` bytes (a filter byte plus one scanline per row).  A corrupt
-    or truncated stream raises ValueError."""
+    ``size`` bytes (a filter byte plus one scanline per row); a stream
+    that holds more is not inflated past ``size + 1`` bytes.  A corrupt,
+    truncated or oversized stream raises ValueError."""
     idat = idat_parts[0] if len(idat_parts) == 1 else b"".join(idat_parts)
     try:
-        out = zlib.decompress(idat)
+        out, ended = inflate_capped(idat, size)
     except zlib.error as e:
         raise ValueError(f"truncated or corrupt PNG stream: {e}") from None
+    if len(out) > size:
+        raise _stream_size_error(len(out), size)
+    if not ended:
+        raise ValueError(f"truncated or corrupt PNG stream: no end-of-stream marker"
+                         f" after {len(out)} bytes, IHDR needs {size}")
     if len(out) != size:
         raise _stream_size_error(len(out), size)
     return out
@@ -261,6 +287,8 @@ def png_stream_stats(buf, keep_rows=None, chunk: int = 1 << 16, *,
     def process(arr: np.ndarray) -> bool:
         nonlocal psum, psumsq, spos
         ln = len(arr)
+        if spos + ln > size:  # stop at the first window past the IHDR's size
+            raise _stream_size_error(spos + ln, size)
         # filter bytes live at multiples of stride; verify 0
         k0 = -(-spos // stride)
         if arr[k0 * stride - spos :: stride].any():

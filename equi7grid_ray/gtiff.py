@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from equi7grid_ray.codec import inflate_capped
+
 __all__ = ["GTiffImage", "encode_gtiff", "encode_gtiff_overviews",
            "decode_gtiff", "gtiff_ifd_offsets", "write_gtiff",
            "read_gtiff", "equi7_crs", "TIFF_DTYPES"]
@@ -705,23 +707,20 @@ def _inflate_chunk(raw: bytes, comp: int, kind: str, i: int, need: int) -> bytes
     ``need``, or a corrupt or unterminated deflate stream, raises
     ValueError."""
     name = "LZW" if comp == 5 else "deflate"
+    ended = True  # LZW has no end marker to check
     if comp == 5:
         out = _lzw_decode(raw, need)
-        if len(out) > need:
-            raise ValueError(f"LZW {kind} {i} decompresses to more than"
-                             f" {need} bytes, expected {need}")
     else:
-        d = zlib.decompressobj()
         try:
-            out = d.decompress(raw, need)
-            if len(out) == need and not d.eof and d.decompress(d.unconsumed_tail, 1):
-                raise ValueError(f"deflate {kind} {i} decompresses to more than"
-                                 f" {need} bytes, expected {need}")
+            out, ended = inflate_capped(raw, need)
         except zlib.error as e:
             raise ValueError(f"corrupt deflate {kind} {i}: {e}") from None
-        if len(out) == need and not d.eof:
-            raise ValueError(f"deflate {kind} {i} ends without its end-of-stream"
-                             f" marker after {need} bytes")
+    if len(out) > need:
+        raise ValueError(f"{name} {kind} {i} decompresses to more than"
+                         f" {need} bytes, expected {need}")
+    if len(out) == need and not ended:
+        raise ValueError(f"deflate {kind} {i} ends without its end-of-stream"
+                         f" marker after {need} bytes")
     if len(out) != need:
         raise ValueError(f"{name} {kind} {i} decompresses to {len(out)} bytes,"
                          f" expected {need}")

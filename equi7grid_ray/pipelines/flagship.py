@@ -85,7 +85,10 @@ def tile_assignments_from_files(
     (an autoscaler still adding workers) runs one task per file.  A
     cluster with at least as many CPUs as files also runs one task per
     file.  Retry granularity is the group (a failed task re-reads its
-    group's files); each row group must fit in a worker heap.  An empty
+    group's files); each row group must fit in a worker heap.  A task
+    yields one assigned table per row group; consecutive row groups of
+    up to ``_CALL_BYTES`` of input share one assigner call (one pass of
+    its fallback path, see :func:`_assign_row_groups`).  An empty
     ``files`` raises ValueError before any Ray work.
     """
     import pyarrow.parquet as pq
@@ -101,15 +104,18 @@ def tile_assignments_from_files(
     )
 
     def read_and_assign(batch: pa.Table):
-        # stream one row group at a time: row-group-sized batches keep the
-        # assigner's working set in cache and bound task heap usage by the
-        # row-group size, not the file size
-        for paths in batch.column("paths").to_pylist():
-            for path in paths:
-                pf = pq.ParquetFile(path)
-                for rg in range(pf.num_row_groups):
-                    t = pf.read_row_group(rg, columns=columns, use_threads=False)
-                    yield assign(t)
+        # read one row group at a time and yield one assigned table per
+        # row group: consecutive row groups share one assigner call (its
+        # fallback pass) up to _CALL_BYTES of input, so task heap usage
+        # is bounded by that, not by the file or group size
+        def row_groups():
+            for paths in batch.column("paths").to_pylist():
+                for path in paths:
+                    pf = pq.ParquetFile(path)
+                    for rg in range(pf.num_row_groups):
+                        yield pf.read_row_group(rg, columns=columns, use_threads=False)
+
+        yield from _assign_row_groups(row_groups(), assign)
 
     if not ray.is_initialized():
         ray.init()  # what Ray Data itself does before its first task
@@ -127,21 +133,44 @@ def _file_groups(files: list[str], n_cpus: int) -> list[list[str]]:
     return [list(g) for g in np.array_split(np.array(files, dtype=object), n)]
 
 
+#: input bytes (``Table.nbytes``) of the consecutive row groups that
+#: share one assigner call; a larger row group is a call of its own
+_CALL_BYTES = 8 << 20
+
+
+def _assign_row_groups(tables, assign):
+    """``assign(t)`` for each table of the iterable ``tables``, in order:
+    consecutive tables of at most :data:`_CALL_BYTES` together go to one
+    ``assign.many`` call, so they share its fixed per-call cost."""
+    group, size = [], 0
+    for t in tables:
+        if group and size + t.nbytes > _CALL_BYTES:
+            yield from assign.many(group)
+            group, size = [], 0
+        group.append(t)
+        size += t.nbytes
+    if group:
+        yield from assign.many(group)
+
+
 def _ingest_fragment(path: str, *, out_dir: str, assign, columns) -> None:
-    """One fragment, start to commit: read each row group -> assign ->
+    """One fragment, start to commit: read its row groups -> assign ->
     partition write, with the read and assign seconds in ``stage_s``."""
     import pyarrow.parquet as pq
 
     stage_s = {"read": 0.0, "assign": 0.0}
     pf = pq.ParquetFile(path)
-    parts = []
-    for rg in range(pf.num_row_groups):
-        t0 = time.perf_counter()
-        t = pf.read_row_group(rg, columns=columns, use_threads=False)
-        t1 = time.perf_counter()
-        parts.append(assign(t))
-        stage_s["read"] += t1 - t0
-        stage_s["assign"] += time.perf_counter() - t1
+
+    def row_groups():
+        for rg in range(pf.num_row_groups):
+            t0 = time.perf_counter()
+            t = pf.read_row_group(rg, columns=columns, use_threads=False)
+            stage_s["read"] += time.perf_counter() - t0
+            yield t
+
+    t0 = time.perf_counter()
+    parts = list(_assign_row_groups(row_groups(), assign))
+    stage_s["assign"] = time.perf_counter() - t0 - stage_s["read"]
     checkpoint.write_equi7_partition(
         out_dir, Path(path).stem, pa.concat_tables(parts) if parts else None,
         input_fragments=[path], rows_in=pf.metadata.num_rows,  # no second pass

@@ -13,6 +13,9 @@ every cell that lies in one zone and, with a 1 km margin, in one tile.
 Each row takes one gather into it; only the rows of the other cells --
 those that straddle a tile or zone edge, and invalid coordinates -- take
 the path above.  The output is the same, row for row and byte for byte.
+That full path runs once per call: ``TileAssigner.assign_many`` runs it
+over the fallback rows of several batches (the read-in-map loop's
+consecutive row groups) and still returns one table per batch.
 
 One row is emitted per (image x containing zone) -- the reference's
 ``Grid.lonlat_to_xy`` multi-zone semantics (core.py + pytileproj,
@@ -67,6 +70,10 @@ def derive_lonlat(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         pc.utf8_slice_codeunits(batch.column("image_id"), 3, 32), pa.int64()
     ).to_numpy(zero_copy_only=False)
     return centers_for_index(idx)
+
+
+def _cat(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 _DECODABLE = pa.array(["png", "raw"])
@@ -154,7 +161,8 @@ class TileAssigner:
     grids (``interp.get_projector``): a worker that finds a zone's grid
     file missing projects that zone with ``aeqd.forward``.
     ``exact_projection=True`` uses no table: every row goes through
-    ``aeqd.forward``."""
+    ``aeqd.forward``.  A pickled assigner ships its tile index without
+    the tilings' sample atlases (``TileIndex.without_atlas``)."""
 
     def __init__(
         self,
@@ -210,6 +218,11 @@ class TileAssigner:
         if not emit_xy and not exact_projection:
             self._cell_table = self._load_cell_table()
 
+    def __getstate__(self) -> dict:
+        # a pickled (broadcast) assigner ships only what locate reads of
+        # each tile set, not the sample atlases ROI search and expansion read
+        return {**self.__dict__, "index": self.index.without_atlas()}
+
     def _project(self, cont: str, lon, lat) -> tuple[np.ndarray, np.ndarray]:
         proj = self._proj.get(cont)
         if proj is not None:
@@ -234,41 +247,96 @@ class TileAssigner:
             self.tiling, key,
             lambda: zc.build_cell_tile_table(self.table_zones(), self.tile_size))
 
-    #: top-level cache block: the assign pipeline materializes ~20
-    #: batch-length arrays (projection, floor, lookup, take); slicing the
-    #: batch keeps that working set near L2 instead of streaming every
+    #: top-level cache block: a batch of more than ``2 * CHUNK_ROWS``
+    #: rows (and no decode) is assigned in slices of this many rows, each
+    #: emitted as its own table (rows grouped by continent rank, then
+    #: input row) and concatenated.  The fast path's ~20 batch-length arrays (projection,
+    #: floor, lookup, take) stay near L2 instead of streaming every
     #: intermediate through DRAM -- the difference between ~1.7 and ~4
-    #: us/row/core at 32-way concurrency on a shared memory bus.
+    #: us/row/core at 32-way concurrency on a shared memory bus.  The
+    #: fallback pass runs once per call over every slice's fallback rows.
     CHUNK_ROWS = 65_536
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows > 2 * self.CHUNK_ROWS and not self.decode:
-            parts = [
-                self._assign(batch.slice(st, self.CHUNK_ROWS))
-                for st in range(0, batch.num_rows, self.CHUNK_ROWS)
-            ]
-            return pa.concat_tables(parts)
-        return self._assign(batch)
+        return self.assign_many([batch])[0]
 
-    def _assign(self, batch: pa.Table) -> pa.Table:
-        lon, lat = derive_lonlat(batch)
+    def assign_many(self, batches: list[pa.Table]) -> list[pa.Table]:
+        """``[self(b) for b in batches]``, byte for byte, with one
+        fallback pass (classify -> project -> floor -> locate) over the
+        fallback rows of all of them: that pass has a fixed cost per call
+        (tens of numpy calls per continent, a Karney solve for the polar
+        rows), so consecutive small batches share it."""
+        if not batches:
+            return []
+        split = [
+            [b.slice(st, self.CHUNK_ROWS) for st in range(0, b.num_rows, self.CHUNK_ROWS)]
+            if b.num_rows > 2 * self.CHUNK_ROWS and not self.decode else [b]
+            for b in batches
+        ]
+        outs = iter(self._assign_chunks([c for chunks in split for c in chunks]))
+        return [next(outs) if len(chunks) == 1 else pa.concat_tables([next(outs) for _ in chunks])
+                for chunks in split]
 
-        px_mean = _decode_means(batch) if self.decode else None
-
+    def _assign_chunks(self, chunks: list[pa.Table]) -> list[pa.Table]:
         zc = self.zc
         table = self._cell_table
-        if table is None:
-            fb = None
-            # packed uint8 zone bitmask: 1 byte/row instead of a (n, 7)
-            # bool matrix (DRAM pressure at high concurrency)
-            bits = zc.classify_bits(lon, lat)
-        else:
-            # one gather per row; only the rows of a -1 cell (zone or
-            # tile edge, invalid coordinates) take the full path below
-            cell, valid = zc.cell_index(lon, lat)
-            hit = np.where(valid, table.take(cell), -1)
-            fb = np.flatnonzero(hit < 0)
-            bits = zc.classify_bits(lon[fb], lat[fb])
+        pre = []  # per chunk: lon, lat, px_mean, fallback rows, table tiles
+        for chunk in chunks:
+            lon, lat = derive_lonlat(chunk)
+            px_mean = _decode_means(chunk) if self.decode else None
+            if table is None:
+                # every row takes the full path
+                pre.append((lon, lat, px_mean, None, None))
+            else:
+                # one gather per row; only the rows of a -1 cell (zone or
+                # tile edge, invalid coordinates) take the full path
+                cell, valid = zc.cell_index(lon, lat)
+                hit = np.where(valid, table.take(cell), -1)
+                pre.append((lon, lat, px_mean, np.flatnonzero(hit < 0), hit))
+        fb_lon = _cat([p[0] if p[3] is None else p[0][p[3]] for p in pre])
+        fb_lat = _cat([p[1] if p[3] is None else p[1][p[3]] for p in pre])
+        sizes = [len(p[0]) if p[3] is None else len(p[3]) for p in pre]
+        fall = self._fallback(fb_lon, fb_lat, np.cumsum([0] + sizes))
+        return [self._emit(chunk, *p, [f[i] for f in fall])
+                for i, (chunk, p) in enumerate(zip(chunks, pre))]
+
+    def _fallback(self, lon, lat, off: np.ndarray) -> list[list]:
+        """The full path over the fallback rows of every chunk, chunk
+        ``i`` holding rows ``off[i]:off[i + 1]`` of ``lon``/``lat``: per
+        continent rank, per chunk, None or ``(rows, x, y, ll_x, ll_y,
+        tile, miss, names)`` -- its rows in the zone (positions in its
+        fallback rows, ascending), their projection, tile corner and
+        dictionary index, which of them miss the tile set and those
+        tiles' names."""
+        # packed uint8 zone bitmask: 1 byte/row instead of a (n, 7)
+        # bool matrix (DRAM pressure at high concurrency)
+        bits = self.zc.classify_bits(lon, lat)
+        index = self.index
+        fall = []
+        for rank, (cont, zc_col) in enumerate(zip(index.continents, index.zone_cols)):
+            sel = np.flatnonzero(bits & np.uint8(1 << zc_col))
+            if len(sel) == 0:
+                fall.append([None] * (len(off) - 1))
+                continue
+            x, y = self._project(cont, lon[sel], lat[sel])
+            llx, lly = tile_ll_from_xy(x, y, self.tile_size)
+            tidx = index.locate(rank, llx, lly).astype(np.int32)
+            miss = tidx < 0  # zone-edge float cases: format those few names
+            names = full_names(cont, llx[miss], lly[miss], self.tiling) if miss.any() else None
+            cut = np.searchsorted(sel, off)
+            n_miss = np.append(0, np.cumsum(miss))[cut]
+            fall.append([
+                (sel[a:b] - o, x[a:b], y[a:b], llx[a:b], lly[a:b], tidx[a:b], miss[a:b],
+                 names[m0:m1] if m1 > m0 else None) if b > a else None
+                for a, b, o, m0, m1 in zip(cut[:-1], cut[1:], off, n_miss[:-1], n_miss[1:])
+            ])
+        return fall
+
+    def _emit(self, batch: pa.Table, lon, lat, px_mean, fb, hit, fall: list) -> pa.Table:
+        """One chunk's output table from its fallback results ``fall``
+        (per continent rank) and, with the cell table, its table tiles
+        ``hit``."""
+        if fb is not None:
             hit_rank = self.index.rank.take(hit)  # -1 -> trailing "no tile"
             tid = hit.astype(np.int32)
 
@@ -284,19 +352,16 @@ class TileAssigner:
         miss_pos: list[np.ndarray] = []
         miss_names: list[np.ndarray] = []
         index = self.index
-        for rank, (cont, zc_col) in enumerate(zip(index.continents, index.zone_cols)):
-            rows = np.flatnonzero(bits & np.uint8(1 << zc_col))
-            if fb is not None:
-                rows = fb[rows]
+        for rank, f in enumerate(fall):
+            rows = np.empty(0, dtype=np.int64)
             miss_rows = None
-            if len(rows):
-                x, y = self._project(cont, lon[rows], lat[rows])
-                llx, lly = tile_ll_from_xy(x, y, self.tile_size)
-                tidx = index.locate(rank, llx, lly).astype(np.int32)
-                miss = tidx < 0  # rewritten below with the appended names
-                if miss.any():  # zone-edge float cases: format those few names
+            if f is not None:
+                rows, x, y, llx, lly, tidx, miss, names = f
+                if fb is not None:
+                    rows = fb[rows]
+                if names is not None:
                     miss_rows = rows[miss]
-                    miss_names.append(full_names(cont, llx[miss], lly[miss], self.tiling))
+                    miss_names.append(names)
             if fb is not None:
                 # merge this continent's table rows with its full-path rows
                 in_rank = hit_rank == rank
@@ -392,8 +457,9 @@ def _cache_put(key: str, value):
 def make_assign_fn(broadcast: bool = True, **kwargs):
     """Task-based variant of the stage with broadcast state.
 
-    When Ray is up, the TileAssigner (zone raster, cell -> tile table,
-    tile index and name dictionary: ~33 MB of numpy for the T6
+    When Ray is up, the TileAssigner (zone raster and boundary-cell edge
+    lists, cell -> tile table, tile index without its sample atlases and
+    name dictionary: ~33 MB of numpy for the T6
     ``emit_xy=False`` config; its interpolation grids pickle by key and
     each process maps them from their files) is built on the driver and
     ``ray.put`` once per (assigner config, Ray session): the
@@ -404,7 +470,9 @@ def make_assign_fn(broadcast: bool = True, **kwargs):
     worker, never re-shipped per batch or per pipeline).  Builds per
     process instead when Ray isn't initialised (plain local use) or with
     ``broadcast=False``.  A bad argument raises here, on the caller, not
-    later in every task."""
+    later in every task.  The returned ``assign(batch)`` has a ``many``
+    attribute, ``assign.many(batches)``: :meth:`TileAssigner.assign_many`
+    of the same assigner."""
     import ray
 
     bound = inspect.signature(TileAssigner).bind(**kwargs)
@@ -425,6 +493,10 @@ def make_assign_fn(broadcast: bool = True, **kwargs):
     def assign(batch: pa.Table) -> pa.Table:
         return _cached_assigner(key, ref, kwargs)(batch)
 
+    def many(batches: list[pa.Table]) -> list[pa.Table]:
+        return _cached_assigner(key, ref, kwargs).assign_many(batches)
+
+    assign.many = many
     return assign
 
 

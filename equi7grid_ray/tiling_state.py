@@ -41,6 +41,7 @@ all read their tiles and names from it; none builds names itself.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, fields
 
@@ -133,6 +134,15 @@ class ContinentTiling:
         assert len(np.unique(cells)) == len(cells), "duplicate tile corners"
         self._index = np.full(nx * ny + 1, -1, dtype=np.int64)
         self._index[cells] = np.arange(len(cells))
+
+    def without_atlas(self) -> ContinentTiling:
+        """This tile set and its :meth:`lookup`, with the sample atlas
+        (the ``atlas_*`` and ``extra_*`` fields) set to None."""
+        out = copy.copy(self)
+        for f in ("atlas_lon", "atlas_lat", "atlas_inzone", "extra_offsets",
+                  "extra_lon", "extra_lat"):
+            setattr(out, f, None)
+        return out
 
     def lookup(self, ll_x, ll_y) -> np.ndarray:
         """Indices into the tile arrays, -1 where (ll_x, ll_y) is not a
@@ -397,6 +407,14 @@ class TileIndex:
         cont = self.continents[rank]
         pos = self.tilings[cont].lookup(ll_x, ll_y)
         return np.where(pos >= 0, pos + self.offsets[cont], -1)
+
+    def without_atlas(self) -> TileIndex:
+        """A copy whose tilings carry no sample atlas
+        (:meth:`ContinentTiling.without_atlas`): what a broadcast tile
+        assigner ships, since :meth:`locate` never reads the atlas."""
+        out = copy.copy(self)
+        out.tilings = {c: ct.without_atlas() for c, ct in self.tilings.items()}
+        return out
 
     def continent_names(self, continent: str, sel=slice(None)) -> np.ndarray:
         """Names of ``continent``'s tiles; ``sel`` picks positions in its

@@ -4,13 +4,18 @@ raster classifier used on the hot zone-assignment path.
 Role equivalence: what the reference delegates to shapely
 ``contains``/``intersects`` against the zone GeoParquets
 (/root/reference/src/equi7grid/core.py:400-411, pytileproj zone checks)
-is re-expressed here as numpy even-odd crossing tests, accelerated by
+is re-expressed here as numpy even-odd crossing tests.  The zone
+classifier answers from
 
-- a longitude-bucket edge index (exact test touches only edges whose
-  lon-span covers the query point), and
 - a 0.1 deg raster that classifies each cell per zone as inside /
-  outside / boundary; only boundary-cell points fall through to the
-  exact test (coarse cell pre-index in the H3/S2 role of the north rule).
+  outside / boundary (coarse cell pre-index in the H3/S2 role of the
+  north rule), and
+- per (zone, boundary cell), a parity bit and the few edges that reach
+  the cell (:func:`_build_boundary_cells`): only boundary-cell points
+  take the exact crossing test, against that short list.
+
+:class:`GeoPolygon` keeps a longitude-bucket edge index for its other
+callers (land, ROI, projected tiling polygons).
 
 Everything is vectorized over point arrays; no Python-per-row in any
 query path.
@@ -49,6 +54,162 @@ def _load_raster(path) -> tuple[np.ndarray, np.ndarray]:
     return d["inside"], d["boundary"]
 
 
+def _ragged(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, value)`` for every value of every range ``[lo[i], hi[i])``,
+    in order (the ragged repeat/cumsum-offset expansion)."""
+    n = np.maximum(hi - lo, 0)
+    owner = np.repeat(np.arange(len(n)), n)
+    start = np.cumsum(n) - n
+    return owner, lo[owner] + np.arange(len(owner)) - start[owner]
+
+
+def _up_crossings(x1, y1, x2, y2, px, py) -> np.ndarray:
+    """Whether the upward ray from each ``(px, py)`` crosses its edge
+    ``(x1, y1)-(x2, y2)``: the even-odd test's one predicate, shared by
+    :meth:`GeoPolygon.contains` and the zone classifier's boundary cells."""
+    crossing = (x1 > px) != (x2 > px)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ylat = y1 + (px - x1) * (y2 - y1) / (x2 - x1)
+    return crossing & (ylat > py)
+
+
+#: degrees each zone-boundary cell is widened by on every side before
+#: its edges are sorted; ``cell_index`` puts a point within ~1e-12 deg
+#: of its cell, so the widened cell holds every point mapped to it
+_CELL_EPS = 1e-9
+#: y of a breakpoint's pseudo-edge ``(b, _FAR, inf, _FAR)``: it lies
+#: above every point and its crossing test is exactly ``[b <= px]``
+_FAR = 1e300
+#: bump when the boundary-cell build changes (keys the edge-list files)
+_BOUNDARY_CELLS_VERSION = 1
+
+
+def _zone_boundary_cells(poly: GeoPolygon, cells: np.ndarray, shape, res: float):
+    """One zone's boundary cells (flat raster cells, ascending): the
+    parity bit of each, then ``(cell position, x1, y1, x2, y2)`` of its
+    items.
+
+    A point's crossing count is a sum over every edge of
+    ``[(x1 > px) != (x2 > px)] & [ylat > py]``.  For a point in the cell
+    widened by :data:`_CELL_EPS` (column ``[X0, X1]``, rows ``[Y0, Y1]``)
+    an edge whose x-span misses the column, or that lies wholly below
+    the cell, adds 0.  An edge wholly above the cell adds
+    ``[x1 <= px] XOR [x2 <= px]``: an endpoint left of the column adds
+    a constant 1 (summed into the parity bit) and one inside it a
+    breakpoint ``[b <= px]``, stored as the pseudo-edge
+    ``(b, _FAR, inf, _FAR)`` whose crossing test is exactly that term.
+    Only the parity of each breakpoint's count is kept, so the two
+    "above" edges that share a vertex cancel.  Every other edge reaching
+    the column is an item as it is, tested with the same formula."""
+    nrow, ncol = shape
+    e = _CELL_EPS
+    x0 = -180.0 + res * np.arange(ncol) - e
+    x1_ = -180.0 + res * np.arange(1, ncol + 1) + e
+    y0 = -90.0 + res * np.arange(nrow) - e
+    y1_ = -90.0 + res * np.arange(1, nrow + 1) + e
+    r, c = np.divmod(cells, ncol)
+    ckey = c * nrow + r  # column-major: a column's cells are contiguous
+    o = np.argsort(ckey)
+    ckey = ckey[o]
+    has_col = np.zeros(ncol, dtype=bool)
+    has_col[c] = True
+
+    ex1, ey1, ex2, ey2 = poly.x1, poly.y1, poly.x2, poly.y2
+    xmin, xmax = np.minimum(ex1, ex2), np.maximum(ex1, ex2)
+    # (edge, column) pairs: the columns each edge's x-span reaches, one
+    # column of slack on each side, then the exact overlap test
+    c_lo = np.clip(np.floor((xmin + 180.0) / res).astype(np.int64) - 1, 0, ncol)
+    c_hi = np.clip(np.floor((xmax + 180.0) / res).astype(np.int64) + 2, 0, ncol)
+    k, col = _ragged(c_lo, c_hi)
+    keep = has_col[col] & (xmax[k] >= x0[col]) & (xmin[k] <= x1_[col])
+    k, col = k[keep], col[keep]
+    # the edge is wholly above the rows below r_lo and wholly below the
+    # rows from r_hi up; the rows in between hold it as an item
+    r_lo = np.searchsorted(y1_, np.minimum(ey1, ey2)[k], "left")
+    r_hi = np.searchsorted(y0, np.maximum(ey1, ey2)[k], "right")
+    base = col * nrow
+    pair, pos = _ragged(np.searchsorted(ckey, base + r_lo),
+                        np.searchsorted(ckey, base + r_hi))
+    item_pos = [pos]
+    item_xy = [np.column_stack([ex1, ey1, ex2, ey2])[k[pair]]]
+
+    # endpoints of the edges above each cell: incidence (column, x, r_lo)
+    px_ = np.concatenate([ex1[k], ex2[k]])
+    pcol = np.concatenate([col, col])
+    prlo = np.concatenate([r_lo, r_lo])
+    left = px_ < x0[pcol]
+    inside = ~left & (px_ <= x1_[pcol])
+    # parity: the left endpoints of the column's edges with r_lo > row
+    lk = np.sort(pcol[left] * nrow + prlo[left])
+    n_left = (np.searchsorted(lk, (ckey // nrow + 1) * nrow, "left")
+              - np.searchsorted(lk, ckey, "right"))
+    parity = np.empty(len(ckey), dtype=np.uint8)
+    parity[o] = n_left & 1
+
+    # breakpoints: per (column, x), the count of incidences with
+    # r_lo > row is odd on [r_lo[i-1], r_lo[i]) (from row 0 for a
+    # group's first) for each i an even number of places before the
+    # group's last, in r_lo order
+    bc, bx, br = pcol[inside], px_[inside], prlo[inside]
+    s = np.lexsort((br, bx, bc))
+    bc, bx, br = bc[s], bx[s], br[s]
+    first = np.ones(len(bc), dtype=bool)
+    first[1:] = (bc[1:] != bc[:-1]) | (bx[1:] != bx[:-1])
+    group = np.cumsum(first) - 1
+    gend = np.append(np.flatnonzero(first)[1:], len(bc))
+    i = np.arange(len(bc))
+    odd = (gend[group] - 1 - i) % 2 == 0
+    lo = np.where(first, 0, np.roll(br, 1))[odd]
+    hi = br[odd]
+    bbase = bc[odd] * nrow
+    j, pos = _ragged(np.searchsorted(ckey, bbase + lo), np.searchsorted(ckey, bbase + hi))
+    b = bx[odd][j]
+    item_pos.append(pos)
+    item_xy.append(np.column_stack([b, np.full_like(b, _FAR), np.full_like(b, np.inf),
+                                    np.full_like(b, _FAR)]))
+    # back from column-major positions to the cells' ascending order
+    return parity, o[np.concatenate(item_pos)], np.concatenate(item_xy)
+
+
+def _build_boundary_cells(polys: dict, order: list[str], packed: np.ndarray,
+                          res: float) -> dict[str, np.ndarray]:
+    """Every (zone, boundary cell) of the packed raster, sorted by key
+    ``cell * 8 + zone bit``: ``parity`` (uint8) and the cell's items
+    ``items[offsets[i]:offsets[i + 1]]``, rows of the deduplicated
+    ``(x1, y1, x2, y2)`` table ``edges`` (see :func:`_zone_boundary_cells`).
+    A point of a boundary cell is in the zone iff it lies in the zone's
+    bbox and ``parity`` XOR its crossings of the items is 1: the same
+    bits as the even-odd test over all of the zone's edges."""
+    bnd = (packed >> 8).ravel()
+    keys, parity, pos, xy = [], [], [], []
+    n = 0
+    for zi, zone in enumerate(order):
+        cells = np.flatnonzero(bnd & (1 << zi))
+        if zone not in polys or not len(cells):
+            continue
+        par, p, e = _zone_boundary_cells(polys[zone], cells, packed.shape, res)
+        keys.append(cells * 8 + zi)
+        parity.append(par)
+        pos.append(p + n)
+        xy.append(e)
+        n += len(cells)
+    keys = np.concatenate(keys)
+    o = np.argsort(keys)
+    rank = np.empty(n, dtype=np.int64)
+    rank[o] = np.arange(n)
+    pos = rank[np.concatenate(pos)]
+    s = np.argsort(pos, kind="stable")
+    # exact (bitwise) dedup of the item rows
+    edges, inv = np.unique(np.concatenate(xy)[s].view(np.uint64), axis=0, return_inverse=True)
+    return {
+        "keys": keys[o].astype(np.int32),
+        "parity": np.concatenate(parity)[o],
+        "offsets": np.append(0, np.cumsum(np.bincount(pos, minlength=n))).astype(np.int32),
+        "items": inv.ravel().astype(np.int32),
+        "edges": edges.view(np.float64),
+    }
+
+
 class GeoPolygon:
     """A multipolygon with vectorized even-odd PIP (works in geographic
     lon/lat or any planar frame; holes handled by parity)."""
@@ -72,12 +233,8 @@ class GeoPolygon:
         lo = np.floor((np.minimum(self.x1, self.x2) - self._x0) / bin_width).astype(np.int64)
         hi = np.floor((np.maximum(self.x1, self.x2) - self._x0) / bin_width).astype(np.int64)
         self._nbins = int(np.floor((self.bbox[2] - self._x0) / bin_width)) + 1
-        # bucket membership: edge k covers bins lo[k]..hi[k], expanded
-        # with the ragged repeat/cumsum-offset pattern of contains()
-        spans = hi - lo + 1
-        idx = np.repeat(np.arange(len(lo)), spans)
-        starts = np.cumsum(spans) - spans
-        bins = lo[idx] + np.arange(len(idx)) - starts[idx]
+        # bucket membership: edge k covers bins lo[k]..hi[k]
+        idx, bins = _ragged(lo, hi + 1)
         order = np.argsort(bins, kind="stable")
         self._bucket_edges = idx[order]
         self._bucket_offsets = np.searchsorted(bins[order], np.arange(self._nbins + 1))
@@ -117,18 +274,11 @@ class GeoPolygon:
             total = int(c.sum())
             if total == 0:
                 continue
-            ptid = np.repeat(np.arange(len(pts), dtype=np.int64), c)
-            starts = np.concatenate([[0], np.cumsum(c)])
-            e_local = np.arange(total, dtype=np.int64) - starts[ptid]
-            eidx = self._bucket_edges[off[bins[pts]][ptid] + e_local]
-            px = xi[pts][ptid]
-            py = yi[pts][ptid]
-            x1, y1 = self.x1[eidx], self.y1[eidx]
-            x2, y2 = self.x2[eidx], self.y2[eidx]
-            crossing = (x1 > px) != (x2 > px)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ylat = y1 + (px - x1) * (y2 - y1) / (x2 - x1)
-            hits = crossing & (ylat > py)
+            first = off[bins[pts]]
+            ptid, pos = _ragged(first, first + c)
+            eidx = self._bucket_edges[pos]
+            hits = _up_crossings(self.x1[eidx], self.y1[eidx], self.x2[eidx],
+                                 self.y2[eidx], xi[pts][ptid], yi[pts][ptid])
             odd = np.bincount(ptid, weights=hits,
                               minlength=len(pts)).astype(np.int64)
             res[pts] = odd % 2 == 1
@@ -162,6 +312,13 @@ class ZoneClassifier:
         # uint8 rasters are not kept.
         self._packed = (inside.astype(np.uint16)
                         | (boundary.astype(np.uint16) << 8))
+        # the exact test of a boundary-cell point reads only its cell's
+        # entry; a zone's bbox still bounds it, as in GeoPolygon.contains
+        self._bcells = self._load_boundary_cells()
+        self._bbox = np.full((8, 4), np.nan)
+        for zi, zone in enumerate(self.order):
+            if zone in self.polys:
+                self._bbox[zi] = self.polys[zone].bbox
         self._cell_tables: dict[str, np.ndarray] = {}
 
     def __getstate__(self) -> dict:
@@ -169,6 +326,25 @@ class ZoneClassifier:
         # not carry the cell -> tile tables other callers loaded; the
         # assigner holds its own
         return {**self.__dict__, "_cell_tables": {}}
+
+    def _load_boundary_cells(self) -> dict[str, np.ndarray]:
+        """The per-(zone, boundary cell) items of :func:`_build_boundary_cells`
+        from their file in the package data directory (tracked for both
+        zone specs).  Inside a Ray worker a missing file is not built:
+        the classifier has no other exact path, so that raises."""
+        sfx = "bfrd" if self.buffered else "std"
+        p = datafiles.data_file(
+            f"zone_edges_{sfx}", ".npz", ZONES_NPZ.read_bytes(),
+            json.dumps([self.order, _CELL_EPS, _BOUNDARY_CELLS_VERSION]).encode())
+        d = datafiles.load_or_build(
+            p, lambda f: dict(np.load(f)),
+            lambda: _build_boundary_cells(self.polys, self.order, self._packed, self.res),
+            lambda f, d: np.savez(f, **d), optional=True)
+        if d is None:
+            raise RuntimeError(
+                f"{p.name} is missing: build it outside Ray with "
+                f"ZoneClassifier(buffered={self.buffered})")
+        return d
 
     # -- raster ------------------------------------------------------------
 
@@ -253,7 +429,10 @@ class ZoneClassifier:
         Packed variant of :meth:`classify` for the hot assignment path:
         1 byte/row of traffic instead of 7 -- at 32-way concurrency the
         wide bool matrix is measurable DRAM pressure.  A non-finite row,
-        or one with |lon| > 180 or |lat| > 90, gets no bits."""
+        or one with |lon| > 180 or |lat| > 90, gets no bits.  A row in a
+        zone's boundary cell takes the exact even-odd test in one flat
+        pass over its (row, zone) pairs, each against its cell's short
+        item list; the bits equal ``GeoPolygon.contains`` of the zone."""
         lon = np.asarray(lon, dtype=np.float64).ravel()
         lat = np.asarray(lat, dtype=np.float64).ravel()
         cell, valid = self.cell_index(lon, lat)
@@ -262,20 +441,30 @@ class ZoneClassifier:
         pk = self._packed.ravel().take(cell)
         pk *= valid
         out = (pk & 0xFF).astype(np.uint8)
-        bb = (pk >> 8).astype(np.uint8)
-        if bb.any():
-            for zi, zone in enumerate(self.order):
-                poly = self.polys.get(zone)
-                if poly is None:
-                    continue
-                bit = np.uint8(1 << zi)
-                bmask = (bb & bit) != 0
-                if bmask.any():
-                    inside = poly.contains(lon[bmask], lat[bmask])
-                    sub = out[bmask]
-                    sub = np.where(inside, sub | bit, sub & ~bit)
-                    out[bmask] = sub
+        rows = np.flatnonzero(pk >> 8)
+        if len(rows):
+            # a cell's boundary bits and inside bits are disjoint
+            out[rows] |= self._boundary_bits(lon[rows], lat[rows], cell[rows],
+                                             (pk[rows] >> 8).astype(np.uint8))
         return out
+
+    def _boundary_bits(self, x, y, cell, bb) -> np.ndarray:
+        """The zone bits, among ``bb``, of points in boundary cells."""
+        bc = self._bcells
+        # (point, zone) pairs, one per boundary bit
+        p, z = np.nonzero(np.unpackbits(bb[:, None], axis=1, bitorder="little"))
+        entry = np.searchsorted(bc["keys"], cell[p] * 8 + z)
+        x, y = x[p], y[p]
+        box = self._bbox[z]
+        inb = (x >= box[:, 0]) & (x <= box[:, 2]) & (y >= box[:, 1]) & (y <= box[:, 3])
+        off = bc["offsets"]
+        pid, j = _ragged(off[entry], off[entry + 1])
+        e = bc["edges"][bc["items"][j]]
+        hits = _up_crossings(e[:, 0], e[:, 1], e[:, 2], e[:, 3], x[pid], y[pid])
+        odd = np.bincount(pid, weights=hits, minlength=len(p)).astype(np.uint8) & 1
+        inside = inb & ((bc["parity"][entry] ^ odd) == 1)
+        return np.bincount(p, weights=inside.astype(np.int64) << z,
+                           minlength=len(bb)).astype(np.uint8)
 
     # the kernel under a second name for classify: a span wrapped around
     # either public name then counts each row once

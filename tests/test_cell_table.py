@@ -307,6 +307,66 @@ def test_broadcast_assigner_pickle_size():
     assert len(pickle.dumps(ta)) <= 34_000_000
 
 
+def test_broadcast_assigner_ships_no_atlas():
+    """A pickled assigner's tile index keeps what ``locate`` reads and
+    drops the sample atlas; the process's shared index keeps its atlas,
+    and the unpickled assigner gives the same output."""
+    import pickle
+
+    ta = TileAssigner("T6", emit_xy=False)
+    back = pickle.loads(pickle.dumps(ta))
+    for cont, ct in back.index.tilings.items():
+        assert ct.atlas_lon is None and ct.extra_lon is None
+        assert ta.index.tilings[cont].atlas_lon is not None
+        np.testing.assert_array_equal(ct._index, ta.index.tilings[cont]._index)
+    rng = np.random.default_rng(41)
+    batch = _batch(rng.uniform(-180, 180, 50_000), rng.uniform(-90, 90, 50_000))
+    assert back(batch).equals(ta(batch))
+
+
+def _ipc(t: pa.Table) -> bytes:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
+
+
+@pytest.mark.parametrize("emit_xy,misses", [(False, False), (True, False), (True, True)])
+def test_assign_many_bytes_equal_single_calls(emit_xy, misses):
+    """A batch over ``2 * CHUNK_ROWS`` rows is the concatenation of its
+    ``CHUNK_ROWS`` slices, each assigned alone; ``assign_many`` over
+    small, large and empty batches gives each batch's own bytes.  With
+    ``misses``, every third tile column is taken out of the tile set, so
+    each slice appends its own out-of-set names to its dictionary."""
+    import copy
+
+    ta = TileAssigner("T6", emit_xy=emit_xy)
+    if misses:
+        index = copy.copy(ta.index)
+        locate = index.locate
+        index.locate = lambda rank, llx, lly: np.where(
+            np.floor(llx / ta.tile_size) % 3 == 0, -1, locate(rank, llx, lly))
+        ta.index = index
+    rng = np.random.default_rng(43)
+    n = 300_000
+    lon, lat = rng.uniform(-180, 180, n), rng.uniform(-90, 90, n)
+    bad = rng.choice(n, 30, replace=False)
+    lon[bad[:10]], lat[bad[10:20]], lon[bad[20:]] = np.nan, 95.0, 200.0
+    big = _batch(lon, lat)
+    c = ta.CHUNK_ROWS
+    assert n > 2 * c
+    whole = ta(big)
+    assert whole.column("tile").num_chunks == -(-n // c)
+    assert _ipc(whole) == _ipc(pa.concat_tables(
+        [ta(big.slice(st, c)) for st in range(0, n, c)]))
+    batches = [big.slice(0, 5_000), big, big.slice(0, 0), big.slice(7, 2 * c)]
+    got = ta.assign_many(batches)
+    assert [_ipc(t) for t in got] == [_ipc(ta(b)) for b in batches]
+    assert ta.assign_many([]) == []
+    if misses:
+        assert len(whole.column("tile").chunk(1).dictionary) > len(ta.index.names)
+
+
 def test_cache_write_is_atomic(tmp_path):
     """A cache write that raises midway leaves no file at the final
     name and no temporary file; a whole write lands at the final name."""

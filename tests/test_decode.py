@@ -268,6 +268,76 @@ def test_truncated_png_raises_valueerror(assigner):
             assigner(_table([(buf, "png", w, h, None)]))
 
 
+def test_truncated_ihdr_or_chunk_header_raises_valueerror(assigner):
+    """A PNG cut inside its IHDR, or inside a chunk header, raises a
+    ValueError that names the cut (not a ``struct.error``) in every
+    decode path."""
+    a = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    buf = encode_png_gray8(a)
+    ihdr_cut = buf[: len(_SIG) + 8 + 5]  # 5 of the IHDR's 13 bytes
+    head_cut = buf[: len(_SIG) + 3]  # 3 bytes of the first chunk header
+    for cut, what in ((ihdr_cut, "PNG IHDR at byte 8"),
+                      (head_cut, "PNG chunk header at byte 8")):
+        with pytest.raises(ValueError, match=what):
+            decode_png(cut)
+        with pytest.raises(ValueError, match=what):
+            png_stream_stats(cut)
+        with pytest.raises(ValueError, match=what):
+            assigner(_table([(cut, "png", 4, 3, None)]))
+
+
+def _png_bomb(w: int, h: int) -> bytes:
+    """A ``w`` x ``h`` gray PNG whose one IDAT inflates to 256 MiB of
+    zeros: 261 KB, built without holding the 256 MiB."""
+    c = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    idat = b"".join([c.compress(zeros) for _ in range(256)] + [c.flush()])
+    return (_SIG + _chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0))
+            + _chunk(b"IDAT", idat) + _chunk(b"IEND", b""))
+
+
+@pytest.mark.parametrize("w,h", [(8, 8), (300, 300)])  # one-shot, windowed stats
+def test_png_bomb_raises_without_inflating(assigner, monkeypatch, w, h):
+    """A stream that inflates past its IHDR's size is named without
+    being inflated in full: every decode path raises after inflating at
+    most one 64 KiB window past that size, with a traced peak under
+    1 MiB."""
+    import tracemalloc
+
+    inflated = []
+    factory = zlib.decompressobj
+
+    class Counting:
+        def __init__(self, *a):
+            self._d = factory(*a)
+
+        def decompress(self, *a):
+            out = self._d.decompress(*a)
+            inflated.append(len(out))
+            return out
+
+        def __getattr__(self, name):
+            return getattr(self._d, name)
+
+    monkeypatch.setattr(zlib, "decompressobj", Counting)
+    buf = _png_bomb(w, h)
+    assert len(buf) < 300_000
+    t = _table([(buf, "png", w, h, None)])
+    size = h * (w + 1)
+    for decode in (decode_png, png_stream_stats, lambda b: assigner(t)):
+        inflated.clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError,
+                               match=f"oversized PNG stream: more than {size} bytes"):
+                decode(buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert 0 < sum(inflated) <= size + (1 << 16)
+
+
 def test_png_size_mismatch_raises(assigner):
     rng = np.random.default_rng(4)
     a = rng.integers(0, 256, (8, 12), dtype=np.uint8)

@@ -344,6 +344,103 @@ def test_tile_assignments_from_files_matches_in_process(ray_session, tmp_path, n
         dict(zip(want.field("values").to_pylist(), want.field("counts").to_pylist()))
 
 
+def _ipc(t: pa.Table) -> bytes:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
+
+
+def _image_files(d, n_files: int) -> list:
+    """``n_files`` parquet files of ``make_batch`` images (raw and PNG),
+    three row groups each."""
+    import pyarrow.parquet as pq
+
+    files = []
+    for k in range(n_files):
+        files.append(d / f"img-{k}.parquet")
+        pq.write_table(make_batch(90 * k, 90), files[-1], row_group_size=30)
+    return files
+
+
+@pytest.mark.parametrize("kind", ["points", "images"])
+def test_row_groups_share_assign_calls_table_by_table(tmp_path, monkeypatch, kind):
+    """The read-in-map loop hands consecutive row groups to one
+    ``assign.many`` call up to ``_CALL_BYTES`` of input (a larger row
+    group alone) and yields, table by table, the bytes of one ``assign``
+    call per row group."""
+    import pyarrow.parquet as pq
+
+    from equi7grid_ray.pipelines import flagship
+    from equi7grid_ray.stages.tile_assign import make_assign_fn
+
+    if kind == "points":
+        files, columns = _point_files(tmp_path, 3), ["lon", "lat"]
+        assign = make_assign_fn(broadcast=False, **_POINT_KW)
+    else:
+        files, columns = _image_files(tmp_path, 2), None
+        assign = make_assign_fn(broadcast=False, decode=True, emit_xy=False)
+    tables = [pq.ParquetFile(f).read_row_group(rg, columns=columns)
+              for f in files for rg in range(pq.ParquetFile(f).num_row_groups)]
+    want = [_ipc(assign(t)) for t in tables]
+    calls = []
+    many = assign.many
+
+    def spy(batches):
+        calls.append(len(batches))
+        return many(batches)
+
+    assign.many = spy
+    # room for two row groups: a size bound, not a row-group count
+    size = max(t.nbytes for t in tables)
+    monkeypatch.setattr(flagship, "_CALL_BYTES", 2 * size)
+    got = list(flagship._assign_row_groups(iter(tables), assign))
+    assert [_ipc(t) for t in got] == want
+    assert sum(calls) == len(tables) and max(calls) == 2
+    # a row group over the bound is a call of its own
+    calls.clear()
+    monkeypatch.setattr(flagship, "_CALL_BYTES", size // 2)
+    got = list(flagship._assign_row_groups(iter(tables), assign))
+    assert [_ipc(t) for t in got] == want and calls == [1] * len(tables)
+    # the default bound takes all of these small row groups in one call
+    calls.clear()
+    monkeypatch.undo()
+    assert [_ipc(t) for t in flagship._assign_row_groups(iter(tables), assign)] == want
+    assert calls == [len(tables)]
+
+
+def test_tile_assignments_from_files_rows_equal_per_row_group(ray_session, tmp_path):
+    """Through Ray, with grouped assigner calls: the output rows, in
+    order, are those of one in-process ``assign`` call per row group."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    from equi7grid_ray.pipelines.flagship import tile_assignments_from_files
+    from equi7grid_ray.stages.tile_assign import TileAssigner
+
+    files = _image_files(tmp_path, 7)
+    kw = dict(decode=True, emit_xy=False, passthrough=("fmt",))
+    ctx = rd.DataContext.get_current()
+    saved = ctx.execution_options.preserve_order
+    ctx.execution_options.preserve_order = True
+    try:
+        got = tile_assignments_from_files(files, **kw).to_arrow_refs()
+    finally:
+        ctx.execution_options.preserve_order = saved
+    got = pa.concat_tables(ray.get(got))
+    assigner = TileAssigner(**kw)
+    want = pa.concat_tables([assigner(pq.ParquetFile(f).read_row_group(rg))
+                             for f in files for rg in range(3)])
+    assert got.num_rows == want.num_rows > 0
+    for name in want.column_names:
+        g, w = got.column(name), want.column(name)
+        if pa.types.is_dictionary(w.type):
+            g, w = pc.cast(g, pa.string()), pc.cast(w, pa.string())
+        assert g.to_pylist() == w.to_pylist(), name
+
+
 def test_file_groups_contiguous_at_most_one_per_cpu():
     from equi7grid_ray.pipelines.flagship import _file_groups
 
